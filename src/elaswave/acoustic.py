@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndefiniteAcousticTensor
-from .materials import Material, StiffnessTensor, rotate_stiffness
+from .materials import Material, StiffnessTensor
 
 _REFERENCE_FRAME = (np.array([0.0, 0.0, 1.0]),
                     np.array([1.0, 0.0, 0.0]),
@@ -35,11 +35,16 @@ class ChristoffelModes:
     degenerate: bool
 
 
-def _cluster(vals: np.ndarray, rel_tol: float) -> list[list[int]]:
-    scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
+def cluster_sorted(vals: np.ndarray, tol: float) -> list[list[int]]:
+    """Group consecutive entries of an already-sorted array.
+
+    An entry joins the current group when it lies within tol of the group's
+    mean, and starts a new group otherwise.  Returns the positions of each
+    group's entries.
+    """
     clusters = [[0]]
     for k in range(1, len(vals)):
-        if abs(vals[k] - vals[clusters[-1][0]]) <= rel_tol * scale:
+        if abs(vals[k] - np.mean(vals[clusters[-1]])) <= tol:
             clusters[-1].append(k)
         else:
             clusters.append([k])
@@ -85,7 +90,8 @@ def christoffel_modes(m: Material, xi_hat: np.ndarray,
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order].T   # rows are eigenvectors
 
-    clusters = _cluster(vals, degeneracy_tol)
+    scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
+    clusters = cluster_sorted(vals, degeneracy_tol * scale)
     degenerate = any(len(cl) > 1 for cl in clusters)
     projectors = []
     pols = np.empty((3, 3))

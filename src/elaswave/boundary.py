@@ -23,7 +23,7 @@ from .factorization import (
     classify_spectrum,
     factorize,
 )
-from .impedance import Impedance, ModeProjectors, impedance_from_factorization, mode_projectors
+from .impedance import Impedance, impedance_from_factorization, mode_projectors
 from .materials import Material, decompose_harmonic
 
 _LABELS = ("hyperbolic", "mixed", "elliptic", "glancing")
@@ -46,17 +46,53 @@ class RegionClass:
         return self.label == "glancing"
 
 
-def _side_dim_ec(m: Material, frame: BoundaryFrame):
+def _side(m: Material, frame: BoundaryFrame):
+    """Boundary polynomial of one side and its spectrum classification."""
     a = boundary_polynomial(m, frame)
-    cls = classify_spectrum(a)
-    if cls.glancing:
-        return None, None
-    return cls.dim_evanescent, a
+    return a, classify_spectrum(a)
 
 
-def _ec_basis(a) -> np.ndarray:
-    f = factorize(a, "outgoing")
+def _outgoing_z(a, classification=None) -> np.ndarray:
+    f = factorize(a, "outgoing", classification=classification)
+    return impedance_from_factorization(a, f).z
+
+
+def _ec_basis(a, classification) -> np.ndarray:
+    f = factorize(a, "outgoing", classification=classification)
     return mode_projectors(f).ec_basis()
+
+
+def _classify_sides(materials, frame: BoundaryFrame, angle_tol: float = 1e-8):
+    """Region of a boundary or interface, with the (polynomial, classification)
+    of each side so that callers can factorize without solving again."""
+    if isinstance(materials, Material):
+        sides = (_side(materials, frame),)
+    else:
+        mp, mm = materials
+        sides = (_side(mp, frame), _side(mm, frame.flipped()))
+    dims = tuple(None if cls.glancing else cls.dim_evanescent for _, cls in sides)
+    if None in dims:
+        return RegionClass("glancing", dims), sides
+    if len(sides) == 1:
+        label = {0: "hyperbolic", 3: "elliptic"}.get(dims[0], "mixed")
+        return RegionClass(label, dims), sides
+
+    dim_p, dim_m = dims
+    if dim_p == 0 or dim_m == 0:
+        inter = 0
+    elif dim_p == 3 and dim_m == 3:
+        inter = 3
+    else:
+        bp, bm = (_ec_basis(a, cls) for a, cls in sides)
+        cos_angles = np.linalg.svd(bp.conj().T @ bm, compute_uv=False)
+        inter = int(np.sum(cos_angles > 1.0 - angle_tol))
+    if inter == 0:
+        label = "hyperbolic"
+    elif dim_p == 3 and dim_m == 3:
+        label = "elliptic"
+    else:
+        label = "mixed"
+    return RegionClass(label, dims, inter), sides
 
 
 def classify(materials, frame: BoundaryFrame,
@@ -67,33 +103,7 @@ def classify(materials, frame: BoundaryFrame,
     hyperbolic iff E_c+ and E_c- intersect trivially, elliptic iff both
     evanescent subspaces are full.
     """
-    if isinstance(materials, Material):
-        dim, _ = _side_dim_ec(materials, frame)
-        if dim is None:
-            return RegionClass("glancing", (None,))
-        label = {0: "hyperbolic", 3: "elliptic"}.get(dim, "mixed")
-        return RegionClass(label, (dim,))
-
-    mp, mm = materials
-    dim_p, a_p = _side_dim_ec(mp, frame)
-    dim_m, a_m = _side_dim_ec(mm, frame.flipped())
-    if dim_p is None or dim_m is None:
-        return RegionClass("glancing", (dim_p, dim_m))
-    if dim_p == 0 or dim_m == 0:
-        inter = 0
-    elif dim_p == 3 and dim_m == 3:
-        inter = 3
-    else:
-        bp, bm = _ec_basis(a_p), _ec_basis(a_m)
-        cos_angles = np.linalg.svd(bp.conj().T @ bm, compute_uv=False)
-        inter = int(np.sum(cos_angles > 1.0 - angle_tol))
-    if inter == 0:
-        label = "hyperbolic"
-    elif dim_p == 3 and dim_m == 3:
-        label = "elliptic"
-    else:
-        label = "mixed"
-    return RegionClass(label, (dim_p, dim_m), inter)
+    return _classify_sides(materials, frame, angle_tol)[0]
 
 
 def _iso_moduli(m: Material, tol: float = 1e-8):
@@ -249,9 +259,7 @@ def rayleigh_speed(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
     tau_eta = tau_limit(m, nu, eta_hat)
 
     def zfun(t: float) -> np.ndarray:
-        frame = BoundaryFrame(nu, eta_hat, -t)
-        a = boundary_polynomial(m, frame)
-        return impedance_from_factorization(a, factorize(a, "outgoing")).z
+        return _outgoing_z(boundary_polynomial(m, BoundaryFrame(nu, eta_hat, -t)))
 
     return _surface_wave_bisect(zfun, tau_eta, rel_tol, edge_offset)
 
@@ -265,16 +273,25 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
 
     def zfun(t: float) -> np.ndarray:
         frame = BoundaryFrame(nu, eta_hat, -t)
-        zp = impedance_from_factorization(
-            boundary_polynomial(m_plus, frame),
-            factorize(boundary_polynomial(m_plus, frame), "outgoing")).z
-        fl = frame.flipped()
-        zm = impedance_from_factorization(
-            boundary_polynomial(m_minus, fl),
-            factorize(boundary_polynomial(m_minus, fl), "outgoing")).z
-        return zp + zm
+        return (_outgoing_z(boundary_polynomial(m_plus, frame))
+                + _outgoing_z(boundary_polynomial(m_minus, frame.flipped())))
 
     return _surface_wave_bisect(zfun, tau_eta, rel_tol, edge_offset)
+
+
+def classify_with_margin(materials, frame: BoundaryFrame):
+    """Region of a frame and, off the elliptic region, sigma_min(z)/||z||.
+
+    For material pairs z is replaced by z+ + z-.  The margin is None on
+    elliptic and glancing frames.  Each side's spectrum is solved once and
+    serves both the label and the impedance.
+    """
+    region, sides = _classify_sides(materials, frame)
+    if region.label not in ("hyperbolic", "mixed"):
+        return region, None
+    z = sum(_outgoing_z(a, cls) for a, cls in sides)
+    sv = np.linalg.svd(z, compute_uv=False)
+    return region, float(sv[-1] / max(sv[0], 1e-300))
 
 
 def ellipticity_margin(materials, frames) -> tuple[float, list]:
@@ -286,20 +303,9 @@ def ellipticity_margin(materials, frames) -> tuple[float, list]:
     rows = []
     margin = np.inf
     for frame in frames:
-        region = classify(materials, frame)
-        if region.label not in ("hyperbolic", "mixed"):
+        region, val = classify_with_margin(materials, frame)
+        if val is None:
             continue
-        if isinstance(materials, Material):
-            a = boundary_polynomial(materials, frame)
-            z = impedance_from_factorization(a, factorize(a, "outgoing")).z
-        else:
-            mp, mm = materials
-            ap = boundary_polynomial(mp, frame)
-            am = boundary_polynomial(mm, frame.flipped())
-            z = (impedance_from_factorization(ap, factorize(ap, "outgoing")).z
-                 + impedance_from_factorization(am, factorize(am, "outgoing")).z)
-        sv = np.linalg.svd(z, compute_uv=False)
-        val = float(sv[-1] / max(sv[0], 1e-300))
         margin = min(margin, val)
         rows.append((frame, region.label, val))
     return margin, rows

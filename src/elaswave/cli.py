@@ -16,12 +16,11 @@ import numpy as np
 
 from . import boundary as bnd
 from . import layered as lyr
-from .acoustic import christoffel_modes, eigen_gap_scan, fibonacci_sphere
+from .acoustic import christoffel_modes, fibonacci_sphere
 from .errors import ElasticError, NumericalDomainError, ValidationError
 from .factorization import (
     BoundaryFrame,
     boundary_polynomial,
-    classify_spectrum,
     factorization_residual,
     factorize,
 )
@@ -41,14 +40,12 @@ class Config:
 
     tol_grouping: float = 1e-8
     tol_glancing: float = 1e-6
-    tol_quadrature: float = 1e-8
     tol_bisection: float = 1e-10
     fmt: str = "json"
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("tol_grouping", "tol_glancing", "tol_quadrature",
-                     "tol_bisection"):
+        for name in ("tol_grouping", "tol_glancing", "tol_bisection"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
 
@@ -221,13 +218,9 @@ def _cmd_classify(args, cfg: Config) -> int:
             ang = 2.0 * np.pi * k / args.grid
             eta = np.array([np.cos(ang), np.sin(ang), 0.0])
             frame = BoundaryFrame(np.array([0.0, 0.0, 1.0]), eta, args.tau)
-            region = bnd.classify(sides, frame)
-            if region.is_glancing:
-                rows.append((eta[0], eta[1], args.tau, region.label, 0.0))
-                continue
-            margin, _ = bnd.ellipticity_margin(sides, [frame])
-            margin = 0.0 if not np.isfinite(margin) else margin
-            rows.append((eta[0], eta[1], args.tau, region.label, margin))
+            region, margin = bnd.classify_with_margin(sides, frame)
+            rows.append((eta[0], eta[1], args.tau, region.label,
+                         0.0 if margin is None else margin))
         _emit_csv(["eta_x", "eta_y", "tau", "label", "margin"], rows, cfg)
         return 0
     frame = _frame(args)
@@ -328,8 +321,9 @@ def _add_frame_args(p, tau_required: bool = True):
 def _add_common(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    for key in ("grouping", "glancing", "quadrature", "bisection"):
-        p.add_argument(f"--tol-{key}", type=float, default=None)
+    for key in ("grouping", "glancing", "bisection"):
+        p.add_argument(f"--tol-{key}", type=float,
+                       default=getattr(Config, f"tol_{key}"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,10 +416,9 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = Config(
-            tol_grouping=args.tol_grouping or 1e-8,
-            tol_glancing=args.tol_glancing or 1e-6,
-            tol_quadrature=args.tol_quadrature or 1e-8,
-            tol_bisection=args.tol_bisection or 1e-10,
+            tol_grouping=args.tol_grouping,
+            tol_glancing=args.tol_glancing,
+            tol_bisection=args.tol_bisection,
             fmt=args.format,
             out=args.out,
         )

@@ -71,6 +71,10 @@ class IllConditionedJ(NumericalDomainError):
     pass
 
 
+class SolvencyResidual(NumericalDomainError):
+    pass
+
+
 class ContourTooClose(NumericalDomainError):
     pass
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
-from .acoustic import acoustic_tensor
+from .acoustic import acoustic_tensor, cluster_sorted
 from .errors import (
     ContourTooClose,
     DefectiveEigenvalue,
@@ -26,8 +27,10 @@ from .errors import (
     GlancingSpectrum,
     IllConditionedJ,
     NotAnEigenvalue,
+    NumericalDomainError,
     QuadratureNotConverged,
     SigmaCardinality,
+    SolvencyResidual,
 )
 from .materials import Material
 
@@ -159,8 +162,15 @@ class EigenvalueGroup:
 
 @dataclass(frozen=True)
 class SpectrumClassification:
+    """Grouped spectrum of the linearization and its complex Schur form.
+
+    schur = (T, Z) with S = Z T Z*; factorize reorders it per direction
+    instead of solving the spectrum again.
+    """
+
     groups: tuple
     stroh_norm: float
+    schur: tuple = field(repr=False)
 
     @property
     def glancing(self) -> bool:
@@ -181,18 +191,6 @@ class SpectrumClassification:
                    if not g.is_real and g.value.imag > 0)
 
 
-def _cluster_eigenvalues(vals: np.ndarray, tol: float) -> list[np.ndarray]:
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    clusters: list[list[complex]] = [[vals[0]]]
-    for v in vals[1:]:
-        if abs(v - np.mean(clusters[-1])) <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [np.array(c) for c in clusters]
-
-
 def kernel_basis(a: QuadraticMatrixPolynomial, s: complex,
                  rel_tol: float = 1e-6) -> np.ndarray:
     """Orthonormal basis (3 x k) of ker A(s) from an SVD cutoff."""
@@ -210,15 +208,22 @@ def classify_spectrum(a: QuadraticMatrixPolynomial,
                       glancing_tol: float = 1e-6) -> SpectrumClassification:
     """Eigenvalues of the linearization, grouped, with sign types for real ones.
 
-    A real eigenvalue is glancing when the derivative form on its kernel is
-    indefinite or too small, or when the eigenvalue is defective.
+    The eigenvalues are the diagonal of one complex Schur form, which is
+    kept for factorize.  A real eigenvalue is glancing when the derivative
+    form on its kernel is indefinite or too small, or when the eigenvalue is
+    defective.
     """
     s6 = stroh(a).matrix
     norm = float(np.linalg.norm(s6))
-    vals = np.linalg.eigvals(s6)
+    t, z = scipy.linalg.schur(s6, output="complex")
+    t.setflags(write=False)
+    z.setflags(write=False)
+    vals = np.diag(t)
+    vals = vals[np.lexsort((vals.imag, vals.real))]
     tol_real = grouping_tol * (1.0 + norm)
     groups = []
-    for cluster in _cluster_eigenvalues(vals, max(tol_real, 1e3 * np.finfo(float).eps * norm)):
+    for idx in cluster_sorted(vals, max(tol_real, 1e3 * np.finfo(float).eps * norm)):
+        cluster = vals[idx]
         mean = complex(np.mean(cluster))
         is_real = abs(mean.imag) <= tol_real
         value = complex(mean.real) if is_real else mean
@@ -244,7 +249,7 @@ def classify_spectrum(a: QuadraticMatrixPolynomial,
                     glancing = True
         groups.append(EigenvalueGroup(value, alg, geo, is_real, sign_type,
                                       glancing, kern))
-    return SpectrumClassification(tuple(groups), norm)
+    return SpectrumClassification(tuple(groups), norm, (t, z))
 
 
 def _sigma_values(classification: SpectrumClassification, direction: str,
@@ -294,8 +299,10 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
     """Spectral factorization via an ordered Schur form of the linearization.
 
     The invariant subspace for the selected half of the spectrum is computed
-    with eigenvalue reordering (robust to the double shear eigenvalue); the
-    right root is read off its displacement block.
+    by reordering the classification's Schur form (robust to the double
+    shear eigenvalue); the right root is read off its displacement block.
+    Passing the classification of `a` lets both directions share one
+    spectrum computation.
     """
     if tau is None:
         if a.frame is None:
@@ -313,12 +320,12 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
 
     targets = np.array(sorted(set(sigma), key=lambda z: (z.real, z.imag)))
     match_tol = max(grouping_tol * (1.0 + classification.stroh_norm), 1e-12)
-
-    def select(z):
-        return bool(np.min(np.abs(z - targets)) <= 10 * match_tol)
-
-    s6 = stroh(a).matrix
-    t, zvec, sdim = scipy.linalg.schur(s6, output="complex", sort=select)
+    t, zvec = classification.schur
+    dist = np.abs(np.diag(t)[:, None] - targets[None, :]).min(axis=1)
+    t, zvec, _, sdim, _, _, info = scipy.linalg.lapack.ztrsen(
+        (dist <= 10 * match_tol).astype(np.int32), t, zvec, job="N")
+    if info != 0:
+        raise NumericalDomainError(f"Schur reordering failed (ztrsen info {info})")
     if sdim != 3:
         raise SigmaCardinality(
             f"ordered Schur selected a {sdim}-dimensional subspace, expected 3")
@@ -338,7 +345,7 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
 
 def _validate_factorization(f: SpectralFactorization) -> None:
     if f.solvency_residual > 1e-10:
-        raise ArithmeticError(
+        raise SolvencyResidual(
             f"solvency residual {f.solvency_residual:g} exceeds 1e-10")
     eq = np.linalg.eigvals(f.q)
     es = np.linalg.eigvals(f.q_sharp)

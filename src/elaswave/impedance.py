@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .acoustic import cluster_sorted
 from .errors import (
     CrossCheckFailed,
     NearDefectiveQ,
@@ -43,9 +44,6 @@ class Impedance:
     direction: str
     frame: BoundaryFrame | None = None
     region: str | None = None
-
-    def with_region(self, region: str) -> "Impedance":
-        return Impedance(self.z, self.direction, self.frame, region)
 
     def hermiticity_residual(self, subspace: np.ndarray | None = None) -> float:
         """Relative defect of z = z* on a subspace (columns span it)."""
@@ -101,13 +99,8 @@ def mode_projectors(f: SpectralFactorization,
     norm = max(float(np.max(np.abs(vals))), 1e-300)
     tol = grouping_tol * (1.0 + norm)
 
-    order = np.argsort(vals.real + 1e-9 * vals.imag)
-    clusters: list[list[complex]] = [[vals[order[0]]]]
-    for k in order[1:]:
-        if abs(vals[k] - np.mean(clusters[-1])) <= 100 * tol:
-            clusters[-1].append(vals[k])
-        else:
-            clusters.append([vals[k]])
+    vals = vals[np.argsort(vals.real + 1e-9 * vals.imag)]
+    clusters = [vals[idx] for idx in cluster_sorted(vals, 100 * tol)]
     means = [complex(np.mean(c)) for c in clusters]
 
     eye = np.eye(3, dtype=complex)

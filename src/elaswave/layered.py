@@ -12,7 +12,7 @@ numbered downward, and the half-space lies below the last layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class EventTree:
     arrivals: tuple          # (time, s_in, |amplitude|, flux) at the free surface
     evanescent_records: tuple  # (event uid, side, |pi_c f|)
     truncated: bool
-
-    def leaves(self):
-        return [e for e in self.events if e.status != "propagating"
-                and e.status != "scattered"]
 
     def to_dict(self) -> dict:
         return {

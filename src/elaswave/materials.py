@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class StiffnessTensor:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-    def apply(self, strain: np.ndarray) -> np.ndarray:
-        """Stress C[e] for a symmetric 3x3 strain e."""
-        return np.einsum("ijkm,km->ij", self.entries, strain)
 
 
 @dataclass(frozen=True)
@@ -230,17 +226,6 @@ def from_voigt(m: np.ndarray) -> StiffnessTensor:
                 for kk, ll in ((k, l), (l, k)):
                     c[ii, jj, kk, ll] = v
     return StiffnessTensor(c)
-
-
-def nondimensionalize(m: Material, modulus_ref: float | None = None,
-                      density_ref: float | None = None) -> Material:
-    """Scale stiffness and density by reference values to condition eigenproblems.
-
-    Defaults: the largest stiffness entry and the density itself.
-    """
-    cref = modulus_ref if modulus_ref is not None else float(np.abs(m.stiffness.entries).max())
-    rref = density_ref if density_ref is not None else m.density
-    return Material(StiffnessTensor(m.stiffness.entries / cref), m.density / rref, m.name)
 
 
 # --- material files ---------------------------------------------------------

@@ -18,10 +18,11 @@ from .factorization import (
     QuadraticMatrixPolynomial,
     SpectralFactorization,
     boundary_polynomial,
+    classify_spectrum,
     factorize,
     kernel_basis,
 )
-from .impedance import Impedance, impedance_from_factorization, mode_projectors
+from .impedance import impedance_from_factorization, mode_projectors
 from .materials import Material
 
 
@@ -123,8 +124,9 @@ def reflect_free_surface(m: Material, frame: BoundaryFrame,
                          margin: float = 1e-8) -> ScatterResult:
     """Zero-traction reflection f = -z_out^{-1} z_in g."""
     a = boundary_polynomial(m, frame)
-    f_out = factorize(a, "outgoing")
-    f_in = factorize(a, "incoming")
+    cls = classify_spectrum(a)
+    f_out = factorize(a, "outgoing", classification=cls)
+    f_in = factorize(a, "incoming", classification=cls)
     z_out = impedance_from_factorization(a, f_out).z
     z_in = impedance_from_factorization(a, f_in).z
     if mode_projectors(f_out).dim_ec == 3:
@@ -149,8 +151,9 @@ def transmit_interface(m_plus: Material, m_minus: Material,
     tau = frame.tau
     ap = boundary_polynomial(m_plus, frame)
     am = boundary_polynomial(m_minus, frame.flipped())
-    fp_out = factorize(ap, "outgoing")
-    fp_in = factorize(ap, "incoming")
+    cls_p = classify_spectrum(ap)
+    fp_out = factorize(ap, "outgoing", classification=cls_p)
+    fp_in = factorize(ap, "incoming", classification=cls_p)
     fm_out = factorize(am, "outgoing")
     zp_out = impedance_from_factorization(ap, fp_out).z
     zp_in = impedance_from_factorization(ap, fp_in).z

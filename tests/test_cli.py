@@ -153,7 +153,8 @@ class TestDeterminism:
         assert json.loads(target.read_text())["dim_ec"] == 3
 
     def test_bad_tolerance(self, capsys, iso_file):
-        code, _, err = invoke(capsys, "impedance", "--material", iso_file,
-                              "--eta", "1", "0", "--tau", "-0.5",
-                              "--tol-grouping", "-1")
-        assert code == 2
+        for value in ("-1", "0"):
+            code, _, err = invoke(capsys, "impedance", "--material", iso_file,
+                                  "--eta", "1", "0", "--tau", "-0.5",
+                                  "--tol-grouping", value)
+            assert code == 2, value

@@ -1,15 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elaswave.errors import (
     ContourTooClose,
     DefectiveEigenvalue,
     GlancingSpectrum,
     NotAnEigenvalue,
+    NumericalDomainError,
+    SolvencyResidual,
 )
 from elaswave.factorization import (
     BoundaryFrame,
     QuadraticMatrixPolynomial,
+    _validate_factorization,
     boundary_polynomial,
     classify_spectrum,
     contour_root_check,
@@ -18,6 +24,7 @@ from elaswave.factorization import (
     residue,
     stroh,
 )
+from elaswave.materials import Material, from_voigt
 
 from conftest import NU, sample_frames
 
@@ -26,6 +33,25 @@ ETA = np.array([1.0, 0.0, 0.0])
 
 def frame(tau, eta=ETA):
     return BoundaryFrame(NU, eta, tau)
+
+
+def random_triclinic(rng):
+    """Strongly convex triclinic material from a random SPD Mandel matrix."""
+    g = rng.standard_normal((6, 6))
+    mandel = g @ g.T / 6.0 + 0.5 * np.eye(6)
+    scale = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
+    return Material(from_voigt(mandel / np.outer(scale, scale)), 1.0, "triclinic")
+
+
+def sorted_schur_root(a, sigma):
+    """Right root from a Schur form that scipy sorts with a target callable."""
+    targets = np.array(sigma)
+    t, z, sdim = scipy.linalg.schur(
+        stroh(a).matrix, output="complex",
+        sort=lambda v: np.min(np.abs(v - targets)) <= 1e-6)
+    assert sdim == 3
+    x1 = z[:3, :3]
+    return x1 @ t[:3, :3] @ np.linalg.inv(x1)
 
 
 class TestBoundaryFrame:
@@ -169,6 +195,35 @@ class TestFactorize:
     def test_glancing_raises(self, iso):
         with pytest.raises(GlancingSpectrum):
             factorize(boundary_polynomial(iso, frame(-1.0)), "outgoing")
+
+    def test_shared_classification_matches_fresh(self):
+        # One classification serves both directions; reordering its Schur
+        # form gives the same roots as solving afresh and as a sorted Schur
+        # decomposition of the Stroh matrix.
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            mat = random_triclinic(rng)
+            for frames in sample_frames(mat, rng, 2).values():
+                for fr in frames:
+                    a = boundary_polynomial(mat, fr)
+                    cls = classify_spectrum(a)
+                    for d in ("outgoing", "incoming"):
+                        shared = factorize(a, d, classification=cls)
+                        fresh = factorize(a, d)
+                        for x, y in ((shared.q, fresh.q),
+                                     (shared.q_sharp, fresh.q_sharp)):
+                            assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+                        ref = sorted_schur_root(a, shared.sigma)
+                        assert (np.linalg.norm(shared.q - ref)
+                                <= 1e-8 * np.linalg.norm(ref))
+
+    def test_solvency_failure_is_typed(self, iso):
+        f = factorize(boundary_polynomial(iso, frame(-1.5)), "outgoing")
+        _validate_factorization(f)
+        bad = dataclasses.replace(f, q=f.q + 1e-6)
+        with pytest.raises(SolvencyResidual):
+            _validate_factorization(bad)
+        assert issubclass(SolvencyResidual, NumericalDomainError)
 
     def test_spec_gap(self, iso):
         a = boundary_polynomial(iso, frame(-1.7))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from elaswave import factorization
 from elaswave.errors import NoIncomingMode
 from elaswave.factorization import BoundaryFrame, boundary_polynomial, kernel_basis
 from elaswave.materials import make_isotropic
@@ -157,3 +158,19 @@ class TestEnergyReport:
         g = TraceField(np.zeros(3, dtype=complex), fr, inc0.s_in)
         r = reflect_free_surface(iso, fr, g)
         assert all(abs(v) < 1e-30 for v in r.sides["+"].fluxes.values())
+
+
+class TestOneSpectrumPerPolynomial:
+    def test_stroh_once_per_side(self, iso, hard, monkeypatch):
+        # Both directions of a side come from one Schur form.
+        fr = frame(-2.5)
+        inc = incoming_mode(iso, fr, 0)
+        calls = []
+        stroh = factorization.stroh
+        monkeypatch.setattr(factorization, "stroh",
+                            lambda a: calls.append(a) or stroh(a))
+        reflect_free_surface(iso, fr, inc)
+        assert len(calls) == 1
+        calls.clear()
+        transmit_interface(iso, hard, fr, inc)
+        assert len(calls) == 2
