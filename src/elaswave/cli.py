@@ -103,6 +103,15 @@ def _frame(args) -> BoundaryFrame:
     return BoundaryFrame(np.array([0.0, 0.0, 1.0]), eta, args.tau)
 
 
+def _eta_direction(args) -> np.ndarray:
+    """Unit tangential direction of --eta; a zero or non-finite eta has none."""
+    eta = np.array([args.eta[0], args.eta[1], 0.0])
+    norm = np.linalg.norm(eta)
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValidationError("--eta must be finite and nonzero to give a direction")
+    return eta / norm
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 def _cmd_material(args, cfg: Config) -> int:
@@ -244,8 +253,7 @@ def _surface_wave_doc(res: bnd.RayleighResult):
 
 def _cmd_rayleigh(args, cfg: Config) -> int:
     m = load_material(args.material)
-    eta_hat = np.array([args.eta[0], args.eta[1], 0.0])
-    eta_hat = eta_hat / np.linalg.norm(eta_hat)
+    eta_hat = _eta_direction(args)
     res = bnd.rayleigh_speed(m, np.array([0.0, 0.0, 1.0]), eta_hat,
                              rel_tol=cfg.tol_bisection)
     _emit_json(_surface_wave_doc(res), cfg)
@@ -255,8 +263,7 @@ def _cmd_rayleigh(args, cfg: Config) -> int:
 def _cmd_stoneley(args, cfg: Config) -> int:
     mp = load_material(args.material_plus)
     mm = load_material(args.material_minus)
-    eta_hat = np.array([args.eta[0], args.eta[1], 0.0])
-    eta_hat = eta_hat / np.linalg.norm(eta_hat)
+    eta_hat = _eta_direction(args)
     res = bnd.stoneley_speed(mp, mm, np.array([0.0, 0.0, 1.0]), eta_hat,
                              rel_tol=cfg.tol_bisection)
     _emit_json(_surface_wave_doc(res), cfg)

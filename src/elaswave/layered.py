@@ -12,14 +12,25 @@ numbered downward, and the half-space lies below the last layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GlancingSpectrum, NumericalDomainError, StackFileError
+from .errors import (
+    GlancingSpectrum,
+    NumericalDomainError,
+    StackFileError,
+    ValidationError,
+)
 from .factorization import BoundaryFrame, QuadraticMatrixPolynomial, boundary_polynomial
 from .materials import Material, check_strong_convexity, material_from_dict
-from .scatter import TraceField, incoming_mode, reflect_free_surface, transmit_interface
+from .scatter import (
+    ScatterOperator,
+    TraceField,
+    free_surface_operator,
+    incoming_mode,
+    interface_operator,
+)
 
 _UP = np.array([0.0, 0.0, 1.0])
 
@@ -148,10 +159,23 @@ def _frame_for(seg_direction: str, eta: np.ndarray, tau: float) -> BoundaryFrame
     return BoundaryFrame(nu, eta, tau)
 
 
-def _crossing_time(stack: LayerStack, layer: int, frame: BoundaryFrame,
-                   m: Material, s: float, v: np.ndarray) -> float:
-    a = boundary_polynomial(m, frame)
-    return stack.thickness(layer) * abs(group_delay(a, s, v))
+def _next_layer(layer: int, direction: str) -> int:
+    return layer + 1 if direction == "down" else layer - 1
+
+
+def _scatter_law(stack: LayerStack, layer: int, direction: str,
+                 frame: BoundaryFrame) -> ScatterOperator | NumericalDomainError:
+    """Operator of the boundary met by a segment in `layer` heading `direction`,
+    or the error its build raised (every segment meeting it then glances)."""
+    m_here = stack.material(layer)
+    try:
+        if direction == "up" and layer == 0 and stack.free_surface:
+            return free_surface_operator(m_here, frame)
+        return interface_operator(m_here,
+                                  stack.material(_next_layer(layer, direction)),
+                                  frame)
+    except NumericalDomainError as exc:
+        return exc
 
 
 def trace_plane_wave(stack: LayerStack, eta, tau: float,
@@ -164,23 +188,44 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     The source is a flux-normalized pure mode launched at the far boundary
     of its layer at time zero.  Each interaction branches into all real
     outgoing modes above the amplitude floor; evanescent components are
-    recorded but never propagated.
+    recorded but never propagated.  At fixed (eta, tau) every scattering
+    law and crossing-time polynomial depends only on (layer, direction), so
+    each is built once per call and reused by every event that needs it.
     """
     if max_events < 1:
-        raise ValueError("max_events must be at least 1")
+        raise ValidationError("max_events must be at least 1")
     eta = np.asarray(eta, dtype=float)
     if eta.shape == (2,):
         eta = np.array([eta[0], eta[1], 0.0])
+    if eta.shape != (3,):
+        raise ValidationError(f"eta must have 2 or 3 components, got shape {eta.shape}")
     if abs(eta[2]) > 0:
-        raise ValueError("eta must be horizontal")
+        raise ValidationError("eta must be horizontal")
     n_layers = len(stack.layers)
     if not 0 <= source_layer < n_layers:
-        raise ValueError("source layer out of range")
+        raise ValidationError("source layer out of range")
+    if source_direction not in ("up", "down"):
+        raise ValidationError("source direction must be 'up' or 'down'")
 
-    frame0 = _frame_for(source_direction, eta, tau)
-    m0 = stack.material(source_layer)
-    src = incoming_mode(m0, frame0, source_mode)
-    t0 = _crossing_time(stack, source_layer, frame0, m0, src.s_in, src.g)
+    frames = {d: _frame_for(d, eta, tau) for d in ("up", "down")}
+    built = {}   # ("law" | "poly", layer, direction) -> built once per call
+
+    def scatter_law(layer, direction):
+        key = ("law", layer, direction)
+        if key not in built:
+            built[key] = _scatter_law(stack, layer, direction, frames[direction])
+        return built[key]
+
+    def crossing_time(layer, direction, s, v):
+        key = ("poly", layer, direction)
+        if key not in built:
+            built[key] = boundary_polynomial(stack.material(layer),
+                                             frames[direction])
+        return stack.thickness(layer) * abs(group_delay(built[key], s, v))
+
+    src = incoming_mode(stack.material(source_layer), frames[source_direction],
+                        source_mode)
+    t0 = crossing_time(source_layer, source_direction, src.s_in, src.g)
     src_amp = float(np.linalg.norm(src.g))
 
     events: list[RayEvent] = []
@@ -199,48 +244,29 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     while queue:
         if n_scattered >= max_events:
             for seg in queue:
-                events[seg.uid] = RayEvent(
-                    seg.uid, seg.parent, seg.layer, seg.direction, seg.s,
-                    seg.amplitude, seg.time, seg.depth, seg.flux,
-                    "truncated", seg.note)
+                events[seg.uid] = replace(seg, status="truncated")
             truncated = True
             break
         seg = queue.pop(0)
         n_scattered += 1
-        frame = _frame_for(seg.direction, eta, tau)
-        m_here = stack.material(seg.layer)
-        incoming = TraceField(seg.amplitude, frame, seg.s, "+", seg.flux)
-
-        try:
-            if seg.direction == "up" and seg.layer == 0 and stack.free_surface:
-                arrivals.append((seg.time, seg.s,
-                                 float(np.linalg.norm(seg.amplitude)), seg.flux))
-                result = reflect_free_surface(m_here, frame, incoming)
-                children_spec = [("+", seg.layer, "down", result.sides["+"])]
-            else:
-                if seg.direction == "down":
-                    other = seg.layer + 1
-                    spec_sides = [("+", seg.layer, "up"), ("-", other, "down")]
-                else:
-                    other = seg.layer - 1
-                    spec_sides = [("+", seg.layer, "down"), ("-", other, "up")]
-                result = transmit_interface(m_here, stack.material(other),
-                                            frame, incoming)
-                children_spec = [(tag, lay, dirn, result.sides[tag])
-                                 for tag, lay, dirn in spec_sides]
-        except NumericalDomainError as exc:
-            events[seg.uid] = RayEvent(seg.uid, seg.parent, seg.layer,
-                                       seg.direction, seg.s, seg.amplitude,
-                                       seg.time, seg.depth, seg.flux,
-                                       "glancing", str(exc))
+        if seg.direction == "up" and seg.layer == 0 and stack.free_surface:
+            arrivals.append((seg.time, seg.s,
+                             float(np.linalg.norm(seg.amplitude)), seg.flux))
+        law = scatter_law(seg.layer, seg.direction)
+        if isinstance(law, NumericalDomainError):
+            events[seg.uid] = replace(seg, status="glancing", note=str(law))
             continue
+        result = law.apply(TraceField(seg.amplitude, law.frame, seg.s, "+",
+                                      seg.flux))
+        events[seg.uid] = replace(seg, status="scattered")
 
-        events[seg.uid] = RayEvent(seg.uid, seg.parent, seg.layer,
-                                   seg.direction, seg.s, seg.amplitude,
-                                   seg.time, seg.depth, seg.flux,
-                                   "scattered", seg.note)
-
-        for tag, lay, dirn, side in children_spec:
+        for tag, side in result.sides.items():
+            # The + side turns back into the segment's layer; the - side
+            # carries on into the next one.
+            if tag == "+":
+                lay, dirn = seg.layer, "down" if seg.direction == "up" else "up"
+            else:
+                lay, dirn = _next_layer(seg.layer, seg.direction), seg.direction
             ev_norm = float(np.linalg.norm(side.evanescent))
             if ev_norm > 0:
                 evanescent_records.append((seg.uid, tag, ev_norm))
@@ -261,10 +287,8 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                                            "halfspace"))
                     uid += 1
                     continue
-                child_frame = _frame_for(dirn, eta, tau)
                 try:
-                    dt = _crossing_time(stack, lay, child_frame,
-                                        stack.material(lay), -s_out, amp)
+                    dt = crossing_time(lay, dirn, -s_out, amp)
                 except NumericalDomainError as exc:
                     events.append(RayEvent(uid, seg.uid, lay, dirn, -s_out,
                                            amp, seg.time, seg.depth + 1, flux,

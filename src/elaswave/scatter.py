@@ -3,8 +3,11 @@
 All laws act on Dirichlet traces.  At a free surface zero traction gives
 f = -z_out^{-1} z_in g; at a welded interface continuity of displacement
 and traction gives f- = -(z+_out + z-_out)^{-1}(z+_in - z+_out) g and
-f+ = f- - g.  Energy bookkeeping uses the modal flux identity, with
-incident modes flux-normalized so amplitude tables compare directly.
+f+ = f- - g.  Each law is linear in g and depends only on the frame and
+the materials, so it is built once per frame as a `ScatterOperator` and
+applied to every trace that meets it.  Energy bookkeeping uses the modal
+flux identity, with incident modes flux-normalized so amplitude tables
+compare directly.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .factorization import (
     factorize,
     kernel_basis,
 )
-from .impedance import impedance_from_factorization, mode_projectors
+from .impedance import ModeProjectors, impedance_from_factorization, mode_projectors
 from .materials import Material
 
 
@@ -60,15 +63,30 @@ class ScatterResult:
     balance_residual: float
 
 
-def _side_waves(a: QuadraticMatrixPolynomial, f_out: SpectralFactorization,
-                trace: np.ndarray, tau: float) -> SideWaves:
-    pr = mode_projectors(f_out)
+@dataclass(frozen=True)
+class ModalSide:
+    """A side's polynomial, one factorization of it and that factorization's
+    mode projectors, computed once and shared by every trace scattered there."""
+
+    poly: QuadraticMatrixPolynomial
+    factorization: SpectralFactorization
+    projectors: ModeProjectors
+
+
+def _modal_side(a: QuadraticMatrixPolynomial,
+                f: SpectralFactorization) -> ModalSide:
+    return ModalSide(a, f, mode_projectors(f))
+
+
+def _side_waves(side: ModalSide, trace: np.ndarray, tau: float) -> SideWaves:
+    a = side.poly
     amps, fluxes = {}, {}
-    for s, psi in pr.psi.items():
+    for s, psi in side.projectors.psi.items():
         fs = psi @ trace
         amps[s] = fs
         fluxes[s] = float(-tau * 0.5 * np.real(np.vdot(fs, a.derivative(s) @ fs)))
-    return SideWaves(trace, amps, pr.pi_c @ trace, fluxes, f_out)
+    return SideWaves(trace, amps, side.projectors.pi_c @ trace, fluxes,
+                     side.factorization)
 
 
 def incoming_mode(m: Material, frame: BoundaryFrame,
@@ -100,12 +118,11 @@ def incoming_mode(m: Material, frame: BoundaryFrame,
     return TraceField(g, frame, float(s))
 
 
-def _incident_flux(a: QuadraticMatrixPolynomial, f_in: SpectralFactorization,
-                   g: np.ndarray, tau: float) -> float:
+def _incident_flux(side: ModalSide, g: np.ndarray, tau: float) -> float:
     """Energy flux toward the boundary carried by an incoming trace."""
-    pr = mode_projectors(f_in)
+    a = side.poly
     total = 0.0
-    for s, psi in pr.psi.items():
+    for s, psi in side.projectors.psi.items():
         gs = psi @ g
         total += tau * 0.5 * np.real(np.vdot(gs, a.derivative(s) @ gs))
     return float(total)
@@ -119,36 +136,60 @@ def _check_invertible(mat: np.ndarray, margin: float, what: str) -> np.ndarray:
     return np.linalg.inv(mat)
 
 
-def reflect_free_surface(m: Material, frame: BoundaryFrame,
-                         incoming: TraceField,
-                         margin: float = 1e-8) -> ScatterResult:
-    """Zero-traction reflection f = -z_out^{-1} z_in g."""
+@dataclass(frozen=True)
+class ScatterOperator:
+    """A scattering law at one frame, built once and applied to any trace.
+
+    Every law has the form f = -minv (zin g).  At a free surface
+    minv = z_out^{-1}, zin = z_in and f is the reflected trace; at a welded
+    interface minv = (z+_out + z-_out)^{-1}, zin = z+_in - z+_out, f is the
+    transmitted trace f- and the reflected one is f+ = f- - g.
+    """
+
+    frame: BoundaryFrame
+    minv: np.ndarray
+    zin: np.ndarray
+    incoming: ModalSide               # incoming factorization of the + side
+    sides: dict                       # side tag -> outgoing ModalSide
+
+    def apply(self, incoming: TraceField) -> ScatterResult:
+        tau = self.frame.tau
+        g = incoming.g
+        f = -self.minv @ (self.zin @ g)
+        traces = {"+": f - g, "-": f} if "-" in self.sides else {"+": f}
+        sides = {tag: _side_waves(side, traces[tag], tau)
+                 for tag, side in self.sides.items()}
+        inc = _incident_flux(self.incoming, g, tau)
+        out = sum(side.total_flux for side in sides.values())
+        residual = abs(inc - out) / max(abs(inc), 1e-300)
+        return ScatterResult(incoming, sides, inc, residual)
+
+
+def free_surface_operator(m: Material, frame: BoundaryFrame,
+                          margin: float = 1e-8) -> ScatterOperator:
+    """Zero-traction law f = -z_out^{-1} z_in g at one frame."""
     a = boundary_polynomial(m, frame)
     cls = classify_spectrum(a)
     f_out = factorize(a, "outgoing", classification=cls)
     f_in = factorize(a, "incoming", classification=cls)
     z_out = impedance_from_factorization(a, f_out).z
     z_in = impedance_from_factorization(a, f_in).z
-    if mode_projectors(f_out).dim_ec == 3:
+    out = _modal_side(a, f_out)
+    if out.projectors.dim_ec == 3:
         raise NoIncomingMode("frame is elliptic: nothing propagates")
-    g = incoming.g
-    f = -_check_invertible(z_out, margin, "z_out") @ (z_in @ g)
-    side = _side_waves(a, f_out, f, frame.tau)
-    inc = _incident_flux(a, f_in, g, frame.tau)
-    residual = abs(inc - side.total_flux) / max(abs(inc), 1e-300)
-    return ScatterResult(incoming, {"+": side}, inc, residual)
+    minv = _check_invertible(z_out, margin, "z_out")
+    return ScatterOperator(frame, minv, z_in, _modal_side(a, f_in), {"+": out})
 
 
-def transmit_interface(m_plus: Material, m_minus: Material,
-                       frame: BoundaryFrame, incoming: TraceField,
-                       margin: float = 1e-8) -> ScatterResult:
-    """Welded-interface scattering of a trace incoming from the + side.
+def interface_operator(m_plus: Material, m_minus: Material,
+                       frame: BoundaryFrame,
+                       margin: float = 1e-8) -> ScatterOperator:
+    """Welded-interface law for traces incoming from the + side.
 
     The frame's conormal points into the + material; the - side uses the
     flipped frame.  Continuity [u] = 0 and traction balance give the two
     outgoing traces.
     """
-    tau = frame.tau
     ap = boundary_polynomial(m_plus, frame)
     am = boundary_polynomial(m_minus, frame.flipped())
     cls_p = classify_spectrum(ap)
@@ -158,19 +199,26 @@ def transmit_interface(m_plus: Material, m_minus: Material,
     zp_out = impedance_from_factorization(ap, fp_out).z
     zp_in = impedance_from_factorization(ap, fp_in).z
     zm_out = impedance_from_factorization(am, fm_out).z
-    if mode_projectors(fp_out).dim_ec == 3 and mode_projectors(fm_out).dim_ec == 3:
+    plus, minus = _modal_side(ap, fp_out), _modal_side(am, fm_out)
+    if plus.projectors.dim_ec == 3 and minus.projectors.dim_ec == 3:
         raise NoIncomingMode("frame is elliptic on both sides")
-
-    g = incoming.g
     minv = _check_invertible(zp_out + zm_out, margin, "z+_out + z-_out")
-    f_minus = -minv @ ((zp_in - zp_out) @ g)
-    f_plus = f_minus - g
-    side_p = _side_waves(ap, fp_out, f_plus, tau)
-    side_m = _side_waves(am, fm_out, f_minus, tau)
-    inc = _incident_flux(ap, fp_in, g, tau)
-    out = side_p.total_flux + side_m.total_flux
-    residual = abs(inc - out) / max(abs(inc), 1e-300)
-    return ScatterResult(incoming, {"+": side_p, "-": side_m}, inc, residual)
+    return ScatterOperator(frame, minv, zp_in - zp_out, _modal_side(ap, fp_in),
+                           {"+": plus, "-": minus})
+
+
+def reflect_free_surface(m: Material, frame: BoundaryFrame,
+                         incoming: TraceField,
+                         margin: float = 1e-8) -> ScatterResult:
+    """Zero-traction reflection f = -z_out^{-1} z_in g."""
+    return free_surface_operator(m, frame, margin).apply(incoming)
+
+
+def transmit_interface(m_plus: Material, m_minus: Material,
+                       frame: BoundaryFrame, incoming: TraceField,
+                       margin: float = 1e-8) -> ScatterResult:
+    """Welded-interface scattering of a trace incoming from the + side."""
+    return interface_operator(m_plus, m_minus, frame, margin).apply(incoming)
 
 
 def energy_balance(r: ScatterResult, evanescent_tol: float = 1e-9) -> dict:

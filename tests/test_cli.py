@@ -67,6 +67,22 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"] == "GlancingSpectrum"
 
+    def test_zero_eta_is_validation_error(self, capsys, iso_file):
+        # a zero eta has no direction to normalize
+        for argv in (("rayleigh", "--material", iso_file),
+                     ("stoneley", "--material-plus", iso_file,
+                      "--material-minus", iso_file)):
+            code, _, err = invoke(capsys, *argv, "--eta", "0", "0")
+            assert code == 2, argv[0]
+            assert json.loads(err)["error"] == "ValidationError", argv[0]
+
+    def test_trace_source_layer_out_of_range(self, capsys, stack_file):
+        code, _, err = invoke(capsys, "trace", "--stack", stack_file,
+                              "--eta", "0", "0", "--tau", "-1",
+                              "--source-layer", "9")
+        assert code == 2
+        assert json.loads(err)["error"] == "ValidationError"
+
     def test_success(self, capsys, iso_file):
         code, out, _ = invoke(capsys, "material", iso_file)
         assert code == 0

@@ -1,9 +1,16 @@
 import json
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from elaswave.errors import GlancingSpectrum, StackFileError
+from elaswave import layered
+from elaswave.errors import (
+    GlancingSpectrum,
+    NonEllipticOperator,
+    StackFileError,
+    ValidationError,
+)
 from elaswave.factorization import BoundaryFrame, boundary_polynomial, kernel_basis
 from elaswave.layered import (
     LayerStack,
@@ -13,9 +20,10 @@ from elaswave.layered import (
     load_stack,
     trace_plane_wave,
 )
-from elaswave.materials import make_isotropic
+from elaswave.materials import make_isotropic, make_transversely_isotropic
+from elaswave.scatter import TraceField, reflect_free_surface, transmit_interface
 
-from conftest import NU
+from conftest import AXIS, NU
 
 ETA = np.array([1.0, 0.0, 0.0])
 
@@ -28,6 +36,19 @@ def soft():
 @pytest.fixture(scope="module")
 def rigid():
     return make_isotropic(800.0, 400.0, 100.0, "rigid")
+
+
+@pytest.fixture(scope="module")
+def ti_stack(soft, rigid):
+    """iso / TI / iso layers over a stiff half-space."""
+    ti = make_transversely_isotropic(1.0, 1.0, 0.05, 0.05, 0.02, AXIS, 1.0, "ti")
+    mid = make_isotropic(4.0, 3.0, 3.0, "mid")
+    return LayerStack(((soft, 0.5), (ti, 0.7), (mid, 0.6)), rigid)
+
+
+# Hyperbolic everywhere; a mixed half-space; mixed layers over an elliptic
+# half-space (evanescent content at every boundary).
+TI_STACK_FRAMES = (((0.0, 0.0), -1.0), ((0.3, 0.2), -1.1), ((0.7, 0.0), -1.0))
 
 
 class TestLayerStack:
@@ -153,3 +174,97 @@ class TestTracePlaneWave:
         stack = LayerStack(((soft, 1.0),), rigid)
         tree = trace_plane_wave(stack, (0.0, 0.0), -1.0, max_events=2)
         assert tree.truncated
+
+    def test_bad_inputs_are_validation_errors(self, soft, rigid):
+        stack = LayerStack(((soft, 1.0),), rigid)
+        for bad in ({"max_events": 0}, {"eta": (0.1, 0.0, 0.2)},
+                    {"eta": (0.1,)}, {"source_layer": 1},
+                    {"source_direction": "sideways"}):
+            kwargs = {"eta": (0.0, 0.0), **bad}
+            with pytest.raises(ValidationError):
+                trace_plane_wave(stack, tau=-1.0, **kwargs)
+
+
+def _layer_direction(stack, m, frame):
+    """(layer, direction) of the segments that meet a law built from m and frame."""
+    layer = next(k for k in range(len(stack.layers)) if stack.material(k) is m)
+    return layer, "down" if frame.nu[2] > 0 else "up"
+
+
+class TestPrecomputedLaws:
+    def test_events_match_one_shot_laws(self, ti_stack):
+        # Every scattered event's children equal, bit for bit, what the
+        # one-shot law gives for that event's incoming trace.
+        for eta, tau in TI_STACK_FRAMES:
+            tree = trace_plane_wave(ti_stack, eta, tau, max_events=40)
+            children = defaultdict(list)
+            for e in tree.events:
+                children[e.parent].append(e)
+            n_scattered = 0
+            for seg in tree.events:
+                if seg.status != "scattered":
+                    continue
+                n_scattered += 1
+                nu = NU if seg.direction == "down" else -NU
+                frame = BoundaryFrame(nu, tree.eta, tau)
+                incoming = TraceField(seg.amplitude, frame, seg.s, "+", seg.flux)
+                here = ti_stack.material(seg.layer)
+                step = 1 if seg.direction == "down" else -1
+                if seg.direction == "up" and seg.layer == 0:
+                    result = reflect_free_surface(here, frame, incoming)
+                else:
+                    result = transmit_interface(
+                        here, ti_stack.material(seg.layer + step), frame, incoming)
+                back = "up" if seg.direction == "down" else "down"
+                target = {"+": (seg.layer, back),
+                          "-": (seg.layer + step, seg.direction)}
+                expected = {(*target[tag], -s_out): (amp, side.fluxes[s_out])
+                            for tag, side in result.sides.items()
+                            for s_out, amp in side.amplitudes.items()}
+                got = children[seg.uid]
+                # zero-amplitude modes leave no child
+                assert len(got) == sum(np.linalg.norm(amp) > 0
+                                       for amp, _ in expected.values())
+                for child in got:
+                    amp, flux = expected[(child.layer, child.direction, child.s)]
+                    assert np.array_equal(child.amplitude, amp)
+                    assert np.array_equal(child.flux, flux)
+            assert n_scattered > 0
+
+    def test_each_law_built_once(self, ti_stack, monkeypatch):
+        builds = Counter()
+
+        def recording(builder):
+            def build(m, *rest):
+                builds[_layer_direction(ti_stack, m, rest[-1])] += 1
+                return builder(m, *rest)
+            return build
+
+        for name in ("free_surface_operator", "interface_operator"):
+            monkeypatch.setattr(layered, name, recording(getattr(layered, name)))
+        for eta, tau in TI_STACK_FRAMES:
+            builds.clear()
+            trace_plane_wave(ti_stack, eta, tau, max_events=64)
+            assert builds and max(builds.values()) == 1
+            assert sum(builds.values()) <= 2 * len(ti_stack.layers)
+
+    def test_failed_build_is_kept(self, ti_stack, monkeypatch):
+        key = (1, "down")
+        builds = []
+        interface_operator = layered.interface_operator
+
+        def failing(m_plus, m_minus, frame):
+            if _layer_direction(ti_stack, m_plus, frame) == key:
+                builds.append(key)
+                raise NonEllipticOperator("forced failure")
+            return interface_operator(m_plus, m_minus, frame)
+
+        monkeypatch.setattr(layered, "interface_operator", failing)
+        tree = trace_plane_wave(ti_stack, (0.0, 0.0), -1.0, max_events=64)
+        assert builds == [key]
+        hits = [e for e in tree.events if (e.layer, e.direction) == key
+                and e.status not in ("floored", "truncated")]
+        assert len(hits) > 1
+        assert all(e.status == "glancing" and e.note == "forced failure"
+                   for e in hits)
+        assert leaf_flux(tree) == pytest.approx(tree.source_flux, rel=1e-9)
