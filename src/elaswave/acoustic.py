@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndefiniteAcousticTensor
+from .errors import IndefiniteAcousticTensor, InvalidInput
 from .materials import Material, StiffnessTensor
 
 _REFERENCE_FRAME = (np.array([0.0, 0.0, 1.0]),
@@ -43,11 +43,14 @@ def cluster_sorted(vals: np.ndarray, tol: float) -> list[list[int]]:
     group's entries.
     """
     clusters = [[0]]
+    total = vals[0]
     for k in range(1, len(vals)):
-        if abs(vals[k] - np.mean(vals[clusters[-1]])) <= tol:
+        if abs(vals[k] - total / len(clusters[-1])) <= tol:
             clusters[-1].append(k)
+            total = total + vals[k]
         else:
             clusters.append([k])
+            total = vals[k]
     return clusters
 
 
@@ -78,7 +81,7 @@ def christoffel_modes(m: Material, xi_hat: np.ndarray,
     """Eigen-decomposition of l(xi)/rho; speeds are sqrt of the eigenvalues."""
     xi_hat = np.asarray(xi_hat, dtype=float)
     if abs(np.linalg.norm(xi_hat) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
+        raise InvalidInput("direction must be a unit vector")
     ell = acoustic_tensor(m.stiffness, xi_hat) / m.density
     vals, vecs = np.linalg.eigh(ell)   # ascending
     vmax = max(vals[-1], 1e-300)
@@ -122,7 +125,7 @@ def eigen_gap_scan(m: Material, n_directions: int,
     Returns (min_gap, rows) where rows hold per-direction data for reporting.
     """
     if n_directions < 6:
-        raise ValueError("need at least 6 directions")
+        raise InvalidInput("need at least 6 directions")
     dirs = fibonacci_sphere(n_directions)
     if exclude_axis is not None and exclude_angle_deg > 0:
         axis = np.asarray(exclude_axis, dtype=float)

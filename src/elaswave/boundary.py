@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     GlancingLimit,
     GlancingSpectrum,
+    InvalidInput,
     NoSurfaceWave,
 )
 from .factorization import (
@@ -110,7 +111,7 @@ def _iso_moduli(m: Material, tol: float = 1e-8):
     h = decompose_harmonic(m.stiffness)
     aniso = (np.linalg.norm(h.a) + np.linalg.norm(h.b) + np.linalg.norm(h.h))
     if aniso > tol * max(m.stiffness.norm, 1e-300):
-        raise ValueError("material is not isotropic")
+        raise InvalidInput("material is not isotropic")
     return h.lam, h.mu
 
 
@@ -169,7 +170,7 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
     """
     eta_hat = np.asarray(eta_hat, dtype=float)
     if abs(np.linalg.norm(eta_hat) - 1.0) > 1e-10:
-        raise ValueError("eta_hat must be a unit vector")
+        raise InvalidInput("eta_hat must be a unit vector")
 
     def elliptic(t: float) -> bool:
         a = boundary_polynomial(m, BoundaryFrame(nu, eta_hat, -t))
@@ -182,7 +183,7 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
             break
         hi *= 2.0
     else:
-        raise ValueError("no non-elliptic tau found")
+        raise GlancingLimit("no non-elliptic tau found")
     lo = hi / 2.0 if elliptic(hi / 2.0) else 0.0
     while lo == 0.0:
         cand = hi / 2.0
@@ -191,7 +192,7 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
             break
         hi = cand
         if hi < 1e-12:
-            raise ValueError("could not bracket the elliptic limit")
+            raise GlancingLimit("could not bracket the elliptic limit")
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if elliptic(mid):

@@ -49,6 +49,11 @@ class StackFileError(ValidationError):
     pass
 
 
+class InvalidInput(ValidationError, ValueError):
+    """A malformed argument to a library call.  Also a ValueError, so
+    callers that catch ValueError keep working."""
+
+
 # --- numerical domain ---
 
 class IndefiniteAcousticTensor(NumericalDomainError):

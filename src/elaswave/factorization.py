@@ -26,6 +26,7 @@ from .errors import (
     DegenerateA0,
     GlancingSpectrum,
     IllConditionedJ,
+    InvalidInput,
     NotAnEigenvalue,
     NumericalDomainError,
     QuadratureNotConverged,
@@ -47,11 +48,11 @@ class BoundaryFrame:
         nu = np.asarray(self.nu, dtype=float)
         eta = np.asarray(self.eta, dtype=float)
         if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
-            raise ValueError("conormal must be a unit vector")
+            raise InvalidInput("conormal must be a unit vector")
         if abs(nu @ eta) > 1e-12 * max(np.linalg.norm(eta), 1.0):
-            raise ValueError("eta must be tangential (orthogonal to nu)")
+            raise InvalidInput("eta must be tangential (orthogonal to nu)")
         if self.tau == 0:
-            raise ValueError("tau must be nonzero")
+            raise InvalidInput("tau must be nonzero")
         nu.setflags(write=False)
         eta.setflags(write=False)
         object.__setattr__(self, "nu", nu)
@@ -64,7 +65,11 @@ class BoundaryFrame:
 
 @dataclass(frozen=True)
 class QuadraticMatrixPolynomial:
-    """Coefficients of A(s) = A0 s^2 + (A1 + A1*) s + A2, A0 > 0, A2 = A2*."""
+    """Coefficients of A(s) = A0 s^2 + (A1 + A1*) s + A2, A0 > 0, A2 = A2*.
+
+    `scale` (the largest coefficient norm) and `a1_sym` (A1 + A1*) are
+    computed once at construction and are read-only.
+    """
 
     a0: np.ndarray
     a1: np.ndarray
@@ -76,30 +81,29 @@ class QuadraticMatrixPolynomial:
         a0 = np.asarray(self.a0, dtype=complex)
         a1 = np.asarray(self.a1, dtype=complex)
         a2 = np.asarray(self.a2, dtype=complex)
-        scale = self.coefficient_scale(a0, a1, a2)
+        scale = max(np.linalg.norm(a0), np.linalg.norm(a1), np.linalg.norm(a2), 1e-300)
         if np.linalg.norm(a0 - a0.conj().T) > 1e-12 * scale:
-            raise ValueError("A0 must be Hermitian")
+            raise InvalidInput("A0 must be Hermitian")
         if np.linalg.norm(a2 - a2.conj().T) > 1e-12 * scale:
-            raise ValueError("A2 must be Hermitian")
+            raise InvalidInput("A2 must be Hermitian")
         if np.linalg.eigvalsh(a0)[0] <= 0:
             raise DegenerateA0("A0 must be positive definite")
-        for a in (a0, a1, a2):
+        a1_sym = a1 + a1.conj().T
+        for a in (a0, a1, a2, a1_sym):
             a.setflags(write=False)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
-
-    @staticmethod
-    def coefficient_scale(a0, a1, a2) -> float:
-        return max(np.linalg.norm(a0), np.linalg.norm(a1), np.linalg.norm(a2), 1e-300)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_a1_sym", a1_sym)
 
     @property
     def scale(self) -> float:
-        return self.coefficient_scale(self.a0, self.a1, self.a2)
+        return self._scale
 
     @property
     def a1_sym(self) -> np.ndarray:
-        return self.a1 + self.a1.conj().T
+        return self._a1_sym
 
     def __call__(self, s: complex) -> np.ndarray:
         return self.a0 * s * s + self.a1_sym * s + self.a2
@@ -140,24 +144,31 @@ def stroh(a: QuadraticMatrixPolynomial) -> StrohMatrix:
     """Linearize: A(s)^{-1} = J1 (s - S)^{-1} J2*."""
     a0inv = np.linalg.inv(a.a0)
     a1h = a.a1.conj().T
-    s = np.block([
-        [-a0inv @ a.a1, a0inv],
-        [-a.a2 + a1h @ a0inv @ a.a1, -a1h @ a0inv],
-    ])
+    s = np.empty((6, 6), dtype=complex)
+    s[:3, :3] = -a0inv @ a.a1
+    s[:3, 3:] = a0inv
+    s[3:, :3] = -a.a2 + a1h @ a0inv @ a.a1
+    s[3:, 3:] = -a1h @ a0inv
     return StrohMatrix(s)
 
 
 @dataclass(frozen=True)
 class EigenvalueGroup:
-    """One point of the spectrum with multiplicities and, if real, its sign type."""
+    """One point of the spectrum with multiplicities and, if real, its sign type.
+
+    `kernel` and `geo_mult` exist for real groups only and are None for
+    non-real ones: the outgoing/incoming split needs a kernel only where the
+    sign of (A'(s)v|v) decides it, and non-real eigenvalues are split by
+    half plane alone.
+    """
 
     value: complex
     alg_mult: int
-    geo_mult: int
+    geo_mult: int | None
     is_real: bool
     sign_type: str | None        # 'positive' | 'negative' | None
     glancing: bool
-    kernel: np.ndarray           # 3 x geo_mult orthonormal kernel basis of A(value)
+    kernel: np.ndarray | None    # 3 x geo_mult orthonormal kernel basis of A(value)
 
 
 @dataclass(frozen=True)
@@ -227,12 +238,12 @@ def classify_spectrum(a: QuadraticMatrixPolynomial,
         mean = complex(np.mean(cluster))
         is_real = abs(mean.imag) <= tol_real
         value = complex(mean.real) if is_real else mean
-        kern = kernel_basis(a, value)
-        geo = kern.shape[1]
         alg = len(cluster)
-        sign_type = None
+        kern = geo = sign_type = None
         glancing = False
         if is_real:
+            kern = kernel_basis(a, value)
+            geo = kern.shape[1]
             if geo < alg:
                 glancing = True   # defective real eigenvalue
             if geo > 0:
@@ -260,7 +271,7 @@ def _sigma_values(classification: SpectrumClassification, direction: str,
     they are of positive type when tau < 0 and negative type when tau > 0.
     """
     if direction not in ("outgoing", "incoming"):
-        raise ValueError(f"direction must be outgoing or incoming, got {direction!r}")
+        raise InvalidInput(f"direction must be outgoing or incoming, got {direction!r}")
     want = "positive" if (tau < 0) == (direction == "outgoing") else "negative"
     sigma = []
     for g in classification.groups:
@@ -306,7 +317,7 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
     """
     if tau is None:
         if a.frame is None:
-            raise ValueError("tau is required when the polynomial carries no frame")
+            raise InvalidInput("tau is required when the polynomial carries no frame")
         tau = a.frame.tau
     if classification is None:
         classification = classify_spectrum(a, grouping_tol, glancing_tol)

@@ -18,6 +18,7 @@ import numpy as np
 from .acoustic import cluster_sorted
 from .errors import (
     CrossCheckFailed,
+    InvalidInput,
     NearDefectiveQ,
     QuadratureNotConverged,
     RealSpectrumPresent,
@@ -237,7 +238,7 @@ def impedance_tau_derivative(a: QuadraticMatrixPolynomial,
     if rho is None:
         rho = a.rho
     if rho is None:
-        raise ValueError("rho is required (polynomial carries none)")
+        raise InvalidInput("rho is required (polynomial carries none)")
     if f is None:
         f = factorize(a, "outgoing")
     cls = f.classification if f.classification is not None else classify_spectrum(a)

@@ -41,7 +41,6 @@ class LayerStack:
 
     layers: tuple            # of (Material, thickness)
     halfspace: Material
-    free_surface: bool = True
 
     def __post_init__(self):
         for _, d in self.layers:
@@ -75,7 +74,10 @@ def load_stack(path: str) -> LayerStack:
         half = material_from_dict(doc["halfspace"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StackFileError(f"malformed stack document: {exc}") from exc
-    return LayerStack(layers, half, bool(doc.get("free_surface", True)))
+    if doc.get("free_surface", True) is not True:
+        raise StackFileError("a stack is capped by a free surface; "
+                             "free_surface must be true or absent")
+    return LayerStack(layers, half)
 
 
 def group_delay(a: QuadraticMatrixPolynomial, s: float, v: np.ndarray,
@@ -169,7 +171,7 @@ def _scatter_law(stack: LayerStack, layer: int, direction: str,
     or the error its build raised (every segment meeting it then glances)."""
     m_here = stack.material(layer)
     try:
-        if direction == "up" and layer == 0 and stack.free_surface:
+        if direction == "up" and layer == 0:
             return free_surface_operator(m_here, frame)
         return interface_operator(m_here,
                                   stack.material(_next_layer(layer, direction)),
@@ -249,7 +251,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
             break
         seg = queue.pop(0)
         n_scattered += 1
-        if seg.direction == "up" and seg.layer == 0 and stack.free_surface:
+        if seg.direction == "up" and seg.layer == 0:
             arrivals.append((seg.time, seg.s,
                              float(np.linalg.norm(seg.amplitude)), seg.flux))
         law = scatter_law(seg.layer, seg.direction)

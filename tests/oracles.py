@@ -34,6 +34,18 @@ def rayleigh_secular_speed(lam: float, mu: float, rho: float,
     return 0.5 * (lo + hi) * cs
 
 
+def cluster_sorted_mean_loop(vals: np.ndarray, tol: float) -> list[list[int]]:
+    """Reference grouping of a sorted array: an entry joins the current group
+    when it lies within tol of np.mean over the group's entries."""
+    clusters = [[0]]
+    for k in range(1, len(vals)):
+        if abs(vals[k] - np.mean(vals[clusters[-1]])) <= tol:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    return clusters
+
+
 # Frozen value of rayleigh_secular_speed(1, 1, 1): the Poisson-solid
 # (lambda = mu) Rayleigh speed in units of c_s.
 C_R_POISSON = 0.9194016867619661

@@ -4,13 +4,14 @@ import pytest
 from elaswave.acoustic import (
     acoustic_tensor,
     christoffel_modes,
+    cluster_sorted,
     eigen_gap_scan,
     fibonacci_sphere,
 )
-from elaswave.errors import IndefiniteAcousticTensor
+from elaswave.errors import IndefiniteAcousticTensor, ValidationError
 from elaswave.materials import Material, StiffnessTensor, isotropic_stiffness
 
-from oracles import isotropic_acoustic_tensor
+from oracles import cluster_sorted_mean_loop, isotropic_acoustic_tensor
 
 
 class TestAcousticTensor:
@@ -62,9 +63,38 @@ class TestChristoffelModes:
         with pytest.raises(IndefiniteAcousticTensor):
             christoffel_modes(m, np.array([0.0, 0.0, 1.0]))
 
+    def test_too_few_directions_rejected(self, iso):
+        with pytest.raises(ValidationError):
+            eigen_gap_scan(iso, 5)
+
     def test_nonunit_direction_rejected(self, iso):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             christoffel_modes(iso, np.array([0.0, 0.0, 2.0]))
+
+
+class TestClusterSorted:
+    # gaps as fractions of tol: merges, near-ties on both sides, clear splits
+    GAPS = np.array([0.0, 0.3, 0.45, 0.5, 0.999999, 1.0, 1.000001, 1.5, 1e3])
+
+    def _chain(self, rng, n, tol):
+        start = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
+        return start + np.cumsum(rng.choice(self.GAPS, size=n)) * tol
+
+    def test_matches_mean_loop_reference(self):
+        rng = np.random.default_rng(5)
+        tol = 1e-8
+        sizes = []
+        for _ in range(600):
+            n = int(rng.integers(1, 10))
+            re = self._chain(rng, n, tol)
+            im = rng.choice([0.0, 0.5 * tol, 0.999999 * tol, 1.000001 * tol, 2.0],
+                            size=n) * rng.choice([-1.0, 1.0], size=n)
+            cplx = re + 1j * im
+            for vals in (re, cplx[np.lexsort((cplx.imag, cplx.real))]):
+                got = cluster_sorted(vals, tol)
+                assert got == cluster_sorted_mean_loop(vals, tol)
+                sizes.extend(len(g) for g in got)
+        assert sizes.count(3) > 50    # 3-member groups are exercised
 
 
 class TestSphereScan:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from elaswave import boundary
 from elaswave.boundary import (
     RegionClass,
     classify,
@@ -10,7 +11,13 @@ from elaswave.boundary import (
     stoneley_speed,
     tau_limit,
 )
-from elaswave.errors import GlancingSpectrum, NoSurfaceWave
+from elaswave.errors import (
+    GlancingLimit,
+    GlancingSpectrum,
+    InvalidInput,
+    NoSurfaceWave,
+    ValidationError,
+)
 from elaswave.factorization import BoundaryFrame, boundary_polynomial, factorize
 from elaswave.impedance import impedance_from_factorization
 from elaswave.materials import make_isotropic
@@ -83,7 +90,7 @@ class TestClosedForm:
             iso_impedance_closed_form(iso, frame(-1.0))
 
     def test_rejects_anisotropic(self, ti):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             iso_impedance_closed_form(ti, frame(-0.5))
 
 
@@ -103,6 +110,20 @@ class TestTauLimit:
             boundary_polynomial(ti, frame(-tt))).dim_evanescent < 3
             or classify_spectrum(boundary_polynomial(ti, frame(-tt))).has_real)
         assert abs(first_real - t) < (taus[1] - taus[0]) * 2
+
+    def test_errors_are_typed(self, iso, monkeypatch):
+        with pytest.raises(InvalidInput) as info:
+            tau_limit(iso, NU, 2.0 * EHAT)
+        assert isinstance(info.value, ValueError) and info.value.exit_code == 2
+
+        class NeverElliptic:
+            has_real = True
+            dim_evanescent = 0
+
+        # a spectrum that is never fully evanescent cannot be bracketed
+        monkeypatch.setattr(boundary, "classify_spectrum", lambda a: NeverElliptic())
+        with pytest.raises(GlancingLimit):
+            tau_limit(iso, NU, EHAT)
 
 
 class TestRayleigh:

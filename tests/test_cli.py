@@ -83,6 +83,17 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "ValidationError"
 
+    def test_trace_rejects_stack_without_free_surface(self, capsys, stack_file):
+        with open(stack_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["free_surface"] = False
+        with open(stack_file, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = invoke(capsys, "trace", "--stack", stack_file,
+                                "--eta", "0", "0", "--tau", "-1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "StackFileError"
+
     def test_success(self, capsys, iso_file):
         code, out, _ = invoke(capsys, "material", iso_file)
         assert code == 0

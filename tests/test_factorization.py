@@ -11,7 +11,9 @@ from elaswave.errors import (
     NotAnEigenvalue,
     NumericalDomainError,
     SolvencyResidual,
+    ValidationError,
 )
+from elaswave import factorization
 from elaswave.factorization import (
     BoundaryFrame,
     QuadraticMatrixPolynomial,
@@ -56,15 +58,15 @@ def sorted_schur_root(a, sigma):
 
 class TestBoundaryFrame:
     def test_rejects_nonunit_conormal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             BoundaryFrame(np.array([0.0, 0.0, 2.0]), ETA, -1.0)
 
     def test_rejects_nontangential_eta(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             BoundaryFrame(NU, np.array([1.0, 0.0, 0.5]), -1.0)
 
     def test_rejects_zero_tau(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             BoundaryFrame(NU, ETA, 0.0)
 
     def test_flip(self):
@@ -95,6 +97,24 @@ class TestBoundaryPolynomial:
         a = boundary_polynomial(ti, frame(-0.8))
         s = 0.4 - 0.9j
         assert np.allclose(a(s).conj().T, a(np.conj(s)))
+
+
+class TestPolynomialInvariants:
+    def test_scale_and_a1_sym_stored_read_only(self, ti):
+        a = boundary_polynomial(ti, frame(-0.8, np.array([0.6, 0.3, 0.0])))
+        for poly in (a, a.with_a2(a.a2 + 5.0 * np.eye(3))):
+            fresh_scale = max(np.linalg.norm(poly.a0), np.linalg.norm(poly.a1),
+                              np.linalg.norm(poly.a2), 1e-300)
+            assert poly.scale == fresh_scale
+            assert np.array_equal(poly.a1_sym, poly.a1 + poly.a1.conj().T)
+            assert poly.a1_sym is poly.a1_sym
+            with pytest.raises(AttributeError):
+                poly.scale = 1.0
+            with pytest.raises(AttributeError):
+                poly.a1_sym = np.zeros((3, 3))
+            with pytest.raises(ValueError):
+                poly.a1_sym[0, 0] = 1.0
+        assert a.with_a2(a.a2 + 5.0 * np.eye(3)).scale > a.scale
 
 
 class TestStroh:
@@ -141,6 +161,35 @@ class TestClassifySpectrum:
     def test_glancing_at_transition(self, iso):
         cls = classify_spectrum(boundary_polynomial(iso, frame(-1.0)))
         assert cls.glancing
+
+
+    def test_kernels_only_at_real_eigenvalues(self, iso, monkeypatch):
+        # the outgoing/incoming split needs ker A(s) at real s only
+        calls = []
+        kernel_basis = factorization.kernel_basis
+
+        def counted(a, s, *args, **kwargs):
+            calls.append(s)
+            return kernel_basis(a, s, *args, **kwargs)
+
+        monkeypatch.setattr(factorization, "kernel_basis", counted)
+        rng = np.random.default_rng(11)
+        for mat in (iso, random_triclinic(rng)):
+            for region, frames in sample_frames(mat, rng, 2).items():
+                for fr in frames:
+                    calls.clear()
+                    cls = classify_spectrum(boundary_polynomial(mat, fr))
+                    assert len(calls) == len(cls.real_groups), region
+                    if region == "elliptic":
+                        assert calls == []
+                    else:
+                        assert calls
+                    for g in cls.groups:
+                        if g.is_real:
+                            assert g.kernel.shape == (3, g.geo_mult)
+                        else:
+                            assert g.kernel is None and g.geo_mult is None
+                            assert g.sign_type is None and not g.glancing
 
 
 class TestFactorize:
@@ -268,7 +317,7 @@ class TestContourAndResidue:
 
 class TestQuadraticMatrixPolynomialValidation:
     def test_rejects_non_hermitian_a0(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             QuadraticMatrixPolynomial(np.array([[1.0, 1.0, 0], [0, 1, 0], [0, 0, 1]]),
                                       np.zeros((3, 3)), np.eye(3))
 

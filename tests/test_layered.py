@@ -79,6 +79,14 @@ class TestLayerStack:
         stack = load_stack(str(path))
         assert len(stack.layers) == 1
         assert stack.thickness(0) == 0.5
+        # a free surface caps every stack; the key may only confirm it
+        doc["free_surface"] = True
+        path.write_text(json.dumps(doc))
+        assert load_stack(str(path)).thickness(0) == 0.5
+        doc["free_surface"] = False
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StackFileError, match="free_surface"):
+            load_stack(str(path))
 
 
 class TestGroupDelay:
