@@ -35,22 +35,23 @@ class ChristoffelModes:
     degenerate: bool
 
 
-def cluster_sorted(vals: np.ndarray, tol: float) -> list[list[int]]:
+def cluster_sorted(vals: np.ndarray, tol: float) -> list[tuple[list[int], complex]]:
     """Group consecutive entries of an already-sorted array.
 
     An entry joins the current group when it lies within tol of the group's
-    mean, and starts a new group otherwise.  Returns the positions of each
-    group's entries.
+    mean, and starts a new group otherwise.  Returns, per group, the
+    positions of its entries and its mean.
     """
-    clusters = [[0]]
-    total = vals[0]
+    clusters = []
+    group, total = [0], vals[0]
     for k in range(1, len(vals)):
-        if abs(vals[k] - total / len(clusters[-1])) <= tol:
-            clusters[-1].append(k)
+        if abs(vals[k] - total / len(group)) <= tol:
+            group.append(k)
             total = total + vals[k]
         else:
-            clusters.append([k])
-            total = vals[k]
+            clusters.append((group, total / len(group)))
+            group, total = [k], vals[k]
+    clusters.append((group, total / len(group)))
     return clusters
 
 
@@ -80,8 +81,8 @@ def christoffel_modes(m: Material, xi_hat: np.ndarray,
                       degeneracy_tol: float = 1e-8) -> ChristoffelModes:
     """Eigen-decomposition of l(xi)/rho; speeds are sqrt of the eigenvalues."""
     xi_hat = np.asarray(xi_hat, dtype=float)
-    if abs(np.linalg.norm(xi_hat) - 1.0) > 1e-12:
-        raise InvalidInput("direction must be a unit vector")
+    if not (np.isfinite(xi_hat).all() and abs(np.linalg.norm(xi_hat) - 1.0) <= 1e-12):
+        raise InvalidInput("direction must be a finite unit vector")
     ell = acoustic_tensor(m.stiffness, xi_hat) / m.density
     vals, vecs = np.linalg.eigh(ell)   # ascending
     vmax = max(vals[-1], 1e-300)
@@ -95,10 +96,10 @@ def christoffel_modes(m: Material, xi_hat: np.ndarray,
 
     scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
     clusters = cluster_sorted(vals, degeneracy_tol * scale)
-    degenerate = any(len(cl) > 1 for cl in clusters)
+    degenerate = any(len(cl) > 1 for cl, _ in clusters)
     projectors = []
     pols = np.empty((3, 3))
-    for cl in clusters:
+    for cl, _ in clusters:
         sub = vecs[cl]
         if len(cl) > 1:
             sub = _orient_degenerate(sub)

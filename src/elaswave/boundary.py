@@ -4,7 +4,9 @@ The boundary cotangent space splits into hyperbolic, mixed, and elliptic
 regions according to the dimension of the evanescent subspace E_c of the
 outgoing right root.  In the elliptic region the impedance is Hermitian
 and its smallest eigenvalue decreases strictly in tau, which makes the
-Rayleigh (and Stoneley) frequencies robust bisection targets.
+Rayleigh (and Stoneley) frequencies robust bisection targets.  Every
+computation on one side of a boundary (polynomial, spectrum,
+factorizations, impedances, projectors) goes through a `BoundarySide`.
 """
 from __future__ import annotations
 
@@ -20,15 +22,13 @@ from .errors import (
 )
 from .factorization import (
     BoundaryFrame,
+    SpectralFactorization,
     boundary_polynomial,
     classify_spectrum,
     factorize,
 )
-from .impedance import Impedance, impedance_from_factorization, mode_projectors
+from .impedance import Impedance, ModeProjectors, impedance_from_factorization, mode_projectors
 from .materials import Material, decompose_harmonic
-
-_LABELS = ("hyperbolic", "mixed", "elliptic", "glancing")
-
 
 @dataclass(frozen=True)
 class RegionClass:
@@ -47,31 +47,52 @@ class RegionClass:
         return self.label == "glancing"
 
 
-def _side(m: Material, frame: BoundaryFrame):
-    """Boundary polynomial of one side and its spectrum classification."""
-    a = boundary_polynomial(m, frame)
-    return a, classify_spectrum(a)
+class BoundarySide:
+    """One side of a boundary: a material seen from a frame.
 
+    The boundary polynomial and its spectrum classification are computed
+    at construction.  Each direction's factorization, impedance matrix and
+    mode projectors are built from them on first use and kept for the
+    object's lifetime, so both directions share one spectrum and every law
+    or label built on the side shares its factorizations.
+    """
 
-def _outgoing_z(a, classification=None) -> np.ndarray:
-    f = factorize(a, "outgoing", classification=classification)
-    return impedance_from_factorization(a, f).z
+    def __init__(self, m: Material, frame: BoundaryFrame):
+        self.material = m
+        self.frame = frame
+        self.poly = boundary_polynomial(m, frame)
+        self.classification = classify_spectrum(self.poly)
+        self._built = {}
 
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
-def _ec_basis(a, classification) -> np.ndarray:
-    f = factorize(a, "outgoing", classification=classification)
-    return mode_projectors(f).ec_basis()
+    def factorization(self, direction: str = "outgoing") -> SpectralFactorization:
+        return self._once(("factorization", direction), lambda: factorize(
+            self.poly, direction, classification=self.classification))
+
+    def z(self, direction: str = "outgoing") -> np.ndarray:
+        """Impedance matrix -i(A0 Q + A1) of the direction's factorization."""
+        return self._once(("z", direction), lambda: impedance_from_factorization(
+            self.poly, self.factorization(direction)).z)
+
+    def projectors(self, direction: str = "outgoing") -> ModeProjectors:
+        return self._once(("projectors", direction),
+                          lambda: mode_projectors(self.factorization(direction)))
 
 
 def _classify_sides(materials, frame: BoundaryFrame, angle_tol: float = 1e-8):
-    """Region of a boundary or interface, with the (polynomial, classification)
-    of each side so that callers can factorize without solving again."""
+    """Region of a boundary or interface, with the BoundarySide of each side
+    so that callers can factorize without solving again."""
     if isinstance(materials, Material):
-        sides = (_side(materials, frame),)
+        sides = (BoundarySide(materials, frame),)
     else:
         mp, mm = materials
-        sides = (_side(mp, frame), _side(mm, frame.flipped()))
-    dims = tuple(None if cls.glancing else cls.dim_evanescent for _, cls in sides)
+        sides = (BoundarySide(mp, frame), BoundarySide(mm, frame.flipped()))
+    dims = tuple(None if side.classification.glancing
+                 else side.classification.dim_evanescent for side in sides)
     if None in dims:
         return RegionClass("glancing", dims), sides
     if len(sides) == 1:
@@ -84,7 +105,7 @@ def _classify_sides(materials, frame: BoundaryFrame, angle_tol: float = 1e-8):
     elif dim_p == 3 and dim_m == 3:
         inter = 3
     else:
-        bp, bm = (_ec_basis(a, cls) for a, cls in sides)
+        bp, bm = (side.projectors().ec_basis() for side in sides)
         cos_angles = np.linalg.svd(bp.conj().T @ bm, compute_uv=False)
         inter = int(np.sum(cos_angles > 1.0 - angle_tol))
     if inter == 0:
@@ -173,8 +194,7 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
         raise InvalidInput("eta_hat must be a unit vector")
 
     def elliptic(t: float) -> bool:
-        a = boundary_polynomial(m, BoundaryFrame(nu, eta_hat, -t))
-        cls = classify_spectrum(a)
+        cls = BoundarySide(m, BoundaryFrame(nu, eta_hat, -t)).classification
         return (not cls.has_real) and cls.dim_evanescent == 3
 
     hi = 1.0
@@ -260,7 +280,7 @@ def rayleigh_speed(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
     tau_eta = tau_limit(m, nu, eta_hat)
 
     def zfun(t: float) -> np.ndarray:
-        return _outgoing_z(boundary_polynomial(m, BoundaryFrame(nu, eta_hat, -t)))
+        return BoundarySide(m, BoundaryFrame(nu, eta_hat, -t)).z()
 
     return _surface_wave_bisect(zfun, tau_eta, rel_tol, edge_offset)
 
@@ -274,8 +294,8 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
 
     def zfun(t: float) -> np.ndarray:
         frame = BoundaryFrame(nu, eta_hat, -t)
-        return (_outgoing_z(boundary_polynomial(m_plus, frame))
-                + _outgoing_z(boundary_polynomial(m_minus, frame.flipped())))
+        return (BoundarySide(m_plus, frame).z()
+                + BoundarySide(m_minus, frame.flipped()).z())
 
     return _surface_wave_bisect(zfun, tau_eta, rel_tol, edge_offset)
 
@@ -290,7 +310,7 @@ def classify_with_margin(materials, frame: BoundaryFrame):
     region, sides = _classify_sides(materials, frame)
     if region.label not in ("hyperbolic", "mixed"):
         return region, None
-    z = sum(_outgoing_z(a, cls) for a, cls in sides)
+    z = sum(side.z() for side in sides)
     sv = np.linalg.svd(z, compute_uv=False)
     return region, float(sv[-1] / max(sv[0], 1e-300))
 

@@ -103,13 +103,15 @@ def _frame(args) -> BoundaryFrame:
     return BoundaryFrame(np.array([0.0, 0.0, 1.0]), eta, args.tau)
 
 
-def _eta_direction(args) -> np.ndarray:
-    """Unit tangential direction of --eta; a zero or non-finite eta has none."""
-    eta = np.array([args.eta[0], args.eta[1], 0.0])
-    norm = np.linalg.norm(eta)
+def _unit(vec, flag: str) -> np.ndarray:
+    """Unit vector along a flag's value; none if its length is zero or not finite."""
+    vec = np.asarray(vec, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
     if not (np.isfinite(norm) and norm > 0):
-        raise ValidationError("--eta must be finite and nonzero to give a direction")
-    return eta / norm
+        raise ValidationError(f"{flag} must be nonzero with a finite length "
+                              "to give a direction")
+    return vec / norm
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -143,20 +145,15 @@ def _cmd_material(args, cfg: Config) -> int:
 
 def _cmd_slowness(args, cfg: Config) -> int:
     m = load_material(args.material)
-    rows = []
     if args.direction is not None:
-        d = np.asarray(args.direction, dtype=float)
-        d = d / np.linalg.norm(d)
-        modes = christoffel_modes(m, d)
-        vals = np.sort(modes.speeds)[::-1]
+        directions = [_unit(args.direction, "--direction")]
+    else:
+        directions = fibonacci_sphere(args.grid)
+    rows = []
+    for d in directions:
+        vals = np.sort(christoffel_modes(m, d).speeds)[::-1]
         gap = float(np.min(vals[:-1] - vals[1:]))
         rows.append((d[0], d[1], d[2], *vals, gap))
-    else:
-        for d in fibonacci_sphere(args.grid):
-            modes = christoffel_modes(m, d)
-            vals = np.sort(modes.speeds)[::-1]
-            gap = float(np.min(vals[:-1] - vals[1:]))
-            rows.append((d[0], d[1], d[2], *vals, gap))
     header = ["dir_x", "dir_y", "dir_z", "speed_1", "speed_2", "speed_3",
               "min_speed_gap"]
     if cfg.fmt == "csv":
@@ -253,7 +250,7 @@ def _surface_wave_doc(res: bnd.RayleighResult):
 
 def _cmd_rayleigh(args, cfg: Config) -> int:
     m = load_material(args.material)
-    eta_hat = _eta_direction(args)
+    eta_hat = _unit([args.eta[0], args.eta[1], 0.0], "--eta")
     res = bnd.rayleigh_speed(m, np.array([0.0, 0.0, 1.0]), eta_hat,
                              rel_tol=cfg.tol_bisection)
     _emit_json(_surface_wave_doc(res), cfg)
@@ -263,7 +260,7 @@ def _cmd_rayleigh(args, cfg: Config) -> int:
 def _cmd_stoneley(args, cfg: Config) -> int:
     mp = load_material(args.material_plus)
     mm = load_material(args.material_minus)
-    eta_hat = _eta_direction(args)
+    eta_hat = _unit([args.eta[0], args.eta[1], 0.0], "--eta")
     res = bnd.stoneley_speed(mp, mm, np.array([0.0, 0.0, 1.0]), eta_hat,
                              rel_tol=cfg.tol_bisection)
     _emit_json(_surface_wave_doc(res), cfg)

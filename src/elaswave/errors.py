@@ -64,6 +64,10 @@ class DegenerateA0(NumericalDomainError):
     pass
 
 
+class CoefficientOverflow(NumericalDomainError):
+    pass
+
+
 class GlancingSpectrum(NumericalDomainError):
     pass
 

@@ -21,6 +21,7 @@ import scipy.linalg.lapack
 
 from .acoustic import acoustic_tensor, cluster_sorted
 from .errors import (
+    CoefficientOverflow,
     ContourTooClose,
     DefectiveEigenvalue,
     DegenerateA0,
@@ -47,9 +48,11 @@ class BoundaryFrame:
     def __post_init__(self):
         nu = np.asarray(self.nu, dtype=float)
         eta = np.asarray(self.eta, dtype=float)
+        if not (np.isfinite(nu).all() and np.isfinite(eta).all() and np.isfinite(self.tau)):
+            raise InvalidInput("frame must be finite")
         if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
             raise InvalidInput("conormal must be a unit vector")
-        if abs(nu @ eta) > 1e-12 * max(np.linalg.norm(eta), 1.0):
+        if abs(nu @ eta) > 1e-12 * max(float(np.abs(eta).max()), 1.0):
             raise InvalidInput("eta must be tangential (orthogonal to nu)")
         if self.tau == 0:
             raise InvalidInput("tau must be nonzero")
@@ -116,7 +119,16 @@ class QuadraticMatrixPolynomial:
 
 
 def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPolynomial:
-    """Displacement symbol coefficients at a boundary frame."""
+    """Displacement symbol coefficients at a boundary frame.
+
+    Coefficients past 1e150 would overflow once squared (in norms and in the
+    Stroh block A1* A0^-1 A1), so they raise CoefficientOverflow instead.
+    """
+    eta, tau = 1.0 + float(np.abs(frame.eta).max()), abs(float(frame.tau))
+    size = m.stiffness.norm * eta * eta + float(m.density) * tau * tau
+    if not size <= 1e150:
+        raise CoefficientOverflow(f"boundary polynomial coefficients of size {size:.3g} "
+                                  "exceed 1e150")
     c = m.stiffness.entries
     a0 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.nu)
     a1 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.eta)
@@ -233,12 +245,11 @@ def classify_spectrum(a: QuadraticMatrixPolynomial,
     vals = vals[np.lexsort((vals.imag, vals.real))]
     tol_real = grouping_tol * (1.0 + norm)
     groups = []
-    for idx in cluster_sorted(vals, max(tol_real, 1e3 * np.finfo(float).eps * norm)):
-        cluster = vals[idx]
-        mean = complex(np.mean(cluster))
+    for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * np.finfo(float).eps * norm)):
+        mean = complex(mean)
         is_real = abs(mean.imag) <= tol_real
         value = complex(mean.real) if is_real else mean
-        alg = len(cluster)
+        alg = len(idx)
         kern = geo = sign_type = None
         glancing = False
         if is_real:

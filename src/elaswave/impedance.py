@@ -32,11 +32,6 @@ from .factorization import (
 )
 
 
-def ip(a: np.ndarray, b: np.ndarray) -> complex:
-    """(a|b), conjugate-linear in the second argument."""
-    return complex(np.vdot(b, a))
-
-
 @dataclass(frozen=True)
 class Impedance:
     """Boundary impedance z tagged with the frame and direction it came from."""
@@ -101,8 +96,8 @@ def mode_projectors(f: SpectralFactorization,
     tol = grouping_tol * (1.0 + norm)
 
     vals = vals[np.argsort(vals.real + 1e-9 * vals.imag)]
-    clusters = [vals[idx] for idx in cluster_sorted(vals, 100 * tol)]
-    means = [complex(np.mean(c)) for c in clusters]
+    clusters = cluster_sorted(vals, 100 * tol)
+    means = [complex(mean) for _, mean in clusters]
 
     eye = np.eye(3, dtype=complex)
     projectors = []
@@ -116,12 +111,12 @@ def mode_projectors(f: SpectralFactorization,
     psi = {}
     pi_c = np.zeros((3, 3), dtype=complex)
     dim_ec = 0
-    for cluster, mean, p in zip(clusters, means, projectors):
+    for (idx, _), mean, p in zip(clusters, means, projectors):
         if abs(mean.imag) <= tol:
             psi[float(mean.real)] = p
         else:
             pi_c = pi_c + p
-            dim_ec += len(cluster)
+            dim_ec += len(idx)
     return ModeProjectors(psi, pi_c, dim_ec, 3 - dim_ec, q)
 
 

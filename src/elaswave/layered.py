@@ -22,17 +22,18 @@ from .errors import (
     StackFileError,
     ValidationError,
 )
-from .factorization import BoundaryFrame, QuadraticMatrixPolynomial, boundary_polynomial
+from .boundary import BoundarySide
+from .factorization import BoundaryFrame, QuadraticMatrixPolynomial
 from .materials import Material, check_strong_convexity, material_from_dict
 from .scatter import (
-    ScatterOperator,
     TraceField,
     free_surface_operator,
-    incoming_mode,
     interface_operator,
+    side_incoming_mode,
 )
 
 _UP = np.array([0.0, 0.0, 1.0])
+_REVERSED = {"up": "down", "down": "up"}
 
 
 @dataclass(frozen=True)
@@ -165,21 +166,6 @@ def _next_layer(layer: int, direction: str) -> int:
     return layer + 1 if direction == "down" else layer - 1
 
 
-def _scatter_law(stack: LayerStack, layer: int, direction: str,
-                 frame: BoundaryFrame) -> ScatterOperator | NumericalDomainError:
-    """Operator of the boundary met by a segment in `layer` heading `direction`,
-    or the error its build raised (every segment meeting it then glances)."""
-    m_here = stack.material(layer)
-    try:
-        if direction == "up" and layer == 0:
-            return free_surface_operator(m_here, frame)
-        return interface_operator(m_here,
-                                  stack.material(_next_layer(layer, direction)),
-                                  frame)
-    except NumericalDomainError as exc:
-        return exc
-
-
 def trace_plane_wave(stack: LayerStack, eta, tau: float,
                      source_layer: int = 0, source_direction: str = "down",
                      source_mode: int | float = 0,
@@ -190,9 +176,11 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     The source is a flux-normalized pure mode launched at the far boundary
     of its layer at time zero.  Each interaction branches into all real
     outgoing modes above the amplitude floor; evanescent components are
-    recorded but never propagated.  At fixed (eta, tau) every scattering
-    law and crossing-time polynomial depends only on (layer, direction), so
-    each is built once per call and reused by every event that needs it.
+    recorded but never propagated.  At fixed (eta, tau) every boundary side
+    and scattering law depends only on (layer, direction), so each is built
+    once per call: the law met going down from layer L joins sides (L, down)
+    and (L+1, up), the one met going up (L, up) and (L-1, down), and
+    crossing times read the side a segment travels toward.
     """
     if max_events < 1:
         raise ValidationError("max_events must be at least 1")
@@ -210,23 +198,35 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         raise ValidationError("source direction must be 'up' or 'down'")
 
     frames = {d: _frame_for(d, eta, tau) for d in ("up", "down")}
-    built = {}   # ("law" | "poly", layer, direction) -> built once per call
+    sides = {}   # (layer, direction) -> BoundarySide
+    laws = {}    # (layer, direction) -> ScatterOperator, or the error its
+                 # build raised (every segment meeting it then glances)
+
+    def side(layer, direction):
+        if (layer, direction) not in sides:
+            sides[layer, direction] = BoundarySide(stack.material(layer), frames[direction])
+        return sides[layer, direction]
 
     def scatter_law(layer, direction):
-        key = ("law", layer, direction)
-        if key not in built:
-            built[key] = _scatter_law(stack, layer, direction, frames[direction])
-        return built[key]
+        key = (layer, direction)
+        if key not in laws:
+            try:
+                if direction == "up" and layer == 0:
+                    laws[key] = free_surface_operator(side(layer, direction))
+                else:
+                    laws[key] = interface_operator(
+                        side(layer, direction),
+                        side(_next_layer(layer, direction), _REVERSED[direction]))
+            except NumericalDomainError as exc:
+                # without its traceback, whose frame would hold `laws` in a cycle
+                laws[key] = exc.with_traceback(None)
+        return laws[key]
 
     def crossing_time(layer, direction, s, v):
-        key = ("poly", layer, direction)
-        if key not in built:
-            built[key] = boundary_polynomial(stack.material(layer),
-                                             frames[direction])
-        return stack.thickness(layer) * abs(group_delay(built[key], s, v))
+        return stack.thickness(layer) * abs(group_delay(side(layer, direction).poly,
+                                                        s, v))
 
-    src = incoming_mode(stack.material(source_layer), frames[source_direction],
-                        source_mode)
+    src = side_incoming_mode(side(source_layer, source_direction), source_mode)
     t0 = crossing_time(source_layer, source_direction, src.s_in, src.g)
     src_amp = float(np.linalg.norm(src.g))
 
@@ -262,19 +262,19 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                                       seg.flux))
         events[seg.uid] = replace(seg, status="scattered")
 
-        for tag, side in result.sides.items():
+        for tag, waves in result.sides.items():
             # The + side turns back into the segment's layer; the - side
             # carries on into the next one.
             if tag == "+":
-                lay, dirn = seg.layer, "down" if seg.direction == "up" else "up"
+                lay, dirn = seg.layer, _REVERSED[seg.direction]
             else:
                 lay, dirn = _next_layer(seg.layer, seg.direction), seg.direction
-            ev_norm = float(np.linalg.norm(side.evanescent))
+            ev_norm = float(np.linalg.norm(waves.evanescent))
             if ev_norm > 0:
                 evanescent_records.append((seg.uid, tag, ev_norm))
-            for s_out in sorted(side.amplitudes):
-                amp = side.amplitudes[s_out]
-                flux = side.fluxes[s_out]
+            for s_out in sorted(waves.amplitudes):
+                amp = waves.amplitudes[s_out]
+                flux = waves.fluxes[s_out]
                 norm = float(np.linalg.norm(amp))
                 if norm <= amplitude_floor * src_amp:
                     if norm > 0:

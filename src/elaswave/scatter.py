@@ -4,10 +4,10 @@ All laws act on Dirichlet traces.  At a free surface zero traction gives
 f = -z_out^{-1} z_in g; at a welded interface continuity of displacement
 and traction gives f- = -(z+_out + z-_out)^{-1}(z+_in - z+_out) g and
 f+ = f- - g.  Each law is linear in g and depends only on the frame and
-the materials, so it is built once per frame as a `ScatterOperator` and
-applied to every trace that meets it.  Energy bookkeeping uses the modal
-flux identity, with incident modes flux-normalized so amplitude tables
-compare directly.
+the materials, so it is built once per frame as a `ScatterOperator` from
+the `BoundarySide` of each side and applied to every trace that meets it.
+Energy bookkeeping uses the modal flux identity, with incident modes
+flux-normalized so amplitude tables compare directly.
 """
 from __future__ import annotations
 
@@ -15,17 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoIncomingMode, NonEllipticOperator
-from .factorization import (
-    BoundaryFrame,
-    QuadraticMatrixPolynomial,
-    SpectralFactorization,
-    boundary_polynomial,
-    classify_spectrum,
-    factorize,
-    kernel_basis,
-)
-from .impedance import ModeProjectors, impedance_from_factorization, mode_projectors
+from .boundary import BoundarySide
+from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
+from .factorization import BoundaryFrame, kernel_basis
 from .materials import Material
 
 
@@ -48,7 +40,7 @@ class SideWaves:
     amplitudes: dict                  # real eigenvalue s -> psi_s f
     evanescent: np.ndarray            # pi_c f
     fluxes: dict                      # real eigenvalue s -> -tau (A'(s)f_s|f_s)/2
-    factorization: SpectralFactorization = field(repr=False, default=None)
+    side: BoundarySide = field(repr=False, default=None)
 
     @property
     def total_flux(self) -> float:
@@ -63,30 +55,15 @@ class ScatterResult:
     balance_residual: float
 
 
-@dataclass(frozen=True)
-class ModalSide:
-    """A side's polynomial, one factorization of it and that factorization's
-    mode projectors, computed once and shared by every trace scattered there."""
-
-    poly: QuadraticMatrixPolynomial
-    factorization: SpectralFactorization
-    projectors: ModeProjectors
-
-
-def _modal_side(a: QuadraticMatrixPolynomial,
-                f: SpectralFactorization) -> ModalSide:
-    return ModalSide(a, f, mode_projectors(f))
-
-
-def _side_waves(side: ModalSide, trace: np.ndarray, tau: float) -> SideWaves:
+def _side_waves(side: BoundarySide, trace: np.ndarray, tau: float) -> SideWaves:
     a = side.poly
+    projectors = side.projectors()
     amps, fluxes = {}, {}
-    for s, psi in side.projectors.psi.items():
+    for s, psi in projectors.psi.items():
         fs = psi @ trace
         amps[s] = fs
         fluxes[s] = float(-tau * 0.5 * np.real(np.vdot(fs, a.derivative(s) @ fs)))
-    return SideWaves(trace, amps, side.projectors.pi_c @ trace, fluxes,
-                     side.factorization)
+    return SideWaves(trace, amps, projectors.pi_c @ trace, fluxes, side)
 
 
 def incoming_mode(m: Material, frame: BoundaryFrame,
@@ -97,10 +74,13 @@ def incoming_mode(m: Material, frame: BoundaryFrame,
     ascending) or by value.  The kernel vector is scaled to carry unit
     incident energy flux, +tau (A'(s)g|g)/2 = 1.
     """
-    a = boundary_polynomial(m, frame)
-    f_in = factorize(a, "incoming")
-    pr = mode_projectors(f_in)
-    reals = sorted(pr.psi.keys())
+    return side_incoming_mode(BoundarySide(m, frame), mode)
+
+
+def side_incoming_mode(side: BoundarySide, mode: int | float = 0) -> TraceField:
+    """`incoming_mode` on a side whose incoming projectors may be shared."""
+    a, frame = side.poly, side.frame
+    reals = sorted(side.projectors("incoming").psi.keys())
     if not reals:
         raise NoIncomingMode("frame is elliptic: no real incoming mode")
     if isinstance(mode, int) and not isinstance(mode, bool) and mode < len(reals):
@@ -118,11 +98,11 @@ def incoming_mode(m: Material, frame: BoundaryFrame,
     return TraceField(g, frame, float(s))
 
 
-def _incident_flux(side: ModalSide, g: np.ndarray, tau: float) -> float:
+def _incident_flux(side: BoundarySide, g: np.ndarray, tau: float) -> float:
     """Energy flux toward the boundary carried by an incoming trace."""
     a = side.poly
     total = 0.0
-    for s, psi in side.projectors.psi.items():
+    for s, psi in side.projectors("incoming").psi.items():
         gs = psi @ g
         total += tau * 0.5 * np.real(np.vdot(gs, a.derivative(s) @ gs))
     return float(total)
@@ -143,14 +123,17 @@ class ScatterOperator:
     Every law has the form f = -minv (zin g).  At a free surface
     minv = z_out^{-1}, zin = z_in and f is the reflected trace; at a welded
     interface minv = (z+_out + z-_out)^{-1}, zin = z+_in - z+_out, f is the
-    transmitted trace f- and the reflected one is f+ = f- - g.
+    transmitted trace f- and the reflected one is f+ = f- - g.  Traces come
+    in on the + side, whose incoming projectors measure the incident flux.
     """
 
-    frame: BoundaryFrame
     minv: np.ndarray
     zin: np.ndarray
-    incoming: ModalSide               # incoming factorization of the + side
-    sides: dict                       # side tag -> outgoing ModalSide
+    sides: dict                       # side tag -> BoundarySide
+
+    @property
+    def frame(self) -> BoundaryFrame:
+        return self.sides["+"].frame
 
     def apply(self, incoming: TraceField) -> ScatterResult:
         tau = self.frame.tau
@@ -159,66 +142,54 @@ class ScatterOperator:
         traces = {"+": f - g, "-": f} if "-" in self.sides else {"+": f}
         sides = {tag: _side_waves(side, traces[tag], tau)
                  for tag, side in self.sides.items()}
-        inc = _incident_flux(self.incoming, g, tau)
+        inc = _incident_flux(self.sides["+"], g, tau)
         out = sum(side.total_flux for side in sides.values())
         residual = abs(inc - out) / max(abs(inc), 1e-300)
         return ScatterResult(incoming, sides, inc, residual)
 
 
-def free_surface_operator(m: Material, frame: BoundaryFrame,
+def free_surface_operator(side: BoundarySide,
                           margin: float = 1e-8) -> ScatterOperator:
-    """Zero-traction law f = -z_out^{-1} z_in g at one frame."""
-    a = boundary_polynomial(m, frame)
-    cls = classify_spectrum(a)
-    f_out = factorize(a, "outgoing", classification=cls)
-    f_in = factorize(a, "incoming", classification=cls)
-    z_out = impedance_from_factorization(a, f_out).z
-    z_in = impedance_from_factorization(a, f_in).z
-    out = _modal_side(a, f_out)
-    if out.projectors.dim_ec == 3:
+    """Zero-traction law f = -z_out^{-1} z_in g at the side's frame."""
+    z_out, z_in = side.z("outgoing"), side.z("incoming")
+    if side.projectors().dim_ec == 3:
         raise NoIncomingMode("frame is elliptic: nothing propagates")
     minv = _check_invertible(z_out, margin, "z_out")
-    return ScatterOperator(frame, minv, z_in, _modal_side(a, f_in), {"+": out})
+    return ScatterOperator(minv, z_in, {"+": side})
 
 
-def interface_operator(m_plus: Material, m_minus: Material,
-                       frame: BoundaryFrame,
+def interface_operator(plus: BoundarySide, minus: BoundarySide,
                        margin: float = 1e-8) -> ScatterOperator:
     """Welded-interface law for traces incoming from the + side.
 
-    The frame's conormal points into the + material; the - side uses the
-    flipped frame.  Continuity [u] = 0 and traction balance give the two
-    outgoing traces.
+    The + side's frame has its conormal pointing into the + material; the
+    - side is seen from the flipped frame.  Continuity [u] = 0 and traction
+    balance give the two outgoing traces.
     """
-    ap = boundary_polynomial(m_plus, frame)
-    am = boundary_polynomial(m_minus, frame.flipped())
-    cls_p = classify_spectrum(ap)
-    fp_out = factorize(ap, "outgoing", classification=cls_p)
-    fp_in = factorize(ap, "incoming", classification=cls_p)
-    fm_out = factorize(am, "outgoing")
-    zp_out = impedance_from_factorization(ap, fp_out).z
-    zp_in = impedance_from_factorization(ap, fp_in).z
-    zm_out = impedance_from_factorization(am, fm_out).z
-    plus, minus = _modal_side(ap, fp_out), _modal_side(am, fm_out)
-    if plus.projectors.dim_ec == 3 and minus.projectors.dim_ec == 3:
+    fp, fm = plus.frame, minus.frame
+    if not (np.array_equal(fm.nu, -fp.nu) and np.array_equal(fm.eta, fp.eta) and fm.tau == fp.tau):
+        raise InvalidInput("the - side must be seen from the + side's flipped frame")
+    zp_out, zp_in, zm_out = plus.z("outgoing"), plus.z("incoming"), minus.z("outgoing")
+    if plus.projectors().dim_ec == 3 and minus.projectors().dim_ec == 3:
         raise NoIncomingMode("frame is elliptic on both sides")
     minv = _check_invertible(zp_out + zm_out, margin, "z+_out + z-_out")
-    return ScatterOperator(frame, minv, zp_in - zp_out, _modal_side(ap, fp_in),
-                           {"+": plus, "-": minus})
+    return ScatterOperator(minv, zp_in - zp_out, {"+": plus, "-": minus})
 
 
 def reflect_free_surface(m: Material, frame: BoundaryFrame,
                          incoming: TraceField,
                          margin: float = 1e-8) -> ScatterResult:
     """Zero-traction reflection f = -z_out^{-1} z_in g."""
-    return free_surface_operator(m, frame, margin).apply(incoming)
+    return free_surface_operator(BoundarySide(m, frame), margin).apply(incoming)
 
 
 def transmit_interface(m_plus: Material, m_minus: Material,
                        frame: BoundaryFrame, incoming: TraceField,
                        margin: float = 1e-8) -> ScatterResult:
     """Welded-interface scattering of a trace incoming from the + side."""
-    return interface_operator(m_plus, m_minus, frame, margin).apply(incoming)
+    return interface_operator(BoundarySide(m_plus, frame),
+                              BoundarySide(m_minus, frame.flipped()),
+                              margin).apply(incoming)
 
 
 def energy_balance(r: ScatterResult, evanescent_tol: float = 1e-9) -> dict:
@@ -233,10 +204,9 @@ def energy_balance(r: ScatterResult, evanescent_tol: float = 1e-9) -> dict:
         "sides": {},
     }
     for tag, side in r.sides.items():
-        a = side.factorization.poly
-        tau = side.factorization.tau
+        tau = side.side.frame.tau
         ev = side.evanescent
-        z = impedance_from_factorization(a, side.factorization).z
+        z = side.side.z()
         ev_flux = -tau * np.imag(np.vdot(z @ ev, ev))
         scale = max(np.linalg.norm(z) * max(float(np.vdot(ev, ev).real), 1e-300), 1e-300)
         report["sides"][tag] = {

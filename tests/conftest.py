@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from elaswave.factorization import BoundaryFrame, boundary_polynomial, classify_spectrum
-from elaswave.materials import make_isotropic, make_transversely_isotropic
+from elaswave.materials import (
+    Material,
+    from_voigt,
+    make_isotropic,
+    make_transversely_isotropic,
+)
 
 NU = np.array([0.0, 0.0, 1.0])
 AXIS = np.array([0.0, 0.0, 1.0])
@@ -30,6 +35,14 @@ def ti():
 def hard():
     """Stiff contrast medium for interfaces."""
     return make_isotropic(4.0, 3.0, 3.0, "hard")
+
+
+def random_triclinic(rng):
+    """Strongly convex triclinic material from a random SPD Mandel matrix."""
+    g = rng.standard_normal((6, 6))
+    mandel = g @ g.T / 6.0 + 0.5 * np.eye(6)
+    scale = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
+    return Material(from_voigt(mandel / np.outer(scale, scale)), 1.0, "triclinic")
 
 
 def region_of(m, frame):

@@ -91,8 +91,11 @@ class TestClusterSorted:
                             size=n) * rng.choice([-1.0, 1.0], size=n)
             cplx = re + 1j * im
             for vals in (re, cplx[np.lexsort((cplx.imag, cplx.real))]):
-                got = cluster_sorted(vals, tol)
+                groups = cluster_sorted(vals, tol)
+                got = [idx for idx, _ in groups]
                 assert got == cluster_sorted_mean_loop(vals, tol)
+                for idx, mean in groups:
+                    assert np.isclose(mean, np.mean(vals[idx]), rtol=1e-14, atol=0)
                 sizes.extend(len(g) for g in got)
         assert sizes.count(3) > 50    # 3-member groups are exercised
 

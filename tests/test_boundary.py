@@ -3,6 +3,7 @@ import pytest
 
 from elaswave import boundary
 from elaswave.boundary import (
+    BoundarySide,
     RegionClass,
     classify,
     ellipticity_margin,
@@ -19,10 +20,10 @@ from elaswave.errors import (
     ValidationError,
 )
 from elaswave.factorization import BoundaryFrame, boundary_polynomial, factorize
-from elaswave.impedance import impedance_from_factorization
+from elaswave.impedance import impedance_from_factorization, mode_projectors
 from elaswave.materials import make_isotropic
 
-from conftest import NU
+from conftest import NU, random_triclinic, sample_frames
 from oracles import C_R_POISSON, rayleigh_secular_speed
 
 ETA = np.array([1.0, 0.0, 0.0])
@@ -31,6 +32,32 @@ EHAT = ETA
 
 def frame(tau, eta=ETA):
     return BoundaryFrame(NU, eta, tau)
+
+
+class TestBoundarySide:
+    def test_matches_direct_chain(self, iso, ti):
+        # Both directions of a side share its one classification, each is
+        # built once, and every kept quantity equals, bit for bit, the direct
+        # factorize -> impedance -> projectors chain on a fresh polynomial.
+        rng = np.random.default_rng(23)
+        for mat in (iso, ti, random_triclinic(rng)):
+            for frames in sample_frames(mat, rng, 1).values():
+                side = BoundarySide(mat, frames[0])
+                a = boundary_polynomial(mat, frames[0])
+                for d in ("outgoing", "incoming"):
+                    f = side.factorization(d)
+                    assert f.classification is side.classification
+                    assert side.factorization(d) is f
+                    direct = factorize(a, d)
+                    assert np.array_equal(f.q, direct.q)
+                    assert np.array_equal(side.z(d),
+                                          impedance_from_factorization(a, direct).z)
+                    got, want = side.projectors(d), mode_projectors(direct)
+                    assert got.psi.keys() == want.psi.keys()
+                    for s in want.psi:
+                        assert np.array_equal(got.psi[s], want.psi[s])
+                    assert np.array_equal(got.pi_c, want.pi_c)
+                    assert got.dim_ec == want.dim_ec
 
 
 class TestClassify:

@@ -48,7 +48,30 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_BAD_FRAMES = (("--eta", "1", "0", "--tau", "nan"),
+               ("--eta", "1", "0", "--tau", "inf"),
+               ("--eta", "nan", "0", "--tau", "-1"))
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, code, error", [
+        *(((cmd, *bad), 2, "InvalidInput")
+          for cmd in ("impedance", "factorize", "classify", "reflect", "trace")
+          for bad in _BAD_FRAMES),
+        (("impedance", "--eta", "1e160", "0", "--tau", "-1"), 3, "CoefficientOverflow"),
+        (("impedance", "--eta", "0.3", "0", "--tau", "1e200"), 3, "CoefficientOverflow"),
+        (("slowness", "--direction", "0", "0", "0"), 2, "ValidationError"),
+        (("slowness", "--direction", "nan", "0", "1"), 2, "ValidationError"),
+    ])
+    def test_non_finite_and_overflowing_inputs(self, capsys, iso_file, stack_file,
+                                               argv, code, error):
+        # Typed errors, not a bare ValueError from scipy, a NaN reaching
+        # LAPACK or an uncaught OverflowError.
+        source = ("--stack", stack_file) if argv[0] == "trace" else ("--material", iso_file)
+        got, _, err = invoke(capsys, argv[0], *source, *argv[1:])
+        assert got == code
+        assert json.loads(err)["error"] == error
+
     def test_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         m = np.eye(6)

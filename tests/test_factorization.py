@@ -26,23 +26,14 @@ from elaswave.factorization import (
     residue,
     stroh,
 )
-from elaswave.materials import Material, from_voigt
 
-from conftest import NU, sample_frames
+from conftest import NU, random_triclinic, sample_frames
 
 ETA = np.array([1.0, 0.0, 0.0])
 
 
 def frame(tau, eta=ETA):
     return BoundaryFrame(NU, eta, tau)
-
-
-def random_triclinic(rng):
-    """Strongly convex triclinic material from a random SPD Mandel matrix."""
-    g = rng.standard_normal((6, 6))
-    mandel = g @ g.T / 6.0 + 0.5 * np.eye(6)
-    scale = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
-    return Material(from_voigt(mandel / np.outer(scale, scale)), 1.0, "triclinic")
 
 
 def sorted_schur_root(a, sigma):

@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from elaswave import layered
+from elaswave import boundary, factorization, layered, scatter
 from elaswave.errors import (
     GlancingSpectrum,
     NonEllipticOperator,
@@ -193,10 +193,10 @@ class TestTracePlaneWave:
                 trace_plane_wave(stack, tau=-1.0, **kwargs)
 
 
-def _layer_direction(stack, m, frame):
-    """(layer, direction) of the segments that meet a law built from m and frame."""
-    layer = next(k for k in range(len(stack.layers)) if stack.material(k) is m)
-    return layer, "down" if frame.nu[2] > 0 else "up"
+def _layer_direction(stack, plus):
+    """(layer, direction) of the segments that meet a law built on side plus."""
+    layer = next(k for k in range(len(stack.layers)) if stack.material(k) is plus.material)
+    return layer, "down" if plus.frame.nu[2] > 0 else "up"
 
 
 class TestPrecomputedLaws:
@@ -243,9 +243,9 @@ class TestPrecomputedLaws:
         builds = Counter()
 
         def recording(builder):
-            def build(m, *rest):
-                builds[_layer_direction(ti_stack, m, rest[-1])] += 1
-                return builder(m, *rest)
+            def build(plus, *rest):
+                builds[_layer_direction(ti_stack, plus)] += 1
+                return builder(plus, *rest)
             return build
 
         for name in ("free_surface_operator", "interface_operator"):
@@ -256,16 +256,37 @@ class TestPrecomputedLaws:
             assert builds and max(builds.values()) == 1
             assert sum(builds.values()) <= 2 * len(ti_stack.layers)
 
+    def test_each_polynomial_classified_once(self, ti_stack, monkeypatch):
+        # The laws met going down from layer L and up from layer L+1 share
+        # their two sides; the source mode and crossing times read them too.
+        # At eta = 0 a layer's up and down polynomials have equal
+        # coefficients, so the key also holds the frame's conormal.
+        seen = Counter()
+        classify_spectrum = factorization.classify_spectrum
+
+        def counting(a, *args, **kwargs):
+            seen[(a.a0.tobytes(), a.a1.tobytes(), a.a2.tobytes(),
+                  a.frame.nu.tobytes())] += 1
+            return classify_spectrum(a, *args, **kwargs)
+
+        for mod in (factorization, boundary, scatter):
+            if hasattr(mod, "classify_spectrum"):
+                monkeypatch.setattr(mod, "classify_spectrum", counting)
+        for eta, tau in TI_STACK_FRAMES:
+            seen.clear()
+            trace_plane_wave(ti_stack, eta, tau, max_events=64)
+            assert seen and max(seen.values()) == 1
+
     def test_failed_build_is_kept(self, ti_stack, monkeypatch):
         key = (1, "down")
         builds = []
         interface_operator = layered.interface_operator
 
-        def failing(m_plus, m_minus, frame):
-            if _layer_direction(ti_stack, m_plus, frame) == key:
+        def failing(plus, minus):
+            if _layer_direction(ti_stack, plus) == key:
                 builds.append(key)
                 raise NonEllipticOperator("forced failure")
-            return interface_operator(m_plus, m_minus, frame)
+            return interface_operator(plus, minus)
 
         monkeypatch.setattr(layered, "interface_operator", failing)
         tree = trace_plane_wave(ti_stack, (0.0, 0.0), -1.0, max_events=64)

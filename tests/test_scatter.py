@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from elaswave import factorization
-from elaswave.errors import NoIncomingMode
+from elaswave.boundary import BoundarySide
+from elaswave.errors import NoIncomingMode, ValidationError
 from elaswave.factorization import BoundaryFrame, boundary_polynomial, kernel_basis
 from elaswave.materials import make_isotropic
 from elaswave.scatter import (
     TraceField,
     energy_balance,
     incoming_mode,
+    interface_operator,
     reflect_free_surface,
     transmit_interface,
 )
@@ -92,6 +94,15 @@ class TestFreeSurface:
 
 
 class TestInterface:
+    def test_sides_must_face_each_other(self, iso, hard):
+        fr = frame(-2.5)
+        plus = BoundarySide(iso, fr)
+        for minus_frame in (fr, BoundaryFrame(-NU, ETA, -2.4)):
+            with pytest.raises(ValidationError):
+                interface_operator(plus, BoundarySide(hard, minus_frame))
+        law = interface_operator(plus, BoundarySide(hard, fr.flipped()))
+        assert law.frame is fr and law.sides["+"] is plus
+
     def test_fictitious_interface(self, iso):
         for tau in (-2.5, -1.4):
             fr = frame(tau)
