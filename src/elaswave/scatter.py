@@ -6,6 +6,9 @@ and traction gives f- = -(z+_out + z-_out)^{-1}(z+_in - z+_out) g and
 f+ = f- - g.  Each law is linear in g and depends only on the frame and
 the materials, so it is built once per frame as a `ScatterOperator` from
 the `BoundarySide` of each side and applied to every trace that meets it.
+At build time the law is compiled, as with Kennett's reflection and
+transmission matrices, into one fixed 3x3 map per outgoing mode and side,
+so a block of traces scatters in a few contractions.
 Energy bookkeeping uses the modal flux identity, with incident modes
 flux-normalized so amplitude tables compare directly.
 """
@@ -55,15 +58,18 @@ class ScatterResult:
     balance_residual: float
 
 
-def _side_waves(side: BoundarySide, trace: np.ndarray, tau: float) -> SideWaves:
-    a = side.poly
-    projectors = side.projectors()
-    amps, fluxes = {}, {}
-    for s, psi in projectors.psi.items():
-        fs = psi @ trace
-        amps[s] = fs
-        fluxes[s] = float(-tau * 0.5 * np.real(np.vdot(fs, a.derivative(s) @ fs)))
-    return SideWaves(trace, amps, projectors.pi_c @ trace, fluxes, side)
+@dataclass(frozen=True)
+class WaveBlock:
+    """Outgoing content on one side for a block of N incoming traces.
+
+    Column n of every array belongs to column n of the incoming block.
+    """
+
+    modes: tuple                      # real outgoing eigenvalues s, ascending
+    amplitudes: np.ndarray            # (len(modes), 3, N): psi_s f per mode
+    fluxes: np.ndarray                # (len(modes), N): -tau (A'(s)f_s|f_s)/2
+    evanescent: np.ndarray            # (3, N): pi_c f
+    traces: np.ndarray                # (3, N): the outgoing traces f
 
 
 def incoming_mode(m: Material, frame: BoundaryFrame,
@@ -125,24 +131,60 @@ class ScatterOperator:
     interface minv = (z+_out + z-_out)^{-1}, zin = z+_in - z+_out, f is the
     transmitted trace f- and the reflected one is f+ = f- - g.  Traces come
     in on the + side, whose incoming projectors measure the incident flux.
+
+    Construction compiles each side's share of the law: its trace map T
+    (f = T g), then per real outgoing s, ascending, the amplitude map psi_s T
+    and the flux form -tau/2 A'(s), and the evanescent map pi_c T.
     """
 
     minv: np.ndarray
     zin: np.ndarray
     sides: dict                       # side tag -> BoundarySide
 
+    def __post_init__(self):
+        tau = self.frame.tau
+        t = -self.minv @ self.zin
+        maps = {"+": t - np.eye(3), "-": t} if "-" in self.sides else {"+": t}
+        compiled = {}     # tag -> (modes, [psi_s T..., pi_c T, T], [-tau/2 A'(s)...])
+        for tag, side in self.sides.items():
+            projectors, tm = side.projectors(), maps[tag]
+            modes = tuple(sorted(projectors.psi))
+            stack = [projectors.psi[s] @ tm for s in modes] + [projectors.pi_c @ tm, tm]
+            forms = [-tau * 0.5 * side.poly.derivative(s) for s in modes]
+            compiled[tag] = (modes, np.array(stack), np.array(forms).reshape(-1, 3, 3))
+        object.__setattr__(self, "_compiled", compiled)
+
     @property
     def frame(self) -> BoundaryFrame:
         return self.sides["+"].frame
 
+    def apply_block(self, g: np.ndarray) -> dict:
+        """Scatter a 3 x N block of incoming traces: side tag -> WaveBlock.
+
+        Every column of the result is bit for bit what that column gives
+        alone, so a trace's outcome does not depend on its companions.
+        """
+        # einsum without `optimize` sums each entry in a fixed order and never
+        # hands the product to BLAS, whose kernels may round a column
+        # differently depending on how many columns come with it.
+        blocks = {}
+        for tag, (modes, stack, forms) in self._compiled.items():
+            out = np.einsum("kij,jn->kin", stack, g)
+            amps = out[:len(modes)]
+            flux = np.einsum("kin,kin->kn", amps.conj(),
+                             np.einsum("kij,kjn->kin", forms, amps)).real
+            blocks[tag] = WaveBlock(modes, amps, flux, out[-2], out[-1])
+        return blocks
+
     def apply(self, incoming: TraceField) -> ScatterResult:
-        tau = self.frame.tau
         g = incoming.g
-        f = -self.minv @ (self.zin @ g)
-        traces = {"+": f - g, "-": f} if "-" in self.sides else {"+": f}
-        sides = {tag: _side_waves(side, traces[tag], tau)
-                 for tag, side in self.sides.items()}
-        inc = _incident_flux(self.sides["+"], g, tau)
+        sides = {}
+        for tag, block in self.apply_block(g[:, None]).items():
+            amps = {s: block.amplitudes[k, :, 0] for k, s in enumerate(block.modes)}
+            fluxes = {s: float(block.fluxes[k, 0]) for k, s in enumerate(block.modes)}
+            sides[tag] = SideWaves(block.traces[:, 0], amps, block.evanescent[:, 0],
+                                   fluxes, self.sides[tag])
+        inc = _incident_flux(self.sides["+"], g, self.frame.tau)
         out = sum(side.total_flux for side in sides.values())
         residual = abs(inc - out) / max(abs(inc), 1e-300)
         return ScatterResult(incoming, sides, inc, residual)

@@ -106,6 +106,18 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("floor, code", [("-1", 2), ("nan", 2), ("inf", 2), ("0", 0)])
+    def test_trace_amplitude_floor(self, capsys, stack_file, floor, code):
+        # -1 and nan would floor nothing and inf every child; 0 floors nothing
+        got, out, err = invoke(capsys, "trace", "--stack", stack_file,
+                               "--eta", "0.3", "0", "--tau", "-1.2",
+                               "--amplitude-floor", floor)
+        assert got == code
+        if code:
+            assert out == "" and json.loads(err)["error"] == "ValidationError"
+        else:
+            assert json.loads(out)["events"]
+
     def test_trace_rejects_stack_without_free_surface(self, capsys, stack_file):
         with open(stack_file, encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -11,13 +11,20 @@ from elaswave.errors import (
     StackFileError,
     ValidationError,
 )
-from elaswave.factorization import BoundaryFrame, boundary_polynomial, kernel_basis
+from elaswave.factorization import (
+    BoundaryFrame,
+    QuadraticMatrixPolynomial,
+    boundary_polynomial,
+    classify_spectrum,
+    kernel_basis,
+)
 from elaswave.layered import (
     LayerStack,
     arrivals_rows,
     group_delay,
     leaf_flux,
     load_stack,
+    mode_delay,
     trace_plane_wave,
 )
 from elaswave.materials import make_isotropic, make_transversely_isotropic
@@ -49,6 +56,23 @@ def ti_stack(soft, rigid):
 # Hyperbolic everywhere; a mixed half-space; mixed layers over an elliptic
 # half-space (evanescent content at every boundary).
 TI_STACK_FRAMES = (((0.0, 0.0), -1.0), ((0.3, 0.2), -1.1), ((0.7, 0.0), -1.0))
+
+
+@pytest.fixture(scope="module")
+def bench_stack():
+    """The seed-3 stack of the layered_trace benchmark workload (three
+    layers, one TI, over a stiff half-space) and the frame of its 512-event
+    trace, whose tree is cut part-way through depth 6 (as are 115 of the
+    budgets 1-119)."""
+    top = make_isotropic(1.8342596668574498, 0.9473621013192199, 1.0, "top")
+    mid = make_transversely_isotropic(2.332560764690815, 1.3213621293767357,
+                                      0.091882572844808, 0.07893003104378359,
+                                      0.049790512981408346, AXIS, 1.2, "ti_layer")
+    low = make_isotropic(2.795843348782247, 1.8844477745073172, 1.5, "low")
+    half = make_isotropic(8.304609635858526, 4.891228190495662, 2.5, "halfspace")
+    stack = LayerStack(((top, 1.013392146097091), (mid, 0.9445024163313422),
+                        (low, 1.0694388571505125)), half)
+    return stack, (-0.15724474847271366, -0.06433532676229438), -1.0451637967609757
 
 
 class TestLayerStack:
@@ -128,6 +152,74 @@ class TestGroupDelay:
             group_delay(a, 0.0, np.array([1.0, 0.0, 0.0], dtype=complex))
 
 
+class TestModeDelay:
+    def test_matches_group_delay_on_kernel(self, soft):
+        # One delay per (side, s) serves every trace in the kernel: the 2-D
+        # shear kernel of an isotropic layer at eta = 0 and the simple
+        # eigenvalues of a TI layer off its axis.
+        rng = np.random.default_rng(7)
+        ti = make_transversely_isotropic(2.3, 1.3, 0.09, 0.08, 0.05, AXIS, 1.2, "ti")
+        cases = ((soft, np.zeros(3), -1.0), (ti, np.array([0.3, 0.2, 0.0]), -1.1),
+                 (ti, np.array([0.3, 0.2, 0.0]), 1.1))
+        dims = []
+        for m, eta, tau in cases:
+            for nu in (NU, -NU):
+                a = boundary_polynomial(m, BoundaryFrame(nu, eta, tau))
+                cls = classify_spectrum(a)
+                for g in cls.real_groups:
+                    s = g.value.real
+                    shared = mode_delay(a, cls, s)
+                    assert shared is not None
+                    dims.append(g.kernel.shape[1])
+                    for _ in range(4):
+                        c = rng.standard_normal(g.kernel.shape[1]) \
+                            + 1j * rng.standard_normal(g.kernel.shape[1])
+                        v = 10.0 ** rng.uniform(-3, 3) * (g.kernel @ c)
+                        assert shared == pytest.approx(group_delay(a, s, v), rel=1e-12)
+        assert 2 in dims and 1 in dims
+
+    def test_declines_when_form_is_not_scalar(self):
+        # A(s) = diag(s^2 - 1, 2 s^2 - 2, s^2 + 1): ker A(1) = span(e1, e2)
+        # with derivative form diag(2, 4), so the delay depends on the trace
+        # and the caller must fall back to group_delay per trace.
+        frame = BoundaryFrame(NU, np.zeros(3), -1.0)
+        a = QuadraticMatrixPolynomial(np.diag([1.0, 2.0, 1.0]), np.zeros((3, 3)),
+                                      np.diag([-1.0, -2.0, 1.0]), frame, 1.0)
+        cls = classify_spectrum(a)
+        assert [g.kernel.shape[1] for g in cls.real_groups if g.value.real > 0] == [2]
+        assert mode_delay(a, cls, 1.0) is None
+        e1, e2 = np.eye(3, dtype=complex)[:2]
+        assert group_delay(a, 1.0, e1) == pytest.approx(-1.0, rel=1e-14)
+        assert group_delay(a, 1.0, e2) == pytest.approx(-0.5, rel=1e-14)
+
+    def test_per_trace_fallback_in_the_tree(self, ti_stack, monkeypatch):
+        # With every shared delay declined, each crossing time comes from
+        # group_delay on the child's own trace, and the tree keeps its shape.
+        calls = []
+        per_trace = layered.group_delay
+
+        def counting(*args):
+            calls.append(args[1])
+            return per_trace(*args)
+
+        for eta, tau in TI_STACK_FRAMES:
+            shared = trace_plane_wave(ti_stack, eta, tau, max_events=40)
+            with monkeypatch.context() as mp:
+                mp.setattr(layered, "mode_delay", lambda *args: None)
+                mp.setattr(layered, "group_delay", counting)
+                calls.clear()
+                fallback = trace_plane_wave(ti_stack, eta, tau, max_events=40)
+            propagated = [e for e in fallback.events
+                          if e.status in ("propagating", "scattered", "truncated")]
+            assert len(calls) == len(propagated)
+            assert len(shared.events) == len(fallback.events)
+            for e, f in zip(shared.events, fallback.events):
+                assert (e.parent, e.layer, e.direction, e.s, e.status) == \
+                    (f.parent, f.layer, f.direction, f.s, f.status)
+                assert np.array_equal(e.amplitude, f.amplitude)
+                assert e.time == pytest.approx(f.time, rel=1e-10)
+
+
 class TestTracePlaneWave:
     def test_primary_reflection_time(self, soft, rigid):
         stack = LayerStack(((soft, 1.0),), rigid)
@@ -187,7 +279,9 @@ class TestTracePlaneWave:
         stack = LayerStack(((soft, 1.0),), rigid)
         for bad in ({"max_events": 0}, {"eta": (0.1, 0.0, 0.2)},
                     {"eta": (0.1,)}, {"source_layer": 1},
-                    {"source_direction": "sideways"}):
+                    {"source_direction": "sideways"},
+                    {"amplitude_floor": -1.0}, {"amplitude_floor": float("nan")},
+                    {"amplitude_floor": float("inf")}):
             kwargs = {"eta": (0.0, 0.0), **bad}
             with pytest.raises(ValidationError):
                 trace_plane_wave(stack, tau=-1.0, **kwargs)
@@ -297,3 +391,47 @@ class TestPrecomputedLaws:
         assert all(e.status == "glancing" and e.note == "forced failure"
                    for e in hits)
         assert leaf_flux(tree) == pytest.approx(tree.source_flux, rel=1e-9)
+
+
+class TestGenerations:
+    def test_budget_cuts_are_prefixes(self, bench_stack):
+        # Cutting the queue after k scattered segments, part-way through a
+        # generation or not, keeps every event created before the cut.
+        stack, eta, tau = bench_stack
+        full = trace_plane_wave(stack, eta, tau, max_events=512)
+        assert full.truncated
+        for k in range(1, 120):
+            cut = trace_plane_wave(stack, eta, tau, max_events=k)
+            assert len(cut.events) <= len(full.events)
+            for e, f in zip(cut.events, full.events):
+                assert (e.uid, e.parent, e.layer, e.direction, e.depth) == \
+                    (f.uid, f.parent, f.layer, f.direction, f.depth)
+                assert (e.s, e.time, e.flux) == (f.s, f.time, f.flux)
+                assert np.array_equal(e.amplitude, f.amplitude)
+                if e.status != f.status:
+                    assert e.status == "truncated" and f.status in ("scattered", "glancing")
+            assert sum(e.status in ("scattered", "glancing") for e in cut.events) == k
+
+    def test_arrival_ties_by_mode_and_uid(self, soft):
+        # Paths with the same legs in another order (P down, S up, P down
+        # against S down, P up, P down) reach the surface at times that
+        # differ only by roundoff; such ties are ordered by mode, then by the
+        # arriving segment's uid, never by those last bits.
+        stack = LayerStack(((soft, 1.0),), make_isotropic(4.0, 3.0, 3.0, "mid"))
+        tree = trace_plane_wave(stack, (0.3, 0.0), -1.0, max_events=60)
+        arriving = {(e.time, e.s, e.flux): e.uid for e in tree.events
+                    if (e.layer, e.direction) == (0, "up")
+                    and e.status in ("scattered", "glancing")}
+        rows = [(t, s, arriving[t, s, fl]) for t, s, _, fl in tree.arrivals]
+        assert len(rows) == len(arriving)
+        groups = [[rows[0]]]
+        for row in rows[1:]:
+            if row[0] - groups[-1][0][0] > 1e-12 * abs(row[0]):
+                groups.append([])
+            groups[-1].append(row)
+        assert [g[0][0] for g in groups] == sorted(g[0][0] for g in groups)
+        same_mode_ties = 0
+        for g in groups:
+            assert [r[1:] for r in g] == sorted(r[1:] for r in g)
+            same_mode_ties += len(g) - len({r[1] for r in g})
+        assert same_mode_ties > 0

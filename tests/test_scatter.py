@@ -9,6 +9,7 @@ from elaswave.materials import make_isotropic
 from elaswave.scatter import (
     TraceField,
     energy_balance,
+    free_surface_operator,
     incoming_mode,
     interface_operator,
     reflect_free_surface,
@@ -151,6 +152,38 @@ class TestInterface:
                 for s in sorted(r.sides[t].amplitudes)])
             out.append(amps / np.linalg.norm(inc.g))
         assert np.allclose(np.abs(out[0]), np.abs(out[1]), atol=1e-9)
+
+
+class TestApplyBlock:
+    def test_columns_match_apply(self, iso, ti, hard):
+        # Each column of a block is, bit for bit, what apply gives for that
+        # trace alone, whatever the width of the block it came in.
+        rng = np.random.default_rng(53)
+        laws = []
+        for tau in (-2.5, -1.8):     # hyperbolic, then evanescent P
+            fr = frame(tau)
+            laws.append(free_surface_operator(BoundarySide(iso, fr)))
+            laws.append(interface_operator(BoundarySide(ti, fr),
+                                           BoundarySide(hard, fr.flipped())))
+        for law in laws:
+            for n in (1, 2, 7, 33):
+                g = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) \
+                    * 10.0 ** rng.uniform(-4, 4, n)
+                blocks = law.apply_block(g)
+                assert set(blocks) == set(law.sides)
+                for k in range(n):
+                    alone = law.apply(TraceField(g[:, k], law.frame, 0.0))
+                    for tag, side in alone.sides.items():
+                        block = blocks[tag]
+                        assert block.modes == tuple(sorted(side.amplitudes))
+                        assert np.array_equal(block.traces[:, k], side.trace)
+                        assert np.array_equal(block.evanescent[:, k], side.evanescent)
+                        for j, s in enumerate(block.modes):
+                            assert np.array_equal(block.amplitudes[j, :, k],
+                                                  side.amplitudes[s])
+                            assert block.fluxes[j, k] == side.fluxes[s]
+        assert any(np.linalg.norm(law.apply_block(np.eye(3))["+"].evanescent) > 0
+                   for law in laws)
 
 
 class TestEnergyReport:
