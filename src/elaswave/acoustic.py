@@ -8,6 +8,8 @@ import numpy as np
 from .errors import IndefiniteAcousticTensor, InvalidInput
 from .materials import Material, StiffnessTensor
 
+DEGENERACY_TOL = 1e-8   # speeds^2 closer than this relative to the largest are one mode
+
 _REFERENCE_FRAME = (np.array([0.0, 0.0, 1.0]),
                     np.array([1.0, 0.0, 0.0]),
                     np.array([0.0, 1.0, 0.0]))
@@ -77,8 +79,7 @@ def _orient_degenerate(vecs: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
-def christoffel_modes(m: Material, xi_hat: np.ndarray,
-                      degeneracy_tol: float = 1e-8) -> ChristoffelModes:
+def christoffel_modes(m: Material, xi_hat: np.ndarray) -> ChristoffelModes:
     """Eigen-decomposition of l(xi)/rho; speeds are sqrt of the eigenvalues."""
     xi_hat = np.asarray(xi_hat, dtype=float)
     if not (np.isfinite(xi_hat).all() and abs(np.linalg.norm(xi_hat) - 1.0) <= 1e-12):
@@ -95,7 +96,7 @@ def christoffel_modes(m: Material, xi_hat: np.ndarray,
     vals, vecs = vals[order], vecs[:, order].T   # rows are eigenvectors
 
     scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
-    clusters = cluster_sorted(vals, degeneracy_tol * scale)
+    clusters = cluster_sorted(vals, DEGENERACY_TOL * scale)
     degenerate = any(len(cl) > 1 for cl, _ in clusters)
     projectors = []
     pols = np.empty((3, 3))

@@ -30,6 +30,11 @@ from .factorization import (
 from .impedance import Impedance, ModeProjectors, impedance_from_factorization, mode_projectors
 from .materials import Material, decompose_harmonic
 
+ANGLE_TOL = 1e-8        # principal angles with cosine above 1 - ANGLE_TOL count as shared
+BISECTION_TOL = 1e-10   # bisections stop at this width relative to the upper end
+EDGE_OFFSET = 1e-6      # surface-wave brackets end this far, relatively, below tau_eta
+
+
 @dataclass(frozen=True)
 class RegionClass:
     """Region label with the evanescent dimensions behind it.
@@ -83,7 +88,7 @@ class BoundarySide:
                           lambda: mode_projectors(self.factorization(direction)))
 
 
-def _classify_sides(materials, frame: BoundaryFrame, angle_tol: float = 1e-8):
+def _classify_sides(materials, frame: BoundaryFrame):
     """Region of a boundary or interface, with the BoundarySide of each side
     so that callers can factorize without solving again."""
     if isinstance(materials, Material):
@@ -107,7 +112,7 @@ def _classify_sides(materials, frame: BoundaryFrame, angle_tol: float = 1e-8):
     else:
         bp, bm = (side.projectors().ec_basis() for side in sides)
         cos_angles = np.linalg.svd(bp.conj().T @ bm, compute_uv=False)
-        inter = int(np.sum(cos_angles > 1.0 - angle_tol))
+        inter = int(np.sum(cos_angles > 1.0 - ANGLE_TOL))
     if inter == 0:
         label = "hyperbolic"
     elif dim_p == 3 and dim_m == 3:
@@ -117,15 +122,14 @@ def _classify_sides(materials, frame: BoundaryFrame, angle_tol: float = 1e-8):
     return RegionClass(label, dims, inter), sides
 
 
-def classify(materials, frame: BoundaryFrame,
-             angle_tol: float = 1e-8) -> RegionClass:
+def classify(materials, frame: BoundaryFrame) -> RegionClass:
     """Region of a boundary (one material) or interface (two materials).
 
     Boundary: hyperbolic iff E_c = 0, elliptic iff E_c = E.  Interface:
     hyperbolic iff E_c+ and E_c- intersect trivially, elliptic iff both
     evanescent subspaces are full.
     """
-    return _classify_sides(materials, frame, angle_tol)[0]
+    return _classify_sides(materials, frame)[0]
 
 
 def _iso_moduli(m: Material, tol: float = 1e-8):
@@ -182,8 +186,7 @@ def iso_impedance_closed_form(m: Material, frame: BoundaryFrame) -> Impedance:
     return Impedance(z, "outgoing", frame)
 
 
-def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
-              rel_tol: float = 1e-10) -> float:
+def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> float:
     """Largest tau with a fully evanescent spectrum, by bisection.
 
     For isotropic media this is c_s |eta|; in general it is the limiting
@@ -197,23 +200,21 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
         cls = BoundarySide(m, BoundaryFrame(nu, eta_hat, -t)).classification
         return (not cls.has_real) and cls.dim_evanescent == 3
 
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     for _ in range(200):
         if not elliptic(hi):
             break
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     else:
         raise GlancingLimit("no non-elliptic tau found")
-    lo = hi / 2.0 if elliptic(hi / 2.0) else 0.0
     while lo == 0.0:
-        cand = hi / 2.0
-        if elliptic(cand):
-            lo = cand
-            break
-        hi = cand
-        if hi < 1e-12:
-            raise GlancingLimit("could not bracket the elliptic limit")
-    while hi - lo > rel_tol * hi:
+        if elliptic(hi / 2.0):
+            lo = hi / 2.0
+        else:
+            hi /= 2.0
+            if hi < 1e-12:
+                raise GlancingLimit("could not bracket the elliptic limit")
+    while hi - lo > BISECTION_TOL * hi:
         mid = 0.5 * (lo + hi)
         if elliptic(mid):
             lo = mid
@@ -240,10 +241,9 @@ def _lambda_min(zmat: np.ndarray):
     return float(vals[0]), vecs[:, 0]
 
 
-def _surface_wave_bisect(zfun, tau_eta: float, rel_tol: float,
-                         edge_offset: float) -> RayleighResult:
+def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     t_lo = 1e-3 * tau_eta
-    t_hi = (1.0 - edge_offset) * tau_eta
+    t_hi = (1.0 - EDGE_OFFSET) * tau_eta
     try:
         f_lo, _ = _lambda_min(zfun(t_lo))
         f_hi, _ = _lambda_min(zfun(t_hi))
@@ -255,7 +255,7 @@ def _surface_wave_bisect(zfun, tau_eta: float, rel_tol: float,
         raise NoSurfaceWave("smallest impedance eigenvalue stays positive "
                             "on the elliptic interval")
     lo, hi = t_lo, t_hi
-    while hi - lo > rel_tol * hi:
+    while hi - lo > BISECTION_TOL * hi:
         mid = 0.5 * (lo + hi)
         fm, _ = _lambda_min(zfun(mid))
         if fm > 0:
@@ -269,9 +269,7 @@ def _surface_wave_bisect(zfun, tau_eta: float, rel_tol: float,
     return RayleighResult(tau_r, 1.0 / tau_r, vec, tau_eta, (t_lo, t_hi), det_res)
 
 
-def rayleigh_speed(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
-                   rel_tol: float = 1e-10,
-                   edge_offset: float = 1e-6) -> RayleighResult:
+def rayleigh_speed(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> RayleighResult:
     """Free-surface (Rayleigh) frequency: the zero of lambda_min(z).
 
     lambda_min decreases strictly in tau on the elliptic interval, so the
@@ -282,12 +280,11 @@ def rayleigh_speed(m: Material, nu: np.ndarray, eta_hat: np.ndarray,
     def zfun(t: float) -> np.ndarray:
         return BoundarySide(m, BoundaryFrame(nu, eta_hat, -t)).z()
 
-    return _surface_wave_bisect(zfun, tau_eta, rel_tol, edge_offset)
+    return _surface_wave_bisect(zfun, tau_eta)
 
 
 def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
-                   eta_hat: np.ndarray, rel_tol: float = 1e-10,
-                   edge_offset: float = 1e-6) -> RayleighResult:
+                   eta_hat: np.ndarray) -> RayleighResult:
     """Interface (Stoneley) frequency: the zero of lambda_min(z+ + z-)."""
     tau_eta = min(tau_limit(m_plus, nu, eta_hat),
                   tau_limit(m_minus, nu, eta_hat))
@@ -297,7 +294,7 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
         return (BoundarySide(m_plus, frame).z()
                 + BoundarySide(m_minus, frame.flipped()).z())
 
-    return _surface_wave_bisect(zfun, tau_eta, rel_tol, edge_offset)
+    return _surface_wave_bisect(zfun, tau_eta)
 
 
 def classify_with_margin(materials, frame: BoundaryFrame):

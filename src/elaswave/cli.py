@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +18,8 @@ from . import boundary as bnd
 from . import layered as lyr
 from .acoustic import christoffel_modes, fibonacci_sphere
 from .errors import ElasticError, NumericalDomainError, ValidationError
-from .factorization import (
-    BoundaryFrame,
-    boundary_polynomial,
-    factorization_residual,
-    factorize,
-)
-from .impedance import flux_form, impedance_from_factorization, mode_projectors
+from .factorization import BoundaryFrame, factorization_residual
+from .impedance import Impedance, flux_form
 from .materials import (
     check_strong_convexity,
     decompose_harmonic,
@@ -33,22 +27,6 @@ from .materials import (
     to_voigt,
 )
 from .scatter import energy_balance, incoming_mode, reflect_free_surface, transmit_interface
-
-
-@dataclass(frozen=True)
-class Config:
-    """Tolerance overrides and output options shared by subcommands."""
-
-    tol_grouping: float = 1e-8
-    tol_glancing: float = 1e-6
-    tol_bisection: float = 1e-10
-    fmt: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
-        for name in ("tol_grouping", "tol_glancing", "tol_bisection"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
 
 
 def _fmt(x) -> str:
@@ -79,24 +57,24 @@ def _matrix(m: np.ndarray):
     return [[_fmt(v) for v in row] for row in m]
 
 
-def _emit(text: str, cfg: Config) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, args) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(doc, cfg: Config) -> None:
-    _emit(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", cfg)
+def _emit_json(doc, args) -> None:
+    _emit(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args)
 
 
-def _emit_csv(header: list[str], rows, cfg: Config) -> None:
+def _emit_csv(header: list[str], rows, args) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, (float, np.floating))
                               else str(v) for v in row))
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args)
 
 
 def _frame(args) -> BoundaryFrame:
@@ -117,7 +95,7 @@ def _unit(vec, flag: str) -> np.ndarray:
 
 # --- subcommand handlers ----------------------------------------------------
 
-def _cmd_material(args, cfg: Config) -> int:
+def _cmd_material(args) -> int:
     path = args.material or args.path
     if path is None:
         raise ValidationError("material subcommand needs a material file path")
@@ -125,7 +103,7 @@ def _cmd_material(args, cfg: Config) -> int:
     convex, min_eig = check_strong_convexity(m.stiffness)
     if args.validate:
         _emit_json({"name": m.name, "valid": True, "strongly_convex": convex,
-                    "min_eigenvalue": min_eig}, cfg)
+                    "min_eigenvalue": min_eig}, args)
         return 0
     h = decompose_harmonic(m.stiffness)
     _emit_json({
@@ -140,11 +118,11 @@ def _cmd_material(args, cfg: Config) -> int:
             "harmonic_norm": float(np.linalg.norm(h.h)),
         },
         "voigt": _matrix(to_voigt(m.stiffness)),
-    }, cfg)
+    }, args)
     return 0
 
 
-def _cmd_slowness(args, cfg: Config) -> int:
+def _cmd_slowness(args) -> int:
     m = load_material(args.material)
     if args.direction is not None:
         directions = [_unit(args.direction, "--direction")]
@@ -157,19 +135,16 @@ def _cmd_slowness(args, cfg: Config) -> int:
         rows.append((d[0], d[1], d[2], *vals, gap))
     header = ["dir_x", "dir_y", "dir_z", "speed_1", "speed_2", "speed_3",
               "min_speed_gap"]
-    if cfg.fmt == "csv":
-        _emit_csv(header, rows, cfg)
+    if args.format == "csv":
+        _emit_csv(header, rows, args)
     else:
-        _emit_json({"columns": header, "rows": [list(r) for r in rows]}, cfg)
+        _emit_json({"columns": header, "rows": [list(r) for r in rows]}, args)
     return 0
 
 
-def _cmd_factorize(args, cfg: Config) -> int:
-    m = load_material(args.material)
-    frame = _frame(args)
-    a = boundary_polynomial(m, frame)
-    f = factorize(a, args.direction, grouping_tol=cfg.tol_grouping,
-                  glancing_tol=cfg.tol_glancing)
+def _cmd_factorize(args) -> int:
+    side = bnd.BoundarySide(load_material(args.material), _frame(args))
+    f = side.factorization(args.direction)
     rng = np.random.default_rng(0)
     samples = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     _emit_json({
@@ -179,18 +154,16 @@ def _cmd_factorize(args, cfg: Config) -> int:
         "q_sharp": _matrix(f.q_sharp),
         "solvency_residual": f.solvency_residual,
         "factorization_residual": factorization_residual(f, samples),
-    }, cfg)
+    }, args)
     return 0
 
 
-def _cmd_impedance(args, cfg: Config) -> int:
+def _cmd_impedance(args) -> int:
     m = load_material(args.material)
     frame = _frame(args)
-    a = boundary_polynomial(m, frame)
-    f = factorize(a, "outgoing", grouping_tol=cfg.tol_grouping,
-                  glancing_tol=cfg.tol_glancing)
-    z = impedance_from_factorization(a, f)
-    pr = mode_projectors(f)
+    side = bnd.BoundarySide(m, frame)
+    z = Impedance(side.z(), "outgoing", frame)
+    pr = side.projectors()
     rng = np.random.default_rng(0)
     fluxes = [flux_form(z, frame.tau,
                         rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -204,7 +177,7 @@ def _cmd_impedance(args, cfg: Config) -> int:
         "hermiticity_residual_on_ec": z.hermiticity_residual(pr.ec_basis()),
         "flux_spot_check_min": float(min(fluxes)),
         "flux_spot_check_max": float(max(fluxes)),
-    }, cfg)
+    }, args)
     return 0
 
 
@@ -217,7 +190,7 @@ def _load_sides(args):
     return (load_material(args.material_plus), load_material(args.material_minus))
 
 
-def _cmd_classify(args, cfg: Config) -> int:
+def _cmd_classify(args) -> int:
     sides = _load_sides(args)
     if args.grid:
         rows = []
@@ -228,13 +201,13 @@ def _cmd_classify(args, cfg: Config) -> int:
             region, margin = bnd.classify_with_margin(sides, frame)
             rows.append((eta[0], eta[1], args.tau, region.label,
                          0.0 if margin is None else margin))
-        _emit_csv(["eta_x", "eta_y", "tau", "label", "margin"], rows, cfg)
+        _emit_csv(["eta_x", "eta_y", "tau", "label", "margin"], rows, args)
         return 0
     frame = _frame(args)
     region = bnd.classify(sides, frame)
     _emit_json({"label": region.label,
                 "dim_ec": list(region.dim_ec),
-                "dim_intersection": region.dim_intersection}, cfg)
+                "dim_intersection": region.dim_intersection}, args)
     return 0
 
 
@@ -249,26 +222,24 @@ def _surface_wave_doc(res: bnd.RayleighResult):
     }
 
 
-def _cmd_rayleigh(args, cfg: Config) -> int:
+def _cmd_rayleigh(args) -> int:
     m = load_material(args.material)
     eta_hat = _unit([args.eta[0], args.eta[1], 0.0], "--eta")
-    res = bnd.rayleigh_speed(m, np.array([0.0, 0.0, 1.0]), eta_hat,
-                             rel_tol=cfg.tol_bisection)
-    _emit_json(_surface_wave_doc(res), cfg)
+    res = bnd.rayleigh_speed(m, np.array([0.0, 0.0, 1.0]), eta_hat)
+    _emit_json(_surface_wave_doc(res), args)
     return 0
 
 
-def _cmd_stoneley(args, cfg: Config) -> int:
+def _cmd_stoneley(args) -> int:
     mp = load_material(args.material_plus)
     mm = load_material(args.material_minus)
     eta_hat = _unit([args.eta[0], args.eta[1], 0.0], "--eta")
-    res = bnd.stoneley_speed(mp, mm, np.array([0.0, 0.0, 1.0]), eta_hat,
-                             rel_tol=cfg.tol_bisection)
-    _emit_json(_surface_wave_doc(res), cfg)
+    res = bnd.stoneley_speed(mp, mm, np.array([0.0, 0.0, 1.0]), eta_hat)
+    _emit_json(_surface_wave_doc(res), args)
     return 0
 
 
-def _cmd_reflect(args, cfg: Config) -> int:
+def _cmd_reflect(args) -> int:
     sides = _load_sides(args)
     frame = _frame(args)
     if isinstance(sides, tuple):
@@ -290,16 +261,16 @@ def _cmd_reflect(args, cfg: Config) -> int:
     header = ["eta_x", "eta_y", "tau", "s_in", "side", "s_out",
               "a1_re", "a1_im", "a2_re", "a2_im", "a3_re", "a3_im",
               "flux", "balance_residual"]
-    if cfg.fmt == "csv":
-        _emit_csv(header, rows, cfg)
+    if args.format == "csv":
+        _emit_csv(header, rows, args)
     else:
         _emit_json({"columns": header, "rows": [list(r) for r in rows],
                     "incident_flux": result.incident_flux,
-                    "energy": report}, cfg)
+                    "energy": report}, args)
     return 0
 
 
-def _cmd_trace(args, cfg: Config, arrivals_only: bool = False) -> int:
+def _cmd_trace(args, arrivals_only: bool = False) -> int:
     stack = lyr.load_stack(args.stack)
     tree = lyr.trace_plane_wave(stack, (args.eta[0], args.eta[1]), args.tau,
                                 source_layer=args.source_layer,
@@ -308,9 +279,9 @@ def _cmd_trace(args, cfg: Config, arrivals_only: bool = False) -> int:
                                 amplitude_floor=args.amplitude_floor)
     if arrivals_only:
         _emit_csv(["time", "layer", "mode_s", "amplitude", "flux"],
-                  lyr.arrivals_rows(tree), cfg)
+                  lyr.arrivals_rows(tree), args)
     else:
-        _emit_json(tree.to_dict(), cfg)
+        _emit_json(tree.to_dict(), args)
     return 0
 
 
@@ -326,9 +297,6 @@ def _add_frame_args(p, tau_required: bool = True):
 def _add_common(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    for key in ("grouping", "glancing", "bisection"):
-        p.add_argument(f"--tol-{key}", type=float,
-                       default=getattr(Config, f"tol_{key}"))
 
 
 @functools.cache
@@ -416,39 +384,29 @@ _HANDLERS = {
     "stoneley": _cmd_stoneley,
     "reflect": _cmd_reflect,
     "trace": _cmd_trace,
-    "arrivals": lambda a, c: _cmd_trace(a, c, arrivals_only=True),
+    "arrivals": lambda a: _cmd_trace(a, arrivals_only=True),
 }
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = Config(
-            tol_grouping=args.tol_grouping,
-            tol_glancing=args.tol_glancing,
-            tol_bisection=args.tol_bisection,
-            fmt=args.format,
-            out=args.out,
-        )
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args)
     except ValidationError as exc:
         _print_error(exc)
         return 2
-    except NumericalDomainError as exc:
+    except (NumericalDomainError, np.linalg.LinAlgError) as exc:
+        # A LAPACK failure is numerical, not bad input, although numpy's
+        # LinAlgError is a ValueError.
         _print_error(exc)
         return 3
-    except ValueError as exc:
-        _print_error(exc, code=2)
-        return 2
     except ElasticError as exc:
         _print_error(exc)
         return exc.exit_code
 
 
-def _print_error(exc: Exception, code: int | None = None) -> None:
+def _print_error(exc: Exception) -> None:
     doc = {"error": type(exc).__name__, "message": str(exc)}
-    if code is not None:
-        doc["exit_code"] = code
     sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
 
 

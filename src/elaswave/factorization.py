@@ -13,6 +13,7 @@ spectra.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,13 @@ from .errors import (
     SolvencyResidual,
 )
 from .materials import Material
+
+# The spectral decision of every frame rests on these fixed tolerances.
+KERNEL_TOL = 1e-6        # SVD cutoff of ker A(s), relative to its largest singular value
+GROUPING_TOL = 1e-8      # eigenvalues closer than this times (1 + ||S||) are one point;
+                         # an |Im s| below it makes the point real
+GLANCING_TOL = 1e-6      # a sign form on ker A(s) smaller than this times ||A'(s)|| glances
+MAX_J_CONDITION = 1e10   # largest cond(X1) of the invariant subspace's displacement block
 
 
 @dataclass(frozen=True)
@@ -133,8 +141,6 @@ def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPol
     a0 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.nu)
     a1 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.eta)
     a2 = acoustic_tensor(m.stiffness, frame.eta) - m.density * frame.tau ** 2 * np.eye(3)
-    if np.linalg.eigvalsh(0.5 * (a0 + a0.T))[0] <= 0:
-        raise DegenerateA0("material is not convex along the conormal")
     return QuadraticMatrixPolynomial(a0, a1, a2, frame=frame, rho=m.density)
 
 
@@ -214,21 +220,18 @@ class SpectrumClassification:
                    if not g.is_real and g.value.imag > 0)
 
 
-def kernel_basis(a: QuadraticMatrixPolynomial, s: complex,
-                 rel_tol: float = 1e-6) -> np.ndarray:
+def kernel_basis(a: QuadraticMatrixPolynomial, s: complex) -> np.ndarray:
     """Orthonormal basis (3 x k) of ker A(s) from an SVD cutoff."""
     mat = a(s)
     u, sv, vh = np.linalg.svd(mat)
-    cutoff = rel_tol * max(sv[0], a.scale * 1e-12)
+    cutoff = KERNEL_TOL * max(sv[0], a.scale * 1e-12)
     k = int(np.sum(sv <= cutoff))
     if k == 0:
         return np.zeros((3, 0), dtype=complex)
     return vh[3 - k:].conj().T
 
 
-def classify_spectrum(a: QuadraticMatrixPolynomial,
-                      grouping_tol: float = 1e-8,
-                      glancing_tol: float = 1e-6) -> SpectrumClassification:
+def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
     """Eigenvalues of the linearization, grouped, with sign types for real ones.
 
     The eigenvalues are the diagonal of one complex Schur form, which is
@@ -243,7 +246,7 @@ def classify_spectrum(a: QuadraticMatrixPolynomial,
     z.setflags(write=False)
     vals = np.diag(t)
     vals = vals[np.lexsort((vals.imag, vals.real))]
-    tol_real = grouping_tol * (1.0 + norm)
+    tol_real = GROUPING_TOL * (1.0 + norm)
     groups = []
     for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * np.finfo(float).eps * norm)):
         mean = complex(mean)
@@ -262,7 +265,7 @@ def classify_spectrum(a: QuadraticMatrixPolynomial,
                 form = kern.conj().T @ da @ kern
                 form = 0.5 * (form + form.conj().T)
                 eigs = np.linalg.eigvalsh(form)
-                thresh = glancing_tol * max(np.linalg.norm(da), 1e-300)
+                thresh = GLANCING_TOL * max(np.linalg.norm(da), 1e-300)
                 if eigs[0] > thresh:
                     sign_type = "positive"
                 elif eigs[-1] < -thresh:
@@ -305,6 +308,11 @@ class SpectralFactorization:
     poly: QuadraticMatrixPolynomial
     classification: SpectrumClassification = field(repr=False, default=None)
 
+    @functools.cached_property
+    def q_spectrum(self) -> np.ndarray:
+        """Computed eigenvalues of q, shared by validation and the mode projectors."""
+        return np.linalg.eigvals(self.q)
+
     @property
     def solvency_residual(self) -> float:
         a = self.poly
@@ -314,10 +322,7 @@ class SpectralFactorization:
 
 def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
               tau: float | None = None,
-              classification: SpectrumClassification | None = None,
-              grouping_tol: float = 1e-8,
-              glancing_tol: float = 1e-6,
-              max_j_condition: float = 1e10) -> SpectralFactorization:
+              classification: SpectrumClassification | None = None) -> SpectralFactorization:
     """Spectral factorization via an ordered Schur form of the linearization.
 
     The invariant subspace for the selected half of the spectrum is computed
@@ -331,7 +336,7 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
             raise InvalidInput("tau is required when the polynomial carries no frame")
         tau = a.frame.tau
     if classification is None:
-        classification = classify_spectrum(a, grouping_tol, glancing_tol)
+        classification = classify_spectrum(a)
     if classification.glancing:
         raise GlancingSpectrum("spectrum has a glancing real eigenvalue")
 
@@ -341,7 +346,7 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
             f"selected spectrum has cardinality {len(sigma)}, expected 3")
 
     targets = np.array(sorted(set(sigma), key=lambda z: (z.real, z.imag)))
-    match_tol = max(grouping_tol * (1.0 + classification.stroh_norm), 1e-12)
+    match_tol = max(GROUPING_TOL * (1.0 + classification.stroh_norm), 1e-12)
     t, zvec = classification.schur
     dist = np.abs(np.diag(t)[:, None] - targets[None, :]).min(axis=1)
     t, zvec, _, sdim, _, _, info = scipy.linalg.lapack.ztrsen(
@@ -353,7 +358,7 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
             f"ordered Schur selected a {sdim}-dimensional subspace, expected 3")
     x = zvec[:, :3]
     x1 = x[:3, :]
-    if np.linalg.cond(x1) > max_j_condition:
+    if np.linalg.cond(x1) > MAX_J_CONDITION:
         raise IllConditionedJ("displacement block of the invariant subspace is "
                               "too ill-conditioned")
     q = x1 @ t[:3, :3] @ np.linalg.inv(x1)
@@ -369,7 +374,7 @@ def _validate_factorization(f: SpectralFactorization) -> None:
     if f.solvency_residual > 1e-10:
         raise SolvencyResidual(
             f"solvency residual {f.solvency_residual:g} exceeds 1e-10")
-    eq = np.linalg.eigvals(f.q)
+    eq = f.q_spectrum
     es = np.linalg.eigvals(f.q_sharp)
     scale = max(np.max(np.abs(eq)), np.max(np.abs(es)), 1e-300)
     gap = np.min(np.abs(eq[:, None] - es[None, :]))
@@ -456,10 +461,10 @@ def residue(a: QuadraticMatrixPolynomial, s: float,
     """
     if classification is None:
         classification = classify_spectrum(a)
-    tol = 1e-8 * (1.0 + classification.stroh_norm)
+    tol = GROUPING_TOL * (1.0 + classification.stroh_norm)
     group = None
     for g in classification.groups:
-        if g.is_real and abs(g.value.real - s) <= max(tol, 1e-8 * (1 + abs(s))):
+        if g.is_real and abs(g.value.real - s) <= max(tol, GROUPING_TOL * (1 + abs(s))):
             group = g
             break
     if group is None:

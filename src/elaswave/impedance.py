@@ -24,6 +24,7 @@ from .errors import (
     RealSpectrumPresent,
 )
 from .factorization import (
+    GROUPING_TOL,
     BoundaryFrame,
     QuadraticMatrixPolynomial,
     SpectralFactorization,
@@ -39,7 +40,6 @@ class Impedance:
     z: np.ndarray
     direction: str
     frame: BoundaryFrame | None = None
-    region: str | None = None
 
     def hermiticity_residual(self, subspace: np.ndarray | None = None) -> float:
         """Relative defect of z = z* on a subspace (columns span it)."""
@@ -87,13 +87,12 @@ class ModeProjectors:
         return u[:, :k]
 
 
-def mode_projectors(f: SpectralFactorization,
-                    grouping_tol: float = 1e-8) -> ModeProjectors:
+def mode_projectors(f: SpectralFactorization) -> ModeProjectors:
     """Lagrange spectral projectors per eigenvalue cluster of Q."""
     q = f.q
-    vals = np.linalg.eigvals(q)
+    vals = f.q_spectrum
     norm = max(float(np.max(np.abs(vals))), 1e-300)
-    tol = grouping_tol * (1.0 + norm)
+    tol = GROUPING_TOL * (1.0 + norm)
 
     vals = vals[np.argsort(vals.real + 1e-9 * vals.imag)]
     clusters = cluster_sorted(vals, 100 * tol)
@@ -207,7 +206,7 @@ def barnett_lothe_impedance(a: QuadraticMatrixPolynomial,
         i0, i1 = _bl_integrals(a, n)
         z = (np.pi * np.eye(3) - 1j * i1) @ np.linalg.inv(i0)
         if z_prev is not None and np.linalg.norm(z - z_prev) <= tol * np.linalg.norm(z):
-            return Impedance(z, "outgoing", a.frame, "elliptic")
+            return Impedance(z, "outgoing", a.frame)
         z_prev = z
         n *= 2
     raise QuadratureNotConverged(

@@ -23,12 +23,19 @@ from .errors import (
     ValidationError,
 )
 from .boundary import BoundarySide
-from .factorization import BoundaryFrame, QuadraticMatrixPolynomial, SpectrumClassification
+from .factorization import (
+    GROUPING_TOL,
+    BoundaryFrame,
+    QuadraticMatrixPolynomial,
+    SpectrumClassification,
+)
 from .materials import Material, check_strong_convexity, material_from_dict
 from .scatter import free_surface_operator, interface_operator, side_incoming_mode
 
 _UP = np.array([0.0, 0.0, 1.0])
 _REVERSED = {"up": "down", "down": "up"}
+# A derivative form (A'(s)v|v) at or below this times ||A|| (v|v) has no group delay.
+DELAY_FORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,21 +83,18 @@ def load_stack(path: str) -> LayerStack:
     return LayerStack(layers, half)
 
 
-def group_delay(a: QuadraticMatrixPolynomial, s: float, v: np.ndarray,
-                rho: float | None = None, tol: float = 1e-10) -> float:
+def group_delay(a: QuadraticMatrixPolynomial, s: float, v: np.ndarray) -> float:
     """ds/dtau of a real eigenvalue branch, by implicit differentiation.
 
     ds/dtau = 2 rho tau (v|v) / (A'(s)v|v) for v in ker A(s); the vertical
     travel time across thickness d is d |ds/dtau|.
     """
-    if rho is None:
-        rho = a.rho
     tau = a.frame.tau
     denom = float(np.real(np.vdot(v, a.derivative(s) @ v)))
     scale = a.scale * float(np.vdot(v, v).real)
-    if abs(denom) <= tol * max(scale, 1e-300):
+    if abs(denom) <= DELAY_FORM_TOL * max(scale, 1e-300):
         raise GlancingSpectrum("group delay undefined: derivative form vanishes")
-    return 2.0 * rho * tau * float(np.vdot(v, v).real) / denom
+    return 2.0 * a.rho * tau * float(np.vdot(v, v).real) / denom
 
 
 def mode_delay(a: QuadraticMatrixPolynomial, classification: SpectrumClassification,
@@ -106,7 +110,7 @@ def mode_delay(a: QuadraticMatrixPolynomial, classification: SpectrumClassificat
     test, so that a caller falling back to `group_delay` on its own vector
     meets the same outcome there.
     """
-    near = 1e-8 * (1.0 + classification.stroh_norm)
+    near = GROUPING_TOL * (1.0 + classification.stroh_norm)
     groups = [g for g in classification.real_groups if abs(g.value.real - s) <= near]
     if len(groups) != 1 or groups[0].glancing or not groups[0].geo_mult:
         return None
@@ -114,7 +118,7 @@ def mode_delay(a: QuadraticMatrixPolynomial, classification: SpectrumClassificat
     form = kern.conj().T @ a.derivative(s) @ kern
     c = float(np.mean(np.diag(form).real))
     if (np.linalg.norm(form - c * np.eye(len(form))) > 1e-12 * abs(c)
-            or abs(c) <= 1e-10 * max(a.scale, 1e-300)):
+            or abs(c) <= DELAY_FORM_TOL * max(a.scale, 1e-300)):
         return None
     return 2.0 * a.rho * a.frame.tau / c
 

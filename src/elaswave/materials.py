@@ -9,6 +9,7 @@ pair a stiffness tensor with a mass density.
 """
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -230,6 +231,19 @@ def from_voigt(m: np.ndarray) -> StiffnessTensor:
 
 # --- material files ---------------------------------------------------------
 
+def _stiffness_field(spec: dict, key: str, kind: str, convert=float):
+    """convert(spec[key]); MaterialFileError when it is missing or not numeric."""
+    try:
+        return convert(spec[key])
+    except KeyError as exc:
+        raise MaterialFileError(f"{kind} stiffness needs {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MaterialFileError(f"{kind} stiffness field {key!r} is not numeric: {exc}") from exc
+
+
+_float_array = functools.partial(np.asarray, dtype=float)
+
+
 def material_from_dict(d: dict) -> Material:
     """Build a material from the JSON schema used by the CLI.
 
@@ -247,24 +261,26 @@ def material_from_dict(d: dict) -> Material:
         raise MaterialFileError(f"missing or malformed material field: {exc}") from exc
 
     if kind == "isotropic":
-        try:
-            mat = make_isotropic(float(spec["lambda"]), float(spec["mu"]), density, name)
-        except KeyError as exc:
-            raise MaterialFileError(f"isotropic stiffness needs {exc}") from exc
+        lam, mu = (_stiffness_field(spec, key, "isotropic") for key in ("lambda", "mu"))
+        mat = make_isotropic(lam, mu, density, name)
     elif kind == "transversely_isotropic":
-        try:
-            mat = make_transversely_isotropic(
-                float(spec["lambda"]), float(spec["mu"]), float(spec["alpha"]),
-                float(spec["beta"]), float(spec["gamma"]),
-                np.asarray(spec["axis"], dtype=float), density, name)
-        except KeyError as exc:
-            raise MaterialFileError(f"transversely isotropic stiffness needs {exc}") from exc
+        what = "transversely isotropic"
+        moduli = [_stiffness_field(spec, key, what)
+                  for key in ("lambda", "mu", "alpha", "beta", "gamma")]
+        axis = _stiffness_field(spec, "axis", what, _float_array)
+        if axis.shape != (3,):
+            raise MaterialFileError(f"{what} stiffness axis has shape {axis.shape}, "
+                                    "expected (3,)")
+        mat = make_transversely_isotropic(*moduli, axis, density, name)
     elif kind == "voigt":
         if spec.get("convention", "engineering") != "engineering":
             raise MaterialFileError("only the engineering Voigt convention is supported")
-        mat = Material(from_voigt(np.asarray(spec["matrix"], dtype=float)), density, name)
+        mat = Material(from_voigt(_stiffness_field(spec, "matrix", "Voigt", _float_array)),
+                       density, name)
     else:
         raise MaterialFileError(f"unknown stiffness type {kind!r}")
+    if not np.isfinite(mat.stiffness.entries).all():
+        raise MaterialFileError(f"material {name!r} has non-finite stiffness entries")
 
     convex, min_eig = check_strong_convexity(mat.stiffness)
     if not convex:

@@ -23,6 +23,9 @@ from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
 from .factorization import BoundaryFrame, kernel_basis
 from .materials import Material
 
+INVERTIBLE_MARGIN = 1e-8    # a law's matrix with sigma_min/sigma_max at or below this is singular
+EVANESCENT_FLUX_TOL = 1e-9  # evanescent flux above this, relative to ||z|| |pi_c f|^2, is flagged
+
 
 @dataclass(frozen=True)
 class TraceField:
@@ -114,9 +117,9 @@ def _incident_flux(side: BoundarySide, g: np.ndarray, tau: float) -> float:
     return float(total)
 
 
-def _check_invertible(mat: np.ndarray, margin: float, what: str) -> np.ndarray:
+def _check_invertible(mat: np.ndarray, what: str) -> np.ndarray:
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= margin * sv[0]:
+    if sv[-1] <= INVERTIBLE_MARGIN * sv[0]:
         raise NonEllipticOperator(f"{what} is numerically singular "
                                   f"(sigma_min/sigma_max = {sv[-1]/sv[0]:.2e})")
     return np.linalg.inv(mat)
@@ -190,18 +193,16 @@ class ScatterOperator:
         return ScatterResult(incoming, sides, inc, residual)
 
 
-def free_surface_operator(side: BoundarySide,
-                          margin: float = 1e-8) -> ScatterOperator:
+def free_surface_operator(side: BoundarySide) -> ScatterOperator:
     """Zero-traction law f = -z_out^{-1} z_in g at the side's frame."""
     z_out, z_in = side.z("outgoing"), side.z("incoming")
     if side.projectors().dim_ec == 3:
         raise NoIncomingMode("frame is elliptic: nothing propagates")
-    minv = _check_invertible(z_out, margin, "z_out")
+    minv = _check_invertible(z_out, "z_out")
     return ScatterOperator(minv, z_in, {"+": side})
 
 
-def interface_operator(plus: BoundarySide, minus: BoundarySide,
-                       margin: float = 1e-8) -> ScatterOperator:
+def interface_operator(plus: BoundarySide, minus: BoundarySide) -> ScatterOperator:
     """Welded-interface law for traces incoming from the + side.
 
     The + side's frame has its conormal pointing into the + material; the
@@ -214,27 +215,24 @@ def interface_operator(plus: BoundarySide, minus: BoundarySide,
     zp_out, zp_in, zm_out = plus.z("outgoing"), plus.z("incoming"), minus.z("outgoing")
     if plus.projectors().dim_ec == 3 and minus.projectors().dim_ec == 3:
         raise NoIncomingMode("frame is elliptic on both sides")
-    minv = _check_invertible(zp_out + zm_out, margin, "z+_out + z-_out")
+    minv = _check_invertible(zp_out + zm_out, "z+_out + z-_out")
     return ScatterOperator(minv, zp_in - zp_out, {"+": plus, "-": minus})
 
 
 def reflect_free_surface(m: Material, frame: BoundaryFrame,
-                         incoming: TraceField,
-                         margin: float = 1e-8) -> ScatterResult:
+                         incoming: TraceField) -> ScatterResult:
     """Zero-traction reflection f = -z_out^{-1} z_in g."""
-    return free_surface_operator(BoundarySide(m, frame), margin).apply(incoming)
+    return free_surface_operator(BoundarySide(m, frame)).apply(incoming)
 
 
 def transmit_interface(m_plus: Material, m_minus: Material,
-                       frame: BoundaryFrame, incoming: TraceField,
-                       margin: float = 1e-8) -> ScatterResult:
+                       frame: BoundaryFrame, incoming: TraceField) -> ScatterResult:
     """Welded-interface scattering of a trace incoming from the + side."""
     return interface_operator(BoundarySide(m_plus, frame),
-                              BoundarySide(m_minus, frame.flipped()),
-                              margin).apply(incoming)
+                              BoundarySide(m_minus, frame.flipped())).apply(incoming)
 
 
-def energy_balance(r: ScatterResult, evanescent_tol: float = 1e-9) -> dict:
+def energy_balance(r: ScatterResult) -> dict:
     """Flux ledger for a scattering result.
 
     Verifies that evanescent components carry no flux and reports the
@@ -255,6 +253,6 @@ def energy_balance(r: ScatterResult, evanescent_tol: float = 1e-9) -> dict:
             "mode_fluxes": dict(side.fluxes),
             "total_flux": side.total_flux,
             "evanescent_flux": float(ev_flux),
-            "evanescent_flux_ok": bool(abs(ev_flux) <= evanescent_tol * scale),
+            "evanescent_flux_ok": bool(abs(ev_flux) <= EVANESCENT_FLUX_TOL * scale),
         }
     return report

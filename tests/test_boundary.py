@@ -138,6 +138,21 @@ class TestTauLimit:
             or classify_spectrum(boundary_polynomial(ti, frame(-tt))).has_real)
         assert abs(first_real - t) < (taus[1] - taus[0]) * 2
 
+    @pytest.mark.parametrize("c_s", [1.1, 0.2])
+    def test_brackets_without_repeating_a_tau(self, monkeypatch, c_s):
+        # c_s = 1.1 brackets by doubling from tau = 1, c_s = 0.2 by halving
+        taus = []
+        real = boundary.classify_spectrum
+
+        def recording(a):
+            taus.append(a.frame.tau)
+            return real(a)
+
+        monkeypatch.setattr(boundary, "classify_spectrum", recording)
+        t = tau_limit(make_isotropic(1.0, c_s * c_s, 1.0), NU, EHAT)
+        assert t == pytest.approx(c_s, rel=1e-9)
+        assert len(taus) == len(set(taus))
+
     def test_errors_are_typed(self, iso, monkeypatch):
         with pytest.raises(InvalidInput) as info:
             tau_limit(iso, NU, 2.0 * EHAT)

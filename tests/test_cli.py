@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from elaswave import cli
 from elaswave.cli import run
 
 from oracles import C_R_POISSON
@@ -82,6 +83,36 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "material", "--validate", str(bad))
         assert code == 2
         assert json.loads(err)["error"] == "AsymmetricVoigtMatrix"
+
+    @pytest.mark.parametrize("stiffness", [
+        {"type": "isotropic", "lambda": "two", "mu": 1.0},
+        {"type": "transversely_isotropic", "lambda": 1.0, "mu": 1.0, "alpha": "x",
+         "beta": 0.05, "gamma": 0.02, "axis": [0.0, 0.0, 1.0]},
+        {"type": "transversely_isotropic", "lambda": 1.0, "mu": 1.0, "alpha": 0.05,
+         "beta": 0.05, "gamma": 0.02, "axis": ["a", "b", "c"]},
+        {"type": "transversely_isotropic", "lambda": 1.0, "mu": 1.0, "alpha": 0.05,
+         "beta": 0.05, "gamma": 0.02, "axis": [0.0, 1.0]},
+        {"type": "voigt", "matrix": [[1.0] * 6] * 5 + [[1.0, 2.0]]},
+        {"type": "isotropic", "lambda": None, "mu": 1.0},
+        {"type": "isotropic", "lambda": "nan", "mu": 1.0},
+        {"type": "voigt"},
+    ], ids=["lambda", "ti_modulus", "axis_text", "axis_length", "ragged_voigt",
+            "null_lambda", "nan_lambda", "no_matrix"])
+    def test_malformed_material_numbers(self, capsys, tmp_path, stiffness):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "density": 1.0, "stiffness": stiffness}))
+        code, _, err = invoke(capsys, "material", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "MaterialFileError"
+
+    def test_lapack_failure_is_numerical(self, capsys, monkeypatch, iso_file):
+        def fail(args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setitem(cli._HANDLERS, "material", fail)
+        code, _, err = invoke(capsys, "material", iso_file)
+        assert code == 3
+        assert json.loads(err)["error"] == "LinAlgError"
 
     def test_numerical_domain_error(self, capsys, iso_file):
         # glancing frame: tau = c_s |eta|
@@ -214,9 +245,11 @@ class TestDeterminism:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["dim_ec"] == 3
 
-    def test_bad_tolerance(self, capsys, iso_file):
-        for value in ("-1", "0"):
-            code, _, err = invoke(capsys, "impedance", "--material", iso_file,
-                                  "--eta", "1", "0", "--tau", "-0.5",
-                                  "--tol-grouping", value)
-            assert code == 2, value
+    @pytest.mark.parametrize("flag", ["--tol-grouping", "--tol-glancing", "--tol-bisection"])
+    def test_tolerances_are_not_options(self, capsys, iso_file, flag):
+        # every tolerance is a fixed constant, so argparse rejects the old flags
+        with pytest.raises(SystemExit) as info:
+            run(["impedance", "--material", iso_file, "--eta", "1", "0", "--tau", "-0.5",
+                 flag, "1e-8"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -316,3 +316,10 @@ class TestQuadraticMatrixPolynomialValidation:
         from elaswave.errors import DegenerateA0
         with pytest.raises(DegenerateA0):
             QuadraticMatrixPolynomial(-np.eye(3), np.zeros((3, 3)), np.eye(3))
+
+    def test_boundary_polynomial_of_nonconvex_material(self):
+        # A0 = nu.C.nu is indefinite; the polynomial's constructor rejects it
+        from elaswave.errors import DegenerateA0
+        from elaswave.materials import make_isotropic
+        with pytest.raises(DegenerateA0):
+            boundary_polynomial(make_isotropic(1.0, -1.0, 1.0), frame(-1.0))
