@@ -55,24 +55,33 @@ class RegionClass:
 class BoundarySide:
     """One side of a boundary: a material seen from a frame.
 
-    The boundary polynomial and its spectrum classification are computed
-    at construction.  Each direction's factorization, impedance matrix and
-    mode projectors are built from them on first use and kept for the
-    object's lifetime, so both directions share one spectrum and every law
-    or label built on the side shares its factorizations.
+    The boundary polynomial is built at construction.  Its spectrum
+    classification and each direction's factorization, impedance matrix and
+    mode projectors are built on first use and kept for the object's
+    lifetime, so both directions share one spectrum and every law or label
+    built on the side shares its factorizations.  `with_tau` gives the side
+    at another tau, sharing the polynomial's tau-independent core.
     """
 
     def __init__(self, m: Material, frame: BoundaryFrame):
-        self.material = m
-        self.frame = frame
-        self.poly = boundary_polynomial(m, frame)
-        self.classification = classify_spectrum(self.poly)
-        self._built = {}
+        self._settle(m, boundary_polynomial(m, frame))
+
+    def _settle(self, m: Material, poly) -> None:
+        self.material, self.poly, self.frame, self._built = m, poly, poly.frame, {}
+
+    def with_tau(self, tau: float) -> "BoundarySide":
+        side = BoundarySide.__new__(BoundarySide)
+        side._settle(self.material, self.poly.with_tau(tau))
+        return side
 
     def _once(self, key, build):
         if key not in self._built:
             self._built[key] = build()
         return self._built[key]
+
+    @property
+    def classification(self):
+        return self._once("classification", lambda: classify_spectrum(self.poly))
 
     def factorization(self, direction: str = "outgoing") -> SpectralFactorization:
         return self._once(("factorization", direction), lambda: factorize(
@@ -196,8 +205,10 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> float:
     if abs(np.linalg.norm(eta_hat) - 1.0) > 1e-10:
         raise InvalidInput("eta_hat must be a unit vector")
 
+    side = BoundarySide(m, BoundaryFrame(nu, eta_hat, -1.0))
+
     def elliptic(t: float) -> bool:
-        cls = BoundarySide(m, BoundaryFrame(nu, eta_hat, -t)).classification
+        cls = side.with_tau(-t).classification
         return (not cls.has_real) and cls.dim_evanescent == 3
 
     lo, hi = 0.0, 1.0
@@ -276,11 +287,8 @@ def rayleigh_speed(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> Rayleigh
     sign change, when present, has a unique root.
     """
     tau_eta = tau_limit(m, nu, eta_hat)
-
-    def zfun(t: float) -> np.ndarray:
-        return BoundarySide(m, BoundaryFrame(nu, eta_hat, -t)).z()
-
-    return _surface_wave_bisect(zfun, tau_eta)
+    side = BoundarySide(m, BoundaryFrame(nu, eta_hat, -tau_eta))
+    return _surface_wave_bisect(lambda t: side.with_tau(-t).z(), tau_eta)
 
 
 def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
@@ -289,10 +297,11 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
     tau_eta = min(tau_limit(m_plus, nu, eta_hat),
                   tau_limit(m_minus, nu, eta_hat))
 
+    frame = BoundaryFrame(nu, eta_hat, -tau_eta)
+    plus, minus = BoundarySide(m_plus, frame), BoundarySide(m_minus, frame.flipped())
+
     def zfun(t: float) -> np.ndarray:
-        frame = BoundaryFrame(nu, eta_hat, -t)
-        return (BoundarySide(m_plus, frame).z()
-                + BoundarySide(m_minus, frame.flipped()).z())
+        return plus.with_tau(-t).z() + minus.with_tau(-t).z()
 
     return _surface_wave_bisect(zfun, tau_eta)
 

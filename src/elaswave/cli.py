@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -93,6 +94,12 @@ def _unit(vec, flag: str) -> np.ndarray:
     return vec / norm
 
 
+def _grid(args) -> int:
+    if args.grid < 0:
+        raise ValidationError(f"--grid must not be negative, got {args.grid}")
+    return args.grid
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 def _cmd_material(args) -> int:
@@ -127,7 +134,7 @@ def _cmd_slowness(args) -> int:
     if args.direction is not None:
         directions = [_unit(args.direction, "--direction")]
     else:
-        directions = fibonacci_sphere(args.grid)
+        directions = fibonacci_sphere(_grid(args))
     rows = []
     for d in directions:
         vals = np.sort(christoffel_modes(m, d).speeds)[::-1]
@@ -192,7 +199,7 @@ def _load_sides(args):
 
 def _cmd_classify(args) -> int:
     sides = _load_sides(args)
-    if args.grid:
+    if _grid(args):
         rows = []
         for k in range(args.grid):
             ang = 2.0 * np.pi * k / args.grid
@@ -287,6 +294,11 @@ def _cmd_trace(args, arrivals_only: bool = False) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+# argparse reads -1 and -0.5 after a flag as numbers but -1e-1 as an option;
+# no option here looks like a number, so every negative number is a value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_frame_args(p, tau_required: bool = True):
     p.add_argument("--eta", nargs=2, type=float, required=True,
                    metavar=("X", "Y"))
@@ -371,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_frame_args(p)
         _add_common(p)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -17,7 +17,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .acoustic import acoustic_tensor, cluster_sorted
@@ -74,12 +73,51 @@ class BoundaryFrame:
         return BoundaryFrame(-self.nu, self.eta, self.tau)
 
 
+class _SymbolCore:
+    """The tau-independent half of A(s), shared along one (material, nu, eta):
+    A0, A1, their norms and checks, and (on first use, once a polynomial has
+    checked A0) A0^-1, -A0^-1 A1, -A1* A0^-1 and A1* A0^-1 A1, read-only."""
+
+    def __init__(self, a0, a1, l_eta=None, size=None):
+        self.a0, self.a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
+        self.a1_sym = self.a1 + self.a1.conj().T
+        for a in (self.a0, self.a1, self.a1_sym):
+            a.setflags(write=False)
+        self.norms = (np.linalg.norm(self.a0), np.linalg.norm(self.a1))
+        self.a0_asymmetry = np.linalg.norm(self.a0 - self.a0.conj().T)
+        self.a0_min = np.linalg.eigvalsh(self.a0)[0]
+        self.l_eta, self.size = l_eta, size   # l(eta); coefficient size without tau
+
+    @functools.cached_property
+    def stroh_blocks(self) -> tuple:
+        a0inv, a1h = np.linalg.inv(self.a0), self.a1.conj().T
+        blocks = (a0inv, -a0inv @ self.a1, -a1h @ a0inv, a1h @ a0inv @ self.a1)
+        for b in blocks:
+            b.setflags(write=False)
+        return blocks
+
+    def at_tau(self, frame: BoundaryFrame, rho: float) -> "QuadraticMatrixPolynomial":
+        a2 = self.l_eta - rho * frame.tau ** 2 * np.eye(3)
+        return QuadraticMatrixPolynomial(self.a0, self.a1, a2, frame, rho, self)
+
+
+def _check_coefficient_size(size: float, rho: float, tau: float) -> None:
+    """Coefficients past 1e150 would overflow once squared (in norms and in
+    the Stroh block A1* A0^-1 A1), so they raise CoefficientOverflow."""
+    tau = abs(float(tau))
+    size = size + float(rho) * tau * tau
+    if not size <= 1e150:
+        raise CoefficientOverflow(f"boundary polynomial coefficients of size {size:.3g} "
+                                  "exceed 1e150")
+
+
 @dataclass(frozen=True)
 class QuadraticMatrixPolynomial:
     """Coefficients of A(s) = A0 s^2 + (A1 + A1*) s + A2, A0 > 0, A2 = A2*.
 
-    `scale` (the largest coefficient norm) and `a1_sym` (A1 + A1*) are
-    computed once at construction and are read-only.
+    What does not involve A2 lives in `core`, which `with_tau` and
+    `with_a2` share.  `scale` (the largest coefficient norm) and `a1_sym`
+    (A1 + A1*) are read-only.
     """
 
     a0: np.ndarray
@@ -87,26 +125,24 @@ class QuadraticMatrixPolynomial:
     a2: np.ndarray
     frame: BoundaryFrame | None = None
     rho: float | None = None
+    core: _SymbolCore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        a0 = np.asarray(self.a0, dtype=complex)
-        a1 = np.asarray(self.a1, dtype=complex)
+        core = self.core if self.core is not None else _SymbolCore(self.a0, self.a1)
         a2 = np.asarray(self.a2, dtype=complex)
-        scale = max(np.linalg.norm(a0), np.linalg.norm(a1), np.linalg.norm(a2), 1e-300)
-        if np.linalg.norm(a0 - a0.conj().T) > 1e-12 * scale:
+        scale = max(*core.norms, np.linalg.norm(a2), 1e-300)
+        if core.a0_asymmetry > 1e-12 * scale:
             raise InvalidInput("A0 must be Hermitian")
         if np.linalg.norm(a2 - a2.conj().T) > 1e-12 * scale:
             raise InvalidInput("A2 must be Hermitian")
-        if np.linalg.eigvalsh(a0)[0] <= 0:
+        if core.a0_min <= 0:
             raise DegenerateA0("A0 must be positive definite")
-        a1_sym = a1 + a1.conj().T
-        for a in (a0, a1, a2, a1_sym):
-            a.setflags(write=False)
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
+        a2.setflags(write=False)
+        object.__setattr__(self, "a0", core.a0)
+        object.__setattr__(self, "a1", core.a1)
         object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "core", core)
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_a1_sym", a1_sym)
 
     @property
     def scale(self) -> float:
@@ -114,7 +150,7 @@ class QuadraticMatrixPolynomial:
 
     @property
     def a1_sym(self) -> np.ndarray:
-        return self._a1_sym
+        return self.core.a1_sym
 
     def __call__(self, s: complex) -> np.ndarray:
         return self.a0 * s * s + self.a1_sym * s + self.a2
@@ -123,51 +159,41 @@ class QuadraticMatrixPolynomial:
         return 2.0 * s * self.a0 + self.a1_sym
 
     def with_a2(self, a2: np.ndarray) -> "QuadraticMatrixPolynomial":
-        return QuadraticMatrixPolynomial(self.a0, self.a1, a2, self.frame, self.rho)
+        return QuadraticMatrixPolynomial(self.a0, self.a1, a2, self.frame, self.rho,
+                                         self.core)
+
+    def with_tau(self, tau: float) -> "QuadraticMatrixPolynomial":
+        """The boundary polynomial at another tau on the same (nu, eta); A2 is
+        formed afresh from l(eta), so an A2 given to with_a2 does not carry over."""
+        if self.core.l_eta is None:
+            raise InvalidInput("with_tau needs a polynomial from boundary_polynomial")
+        _check_coefficient_size(self.core.size, self.rho, tau)
+        return self.core.at_tau(BoundaryFrame(self.frame.nu, self.frame.eta, tau),
+                                self.rho)
 
 
 def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPolynomial:
-    """Displacement symbol coefficients at a boundary frame.
-
-    Coefficients past 1e150 would overflow once squared (in norms and in the
-    Stroh block A1* A0^-1 A1), so they raise CoefficientOverflow instead.
-    """
-    eta, tau = 1.0 + float(np.abs(frame.eta).max()), abs(float(frame.tau))
-    size = m.stiffness.norm * eta * eta + float(m.density) * tau * tau
-    if not size <= 1e150:
-        raise CoefficientOverflow(f"boundary polynomial coefficients of size {size:.3g} "
-                                  "exceed 1e150")
+    """Displacement symbol coefficients at a boundary frame."""
+    eta = 1.0 + float(np.abs(frame.eta).max())
+    size = m.stiffness.norm * eta * eta
+    _check_coefficient_size(size, m.density, frame.tau)
     c = m.stiffness.entries
     a0 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.nu)
     a1 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.eta)
-    a2 = acoustic_tensor(m.stiffness, frame.eta) - m.density * frame.tau ** 2 * np.eye(3)
-    return QuadraticMatrixPolynomial(a0, a1, a2, frame=frame, rho=m.density)
+    core = _SymbolCore(a0, a1, acoustic_tensor(m.stiffness, frame.eta), size)
+    return core.at_tau(frame, m.density)
 
 
-@dataclass(frozen=True)
-class StrohMatrix:
-    """6x6 linearization of A(s); K S is Hermitian for K the block swap."""
-
-    matrix: np.ndarray
-
-    @property
-    def block_swap(self) -> np.ndarray:
-        k = np.zeros((6, 6))
-        k[:3, 3:] = np.eye(3)
-        k[3:, :3] = np.eye(3)
-        return k
-
-
-def stroh(a: QuadraticMatrixPolynomial) -> StrohMatrix:
-    """Linearize: A(s)^{-1} = J1 (s - S)^{-1} J2*."""
-    a0inv = np.linalg.inv(a.a0)
-    a1h = a.a1.conj().T
+def stroh(a: QuadraticMatrixPolynomial) -> np.ndarray:
+    """Linearize: A(s)^{-1} = J1 (s - S)^{-1} J2*; K S is Hermitian for K
+    the block swap.  Only the lower-left block involves A2."""
+    a0inv, s11, s22, a1h_a0inv_a1 = a.core.stroh_blocks
     s = np.empty((6, 6), dtype=complex)
-    s[:3, :3] = -a0inv @ a.a1
+    s[:3, :3] = s11
     s[:3, 3:] = a0inv
-    s[3:, :3] = -a.a2 + a1h @ a0inv @ a.a1
-    s[3:, 3:] = -a1h @ a0inv
-    return StrohMatrix(s)
+    s[3:, :3] = -a.a2 + a1h_a0inv_a1
+    s[3:, 3:] = s22
+    return s
 
 
 @dataclass(frozen=True)
@@ -231,6 +257,12 @@ def kernel_basis(a: QuadraticMatrixPolynomial, s: complex) -> np.ndarray:
     return vh[3 - k:].conj().T
 
 
+# LAPACK's complex Schur routine; the workspace size of a 6x6 Stroh matrix
+# is queried once rather than on every call.
+_ZGEES = scipy.linalg.lapack.zgees
+_ZGEES_LWORK = int(_ZGEES(lambda x: None, np.eye(6, dtype=complex), lwork=-1)[-2][0].real)
+
+
 def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
     """Eigenvalues of the linearization, grouped, with sign types for real ones.
 
@@ -239,9 +271,13 @@ def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
     form on its kernel is indefinite or too small, or when the eigenvalue is
     defective.
     """
-    s6 = stroh(a).matrix
+    s6 = stroh(a)
+    if not np.isfinite(s6).all():
+        raise NumericalDomainError("Stroh matrix is not finite")
     norm = float(np.linalg.norm(s6))
-    t, z = scipy.linalg.schur(s6, output="complex")
+    t, _, _, z, _, info = _ZGEES(lambda x: None, s6, lwork=_ZGEES_LWORK)
+    if info != 0:
+        raise NumericalDomainError(f"Schur form not found (zgees info {info})")
     t.setflags(write=False)
     z.setflags(write=False)
     vals = np.diag(t)
@@ -362,7 +398,7 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
         raise IllConditionedJ("displacement block of the invariant subspace is "
                               "too ill-conditioned")
     q = x1 @ t[:3, :3] @ np.linalg.inv(x1)
-    q_sharp = -(a.a0 @ q + a.a1_sym) @ np.linalg.inv(a.a0)
+    q_sharp = -(a.a0 @ q + a.a1_sym) @ a.core.stroh_blocks[0]   # A0^-1
 
     fact = SpectralFactorization(q, q_sharp, tuple(sigma), direction, float(tau),
                                  a, classification)
@@ -422,7 +458,7 @@ def contour_root_check(a: QuadraticMatrixPolynomial, q: np.ndarray,
     from every eigenvalue of A.  Node counts double until two successive
     quadratures agree to tol.  Returns (relative_residual, info).
     """
-    spec_a = np.linalg.eigvals(stroh(a).matrix)
+    spec_a = np.linalg.eigvals(stroh(a))
     dist_to_circle = np.abs(np.abs(spec_a - center) - radius)
     if np.min(dist_to_circle) <= radius / 10.0:
         raise ContourTooClose("an eigenvalue lies within radius/10 of the contour")

@@ -32,6 +32,13 @@ def ti():
 
 
 @pytest.fixture(scope="session")
+def rotated_ti():
+    """Strongly transversely isotropic material with its axis tilted 0.7 rad."""
+    axis = np.array([np.sin(0.7), 0.0, np.cos(0.7)])
+    return make_transversely_isotropic(1.0, 1.0, 0.1, 0.15, 0.1, axis, 1.0, "rotated_ti")
+
+
+@pytest.fixture(scope="session")
 def hard():
     """Stiff contrast medium for interfaces."""
     return make_isotropic(4.0, 3.0, 3.0, "hard")

@@ -1,11 +1,20 @@
 """Independent oracles used by the test suite.
 
-These are classical closed-form results implemented without reference to
-the library internals, so agreement is a genuine cross-check.
+Most are classical closed-form results implemented without reference to
+the library internals, so agreement is a genuine cross-check.  The rest
+are reference loops that a faster library path must reproduce exactly.
 """
 import math
 
 import numpy as np
+
+from elaswave.boundary import (
+    BISECTION_TOL,
+    BoundarySide,
+    _surface_wave_bisect,
+)
+from elaswave.errors import GlancingLimit
+from elaswave.factorization import BoundaryFrame
 
 
 def rayleigh_secular_speed(lam: float, mu: float, rho: float,
@@ -67,3 +76,55 @@ def isotropic_acoustic_tensor(lam: float, mu: float, xi: np.ndarray) -> np.ndarr
     """(lam + mu) xi xi^T + mu |xi|^2 I, derived directly from the moduli."""
     xi = np.asarray(xi, dtype=float)
     return (lam + mu) * np.outer(xi, xi) + mu * float(xi @ xi) * np.eye(3)
+
+
+# --- surface-wave scans with a fresh BoundarySide per probe -----------------
+# These build the boundary polynomial afresh at every tau, so the
+# library's scans, which share the tau-independent half of the polynomial,
+# must give the same floats.
+
+def tau_limit_fresh_sides(m, nu, eta_hat) -> float:
+    def elliptic(t: float) -> bool:
+        cls = BoundarySide(m, BoundaryFrame(nu, eta_hat, -t)).classification
+        return (not cls.has_real) and cls.dim_evanescent == 3
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if not elliptic(hi):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise GlancingLimit("no non-elliptic tau found")
+    while lo == 0.0:
+        if elliptic(hi / 2.0):
+            lo = hi / 2.0
+        else:
+            hi /= 2.0
+            if hi < 1e-12:
+                raise GlancingLimit("could not bracket the elliptic limit")
+    while hi - lo > BISECTION_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if elliptic(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def rayleigh_speed_fresh_sides(m, nu, eta_hat):
+    def zfun(t: float) -> np.ndarray:
+        return BoundarySide(m, BoundaryFrame(nu, eta_hat, -t)).z()
+
+    return _surface_wave_bisect(zfun, tau_limit_fresh_sides(m, nu, eta_hat))
+
+
+def stoneley_speed_fresh_sides(m_plus, m_minus, nu, eta_hat):
+    tau_eta = min(tau_limit_fresh_sides(m_plus, nu, eta_hat),
+                  tau_limit_fresh_sides(m_minus, nu, eta_hat))
+
+    def zfun(t: float) -> np.ndarray:
+        frame = BoundaryFrame(nu, eta_hat, -t)
+        return (BoundarySide(m_plus, frame).z()
+                + BoundarySide(m_minus, frame.flipped()).z())
+
+    return _surface_wave_bisect(zfun, tau_eta)

@@ -88,7 +88,7 @@ class TestAcceptance:
                     targets = qvals[np.abs(qvals.imag) > 1e-6 * (1 + np.abs(qvals).max())]
                     center = complex(np.mean(targets))
                     spread = float(np.max(np.abs(targets - center)))
-                    all_vals = np.linalg.eigvals(stroh(a).matrix)
+                    all_vals = np.linalg.eigvals(stroh(a))
                     others = [v for v in all_vals
                               if np.min(np.abs(v - targets)) > 1e-8 * (1 + abs(v))]
                     clearance = min(abs(v - center) for v in others)

@@ -24,7 +24,13 @@ from elaswave.impedance import impedance_from_factorization, mode_projectors
 from elaswave.materials import make_isotropic
 
 from conftest import NU, random_triclinic, sample_frames
-from oracles import C_R_POISSON, rayleigh_secular_speed
+from oracles import (
+    C_R_POISSON,
+    rayleigh_secular_speed,
+    rayleigh_speed_fresh_sides,
+    stoneley_speed_fresh_sides,
+    tau_limit_fresh_sides,
+)
 
 ETA = np.array([1.0, 0.0, 0.0])
 EHAT = ETA
@@ -215,6 +221,41 @@ class TestStoneley:
                 + impedance_from_factorization(am, factorize(am, "outgoing")).z)
         assert (np.linalg.norm(zsum - zsum.conj().T)
                 / np.linalg.norm(zsum)) < 1e-9
+
+
+def _same_result(got, want):
+    assert got.tau_r == want.tau_r
+    assert got.tau_eta == want.tau_eta
+    assert got.bracket == want.bracket
+    assert got.det_residual == want.det_residual
+    assert got.polarization.tobytes() == want.polarization.tobytes()
+
+
+class TestScansShareOneCore:
+    AZIMUTHS = (0.0, 0.9, 2.3)
+
+    def test_same_floats_as_fresh_sides(self, poisson, ti, rotated_ti, iso, hard):
+        # Each scan builds one polynomial and moves it in tau; every float
+        # must equal the scan that builds a fresh BoundarySide per probe.
+        for mat in (poisson, ti, rotated_ti):
+            for ang in self.AZIMUTHS:
+                eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+                assert tau_limit(mat, NU, eta_hat) == tau_limit_fresh_sides(mat, NU, eta_hat)
+                _same_result(rayleigh_speed(mat, NU, eta_hat),
+                             rayleigh_speed_fresh_sides(mat, NU, eta_hat))
+        _same_result(stoneley_speed(iso, hard, NU, EHAT),
+                     stoneley_speed_fresh_sides(iso, hard, NU, EHAT))
+
+    def test_one_polynomial_per_side_per_scan(self, poisson, iso, hard, monkeypatch):
+        calls = []
+        real = boundary.boundary_polynomial
+        monkeypatch.setattr(boundary, "boundary_polynomial",
+                            lambda m, fr: calls.append(fr.tau) or real(m, fr))
+        rayleigh_speed(poisson, NU, EHAT)
+        assert len(calls) == 2        # tau_limit, then the root
+        calls.clear()
+        stoneley_speed(iso, hard, NU, EHAT)
+        assert len(calls) == 4        # two tau_limits, then the root on both sides
 
 
 class TestEllipticityMargin:

@@ -63,6 +63,9 @@ class TestExitCodes:
         (("impedance", "--eta", "0.3", "0", "--tau", "1e200"), 3, "CoefficientOverflow"),
         (("slowness", "--direction", "0", "0", "0"), 2, "ValidationError"),
         (("slowness", "--direction", "nan", "0", "1"), 2, "ValidationError"),
+        (("slowness", "--grid", "-3"), 2, "ValidationError"),
+        (("classify", "--eta", "1", "0", "--tau", "-1.5", "--grid", "-4"), 2,
+         "ValidationError"),
     ])
     def test_non_finite_and_overflowing_inputs(self, capsys, iso_file, stack_file,
                                                argv, code, error):
@@ -236,6 +239,16 @@ class TestDeterminism:
         _, out1, _ = invoke(capsys, *argv)
         _, out2, _ = invoke(capsys, *argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("spaced, reference", [
+        (("--eta", "1", "0", "--tau", "-1e-1"), ("--eta", "1", "0", "--tau=-1e-1")),
+        (("--eta", "-1e-1", "0", "--tau", "-1"), ("--eta", "-0.1", "0", "--tau", "-1")),
+    ])
+    def test_exponent_notation_negatives(self, capsys, iso_file, spaced, reference):
+        # argparse alone reads "-1e-1" after a flag as an unknown option
+        code, out, _ = invoke(capsys, "impedance", "--material", iso_file, *spaced)
+        assert code == 0
+        assert out == invoke(capsys, "impedance", "--material", iso_file, *reference)[1]
 
     def test_out_file(self, capsys, iso_file, tmp_path):
         target = tmp_path / "z.json"

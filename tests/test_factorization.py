@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from elaswave.boundary import BoundarySide
 from elaswave.errors import (
+    CoefficientOverflow,
     ContourTooClose,
     DefectiveEigenvalue,
     GlancingSpectrum,
+    InvalidInput,
     NotAnEigenvalue,
     NumericalDomainError,
     SolvencyResidual,
@@ -40,7 +43,7 @@ def sorted_schur_root(a, sigma):
     """Right root from a Schur form that scipy sorts with a target callable."""
     targets = np.array(sigma)
     t, z, sdim = scipy.linalg.schur(
-        stroh(a).matrix, output="complex",
+        stroh(a), output="complex",
         sort=lambda v: np.min(np.abs(v - targets)) <= 1e-6)
     assert sdim == 3
     x1 = z[:3, :3]
@@ -108,11 +111,46 @@ class TestPolynomialInvariants:
         assert a.with_a2(a.a2 + 5.0 * np.eye(3)).scale > a.scale
 
 
+class TestSharedCore:
+    def test_with_tau_equals_fresh_polynomial(self, iso, ti, rotated_ti):
+        # A polynomial moved to another tau, and a side moved with it, equal
+        # bit for bit the ones built afresh at that tau, in all regions.
+        rng = np.random.default_rng(8)
+        for mat in (iso, ti, rotated_ti, random_triclinic(rng)):
+            for frames in sample_frames(mat, rng, 2).values():
+                for fr in frames:
+                    start = BoundaryFrame(fr.nu, fr.eta, -0.37)
+                    moved = boundary_polynomial(mat, start).with_tau(fr.tau)
+                    fresh = boundary_polynomial(mat, fr)
+                    assert np.array_equal(moved.a2, fresh.a2)
+                    assert moved.scale == fresh.scale
+                    assert np.array_equal(stroh(moved), stroh(fresh))
+                    for got, want in zip(classify_spectrum(moved).schur,
+                                         classify_spectrum(fresh).schur):
+                        assert np.array_equal(got, want)
+                    assert np.array_equal(BoundarySide(mat, start).with_tau(fr.tau).z(),
+                                          BoundarySide(mat, fr).z())
+
+    def test_per_tau_checks(self, iso):
+        a = boundary_polynomial(iso, frame(-0.5))
+        with pytest.raises(CoefficientOverflow):
+            a.with_tau(-1e80)
+        with pytest.raises(CoefficientOverflow):
+            BoundarySide(iso, frame(-0.5)).with_tau(1e80)
+        with pytest.raises(InvalidInput):
+            a.with_tau(0.0)
+        with pytest.raises(InvalidInput):
+            a.with_a2(a.a2 + np.triu(np.ones((3, 3)), 1))
+        bare = QuadraticMatrixPolynomial(a.a0, a.a1, a.a2)
+        with pytest.raises(InvalidInput):
+            bare.with_tau(-1.0)
+
+
 class TestStroh:
     def test_resolvent_identity(self, iso):
         # A(s)^{-1} equals the displacement block of (s - S)^{-1}.
         a = boundary_polynomial(iso, frame(-1.3))
-        s6 = stroh(a).matrix
+        s6 = stroh(a)
         for s in (0.3 + 0.4j, -1.2 + 0.1j):
             resolvent = np.linalg.inv(s * np.eye(6) - s6)
             assert np.allclose(resolvent[:3, 3:], np.linalg.inv(a(s)),
@@ -120,13 +158,13 @@ class TestStroh:
 
     def test_ks_hermitian(self, ti):
         a = boundary_polynomial(ti, frame(-0.7))
-        sm = stroh(a)
-        ks = sm.block_swap @ sm.matrix
+        k = np.block([[np.zeros((3, 3)), np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+        ks = k @ stroh(a)
         assert np.allclose(ks, ks.conj().T, atol=1e-12)
 
     def test_spectrum_symmetric_about_real_axis(self, iso):
         a = boundary_polynomial(iso, frame(-0.5))
-        vals = np.linalg.eigvals(stroh(a).matrix)
+        vals = np.linalg.eigvals(stroh(a))
         assert np.allclose(np.sort(vals.imag), -np.sort(-vals.imag)[::-1] * -1
                            if False else np.sort(vals.imag), atol=1e-9)
         # conjugate closure
@@ -183,6 +221,19 @@ class TestClassifySpectrum:
                             assert g.sign_type is None and not g.glancing
 
 
+    def test_schur_failures_are_numerical(self, iso, monkeypatch):
+        # Non-finite Stroh matrices and LAPACK failures are numerical-domain
+        # errors, not a bare ValueError or LinAlgError.
+        nan_a2 = QuadraticMatrixPolynomial(np.eye(3), np.zeros((3, 3)),
+                                           np.full((3, 3), np.nan))
+        with pytest.raises(NumericalDomainError):
+            classify_spectrum(nan_a2)
+        a = boundary_polynomial(iso, frame(-0.5))
+        monkeypatch.setattr(factorization, "_ZGEES", lambda *args, **kwargs: (None,) * 5 + (2,))
+        with pytest.raises(NumericalDomainError):
+            classify_spectrum(a)
+
+
 class TestFactorize:
     def test_residual_small_everywhere(self, iso, ti):
         rng = np.random.default_rng(7)
@@ -202,7 +253,7 @@ class TestFactorize:
         a = boundary_polynomial(iso, frame(-1.5))
         out = np.linalg.eigvals(factorize(a, "outgoing").q)
         inc = np.linalg.eigvals(factorize(a, "incoming").q)
-        stroh_vals = np.linalg.eigvals(stroh(a).matrix)
+        stroh_vals = np.linalg.eigvals(stroh(a))
 
         def split(vals):
             real = np.sort(vals[np.abs(vals.imag) < 1e-8].real)
