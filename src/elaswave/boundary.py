@@ -10,6 +10,7 @@ factorizations, impedances, projectors) goes through a `BoundarySide`.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     GlancingSpectrum,
     InvalidInput,
     NoSurfaceWave,
+    NumericalDomainError,
 )
 from .factorization import (
     BoundaryFrame,
@@ -195,11 +197,59 @@ def iso_impedance_closed_form(m: Material, frame: BoundaryFrame) -> Impedance:
     return Impedance(z, "outgoing", frame)
 
 
+class _Threshold:
+    """A test value that is positive below an unknown threshold and not above
+    it.  The tightest bracket (below, above) of the values it has taken
+    answers, without running the test, whether t lies below the threshold."""
+
+    def __init__(self, test):
+        self.test, self.below, self.above = test, -np.inf, np.inf
+
+    def __call__(self, t: float) -> bool:
+        if self.below < t < self.above:
+            return self.value(t) > 0
+        return t <= self.below
+
+    def value(self, t: float):
+        v = self.test(t)
+        if v > 0:
+            self.below = max(self.below, t)
+        else:
+            self.above = min(self.above, t)
+        return v
+
+
+def _bisect(holds, lo: float, hi: float) -> float:
+    while hi - lo > BISECTION_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _limiting_tau(core, rho: float) -> float | None:
+    """Barnett-Lothe limit tau_L: rho tau_L^2 is the minimum over real s of
+    lambda_min(l(eta_hat + s nu)), taken on a grid over the angle theta of
+    eta_hat + s nu (s = tan theta) that zooms in around its smallest value."""
+    lo, hi = -0.5 * np.pi, 0.5 * np.pi
+    for _ in range(7):
+        theta = np.linspace(lo, hi, 34)[1:-1]
+        c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+        l_xi = s * s * core.a0.real + s * c * core.a1_sym.real + c * c * core.l_eta
+        vals = np.linalg.eigvalsh(l_xi)[:, 0] / np.cos(theta) ** 2
+        k = int(np.argmin(vals))
+        lo, hi = theta[max(k - 1, 0)], theta[min(k + 1, 31)]
+    return float(np.sqrt(vals[k] / rho)) if vals[k] > 0 else None
+
+
 def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> float:
     """Largest tau with a fully evanescent spectrum, by bisection.
 
     For isotropic media this is c_s |eta|; in general it is the limiting
-    velocity of the slowest family along (nu, eta_hat).
+    velocity of the slowest family along (nu, eta_hat).  Probes at (1 -+ 1e-12)
+    times the Barnett-Lothe limit bracket it first; the bisection keeps its floats.
     """
     eta_hat = np.asarray(eta_hat, dtype=float)
     if abs(np.linalg.norm(eta_hat) - 1.0) > 1e-10:
@@ -207,10 +257,14 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> float:
 
     side = BoundarySide(m, BoundaryFrame(nu, eta_hat, -1.0))
 
-    def elliptic(t: float) -> bool:
+    def test(t: float) -> bool:
         cls = side.with_tau(-t).classification
         return (not cls.has_real) and cls.dim_evanescent == 3
 
+    elliptic, t_l = _Threshold(test), _limiting_tau(side.poly.core, m.density)
+    with suppress(NumericalDomainError):    # the bisection meets it again
+        for t in (t_l * (1.0 - 1e-12), t_l * (1.0 + 1e-12)) if t_l else ():
+            elliptic(t)
     lo, hi = 0.0, 1.0
     for _ in range(200):
         if not elliptic(hi):
@@ -225,13 +279,7 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> float:
             hi /= 2.0
             if hi < 1e-12:
                 raise GlancingLimit("could not bracket the elliptic limit")
-    while hi - lo > BISECTION_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if elliptic(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(elliptic, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -252,7 +300,26 @@ def _lambda_min(zmat: np.ndarray):
     return float(vals[0]), vecs[:, 0]
 
 
+def _regula_falsi(holds: _Threshold, a: float, fa: float, b: float, fb: float) -> None:
+    """Illinois regula falsi on holds.value from fa > 0 at a to fb <= 0 at b,
+    until the bracket is 1e-13 b wide or a numerical failure ends it."""
+    tol, kept = 1e-13 * b, None      # the end the last step kept
+    with suppress(NumericalDomainError):
+        for _ in range(100):
+            if b - a <= tol:
+                return
+            c = (a * fb - b * fa) / (fb - fa)
+            c = c if a < c < b else 0.5 * (a + b)
+            fc = holds.value(c)
+            if fc > 0:
+                a, fa, fb, kept = c, fc, 0.5 * fb if kept == "b" else fb, "b"
+            else:
+                b, fb, fa, kept = c, fc, 0.5 * fa if kept == "a" else fa, "a"
+
+
 def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
+    """Root of lambda_min(zfun(tau)) by bisection, which runs only its probes
+    inside the bracket a regula falsi from the end values leaves first."""
     t_lo = 1e-3 * tau_eta
     t_hi = (1.0 - EDGE_OFFSET) * tau_eta
     try:
@@ -265,15 +332,9 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     if f_hi > 0:
         raise NoSurfaceWave("smallest impedance eigenvalue stays positive "
                             "on the elliptic interval")
-    lo, hi = t_lo, t_hi
-    while hi - lo > BISECTION_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        fm, _ = _lambda_min(zfun(mid))
-        if fm > 0:
-            lo = mid
-        else:
-            hi = mid
-    tau_r = 0.5 * (lo + hi)
+    holds = _Threshold(lambda t: _lambda_min(zfun(t))[0])
+    _regula_falsi(holds, t_lo, f_lo, t_hi, f_hi)
+    tau_r = _bisect(holds, t_lo, t_hi)
     zr = zfun(tau_r)
     _, vec = _lambda_min(zr)
     det_res = float(abs(np.linalg.det(zr)) / max(np.linalg.norm(zr) ** 3, 1e-300))

@@ -68,6 +68,15 @@ class BoundaryFrame:
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "eta", eta)
 
+    def with_tau(self, tau: float) -> "BoundaryFrame":
+        """This frame at another tau; only tau is checked, nu and eta are kept."""
+        if not np.isfinite(tau) or tau == 0:     # the checks and messages of __post_init__
+            raise InvalidInput("frame must be finite" if tau else "tau must be nonzero")
+        frame = object.__new__(BoundaryFrame)
+        for name, value in (("nu", self.nu), ("eta", self.eta), ("tau", tau)):
+            object.__setattr__(frame, name, value)
+        return frame
+
     def flipped(self) -> "BoundaryFrame":
         """Frame of the opposite side of an interface (conormal negated)."""
         return BoundaryFrame(-self.nu, self.eta, self.tau)
@@ -168,8 +177,7 @@ class QuadraticMatrixPolynomial:
         if self.core.l_eta is None:
             raise InvalidInput("with_tau needs a polynomial from boundary_polynomial")
         _check_coefficient_size(self.core.size, self.rho, tau)
-        return self.core.at_tau(BoundaryFrame(self.frame.nu, self.frame.eta, tau),
-                                self.rho)
+        return self.core.at_tau(self.frame.with_tau(tau), self.rho)
 
 
 def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPolynomial:

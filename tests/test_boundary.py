@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import elaswave
 from elaswave import boundary
 from elaswave.boundary import (
     BoundarySide,
@@ -256,6 +261,100 @@ class TestScansShareOneCore:
         calls.clear()
         stoneley_speed(iso, hard, NU, EHAT)
         assert len(calls) == 4        # two tau_limits, then the root on both sides
+
+    # (seed of random_triclinic, azimuth) where s -> lambda_min(l(eta_hat + s nu))
+    # has several local minima, so a coarse search for the limit can settle
+    # in the wrong one
+    TRICLINIC = ((1, 0.3), (4, 1.1), (6, 1.9), (9, 2.7))
+
+    @staticmethod
+    def local_minima(m, eta_hat) -> int:
+        theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 2001)[1:-1]
+        xi = np.cos(theta)[:, None] * eta_hat + np.sin(theta)[:, None] * NU
+        l_xi = np.einsum("ijkm,nj,nm->nik", m.stiffness.entries, xi, xi)
+        f = np.linalg.eigvalsh(l_xi)[:, 0] / np.cos(theta) ** 2
+        return int(np.sum((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:])))
+
+    def test_triclinic_same_floats_as_fresh_sides(self):
+        for seed, ang in self.TRICLINIC:
+            mat = random_triclinic(np.random.default_rng(seed))
+            eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+            assert self.local_minima(mat, eta_hat) >= 2
+            assert tau_limit(mat, NU, eta_hat) == tau_limit_fresh_sides(mat, NU, eta_hat)
+            _same_result(rayleigh_speed(mat, NU, eta_hat),
+                         rayleigh_speed_fresh_sides(mat, NU, eta_hat))
+
+
+def _scans(poisson, ti, rotated_ti, iso, hard) -> list:
+    out = []
+    for mat in (poisson, ti, rotated_ti):
+        for ang in (0.0, 2.3):
+            eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+            out += [tau_limit(mat, NU, eta_hat), rayleigh_speed(mat, NU, eta_hat)]
+    return out + [stoneley_speed(iso, hard, NU, EHAT)]
+
+
+@pytest.fixture(scope="module")
+def unhinted(poisson, ti, rotated_ti, iso, hard):
+    """Every scan with neither the limiting-tau hint nor the root hint."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boundary, "_limiting_tau", lambda core, rho: None)
+        mp.setattr(boundary, "_regula_falsi", lambda *args: None)
+        return _scans(poisson, ti, rotated_ti, iso, hard)
+
+
+class TestHintsOnlySaveProbes:
+    """The Barnett-Lothe limit and the regula falsi root choose which
+    bisection probes run; a wrong or missing hint costs probes only."""
+
+    @pytest.mark.parametrize("factor,root_hint", [
+        (1.0, True), (0.5, True), (2.0, True), (None, True), (1.0, False)])
+    def test_same_floats_as_unhinted(self, poisson, ti, rotated_ti, iso, hard,
+                                     unhinted, monkeypatch, factor, root_hint):
+        real = boundary._limiting_tau
+        monkeypatch.setattr(boundary, "_limiting_tau", lambda core, rho: (
+            None if factor is None else factor * real(core, rho)))
+        if not root_hint:
+            monkeypatch.setattr(boundary, "_regula_falsi", lambda *args: None)
+        for got, want in zip(_scans(poisson, ti, rotated_ti, iso, hard), unhinted,
+                             strict=True):
+            if isinstance(want, float):
+                assert got == want
+            else:
+                _same_result(got, want)
+
+    def test_probe_counts(self, poisson, ti, rotated_ti, monkeypatch):
+        # Unhinted, each tau_limit here classifies 35 or 36 spectra and
+        # Poisson's Rayleigh solve factorizes 37 times.
+        calls = {"classify": 0, "factorize": 0}
+        for name, key in (("classify_spectrum", "classify"), ("factorize", "factorize")):
+            real = getattr(boundary, name)
+
+            def counting(*args, _real=real, _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(boundary, name, counting)
+        for mat in (poisson, ti, rotated_ti):
+            calls["classify"] = 0
+            tau_limit(mat, NU, np.array([np.cos(2.3), np.sin(2.3), 0.0]))
+            assert calls["classify"] <= 4
+        calls["factorize"] = 0
+        rayleigh_speed(poisson, NU, EHAT)
+        assert calls["factorize"] <= 20
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        # Importing scipy.optimize (for brentq, say) adds 20.7 MB of resident
+        # memory (55.4 -> 76.1 MB measured), about three times the 10 % bound
+        # the benchmark puts on peak_rss_mb, so the root finders are written out.
+        src = os.path.dirname(os.path.dirname(elaswave.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, elaswave.cli; print('scipy.optimize' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestEllipticityMargin:

@@ -145,6 +145,19 @@ class TestSharedCore:
         with pytest.raises(InvalidInput):
             bare.with_tau(-1.0)
 
+    def test_frame_with_tau_checks_only_tau(self):
+        # A frame moved in tau keeps the checked, read-only nu and eta arrays
+        # and rejects a bad tau with the same error a fresh frame raises.
+        fr = frame(-0.5, np.array([0.3, -0.4, 0.0]))
+        moved = fr.with_tau(-1.25)
+        assert moved.nu is fr.nu and moved.eta is fr.eta and moved.tau == -1.25
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInput) as got:
+                fr.with_tau(bad)
+            with pytest.raises(InvalidInput) as want:
+                BoundaryFrame(NU, fr.eta, bad)
+            assert str(got.value) == str(want.value)
+
 
 class TestStroh:
     def test_resolvent_identity(self, iso):
