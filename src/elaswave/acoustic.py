@@ -16,9 +16,9 @@ _REFERENCE_FRAME = (np.array([0.0, 0.0, 1.0]),
 
 
 def acoustic_tensor(c: StiffnessTensor, xi: np.ndarray) -> np.ndarray:
-    """Symmetric 3x3 tensor l^{ik} = C^{ijkm} xi_j xi_m."""
+    """Symmetric 3x3 tensor l^{ik} = C^{ijkm} xi_j xi_m, for one xi or a stack."""
     xi = np.asarray(xi, dtype=float)
-    return np.einsum("ijkm,j,m->ik", c.entries, xi, xi)
+    return np.einsum("ijkm,...j,...m->...ik", c.entries, xi, xi)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ factorizations, impedances, projectors) goes through a `BoundarySide`.
 """
 from __future__ import annotations
 
+import itertools
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -25,16 +26,26 @@ from .errors import (
 from .factorization import (
     BoundaryFrame,
     SpectralFactorization,
+    _boundary_polynomials,
+    _classify,
+    _factorize,
     boundary_polynomial,
     classify_spectrum,
     factorize,
 )
-from .impedance import Impedance, ModeProjectors, impedance_from_factorization, mode_projectors
+from .impedance import (
+    Impedance,
+    ModeProjectors,
+    _impedance,
+    impedance_from_factorization,
+    mode_projectors,
+)
 from .materials import Material, decompose_harmonic
 
 ANGLE_TOL = 1e-8        # principal angles with cosine above 1 - ANGLE_TOL count as shared
 BISECTION_TOL = 1e-10   # bisections stop at this width relative to the upper end
 EDGE_OFFSET = 1e-6      # surface-wave brackets end this far, relatively, below tau_eta
+_CHUNK = 256            # frames solved as one stack, so memory stays flat on any grid
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,8 @@ class BoundarySide:
     mode projectors are built on first use and kept for the object's
     lifetime, so both directions share one spectrum and every law or label
     built on the side shares its factorizations.  `with_tau` gives the side
-    at another tau, sharing the polynomial's tau-independent core.
+    at another tau and `flipped` the side seen from the flipped frame, both
+    sharing the polynomial's tau-independent core.
     """
 
     def __init__(self, m: Material, frame: BoundaryFrame):
@@ -71,10 +83,18 @@ class BoundarySide:
     def _settle(self, m: Material, poly) -> None:
         self.material, self.poly, self.frame, self._built = m, poly, poly.frame, {}
 
-    def with_tau(self, tau: float) -> "BoundarySide":
+    @staticmethod
+    def _of(m: Material, poly, **built) -> "BoundarySide":
         side = BoundarySide.__new__(BoundarySide)
-        side._settle(self.material, self.poly.with_tau(tau))
+        side._settle(m, poly)
+        side._built.update(built)
         return side
+
+    def with_tau(self, tau: float) -> "BoundarySide":
+        return BoundarySide._of(self.material, self.poly.with_tau(tau))
+
+    def flipped(self) -> "BoundarySide":
+        return BoundarySide._of(self.material, self.poly.flipped())
 
     def _once(self, key, build):
         if key not in self._built:
@@ -99,21 +119,36 @@ class BoundarySide:
                           lambda: mode_projectors(self.factorization(direction)))
 
 
-def _classify_sides(materials, frame: BoundaryFrame):
-    """Region of a boundary or interface, with the BoundarySide of each side
-    so that callers can factorize without solving again."""
+def _sides(materials, frame: BoundaryFrame) -> tuple:
+    """The BoundarySide of a boundary (one material) or of both sides of an
+    interface (two materials, the second seen from the flipped frame)."""
     if isinstance(materials, Material):
-        sides = (BoundarySide(materials, frame),)
-    else:
-        mp, mm = materials
-        sides = (BoundarySide(mp, frame), BoundarySide(mm, frame.flipped()))
-    dims = tuple(None if side.classification.glancing
+        return (BoundarySide(materials, frame),)
+    mp, mm = materials
+    return (BoundarySide(mp, frame), BoundarySide(mm, frame.flipped()))
+
+
+def _dims(sides) -> tuple:
+    """dim E_c of each side, None where its spectrum glances."""
+    return tuple(None if side.classification.glancing
                  else side.classification.dim_evanescent for side in sides)
+
+
+def _has_margin(dims: tuple) -> bool:
+    """Whether a frame is hyperbolic or mixed, and so has a margin: no side
+    glances and some side's E_c is not the whole space."""
+    return None not in dims and dims.count(3) < len(dims)
+
+
+def _region(sides) -> RegionClass:
+    """Region of a frame from its classified sides; a mixed/mixed interface
+    takes principal angles between the sides' evanescent subspaces."""
+    dims = _dims(sides)
     if None in dims:
-        return RegionClass("glancing", dims), sides
+        return RegionClass("glancing", dims)
     if len(sides) == 1:
         label = {0: "hyperbolic", 3: "elliptic"}.get(dims[0], "mixed")
-        return RegionClass(label, dims), sides
+        return RegionClass(label, dims)
 
     dim_p, dim_m = dims
     if dim_p == 0 or dim_m == 0:
@@ -130,7 +165,7 @@ def _classify_sides(materials, frame: BoundaryFrame):
         label = "elliptic"
     else:
         label = "mixed"
-    return RegionClass(label, dims, inter), sides
+    return RegionClass(label, dims, inter)
 
 
 def classify(materials, frame: BoundaryFrame) -> RegionClass:
@@ -140,7 +175,7 @@ def classify(materials, frame: BoundaryFrame) -> RegionClass:
     hyperbolic iff E_c+ and E_c- intersect trivially, elliptic iff both
     evanescent subspaces are full.
     """
-    return _classify_sides(materials, frame)[0]
+    return _region(_sides(materials, frame))
 
 
 def _iso_moduli(m: Material, tol: float = 1e-8):
@@ -251,6 +286,12 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> float:
     velocity of the slowest family along (nu, eta_hat).  Probes at (1 -+ 1e-12)
     times the Barnett-Lothe limit bracket it first; the bisection keeps its floats.
     """
+    return _tau_limit(m, nu, eta_hat)[0]
+
+
+def _tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray):
+    """tau_limit, with the BoundarySide at (nu, eta_hat) that it probes, so
+    that a surface-wave scan goes on from the same polynomial core."""
     eta_hat = np.asarray(eta_hat, dtype=float)
     if abs(np.linalg.norm(eta_hat) - 1.0) > 1e-10:
         raise InvalidInput("eta_hat must be a unit vector")
@@ -279,7 +320,7 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> float:
             hi /= 2.0
             if hi < 1e-12:
                 raise GlancingLimit("could not bracket the elliptic limit")
-    return _bisect(elliptic, lo, hi)
+    return _bisect(elliptic, lo, hi), side
 
 
 @dataclass(frozen=True)
@@ -347,24 +388,88 @@ def rayleigh_speed(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> Rayleigh
     lambda_min decreases strictly in tau on the elliptic interval, so the
     sign change, when present, has a unique root.
     """
-    tau_eta = tau_limit(m, nu, eta_hat)
-    side = BoundarySide(m, BoundaryFrame(nu, eta_hat, -tau_eta))
+    tau_eta, side = _tau_limit(m, nu, eta_hat)
     return _surface_wave_bisect(lambda t: side.with_tau(-t).z(), tau_eta)
 
 
 def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
                    eta_hat: np.ndarray) -> RayleighResult:
     """Interface (Stoneley) frequency: the zero of lambda_min(z+ + z-)."""
-    tau_eta = min(tau_limit(m_plus, nu, eta_hat),
-                  tau_limit(m_minus, nu, eta_hat))
-
-    frame = BoundaryFrame(nu, eta_hat, -tau_eta)
-    plus, minus = BoundarySide(m_plus, frame), BoundarySide(m_minus, frame.flipped())
+    tau_plus, plus = _tau_limit(m_plus, nu, eta_hat)
+    tau_minus, minus = _tau_limit(m_minus, nu, eta_hat)
+    tau_eta, minus = min(tau_plus, tau_minus), minus.flipped()
 
     def zfun(t: float) -> np.ndarray:
         return plus.with_tau(-t).z() + minus.with_tau(-t).z()
 
     return _surface_wave_bisect(zfun, tau_eta)
+
+
+def _first_failure(results: list, stop: int, error):
+    """The first frame before `stop` at which a side's result is an error
+    (sides in order), with that error; (stop, error) when there is none."""
+    for j in range(stop):
+        for per_side in results:
+            if isinstance(per_side[j], Exception):
+                return j, per_side[j]
+    return stop, error
+
+
+def _solve_frames(materials, frames: list) -> list:
+    """(region, margin) of each frame, every step solved for all frames and
+    sides at once: polynomials, classifications, and outgoing factorizations
+    on the frames that have a margin.  Raises the error that a loop over the
+    frames, one after another, would meet first."""
+    mats = (materials,) if isinstance(materials, Material) else tuple(materials)
+    views = [frames] if len(mats) == 1 else [frames, [f.flipped() for f in frames]]
+    stop, error = len(frames), None
+
+    polys = [_boundary_polynomials(m, view) for m, view in zip(mats, views)]
+    stop, error = _first_failure(polys, stop, error)
+    flat = _classify([p for per_side in polys for p in per_side[:stop]])
+    classes = [flat[i * stop:(i + 1) * stop] for i in range(len(mats))]
+    stop, error = _first_failure(classes, stop, error)
+    sides = [tuple(BoundarySide._of(m, polys[i][j], classification=classes[i][j])
+                   for i, m in enumerate(mats)) for j in range(stop)]
+
+    due = [j for j in range(stop) if _has_margin(_dims(sides[j]))]
+    flat = [side for j in due for side in sides[j]]
+    facts = iter(_factorize([s.poly for s in flat], [s.classification for s in flat],
+                            "outgoing", [s.frame.tau for s in flat]))
+    outgoing = [[None] * stop for _ in mats]
+    for j in due:
+        for per_side in outgoing:
+            per_side[j] = next(facts)
+    stop, error = _first_failure(outgoing, stop, error)
+    if error is not None:
+        raise error
+    for j in due:
+        for side, f in zip(sides[j], (per_side[j] for per_side in outgoing)):
+            side._built["factorization", "outgoing"] = f
+
+    margins = dict.fromkeys(range(stop))
+    if due:     # sigma_min / sigma_max of z, or of z+ + z- for a pair
+        z = sum(_impedance(np.array([sides[j][i].poly.a0 for j in due]),
+                           np.array([per_side[j].q for j in due]),
+                           np.array([sides[j][i].poly.a1 for j in due]))
+                for i, per_side in enumerate(outgoing))
+        sv = np.linalg.svd(z, compute_uv=False)
+        margins.update(zip(due, (sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist()))
+    return [(_region(sides[j]), margins[j]) for j in range(stop)]
+
+
+def classify_frames(materials, frames):
+    """(frame, region, margin) for each frame, where the margin is
+    sigma_min(z)/||z|| on hyperbolic and mixed frames and None on elliptic
+    and glancing ones.  For material pairs z is replaced by z+ + z-.
+
+    Frames are solved as stacks, a fixed number at a time.  An error is the
+    one a loop over the frames, one after another, would raise first.
+    """
+    frames = iter(frames)
+    while chunk := list(itertools.islice(frames, _CHUNK)):
+        for frame, (region, margin) in zip(chunk, _solve_frames(materials, chunk)):
+            yield frame, region, margin
 
 
 def classify_with_margin(materials, frame: BoundaryFrame):
@@ -374,12 +479,7 @@ def classify_with_margin(materials, frame: BoundaryFrame):
     elliptic and glancing frames.  Each side's spectrum is solved once and
     serves both the label and the impedance.
     """
-    region, sides = _classify_sides(materials, frame)
-    if region.label not in ("hyperbolic", "mixed"):
-        return region, None
-    z = sum(side.z() for side in sides)
-    sv = np.linalg.svd(z, compute_uv=False)
-    return region, float(sv[-1] / max(sv[0], 1e-300))
+    return _solve_frames(materials, [frame])[0]
 
 
 def ellipticity_margin(materials, frames) -> tuple[float, list]:
@@ -388,12 +488,7 @@ def ellipticity_margin(materials, frames) -> tuple[float, list]:
     For material pairs z is replaced by z+ + z-.  Returns the margin and
     per-frame rows (frame, label, normalized sigma_min).
     """
-    rows = []
-    margin = np.inf
-    for frame in frames:
-        region, val = classify_with_margin(materials, frame)
-        if val is None:
-            continue
-        margin = min(margin, val)
-        rows.append((frame, region.label, val))
-    return margin, rows
+    rows = [(frame, region.label, val)
+            for frame, region, val in classify_frames(materials, frames)
+            if val is not None]
+    return min((val for _, _, val in rows), default=np.inf), rows

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 
@@ -78,9 +79,12 @@ def _emit_csv(header: list[str], rows, args) -> None:
     _emit("\n".join(lines) + "\n", args)
 
 
+_NU = np.array([0.0, 0.0, 1.0])
+
+
 def _frame(args) -> BoundaryFrame:
     eta = np.array([args.eta[0], args.eta[1], 0.0])
-    return BoundaryFrame(np.array([0.0, 0.0, 1.0]), eta, args.tau)
+    return BoundaryFrame(_NU, eta, args.tau)
 
 
 def _unit(vec, flag: str) -> np.ndarray:
@@ -200,14 +204,13 @@ def _load_sides(args):
 def _cmd_classify(args) -> int:
     sides = _load_sides(args)
     if _grid(args):
-        rows = []
-        for k in range(args.grid):
-            ang = 2.0 * np.pi * k / args.grid
-            eta = np.array([np.cos(ang), np.sin(ang), 0.0])
-            frame = BoundaryFrame(np.array([0.0, 0.0, 1.0]), eta, args.tau)
-            region, margin = bnd.classify_with_margin(sides, frame)
-            rows.append((eta[0], eta[1], args.tau, region.label,
-                         0.0 if margin is None else margin))
+        radius = math.hypot(*args.eta)     # N azimuths at radius |eta|, from angle 0
+        start = BoundaryFrame(_NU, np.array([radius, 0.0, 0.0]), args.tau)
+        frames = (start.with_eta(radius * np.array([np.cos(ang), np.sin(ang), 0.0]))
+                  for ang in (2.0 * np.pi * k / args.grid for k in range(args.grid)))
+        rows = [(frame.eta[0], frame.eta[1], args.tau, region.label,
+                 0.0 if margin is None else margin)
+                for frame, region, margin in bnd.classify_frames(sides, frames)]
         _emit_csv(["eta_x", "eta_y", "tau", "label", "margin"], rows, args)
         return 0
     frame = _frame(args)
@@ -232,7 +235,7 @@ def _surface_wave_doc(res: bnd.RayleighResult):
 def _cmd_rayleigh(args) -> int:
     m = load_material(args.material)
     eta_hat = _unit([args.eta[0], args.eta[1], 0.0], "--eta")
-    res = bnd.rayleigh_speed(m, np.array([0.0, 0.0, 1.0]), eta_hat)
+    res = bnd.rayleigh_speed(m, _NU, eta_hat)
     _emit_json(_surface_wave_doc(res), args)
     return 0
 
@@ -241,7 +244,7 @@ def _cmd_stoneley(args) -> int:
     mp = load_material(args.material_plus)
     mm = load_material(args.material_minus)
     eta_hat = _unit([args.eta[0], args.eta[1], 0.0], "--eta")
-    res = bnd.stoneley_speed(mp, mm, np.array([0.0, 0.0, 1.0]), eta_hat)
+    res = bnd.stoneley_speed(mp, mm, _NU, eta_hat)
     _emit_json(_surface_wave_doc(res), args)
     return 0
 

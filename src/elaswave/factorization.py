@@ -13,6 +13,7 @@ spectra.
 """
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -68,24 +69,90 @@ class BoundaryFrame:
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "eta", eta)
 
+    def _checked(self, nu: np.ndarray, eta: np.ndarray, tau: float) -> "BoundaryFrame":
+        frame = object.__new__(BoundaryFrame)
+        for name, value in (("nu", nu), ("eta", eta), ("tau", tau)):
+            object.__setattr__(frame, name, value)
+        return frame
+
     def with_tau(self, tau: float) -> "BoundaryFrame":
         """This frame at another tau; only tau is checked, nu and eta are kept."""
         if not np.isfinite(tau) or tau == 0:     # the checks and messages of __post_init__
             raise InvalidInput("frame must be finite" if tau else "tau must be nonzero")
-        frame = object.__new__(BoundaryFrame)
-        for name, value in (("nu", self.nu), ("eta", self.eta), ("tau", tau)):
-            object.__setattr__(frame, name, value)
-        return frame
+        return self._checked(self.nu, self.eta, tau)
+
+    def with_eta(self, eta: np.ndarray) -> "BoundaryFrame":
+        """This frame at another eta; only eta is checked, nu and tau are kept."""
+        eta = np.asarray(eta, dtype=float)
+        if not np.isfinite(eta).all():          # the checks and messages of __post_init__
+            raise InvalidInput("frame must be finite")
+        if abs(self.nu @ eta) > 1e-12 * max(float(np.abs(eta).max()), 1.0):
+            raise InvalidInput("eta must be tangential (orthogonal to nu)")
+        eta.setflags(write=False)
+        return self._checked(self.nu, eta, self.tau)
 
     def flipped(self) -> "BoundaryFrame":
-        """Frame of the opposite side of an interface (conormal negated)."""
-        return BoundaryFrame(-self.nu, self.eta, self.tau)
+        """Frame of the opposite side of an interface (conormal negated);
+        negating nu keeps every check, so none runs again."""
+        nu = -self.nu
+        nu.setflags(write=False)
+        return self._checked(nu, self.eta, self.tau)
+
+
+# --- one polynomial or a stack ------------------------------------------------
+# Most steps below take one matrix or a stack of them (leading axis: one entry
+# per polynomial or eigenvalue group), so that a list of frames is solved with
+# a few numpy calls.  numpy's stacked LAPACK and matmul calls give each entry
+# bit for bit what a call on it alone gives.
+
+def _herm(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _fro(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, bit for bit what
+    np.linalg.norm gives for the matrix alone (the dot product of its real
+    parts plus that of its imaginary parts)."""
+    flat = x.reshape(len(x), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
+def _record(cls, **fields):
+    """An instance of a frozen dataclass without a __post_init__, its
+    fields set at once; what the generated __init__ does, for less."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+def _at(a0, a1_sym, a2, s):
+    """A(s) = A0 s^2 + (A1 + A1*) s + A2."""
+    return a0 * s * s + a1_sym * s + a2
+
+
+def _slope(a0, a1_sym, s):
+    """A'(s) = 2 s A0 + A1 + A1*."""
+    return 2.0 * s * a0 + a1_sym
+
+
+_EYE = np.eye(3)
+
+
+def _a2(l_eta, rho, tau_sq):
+    """A2 = l(eta) - rho tau^2 I, for one tau^2 or a stack of them.  tau^2
+    is taken as tau ** 2, which (C pow) can differ from tau * tau in the
+    last bit."""
+    return l_eta - np.multiply.outer(rho * tau_sq, _EYE)
 
 
 class _SymbolCore:
     """The tau-independent half of A(s), shared along one (material, nu, eta):
-    A0, A1, their norms and checks, and (on first use, once a polynomial has
-    checked A0) A0^-1, -A0^-1 A1, -A1* A0^-1 and A1* A0^-1 A1, read-only."""
+    A0, A1, A1 + A1*, the norms of A0 and A1, A0's asymmetry and smallest
+    eigenvalue, l(eta) with the coefficient size without tau, and (on first
+    use, once a polynomial has checked A0) the Stroh blocks free of A2.  The
+    arrays are read-only; `_cores` builds the cores of a stack at once."""
 
     def __init__(self, a0, a1, l_eta=None, size=None):
         self.a0, self.a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
@@ -95,29 +162,107 @@ class _SymbolCore:
         self.norms = (np.linalg.norm(self.a0), np.linalg.norm(self.a1))
         self.a0_asymmetry = np.linalg.norm(self.a0 - self.a0.conj().T)
         self.a0_min = np.linalg.eigvalsh(self.a0)[0]
-        self.l_eta, self.size = l_eta, size   # l(eta); coefficient size without tau
+        self.l_eta, self.size = l_eta, size
 
     @functools.cached_property
     def stroh_blocks(self) -> tuple:
-        a0inv, a1h = np.linalg.inv(self.a0), self.a1.conj().T
-        blocks = (a0inv, -a0inv @ self.a1, -a1h @ a0inv, a1h @ a0inv @ self.a1)
-        for b in blocks:
-            b.setflags(write=False)
-        return blocks
+        return _stroh_blocks(self.a0, self.a1)
 
     def at_tau(self, frame: BoundaryFrame, rho: float) -> "QuadraticMatrixPolynomial":
-        a2 = self.l_eta - rho * frame.tau ** 2 * np.eye(3)
-        return QuadraticMatrixPolynomial(self.a0, self.a1, a2, frame, rho, self)
+        return QuadraticMatrixPolynomial(self.a0, self.a1, _a2(self.l_eta, rho, frame.tau ** 2),
+                                         frame, rho, self)
+
+    def flipped(self) -> "_SymbolCore":
+        """The core seen from the flipped frame (nu -> -nu), where A1 and the
+        Stroh blocks odd in it change sign, exactly as a fresh build gives
+        them; 0 - x rather than -x keeps an exact zero at +0."""
+        core = copy.copy(self)
+        core.a1, core.a1_sym = _negated(self.a1), _negated(self.a1_sym)
+        if "stroh_blocks" in vars(self):
+            a0inv, s11, s22, a1h_a0inv_a1 = self.stroh_blocks
+            core.stroh_blocks = (a0inv, _negated(s11), _negated(s22), a1h_a0inv_a1)
+        return core
 
 
-def _check_coefficient_size(size: float, rho: float, tau: float) -> None:
+def _negated(x: np.ndarray) -> np.ndarray:
+    x = 0.0 - x
+    x.setflags(write=False)
+    return x
+
+
+def _stroh_blocks(a0, a1) -> tuple:
+    """A0^-1, -A0^-1 A1, -A1* A0^-1 and A1* A0^-1 A1, read-only, of one
+    (A0, A1) or of stacks of them."""
+    a0inv, a1h = np.linalg.inv(a0), _herm(a1)
+    blocks = (a0inv, -a0inv @ a1, -a1h @ a0inv, a1h @ a0inv @ a1)
+    for b in blocks:
+        b.setflags(write=False)
+    return blocks
+
+
+def _cores(a0, a1, l_eta, size: list) -> list:
+    """The _SymbolCore of each (A0, A1, l(eta), coefficient size) of stacks."""
+    a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
+    a1_sym = a1 + _herm(a1)
+    n = len(a0)
+    norm0, norm1, asymmetry = _fro(np.concatenate((a0, a1, a0 - _herm(a0)))).reshape(3, n)
+    a0_min = np.linalg.eigvalsh(a0)[:, 0]
+    for a in (a0, a1, a1_sym):
+        a.setflags(write=False)
+    cores = []
+    for k in range(n):
+        core = object.__new__(_SymbolCore)
+        vars(core).update(a0=a0[k], a1=a1[k], a1_sym=a1_sym[k], norms=(norm0[k], norm1[k]),
+                          a0_asymmetry=asymmetry[k], a0_min=a0_min[k], l_eta=l_eta[k],
+                          size=size[k])
+        cores.append(core)
+    return cores
+
+
+def _fill_stroh_blocks(cores: list) -> None:
+    """The Stroh blocks of the cores that lack them, as stacks."""
+    todo = [c for c in cores if "stroh_blocks" not in vars(c)]
+    if todo:
+        blocks = _stroh_blocks(np.array([c.a0 for c in todo]), np.array([c.a1 for c in todo]))
+        for k, core in enumerate(todo):
+            core.stroh_blocks = tuple(b[k] for b in blocks)
+
+
+def _coefficient_size(stiffness_norm: float, frame: BoundaryFrame) -> float:
+    """Size of the coefficients of A(s) without tau, ||C|| (1 + max |eta_i|)^2."""
+    eta = 1.0 + float(np.abs(frame.eta).max())
+    return stiffness_norm * eta * eta
+
+
+def _overflow(size: float, rho: float, tau: float) -> CoefficientOverflow | None:
     """Coefficients past 1e150 would overflow once squared (in norms and in
-    the Stroh block A1* A0^-1 A1), so they raise CoefficientOverflow."""
+    the Stroh block A1* A0^-1 A1), so they are a CoefficientOverflow."""
     tau = abs(float(tau))
     size = size + float(rho) * tau * tau
     if not size <= 1e150:
-        raise CoefficientOverflow(f"boundary polynomial coefficients of size {size:.3g} "
-                                  "exceed 1e150")
+        return CoefficientOverflow(f"boundary polynomial coefficients of size {size:.3g} "
+                                   "exceed 1e150")
+    return None
+
+
+def _scale(core: _SymbolCore, a2_norm: float, a2_asymmetry: float):
+    """A polynomial's scale (its largest coefficient norm), or the error of
+    the first check it fails: A0 and A2 Hermitian to 1e-12 of the scale, A0
+    positive definite."""
+    scale = max(*core.norms, a2_norm, 1e-300)
+    if core.a0_asymmetry > 1e-12 * scale:
+        return InvalidInput("A0 must be Hermitian")
+    if a2_asymmetry > 1e-12 * scale:
+        return InvalidInput("A2 must be Hermitian")
+    if core.a0_min <= 0:
+        return DegenerateA0("A0 must be positive definite")
+    return scale
+
+
+def _settle(poly, core, a2, frame, rho, scale):
+    vars(poly).update(a0=core.a0, a1=core.a1, a2=a2, frame=frame, rho=rho, core=core,
+                      _scale=scale)
+    return poly
 
 
 @dataclass(frozen=True)
@@ -139,19 +284,9 @@ class QuadraticMatrixPolynomial:
     def __post_init__(self):
         core = self.core if self.core is not None else _SymbolCore(self.a0, self.a1)
         a2 = np.asarray(self.a2, dtype=complex)
-        scale = max(*core.norms, np.linalg.norm(a2), 1e-300)
-        if core.a0_asymmetry > 1e-12 * scale:
-            raise InvalidInput("A0 must be Hermitian")
-        if np.linalg.norm(a2 - a2.conj().T) > 1e-12 * scale:
-            raise InvalidInput("A2 must be Hermitian")
-        if core.a0_min <= 0:
-            raise DegenerateA0("A0 must be positive definite")
+        scale = _ok(_scale(core, np.linalg.norm(a2), np.linalg.norm(a2 - a2.conj().T)))
         a2.setflags(write=False)
-        object.__setattr__(self, "a0", core.a0)
-        object.__setattr__(self, "a1", core.a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "_scale", scale)
+        _settle(self, core, a2, self.frame, self.rho, scale)
 
     @property
     def scale(self) -> float:
@@ -162,34 +297,75 @@ class QuadraticMatrixPolynomial:
         return self.core.a1_sym
 
     def __call__(self, s: complex) -> np.ndarray:
-        return self.a0 * s * s + self.a1_sym * s + self.a2
+        return _at(self.a0, self.a1_sym, self.a2, s)
 
     def derivative(self, s: complex) -> np.ndarray:
-        return 2.0 * s * self.a0 + self.a1_sym
+        return _slope(self.a0, self.a1_sym, s)
 
     def with_a2(self, a2: np.ndarray) -> "QuadraticMatrixPolynomial":
         return QuadraticMatrixPolynomial(self.a0, self.a1, a2, self.frame, self.rho,
                                          self.core)
 
+    def _from_material(self) -> _SymbolCore:
+        if self.core.l_eta is None:
+            raise InvalidInput("with_tau needs a polynomial from boundary_polynomial")
+        return self.core
+
     def with_tau(self, tau: float) -> "QuadraticMatrixPolynomial":
         """The boundary polynomial at another tau on the same (nu, eta); A2 is
         formed afresh from l(eta), so an A2 given to with_a2 does not carry over."""
-        if self.core.l_eta is None:
-            raise InvalidInput("with_tau needs a polynomial from boundary_polynomial")
-        _check_coefficient_size(self.core.size, self.rho, tau)
-        return self.core.at_tau(self.frame.with_tau(tau), self.rho)
+        core = self._from_material()
+        _ok(_overflow(core.size, self.rho, tau))
+        return core.at_tau(self.frame.with_tau(tau), self.rho)
+
+    def flipped(self) -> "QuadraticMatrixPolynomial":
+        """The boundary polynomial of the same material seen from the flipped
+        frame, from this core with A1 negated rather than built again."""
+        return self._from_material().flipped().at_tau(self.frame.flipped(), self.rho)
 
 
 def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPolynomial:
     """Displacement symbol coefficients at a boundary frame."""
-    eta = 1.0 + float(np.abs(frame.eta).max())
-    size = m.stiffness.norm * eta * eta
-    _check_coefficient_size(size, m.density, frame.tau)
+    size = _coefficient_size(m.stiffness.norm, frame)
+    _ok(_overflow(size, m.density, frame.tau))
     c = m.stiffness.entries
     a0 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.nu)
     a1 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.eta)
     core = _SymbolCore(a0, a1, acoustic_tensor(m.stiffness, frame.eta), size)
     return core.at_tau(frame, m.density)
+
+
+def _boundary_polynomials(m: Material, frames) -> list:
+    """boundary_polynomial at each frame, the coefficients of all of them
+    built as stacks; a frame that fails a check gets its error instead."""
+    norm = m.stiffness.norm
+    sizes = [_coefficient_size(norm, frame) for frame in frames]
+    out = [_overflow(size, m.density, frame.tau) for size, frame in zip(sizes, frames)]
+    ok = [k for k, error in enumerate(out) if error is None]
+    if not ok:
+        return out
+    c = m.stiffness.entries
+    nu = np.array([frames[k].nu for k in ok])
+    eta = np.array([frames[k].eta for k in ok])
+    l_eta = acoustic_tensor(m.stiffness, eta)
+    cores = _cores(np.einsum("nj,ijkm,nm->nik", nu, c, nu),
+                   np.einsum("nj,ijkm,nm->nik", nu, c, eta), l_eta, [sizes[k] for k in ok])
+    a2 = np.asarray(_a2(l_eta, m.density, np.array([frames[k].tau ** 2 for k in ok])),
+                    dtype=complex)
+    norm2, asymmetry2 = _fro(np.concatenate((a2, a2 - _herm(a2)))).reshape(2, len(ok))
+    a2.setflags(write=False)
+    for j, k in enumerate(ok):
+        scale = _scale(cores[j], norm2[j], asymmetry2[j])
+        out[k] = scale if isinstance(scale, Exception) else _settle(
+            object.__new__(QuadraticMatrixPolynomial), cores[j], a2[j], frames[k], m.density,
+            scale)
+    return out
+
+
+def _coefficients(polys: list) -> tuple:
+    """Stacks of A0, A1 + A1*, A2 and the scales of a list of polynomials."""
+    return (np.array([a.a0 for a in polys]), np.array([a.a1_sym for a in polys]),
+            np.array([a.a2 for a in polys]), [a.scale for a in polys])
 
 
 def stroh(a: QuadraticMatrixPolynomial) -> np.ndarray:
@@ -254,21 +430,111 @@ class SpectrumClassification:
                    if not g.is_real and g.value.imag > 0)
 
 
+def _nullity(sv: list, scale: float) -> int:
+    """Number of singular values (descending) at most KERNEL_TOL times the
+    largest one, or 1e-12 times the polynomial's scale when that is larger."""
+    cutoff = KERNEL_TOL * max(sv[0], scale * 1e-12)
+    return sum(v <= cutoff for v in sv)
+
+
+def _kernels(mats: np.ndarray, scales: list) -> list:
+    """kernel_basis of each matrix of a stack, from one stacked SVD."""
+    _, sv, vh = np.linalg.svd(mats)
+    v = _herm(vh)      # right singular vectors as columns, smallest last
+    return [v[g, :, 3 - _nullity(row, scale):]
+            for g, (row, scale) in enumerate(zip(sv.tolist(), scales))]
+
+
 def kernel_basis(a: QuadraticMatrixPolynomial, s: complex) -> np.ndarray:
     """Orthonormal basis (3 x k) of ker A(s) from an SVD cutoff."""
-    mat = a(s)
-    u, sv, vh = np.linalg.svd(mat)
-    cutoff = KERNEL_TOL * max(sv[0], a.scale * 1e-12)
-    k = int(np.sum(sv <= cutoff))
-    if k == 0:
-        return np.zeros((3, 0), dtype=complex)
-    return vh[3 - k:].conj().T
+    _, sv, vh = np.linalg.svd(a(s))
+    return vh[3 - _nullity(sv.tolist(), a.scale):].conj().T
+
+
+# --- the rules of a spectrum's classification and factorization ---------------
+# classify_spectrum and factorize run them on one polynomial; _classify and
+# _factorize run them on a list, with the linear algebra as stacks.  A rule
+# that can fail returns its error, so that a list can carry on past it.
+
+def _ok(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # LAPACK's complex Schur routine; the workspace size of a 6x6 Stroh matrix
 # is queried once rather than on every call.
 _ZGEES = scipy.linalg.lapack.zgees
 _ZGEES_LWORK = int(_ZGEES(lambda x: None, np.eye(6, dtype=complex), lwork=-1)[-2][0].real)
+
+
+def _schur(s6: np.ndarray):
+    """Complex Schur form (T, Z), read-only, of a Stroh matrix."""
+    if not np.isfinite(s6).all():
+        return NumericalDomainError("Stroh matrix is not finite")
+    t, _, _, z, _, info = _ZGEES(lambda x: None, s6, lwork=_ZGEES_LWORK)
+    if info != 0:
+        return NumericalDomainError(f"Schur form not found (zgees info {info})")
+    t.setflags(write=False)
+    z.setflags(write=False)
+    return t, z
+
+
+def _group(vals: np.ndarray, norm: float) -> list:
+    """Eigenvalues of S sorted by real, then imaginary part and grouped:
+    points within GROUPING_TOL (1 + ||S||) of a group's mean join it, and a
+    group whose mean has |Im| below that is real.  (value, algebraic
+    multiplicity, is real) per group."""
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    tol_real = GROUPING_TOL * (1.0 + norm)
+    groups = []
+    for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * np.finfo(float).eps * norm)):
+        mean = complex(mean)
+        is_real = abs(mean.imag) <= tol_real
+        groups.append((complex(mean.real) if is_real else mean, len(idx), is_real))
+    return groups
+
+
+def _sign_type(lowest: float, highest: float, slope_norm: float) -> str | None:
+    """Sign type of the form (A'(s)v|v) on a kernel from its extreme
+    eigenvalues: definite beyond GLANCING_TOL ||A'(s)||, or None (glancing)."""
+    thresh = GLANCING_TOL * max(slope_norm, 1e-300)
+    if lowest > thresh:
+        return "positive"
+    if highest < -thresh:
+        return "negative"
+    return None
+
+
+def _eigenvalue_group(value: complex, alg: int, kernel=None, sign=None) -> "EigenvalueGroup":
+    """A group; one with a kernel is real, and glances when its eigenvalue
+    is defective or its sign form is indefinite or too small."""
+    if kernel is None:
+        return _record(EigenvalueGroup, value=value, alg_mult=alg, geo_mult=None,
+                       is_real=False, sign_type=None, glancing=False, kernel=None)
+    geo = kernel.shape[1]
+    return _record(EigenvalueGroup, value=value, alg_mult=alg, geo_mult=geo, is_real=True,
+                   sign_type=sign, glancing=geo < alg or sign is None, kernel=kernel)
+
+
+def _sign_types(a0, a1_sym, s, kernels: list) -> list:
+    """_sign_type on each real group's kernel, from stacks of A0, A1 + A1*
+    and real s (one entry per group) and one stacked eigvalsh per kernel
+    dimension; None where the kernel is empty."""
+    signs = [None] * len(kernels)
+    has = [r for r, kern in enumerate(kernels) if kern.shape[1]]
+    if not has:
+        return signs
+    da = _slope(a0[has], a1_sym[has], s[has])
+    norms = _fro(da).tolist()
+    for dim in {kernels[r].shape[1] for r in has}:
+        sel = [i for i, r in enumerate(has) if kernels[r].shape[1] == dim]
+        kern = np.array([kernels[has[i]] for i in sel])
+        form = _herm(kern) @ da[sel] @ kern
+        eigs = np.linalg.eigvalsh(0.5 * (form + _herm(form)))
+        for i, lo, hi in zip(sel, eigs[:, 0].tolist(), eigs[:, -1].tolist()):
+            signs[has[i]] = _sign_type(lo, hi, norms[i])
+    return signs
 
 
 def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
@@ -280,45 +546,54 @@ def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
     defective.
     """
     s6 = stroh(a)
-    if not np.isfinite(s6).all():
-        raise NumericalDomainError("Stroh matrix is not finite")
+    t, z = _ok(_schur(s6))
     norm = float(np.linalg.norm(s6))
-    t, _, _, z, _, info = _ZGEES(lambda x: None, s6, lwork=_ZGEES_LWORK)
-    if info != 0:
-        raise NumericalDomainError(f"Schur form not found (zgees info {info})")
-    t.setflags(write=False)
-    z.setflags(write=False)
-    vals = np.diag(t)
-    vals = vals[np.lexsort((vals.imag, vals.real))]
-    tol_real = GROUPING_TOL * (1.0 + norm)
     groups = []
-    for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * np.finfo(float).eps * norm)):
-        mean = complex(mean)
-        is_real = abs(mean.imag) <= tol_real
-        value = complex(mean.real) if is_real else mean
-        alg = len(idx)
-        kern = geo = sign_type = None
-        glancing = False
+    for value, alg, is_real in _group(np.diag(t), norm):
+        kern = sign = None
         if is_real:
             kern = kernel_basis(a, value)
-            geo = kern.shape[1]
-            if geo < alg:
-                glancing = True   # defective real eigenvalue
-            if geo > 0:
+            if kern.shape[1]:
                 da = a.derivative(value.real)
                 form = kern.conj().T @ da @ kern
-                form = 0.5 * (form + form.conj().T)
-                eigs = np.linalg.eigvalsh(form)
-                thresh = GLANCING_TOL * max(np.linalg.norm(da), 1e-300)
-                if eigs[0] > thresh:
-                    sign_type = "positive"
-                elif eigs[-1] < -thresh:
-                    sign_type = "negative"
-                else:
-                    glancing = True
-        groups.append(EigenvalueGroup(value, alg, geo, is_real, sign_type,
-                                      glancing, kern))
-    return SpectrumClassification(tuple(groups), norm, (t, z))
+                eigs = np.linalg.eigvalsh(0.5 * (form + form.conj().T))
+                sign = _sign_type(eigs[0], eigs[-1], np.linalg.norm(da))
+        groups.append(_eigenvalue_group(value, alg, kern, sign))
+    return _record(SpectrumClassification, groups=tuple(groups), stroh_norm=norm,
+                   schur=(t, z))
+
+
+def _classify(polys: list) -> list:
+    """classify_spectrum of each polynomial, with the kernels at every real
+    eigenvalue of all of them from one stacked SVD and their sign forms as
+    stacks.  A polynomial that fails a check gets its error instead."""
+    if not polys:
+        return []
+    _fill_stroh_blocks([a.core for a in polys])
+    s6 = np.array([stroh(a) for a in polys])
+    finite = np.isfinite(s6).all(axis=(1, 2))     # norms of the rest only; _schur rejects them
+    norms = _fro(s6 if finite.all() else np.where(finite[:, None, None], s6, 0.0)).tolist()
+    out, spectra, at, values = [], {}, [], []     # at, values: polynomial and s per real group
+    for k in range(len(polys)):
+        schur = _schur(s6[k])
+        out.append(schur if isinstance(schur, Exception) else None)
+        if out[k] is None:
+            spectra[k] = (_group(np.diag(schur[0]), norms[k]), schur)
+            for value, _, is_real in spectra[k][0]:
+                if is_real:
+                    at.append(k)
+                    values.append(value)
+    if values:
+        a0, a1_sym, a2, scales = _coefficients([polys[k] for k in at])
+        s = np.array(values)[:, None, None]
+        kernels = _kernels(_at(a0, a1_sym, a2, s), scales)
+        found = iter(zip(kernels, _sign_types(a0, a1_sym, s.real, kernels)))
+    for k, (groups, schur) in spectra.items():
+        built = [_eigenvalue_group(value, alg, *next(found)) if is_real
+                 else _eigenvalue_group(value, alg) for value, alg, is_real in groups]
+        out[k] = _record(SpectrumClassification, groups=tuple(built), stroh_norm=norms[k],
+                         schur=schur)
+    return out
 
 
 def _sigma_values(classification: SpectrumClassification, direction: str,
@@ -338,6 +613,67 @@ def _sigma_values(classification: SpectrumClassification, direction: str,
         elif g.is_real and g.sign_type == want:
             sigma.extend([g.value] * g.alg_mult)
     return sigma
+
+
+def _target(classification: SpectrumClassification, direction: str, tau: float):
+    """(sigma, its distinct points sorted, the tolerance for a Schur
+    eigenvalue to match one) of a direction, or why there is none."""
+    if classification.glancing:
+        return GlancingSpectrum("spectrum has a glancing real eigenvalue")
+    sigma = _sigma_values(classification, direction, tau)
+    if len(sigma) != 3:
+        return SigmaCardinality(f"selected spectrum has cardinality {len(sigma)}, expected 3")
+    targets = sorted(set(sigma), key=lambda z: (z.real, z.imag))
+    return sigma, targets, max(GROUPING_TOL * (1.0 + classification.stroh_norm), 1e-12)
+
+
+def _selected(diag: np.ndarray, targets: np.ndarray, match_tol) -> np.ndarray:
+    """Which Schur eigenvalues lie within 10 match_tol of a target (the last
+    axis holds one polynomial's eigenvalues and its targets; a stack's
+    match_tol is a column)."""
+    dist = np.abs(diag[..., :, None] - targets[..., None, :]).min(axis=-1)
+    return (dist <= 10 * match_tol).astype(np.int32)
+
+
+def _reorder(t: np.ndarray, zvec: np.ndarray, select: np.ndarray):
+    """The Schur form (T, Z) reordered to put the selected eigenvalues first."""
+    t, zvec, _, sdim, _, _, info = scipy.linalg.lapack.ztrsen(select, t, zvec, job="N")
+    if info != 0:
+        return NumericalDomainError(f"Schur reordering failed (ztrsen info {info})")
+    if sdim != 3:
+        return SigmaCardinality(
+            f"ordered Schur selected a {sdim}-dimensional subspace, expected 3")
+    return t, zvec
+
+
+def _ill_conditioned(cond: float) -> IllConditionedJ | None:
+    """cond(X1) past MAX_J_CONDITION."""
+    if cond > MAX_J_CONDITION:
+        return IllConditionedJ("displacement block of the invariant subspace is "
+                               "too ill-conditioned")
+    return None
+
+
+def _roots(x1, t1, a0, a1_sym, a0inv) -> tuple:
+    """Q = X1 T1 X1^-1 and Q# = -(A0 Q + A1 + A1*) A0^-1, for one root or stacks."""
+    q = x1 @ t1 @ np.linalg.inv(x1)
+    return q, -(a0 @ q + a1_sym) @ a0inv
+
+
+def _solvent(a0, a1_sym, a2, q) -> np.ndarray:
+    """A0 Q^2 + (A1 + A1*) Q + A2, zero for a solvent Q (one or stacks)."""
+    return a0 @ q @ q + a1_sym @ q + a2
+
+
+def _root_error(residual: float, gap: float, scale: float):
+    """The error of a factorization's first failed check, or None: a
+    solvency residual above 1e-10, or right and left root spectra within
+    1e-6 of their size (scale) of each other."""
+    if residual > 1e-10:
+        return SolvencyResidual(f"solvency residual {residual:g} exceeds 1e-10")
+    if gap <= 1e-6 * scale:
+        return GlancingSpectrum(f"right/left root spectra nearly intersect (gap {gap:g})")
+    return None
 
 
 @dataclass(frozen=True)
@@ -360,8 +696,31 @@ class SpectralFactorization:
     @property
     def solvency_residual(self) -> float:
         a = self.poly
-        res = a.a0 @ self.q @ self.q + a.a1_sym @ self.q + a.a2
-        return float(np.linalg.norm(res) / a.scale)
+        return float(np.linalg.norm(_solvent(a.a0, a.a1_sym, a.a2, self.q)) / a.scale)
+
+
+def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarray) -> list:
+    """_root_error of each factorization, from the stacks of its polynomial's
+    coefficients and of its roots; keeps each q_spectrum."""
+    n = len(facts)
+    a0, a1_sym, a2, scales = coefficients
+    residuals = (_fro(_solvent(a0, a1_sym, a2, q)) / np.array(scales)).tolist()
+    spectra = np.linalg.eigvals(np.concatenate((q, q_sharp)))
+    eq, es = spectra[:n], spectra[n:]
+    sizes = np.maximum(np.maximum(np.abs(eq).max(axis=1), np.abs(es).max(axis=1)), 1e-300)
+    gaps = np.abs(eq[:, :, None] - es[:, None, :]).min(axis=(1, 2))
+    errors = []
+    for f, residual, spectrum, gap, size in zip(facts, residuals, eq, gaps.tolist(),
+                                                sizes.tolist()):
+        f.__dict__["q_spectrum"] = spectrum
+        errors.append(_root_error(residual, gap, size))
+    return errors
+
+
+def _validate_factorization(f: SpectralFactorization) -> None:
+    eq, es = f.q_spectrum, np.linalg.eigvals(f.q_sharp)
+    size = max(np.max(np.abs(eq)), np.max(np.abs(es)), 1e-300)
+    _ok(_root_error(f.solvency_residual, np.min(np.abs(eq[:, None] - es[None, :])), size))
 
 
 def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
@@ -381,50 +740,59 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
         tau = a.frame.tau
     if classification is None:
         classification = classify_spectrum(a)
-    if classification.glancing:
-        raise GlancingSpectrum("spectrum has a glancing real eigenvalue")
-
-    sigma = _sigma_values(classification, direction, tau)
-    if len(sigma) != 3:
-        raise SigmaCardinality(
-            f"selected spectrum has cardinality {len(sigma)}, expected 3")
-
-    targets = np.array(sorted(set(sigma), key=lambda z: (z.real, z.imag)))
-    match_tol = max(GROUPING_TOL * (1.0 + classification.stroh_norm), 1e-12)
+    sigma, targets, match_tol = _ok(_target(classification, direction, tau))
     t, zvec = classification.schur
-    dist = np.abs(np.diag(t)[:, None] - targets[None, :]).min(axis=1)
-    t, zvec, _, sdim, _, _, info = scipy.linalg.lapack.ztrsen(
-        (dist <= 10 * match_tol).astype(np.int32), t, zvec, job="N")
-    if info != 0:
-        raise NumericalDomainError(f"Schur reordering failed (ztrsen info {info})")
-    if sdim != 3:
-        raise SigmaCardinality(
-            f"ordered Schur selected a {sdim}-dimensional subspace, expected 3")
-    x = zvec[:, :3]
-    x1 = x[:3, :]
-    if np.linalg.cond(x1) > MAX_J_CONDITION:
-        raise IllConditionedJ("displacement block of the invariant subspace is "
-                              "too ill-conditioned")
-    q = x1 @ t[:3, :3] @ np.linalg.inv(x1)
-    q_sharp = -(a.a0 @ q + a.a1_sym) @ a.core.stroh_blocks[0]   # A0^-1
-
-    fact = SpectralFactorization(q, q_sharp, tuple(sigma), direction, float(tau),
-                                 a, classification)
+    t, zvec = _ok(_reorder(t, zvec, _selected(np.diag(t), np.array(targets), match_tol)))
+    x1 = zvec[:3, :3]
+    _ok(_ill_conditioned(np.linalg.cond(x1)))
+    q, q_sharp = _roots(x1, t[:3, :3], a.a0, a.a1_sym, a.core.stroh_blocks[0])
+    fact = SpectralFactorization(q, q_sharp, tuple(sigma), direction, float(tau), a,
+                                 classification)
     _validate_factorization(fact)
     return fact
 
 
-def _validate_factorization(f: SpectralFactorization) -> None:
-    if f.solvency_residual > 1e-10:
-        raise SolvencyResidual(
-            f"solvency residual {f.solvency_residual:g} exceeds 1e-10")
-    eq = f.q_spectrum
-    es = np.linalg.eigvals(f.q_sharp)
-    scale = max(np.max(np.abs(eq)), np.max(np.abs(es)), 1e-300)
-    gap = np.min(np.abs(eq[:, None] - es[None, :]))
-    if gap <= 1e-6 * scale:
-        raise GlancingSpectrum(
-            f"right/left root spectra nearly intersect (gap {gap:g})")
+def _factorize(polys: list, classifications: list, direction: str, taus: list) -> list:
+    """factorize each polynomial from its classification, with the target
+    half of every spectrum picked as one stack and cond(X1), the roots and
+    their checks as stacks.  A polynomial that fails a check gets its error
+    instead."""
+    out = [_target(cls, direction, tau) for cls, tau in zip(classifications, taus)]
+    todo = [k for k, target in enumerate(out) if not isinstance(target, Exception)]
+    if not todo:
+        return out
+    schur = [classifications[k].schur for k in todo]
+    targets = [out[k][1] for k in todo]     # padded to 3 with a repeat, which moves no distance
+    select = _selected(np.array([t for t, _ in schur]).diagonal(axis1=1, axis2=2),
+                       np.array([t + t[-1:] * (3 - len(t)) for t in targets]),
+                       np.array([[out[k][2]] for k in todo]))
+    ordered = []
+    for k, (t, zvec), sel in zip(todo, schur, select):
+        sigma, out[k] = out[k][0], _reorder(t, zvec, sel)
+        if not isinstance(out[k], Exception):
+            ordered.append((k, sigma, *out[k]))
+    if not ordered:
+        return out
+    x1 = np.array([zvec[:3, :3] for *_, zvec in ordered])
+    kept = []
+    for job, cond in zip(ordered, np.linalg.cond(x1).tolist()):
+        out[job[0]] = _ill_conditioned(cond)
+        kept.append(out[job[0]] is None)
+    ordered, x1 = [job for job, ok in zip(ordered, kept) if ok], x1[kept]
+    if not ordered:
+        return out
+    sub = [polys[k] for k, *_ in ordered]
+    coefficients = _coefficients(sub)
+    q, q_sharp = _roots(x1, np.array([t[:3, :3] for _, _, t, _ in ordered]), coefficients[0],
+                        coefficients[1], np.array([a.core.stroh_blocks[0] for a in sub]))
+    facts = [_record(SpectralFactorization, q=q[j], q_sharp=q_sharp[j], sigma=tuple(sigma),
+                     direction=direction, tau=float(taus[k]), poly=polys[k],
+                     classification=classifications[k])
+             for j, (k, sigma, _, _) in enumerate(ordered)]
+    for (k, *_), fact, error in zip(ordered, facts,
+                                    _validate(facts, coefficients, q, q_sharp)):
+        out[k] = fact if error is None else error
+    return out
 
 
 def factorization_residual(f: SpectralFactorization, s_values) -> float:
@@ -443,17 +811,13 @@ def factorization_residual(f: SpectralFactorization, s_values) -> float:
 
 def _circle_moments(a: QuadraticMatrixPolynomial, center: complex, radius: float,
                     n_nodes: int):
-    """Trapezoidal (1/2 pi i) contour integrals of A^{-1} and s A^{-1}."""
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    c0 = np.zeros((3, 3), dtype=complex)
-    c1 = np.zeros((3, 3), dtype=complex)
-    for th in theta:
-        z = center + radius * np.exp(1j * th)
-        w = radius * np.exp(1j * th) / n_nodes   # includes the 1/(2 pi i) factor
-        inv = np.linalg.inv(a(z))
-        c0 += w * inv
-        c1 += w * z * inv
-    return c0, c1
+    """Trapezoidal (1/2 pi i) contour integrals of A^{-1} and s A^{-1}, with
+    A(z) inverted at all nodes as one stack."""
+    e = radius * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    z = center + e
+    inv = np.linalg.inv(a(z[:, None, None]))
+    w = e / n_nodes                       # includes the 1/(2 pi i) factor
+    return np.einsum("n,nij->ij", w, inv), np.einsum("n,nij->ij", w * z, inv)
 
 
 def contour_root_check(a: QuadraticMatrixPolynomial, q: np.ndarray,
@@ -519,9 +883,7 @@ def residue(a: QuadraticMatrixPolynomial, s: float,
         others = [g.value for g in classification.groups if g is not group]
         nearest = min((abs(z - group.value) for z in others), default=1.0)
         radius = 0.45 * nearest
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    r = np.zeros((3, 3), dtype=complex)
-    for th in theta:
-        z = group.value.real + radius * np.exp(1j * th)
-        r += (radius * np.exp(1j * th) / n_nodes) * np.linalg.inv(a(z))
+    e = radius * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    inv = np.linalg.inv(a((group.value.real + e)[:, None, None]))
+    r = np.einsum("n,nij->ij", e / n_nodes, inv)
     return 0.5 * (r + r.conj().T)

@@ -54,11 +54,15 @@ class Impedance:
                      max(np.linalg.norm(self.z), 1e-300))
 
 
+def _impedance(a0: np.ndarray, q: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """-i(A0 Q + A1), for one root or a stack of them."""
+    return -1j * (a0 @ q + a1)
+
+
 def impedance_from_factorization(a: QuadraticMatrixPolynomial,
                                  f: SpectralFactorization) -> Impedance:
     """z = -i(A0 Q + A1), tagged with the factorization's direction."""
-    z = -1j * (a.a0 @ f.q + a.a1)
-    return Impedance(z, f.direction, a.frame)
+    return Impedance(_impedance(a.a0, f.q, a.a1), f.direction, a.frame)
 
 
 @dataclass(frozen=True)
@@ -166,24 +170,19 @@ def modal_flux_decomposition(a: QuadraticMatrixPolynomial,
 # --- Barnett-Lothe integral route (elliptic frames) ------------------------
 
 def _bl_integrals(a: QuadraticMatrixPolynomial, n: int):
-    """Gauss-Legendre tan-substitution integrals over the real line.
+    """Gauss-Legendre tan-substitution integrals over the real line, with
+    A(s) inverted at all nodes as one stack.
 
-    Nodes come in +-s pairs so the principal value of the odd O(1/s) tail
-    of (s A0 + A1) A(s)^{-1} cancels exactly.
+    Nodes come in +-s pairs, summed next to each other, so the principal
+    value of the odd O(1/s) tail of (s A0 + A1) A(s)^{-1} cancels.
     """
     x, w = np.polynomial.legendre.leggauss(n)
     theta = 0.25 * np.pi * (x + 1.0)      # (0, pi/2)
-    wt = 0.25 * np.pi * w
-    i0 = np.zeros((3, 3), dtype=complex)
-    i1 = np.zeros((3, 3), dtype=complex)
-    for th, ww in zip(theta, wt):
-        s = np.tan(th)
-        jac = ww / np.cos(th) ** 2
-        for sg in (s, -s):
-            inv = np.linalg.inv(a(sg))
-            i0 += jac * inv
-            i1 += jac * (sg * a.a0 + a.a1) @ inv
-    return i0, i1
+    jac = np.repeat(0.25 * np.pi * w / np.cos(theta) ** 2, 2)
+    s = np.column_stack((np.tan(theta), -np.tan(theta))).ravel()[:, None, None]
+    inv = np.linalg.inv(a(s))
+    return (np.einsum("n,nij->ij", jac, inv),
+            np.einsum("n,nij->ij", jac, (s * a.a0 + a.a1) @ inv))
 
 
 def barnett_lothe_impedance(a: QuadraticMatrixPolynomial,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from elaswave.factorization import BoundaryFrame, boundary_polynomial, classify_spectrum
 from elaswave.materials import (
@@ -11,6 +12,11 @@ from elaswave.materials import (
 
 NU = np.array([0.0, 0.0, 1.0])
 AXIS = np.array([0.0, 0.0, 1.0])
+
+# Property tests draw the same examples on every run and machine: a fixed
+# number of them, with no per-example deadline (timings vary across runners).
+settings.register_profile("ci", derandomize=True, deadline=None, max_examples=30)
+settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ import numpy as np
 from elaswave.boundary import (
     BISECTION_TOL,
     BoundarySide,
+    _region,
+    _sides,
     _surface_wave_bisect,
 )
 from elaswave.errors import GlancingLimit
@@ -128,3 +130,23 @@ def stoneley_speed_fresh_sides(m_plus, m_minus, nu, eta_hat):
                 + BoundarySide(m_minus, frame.flipped()).z())
 
     return _surface_wave_bisect(zfun, tau_eta)
+
+
+# --- frame grids, one frame after another ------------------------------------
+
+def classify_with_margin_per_frame(materials, frames) -> list:
+    """(region, margin) of each frame by the loop that classify_with_margin
+    ran before frames were solved as stacks: each frame's sides are built,
+    classified, labelled and, off the elliptic region, factorized on their
+    own, and the first frame that fails raises."""
+    rows = []
+    for frame in frames:
+        sides = _sides(materials, frame)
+        region = _region(sides)
+        if region.label not in ("hyperbolic", "mixed"):
+            rows.append((region, None))
+            continue
+        z = sum(side.z() for side in sides)
+        sv = np.linalg.svd(z, compute_uv=False)
+        rows.append((region, float(sv[-1] / max(sv[0], 1e-300))))
+    return rows

@@ -158,6 +158,19 @@ class TestSharedCore:
                 BoundaryFrame(NU, fr.eta, bad)
             assert str(got.value) == str(want.value)
 
+    def test_frame_with_eta_checks_only_eta(self):
+        # the same for a frame moved in eta, which keeps nu and tau
+        fr = frame(-0.5, np.array([0.3, -0.4, 0.0]))
+        moved = fr.with_eta([2.0, 1.0, 0.0])
+        assert moved.nu is fr.nu and moved.tau == fr.tau
+        assert moved.eta.tolist() == [2.0, 1.0, 0.0] and not moved.eta.flags.writeable
+        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.3, 0.0, 1e-3]):
+            with pytest.raises(InvalidInput) as got:
+                fr.with_eta(bad)
+            with pytest.raises(InvalidInput) as want:
+                BoundaryFrame(NU, bad, fr.tau)
+            assert str(got.value) == str(want.value)
+
 
 class TestStroh:
     def test_resolvent_identity(self, iso):
