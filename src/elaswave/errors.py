@@ -88,14 +88,6 @@ class ContourTooClose(NumericalDomainError):
     pass
 
 
-class NotAnEigenvalue(NumericalDomainError):
-    pass
-
-
-class DefectiveEigenvalue(NumericalDomainError):
-    pass
-
-
 class RealSpectrumPresent(NumericalDomainError):
     pass
 

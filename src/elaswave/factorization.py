@@ -15,21 +15,20 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg.lapack
 
-from .acoustic import acoustic_tensor, cluster_sorted
+from .acoustic import cluster_sorted
 from .errors import (
     CoefficientOverflow,
     ContourTooClose,
-    DefectiveEigenvalue,
     DegenerateA0,
     GlancingSpectrum,
     IllConditionedJ,
     InvalidInput,
-    NotAnEigenvalue,
     NumericalDomainError,
     QuadratureNotConverged,
     SigmaCardinality,
@@ -99,11 +98,11 @@ class BoundaryFrame:
         return self._checked(nu, self.eta, self.tau)
 
 
-# --- one polynomial or a stack ------------------------------------------------
-# Most steps below take one matrix or a stack of them (leading axis: one entry
-# per polynomial or eigenvalue group), so that a list of frames is solved with
-# a few numpy calls.  numpy's stacked LAPACK and matmul calls give each entry
-# bit for bit what a call on it alone gives.
+# --- stacks ------------------------------------------------------------------
+# Each step below runs on a stack (leading axis: one entry per polynomial or
+# eigenvalue group), so that a list of frames is solved with a few numpy
+# calls; one polynomial is the stack of one.  numpy's stacked LAPACK and
+# matmul calls give each entry bit for bit what a call on it alone gives.
 
 def _herm(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack."""
@@ -138,6 +137,7 @@ def _slope(a0, a1_sym, s):
 
 
 _EYE = np.eye(3)
+_EPS = np.finfo(float).eps
 
 
 def _a2(l_eta, rho, tau_sq):
@@ -152,25 +152,16 @@ class _SymbolCore:
     A0, A1, A1 + A1*, the norms of A0 and A1, A0's asymmetry and smallest
     eigenvalue, l(eta) with the coefficient size without tau, and (on first
     use, once a polynomial has checked A0) the Stroh blocks free of A2.  The
-    arrays are read-only; `_cores` builds the cores of a stack at once."""
-
-    def __init__(self, a0, a1, l_eta=None, size=None):
-        self.a0, self.a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
-        self.a1_sym = self.a1 + self.a1.conj().T
-        for a in (self.a0, self.a1, self.a1_sym):
-            a.setflags(write=False)
-        self.norms = (np.linalg.norm(self.a0), np.linalg.norm(self.a1))
-        self.a0_asymmetry = np.linalg.norm(self.a0 - self.a0.conj().T)
-        self.a0_min = np.linalg.eigvalsh(self.a0)[0]
-        self.l_eta, self.size = l_eta, size
+    arrays are read-only; `_cores` builds the cores, those of a stack at once."""
 
     @functools.cached_property
     def stroh_blocks(self) -> tuple:
         return _stroh_blocks(self.a0, self.a1)
 
     def at_tau(self, frame: BoundaryFrame, rho: float) -> "QuadraticMatrixPolynomial":
-        return QuadraticMatrixPolynomial(self.a0, self.a1, _a2(self.l_eta, rho, frame.tau ** 2),
-                                         frame, rho, self)
+        a2 = np.asarray(_a2(self.l_eta, rho, frame.tau ** 2), dtype=complex)
+        poly = object.__new__(QuadraticMatrixPolynomial)
+        return _ok(_settled([poly], [self], a2[None], [frame], rho)[0])
 
     def flipped(self) -> "_SymbolCore":
         """The core seen from the flipped frame (nu -> -nu), where A1 and the
@@ -205,8 +196,8 @@ def _cores(a0, a1, l_eta, size: list) -> list:
     a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
     a1_sym = a1 + _herm(a1)
     n = len(a0)
-    norm0, norm1, asymmetry = _fro(np.concatenate((a0, a1, a0 - _herm(a0)))).reshape(3, n)
-    a0_min = np.linalg.eigvalsh(a0)[:, 0]
+    norm0, norm1, asymmetry = _fro(np.concatenate((a0, a1, a0 - _herm(a0)))).reshape(3, n).tolist()
+    a0_min = np.linalg.eigvalsh(a0)[:, 0].tolist()
     for a in (a0, a1, a1_sym):
         a.setflags(write=False)
     cores = []
@@ -219,13 +210,13 @@ def _cores(a0, a1, l_eta, size: list) -> list:
     return cores
 
 
-def _fill_stroh_blocks(cores: list) -> None:
-    """The Stroh blocks of the cores that lack them, as stacks."""
-    todo = [c for c in cores if "stroh_blocks" not in vars(c)]
+def _fill_stroh_blocks(polys: list) -> None:
+    """The Stroh blocks of the polynomials' cores that lack them, as stacks."""
+    todo = [a.core for a in polys if "stroh_blocks" not in vars(a.core)]
     if todo:
         blocks = _stroh_blocks(np.array([c.a0 for c in todo]), np.array([c.a1 for c in todo]))
-        for k, core in enumerate(todo):
-            core.stroh_blocks = tuple(b[k] for b in blocks)
+        for core, own in zip(todo, zip(*blocks)):
+            core.stroh_blocks = own
 
 
 def _coefficient_size(stiffness_norm: float, frame: BoundaryFrame) -> float:
@@ -259,10 +250,21 @@ def _scale(core: _SymbolCore, a2_norm: float, a2_asymmetry: float):
     return scale
 
 
-def _settle(poly, core, a2, frame, rho, scale):
-    vars(poly).update(a0=core.a0, a1=core.a1, a2=a2, frame=frame, rho=rho, core=core,
-                      _scale=scale)
-    return poly
+def _settled(polys: list, cores: list, a2: np.ndarray, frames: list, rho) -> list:
+    """Each polynomial of a list set on its core and its entry of the stack
+    A2, or the error of the first check it fails."""
+    n = len(polys)
+    norms = _fro(np.concatenate((a2, a2 - _herm(a2)))).tolist()
+    a2.setflags(write=False)
+    out = []
+    for poly, core, a2_k, frame, norm, asymmetry in zip(polys, cores, a2, frames, norms[:n],
+                                                       norms[n:]):
+        scale = _scale(core, norm, asymmetry)
+        if not isinstance(scale, Exception):
+            vars(poly).update(a0=core.a0, a1=core.a1, a2=a2_k, frame=frame, rho=rho,
+                              core=core, _scale=scale)
+        out.append(scale if isinstance(scale, Exception) else poly)
+    return out
 
 
 @dataclass(frozen=True)
@@ -282,11 +284,11 @@ class QuadraticMatrixPolynomial:
     core: _SymbolCore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        core = self.core if self.core is not None else _SymbolCore(self.a0, self.a1)
-        a2 = np.asarray(self.a2, dtype=complex)
-        scale = _ok(_scale(core, np.linalg.norm(a2), np.linalg.norm(a2 - a2.conj().T)))
-        a2.setflags(write=False)
-        _settle(self, core, a2, self.frame, self.rho, scale)
+        core = self.core if self.core is not None else _cores(
+            np.array(self.a0, dtype=complex, ndmin=3), np.array(self.a1, dtype=complex, ndmin=3),
+            [None], [None])[0]
+        a2 = np.array(self.a2, dtype=complex, ndmin=3)     # copies: the caller keeps its arrays
+        _ok(_settled([self], [core], a2, [self.frame], self.rho)[0])
 
     @property
     def scale(self) -> float:
@@ -326,46 +328,39 @@ class QuadraticMatrixPolynomial:
 
 def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPolynomial:
     """Displacement symbol coefficients at a boundary frame."""
-    size = _coefficient_size(m.stiffness.norm, frame)
-    _ok(_overflow(size, m.density, frame.tau))
-    c = m.stiffness.entries
-    a0 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.nu)
-    a1 = np.einsum("j,ijkm,m->ik", frame.nu, c, frame.eta)
-    core = _SymbolCore(a0, a1, acoustic_tensor(m.stiffness, frame.eta), size)
-    return core.at_tau(frame, m.density)
+    return _ok(_boundary_polynomials(m, [frame])[0])
 
 
 def _boundary_polynomials(m: Material, frames) -> list:
     """boundary_polynomial at each frame, the coefficients of all of them
     built as stacks; a frame that fails a check gets its error instead."""
     norm = m.stiffness.norm
-    sizes = [_coefficient_size(norm, frame) for frame in frames]
-    out = [_overflow(size, m.density, frame.tau) for size, frame in zip(sizes, frames)]
-    ok = [k for k, error in enumerate(out) if error is None]
-    if not ok:
+    out, good, sizes = [], [], []     # each frame's error or None; the frames without one
+    for frame in frames:
+        size = _coefficient_size(norm, frame)
+        out.append(_overflow(size, m.density, frame.tau))
+        if out[-1] is None:
+            good.append(frame)
+            sizes.append(size)
+    if not good:
         return out
-    c = m.stiffness.entries
-    nu = np.array([frames[k].nu for k in ok])
-    eta = np.array([frames[k].eta for k in ok])
-    l_eta = acoustic_tensor(m.stiffness, eta)
-    cores = _cores(np.einsum("nj,ijkm,nm->nik", nu, c, nu),
-                   np.einsum("nj,ijkm,nm->nik", nu, c, eta), l_eta, [sizes[k] for k in ok])
-    a2 = np.asarray(_a2(l_eta, m.density, np.array([frames[k].tau ** 2 for k in ok])),
-                    dtype=complex)
-    norm2, asymmetry2 = _fro(np.concatenate((a2, a2 - _herm(a2)))).reshape(2, len(ok))
-    a2.setflags(write=False)
-    for j, k in enumerate(ok):
-        scale = _scale(cores[j], norm2[j], asymmetry2[j])
-        out[k] = scale if isinstance(scale, Exception) else _settle(
-            object.__new__(QuadraticMatrixPolynomial), cores[j], a2[j], frames[k], m.density,
-            scale)
-    return out
+    vecs = np.array([(f.nu, f.eta) for f in good])
+    # x_j C^{ijkm} y_m for x, y in (nu, eta): A0 = C(nu, nu), A1 = C(nu, eta) and
+    # l(eta) = C(eta, eta), each bit for bit what its own einsum gives
+    forms = np.einsum("nxj,ijkm,nym->xynik", vecs, m.stiffness.entries, vecs)
+    l_eta = forms[1, 1]
+    cores = _cores(forms[0, 0], forms[0, 1], l_eta, sizes)
+    a2 = np.asarray(_a2(l_eta, m.density, np.array([f.tau ** 2 for f in good])), dtype=complex)
+    built = iter(_settled([object.__new__(QuadraticMatrixPolynomial) for _ in good], cores, a2,
+                          good, m.density))
+    return [next(built) if error is None else error for error in out]
 
 
 def _coefficients(polys: list) -> tuple:
-    """Stacks of A0, A1 + A1*, A2 and the scales of a list of polynomials."""
-    return (np.array([a.a0 for a in polys]), np.array([a.a1_sym for a in polys]),
-            np.array([a.a2 for a in polys]), [a.scale for a in polys])
+    """Stacks of A0, A1 + A1*, A2 and A0^-1, and the scales, of a list of
+    polynomials."""
+    stack = np.array([(a.a0, a.a1_sym, a.a2, a.core.stroh_blocks[0]) for a in polys])
+    return (*stack.swapaxes(0, 1), [a.scale for a in polys])
 
 
 def stroh(a: QuadraticMatrixPolynomial) -> np.ndarray:
@@ -447,14 +442,13 @@ def _kernels(mats: np.ndarray, scales: list) -> list:
 
 def kernel_basis(a: QuadraticMatrixPolynomial, s: complex) -> np.ndarray:
     """Orthonormal basis (3 x k) of ker A(s) from an SVD cutoff."""
-    _, sv, vh = np.linalg.svd(a(s))
-    return vh[3 - _nullity(sv.tolist(), a.scale):].conj().T
+    return _kernels(a(s)[None], [a.scale])[0]
 
 
 # --- the rules of a spectrum's classification and factorization ---------------
-# classify_spectrum and factorize run them on one polynomial; _classify and
-# _factorize run them on a list, with the linear algebra as stacks.  A rule
-# that can fail returns its error, so that a list can carry on past it.
+# _classify and _factorize run them on a list of polynomials, with the linear
+# algebra as stacks; classify_spectrum and factorize are the list of one.  A
+# rule that can fail returns its error, so that a list can carry on past it.
 
 def _ok(result):
     if isinstance(result, Exception):
@@ -469,9 +463,7 @@ _ZGEES_LWORK = int(_ZGEES(lambda x: None, np.eye(6, dtype=complex), lwork=-1)[-2
 
 
 def _schur(s6: np.ndarray):
-    """Complex Schur form (T, Z), read-only, of a Stroh matrix."""
-    if not np.isfinite(s6).all():
-        return NumericalDomainError("Stroh matrix is not finite")
+    """Complex Schur form (T, Z), read-only, of a finite Stroh matrix."""
     t, _, _, z, _, info = _ZGEES(lambda x: None, s6, lwork=_ZGEES_LWORK)
     if info != 0:
         return NumericalDomainError(f"Schur form not found (zgees info {info})")
@@ -488,7 +480,7 @@ def _group(vals: np.ndarray, norm: float) -> list:
     vals = vals[np.lexsort((vals.imag, vals.real))]
     tol_real = GROUPING_TOL * (1.0 + norm)
     groups = []
-    for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * np.finfo(float).eps * norm)):
+    for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * _EPS * norm)):
         mean = complex(mean)
         is_real = abs(mean.imag) <= tol_real
         groups.append((complex(mean.real) if is_real else mean, len(idx), is_real))
@@ -521,19 +513,16 @@ def _sign_types(a0, a1_sym, s, kernels: list) -> list:
     """_sign_type on each real group's kernel, from stacks of A0, A1 + A1*
     and real s (one entry per group) and one stacked eigvalsh per kernel
     dimension; None where the kernel is empty."""
-    signs = [None] * len(kernels)
-    has = [r for r, kern in enumerate(kernels) if kern.shape[1]]
-    if not has:
-        return signs
-    da = _slope(a0[has], a1_sym[has], s[has])
+    da = _slope(a0, a1_sym, s)
     norms = _fro(da).tolist()
-    for dim in {kernels[r].shape[1] for r in has}:
-        sel = [i for i, r in enumerate(has) if kernels[r].shape[1] == dim]
-        kern = np.array([kernels[has[i]] for i in sel])
+    signs = [None] * len(kernels)
+    for dim in {kern.shape[1] for kern in kernels} - {0}:
+        sel = [r for r, kern in enumerate(kernels) if kern.shape[1] == dim]
+        kern = np.array([kernels[r] for r in sel])
         form = _herm(kern) @ da[sel] @ kern
         eigs = np.linalg.eigvalsh(0.5 * (form + _herm(form)))
-        for i, lo, hi in zip(sel, eigs[:, 0].tolist(), eigs[:, -1].tolist()):
-            signs[has[i]] = _sign_type(lo, hi, norms[i])
+        for r, lo, hi in zip(sel, eigs[:, 0].tolist(), eigs[:, -1].tolist()):
+            signs[r] = _sign_type(lo, hi, norms[r])
     return signs
 
 
@@ -545,55 +534,41 @@ def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
     form on its kernel is indefinite or too small, or when the eigenvalue is
     defective.
     """
-    s6 = stroh(a)
-    t, z = _ok(_schur(s6))
-    norm = float(np.linalg.norm(s6))
-    groups = []
-    for value, alg, is_real in _group(np.diag(t), norm):
-        kern = sign = None
-        if is_real:
-            kern = kernel_basis(a, value)
-            if kern.shape[1]:
-                da = a.derivative(value.real)
-                form = kern.conj().T @ da @ kern
-                eigs = np.linalg.eigvalsh(0.5 * (form + form.conj().T))
-                sign = _sign_type(eigs[0], eigs[-1], np.linalg.norm(da))
-        groups.append(_eigenvalue_group(value, alg, kern, sign))
-    return _record(SpectrumClassification, groups=tuple(groups), stroh_norm=norm,
-                   schur=(t, z))
+    return _ok(_classify([a])[0])
 
 
 def _classify(polys: list) -> list:
-    """classify_spectrum of each polynomial, with the kernels at every real
-    eigenvalue of all of them from one stacked SVD and their sign forms as
-    stacks.  A polynomial that fails a check gets its error instead."""
-    if not polys:
-        return []
-    _fill_stroh_blocks([a.core for a in polys])
-    s6 = np.array([stroh(a) for a in polys])
-    finite = np.isfinite(s6).all(axis=(1, 2))     # norms of the rest only; _schur rejects them
-    norms = _fro(s6 if finite.all() else np.where(finite[:, None, None], s6, 0.0)).tolist()
-    out, spectra, at, values = [], {}, [], []     # at, values: polynomial and s per real group
-    for k in range(len(polys)):
-        schur = _schur(s6[k])
-        out.append(schur if isinstance(schur, Exception) else None)
-        if out[k] is None:
-            spectra[k] = (_group(np.diag(schur[0]), norms[k]), schur)
-            for value, _, is_real in spectra[k][0]:
-                if is_real:
-                    at.append(k)
-                    values.append(value)
+    """classify_spectrum of each polynomial: the norm and Schur form of each
+    Stroh matrix on its own, the kernels at every real eigenvalue of all of
+    them from one stacked SVD and their sign forms as stacks.  A polynomial
+    that fails a check gets its error instead."""
+    _fill_stroh_blocks(polys)
+    out, at, values = [], [], []     # at, values: polynomial and s of each real group
+    for k, a in enumerate(polys):
+        s6 = stroh(a)
+        norm = float(np.linalg.norm(s6))
+        # a finite norm has finite entries; an infinite or NaN one sends s6 to the full check
+        finite = math.isfinite(norm) or np.isfinite(s6).all()
+        schur = _schur(s6) if finite else NumericalDomainError("Stroh matrix is not finite")
+        if isinstance(schur, Exception):
+            out.append(schur)
+            continue
+        groups = _group(schur[0].diagonal(), norm)
+        out.append((groups, norm, schur))
+        for value, _, is_real in groups:
+            if is_real:
+                at.append(k)
+                values.append(value)
     if values:
-        a0, a1_sym, a2, scales = _coefficients([polys[k] for k in at])
+        a0, a1_sym, a2, _, scales = _coefficients([polys[k] for k in at])
         s = np.array(values)[:, None, None]
         kernels = _kernels(_at(a0, a1_sym, a2, s), scales)
         found = iter(zip(kernels, _sign_types(a0, a1_sym, s.real, kernels)))
-    for k, (groups, schur) in spectra.items():
-        built = [_eigenvalue_group(value, alg, *next(found)) if is_real
-                 else _eigenvalue_group(value, alg) for value, alg, is_real in groups]
-        out[k] = _record(SpectrumClassification, groups=tuple(built), stroh_norm=norms[k],
-                         schur=schur)
-    return out
+    return [entry if isinstance(entry, Exception) else _record(
+        SpectrumClassification, stroh_norm=entry[1], schur=entry[2], groups=tuple(
+            _eigenvalue_group(value, alg, *next(found)) if is_real
+            else _eigenvalue_group(value, alg) for value, alg, is_real in entry[0]))
+        for entry in out]
 
 
 def _sigma_values(classification: SpectrumClassification, direction: str,
@@ -627,11 +602,9 @@ def _target(classification: SpectrumClassification, direction: str, tau: float):
     return sigma, targets, max(GROUPING_TOL * (1.0 + classification.stroh_norm), 1e-12)
 
 
-def _selected(diag: np.ndarray, targets: np.ndarray, match_tol) -> np.ndarray:
-    """Which Schur eigenvalues lie within 10 match_tol of a target (the last
-    axis holds one polynomial's eigenvalues and its targets; a stack's
-    match_tol is a column)."""
-    dist = np.abs(diag[..., :, None] - targets[..., None, :]).min(axis=-1)
+def _selected(diag: np.ndarray, targets: np.ndarray, match_tol: float) -> np.ndarray:
+    """Which Schur eigenvalues lie within 10 match_tol of a target."""
+    dist = np.abs(diag[:, None] - targets[None, :]).min(axis=1)
     return (dist <= 10 * match_tol).astype(np.int32)
 
 
@@ -686,7 +659,7 @@ class SpectralFactorization:
     direction: str
     tau: float
     poly: QuadraticMatrixPolynomial
-    classification: SpectrumClassification = field(repr=False, default=None)
+    classification: SpectrumClassification = field(repr=False)
 
     @functools.cached_property
     def q_spectrum(self) -> np.ndarray:
@@ -703,24 +676,17 @@ def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarr
     """_root_error of each factorization, from the stacks of its polynomial's
     coefficients and of its roots; keeps each q_spectrum."""
     n = len(facts)
-    a0, a1_sym, a2, scales = coefficients
-    residuals = (_fro(_solvent(a0, a1_sym, a2, q)) / np.array(scales)).tolist()
+    a0, a1_sym, a2, _, scales = coefficients
+    residuals = [r / scale for r, scale in zip(_fro(_solvent(a0, a1_sym, a2, q)).tolist(),
+                                                  scales)]
     spectra = np.linalg.eigvals(np.concatenate((q, q_sharp)))
     eq, es = spectra[:n], spectra[n:]
-    sizes = np.maximum(np.maximum(np.abs(eq).max(axis=1), np.abs(es).max(axis=1)), 1e-300)
-    gaps = np.abs(eq[:, :, None] - es[:, None, :]).min(axis=(1, 2))
-    errors = []
-    for f, residual, spectrum, gap, size in zip(facts, residuals, eq, gaps.tolist(),
-                                                sizes.tolist()):
+    sizes = np.abs(spectra).max(axis=1)
+    sizes = np.maximum(np.maximum(sizes[:n], sizes[n:]), 1e-300).tolist()
+    gaps = np.abs(eq[:, :, None] - es[:, None, :]).min(axis=(1, 2)).tolist()
+    for f, spectrum in zip(facts, eq):
         f.__dict__["q_spectrum"] = spectrum
-        errors.append(_root_error(residual, gap, size))
-    return errors
-
-
-def _validate_factorization(f: SpectralFactorization) -> None:
-    eq, es = f.q_spectrum, np.linalg.eigvals(f.q_sharp)
-    size = max(np.max(np.abs(eq)), np.max(np.abs(es)), 1e-300)
-    _ok(_root_error(f.solvency_residual, np.min(np.abs(eq[:, None] - es[None, :])), size))
+    return [_root_error(*checks) for checks in zip(residuals, gaps, sizes)]
 
 
 def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
@@ -740,57 +706,40 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
         tau = a.frame.tau
     if classification is None:
         classification = classify_spectrum(a)
-    sigma, targets, match_tol = _ok(_target(classification, direction, tau))
-    t, zvec = classification.schur
-    t, zvec = _ok(_reorder(t, zvec, _selected(np.diag(t), np.array(targets), match_tol)))
-    x1 = zvec[:3, :3]
-    _ok(_ill_conditioned(np.linalg.cond(x1)))
-    q, q_sharp = _roots(x1, t[:3, :3], a.a0, a.a1_sym, a.core.stroh_blocks[0])
-    fact = SpectralFactorization(q, q_sharp, tuple(sigma), direction, float(tau), a,
-                                 classification)
-    _validate_factorization(fact)
-    return fact
+    return _ok(_factorize([a], [classification], direction, [tau])[0])
 
 
 def _factorize(polys: list, classifications: list, direction: str, taus: list) -> list:
-    """factorize each polynomial from its classification, with the target
-    half of every spectrum picked as one stack and cond(X1), the roots and
-    their checks as stacks.  A polynomial that fails a check gets its error
-    instead."""
+    """factorize each polynomial from its classification: the ordered Schur
+    form and cond(X1) one by one, the roots and their checks as stacks.  A
+    polynomial that fails a check gets its error instead."""
     out = [_target(cls, direction, tau) for cls, tau in zip(classifications, taus)]
-    todo = [k for k, target in enumerate(out) if not isinstance(target, Exception)]
-    if not todo:
+    jobs = []      # (index of the polynomial, sigma, X1, T1)
+    for k, target in enumerate(out):
+        if isinstance(target, Exception):
+            continue
+        sigma, targets, match_tol = target
+        t, zvec = classifications[k].schur
+        out[k] = _reorder(t, zvec, _selected(t.diagonal(), np.array(targets), match_tol))
+        if isinstance(out[k], Exception):
+            continue
+        t, zvec = out[k]
+        # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
+        s_max, _, s_min = np.linalg.svd(zvec[:3, :3], compute_uv=False).tolist()
+        out[k] = _ill_conditioned(s_max / s_min if s_min > 0 else math.inf)
+        if out[k] is None:
+            jobs.append((k, sigma, zvec[:3, :3], t[:3, :3]))
+    if not jobs:
         return out
-    schur = [classifications[k].schur for k in todo]
-    targets = [out[k][1] for k in todo]     # padded to 3 with a repeat, which moves no distance
-    select = _selected(np.array([t for t, _ in schur]).diagonal(axis1=1, axis2=2),
-                       np.array([t + t[-1:] * (3 - len(t)) for t in targets]),
-                       np.array([[out[k][2]] for k in todo]))
-    ordered = []
-    for k, (t, zvec), sel in zip(todo, schur, select):
-        sigma, out[k] = out[k][0], _reorder(t, zvec, sel)
-        if not isinstance(out[k], Exception):
-            ordered.append((k, sigma, *out[k]))
-    if not ordered:
-        return out
-    x1 = np.array([zvec[:3, :3] for *_, zvec in ordered])
-    kept = []
-    for job, cond in zip(ordered, np.linalg.cond(x1).tolist()):
-        out[job[0]] = _ill_conditioned(cond)
-        kept.append(out[job[0]] is None)
-    ordered, x1 = [job for job, ok in zip(ordered, kept) if ok], x1[kept]
-    if not ordered:
-        return out
-    sub = [polys[k] for k, *_ in ordered]
-    coefficients = _coefficients(sub)
-    q, q_sharp = _roots(x1, np.array([t[:3, :3] for _, _, t, _ in ordered]), coefficients[0],
-                        coefficients[1], np.array([a.core.stroh_blocks[0] for a in sub]))
+    blocks = np.array([(x1, t1) for *_, x1, t1 in jobs])
+    coefficients = _coefficients([polys[k] for k, *_ in jobs])
+    a0, a1_sym, _, a0inv, _ = coefficients
+    q, q_sharp = _roots(blocks[:, 0], blocks[:, 1], a0, a1_sym, a0inv)
     facts = [_record(SpectralFactorization, q=q[j], q_sharp=q_sharp[j], sigma=tuple(sigma),
                      direction=direction, tau=float(taus[k]), poly=polys[k],
                      classification=classifications[k])
-             for j, (k, sigma, _, _) in enumerate(ordered)]
-    for (k, *_), fact, error in zip(ordered, facts,
-                                    _validate(facts, coefficients, q, q_sharp)):
+             for j, (k, sigma, _, _) in enumerate(jobs)]
+    for (k, *_), fact, error in zip(jobs, facts, _validate(facts, coefficients, q, q_sharp)):
         out[k] = fact if error is None else error
     return out
 
@@ -857,33 +806,3 @@ def contour_root_check(a: QuadraticMatrixPolynomial, q: np.ndarray,
         return 0.0, {"nodes": nodes, "enclosed_rank": enclosed_rank, "empty": True}
     residual = float(np.linalg.norm(q @ c0 - c1) / scale)
     return residual, {"nodes": nodes, "enclosed_rank": enclosed_rank, "empty": False}
-
-
-def residue(a: QuadraticMatrixPolynomial, s: float,
-            radius: float | None = None, n_nodes: int = 256,
-            classification: SpectrumClassification | None = None) -> np.ndarray:
-    """Residue of A(z)^{-1} at a semisimple real eigenvalue, by contour quadrature.
-
-    The result is Hermitian, supported on ker A(s), and semidefinite with the
-    sign of the eigenvalue's type.
-    """
-    if classification is None:
-        classification = classify_spectrum(a)
-    tol = GROUPING_TOL * (1.0 + classification.stroh_norm)
-    group = None
-    for g in classification.groups:
-        if g.is_real and abs(g.value.real - s) <= max(tol, GROUPING_TOL * (1 + abs(s))):
-            group = g
-            break
-    if group is None:
-        raise NotAnEigenvalue(f"{s} is not a real eigenvalue")
-    if group.geo_mult < group.alg_mult:
-        raise DefectiveEigenvalue(f"real eigenvalue {s} is defective")
-    if radius is None:
-        others = [g.value for g in classification.groups if g is not group]
-        nearest = min((abs(z - group.value) for z in others), default=1.0)
-        radius = 0.45 * nearest
-    e = radius * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
-    inv = np.linalg.inv(a((group.value.real + e)[:, None, None]))
-    r = np.einsum("n,nij->ij", e / n_nodes, inv)
-    return 0.5 * (r + r.conj().T)

@@ -234,8 +234,7 @@ def impedance_tau_derivative(a: QuadraticMatrixPolynomial,
         raise InvalidInput("rho is required (polynomial carries none)")
     if f is None:
         f = factorize(a, "outgoing")
-    cls = f.classification if f.classification is not None else classify_spectrum(a)
-    if cls.has_real:
+    if f.classification.has_real:
         raise RealSpectrumPresent("dZ/d(tau^2) route requires an elliptic frame")
 
     a2dot = -rho * np.eye(3)

@@ -15,7 +15,8 @@ from elaswave.boundary import (
     _sides,
     _surface_wave_bisect,
 )
-from elaswave.errors import GlancingLimit
+from elaswave import factorization as fz
+from elaswave.errors import GlancingLimit, InvalidInput, NumericalDomainError
 from elaswave.factorization import BoundaryFrame
 
 
@@ -150,3 +151,96 @@ def classify_with_margin_per_frame(materials, frames) -> list:
         sv = np.linalg.svd(z, compute_uv=False)
         rows.append((region, float(sv[-1] / max(sv[0], 1e-300))))
     return rows
+
+
+# --- one polynomial at a time ------------------------------------------------
+# The bodies that classify_spectrum and factorize had before every spectral
+# stage ran on stacks: the same rules, with each polynomial's linear algebra
+# on its own matrices.  The library's stacks of one must give the same bits.
+
+def kernel_basis_one(a, s) -> np.ndarray:
+    _, sv, vh = np.linalg.svd(a(s))
+    return vh[3 - fz._nullity(sv.tolist(), a.scale):].conj().T
+
+
+def classify_spectrum_one(a):
+    s6 = fz.stroh(a)
+    if not np.isfinite(s6).all():
+        raise NumericalDomainError("Stroh matrix is not finite")
+    t, z = fz._ok(fz._schur(s6))
+    norm = float(np.linalg.norm(s6))
+    groups = []
+    for value, alg, is_real in fz._group(np.diag(t), norm):
+        kern = sign = None
+        if is_real:
+            kern = kernel_basis_one(a, value)
+            if kern.shape[1]:
+                da = a.derivative(value.real)
+                form = kern.conj().T @ da @ kern
+                eigs = np.linalg.eigvalsh(0.5 * (form + form.conj().T))
+                sign = fz._sign_type(eigs[0], eigs[-1], np.linalg.norm(da))
+        groups.append(fz._eigenvalue_group(value, alg, kern, sign))
+    return fz._record(fz.SpectrumClassification, groups=tuple(groups), stroh_norm=norm,
+                      schur=(t, z))
+
+
+def factorize_one(a, direction="outgoing", tau=None, classification=None):
+    if tau is None:
+        if a.frame is None:
+            raise InvalidInput("tau is required when the polynomial carries no frame")
+        tau = a.frame.tau
+    if classification is None:
+        classification = classify_spectrum_one(a)
+    sigma, targets, match_tol = fz._ok(fz._target(classification, direction, tau))
+    t, zvec = classification.schur
+    t, zvec = fz._ok(fz._reorder(t, zvec, fz._selected(np.diag(t), np.array(targets),
+                                                       match_tol)))
+    x1 = zvec[:3, :3]
+    fz._ok(fz._ill_conditioned(np.linalg.cond(x1)))
+    q, q_sharp = fz._roots(x1, t[:3, :3], a.a0, a.a1_sym, a.core.stroh_blocks[0])
+    fact = fz.SpectralFactorization(q, q_sharp, tuple(sigma), direction, float(tau), a,
+                                    classification)
+    eq, es = fact.q_spectrum, np.linalg.eigvals(fact.q_sharp)
+    size = max(np.max(np.abs(eq)), np.max(np.abs(es)), 1e-300)
+    fz._ok(fz._root_error(fact.solvency_residual, np.min(np.abs(eq[:, None] - es[None, :])),
+                          size))
+    return fact
+
+
+# --- residue of A(z)^-1 at a real eigenvalue, by contour quadrature ----------
+
+class NotAnEigenvalue(NumericalDomainError):
+    pass
+
+
+class DefectiveEigenvalue(NumericalDomainError):
+    pass
+
+
+def residue(a, s: float, radius: float | None = None, n_nodes: int = 256,
+            classification=None) -> np.ndarray:
+    """Residue of A(z)^{-1} at a semisimple real eigenvalue, by contour quadrature.
+
+    The result is Hermitian, supported on ker A(s), and semidefinite with the
+    sign of the eigenvalue's type.
+    """
+    if classification is None:
+        classification = fz.classify_spectrum(a)
+    tol = fz.GROUPING_TOL * (1.0 + classification.stroh_norm)
+    group = None
+    for g in classification.groups:
+        if g.is_real and abs(g.value.real - s) <= max(tol, fz.GROUPING_TOL * (1 + abs(s))):
+            group = g
+            break
+    if group is None:
+        raise NotAnEigenvalue(f"{s} is not a real eigenvalue")
+    if group.geo_mult < group.alg_mult:
+        raise DefectiveEigenvalue(f"real eigenvalue {s} is defective")
+    if radius is None:
+        others = [g.value for g in classification.groups if g is not group]
+        nearest = min((abs(z - group.value) for z in others), default=1.0)
+        radius = 0.45 * nearest
+    e = radius * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    inv = np.linalg.inv(a((group.value.real + e)[:, None, None]))
+    r = np.einsum("n,nij->ij", e / n_nodes, inv)
+    return 0.5 * (r + r.conj().T)

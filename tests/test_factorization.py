@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from elaswave.boundary import BoundarySide
+from elaswave.boundary import BoundarySide, tau_limit
 from elaswave.errors import (
     CoefficientOverflow,
     ContourTooClose,
-    DefectiveEigenvalue,
+    ElasticError,
     GlancingSpectrum,
     InvalidInput,
-    NotAnEigenvalue,
     NumericalDomainError,
     SolvencyResidual,
     ValidationError,
@@ -20,17 +19,16 @@ from elaswave import factorization
 from elaswave.factorization import (
     BoundaryFrame,
     QuadraticMatrixPolynomial,
-    _validate_factorization,
     boundary_polynomial,
     classify_spectrum,
     contour_root_check,
     factorization_residual,
     factorize,
-    residue,
     stroh,
 )
 
 from conftest import NU, random_triclinic, sample_frames
+from oracles import NotAnEigenvalue, classify_spectrum_one, factorize_one, residue
 
 ETA = np.array([1.0, 0.0, 0.0])
 
@@ -219,33 +217,36 @@ class TestClassifySpectrum:
 
 
     def test_kernels_only_at_real_eigenvalues(self, iso, monkeypatch):
-        # the outgoing/incoming split needs ker A(s) at real s only
+        # the outgoing/incoming split needs ker A(s) at real s only: the
+        # stacked kernel SVD gets one A(s) per real group and no other
         calls = []
-        kernel_basis = factorization.kernel_basis
+        kernels = factorization._kernels
 
-        def counted(a, s, *args, **kwargs):
-            calls.append(s)
-            return kernel_basis(a, s, *args, **kwargs)
+        def counted(mats, scales):
+            calls.extend(mats)
+            return kernels(mats, scales)
 
-        monkeypatch.setattr(factorization, "kernel_basis", counted)
+        monkeypatch.setattr(factorization, "_kernels", counted)
         rng = np.random.default_rng(11)
         for mat in (iso, random_triclinic(rng)):
             for region, frames in sample_frames(mat, rng, 2).items():
                 for fr in frames:
                     calls.clear()
-                    cls = classify_spectrum(boundary_polynomial(mat, fr))
+                    a = boundary_polynomial(mat, fr)
+                    cls = classify_spectrum(a)
                     assert len(calls) == len(cls.real_groups), region
                     if region == "elliptic":
                         assert calls == []
                     else:
                         assert calls
+                    for at, g in zip(calls, cls.real_groups):
+                        assert np.array_equal(at, a(g.value))
                     for g in cls.groups:
                         if g.is_real:
                             assert g.kernel.shape == (3, g.geo_mult)
                         else:
                             assert g.kernel is None and g.geo_mult is None
                             assert g.sign_type is None and not g.glancing
-
 
     def test_schur_failures_are_numerical(self, iso, monkeypatch):
         # Non-finite Stroh matrices and LAPACK failures are numerical-domain
@@ -335,11 +336,17 @@ class TestFactorize:
                                 <= 1e-8 * np.linalg.norm(ref))
 
     def test_solvency_failure_is_typed(self, iso):
-        f = factorize(boundary_polynomial(iso, frame(-1.5)), "outgoing")
-        _validate_factorization(f)
+        a = boundary_polynomial(iso, frame(-1.5))
+        f = factorize(a, "outgoing")
+
+        def validate(fact):     # the checks of factorize, on a stack of one
+            return factorization._validate([fact], factorization._coefficients([a]),
+                                           fact.q[None], fact.q_sharp[None])[0]
+
+        assert validate(f) is None
         bad = dataclasses.replace(f, q=f.q + 1e-6)
         with pytest.raises(SolvencyResidual):
-            _validate_factorization(bad)
+            factorization._ok(validate(bad))
         assert issubclass(SolvencyResidual, NumericalDomainError)
 
     def test_spec_gap(self, iso):
@@ -348,6 +355,81 @@ class TestFactorize:
         eq = np.linalg.eigvals(f.q)
         es = np.linalg.eigvals(f.q_sharp)
         assert np.min(np.abs(eq[:, None] - es[None, :])) > 1e-6
+
+
+def bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def outcome(fn):
+    """fn()'s result and None, or None and the (type, message) of its error."""
+    try:
+        return fn(), None
+    except ElasticError as exc:
+        return None, (type(exc), str(exc))
+
+
+def same_classification(got, want):
+    assert bits(got.stroh_norm) == bits(want.stroh_norm)
+    assert [bits(x) for x in got.schur] == [bits(x) for x in want.schur]
+    assert len(got.groups) == len(want.groups)
+    for g, h in zip(got.groups, want.groups):
+        assert bits(g.value) == bits(h.value)
+        assert ((g.alg_mult, g.geo_mult, g.is_real, g.sign_type, g.glancing)
+                == (h.alg_mult, h.geo_mult, h.is_real, h.sign_type, h.glancing))
+        assert (g.kernel is None) == (h.kernel is None)
+        if g.kernel is not None:
+            assert bits(g.kernel) == bits(h.kernel)
+
+
+def same_factorization(got, want):
+    for name in ("q", "q_sharp", "q_spectrum", "solvency_residual", "tau"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert [bits(z) for z in got.sigma] == [bits(z) for z in want.sigma]
+    assert got.direction == want.direction
+
+
+class TestStacksOfOne:
+    def test_same_bits_as_one_polynomial_bodies(self, iso, ti, rotated_ti):
+        # classify_spectrum and factorize run the stacked stages on one
+        # polynomial; they must give what the one-polynomial bodies gave, bit
+        # for bit, or the same error, in every region and 1e-10 either side
+        # of the elliptic limit tau_L.
+        rng = np.random.default_rng(29)
+        checked = set()
+        for mat in (iso, ti, rotated_ti, random_triclinic(rng), random_triclinic(rng)):
+            frames = [fr for per_region in sample_frames(mat, rng, 3).values()
+                      for fr in per_region]
+            for ang in rng.uniform(0.0, 2.0 * np.pi, 2):
+                eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+                t_l = tau_limit(mat, NU, eta_hat)
+                frames += [BoundaryFrame(NU, eta_hat, -t_l * (1.0 + d)) for d in (-1e-10, 1e-10)]
+            for fr in frames + [frame(-1.0)]:     # iso glances at tau = -|eta| c_s = -1
+                a = boundary_polynomial(mat, fr)
+                assert bits(a.scale) == bits(max(np.linalg.norm(a.a0), np.linalg.norm(a.a1),
+                                                 np.linalg.norm(a.a2)))
+                got, error = outcome(lambda: classify_spectrum(a))
+                want, want_error = outcome(lambda: classify_spectrum_one(a))
+                assert error == want_error
+                if error is not None:
+                    checked.add(error[0])
+                    continue
+                same_classification(got, want)
+                for direction in ("outgoing", "incoming"):
+                    for fresh in (True, False):
+                        kwargs = {} if fresh else {"classification": got}
+                        f, error = outcome(lambda: factorize(a, direction, **kwargs))
+                        ref, want_error = outcome(lambda: factorize_one(
+                            a, direction, **({} if fresh else {"classification": want})))
+                        assert error == want_error
+                        if error is None:
+                            same_factorization(f, ref)
+                            checked.add(direction)
+                        else:
+                            checked.add(error[0])
+        # factorizations in both directions and the glancing failure were met
+        assert {"outgoing", "incoming", GlancingSpectrum} <= checked
 
 
 class TestContourAndResidue:

@@ -1,0 +1,179 @@
+"""SHA-256 digests of elaswave's outputs, to show that a change keeps them byte for byte.
+
+    python3 tools/output_digest.py [--seed 0]
+
+Run it on two checkouts and compare the printed lines: equal digests mean
+equal bytes.  It covers
+
+  * cli: stdout, stderr and exit code of every golden CLI command of
+    bench/workloads.py, run in-process on the material and stack files that
+    module writes (the temporary directory's path is replaced by "<dir>");
+  * spectra: boundary polynomials, spectrum classifications, both
+    factorizations (with q_spectrum and solvency_residual) and their mode
+    projectors at seeded frames in all three regions and 1e-10 either side
+    of the elliptic limit tau_L, on seeded isotropic, weak TI, rotated TI
+    and triclinic materials; an error counts by its type and message;
+  * surface_waves: every float of the seeded Rayleigh and Stoneley solves
+    of the surface_waves workload;
+  * trees: the event trees of the layered_trace workload, as JSON.
+
+Floats are hashed as their bytes, so a last-bit change shows.  The inputs
+come from bench/workloads.py (its seeded materials, frames, workloads and CLI
+commands), read through its public names.
+"""
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from elaswave import boundary as bd  # noqa: E402
+from elaswave import factorization as fz  # noqa: E402
+from elaswave import impedance as imp  # noqa: E402
+from elaswave.errors import ElasticError  # noqa: E402
+
+MATERIALS_PER_CLASS = 2
+FRAMES_PER_REGION = 6
+
+
+def _feed(h, obj) -> None:
+    """Hash obj's content: arrays and scalars by their bytes, containers
+    and dataclasses item by item, anything else by its repr."""
+    if isinstance(obj, (np.ndarray, np.generic, float, complex)):
+        arr = np.asarray(obj)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"[{len(obj)}".encode())
+        for item in obj:
+            _feed(h, item)
+    elif isinstance(obj, dict):
+        h.update(f"{{{len(obj)}".encode())
+        for key in sorted(obj):
+            _feed(h, key)
+            _feed(h, obj[key])
+    elif dataclasses.is_dataclass(obj):
+        h.update(type(obj).__name__.encode())
+        _feed(h, {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+    else:
+        h.update(repr(obj).encode())
+
+
+def _outcome(fn):
+    """fn()'s result, or its elaswave error as (type name, message)."""
+    try:
+        return fn()
+    except ElasticError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _polynomial(a):
+    return (a.a0, a.a1, a.a2, a.scale, a.frame)
+
+
+def _classification(cls):
+    return (cls.groups, cls.stroh_norm, cls.schur)
+
+
+def _factorization(f):
+    return (f.q, f.q_sharp, f.sigma, f.direction, f.tau, f.q_spectrum, f.solvency_residual,
+            imp.mode_projectors(f))
+
+
+def _frame_results(m, frame) -> list:
+    a = _outcome(lambda: fz.boundary_polynomial(m, frame))
+    if isinstance(a, tuple):
+        return [a]
+    cls = _outcome(lambda: fz.classify_spectrum(a))
+    out = [_polynomial(a), cls if isinstance(cls, tuple) else _classification(cls)]
+    for direction in ("outgoing", "incoming"):
+        f = _outcome(lambda: fz.factorize(a, direction))
+        out.append(f if isinstance(f, tuple) else _factorization(f))
+    return out
+
+
+def _frames(m, rng) -> list:
+    frames = [workloads.sample_frame(m, region, rng)
+              for region in workloads.REGIONS for _ in range(FRAMES_PER_REGION)]
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+    tau_l = bd.tau_limit(m, workloads.NU, eta_hat)
+    frames += [fz.BoundaryFrame(workloads.NU, eta_hat, -tau_l * (1.0 + d))
+               for d in (-1e-10, 1e-10)]
+    return frames
+
+
+def spectra_digest(seed: int) -> str:
+    h = hashlib.sha256()
+    for k, (_, make) in enumerate(workloads.MATERIAL_CLASSES):
+        for j in range(MATERIALS_PER_CLASS):
+            rng = np.random.default_rng([seed, k, j])
+            m = make(rng)()
+            for frame in _frames(m, rng):
+                _feed(h, _frame_results(m, frame))
+    return h.hexdigest()
+
+
+def _run_ops(workload, rounds: int) -> list:
+    return [op.run() for k in range(rounds) for op in workload.round(k)]
+
+
+def surface_wave_digest(seed: int, directory: str) -> str:
+    w = workloads.SurfaceWaves(seed, directory)
+    w.setup()
+    h = hashlib.sha256()
+    _feed(h, _run_ops(w, 2))
+    return h.hexdigest()
+
+
+def tree_digest(seed: int, directory: str) -> str:
+    w = workloads.LayeredTrace(seed, directory)
+    w.setup()
+    h = hashlib.sha256()
+    for tree in _run_ops(w, 1):
+        h.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def cli_digests(directory: str) -> list:
+    workloads.write_cli_files(directory)
+    lines = []
+    for command, variants in workloads.CLI_COMMANDS.items():
+        for variant, argv in enumerate(variants):
+            code, out, err = workloads.run_cli(argv, directory)
+            h = hashlib.sha256()
+            for part in (out, err, str(code)):
+                h.update(part.replace(directory, "<dir>").encode() + b"\0")
+            lines.append((workloads.golden_name(command, variant), h.hexdigest()))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as directory:
+        lines = cli_digests(directory)
+        lines += [("spectra", spectra_digest(args.seed)),
+                  ("surface_waves", surface_wave_digest(args.seed, directory)),
+                  ("trees", tree_digest(args.seed, directory))]
+    total = hashlib.sha256()
+    for name, digest in lines:
+        print(f"{digest}  {name}")
+        total.update(f"{name}:{digest}\n".encode())
+    print(f"{total.hexdigest()}  all")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
