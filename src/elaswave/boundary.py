@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ElasticError,
     GlancingLimit,
     GlancingSpectrum,
     InvalidInput,
@@ -405,57 +406,33 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
     return _surface_wave_bisect(zfun, tau_eta)
 
 
-def _first_failure(results: list, stop: int, error):
-    """The first frame before `stop` at which a side's result is an error
-    (sides in order), with that error; (stop, error) when there is none."""
-    for j in range(stop):
-        for per_side in results:
-            if isinstance(per_side[j], Exception):
-                return j, per_side[j]
-    return stop, error
-
-
 def _solve_frames(materials, frames: list) -> list:
-    """(region, margin) of each frame, every step solved for all frames and
-    sides at once: polynomials, classifications, and outgoing factorizations
-    on the frames that have a margin.  Raises the error that a loop over the
-    frames, one after another, would meet first."""
+    """(region, margin) of each frame, every step solved for all frames of a
+    side at once: polynomials, classifications, and outgoing factorizations
+    on the frames that have a margin.  Each step runs on the + side first,
+    so that one frame meets its errors in the order of the frame on its own."""
     mats = (materials,) if isinstance(materials, Material) else tuple(materials)
     views = [frames] if len(mats) == 1 else [frames, [f.flipped() for f in frames]]
-    stop, error = len(frames), None
-
     polys = [_boundary_polynomials(m, view) for m, view in zip(mats, views)]
-    stop, error = _first_failure(polys, stop, error)
-    flat = _classify([p for per_side in polys for p in per_side[:stop]])
-    classes = [flat[i * stop:(i + 1) * stop] for i in range(len(mats))]
-    stop, error = _first_failure(classes, stop, error)
-    sides = [tuple(BoundarySide._of(m, polys[i][j], classification=classes[i][j])
-                   for i, m in enumerate(mats)) for j in range(stop)]
+    classes = [_classify(per_side) for per_side in polys]
+    sides = [tuple(BoundarySide._of(m, p[j], classification=c[j])
+                   for m, p, c in zip(mats, polys, classes)) for j in range(len(frames))]
 
-    due = [j for j in range(stop) if _has_margin(_dims(sides[j]))]
-    flat = [side for j in due for side in sides[j]]
-    facts = iter(_factorize([s.poly for s in flat], [s.classification for s in flat],
-                            "outgoing", [s.frame.tau for s in flat]))
-    outgoing = [[None] * stop for _ in mats]
-    for j in due:
-        for per_side in outgoing:
-            per_side[j] = next(facts)
-    stop, error = _first_failure(outgoing, stop, error)
-    if error is not None:
-        raise error
-    for j in due:
-        for side, f in zip(sides[j], (per_side[j] for per_side in outgoing)):
-            side._built["factorization", "outgoing"] = f
-
-    margins = dict.fromkeys(range(stop))
+    due = [j for j in range(len(frames)) if _has_margin(_dims(sides[j]))]
+    margins = dict.fromkeys(range(len(frames)))
     if due:     # sigma_min / sigma_max of z, or of z+ + z- for a pair
-        z = sum(_impedance(np.array([sides[j][i].poly.a0 for j in due]),
-                           np.array([per_side[j].q for j in due]),
-                           np.array([sides[j][i].poly.a1 for j in due]))
-                for i, per_side in enumerate(outgoing))
+        outgoing = []
+        for i in range(len(mats)):
+            on = [sides[j][i] for j in due]
+            outgoing.append(_factorize([s.poly for s in on], [s.classification for s in on],
+                                       "outgoing", [s.frame.tau for s in on]))
+            for side, f in zip(on, outgoing[-1]):
+                side._built["factorization", "outgoing"] = f
+        z = sum(_impedance(np.array([f.poly.a0 for f in facts]), np.array([f.q for f in facts]),
+                           np.array([f.poly.a1 for f in facts])) for facts in outgoing)
         sv = np.linalg.svd(z, compute_uv=False)
         margins.update(zip(due, (sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist()))
-    return [(_region(sides[j]), margins[j]) for j in range(stop)]
+    return [(_region(sides[j]), margins[j]) for j in range(len(frames))]
 
 
 def classify_frames(materials, frames):
@@ -463,23 +440,18 @@ def classify_frames(materials, frames):
     sigma_min(z)/||z|| on hyperbolic and mixed frames and None on elliptic
     and glancing ones.  For material pairs z is replaced by z+ + z-.
 
-    Frames are solved as stacks, a fixed number at a time.  An error is the
-    one a loop over the frames, one after another, would raise first.
+    Frames are solved as stacks, a fixed number at a time.  A stack that
+    raises is solved again one frame at a time, so that the error is the one
+    a loop over the frames, one after another, would raise first.
     """
     frames = iter(frames)
     while chunk := list(itertools.islice(frames, _CHUNK)):
-        for frame, (region, margin) in zip(chunk, _solve_frames(materials, chunk)):
+        try:
+            rows = _solve_frames(materials, chunk)
+        except ElasticError:
+            rows = [_solve_frames(materials, [frame])[0] for frame in chunk]
+        for frame, (region, margin) in zip(chunk, rows):
             yield frame, region, margin
-
-
-def classify_with_margin(materials, frame: BoundaryFrame):
-    """Region of a frame and, off the elliptic region, sigma_min(z)/||z||.
-
-    For material pairs z is replaced by z+ + z-.  The margin is None on
-    elliptic and glancing frames.  Each side's spectrum is solved once and
-    serves both the label and the impedance.
-    """
-    return _solve_frames(materials, [frame])[0]
 
 
 def ellipticity_margin(materials, frames) -> tuple[float, list]:

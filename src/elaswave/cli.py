@@ -28,7 +28,12 @@ from .materials import (
     load_material,
     to_voigt,
 )
-from .scatter import energy_balance, incoming_mode, reflect_free_surface, transmit_interface
+from .scatter import (
+    energy_balance,
+    free_surface_operator,
+    interface_operator,
+    side_incoming_mode,
+)
 
 
 def _fmt(x) -> str:
@@ -250,14 +255,17 @@ def _cmd_stoneley(args) -> int:
 
 
 def _cmd_reflect(args) -> int:
-    sides = _load_sides(args)
+    materials = _load_sides(args)
     frame = _frame(args)
-    if isinstance(sides, tuple):
-        inc = incoming_mode(sides[0], frame, args.mode)
-        result = transmit_interface(sides[0], sides[1], frame, inc)
+    if isinstance(materials, tuple):     # the + side serves the incident mode and the law
+        plus = bnd.BoundarySide(materials[0], frame)
+        minus = bnd.BoundarySide(materials[1], frame.flipped())
+        inc = side_incoming_mode(plus, args.mode)
+        result = interface_operator(plus, minus).apply(inc)
     else:
-        inc = incoming_mode(sides, frame, args.mode)
-        result = reflect_free_surface(sides, frame, inc)
+        side = bnd.BoundarySide(materials, frame)
+        inc = side_incoming_mode(side, args.mode)
+        result = free_surface_operator(side).apply(inc)
     report = energy_balance(result)
     rows = []
     for tag in sorted(result.sides):
@@ -309,8 +317,10 @@ def _add_frame_args(p, tau_required: bool = True):
         p.add_argument("--tau", type=float, required=True)
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_output(p, formats: tuple = ()):
+    """--out, and --format for the commands that print more than one format."""
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", default=None)
 
 
@@ -327,26 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("--material", default=None)
     p.add_argument("--validate", action="store_true")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("slowness", help="Christoffel speeds over directions")
     p.add_argument("--material", required=True)
     p.add_argument("--grid", type=int, default=100)
     p.add_argument("--direction", nargs=3, type=float, default=None,
                    metavar=("X", "Y", "Z"))
-    _add_common(p)
+    _add_output(p, ("json", "csv"))
 
     p = sub.add_parser("factorize", help="spectral factorization at a frame")
     p.add_argument("--material", required=True)
     p.add_argument("--direction", choices=("outgoing", "incoming"),
                    default="outgoing")
     _add_frame_args(p)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("impedance", help="outgoing impedance at a frame")
     p.add_argument("--material", required=True)
     _add_frame_args(p)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("classify", help="region of a frame or angular grid")
     p.add_argument("--material", default=None)
@@ -354,18 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--material-minus", default=None)
     p.add_argument("--grid", type=int, default=0)
     _add_frame_args(p)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("rayleigh", help="free-surface wave speed")
     p.add_argument("--material", required=True)
     _add_frame_args(p, tau_required=False)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("stoneley", help="interface wave speed")
     p.add_argument("--material-plus", required=True)
     p.add_argument("--material-minus", required=True)
     _add_frame_args(p, tau_required=False)
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("reflect", help="reflection/transmission amplitudes")
     p.add_argument("--material", default=None)
@@ -373,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--material-minus", default=None)
     p.add_argument("--mode", type=int, default=0)
     _add_frame_args(p)
-    _add_common(p)
+    _add_output(p, ("json", "csv"))
 
     for name, help_text in (("trace", "layered plane-wave event tree"),
                             ("arrivals", "surface arrival table of a trace")):
@@ -384,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-events", type=int, default=64)
         p.add_argument("--amplitude-floor", type=float, default=1e-4)
         _add_frame_args(p)
-        _add_common(p)
+        _add_output(p, ("csv",) if name == "arrivals" else ())
 
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER

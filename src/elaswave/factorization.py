@@ -161,7 +161,7 @@ class _SymbolCore:
     def at_tau(self, frame: BoundaryFrame, rho: float) -> "QuadraticMatrixPolynomial":
         a2 = np.asarray(_a2(self.l_eta, rho, frame.tau ** 2), dtype=complex)
         poly = object.__new__(QuadraticMatrixPolynomial)
-        return _ok(_settled([poly], [self], a2[None], [frame], rho)[0])
+        return _settled([poly], [self], a2[None], [frame], rho)[0]
 
     def flipped(self) -> "_SymbolCore":
         """The core seen from the flipped frame (nu -> -nu), where A1 and the
@@ -225,46 +225,40 @@ def _coefficient_size(stiffness_norm: float, frame: BoundaryFrame) -> float:
     return stiffness_norm * eta * eta
 
 
-def _overflow(size: float, rho: float, tau: float) -> CoefficientOverflow | None:
+def _check_overflow(size: float, rho: float, tau: float) -> None:
     """Coefficients past 1e150 would overflow once squared (in norms and in
-    the Stroh block A1* A0^-1 A1), so they are a CoefficientOverflow."""
+    the Stroh block A1* A0^-1 A1): raise CoefficientOverflow."""
     tau = abs(float(tau))
     size = size + float(rho) * tau * tau
     if not size <= 1e150:
-        return CoefficientOverflow(f"boundary polynomial coefficients of size {size:.3g} "
-                                   "exceed 1e150")
-    return None
+        raise CoefficientOverflow(f"boundary polynomial coefficients of size {size:.3g} "
+                                  "exceed 1e150")
 
 
-def _scale(core: _SymbolCore, a2_norm: float, a2_asymmetry: float):
-    """A polynomial's scale (its largest coefficient norm), or the error of
-    the first check it fails: A0 and A2 Hermitian to 1e-12 of the scale, A0
-    positive definite."""
+def _scale(core: _SymbolCore, a2_norm: float, a2_asymmetry: float) -> float:
+    """A polynomial's scale (its largest coefficient norm), once it passes
+    its checks: A0 and A2 Hermitian to 1e-12 of the scale, A0 positive
+    definite."""
     scale = max(*core.norms, a2_norm, 1e-300)
     if core.a0_asymmetry > 1e-12 * scale:
-        return InvalidInput("A0 must be Hermitian")
+        raise InvalidInput("A0 must be Hermitian")
     if a2_asymmetry > 1e-12 * scale:
-        return InvalidInput("A2 must be Hermitian")
+        raise InvalidInput("A2 must be Hermitian")
     if core.a0_min <= 0:
-        return DegenerateA0("A0 must be positive definite")
+        raise DegenerateA0("A0 must be positive definite")
     return scale
 
 
 def _settled(polys: list, cores: list, a2: np.ndarray, frames: list, rho) -> list:
-    """Each polynomial of a list set on its core and its entry of the stack
-    A2, or the error of the first check it fails."""
+    """Each polynomial of a list set on its core and its entry of the stack A2."""
     n = len(polys)
     norms = _fro(np.concatenate((a2, a2 - _herm(a2)))).tolist()
     a2.setflags(write=False)
-    out = []
     for poly, core, a2_k, frame, norm, asymmetry in zip(polys, cores, a2, frames, norms[:n],
                                                        norms[n:]):
-        scale = _scale(core, norm, asymmetry)
-        if not isinstance(scale, Exception):
-            vars(poly).update(a0=core.a0, a1=core.a1, a2=a2_k, frame=frame, rho=rho,
-                              core=core, _scale=scale)
-        out.append(scale if isinstance(scale, Exception) else poly)
-    return out
+        vars(poly).update(a0=core.a0, a1=core.a1, a2=a2_k, frame=frame, rho=rho,
+                          core=core, _scale=_scale(core, norm, asymmetry))
+    return polys
 
 
 @dataclass(frozen=True)
@@ -284,11 +278,15 @@ class QuadraticMatrixPolynomial:
     core: _SymbolCore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        given = (self.a2,) if self.core is not None else (self.a0, self.a1, self.a2)
+        entries = np.abs(np.concatenate([np.ravel(c) for c in given]))
+        # the largest entry; a NaN is left for classify_spectrum to reject
+        _check_overflow(np.fmax.reduce(entries, initial=0.0), 0.0, 0.0)
         core = self.core if self.core is not None else _cores(
             np.array(self.a0, dtype=complex, ndmin=3), np.array(self.a1, dtype=complex, ndmin=3),
             [None], [None])[0]
         a2 = np.array(self.a2, dtype=complex, ndmin=3)     # copies: the caller keeps its arrays
-        _ok(_settled([self], [core], a2, [self.frame], self.rho)[0])
+        _settled([self], [core], a2, [self.frame], self.rho)
 
     @property
     def scale(self) -> float:
@@ -317,7 +315,7 @@ class QuadraticMatrixPolynomial:
         """The boundary polynomial at another tau on the same (nu, eta); A2 is
         formed afresh from l(eta), so an A2 given to with_a2 does not carry over."""
         core = self._from_material()
-        _ok(_overflow(core.size, self.rho, tau))
+        _check_overflow(core.size, self.rho, tau)
         return core.at_tau(self.frame.with_tau(tau), self.rho)
 
     def flipped(self) -> "QuadraticMatrixPolynomial":
@@ -328,32 +326,24 @@ class QuadraticMatrixPolynomial:
 
 def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPolynomial:
     """Displacement symbol coefficients at a boundary frame."""
-    return _ok(_boundary_polynomials(m, [frame])[0])
+    return _boundary_polynomials(m, [frame])[0]
 
 
-def _boundary_polynomials(m: Material, frames) -> list:
+def _boundary_polynomials(m: Material, frames: list) -> list:
     """boundary_polynomial at each frame, the coefficients of all of them
-    built as stacks; a frame that fails a check gets its error instead."""
-    norm = m.stiffness.norm
-    out, good, sizes = [], [], []     # each frame's error or None; the frames without one
-    for frame in frames:
-        size = _coefficient_size(norm, frame)
-        out.append(_overflow(size, m.density, frame.tau))
-        if out[-1] is None:
-            good.append(frame)
-            sizes.append(size)
-    if not good:
-        return out
-    vecs = np.array([(f.nu, f.eta) for f in good])
+    built as stacks."""
+    sizes = [_coefficient_size(m.stiffness.norm, frame) for frame in frames]
+    for size, frame in zip(sizes, frames):
+        _check_overflow(size, m.density, frame.tau)
+    vecs = np.array([(f.nu, f.eta) for f in frames])
     # x_j C^{ijkm} y_m for x, y in (nu, eta): A0 = C(nu, nu), A1 = C(nu, eta) and
     # l(eta) = C(eta, eta), each bit for bit what its own einsum gives
     forms = np.einsum("nxj,ijkm,nym->xynik", vecs, m.stiffness.entries, vecs)
     l_eta = forms[1, 1]
     cores = _cores(forms[0, 0], forms[0, 1], l_eta, sizes)
-    a2 = np.asarray(_a2(l_eta, m.density, np.array([f.tau ** 2 for f in good])), dtype=complex)
-    built = iter(_settled([object.__new__(QuadraticMatrixPolynomial) for _ in good], cores, a2,
-                          good, m.density))
-    return [next(built) if error is None else error for error in out]
+    a2 = np.asarray(_a2(l_eta, m.density, np.array([f.tau ** 2 for f in frames])), dtype=complex)
+    return _settled([object.__new__(QuadraticMatrixPolynomial) for _ in frames], cores, a2,
+                    frames, m.density)
 
 
 def _coefficients(polys: list) -> tuple:
@@ -448,12 +438,8 @@ def kernel_basis(a: QuadraticMatrixPolynomial, s: complex) -> np.ndarray:
 # --- the rules of a spectrum's classification and factorization ---------------
 # _classify and _factorize run them on a list of polynomials, with the linear
 # algebra as stacks; classify_spectrum and factorize are the list of one.  A
-# rule that can fail returns its error, so that a list can carry on past it.
-
-def _ok(result):
-    if isinstance(result, Exception):
-        raise result
-    return result
+# rule that fails raises its typed error, so a list raises the first failure
+# that its stacked order meets.
 
 
 # LAPACK's complex Schur routine; the workspace size of a 6x6 Stroh matrix
@@ -466,7 +452,7 @@ def _schur(s6: np.ndarray):
     """Complex Schur form (T, Z), read-only, of a finite Stroh matrix."""
     t, _, _, z, _, info = _ZGEES(lambda x: None, s6, lwork=_ZGEES_LWORK)
     if info != 0:
-        return NumericalDomainError(f"Schur form not found (zgees info {info})")
+        raise NumericalDomainError(f"Schur form not found (zgees info {info})")
     t.setflags(write=False)
     z.setflags(write=False)
     return t, z
@@ -534,25 +520,22 @@ def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
     form on its kernel is indefinite or too small, or when the eigenvalue is
     defective.
     """
-    return _ok(_classify([a])[0])
+    return _classify([a])[0]
 
 
 def _classify(polys: list) -> list:
     """classify_spectrum of each polynomial: the norm and Schur form of each
     Stroh matrix on its own, the kernels at every real eigenvalue of all of
-    them from one stacked SVD and their sign forms as stacks.  A polynomial
-    that fails a check gets its error instead."""
+    them from one stacked SVD and their sign forms as stacks."""
     _fill_stroh_blocks(polys)
     out, at, values = [], [], []     # at, values: polynomial and s of each real group
     for k, a in enumerate(polys):
         s6 = stroh(a)
         norm = float(np.linalg.norm(s6))
         # a finite norm has finite entries; an infinite or NaN one sends s6 to the full check
-        finite = math.isfinite(norm) or np.isfinite(s6).all()
-        schur = _schur(s6) if finite else NumericalDomainError("Stroh matrix is not finite")
-        if isinstance(schur, Exception):
-            out.append(schur)
-            continue
+        if not (math.isfinite(norm) or np.isfinite(s6).all()):
+            raise NumericalDomainError("Stroh matrix is not finite")
+        schur = _schur(s6)
         groups = _group(schur[0].diagonal(), norm)
         out.append((groups, norm, schur))
         for value, _, is_real in groups:
@@ -564,11 +547,10 @@ def _classify(polys: list) -> list:
         s = np.array(values)[:, None, None]
         kernels = _kernels(_at(a0, a1_sym, a2, s), scales)
         found = iter(zip(kernels, _sign_types(a0, a1_sym, s.real, kernels)))
-    return [entry if isinstance(entry, Exception) else _record(
-        SpectrumClassification, stroh_norm=entry[1], schur=entry[2], groups=tuple(
-            _eigenvalue_group(value, alg, *next(found)) if is_real
-            else _eigenvalue_group(value, alg) for value, alg, is_real in entry[0]))
-        for entry in out]
+    return [_record(SpectrumClassification, stroh_norm=norm, schur=schur, groups=tuple(
+        _eigenvalue_group(value, alg, *next(found)) if is_real
+        else _eigenvalue_group(value, alg) for value, alg, is_real in groups))
+        for groups, norm, schur in out]
 
 
 def _sigma_values(classification: SpectrumClassification, direction: str,
@@ -592,12 +574,12 @@ def _sigma_values(classification: SpectrumClassification, direction: str,
 
 def _target(classification: SpectrumClassification, direction: str, tau: float):
     """(sigma, its distinct points sorted, the tolerance for a Schur
-    eigenvalue to match one) of a direction, or why there is none."""
+    eigenvalue to match one) of a direction; raises why there is none."""
     if classification.glancing:
-        return GlancingSpectrum("spectrum has a glancing real eigenvalue")
+        raise GlancingSpectrum("spectrum has a glancing real eigenvalue")
     sigma = _sigma_values(classification, direction, tau)
     if len(sigma) != 3:
-        return SigmaCardinality(f"selected spectrum has cardinality {len(sigma)}, expected 3")
+        raise SigmaCardinality(f"selected spectrum has cardinality {len(sigma)}, expected 3")
     targets = sorted(set(sigma), key=lambda z: (z.real, z.imag))
     return sigma, targets, max(GROUPING_TOL * (1.0 + classification.stroh_norm), 1e-12)
 
@@ -612,19 +594,18 @@ def _reorder(t: np.ndarray, zvec: np.ndarray, select: np.ndarray):
     """The Schur form (T, Z) reordered to put the selected eigenvalues first."""
     t, zvec, _, sdim, _, _, info = scipy.linalg.lapack.ztrsen(select, t, zvec, job="N")
     if info != 0:
-        return NumericalDomainError(f"Schur reordering failed (ztrsen info {info})")
+        raise NumericalDomainError(f"Schur reordering failed (ztrsen info {info})")
     if sdim != 3:
-        return SigmaCardinality(
+        raise SigmaCardinality(
             f"ordered Schur selected a {sdim}-dimensional subspace, expected 3")
     return t, zvec
 
 
-def _ill_conditioned(cond: float) -> IllConditionedJ | None:
-    """cond(X1) past MAX_J_CONDITION."""
+def _check_condition(cond: float) -> None:
+    """Raise IllConditionedJ for cond(X1) past MAX_J_CONDITION."""
     if cond > MAX_J_CONDITION:
-        return IllConditionedJ("displacement block of the invariant subspace is "
-                               "too ill-conditioned")
-    return None
+        raise IllConditionedJ("displacement block of the invariant subspace is "
+                              "too ill-conditioned")
 
 
 def _roots(x1, t1, a0, a1_sym, a0inv) -> tuple:
@@ -638,15 +619,14 @@ def _solvent(a0, a1_sym, a2, q) -> np.ndarray:
     return a0 @ q @ q + a1_sym @ q + a2
 
 
-def _root_error(residual: float, gap: float, scale: float):
-    """The error of a factorization's first failed check, or None: a
-    solvency residual above 1e-10, or right and left root spectra within
-    1e-6 of their size (scale) of each other."""
+def _check_roots(residual: float, gap: float, scale: float) -> None:
+    """Raise the error of a factorization's first failed check: a solvency
+    residual above 1e-10, or right and left root spectra within 1e-6 of
+    their size (scale) of each other."""
     if residual > 1e-10:
-        return SolvencyResidual(f"solvency residual {residual:g} exceeds 1e-10")
+        raise SolvencyResidual(f"solvency residual {residual:g} exceeds 1e-10")
     if gap <= 1e-6 * scale:
-        return GlancingSpectrum(f"right/left root spectra nearly intersect (gap {gap:g})")
-    return None
+        raise GlancingSpectrum(f"right/left root spectra nearly intersect (gap {gap:g})")
 
 
 @dataclass(frozen=True)
@@ -672,8 +652,8 @@ class SpectralFactorization:
         return float(np.linalg.norm(_solvent(a.a0, a.a1_sym, a.a2, self.q)) / a.scale)
 
 
-def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarray) -> list:
-    """_root_error of each factorization, from the stacks of its polynomial's
+def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarray) -> None:
+    """_check_roots on each factorization, from the stacks of its polynomial's
     coefficients and of its roots; keeps each q_spectrum."""
     n = len(facts)
     a0, a1_sym, a2, _, scales = coefficients
@@ -684,9 +664,9 @@ def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarr
     sizes = np.abs(spectra).max(axis=1)
     sizes = np.maximum(np.maximum(sizes[:n], sizes[n:]), 1e-300).tolist()
     gaps = np.abs(eq[:, :, None] - es[:, None, :]).min(axis=(1, 2)).tolist()
-    for f, spectrum in zip(facts, eq):
+    for f, spectrum, *checks in zip(facts, eq, residuals, gaps, sizes):
         f.__dict__["q_spectrum"] = spectrum
-    return [_root_error(*checks) for checks in zip(residuals, gaps, sizes)]
+        _check_roots(*checks)
 
 
 def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
@@ -706,42 +686,31 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
         tau = a.frame.tau
     if classification is None:
         classification = classify_spectrum(a)
-    return _ok(_factorize([a], [classification], direction, [tau])[0])
+    return _factorize([a], [classification], direction, [tau])[0]
 
 
 def _factorize(polys: list, classifications: list, direction: str, taus: list) -> list:
     """factorize each polynomial from its classification: the ordered Schur
-    form and cond(X1) one by one, the roots and their checks as stacks.  A
-    polynomial that fails a check gets its error instead."""
-    out = [_target(cls, direction, tau) for cls, tau in zip(classifications, taus)]
-    jobs = []      # (index of the polynomial, sigma, X1, T1)
-    for k, target in enumerate(out):
-        if isinstance(target, Exception):
-            continue
-        sigma, targets, match_tol = target
-        t, zvec = classifications[k].schur
-        out[k] = _reorder(t, zvec, _selected(t.diagonal(), np.array(targets), match_tol))
-        if isinstance(out[k], Exception):
-            continue
-        t, zvec = out[k]
+    form and cond(X1) one by one, the roots and their checks as stacks."""
+    sigmas, blocks = [], []
+    for cls, tau in zip(classifications, taus):
+        sigma, targets, match_tol = _target(cls, direction, tau)
+        t, zvec = cls.schur
+        t, zvec = _reorder(t, zvec, _selected(t.diagonal(), np.array(targets), match_tol))
         # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
         s_max, _, s_min = np.linalg.svd(zvec[:3, :3], compute_uv=False).tolist()
-        out[k] = _ill_conditioned(s_max / s_min if s_min > 0 else math.inf)
-        if out[k] is None:
-            jobs.append((k, sigma, zvec[:3, :3], t[:3, :3]))
-    if not jobs:
-        return out
-    blocks = np.array([(x1, t1) for *_, x1, t1 in jobs])
-    coefficients = _coefficients([polys[k] for k, *_ in jobs])
+        _check_condition(s_max / s_min if s_min > 0 else math.inf)
+        sigmas.append(tuple(sigma))
+        blocks.append((zvec[:3, :3], t[:3, :3]))
+    blocks = np.array(blocks)
+    coefficients = _coefficients(polys)
     a0, a1_sym, _, a0inv, _ = coefficients
     q, q_sharp = _roots(blocks[:, 0], blocks[:, 1], a0, a1_sym, a0inv)
-    facts = [_record(SpectralFactorization, q=q[j], q_sharp=q_sharp[j], sigma=tuple(sigma),
-                     direction=direction, tau=float(taus[k]), poly=polys[k],
-                     classification=classifications[k])
-             for j, (k, sigma, _, _) in enumerate(jobs)]
-    for (k, *_), fact, error in zip(jobs, facts, _validate(facts, coefficients, q, q_sharp)):
-        out[k] = fact if error is None else error
-    return out
+    facts = [_record(SpectralFactorization, q=q[k], q_sharp=q_sharp[k], sigma=sigma,
+                     direction=direction, tau=float(tau), poly=a, classification=cls)
+             for k, (a, cls, tau, sigma) in enumerate(zip(polys, classifications, taus, sigmas))]
+    _validate(facts, coefficients, q, q_sharp)
+    return facts
 
 
 def factorization_residual(f: SpectralFactorization, s_values) -> float:

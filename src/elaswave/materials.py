@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class StiffnessTensor:
     """
 
     entries: np.ndarray
+    norm: float = field(init=False, repr=False, compare=False)    # Frobenius norm of entries
 
     def __post_init__(self):
         c = np.asarray(self.entries, dtype=float)
@@ -62,13 +63,10 @@ class StiffnessTensor:
                 "input violates minor/major symmetry beyond 1e-8 relative")
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
+        object.__setattr__(self, "norm", float(scale))
 
     def __getitem__(self, idx):
         return self.entries[idx]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,10 @@ def stoneley_speed_fresh_sides(m_plus, m_minus, nu, eta_hat):
 # --- frame grids, one frame after another ------------------------------------
 
 def classify_with_margin_per_frame(materials, frames) -> list:
-    """(region, margin) of each frame by the loop that classify_with_margin
-    ran before frames were solved as stacks: each frame's sides are built,
-    classified, labelled and, off the elliptic region, factorized on their
-    own, and the first frame that fails raises."""
+    """(region, margin) of each frame by a loop over the frames, the way
+    classify_frames went before frames were solved as stacks: each frame's
+    sides are built, classified, labelled and, off the elliptic region,
+    factorized on their own, and the first frame that fails raises."""
     rows = []
     for frame in frames:
         sides = _sides(materials, frame)
@@ -167,7 +167,7 @@ def classify_spectrum_one(a):
     s6 = fz.stroh(a)
     if not np.isfinite(s6).all():
         raise NumericalDomainError("Stroh matrix is not finite")
-    t, z = fz._ok(fz._schur(s6))
+    t, z = fz._schur(s6)
     norm = float(np.linalg.norm(s6))
     groups = []
     for value, alg, is_real in fz._group(np.diag(t), norm):
@@ -191,19 +191,17 @@ def factorize_one(a, direction="outgoing", tau=None, classification=None):
         tau = a.frame.tau
     if classification is None:
         classification = classify_spectrum_one(a)
-    sigma, targets, match_tol = fz._ok(fz._target(classification, direction, tau))
+    sigma, targets, match_tol = fz._target(classification, direction, tau)
     t, zvec = classification.schur
-    t, zvec = fz._ok(fz._reorder(t, zvec, fz._selected(np.diag(t), np.array(targets),
-                                                       match_tol)))
+    t, zvec = fz._reorder(t, zvec, fz._selected(np.diag(t), np.array(targets), match_tol))
     x1 = zvec[:3, :3]
-    fz._ok(fz._ill_conditioned(np.linalg.cond(x1)))
+    fz._check_condition(np.linalg.cond(x1))
     q, q_sharp = fz._roots(x1, t[:3, :3], a.a0, a.a1_sym, a.core.stroh_blocks[0])
     fact = fz.SpectralFactorization(q, q_sharp, tuple(sigma), direction, float(tau), a,
                                     classification)
     eq, es = fact.q_spectrum, np.linalg.eigvals(fact.q_sharp)
     size = max(np.max(np.abs(eq)), np.max(np.abs(es)), 1e-300)
-    fz._ok(fz._root_error(fact.solvency_residual, np.min(np.abs(eq[:, None] - es[None, :])),
-                          size))
+    fz._check_roots(fact.solvency_residual, np.min(np.abs(eq[:, None] - es[None, :])), size)
     return fact
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from elaswave import cli
+from elaswave import cli, factorization
 from elaswave.cli import run
 
 from oracles import C_R_POISSON
@@ -197,7 +197,7 @@ class TestSubcommands:
     def test_classify_grid_csv(self, capsys, iso_file):
         code, out, _ = invoke(capsys, "classify", "--material", iso_file,
                               "--eta", "1", "0", "--tau", "-1.5",
-                              "--grid", "6", "--format", "csv")
+                              "--grid", "6")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "eta_x,eta_y,tau,label,margin"
@@ -213,6 +213,20 @@ class TestSubcommands:
         assert lines[0].startswith("eta_x,eta_y,tau,s_in,side,s_out")
         assert len(lines) >= 3
         assert float(lines[1].split(",")[-1]) < 1e-8   # balance residual
+
+    @pytest.mark.parametrize("pair, builds", [(False, 1), (True, 2)])
+    def test_reflect_builds_each_side_once(self, capsys, monkeypatch, iso_file, poisson_file,
+                                           pair, builds):
+        # the incident mode and the law share the + side
+        calls = []
+        build = factorization._boundary_polynomials
+        monkeypatch.setattr(factorization, "_boundary_polynomials",
+                            lambda m, frames: calls.append(m) or build(m, frames))
+        materials = (["--material-plus", iso_file, "--material-minus", poisson_file] if pair
+                     else ["--material", iso_file])
+        code, _, _ = invoke(capsys, "reflect", *materials, "--eta", "1", "0", "--tau", "-2.5")
+        assert code == 0
+        assert len(calls) == builds
 
     def test_trace_and_arrivals(self, capsys, stack_file):
         code, out, _ = invoke(capsys, "arrivals", "--stack", stack_file,
@@ -266,3 +280,20 @@ class TestDeterminism:
                  flag, "1e-8"])
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["material", "m.json"],
+        ["factorize", "--material", "m.json", "--eta", "1", "0", "--tau", "-1.5"],
+        ["impedance", "--material", "m.json", "--eta", "1", "0", "--tau", "-0.5"],
+        ["classify", "--material", "m.json", "--eta", "1", "0", "--tau", "-1.5", "--grid", "4"],
+        ["rayleigh", "--material", "m.json", "--eta", "1", "0"],
+        ["stoneley", "--material-plus", "m.json", "--material-minus", "m.json",
+         "--eta", "1", "0"],
+        ["trace", "--stack", "s.json", "--eta", "0", "0", "--tau", "-1"],
+    ])
+    def test_format_only_where_it_applies(self, capsys, argv):
+        # these commands print one format, so argparse rejects --format
+        with pytest.raises(SystemExit) as info:
+            run([*argv, "--format", "json"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err

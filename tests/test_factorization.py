@@ -341,12 +341,12 @@ class TestFactorize:
 
         def validate(fact):     # the checks of factorize, on a stack of one
             return factorization._validate([fact], factorization._coefficients([a]),
-                                           fact.q[None], fact.q_sharp[None])[0]
+                                           fact.q[None], fact.q_sharp[None])
 
         assert validate(f) is None
         bad = dataclasses.replace(f, q=f.q + 1e-6)
         with pytest.raises(SolvencyResidual):
-            factorization._ok(validate(bad))
+            validate(bad)
         assert issubclass(SolvencyResidual, NumericalDomainError)
 
     def test_spec_gap(self, iso):
@@ -475,6 +475,17 @@ class TestQuadraticMatrixPolynomialValidation:
         from elaswave.errors import DegenerateA0
         with pytest.raises(DegenerateA0):
             QuadraticMatrixPolynomial(-np.eye(3), np.zeros((3, 3)), np.eye(3))
+
+    def test_rejects_overflowing_coefficients(self):
+        # a coefficient past 1e150 would overflow in the polynomial's own norms
+        unit = QuadraticMatrixPolynomial(np.eye(3), np.zeros((3, 3)), np.eye(3))
+        for which in range(3):
+            coefficients = [unit.a0, unit.a1, unit.a2]
+            coefficients[which] = 1e200 * np.eye(3)
+            with pytest.raises(CoefficientOverflow):
+                QuadraticMatrixPolynomial(*coefficients)
+        with pytest.raises(CoefficientOverflow):     # with_a2 checks the new A2 alike
+            unit.with_a2(-1e200 * np.eye(3))
 
     def test_boundary_polynomial_of_nonconvex_material(self):
         # A0 = nu.C.nu is indefinite; the polynomial's constructor rejects it

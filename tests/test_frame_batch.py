@@ -1,7 +1,6 @@
-"""classify_frames, ellipticity_margin and classify_with_margin solve frames
-as stacks; they must give what a loop over the frames, one after another,
-gives: the same labels, the same margins to the last bit, and the same first
-error."""
+"""classify_frames and ellipticity_margin solve frames as stacks; they must
+give what a loop over the frames, one after another, gives: the same labels,
+the same margins to the last bit, and the same first error."""
 import json
 
 import numpy as np
@@ -14,7 +13,6 @@ from elaswave.boundary import (
     _CHUNK,
     classify,
     classify_frames,
-    classify_with_margin,
     ellipticity_margin,
     tau_limit,
 )
@@ -23,6 +21,7 @@ from elaswave.errors import (
     ElasticError,
     NumericalDomainError,
     SigmaCardinality,
+    SolvencyResidual,
 )
 from elaswave.factorization import (
     BoundaryFrame,
@@ -127,7 +126,7 @@ class TestSameAsPerFrame:
     def test_single_frame_entry_points(self, rotated_ti, hard):
         fr = BoundaryFrame(NU, np.array([0.6, 0.3, 0.0]), -1.1)
         for materials in (rotated_ti, (rotated_ti, hard)):
-            region, margin = classify_with_margin(materials, fr)
+            [(_, region, margin)] = classify_frames(materials, [fr])
             assert (region, margin) == classify_with_margin_per_frame(materials, [fr])[0]
             assert region == classify(materials, fr)
         frames = [BoundaryFrame(NU, np.array([0.6, 0.3, 0.0]), t) for t in (-0.4, -1.1, -2.9)]
@@ -154,7 +153,7 @@ class TestFirstError:
 
         def failing(cls, direction, tau):
             if tau == self.TAU_BAD:
-                return SigmaCardinality("injected failure")
+                raise SigmaCardinality("injected failure")
             return target(cls, direction, tau)
 
         monkeypatch.setattr(factorization, "_target", failing)
@@ -184,11 +183,37 @@ class TestFirstError:
         frames = [BoundaryFrame(NU, ETA, t) for t in (-2.5, -0.5, -1.5, -1e80)]
         bad = stroh(boundary_polynomial(hard, frames[2].flipped()))
         schur = factorization._schur
-        monkeypatch.setattr(factorization, "_schur", lambda s6: (
-            NumericalDomainError("injected Schur failure") if np.array_equal(s6, bad)
-            else schur(s6)))
+
+        def failing(s6):
+            if np.array_equal(s6, bad):
+                raise NumericalDomainError("injected Schur failure")
+            return schur(s6)
+
+        monkeypatch.setattr(factorization, "_schur", failing)
         _, error = assert_same_as_per_frame((iso, hard), frames)
         assert error == (NumericalDomainError, "injected Schur failure")
+
+    def test_plus_side_roots_before_minus_side_target(self, iso, hard, monkeypatch):
+        # at one frame of a pair the + side's root check fails, and so does the
+        # - side's target; a loop factorizes the + side first, to its checks
+        fr = BoundaryFrame(NU, ETA, -2.5)
+        bad = classify_spectrum(boundary_polynomial(hard, fr.flipped())).schur[0]
+        target, validate = factorization._target, factorization._validate
+
+        def failing_target(cls, direction, tau):
+            if np.array_equal(cls.schur[0], bad):
+                raise SigmaCardinality("injected - side failure")
+            return target(cls, direction, tau)
+
+        def failing_validate(facts, *stacks):
+            validate(facts, *stacks)
+            if any(np.array_equal(f.poly.frame.nu, NU) for f in facts):
+                raise SolvencyResidual("injected + side failure")
+
+        monkeypatch.setattr(factorization, "_target", failing_target)
+        monkeypatch.setattr(factorization, "_validate", failing_validate)
+        _, error = assert_same_as_per_frame((iso, hard), [fr])
+        assert error == (SolvencyResidual, "injected + side failure")
 
 
 class TestCliGrid:
@@ -235,9 +260,13 @@ class TestCliGrid:
                   for a in 2.0 * np.pi * np.arange(8) / 8]
         bad = classify_spectrum(boundary_polynomial(mat, frames[2])).schur[0]
         target = factorization._target
-        monkeypatch.setattr(factorization, "_target", lambda cls, d, tau: (
-            SigmaCardinality("injected failure") if np.array_equal(cls.schur[0], bad)
-            else target(cls, d, tau)))
+
+        def failing(cls, d, tau):
+            if np.array_equal(cls.schur[0], bad):
+                raise SigmaCardinality("injected failure")
+            return target(cls, d, tau)
+
+        monkeypatch.setattr(factorization, "_target", failing)
         _, want = outcome(lambda: classify_with_margin_per_frame(mat, frames))
         assert want == (SigmaCardinality, "injected failure")
         code, out, err = self.grid(capsys, "--material", ortho_file, "--eta", "1", "0",

@@ -15,7 +15,14 @@ equal bytes.  It covers
     and triclinic materials; an error counts by its type and message;
   * surface_waves: every float of the seeded Rayleigh and Stoneley solves
     of the surface_waves workload;
-  * trees: the event trees of the layered_trace workload, as JSON.
+  * trees: the event trees of the layered_trace workload, as JSON;
+  * errors: the (type, message) of the error, or that there was none, of
+    classify_frames, ellipticity_margin, classify, boundary_polynomial,
+    classify_spectrum and factorize on seeded failing inputs: grids longer
+    than one stack with a tau = -1e80 frame at seeded positions (one
+    material, and pairs with a second seeded or a non-convex material), a
+    non-convex material, a NaN A2, frames at the elliptic limit tau_L and a
+    glancing isotropic frame.
 
 Floats are hashed as their bytes, so a last-bit change shows.  The inputs
 come from bench/workloads.py (its seeded materials, frames, workloads and CLI
@@ -40,10 +47,12 @@ import workloads  # noqa: E402
 from elaswave import boundary as bd  # noqa: E402
 from elaswave import factorization as fz  # noqa: E402
 from elaswave import impedance as imp  # noqa: E402
+from elaswave import materials as mt  # noqa: E402
 from elaswave.errors import ElasticError  # noqa: E402
 
 MATERIALS_PER_CLASS = 2
 FRAMES_PER_REGION = 6
+GRID_FRAMES = 300       # more than one stack of classify_frames
 
 
 def _feed(h, obj) -> None:
@@ -124,6 +133,60 @@ def spectra_digest(seed: int) -> str:
     return h.hexdigest()
 
 
+def _error(fn):
+    """(type name, message) of the elaswave error fn() raises, or None; the
+    results themselves are hashed by the other sections."""
+    try:
+        fn()
+    except ElasticError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _grid_errors(h, materials, frames, rng) -> None:
+    """The errors of a grid with its frame at a seeded position, one in each
+    stack of classify_frames, moved to tau = -1e80."""
+    for at in (rng.integers(256), rng.integers(256, len(frames))):
+        grid = list(frames)
+        grid[at] = grid[at].with_tau(-1e80)
+        _feed(h, [_error(lambda: list(bd.classify_frames(materials, grid))),
+                  _error(lambda: bd.ellipticity_margin(materials, grid)),
+                  _error(lambda: bd.classify(materials, grid[at]))])
+
+
+def _spectral_errors(a, tau=None) -> list:
+    return [_error(lambda: fz.classify_spectrum(a)),
+            *(_error(lambda: fz.factorize(a, d, tau)) for d in ("outgoing", "incoming"))]
+
+
+def errors_digest(seed: int) -> str:
+    h = hashlib.sha256()
+    nonconvex = mt.make_isotropic(1.0, -1.0, 1.0)
+    for k, (_, make) in enumerate(workloads.MATERIAL_CLASSES):
+        rng = np.random.default_rng([seed, k, 7])
+        m, other = make(rng)(), make(rng)()
+        base = [workloads.sample_frame(m, region, rng) for region in workloads.REGIONS]
+        frames = [base[j % len(base)] for j in range(GRID_FRAMES)]
+        for materials in (m, (m, other), (m, nonconvex), (nonconvex, m)):
+            _grid_errors(h, materials, frames, rng)
+        _feed(h, [_error(lambda: fz.boundary_polynomial(nonconvex, base[0])),
+                  _error(lambda: list(bd.classify_frames(nonconvex, base)))])
+        nan_a2 = fz.boundary_polynomial(m, base[0]).with_a2(np.full((3, 3), np.nan))
+        _feed(h, _spectral_errors(nan_a2))
+        ang = rng.uniform(0.0, 2.0 * np.pi)
+        eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+        limit = fz.BoundaryFrame(workloads.NU, eta_hat, -bd.tau_limit(m, workloads.NU, eta_hat))
+        _feed(h, [_error(lambda: bd.classify(m, limit)),
+                  _error(lambda: list(bd.classify_frames((m, other), [limit]))),
+                  *_spectral_errors(fz.boundary_polynomial(m, limit))])
+    bare = fz.QuadraticMatrixPolynomial(np.eye(3), np.zeros((3, 3)), np.full((3, 3), np.nan))
+    _feed(h, _spectral_errors(bare, -1.0))
+    iso = mt.make_isotropic(2.0, 1.0, 1.0)
+    _feed(h, _spectral_errors(fz.boundary_polynomial(
+        iso, fz.BoundaryFrame(workloads.NU, np.array([1.0, 0.0, 0.0]), -1.0))))
+    return h.hexdigest()
+
+
 def _run_ops(workload, rounds: int) -> list:
     return [op.run() for k in range(rounds) for op in workload.round(k)]
 
@@ -166,7 +229,8 @@ def main(argv=None) -> int:
         lines = cli_digests(directory)
         lines += [("spectra", spectra_digest(args.seed)),
                   ("surface_waves", surface_wave_digest(args.seed, directory)),
-                  ("trees", tree_digest(args.seed, directory))]
+                  ("trees", tree_digest(args.seed, directory)),
+                  ("errors", errors_digest(args.seed))]
     total = hashlib.sha256()
     for name, digest in lines:
         print(f"{digest}  {name}")
