@@ -406,33 +406,53 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
     return _surface_wave_bisect(zfun, tau_eta)
 
 
+def _not_glancing(sides: list) -> list:
+    """The sides, of every stack, whose spectrum does not glance."""
+    return [side for stack in sides for side in stack if not side.classification.glancing]
+
+
+def _stacked_sides(stacks: list, outgoing=_not_glancing) -> list:
+    """The BoundarySide of each frame of stacks of (material, frames), every
+    step solved for all sides at once: the polynomials of each stack, one
+    classification of all of them, and the outgoing factorization and z of
+    the sides that `outgoing` picks from the classified ones.  A side's
+    incoming factorization and the rest are built on first use.  Each stage
+    gives an entry what it gives the entry alone, and each step meets the
+    stacks in order, so a one-frame stack of a pair fails as its + side
+    then its - side would."""
+    polys = [_boundary_polynomials(m, frames) for m, frames in stacks]
+    classes = iter(_classify([a for stack in polys for a in stack]))
+    sides = [[BoundarySide._of(m, a, classification=next(classes)) for a in stack]
+             for (m, _), stack in zip(stacks, polys)]
+    due = outgoing(sides)
+    if due:
+        facts = _factorize([s.poly for s in due], [s.classification for s in due],
+                           "outgoing", [s.frame.tau for s in due])
+        z = _impedance(np.array([s.poly.a0 for s in due]), np.array([f.q for f in facts]),
+                       np.array([s.poly.a1 for s in due]))
+        for side, f, z_side in zip(due, facts, z):
+            side._built.update({("factorization", "outgoing"): f, ("z", "outgoing"): z_side})
+    return sides
+
+
 def _solve_frames(materials, frames: list) -> list:
-    """(region, margin) of each frame, every step solved for all frames of a
-    side at once: polynomials, classifications, and outgoing factorizations
-    on the frames that have a margin.  Each step runs on the + side first,
-    so that one frame meets its errors in the order of the frame on its own."""
+    """(region, margin) of each frame from its sides, built as stacks with
+    outgoing factorizations on the frames that have a margin."""
     mats = (materials,) if isinstance(materials, Material) else tuple(materials)
     views = [frames] if len(mats) == 1 else [frames, [f.flipped() for f in frames]]
-    polys = [_boundary_polynomials(m, view) for m, view in zip(mats, views)]
-    classes = [_classify(per_side) for per_side in polys]
-    sides = [tuple(BoundarySide._of(m, p[j], classification=c[j])
-                   for m, p, c in zip(mats, polys, classes)) for j in range(len(frames))]
+    due = []
 
-    due = [j for j in range(len(frames)) if _has_margin(_dims(sides[j]))]
+    def with_margin(sides: list) -> list:
+        due.extend(j for j, row in enumerate(zip(*sides)) if _has_margin(_dims(row)))
+        return [stack[j] for stack in sides for j in due]
+
+    rows = list(zip(*_stacked_sides(list(zip(mats, views)), with_margin)))
     margins = dict.fromkeys(range(len(frames)))
     if due:     # sigma_min / sigma_max of z, or of z+ + z- for a pair
-        outgoing = []
-        for i in range(len(mats)):
-            on = [sides[j][i] for j in due]
-            outgoing.append(_factorize([s.poly for s in on], [s.classification for s in on],
-                                       "outgoing", [s.frame.tau for s in on]))
-            for side, f in zip(on, outgoing[-1]):
-                side._built["factorization", "outgoing"] = f
-        z = sum(_impedance(np.array([f.poly.a0 for f in facts]), np.array([f.q for f in facts]),
-                           np.array([f.poly.a1 for f in facts])) for facts in outgoing)
+        z = sum(np.array([rows[j][i].z() for j in due]) for i in range(len(mats)))
         sv = np.linalg.svd(z, compute_uv=False)
         margins.update(zip(due, (sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist()))
-    return [(_region(sides[j]), margins[j]) for j in range(len(frames))]
+    return [(_region(row), margins[j]) for j, row in enumerate(rows)]
 
 
 def classify_frames(materials, frames):

@@ -26,6 +26,7 @@ from .errors import (
     CoefficientOverflow,
     ContourTooClose,
     DegenerateA0,
+    ElasticError,
     GlancingSpectrum,
     IllConditionedJ,
     InvalidInput,
@@ -197,6 +198,9 @@ def _cores(a0, a1, l_eta, size: list) -> list:
     a1_sym = a1 + _herm(a1)
     n = len(a0)
     norm0, norm1, asymmetry = _fro(np.concatenate((a0, a1, a0 - _herm(a0)))).reshape(3, n).tolist()
+    # a finite norm has finite entries; an infinite or NaN one sends A0 to the full check
+    if not all(map(math.isfinite, norm0)) and not np.isfinite(a0).all():
+        raise NumericalDomainError("A0 is not finite")
     a0_min = np.linalg.eigvalsh(a0)[:, 0].tolist()
     for a in (a0, a1, a1_sym):
         a.setflags(write=False)
@@ -691,15 +695,22 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
 
 def _factorize(polys: list, classifications: list, direction: str, taus: list) -> list:
     """factorize each polynomial from its classification: the ordered Schur
-    form and cond(X1) one by one, the roots and their checks as stacks."""
+    form and cond(X1) one by one, the roots and their checks as stacks.  The
+    error raised is the one a loop over the polynomials meets first: when
+    one fails before its roots, those before it check their roots first."""
     sigmas, blocks = [], []
-    for cls, tau in zip(classifications, taus):
-        sigma, targets, match_tol = _target(cls, direction, tau)
-        t, zvec = cls.schur
-        t, zvec = _reorder(t, zvec, _selected(t.diagonal(), np.array(targets), match_tol))
-        # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
-        s_max, _, s_min = np.linalg.svd(zvec[:3, :3], compute_uv=False).tolist()
-        _check_condition(s_max / s_min if s_min > 0 else math.inf)
+    for k, (cls, tau) in enumerate(zip(classifications, taus)):
+        try:
+            sigma, targets, match_tol = _target(cls, direction, tau)
+            t, zvec = cls.schur
+            t, zvec = _reorder(t, zvec, _selected(t.diagonal(), np.array(targets), match_tol))
+            # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
+            s_max, _, s_min = np.linalg.svd(zvec[:3, :3], compute_uv=False).tolist()
+            _check_condition(s_max / s_min if s_min > 0 else math.inf)
+        except ElasticError:
+            if k:
+                _factorize(polys[:k], classifications[:k], direction, taus[:k])
+            raise
         sigmas.append(tuple(sigma))
         blocks.append((zvec[:3, :3], t[:3, :3]))
     blocks = np.array(blocks)

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ElasticError,
     GlancingSpectrum,
     NumericalDomainError,
     StackFileError,
     ValidationError,
 )
-from .boundary import BoundarySide
+from .boundary import BoundarySide, _stacked_sides
 from .factorization import (
     GROUPING_TOL,
     BoundaryFrame,
@@ -239,7 +240,14 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     and scattering law depends only on (layer, direction), so each is built
     once per call: the law met going down from layer L joins sides (L, down)
     and (L+1, up), the one met going up (L, up) and (L-1, down), and
-    crossing times read the side a segment travels toward.
+    crossing times read the side a segment travels toward.  All 2n + 1 sides
+    of an n-layer stack are built at entry as stacks on the batched frame
+    core (`boundary._stacked_sides`): the polynomials per material, one
+    classification of all of them and one outgoing factorization and
+    impedance of those whose spectrum does not glance, each bit for bit what
+    the side built alone gets.  Incoming factorizations, projectors and laws
+    are built on first use.  If a stack raises, each side is built alone on
+    first use instead, so a failing law keeps its error and its note.
 
     The queue is expanded one generation (tree depth) at a time: the
     segments of a generation that meet the same law scatter as one block,
@@ -266,7 +274,16 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         raise ValidationError("source direction must be 'up' or 'down'")
 
     frames = {d: _frame_for(d, eta, tau) for d in ("up", "down")}
-    sides = {}   # (layer, direction) -> BoundarySide
+    # (layer, direction) -> BoundarySide; the half-space has one side, the
+    # - side of the lowest interface
+    directions = [("up", "down")] * n_layers + [("up",)]
+    try:
+        built = _stacked_sides([(stack.material(layer), [frames[d] for d in dirs])
+                                for layer, dirs in enumerate(directions)])
+        sides = {(layer, d): side for layer, (dirs, row) in enumerate(zip(directions, built))
+                 for d, side in zip(dirs, row)}
+    except ElasticError:    # each side is then built alone on first use
+        sides = {}
     laws = {}    # (layer, direction) -> ScatterOperator, or the error its
                  # build raised (every segment meeting it then glances)
     delays = {}  # (layer, direction, s) -> mode_delay, None where per trace

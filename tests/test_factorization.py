@@ -260,6 +260,20 @@ class TestClassifySpectrum:
         with pytest.raises(NumericalDomainError):
             classify_spectrum(a)
 
+    def test_nan_coefficients_are_numerical(self):
+        # A NaN in A0 is rejected before A0's eigenvalues are taken, whose
+        # LAPACK call would raise a bare LinAlgError; a NaN in A1, like one
+        # in A2, makes the Stroh matrix non-finite.
+        nan = np.full((3, 3), np.nan)
+        with pytest.raises(NumericalDomainError, match="A0 is not finite"):
+            QuadraticMatrixPolynomial(nan, np.zeros((3, 3)), np.eye(3))
+        partly = np.eye(3)
+        partly[1, 2] = partly[2, 1] = np.nan
+        with pytest.raises(NumericalDomainError, match="A0 is not finite"):
+            QuadraticMatrixPolynomial(partly, np.zeros((3, 3)), np.eye(3))
+        with pytest.raises(NumericalDomainError, match="Stroh matrix is not finite"):
+            classify_spectrum(QuadraticMatrixPolynomial(np.eye(3), nan, np.eye(3)))
+
 
 class TestFactorize:
     def test_residual_small_everywhere(self, iso, ti):

@@ -1,13 +1,17 @@
+import hashlib
 import json
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from elaswave import boundary, factorization, layered, scatter
+from elaswave import boundary, factorization, layered
+from elaswave.boundary import BoundarySide
 from elaswave.errors import (
     GlancingSpectrum,
+    IllConditionedJ,
     NonEllipticOperator,
+    NumericalDomainError,
     StackFileError,
     ValidationError,
 )
@@ -27,7 +31,11 @@ from elaswave.layered import (
     mode_delay,
     trace_plane_wave,
 )
-from elaswave.materials import make_isotropic, make_transversely_isotropic
+from elaswave.materials import (
+    decompose_harmonic,
+    make_isotropic,
+    make_transversely_isotropic,
+)
 from elaswave.scatter import TraceField, reflect_free_surface, transmit_interface
 
 from conftest import AXIS, NU
@@ -287,6 +295,12 @@ class TestTracePlaneWave:
                 trace_plane_wave(stack, tau=-1.0, **kwargs)
 
 
+def forced_failure(*args, **kwargs):
+    """A stacked side build that fails, so that every side of a trace is
+    built on its own on first use."""
+    raise NumericalDomainError("forced stack failure")
+
+
 def _layer_direction(stack, plus):
     """(layer, direction) of the segments that meet a law built on side plus."""
     layer = next(k for k in range(len(stack.layers)) if stack.material(k) is plus.material)
@@ -354,22 +368,36 @@ class TestPrecomputedLaws:
         # The laws met going down from layer L and up from layer L+1 share
         # their two sides; the source mode and crossing times read them too.
         # At eta = 0 a layer's up and down polynomials have equal
-        # coefficients, so the key also holds the frame's conormal.
-        seen = Counter()
-        classify_spectrum = factorization.classify_spectrum
+        # coefficients, so the key also holds the frame's conormal.  Every
+        # classification runs through _classify: the stacked sides call it by
+        # boundary's name and classify_spectrum, its stack of one, by
+        # factorization's, so each entry of each stack at both names is
+        # counted.  With the stacked build failing, every side is built alone
+        # on first use.
+        seen, sizes = Counter(), []
+        stacked_classify = factorization._classify
 
-        def counting(a, *args, **kwargs):
-            seen[(a.a0.tobytes(), a.a1.tobytes(), a.a2.tobytes(),
-                  a.frame.nu.tobytes())] += 1
-            return classify_spectrum(a, *args, **kwargs)
+        def counting(polys):
+            sizes.append(len(polys))
+            for a in polys:
+                seen[(a.a0.tobytes(), a.a1.tobytes(), a.a2.tobytes(),
+                      a.frame.nu.tobytes())] += 1
+            return stacked_classify(polys)
 
-        for mod in (factorization, boundary, scatter):
-            if hasattr(mod, "classify_spectrum"):
-                monkeypatch.setattr(mod, "classify_spectrum", counting)
-        for eta, tau in TI_STACK_FRAMES:
-            seen.clear()
-            trace_plane_wave(ti_stack, eta, tau, max_events=64)
-            assert seen and max(seen.values()) == 1
+        for mod in (factorization, boundary):
+            monkeypatch.setattr(mod, "_classify", counting)
+        for stacked in (True, False):
+            with monkeypatch.context() as mp:
+                if not stacked:
+                    mp.setattr(layered, "_stacked_sides", forced_failure)
+                for eta, tau in TI_STACK_FRAMES:
+                    seen.clear()
+                    sizes.clear()
+                    trace_plane_wave(ti_stack, eta, tau, max_events=64)
+                    assert seen and max(seen.values()) == 1
+                    # one stack of all 2n + 1 sides, or one classify_spectrum per side
+                    assert sizes == ([2 * len(ti_stack.layers) + 1] if stacked
+                                     else [1] * len(seen))
 
     def test_failed_build_is_kept(self, ti_stack, monkeypatch):
         key = (1, "down")
@@ -435,3 +463,105 @@ class TestGenerations:
             assert [r[1:] for r in g] == sorted(r[1:] for r in g)
             same_mode_ties += len(g) - len({r[1] for r in g})
         assert same_mode_ties > 0
+
+
+def tree_digest(tree) -> str:
+    return hashlib.sha256(json.dumps(tree.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def recording_stacked_sides(monkeypatch) -> list:
+    """The side stacks each trace builds, in build order."""
+    built = []
+
+    def record(*args):
+        built.append(boundary._stacked_sides(*args))
+        return built[-1]
+
+    monkeypatch.setattr(layered, "_stacked_sides", record)
+    return built
+
+
+class TestStackedSides:
+    """A trace builds all its sides as stacks at entry; its tree is, byte for
+    byte, the tree whose sides are each built alone on first use."""
+
+    def assert_same_as_sides_alone(self, monkeypatch, stack, eta, tau, budget):
+        tree = trace_plane_wave(stack, eta, tau, max_events=budget)
+        with monkeypatch.context() as mp:
+            mp.setattr(layered, "_stacked_sides", forced_failure)
+            alone = trace_plane_wave(stack, eta, tau, max_events=budget)
+        assert tree_digest(tree) == tree_digest(alone)
+        assert len(tree.events) == len(alone.events)
+        for e, f in zip(tree.events, alone.events):
+            assert np.array_equal(e.amplitude, f.amplitude)
+        return tree
+
+    @pytest.mark.parametrize("budget", [1, 2, 64])
+    def test_trees_match_sides_built_alone(self, ti_stack, bench_stack, monkeypatch, budget):
+        built = recording_stacked_sides(monkeypatch)
+        for eta, tau in TI_STACK_FRAMES:
+            self.assert_same_as_sides_alone(monkeypatch, ti_stack, eta, tau, budget)
+        self.assert_same_as_sides_alone(monkeypatch, *bench_stack, budget)
+        # every trace built its 2n + 1 sides as stacks
+        assert [sum(map(len, sides)) for sides in built] == [7] * 4
+
+    def test_glancing_side(self, bench_stack, monkeypatch):
+        # At the half-space's shear transition (|eta| = 1, tau^2 = mu / rho)
+        # its double root s = 0 glances: the side gets no outgoing
+        # factorization from the stack, and the law above it fails on first
+        # use, as it does when built alone.
+        stack, eta, _ = bench_stack
+        half = stack.halfspace
+        tau = -float(np.sqrt(decompose_harmonic(half.stiffness).mu / half.density))
+        built = recording_stacked_sides(monkeypatch)
+        tree = self.assert_same_as_sides_alone(monkeypatch, stack, eta / np.linalg.norm(eta),
+                                               tau, 64)
+        glancing = [side for stack_sides in built[0] for side in stack_sides
+                    if side.classification.glancing]
+        assert [side.material for side in glancing] == [half]
+        assert ("factorization", "outgoing") not in glancing[0]._built
+        notes = {e.note for e in tree.events if e.status == "glancing"}
+        assert notes == {"spectrum has a glancing real eigenvalue"}
+
+    def test_failing_outgoing_stack(self, ti_stack, monkeypatch):
+        # An outgoing factorization stack that raises leaves every side to be
+        # built alone, whose factorizations do not pass through the stack.
+        trees = [trace_plane_wave(ti_stack, eta, tau, max_events=64)
+                 for eta, tau in TI_STACK_FRAMES]
+        stacks = []
+
+        def failing(polys, *args):
+            stacks.append(len(polys))
+            raise IllConditionedJ("forced failure")
+
+        monkeypatch.setattr(boundary, "_factorize", failing)
+        for tree, (eta, tau) in zip(trees, TI_STACK_FRAMES):
+            again = trace_plane_wave(ti_stack, eta, tau, max_events=64)
+            assert tree_digest(again) == tree_digest(tree)
+            for e, f in zip(again.events, tree.events):
+                assert np.array_equal(e.amplitude, f.amplitude)
+        assert len(stacks) == len(TI_STACK_FRAMES) and min(stacks) > 1
+
+    def test_sides_match_fresh_sides(self, ti_stack, bench_stack, monkeypatch):
+        built = recording_stacked_sides(monkeypatch)
+        for eta, tau in TI_STACK_FRAMES:
+            trace_plane_wave(ti_stack, eta, tau, max_events=64)
+        trace_plane_wave(*bench_stack, max_events=64)
+        n_factorized = 0
+        for side in (side for sides in built for stack_sides in sides for side in stack_sides):
+            fresh = BoundarySide(side.material, side.frame)
+            for name in ("a0", "a1", "a2"):
+                assert np.array_equal(getattr(side.poly, name), getattr(fresh.poly, name))
+            for mine, theirs in zip(side.classification.schur, fresh.classification.schur):
+                assert np.array_equal(mine, theirs)
+            if side.classification.glancing:
+                continue
+            # the stack built the outgoing factorization and z, not first use
+            assert {("factorization", "outgoing"), ("z", "outgoing")} <= set(side._built)
+            f, g = side.factorization(), fresh.factorization()
+            assert (f.sigma, f.direction, f.tau) == (g.sigma, g.direction, g.tau)
+            for name in ("q", "q_sharp", "q_spectrum"):
+                assert np.array_equal(getattr(f, name), getattr(g, name))
+            assert np.array_equal(side.z(), fresh.z())
+            n_factorized += 1
+        assert n_factorized == 7 * 4

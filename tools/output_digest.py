@@ -15,7 +15,10 @@ equal bytes.  It covers
     and triclinic materials; an error counts by its type and message;
   * surface_waves: every float of the seeded Rayleigh and Stoneley solves
     of the surface_waves workload;
-  * trees: the event trees of the layered_trace workload, as JSON;
+  * trees: the event trees of the layered_trace workload, as JSON, the
+    same frames again with event budgets of 1 and 2, and a trace at the
+    frame where the half-space glances, so that the law above it fails
+    and every segment meeting it ends as a glancing leaf;
   * errors: the (type, message) of the error, or that there was none, of
     classify_frames, ellipticity_margin, classify, boundary_polynomial,
     classify_spectrum and factorize on seeded failing inputs: grids longer
@@ -47,6 +50,7 @@ import workloads  # noqa: E402
 from elaswave import boundary as bd  # noqa: E402
 from elaswave import factorization as fz  # noqa: E402
 from elaswave import impedance as imp  # noqa: E402
+from elaswave import layered as ly  # noqa: E402
 from elaswave import materials as mt  # noqa: E402
 from elaswave.errors import ElasticError  # noqa: E402
 
@@ -199,12 +203,27 @@ def surface_wave_digest(seed: int, directory: str) -> str:
     return h.hexdigest()
 
 
+def _glancing_frame(stack, eta) -> tuple:
+    """(eta, tau) with |eta| = 1 along eta and tau at the shear transition
+    of the (isotropic) half-space, tau^2 = mu / rho, where its double shear
+    root s = 0 glances."""
+    half = stack.halfspace
+    mu = mt.decompose_harmonic(half.stiffness).mu
+    return np.asarray(eta) / np.linalg.norm(eta), -float(np.sqrt(mu / half.density))
+
+
 def tree_digest(seed: int, directory: str) -> str:
     w = workloads.LayeredTrace(seed, directory)
     w.setup()
     h = hashlib.sha256()
-    for tree in _run_ops(w, 1):
-        h.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
+    trees = _run_ops(w, 1)
+    trees += [ly.trace_plane_wave(w.stack, eta, tau, max_events=budget)
+              for eta, tau in w.frames for budget in (1, 2)]
+    eta, tau = _glancing_frame(w.stack, w.frames[0][0])
+    trees.append(_outcome(lambda: ly.trace_plane_wave(w.stack, eta, tau, max_events=64)))
+    for tree in trees:
+        doc = tree if isinstance(tree, tuple) else tree.to_dict()
+        h.update(json.dumps(doc, sort_keys=True).encode())
     return h.hexdigest()
 
 
