@@ -46,6 +46,8 @@ from .materials import Material, decompose_harmonic
 ANGLE_TOL = 1e-8        # principal angles with cosine above 1 - ANGLE_TOL count as shared
 BISECTION_TOL = 1e-10   # bisections stop at this width relative to the upper end
 EDGE_OFFSET = 1e-6      # surface-wave brackets end this far, relatively, below tau_eta
+ISOTROPY_TOL = 1e-8     # the closed form takes a harmonic anisotropy up to this times ||C||
+ISO_GLANCING_TOL = 1e-10  # a closed-form root with s^2 this close, relatively, to 0 glances
 _CHUNK = 256            # frames solved as one stack, so memory stays flat on any grid
 
 
@@ -179,20 +181,19 @@ def classify(materials, frame: BoundaryFrame) -> RegionClass:
     return _region(_sides(materials, frame))
 
 
-def _iso_moduli(m: Material, tol: float = 1e-8):
+def _iso_moduli(m: Material):
     h = decompose_harmonic(m.stiffness)
     aniso = (np.linalg.norm(h.a) + np.linalg.norm(h.b) + np.linalg.norm(h.h))
-    if aniso > tol * max(m.stiffness.norm, 1e-300):
+    if aniso > ISOTROPY_TOL * max(m.stiffness.norm, 1e-300):
         raise InvalidInput("material is not isotropic")
     return h.lam, h.mu
 
 
-def _outgoing_root(c2: float, rho: float, eta2: float, tau: float,
-                   glancing_tol: float = 1e-10) -> complex:
+def _outgoing_root(c2: float, rho: float, eta2: float, tau: float) -> complex:
     """Outgoing root of c2(s^2 + eta^2) = rho tau^2 for one wave family."""
     disc = rho * tau * tau / c2 - eta2
     scale = max(abs(rho * tau * tau / c2), eta2, 1.0)
-    if abs(disc) <= glancing_tol * scale:
+    if abs(disc) <= ISO_GLANCING_TOL * scale:
         raise GlancingSpectrum("closed-form root at the glancing transition")
     if disc > 0:
         return float(np.copysign(np.sqrt(disc), -tau))
@@ -406,33 +407,30 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
     return _surface_wave_bisect(zfun, tau_eta)
 
 
-def _not_glancing(sides: list) -> list:
-    """The sides, of every stack, whose spectrum does not glance."""
-    return [side for stack in sides for side in stack if not side.classification.glancing]
-
-
-def _stacked_sides(stacks: list, outgoing=_not_glancing) -> list:
-    """The BoundarySide of each frame of stacks of (material, frames), every
-    step solved for all sides at once: the polynomials of each stack, one
-    classification of all of them, and the outgoing factorization and z of
-    the sides that `outgoing` picks from the classified ones.  A side's
-    incoming factorization and the rest are built on first use.  Each stage
-    gives an entry what it gives the entry alone, and each step meets the
-    stacks in order, so a one-frame stack of a pair fails as its + side
-    then its - side would."""
+def _stacked_sides(stacks: list) -> list:
+    """The classified BoundarySide of each frame of stacks of (material,
+    frames), every step solved for all sides at once: the polynomials of
+    each stack, then one classification of all of them.  Each stage gives an
+    entry what it gives the entry alone, and each step meets the stacks in
+    order, so a one-frame stack of a pair fails as its + side then its -
+    side would."""
     polys = [_boundary_polynomials(m, frames) for m, frames in stacks]
     classes = iter(_classify([a for stack in polys for a in stack]))
-    sides = [[BoundarySide._of(m, a, classification=next(classes)) for a in stack]
-             for (m, _), stack in zip(stacks, polys)]
-    due = outgoing(sides)
-    if due:
-        facts = _factorize([s.poly for s in due], [s.classification for s in due],
-                           "outgoing", [s.frame.tau for s in due])
-        z = _impedance(np.array([s.poly.a0 for s in due]), np.array([f.q for f in facts]),
-                       np.array([s.poly.a1 for s in due]))
-        for side, f, z_side in zip(due, facts, z):
+    return [[BoundarySide._of(m, a, classification=next(classes)) for a in stack]
+            for (m, _), stack in zip(stacks, polys)]
+
+
+def _stacked_outgoing(sides: list) -> None:
+    """Store on each side its outgoing factorization and z, solved for all
+    the sides as one stack and bit for bit what each side builds alone.
+    A side's incoming factorization and the rest are built on first use."""
+    if sides:
+        facts = _factorize([s.poly for s in sides], [s.classification for s in sides],
+                           "outgoing", [s.frame.tau for s in sides])
+        z = _impedance(np.array([s.poly.a0 for s in sides]), np.array([f.q for f in facts]),
+                       np.array([s.poly.a1 for s in sides]))
+        for side, f, z_side in zip(sides, facts, z):
             side._built.update({("factorization", "outgoing"): f, ("z", "outgoing"): z_side})
-    return sides
 
 
 def _solve_frames(materials, frames: list) -> list:
@@ -440,15 +438,12 @@ def _solve_frames(materials, frames: list) -> list:
     outgoing factorizations on the frames that have a margin."""
     mats = (materials,) if isinstance(materials, Material) else tuple(materials)
     views = [frames] if len(mats) == 1 else [frames, [f.flipped() for f in frames]]
-    due = []
-
-    def with_margin(sides: list) -> list:
-        due.extend(j for j, row in enumerate(zip(*sides)) if _has_margin(_dims(row)))
-        return [stack[j] for stack in sides for j in due]
-
-    rows = list(zip(*_stacked_sides(list(zip(mats, views)), with_margin)))
+    sides = _stacked_sides(list(zip(mats, views)))
+    rows = list(zip(*sides))
+    due = [j for j, row in enumerate(rows) if _has_margin(_dims(row))]
     margins = dict.fromkeys(range(len(frames)))
     if due:     # sigma_min / sigma_max of z, or of z+ + z- for a pair
+        _stacked_outgoing([stack[j] for stack in sides for j in due])
         z = sum(np.array([rows[j][i].z() for j in due]) for i in range(len(mats)))
         sv = np.linalg.svd(z, compute_uv=False)
         margins.update(zip(due, (sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist()))

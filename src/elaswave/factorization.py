@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,9 @@ GROUPING_TOL = 1e-8      # eigenvalues closer than this times (1 + ||S||) are on
                          # an |Im s| below it makes the point real
 GLANCING_TOL = 1e-6      # a sign form on ker A(s) smaller than this times ||A'(s)|| glances
 MAX_J_CONDITION = 1e10   # largest cond(X1) of the invariant subspace's displacement block
+CONTOUR_NODES = 256      # first node count of the contour oracle, which doubles it
+CONTOUR_TOL = 1e-10      # until its two integrals change by less than this in all
+CONTOUR_MAX_NODES = 1 << 16  # and raises QuadratureNotConverged past this count
 
 
 @dataclass(frozen=True)
@@ -151,13 +155,9 @@ def _a2(l_eta, rho, tau_sq):
 class _SymbolCore:
     """The tau-independent half of A(s), shared along one (material, nu, eta):
     A0, A1, A1 + A1*, the norms of A0 and A1, A0's asymmetry and smallest
-    eigenvalue, l(eta) with the coefficient size without tau, and (on first
-    use, once a polynomial has checked A0) the Stroh blocks free of A2.  The
-    arrays are read-only; `_cores` builds the cores, those of a stack at once."""
-
-    @functools.cached_property
-    def stroh_blocks(self) -> tuple:
-        return _stroh_blocks(self.a0, self.a1)
+    eigenvalue, l(eta) with the coefficient size without tau, and the Stroh
+    blocks free of A2.  The arrays are read-only; `_cores` builds the cores,
+    those of a stack at once."""
 
     def at_tau(self, frame: BoundaryFrame, rho: float) -> "QuadraticMatrixPolynomial":
         a2 = np.asarray(_a2(self.l_eta, rho, frame.tau ** 2), dtype=complex)
@@ -170,9 +170,8 @@ class _SymbolCore:
         them; 0 - x rather than -x keeps an exact zero at +0."""
         core = copy.copy(self)
         core.a1, core.a1_sym = _negated(self.a1), _negated(self.a1_sym)
-        if "stroh_blocks" in vars(self):
-            a0inv, s11, s22, a1h_a0inv_a1 = self.stroh_blocks
-            core.stroh_blocks = (a0inv, _negated(s11), _negated(s22), a1h_a0inv_a1)
+        a0inv, s11, s22, a1h_a0inv_a1 = self.stroh_blocks
+        core.stroh_blocks = (a0inv, _negated(s11), _negated(s22), a1h_a0inv_a1)
         return core
 
 
@@ -204,23 +203,19 @@ def _cores(a0, a1, l_eta, size: list) -> list:
     a0_min = np.linalg.eigvalsh(a0)[:, 0].tolist()
     for a in (a0, a1, a1_sym):
         a.setflags(write=False)
+    # where an A0 is not positive definite or has no inverse, its polynomial fails to settle
+    blocks = [None] * n
+    if min(a0_min) > 0:
+        with suppress(np.linalg.LinAlgError):
+            blocks = list(zip(*_stroh_blocks(a0, a1)))
     cores = []
     for k in range(n):
         core = object.__new__(_SymbolCore)
         vars(core).update(a0=a0[k], a1=a1[k], a1_sym=a1_sym[k], norms=(norm0[k], norm1[k]),
                           a0_asymmetry=asymmetry[k], a0_min=a0_min[k], l_eta=l_eta[k],
-                          size=size[k])
+                          size=size[k], stroh_blocks=blocks[k])
         cores.append(core)
     return cores
-
-
-def _fill_stroh_blocks(polys: list) -> None:
-    """The Stroh blocks of the polynomials' cores that lack them, as stacks."""
-    todo = [a.core for a in polys if "stroh_blocks" not in vars(a.core)]
-    if todo:
-        blocks = _stroh_blocks(np.array([c.a0 for c in todo]), np.array([c.a1 for c in todo]))
-        for core, own in zip(todo, zip(*blocks)):
-            core.stroh_blocks = own
 
 
 def _coefficient_size(stiffness_norm: float, frame: BoundaryFrame) -> float:
@@ -237,6 +232,12 @@ def _check_overflow(size: float, rho: float, tau: float) -> None:
     if not size <= 1e150:
         raise CoefficientOverflow(f"boundary polynomial coefficients of size {size:.3g} "
                                   "exceed 1e150")
+
+
+def _check_entries(*coefficients) -> None:
+    """_check_overflow on the largest entry; a NaN is left for classify_spectrum to reject."""
+    entries = np.abs(np.concatenate([np.ravel(c) for c in coefficients]))
+    _check_overflow(np.fmax.reduce(entries, initial=0.0), 0.0, 0.0)
 
 
 def _scale(core: _SymbolCore, a2_norm: float, a2_asymmetry: float) -> float:
@@ -279,16 +280,11 @@ class QuadraticMatrixPolynomial:
     a2: np.ndarray
     frame: BoundaryFrame | None = None
     rho: float | None = None
-    core: _SymbolCore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        given = (self.a2,) if self.core is not None else (self.a0, self.a1, self.a2)
-        entries = np.abs(np.concatenate([np.ravel(c) for c in given]))
-        # the largest entry; a NaN is left for classify_spectrum to reject
-        _check_overflow(np.fmax.reduce(entries, initial=0.0), 0.0, 0.0)
-        core = self.core if self.core is not None else _cores(
-            np.array(self.a0, dtype=complex, ndmin=3), np.array(self.a1, dtype=complex, ndmin=3),
-            [None], [None])[0]
+        _check_entries(self.a0, self.a1, self.a2)
+        core = _cores(np.array(self.a0, dtype=complex, ndmin=3),
+                      np.array(self.a1, dtype=complex, ndmin=3), [None], [None])[0]
         a2 = np.array(self.a2, dtype=complex, ndmin=3)     # copies: the caller keeps its arrays
         _settled([self], [core], a2, [self.frame], self.rho)
 
@@ -307,8 +303,10 @@ class QuadraticMatrixPolynomial:
         return _slope(self.a0, self.a1_sym, s)
 
     def with_a2(self, a2: np.ndarray) -> "QuadraticMatrixPolynomial":
-        return QuadraticMatrixPolynomial(self.a0, self.a1, a2, self.frame, self.rho,
-                                         self.core)
+        """This polynomial with A2 replaced, settled on the same core."""
+        _check_entries(a2)
+        return _settled([object.__new__(QuadraticMatrixPolynomial)], [self.core],
+                        np.array(a2, dtype=complex, ndmin=3), [self.frame], self.rho)[0]
 
     def _from_material(self) -> _SymbolCore:
         if self.core.l_eta is None:
@@ -531,7 +529,6 @@ def _classify(polys: list) -> list:
     """classify_spectrum of each polynomial: the norm and Schur form of each
     Stroh matrix on its own, the kernels at every real eigenvalue of all of
     them from one stacked SVD and their sign forms as stacks."""
-    _fill_stroh_blocks(polys)
     out, at, values = [], [], []     # at, values: polynomial and s of each real group
     for k, a in enumerate(polys):
         s6 = stroh(a)
@@ -750,14 +747,12 @@ def _circle_moments(a: QuadraticMatrixPolynomial, center: complex, radius: float
 
 
 def contour_root_check(a: QuadraticMatrixPolynomial, q: np.ndarray,
-                       center: complex, radius: float,
-                       n_nodes: int = 256, tol: float = 1e-10,
-                       max_nodes: int = 1 << 16):
+                       center: complex, radius: float):
     """Residual of Q . (contour integral of A^{-1}) - (contour integral of s A^{-1}).
 
     The circle must enclose part of spec(Q) only, with clearance > radius/10
     from every eigenvalue of A.  Node counts double until two successive
-    quadratures agree to tol.  Returns (relative_residual, info).
+    quadratures agree to CONTOUR_TOL.  Returns (relative_residual, info).
     """
     spec_a = np.linalg.eigvals(stroh(a))
     dist_to_circle = np.abs(np.abs(spec_a - center) - radius)
@@ -770,12 +765,13 @@ def contour_root_check(a: QuadraticMatrixPolynomial, q: np.ndarray,
         raise ContourTooClose("circle encloses left-root spectrum")
 
     prev = None
-    nodes = n_nodes
+    nodes = CONTOUR_NODES
     while True:
         c0, c1 = _circle_moments(a, center, radius, nodes)
-        if prev is not None and np.linalg.norm(c0 - prev[0]) + np.linalg.norm(c1 - prev[1]) < tol:
+        if (prev is not None
+                and np.linalg.norm(c0 - prev[0]) + np.linalg.norm(c1 - prev[1]) < CONTOUR_TOL):
             break
-        if nodes >= max_nodes:
+        if nodes >= CONTOUR_MAX_NODES:
             raise QuadratureNotConverged("contour quadrature did not converge")
         prev = (c0, c1)
         nodes *= 2

@@ -32,6 +32,14 @@ from .factorization import (
     factorize,
 )
 
+MODAL_FLUX_TOL = 1e-9     # largest relative residual of the modal flux identity
+BL_NODES = 64             # first Gauss-Legendre node count of the Barnett-Lothe integrals
+BL_TOL = 1e-8             # relative change of z at which the node doubling stops
+BL_MAX_NODES = 1 << 14    # past this count it raises QuadratureNotConverged
+FD_REL_STEP = 1e-5        # finite-difference step in tau^2, relative to tau^2
+FD_TOL = 1e-5             # largest relative Lyapunov - finite-difference disagreement
+MAX_EIG_CONDITION = 1e8   # largest condition number of the eigenvector matrix of Q
+
 
 @dataclass(frozen=True)
 class Impedance:
@@ -41,15 +49,12 @@ class Impedance:
     direction: str
     frame: BoundaryFrame | None = None
 
-    def hermiticity_residual(self, subspace: np.ndarray | None = None) -> float:
+    def hermiticity_residual(self, subspace: np.ndarray) -> float:
         """Relative defect of z = z* on a subspace (columns span it)."""
-        if subspace is not None and subspace.shape[1] == 0:
+        if subspace.shape[1] == 0:
             return 0.0
-        if subspace is None:
-            m = self.z
-        else:
-            q, _ = np.linalg.qr(subspace)
-            m = q.conj().T @ self.z @ q
+        q, _ = np.linalg.qr(subspace)
+        m = q.conj().T @ self.z @ q
         return float(np.linalg.norm(m - m.conj().T) /
                      max(np.linalg.norm(self.z), 1e-300))
 
@@ -142,8 +147,7 @@ class ModalFluxes:
 def modal_flux_decomposition(a: QuadraticMatrixPolynomial,
                              f: SpectralFactorization, u: np.ndarray,
                              projectors: ModeProjectors | None = None,
-                             z: Impedance | None = None,
-                             tol: float = 1e-9) -> ModalFluxes:
+                             z: Impedance | None = None) -> ModalFluxes:
     """Split u by mode and verify the modal flux identity."""
     if projectors is None:
         projectors = mode_projectors(f)
@@ -161,9 +165,9 @@ def modal_flux_decomposition(a: QuadraticMatrixPolynomial,
     scale = max(np.linalg.norm(z.z) * float(np.vdot(u, u).real),
                 a.scale * float(np.vdot(u, u).real), 1e-300)
     residual = abs(lhs - 2.0 * total) / scale
-    if residual > tol:
+    if residual > MODAL_FLUX_TOL:
         raise CrossCheckFailed(
-            f"modal flux identity residual {residual:g} exceeds {tol:g}")
+            f"modal flux identity residual {residual:g} exceeds {MODAL_FLUX_TOL:g}")
     return ModalFluxes(per_mode, projectors.pi_c @ u, lhs, residual)
 
 
@@ -185,9 +189,7 @@ def _bl_integrals(a: QuadraticMatrixPolynomial, n: int):
             np.einsum("n,nij->ij", jac, (s * a.a0 + a.a1) @ inv))
 
 
-def barnett_lothe_impedance(a: QuadraticMatrixPolynomial,
-                            n_start: int = 64, tol: float = 1e-8,
-                            max_nodes: int = 1 << 14) -> Impedance:
+def barnett_lothe_impedance(a: QuadraticMatrixPolynomial) -> Impedance:
     """Outgoing impedance by the real-line integral formula.
 
     Solves i Z (int A^{-1} ds) = i pi I + p.v. int (s A0 + A1) A^{-1} ds,
@@ -199,28 +201,24 @@ def barnett_lothe_impedance(a: QuadraticMatrixPolynomial,
     if cls.has_real:
         raise RealSpectrumPresent(
             "Barnett-Lothe formula needs a real-eigenvalue-free spectrum")
-    n = n_start
+    n = BL_NODES
     z_prev = None
-    while n <= max_nodes:
+    while n <= BL_MAX_NODES:
         i0, i1 = _bl_integrals(a, n)
         z = (np.pi * np.eye(3) - 1j * i1) @ np.linalg.inv(i0)
-        if z_prev is not None and np.linalg.norm(z - z_prev) <= tol * np.linalg.norm(z):
+        if z_prev is not None and np.linalg.norm(z - z_prev) <= BL_TOL * np.linalg.norm(z):
             return Impedance(z, "outgoing", a.frame)
         z_prev = z
         n *= 2
     raise QuadratureNotConverged(
-        f"Barnett-Lothe quadrature not converged at {max_nodes} nodes")
+        f"Barnett-Lothe quadrature not converged at {BL_MAX_NODES} nodes")
 
 
 # --- Lyapunov route for the tau^2-derivative --------------------------------
 
-def impedance_tau_derivative(a: QuadraticMatrixPolynomial,
-                             f: SpectralFactorization | None = None,
+def impedance_tau_derivative(a: QuadraticMatrixPolynomial, f: SpectralFactorization,
                              rho: float | None = None,
-                             check_fd: bool = True,
-                             fd_rel_step: float = 1e-5,
-                             fd_tol: float = 1e-5,
-                             max_eig_condition: float = 1e8) -> np.ndarray:
+                             check_fd: bool = True) -> np.ndarray:
     """dZ/d(tau^2) from the Lyapunov equation i(Zdot Q - Q* Zdot) = -A2dot.
 
     A2 depends on tau only through -rho tau^2 I, so A2dot = -rho I.  The
@@ -232,14 +230,12 @@ def impedance_tau_derivative(a: QuadraticMatrixPolynomial,
         rho = a.rho
     if rho is None:
         raise InvalidInput("rho is required (polynomial carries none)")
-    if f is None:
-        f = factorize(a, "outgoing")
     if f.classification.has_real:
         raise RealSpectrumPresent("dZ/d(tau^2) route requires an elliptic frame")
 
     a2dot = -rho * np.eye(3)
     qvals, v = np.linalg.eig(f.q)
-    if np.linalg.cond(v) > max_eig_condition:
+    if np.linalg.cond(v) > MAX_EIG_CONDITION:
         raise NearDefectiveQ("eigenvector matrix of Q is too ill-conditioned")
     n = v.conj().T @ a2dot.astype(complex) @ v
     denom = 1j * (qvals[None, :] - qvals.conj()[:, None])
@@ -251,7 +247,7 @@ def impedance_tau_derivative(a: QuadraticMatrixPolynomial,
     if check_fd:
         tau = f.tau
         t0 = tau * tau
-        dt = fd_rel_step * t0
+        dt = FD_REL_STEP * t0
         zpm = []
         for sgn in (+1.0, -1.0):
             ap = a.with_a2(a.a2 - rho * sgn * dt * np.eye(3))
@@ -259,8 +255,8 @@ def impedance_tau_derivative(a: QuadraticMatrixPolynomial,
             zpm.append(impedance_from_factorization(ap, fp).z)
         fd = (zpm[0] - zpm[1]) / (2.0 * dt)
         rel = np.linalg.norm(zdot - fd) / max(np.linalg.norm(zdot), 1e-300)
-        if rel > fd_tol:
+        if rel > FD_TOL:
             raise CrossCheckFailed(
                 f"Lyapunov dZ/d(tau^2) disagrees with finite difference "
-                f"({rel:g} > {fd_tol:g})")
+                f"({rel:g} > {FD_TOL:g})")
     return zdot

@@ -23,7 +23,7 @@ from .errors import (
     StackFileError,
     ValidationError,
 )
-from .boundary import BoundarySide, _stacked_sides
+from .boundary import BoundarySide, _stacked_outgoing, _stacked_sides
 from .factorization import (
     GROUPING_TOL,
     BoundaryFrame,
@@ -227,27 +227,28 @@ _LAYER, _DIRECTION, _S, _AMPLITUDE, _TIME, _DEPTH, _FLUX, _STATUS, _NOTE = range
 
 
 def trace_plane_wave(stack: LayerStack, eta, tau: float,
-                     source_layer: int = 0, source_direction: str = "down",
-                     source_mode: int | float = 0,
+                     source_layer: int = 0, source_mode: int = 0,
                      max_events: int = 64,
                      amplitude_floor: float = 1e-4) -> EventTree:
     """Breadth-first expansion of a plane-wave source through the stack.
 
-    The source is a flux-normalized pure mode launched at the far boundary
-    of its layer at time zero.  Each interaction branches into all real
-    outgoing modes above the amplitude floor; evanescent components are
-    recorded but never propagated.  At fixed (eta, tau) every boundary side
-    and scattering law depends only on (layer, direction), so each is built
-    once per call: the law met going down from layer L joins sides (L, down)
-    and (L+1, up), the one met going up (L, up) and (L-1, down), and
-    crossing times read the side a segment travels toward.  All 2n + 1 sides
-    of an n-layer stack are built at entry as stacks on the batched frame
-    core (`boundary._stacked_sides`): the polynomials per material, one
-    classification of all of them and one outgoing factorization and
-    impedance of those whose spectrum does not glance, each bit for bit what
-    the side built alone gets.  Incoming factorizations, projectors and laws
-    are built on first use.  If a stack raises, each side is built alone on
-    first use instead, so a failing law keeps its error and its note.
+    The source, incoming mode number `source_mode` of its layer's lower
+    boundary, is flux-normalized and travels down from the layer's top at
+    time zero.  Each interaction branches into all real outgoing modes above
+    the amplitude floor; evanescent components are recorded but never
+    propagated.  At fixed (eta, tau) every boundary side and scattering law
+    depends only on (layer, direction), so each is built once per call: the
+    law met going down from layer L joins sides (L, down) and (L+1, up), the
+    one met going up (L, up) and (L-1, down), and crossing times read the
+    side a segment travels toward.  All 2n + 1 sides of an n-layer stack are
+    built at entry as stacks on the batched frame core
+    (`boundary._stacked_sides` and `_stacked_outgoing`): the polynomials per
+    material, one classification of all of them and one outgoing
+    factorization and impedance of those whose spectrum does not glance,
+    each bit for bit what the side built alone gets.  Incoming
+    factorizations, projectors and laws are built on first use.  If a stack
+    raises, each side is built alone on first use instead, so a failing law
+    keeps its error and its note.
 
     The queue is expanded one generation (tree depth) at a time: the
     segments of a generation that meet the same law scatter as one block,
@@ -270,8 +271,6 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     n_layers = len(stack.layers)
     if not 0 <= source_layer < n_layers:
         raise ValidationError("source layer out of range")
-    if source_direction not in ("up", "down"):
-        raise ValidationError("source direction must be 'up' or 'down'")
 
     frames = {d: _frame_for(d, eta, tau) for d in ("up", "down")}
     # (layer, direction) -> BoundarySide; the half-space has one side, the
@@ -280,6 +279,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     try:
         built = _stacked_sides([(stack.material(layer), [frames[d] for d in dirs])
                                 for layer, dirs in enumerate(directions)])
+        _stacked_outgoing([s for row in built for s in row if not s.classification.glancing])
         sides = {(layer, d): side for layer, (dirs, row) in enumerate(zip(directions, built))
                  for d, side in zip(dirs, row)}
     except ElasticError:    # each side is then built alone on first use
@@ -318,13 +318,13 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
             delay = group_delay(side(layer, direction).poly, s, v)
         return stack.thickness(layer) * abs(delay)
 
-    src = side_incoming_mode(side(source_layer, source_direction), source_mode)
-    t0 = crossing_time(source_layer, source_direction, src.s_in, src.g)
+    src = side_incoming_mode(side(source_layer, "down"), source_mode)
+    t0 = crossing_time(source_layer, "down", src.s_in, src.g)
     src_amp = float(np.linalg.norm(src.g))
     floor = amplitude_floor * src_amp
 
     # One row per event, in RayEvent field order, and its amplitude's norm.
-    rows = [[0, None, source_layer, source_direction, src.s_in, src.g, t0, 0,
+    rows = [[0, None, source_layer, "down", src.s_in, src.g, t0, 0,
              src.flux, "propagating", "source"]]
     norms = [src_amp]
     arrivals = []            # (time, s, |amplitude|, flux, uid)

@@ -21,6 +21,7 @@ import numpy as np
 from .boundary import BoundarySide
 from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
 from .factorization import BoundaryFrame, kernel_basis
+from .impedance import flux_form
 from .materials import Material
 
 INVERTIBLE_MARGIN = 1e-8    # a law's matrix with sigma_min/sigma_max at or below this is singular
@@ -34,7 +35,6 @@ class TraceField:
     g: np.ndarray
     frame: BoundaryFrame
     s_in: float
-    side: str = "+"
     flux: float = 1.0     # incident energy flux carried by g
 
 
@@ -75,29 +75,26 @@ class WaveBlock:
     traces: np.ndarray                # (3, N): the outgoing traces f
 
 
-def incoming_mode(m: Material, frame: BoundaryFrame,
-                  mode: int | float = 0) -> TraceField:
-    """Flux-normalized pure incoming mode.
-
-    `mode` selects the real incoming eigenvalue either by index (sorted
-    ascending) or by value.  The kernel vector is scaled to carry unit
-    incident energy flux, +tau (A'(s)g|g)/2 = 1.
-    """
+def incoming_mode(m: Material, frame: BoundaryFrame, mode: int = 0) -> TraceField:
+    """Flux-normalized pure incoming mode number `mode` (see
+    `side_incoming_mode`) of a material at a frame."""
     return side_incoming_mode(BoundarySide(m, frame), mode)
 
 
-def side_incoming_mode(side: BoundarySide, mode: int | float = 0) -> TraceField:
-    """`incoming_mode` on a side whose incoming projectors may be shared."""
+def side_incoming_mode(side: BoundarySide, mode: int = 0) -> TraceField:
+    """Flux-normalized pure incoming mode of a side: `mode` is an index into
+    its real incoming eigenvalues s, ascending (InvalidInput if it is not a
+    non-negative integer, NoIncomingMode past the last s), and a vector of
+    ker A(s) is scaled to unit flux +tau (A'(s)g|g)/2 = 1."""
+    if not (isinstance(mode, (int, np.integer)) and mode >= 0):
+        raise InvalidInput(f"mode must be a non-negative index, got {mode!r}")
     a, frame = side.poly, side.frame
     reals = sorted(side.projectors("incoming").psi.keys())
     if not reals:
         raise NoIncomingMode("frame is elliptic: no real incoming mode")
-    if isinstance(mode, int) and not isinstance(mode, bool) and mode < len(reals):
-        s = reals[mode]
-    else:
-        s = min(reals, key=lambda r: abs(r - float(mode)))
-        if abs(s - float(mode)) > 1e-6 * (1.0 + abs(s)):
-            raise NoIncomingMode(f"no incoming mode near s = {mode}")
+    if mode >= len(reals):
+        raise NoIncomingMode(f"no incoming mode {mode}: the frame has {len(reals)}")
+    s = reals[mode]
     kern = kernel_basis(a, s)
     v = kern[:, 0]
     flux_in = frame.tau * 0.5 * np.real(np.vdot(v, a.derivative(s) @ v))
@@ -244,15 +241,14 @@ def energy_balance(r: ScatterResult) -> dict:
         "sides": {},
     }
     for tag, side in r.sides.items():
-        tau = side.side.frame.tau
         ev = side.evanescent
         z = side.side.z()
-        ev_flux = -tau * np.imag(np.vdot(z @ ev, ev))
+        ev_flux = flux_form(z, side.side.frame.tau, ev)
         scale = max(np.linalg.norm(z) * max(float(np.vdot(ev, ev).real), 1e-300), 1e-300)
         report["sides"][tag] = {
             "mode_fluxes": dict(side.fluxes),
             "total_flux": side.total_flux,
-            "evanescent_flux": float(ev_flux),
+            "evanescent_flux": ev_flux,
             "evanescent_flux_ok": bool(abs(ev_flux) <= EVANESCENT_FLUX_TOL * scale),
         }
     return report

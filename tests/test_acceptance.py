@@ -6,7 +6,6 @@ them inline); a failed assertion marks the criterion FAIL via pytest.
 import json
 
 import numpy as np
-import pytest
 
 from elaswave.acoustic import eigen_gap_scan
 from elaswave.boundary import (
@@ -14,11 +13,10 @@ from elaswave.boundary import (
     iso_impedance_closed_form,
     rayleigh_speed,
 )
-from elaswave.errors import ContourTooClose, GlancingSpectrum
+from elaswave.errors import ContourTooClose
 from elaswave.factorization import (
     BoundaryFrame,
     boundary_polynomial,
-    classify_spectrum,
     contour_root_check,
     factorization_residual,
     factorize,

@@ -9,7 +9,6 @@ import elaswave
 from elaswave import boundary
 from elaswave.boundary import (
     BoundarySide,
-    RegionClass,
     classify,
     ellipticity_margin,
     iso_impedance_closed_form,

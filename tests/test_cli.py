@@ -214,6 +214,18 @@ class TestSubcommands:
         assert len(lines) >= 3
         assert float(lines[1].split(",")[-1]) < 1e-8   # balance residual
 
+    @pytest.mark.parametrize("mode, code, error", [("1", 0, None), ("2", 3, "NoIncomingMode"),
+                                                   ("-1", 2, "InvalidInput")])
+    def test_reflect_mode_is_an_index(self, capsys, iso_file, mode, code, error):
+        # the frame has two incoming modes, s ~ 0.5 and 2.0
+        got, out, err = invoke(capsys, "reflect", "--material", iso_file, "--eta", "1", "0",
+                               "--tau", str(np.sqrt(5.0)), "--mode", mode, "--format", "csv")
+        assert got == code
+        if error:
+            assert json.loads(err)["error"] == error
+        else:
+            assert out.splitlines()[1].split(",")[3] == "1.999999999999998"
+
     @pytest.mark.parametrize("pair, builds", [(False, 1), (True, 2)])
     def test_reflect_builds_each_side_once(self, capsys, monkeypatch, iso_file, poisson_file,
                                            pair, builds):

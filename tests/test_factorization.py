@@ -485,6 +485,13 @@ class TestQuadraticMatrixPolynomialValidation:
             QuadraticMatrixPolynomial(np.array([[1.0, 1.0, 0], [0, 1, 0], [0, 0, 1]]),
                                       np.zeros((3, 3)), np.eye(3))
 
+    def test_rejects_singular_non_hermitian_a0(self):
+        # the lower triangle is positive definite, but A0 has no inverse for
+        # the Stroh blocks: the Hermitian check still rejects it
+        with pytest.raises(InvalidInput):
+            QuadraticMatrixPolynomial(np.array([[1.0, 2.0, 0], [0.5, 1, 0], [0, 0, 1]]),
+                                      np.zeros((3, 3)), np.eye(3))
+
     def test_rejects_indefinite_a0(self):
         from elaswave.errors import DegenerateA0
         with pytest.raises(DegenerateA0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elaswave.errors import CrossCheckFailed, RealSpectrumPresent
+from elaswave.errors import RealSpectrumPresent
 from elaswave.factorization import BoundaryFrame, boundary_polynomial, factorize
 from elaswave.impedance import (
     barnett_lothe_impedance,

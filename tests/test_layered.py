@@ -287,7 +287,6 @@ class TestTracePlaneWave:
         stack = LayerStack(((soft, 1.0),), rigid)
         for bad in ({"max_events": 0}, {"eta": (0.1, 0.0, 0.2)},
                     {"eta": (0.1,)}, {"source_layer": 1},
-                    {"source_direction": "sideways"},
                     {"amplitude_floor": -1.0}, {"amplitude_floor": float("nan")},
                     {"amplitude_floor": float("inf")}):
             kwargs = {"eta": (0.0, 0.0), **bad}
@@ -323,7 +322,7 @@ class TestPrecomputedLaws:
                 n_scattered += 1
                 nu = NU if seg.direction == "down" else -NU
                 frame = BoundaryFrame(nu, tree.eta, tau)
-                incoming = TraceField(seg.amplitude, frame, seg.s, "+", seg.flux)
+                incoming = TraceField(seg.amplitude, frame, seg.s, seg.flux)
                 here = ti_stack.material(seg.layer)
                 step = 1 if seg.direction == "down" else -1
                 if seg.direction == "up" and seg.layer == 0:

@@ -18,8 +18,6 @@ from elaswave.materials import (
     from_voigt,
     isotropic_stiffness,
     load_material,
-    make_isotropic,
-    make_transversely_isotropic,
     material_from_dict,
     rotate_stiffness,
     to_mandel,

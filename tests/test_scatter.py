@@ -3,7 +3,7 @@ import pytest
 
 from elaswave import factorization
 from elaswave.boundary import BoundarySide
-from elaswave.errors import NoIncomingMode, ValidationError
+from elaswave.errors import InvalidInput, NoIncomingMode, ValidationError
 from elaswave.factorization import BoundaryFrame, boundary_polynomial, kernel_basis
 from elaswave.materials import make_isotropic
 from elaswave.scatter import (
@@ -44,6 +44,17 @@ class TestIncomingMode:
     def test_elliptic_raises(self, iso):
         with pytest.raises(NoIncomingMode):
             incoming_mode(iso, frame(-0.5), 0)
+
+    def test_mode_is_an_index(self, iso):
+        # Two incoming modes here, s ~ 0.5 and 2.0: an index past the last
+        # one is not read as a slowness, and a negative one is no index.
+        fr = frame(np.sqrt(5.0))
+        assert incoming_mode(iso, fr, 1).s_in == 1.999999999999998
+        with pytest.raises(NoIncomingMode):
+            incoming_mode(iso, fr, 2)
+        for bad in (-1, 2.0):
+            with pytest.raises(InvalidInput):
+                incoming_mode(iso, fr, bad)
 
 
 class TestFreeSurface:
