@@ -122,13 +122,19 @@ class BoundarySide:
                           lambda: mode_projectors(self.factorization(direction)))
 
 
-def _sides(materials, frame: BoundaryFrame) -> tuple:
-    """The BoundarySide of a boundary (one material) or of both sides of an
-    interface (two materials, the second seen from the flipped frame)."""
+def _stacks(materials, frames: list) -> list:
+    """(material, frames) of each side: [(m, frames)] for a boundary (one
+    material), [(m+, frames), (m-, flipped frames)] for an interface (two
+    materials), whose - side is seen from the flipped frame."""
     if isinstance(materials, Material):
-        return (BoundarySide(materials, frame),)
+        return [(materials, frames)]
     mp, mm = materials
-    return (BoundarySide(mp, frame), BoundarySide(mm, frame.flipped()))
+    return [(mp, frames), (mm, [frame.flipped() for frame in frames])]
+
+
+def _sides(materials, frame: BoundaryFrame) -> tuple:
+    """The BoundarySide of each side (see `_stacks`) at a frame."""
+    return tuple(BoundarySide(m, f) for m, (f,) in _stacks(materials, [frame]))
 
 
 def _dims(sides) -> tuple:
@@ -411,9 +417,9 @@ def _stacked_sides(stacks: list) -> list:
     """The classified BoundarySide of each frame of stacks of (material,
     frames), every step solved for all sides at once: the polynomials of
     each stack, then one classification of all of them.  Each stage gives an
-    entry what it gives the entry alone, and each step meets the stacks in
-    order, so a one-frame stack of a pair fails as its + side then its -
-    side would."""
+    entry what it gives the entry alone, and meets the entries in the order
+    the stacks list them, + side first (see `_stacks`), so the first failure
+    of a stage is the first in that order."""
     polys = [_boundary_polynomials(m, frames) for m, frames in stacks]
     classes = iter(_classify([a for stack in polys for a in stack]))
     return [[BoundarySide._of(m, a, classification=next(classes)) for a in stack]
@@ -435,16 +441,17 @@ def _stacked_outgoing(sides: list) -> None:
 
 def _solve_frames(materials, frames: list) -> list:
     """(region, margin) of each frame from its sides, built as stacks with
-    outgoing factorizations on the frames that have a margin."""
-    mats = (materials,) if isinstance(materials, Material) else tuple(materials)
-    views = [frames] if len(mats) == 1 else [frames, [f.flipped() for f in frames]]
-    sides = _stacked_sides(list(zip(mats, views)))
+    outgoing factorizations on the frames that have a margin.  The + side's
+    stack is factorized, to its root checks, before the - side's, so a pair
+    at one frame fails as its + side, then its - side, would."""
+    sides = _stacked_sides(_stacks(materials, frames))
     rows = list(zip(*sides))
     due = [j for j, row in enumerate(rows) if _has_margin(_dims(row))]
     margins = dict.fromkeys(range(len(frames)))
     if due:     # sigma_min / sigma_max of z, or of z+ + z- for a pair
-        _stacked_outgoing([stack[j] for stack in sides for j in due])
-        z = sum(np.array([rows[j][i].z() for j in due]) for i in range(len(mats)))
+        for stack in sides:
+            _stacked_outgoing([stack[j] for j in due])
+        z = sum(np.array([stack[j].z() for j in due]) for stack in sides)
         sv = np.linalg.svd(z, compute_uv=False)
         margins.update(zip(due, (sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist()))
     return [(_region(row), margins[j]) for j, row in enumerate(rows)]
@@ -455,9 +462,11 @@ def classify_frames(materials, frames):
     sigma_min(z)/||z|| on hyperbolic and mixed frames and None on elliptic
     and glancing ones.  For material pairs z is replaced by z+ + z-.
 
-    Frames are solved as stacks, a fixed number at a time.  A stack that
-    raises is solved again one frame at a time, so that the error is the one
-    a loop over the frames, one after another, would raise first.
+    Frames are solved as stacks, a fixed number at a time.  A stack raises
+    the first failure in its stacked order (see `_solve_frames`), so a stack
+    that raises is solved again one frame at a time: the error is then the
+    one a loop over the frames, one after another, would raise first.  Loop
+    order is restored here and nowhere else.
     """
     frames = iter(frames)
     while chunk := list(itertools.islice(frames, _CHUNK)):

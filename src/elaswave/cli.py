@@ -255,17 +255,10 @@ def _cmd_stoneley(args) -> int:
 
 
 def _cmd_reflect(args) -> int:
-    materials = _load_sides(args)
-    frame = _frame(args)
-    if isinstance(materials, tuple):     # the + side serves the incident mode and the law
-        plus = bnd.BoundarySide(materials[0], frame)
-        minus = bnd.BoundarySide(materials[1], frame.flipped())
-        inc = side_incoming_mode(plus, args.mode)
-        result = interface_operator(plus, minus).apply(inc)
-    else:
-        side = bnd.BoundarySide(materials, frame)
-        inc = side_incoming_mode(side, args.mode)
-        result = free_surface_operator(side).apply(inc)
+    sides = bnd._sides(_load_sides(args), _frame(args))
+    inc = side_incoming_mode(sides[0], args.mode)     # the + side serves the incident mode
+    law = free_surface_operator if len(sides) == 1 else interface_operator
+    result = law(*sides).apply(inc)
     report = energy_balance(result)
     rows = []
     for tag in sorted(result.sides):
@@ -419,14 +412,11 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValidationError as exc:
-        _print_error(exc)
-        return 2
-    except (NumericalDomainError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         # A LAPACK failure is numerical, not bad input, although numpy's
         # LinAlgError is a ValueError.
         _print_error(exc)
-        return 3
+        return NumericalDomainError.exit_code
     except ElasticError as exc:
         _print_error(exc)
         return exc.exit_code

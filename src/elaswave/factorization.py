@@ -27,7 +27,6 @@ from .errors import (
     CoefficientOverflow,
     ContourTooClose,
     DegenerateA0,
-    ElasticError,
     GlancingSpectrum,
     IllConditionedJ,
     InvalidInput,
@@ -692,22 +691,15 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
 
 def _factorize(polys: list, classifications: list, direction: str, taus: list) -> list:
     """factorize each polynomial from its classification: the ordered Schur
-    form and cond(X1) one by one, the roots and their checks as stacks.  The
-    error raised is the one a loop over the polynomials meets first: when
-    one fails before its roots, those before it check their roots first."""
+    form and cond(X1) one by one, the roots and their checks as stacks."""
     sigmas, blocks = [], []
-    for k, (cls, tau) in enumerate(zip(classifications, taus)):
-        try:
-            sigma, targets, match_tol = _target(cls, direction, tau)
-            t, zvec = cls.schur
-            t, zvec = _reorder(t, zvec, _selected(t.diagonal(), np.array(targets), match_tol))
-            # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
-            s_max, _, s_min = np.linalg.svd(zvec[:3, :3], compute_uv=False).tolist()
-            _check_condition(s_max / s_min if s_min > 0 else math.inf)
-        except ElasticError:
-            if k:
-                _factorize(polys[:k], classifications[:k], direction, taus[:k])
-            raise
+    for cls, tau in zip(classifications, taus):
+        sigma, targets, match_tol = _target(cls, direction, tau)
+        t, zvec = cls.schur
+        t, zvec = _reorder(t, zvec, _selected(t.diagonal(), np.array(targets), match_tol))
+        # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
+        s_max, _, s_min = np.linalg.svd(zvec[:3, :3], compute_uv=False).tolist()
+        _check_condition(s_max / s_min if s_min > 0 else math.inf)
         sigmas.append(tuple(sigma))
         blocks.append((zvec[:3, :3], t[:3, :3]))
     blocks = np.array(blocks)

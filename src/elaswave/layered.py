@@ -155,7 +155,6 @@ class EventTree:
     source_flux: float
     arrivals: tuple          # (time, s_in, |amplitude|, flux) at the free surface,
                              # in time order, ties by s (see _sorted_arrivals)
-    evanescent_records: tuple  # (event uid, side, |pi_c f|)
     truncated: bool
 
     def to_dict(self) -> dict:
@@ -235,13 +234,13 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     The source, incoming mode number `source_mode` of its layer's lower
     boundary, is flux-normalized and travels down from the layer's top at
     time zero.  Each interaction branches into all real outgoing modes above
-    the amplitude floor; evanescent components are recorded but never
-    propagated.  At fixed (eta, tau) every boundary side and scattering law
-    depends only on (layer, direction), so each is built once per call: the
-    law met going down from layer L joins sides (L, down) and (L+1, up), the
-    one met going up (L, up) and (L-1, down), and crossing times read the
-    side a segment travels toward.  All 2n + 1 sides of an n-layer stack are
-    built at entry as stacks on the batched frame core
+    the amplitude floor; evanescent components are dropped, neither recorded
+    nor propagated.  At fixed (eta, tau) every boundary side and scattering
+    law depends only on (layer, direction), so each is built once per call:
+    the law met going down from layer L joins sides (L, down) and (L+1, up),
+    the one met going up (L, up) and (L-1, down), and crossing times read
+    the side a segment travels toward.  All 2n + 1 sides of an n-layer stack
+    are built at entry as stacks on the batched frame core
     (`boundary._stacked_sides` and `_stacked_outgoing`): the polynomials per
     material, one classification of all of them and one outgoing
     factorization and impedance of those whose spectrum does not glance,
@@ -328,7 +327,6 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
              src.flux, "propagating", "source"]]
     norms = [src_amp]
     arrivals = []            # (time, s, |amplitude|, flux, uid)
-    evanescent_records = []
     n_scattered = 0
     truncated = False
     generation = [0]
@@ -365,7 +363,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                 amp_norms = _column_norms(block.amplitudes).tolist()
                 modes = [(-s_out, block.amplitudes[j], block.fluxes[j].tolist(), amp_norms[j])
                          for j, s_out in enumerate(block.modes)]
-                parts.append((tag, target, _column_norms(block.evanescent).tolist(), modes))
+                parts.append((target, modes))
             outcome[layer, direction] = parts
             column.update((u, k) for k, u in enumerate(uids))
 
@@ -381,9 +379,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                 continue
             seg[_STATUS] = "scattered"
             k, depth = column[uid], seg[_DEPTH] + 1
-            for tag, (lay, dirn), ev_norms, modes in outcome[layer, direction]:
-                if ev_norms[k] > 0:
-                    evanescent_records.append((uid, tag, ev_norms[k]))
+            for (lay, dirn), modes in outcome[layer, direction]:
                 for s, amps, fluxes, amp_norms in modes:
                     norm, amp = amp_norms[k], amps[:, k]
                     if norm <= floor:
@@ -408,8 +404,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         generation = rest + children
 
     events = tuple(RayEvent(*row) for row in rows)
-    return EventTree(events, eta, tau, src.flux, _sorted_arrivals(arrivals),
-                     tuple(evanescent_records), truncated)
+    return EventTree(events, eta, tau, src.flux, _sorted_arrivals(arrivals), truncated)
 
 
 def arrivals_rows(tree: EventTree) -> list[tuple]:

@@ -182,12 +182,8 @@ def decompose_harmonic(c: StiffnessTensor) -> HarmonicDecomposition:
 
 def to_mandel(c: StiffnessTensor) -> np.ndarray:
     """6x6 matrix with sqrt(2)/2 scaling so eigenvalues match the tensor form."""
-    m = np.empty((6, 6))
-    for bi, (i, j) in enumerate(_VOIGT_PAIRS):
-        for bj, (k, l) in enumerate(_VOIGT_PAIRS):
-            f = (np.sqrt(2.0) if bi >= 3 else 1.0) * (np.sqrt(2.0) if bj >= 3 else 1.0)
-            m[bi, bj] = f * c.entries[i, j, k, l]
-    return m
+    w = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
+    return np.outer(w, w) * to_voigt(c)
 
 
 def check_strong_convexity(c: StiffnessTensor) -> tuple[bool, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundarySide
+from .boundary import BoundarySide, _sides
 from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
 from .factorization import BoundaryFrame, kernel_basis
 from .impedance import flux_form
@@ -55,7 +55,6 @@ class SideWaves:
 
 @dataclass(frozen=True)
 class ScatterResult:
-    incoming: TraceField
     sides: dict                       # side tag -> SideWaves
     incident_flux: float
     balance_residual: float
@@ -187,7 +186,7 @@ class ScatterOperator:
         inc = _incident_flux(self.sides["+"], g, self.frame.tau)
         out = sum(side.total_flux for side in sides.values())
         residual = abs(inc - out) / max(abs(inc), 1e-300)
-        return ScatterResult(incoming, sides, inc, residual)
+        return ScatterResult(sides, inc, residual)
 
 
 def free_surface_operator(side: BoundarySide) -> ScatterOperator:
@@ -225,8 +224,7 @@ def reflect_free_surface(m: Material, frame: BoundaryFrame,
 def transmit_interface(m_plus: Material, m_minus: Material,
                        frame: BoundaryFrame, incoming: TraceField) -> ScatterResult:
     """Welded-interface scattering of a trace incoming from the + side."""
-    return interface_operator(BoundarySide(m_plus, frame),
-                              BoundarySide(m_minus, frame.flipped())).apply(incoming)
+    return interface_operator(*_sides((m_plus, m_minus), frame)).apply(incoming)
 
 
 def energy_balance(r: ScatterResult) -> dict:

@@ -12,6 +12,7 @@ from elaswave.errors import (
     GlancingSpectrum,
     InvalidInput,
     NumericalDomainError,
+    SigmaCardinality,
     SolvencyResidual,
     ValidationError,
 )
@@ -444,6 +445,34 @@ class TestStacksOfOne:
                             checked.add(error[0])
         # factorizations in both directions and the glancing failure were met
         assert {"outgoing", "incoming", GlancingSpectrum} <= checked
+
+
+class TestStackedOrder:
+    def test_targets_before_root_checks(self, iso, monkeypatch):
+        # entry 0 fails its root check and entry 1 its target; a stack takes
+        # every target before it checks any roots, so entry 1's error comes
+        # first (classify_frames, not the stack, restores loop order)
+        taus = [-2.5, -1.5]
+        polys = [boundary_polynomial(iso, frame(t)) for t in taus]
+        classes = [classify_spectrum(a) for a in polys]
+        target, validate = factorization._target, factorization._validate
+
+        def failing_target(cls, direction, tau):
+            if cls is classes[1]:
+                raise SigmaCardinality("injected target failure of entry 1")
+            return target(cls, direction, tau)
+
+        def failing_validate(facts, *stacks):
+            validate(facts, *stacks)
+            if facts[0].classification is classes[0]:
+                raise SolvencyResidual("injected root failure of entry 0")
+
+        monkeypatch.setattr(factorization, "_target", failing_target)
+        monkeypatch.setattr(factorization, "_validate", failing_validate)
+        with pytest.raises(SolvencyResidual, match="entry 0"):
+            factorization._factorize(polys[:1], classes[:1], "outgoing", taus[:1])
+        with pytest.raises(SigmaCardinality, match="entry 1"):
+            factorization._factorize(polys, classes, "outgoing", taus)
 
 
 class TestContourAndResidue:
