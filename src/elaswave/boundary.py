@@ -38,6 +38,7 @@ from .impedance import (
     Impedance,
     ModeProjectors,
     _impedance,
+    _mode_projectors,
     impedance_from_factorization,
     mode_projectors,
 )
@@ -128,6 +129,9 @@ def _stacks(materials, frames: list) -> list:
     materials), whose - side is seen from the flipped frame."""
     if isinstance(materials, Material):
         return [(materials, frames)]
+    if not (isinstance(materials, (tuple, list)) and len(materials) == 2
+            and all(isinstance(m, Material) for m in materials)):
+        raise InvalidInput("materials must be one Material or a pair (m+, m-) of them")
     mp, mm = materials
     return [(mp, frames), (mm, [frame.flipped() for frame in frames])]
 
@@ -426,17 +430,30 @@ def _stacked_sides(stacks: list) -> list:
             for (m, _), stack in zip(stacks, polys)]
 
 
-def _stacked_outgoing(sides: list) -> None:
-    """Store on each side its outgoing factorization and z, solved for all
-    the sides as one stack and bit for bit what each side builds alone.
-    A side's incoming factorization and the rest are built on first use."""
+def _stacked_factorizations(sides: list, direction: str) -> None:
+    """Store on each side that lacks one its factorization in `direction`
+    and that factorization's z, solved for all those sides as one stack and
+    bit for bit what each side builds alone."""
+    sides = [s for s in sides if ("factorization", direction) not in s._built]
     if sides:
         facts = _factorize([s.poly for s in sides], [s.classification for s in sides],
-                           "outgoing", [s.frame.tau for s in sides])
+                           direction, [s.frame.tau for s in sides])
         z = _impedance(np.array([s.poly.a0 for s in sides]), np.array([f.q for f in facts]),
                        np.array([s.poly.a1 for s in sides]))
         for side, f, z_side in zip(sides, facts, z):
-            side._built.update({("factorization", "outgoing"): f, ("z", "outgoing"): z_side})
+            side._built.update({("factorization", direction): f, ("z", direction): z_side})
+
+
+def _stacked_projectors(requests: list) -> None:
+    """Store on each (side, direction) of `requests` that lacks them the mode
+    projectors of that direction's factorization, built for all of them as
+    one stack and bit for bit what each side builds alone."""
+    due = [(side, d) for side, d in dict.fromkeys(requests)
+           if ("projectors", d) not in side._built]
+    if due:
+        built = _mode_projectors([side.factorization(d) for side, d in due])
+        for (side, d), projectors in zip(due, built):
+            side._built["projectors", d] = projectors
 
 
 def _solve_frames(materials, frames: list) -> list:
@@ -450,7 +467,7 @@ def _solve_frames(materials, frames: list) -> list:
     margins = dict.fromkeys(range(len(frames)))
     if due:     # sigma_min / sigma_max of z, or of z+ + z- for a pair
         for stack in sides:
-            _stacked_outgoing([stack[j] for j in due])
+            _stacked_factorizations([stack[j] for j in due], "outgoing")
         z = sum(np.array([stack[j].z() for j in due]) for stack in sides)
         sv = np.linalg.svd(z, compute_uv=False)
         margins.update(zip(due, (sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist()))

@@ -39,6 +39,11 @@ BL_MAX_NODES = 1 << 14    # past this count it raises QuadratureNotConverged
 FD_REL_STEP = 1e-5        # finite-difference step in tau^2, relative to tau^2
 FD_TOL = 1e-5             # largest relative Lyapunov - finite-difference disagreement
 MAX_EIG_CONDITION = 1e8   # largest condition number of the eigenvector matrix of Q
+_EYE = np.eye(3, dtype=complex)
+# For n clusters, row j lists the clusters k != j, ascending: the factors of
+# the Lagrange product of cluster j, in the order they are multiplied.
+_OTHERS = {n: np.array([[k for k in range(n) if k != j] for j in range(n)],
+                       dtype=int).reshape(n, n - 1) for n in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -98,34 +103,53 @@ class ModeProjectors:
 
 def mode_projectors(f: SpectralFactorization) -> ModeProjectors:
     """Lagrange spectral projectors per eigenvalue cluster of Q."""
-    q = f.q
-    vals = f.q_spectrum
-    norm = max(float(np.max(np.abs(vals))), 1e-300)
-    tol = GROUPING_TOL * (1.0 + norm)
+    return _mode_projectors([f])[0]
 
-    vals = vals[np.argsort(vals.real + 1e-9 * vals.imag)]
-    clusters = cluster_sorted(vals, 100 * tol)
-    means = [complex(mean) for _, mean in clusters]
 
-    eye = np.eye(3, dtype=complex)
-    projectors = []
-    for j, mj in enumerate(means):
-        p = eye.copy()
-        for k, mk in enumerate(means):
-            if k != j:
-                p = p @ (q - mk * eye) / (mj - mk)
-        projectors.append(p)
+def _mode_projectors(facts: list) -> list:
+    """mode_projectors of each factorization, bit for bit what it gets alone.
 
-    psi = {}
-    pi_c = np.zeros((3, 3), dtype=complex)
-    dim_ec = 0
-    for (idx, _), mean, p in zip(clusters, means, projectors):
-        if abs(mean.imag) <= tol:
-            psi[float(mean.real)] = p
-        else:
-            pi_c = pi_c + p
-            dim_ec += len(idx)
-    return ModeProjectors(psi, pi_c, dim_ec, 3 - dim_ec, q)
+    The eigenvalues of each Q are sorted as one stack and clustered one Q at
+    a time.  The Lagrange products prod_{k != j} (Q - m_k)/(m_j - m_k), k
+    ascending, then run for every cluster j of every Q with as many clusters
+    at once: step t multiplies each product by its t-th factor.
+    """
+    spectra = np.array([f.q_spectrum for f in facts])
+    tols = [GROUPING_TOL * (1.0 + max(norm, 1e-300))
+            for norm in np.abs(spectra).max(axis=1).tolist()]
+    order = (spectra.real + 1e-9 * spectra.imag).argsort(axis=1)
+    clustered = [cluster_sorted(vals[idx], 100 * tol)
+                 for vals, idx, tol in zip(spectra, order, tols)]
+
+    products = [None] * len(facts)
+    by_count = {}
+    for i, clusters in enumerate(clustered):
+        by_count.setdefault(len(clusters), []).append(i)
+    for n, members in by_count.items():
+        q = np.array([facts[i].q for i in members])
+        means = np.array([[mean for _, mean in clustered[i]] for i in members])
+        others = means[:, _OTHERS[n]]       # m_k of the factors of each product
+        factors = q[:, None, None] - others[..., None, None] * _EYE
+        gaps = means[:, :, None] - others   # m_j - m_k
+        p = np.array([[_EYE] * n] * len(members))
+        for t in range(n - 1):
+            p = p @ factors[:, :, t] / gaps[:, :, t, None, None]
+        for row, i in enumerate(members):
+            products[i] = p[row]
+
+    out = []
+    for f, clusters, tol, projectors in zip(facts, clustered, tols, products):
+        psi = {}
+        pi_c = np.zeros((3, 3), dtype=complex)
+        dim_ec = 0
+        for (idx, mean), p in zip(clusters, projectors):
+            if abs(mean.imag) <= tol:
+                psi[float(mean.real)] = p
+            else:
+                pi_c = pi_c + p
+                dim_ec += len(idx)
+        out.append(ModeProjectors(psi, pi_c, dim_ec, 3 - dim_ec, f.q))
+    return out
 
 
 def flux_form(z: Impedance | np.ndarray, tau: float, u: np.ndarray) -> float:

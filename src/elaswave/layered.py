@@ -23,15 +23,18 @@ from .errors import (
     StackFileError,
     ValidationError,
 )
-from .boundary import BoundarySide, _stacked_outgoing, _stacked_sides
+from .boundary import BoundarySide, _stacked_factorizations, _stacked_sides
 from .factorization import (
     GROUPING_TOL,
     BoundaryFrame,
     QuadraticMatrixPolynomial,
     SpectrumClassification,
+    _fro,
+    _herm,
+    _slope,
 )
 from .materials import Material, check_strong_convexity, material_from_dict
-from .scatter import free_surface_operator, interface_operator, side_incoming_mode
+from .scatter import _scatter_operators, side_incoming_mode
 
 _UP = np.array([0.0, 0.0, 1.0])
 _REVERSED = {"up": "down", "down": "up"}
@@ -111,17 +114,33 @@ def mode_delay(a: QuadraticMatrixPolynomial, classification: SpectrumClassificat
     test, so that a caller falling back to `group_delay` on its own vector
     meets the same outcome there.
     """
-    near = GROUPING_TOL * (1.0 + classification.stroh_norm)
-    groups = [g for g in classification.real_groups if abs(g.value.real - s) <= near]
-    if len(groups) != 1 or groups[0].glancing or not groups[0].geo_mult:
-        return None
-    kern = groups[0].kernel
-    form = kern.conj().T @ a.derivative(s) @ kern
-    c = float(np.mean(np.diag(form).real))
-    if (np.linalg.norm(form - c * np.eye(len(form))) > 1e-12 * abs(c)
-            or abs(c) <= DELAY_FORM_TOL * max(a.scale, 1e-300)):
-        return None
-    return 2.0 * a.rho * a.frame.tau / c
+    return _mode_delays([(a, classification, s)])[0]
+
+
+def _mode_delays(requests: list) -> list:
+    """mode_delay of each (polynomial, classification, s), bit for bit what
+    it gets alone: the kernel forms and their tests run as one stack per
+    kernel width."""
+    delays = [None] * len(requests)
+    by_width = {}       # kernel width -> [(request index, polynomial, s, kernel)]
+    for i, (a, classification, s) in enumerate(requests):
+        near = GROUPING_TOL * (1.0 + classification.stroh_norm)
+        groups = [g for g in classification.real_groups if abs(g.value.real - s) <= near]
+        if len(groups) == 1 and not groups[0].glancing and groups[0].geo_mult:
+            kern = groups[0].kernel
+            by_width.setdefault(kern.shape[1], []).append((i, a, s, kern))
+    for width, due in by_width.items():
+        index, polys, s, kern = zip(*due)
+        kern = np.array(kern)
+        slopes = _slope(np.array([a.a0 for a in polys]), np.array([a.a1_sym for a in polys]),
+                        np.array(s)[:, None, None])
+        form = _herm(kern) @ slopes @ kern      # (A'(s)v|v) on the kernel
+        c = np.diagonal(form, axis1=1, axis2=2).real.mean(axis=1)
+        off = _fro(form - c[:, None, None] * np.eye(width)).tolist()
+        for i, a, c_i, off_i in zip(index, polys, c.tolist(), off):
+            if not (off_i > 1e-12 * abs(c_i) or abs(c_i) <= DELAY_FORM_TOL * max(a.scale, 1e-300)):
+                delays[i] = 2.0 * a.rho * a.frame.tau / c_i
+    return delays
 
 
 @dataclass(frozen=True)
@@ -192,6 +211,15 @@ def _next_layer(layer: int, direction: str) -> int:
     return layer + 1 if direction == "down" else layer - 1
 
 
+def _target(layer: int, direction: str, tag: str) -> tuple:
+    """(layer, direction) of the waves that the law met by a segment of
+    (layer, direction) sends out on side `tag`: the + side turns back into
+    the segment's layer, the - side carries on into the next one."""
+    if tag == "+":
+        return layer, _REVERSED[direction]
+    return _next_layer(layer, direction), direction
+
+
 def _column_norms(block: np.ndarray) -> np.ndarray:
     """2-norms of the length-3 columns of (..., 3, N), entry by entry, so
     a column's norm does not depend on the block it sits in."""
@@ -239,15 +267,30 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     law depends only on (layer, direction), so each is built once per call:
     the law met going down from layer L joins sides (L, down) and (L+1, up),
     the one met going up (L, up) and (L-1, down), and crossing times read
-    the side a segment travels toward.  All 2n + 1 sides of an n-layer stack
-    are built at entry as stacks on the batched frame core
-    (`boundary._stacked_sides` and `_stacked_outgoing`): the polynomials per
-    material, one classification of all of them and one outgoing
-    factorization and impedance of those whose spectrum does not glance,
-    each bit for bit what the side built alone gets.  Incoming
-    factorizations, projectors and laws are built on first use.  If a stack
-    raises, each side is built alone on first use instead, so a failing law
-    keeps its error and its note.
+    the side a segment travels toward.  Everything a trace reads is built at
+    entry as stacks on the batched frame core, each entry bit for bit what
+    it is built alone:
+      * all 2n + 1 sides of an n-layer stack (`boundary._stacked_sides`):
+        the polynomials per material and one classification of all of them,
+        then one outgoing factorization and impedance of those whose
+        spectrum does not glance (`_stacked_factorizations`);
+      * the source, from its side's incoming factorization and projectors,
+        built alone first, so a trace without that mode fails before any
+        law is built;
+      * the 2n laws whose sides do not glance: one incoming factorization
+        and impedance of their + sides but the source's, then
+        `scatter._scatter_operators` (the sides' outgoing projectors, one SVD
+        and one inverse of the matrices the laws invert, and the compiled
+        maps);
+      * `mode_delay` of the source's mode and of every (side, s) those laws
+        send waves to (`_mode_delays`), so that the children of one mode
+        share one crossing time, thickness |delay|, in each generation.
+
+    If the sides' stack raises, each side and law is built alone on first
+    use instead; if the laws' stack raises, each law is.  A law whose build
+    fails keeps its error, and every segment meeting it ends as a glancing
+    leaf with the error as its note.  Where the shared delay depends on the
+    trace, `group_delay` runs per child.
 
     The queue is expanded one generation (tree depth) at a time: the
     segments of a generation that meet the same law scatter as one block,
@@ -272,17 +315,8 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         raise ValidationError("source layer out of range")
 
     frames = {d: _frame_for(d, eta, tau) for d in ("up", "down")}
-    # (layer, direction) -> BoundarySide; the half-space has one side, the
-    # - side of the lowest interface
-    directions = [("up", "down")] * n_layers + [("up",)]
-    try:
-        built = _stacked_sides([(stack.material(layer), [frames[d] for d in dirs])
-                                for layer, dirs in enumerate(directions)])
-        _stacked_outgoing([s for row in built for s in row if not s.classification.glancing])
-        sides = {(layer, d): side for layer, (dirs, row) in enumerate(zip(directions, built))
-                 for d, side in zip(dirs, row)}
-    except ElasticError:    # each side is then built alone on first use
-        sides = {}
+    sides = {}   # (layer, direction) -> BoundarySide; the half-space has one
+                 # side, the - side of the lowest interface
     laws = {}    # (layer, direction) -> ScatterOperator, or the error its
                  # build raised (every segment meeting it then glances)
     delays = {}  # (layer, direction, s) -> mode_delay, None where per trace
@@ -292,16 +326,18 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
             sides[layer, direction] = BoundarySide(stack.material(layer), frames[direction])
         return sides[layer, direction]
 
+    def law_sides(layer, direction):
+        """The sides of the law a segment meets: (side,) at the free surface,
+        (plus, minus) at an interface."""
+        if direction == "up" and layer == 0:
+            return (side(layer, direction),)
+        return side(layer, direction), side(_next_layer(layer, direction), _REVERSED[direction])
+
     def scatter_law(layer, direction):
         key = (layer, direction)
         if key not in laws:
             try:
-                if direction == "up" and layer == 0:
-                    laws[key] = free_surface_operator(side(layer, direction))
-                else:
-                    laws[key] = interface_operator(
-                        side(layer, direction),
-                        side(_next_layer(layer, direction), _REVERSED[direction]))
+                laws[key] = _scatter_operators([law_sides(layer, direction)])[0]
             except NumericalDomainError as exc:
                 # without its traceback, whose frame would hold `laws` in a cycle
                 laws[key] = exc.with_traceback(None)
@@ -317,7 +353,38 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
             delay = group_delay(side(layer, direction).poly, s, v)
         return stack.thickness(layer) * abs(delay)
 
+    directions = [("up", "down")] * n_layers + [("up",)]
+    try:
+        built = _stacked_sides([(stack.material(layer), [frames[d] for d in dirs])
+                                for layer, dirs in enumerate(directions)])
+        _stacked_factorizations([sd for row in built for sd in row
+                                 if not sd.classification.glancing], "outgoing")
+    except ElasticError:    # each side is then built alone on first use
+        built = []
+    sides.update(((layer, d), sd) for layer, (dirs, row) in enumerate(zip(directions, built))
+                 for d, sd in zip(dirs, row))
+    # With the sides stacked, the laws whose sides do not glance are built
+    # as stacks once the source is taken.
+    due = [(layer, d) for layer in range(n_layers) for d in ("up", "down")
+           if built and not any(sd.classification.glancing for sd in law_sides(layer, d))]
     src = side_incoming_mode(side(source_layer, "down"), source_mode)
+    if due:
+        try:
+            _stacked_factorizations([side(*key) for key in due], "incoming")
+            laws.update(zip(due, _scatter_operators([law_sides(*key) for key in due])))
+        except ElasticError:    # each law is then built alone on first use
+            pass
+    # The delays of the source's mode and of every (side, s) a built law
+    # sends waves to, as one stack.
+    targets = [(source_layer, "down", src.s_in)]
+    for (layer, direction), law in laws.items():
+        for tag, (modes, _, _) in law.compiled.items():
+            lay, dirn = _target(layer, direction, tag)
+            if lay < n_layers:
+                targets += [(lay, dirn, -s_out) for s_out in modes]
+    targets = list(dict.fromkeys(targets))
+    delays.update(zip(targets, _mode_delays([
+        (side(lay, dirn).poly, side(lay, dirn).classification, s) for lay, dirn, s in targets])))
     t0 = crossing_time(source_layer, "down", src.s_in, src.g)
     src_amp = float(np.linalg.norm(src.g))
     floor = amplitude_floor * src_amp
@@ -354,15 +421,15 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
             blocks = law.apply_block(np.stack([rows[u][_AMPLITUDE] for u in uids], axis=1))
             parts = []
             for tag, block in blocks.items():
-                # The + side turns back into the segment's layer; the - side
-                # carries on into the next one.
-                if tag == "+":
-                    target = (layer, _REVERSED[direction])
-                else:
-                    target = (_next_layer(layer, direction), direction)
+                lay, dirn = target = _target(layer, direction, tag)
                 amp_norms = _column_norms(block.amplitudes).tolist()
-                modes = [(-s_out, block.amplitudes[j], block.fluxes[j].tolist(), amp_norms[j])
-                         for j, s_out in enumerate(block.modes)]
+                modes = []
+                for j, s_out in enumerate(block.modes):
+                    # a crossing time every child of the mode shares, or None
+                    delay = delays.get((lay, dirn, -s_out))
+                    step = None if delay is None else stack.thickness(lay) * abs(delay)
+                    modes.append((-s_out, block.amplitudes[j], block.fluxes[j].tolist(),
+                                  amp_norms[j], step))
                 parts.append((target, modes))
             outcome[layer, direction] = parts
             column.update((u, k) for k, u in enumerate(uids))
@@ -380,7 +447,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
             seg[_STATUS] = "scattered"
             k, depth = column[uid], seg[_DEPTH] + 1
             for (lay, dirn), modes in outcome[layer, direction]:
-                for s, amps, fluxes, amp_norms in modes:
+                for s, amps, fluxes, amp_norms, step in modes:
                     norm, amp = amp_norms[k], amps[:, k]
                     if norm <= floor:
                         if norm > 0:
@@ -391,6 +458,8 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                     status, note, t_child = "propagating", "", time
                     if lay == n_layers:
                         status = "halfspace"
+                    elif step is not None:
+                        t_child = time + step
                     else:
                         try:
                             t_child = time + crossing_time(lay, dirn, s, amp)

@@ -8,7 +8,12 @@ the materials, so it is built once per frame as a `ScatterOperator` from
 the `BoundarySide` of each side and applied to every trace that meets it.
 At build time the law is compiled, as with Kennett's reflection and
 transmission matrices, into one fixed 3x3 map per outgoing mode and side,
-so a block of traces scatters in a few contractions.
+so a block of traces scatters in a few contractions.  Laws are built by
+`_scatter_operators`, many at once: the mode projectors of their sides,
+the SVD and inverse of the matrices they invert, their trace maps and
+their compiled maps and flux forms are each one stack, and every law gets
+bit for bit what it gets alone.  `free_surface_operator` and
+`interface_operator` are its one-law case.
 Energy bookkeeping uses the modal flux identity, with incident modes
 flux-normalized so amplitude tables compare directly.
 """
@@ -18,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundarySide, _sides
+from .boundary import BoundarySide, _sides, _stacked_projectors
 from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
-from .factorization import BoundaryFrame, kernel_basis
+from .factorization import BoundaryFrame, _slope, kernel_basis
 from .impedance import flux_form
 from .materials import Material
 
@@ -113,14 +118,6 @@ def _incident_flux(side: BoundarySide, g: np.ndarray, tau: float) -> float:
     return float(total)
 
 
-def _check_invertible(mat: np.ndarray, what: str) -> np.ndarray:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= INVERTIBLE_MARGIN * sv[0]:
-        raise NonEllipticOperator(f"{what} is numerically singular "
-                                  f"(sigma_min/sigma_max = {sv[-1]/sv[0]:.2e})")
-    return np.linalg.inv(mat)
-
-
 @dataclass(frozen=True)
 class ScatterOperator:
     """A scattering law at one frame, built once and applied to any trace.
@@ -131,27 +128,16 @@ class ScatterOperator:
     transmitted trace f- and the reflected one is f+ = f- - g.  Traces come
     in on the + side, whose incoming projectors measure the incident flux.
 
-    Construction compiles each side's share of the law: its trace map T
-    (f = T g), then per real outgoing s, ascending, the amplitude map psi_s T
-    and the flux form -tau/2 A'(s), and the evanescent map pi_c T.
+    `compiled` holds each side's share of the law (see `_scatter_operators`):
+    side tag -> (its real outgoing s, ascending; the amplitude maps psi_s T
+    per s, then the evanescent map pi_c T and the trace map T, where f = T g;
+    the flux forms -tau/2 A'(s) per s).
     """
 
     minv: np.ndarray
     zin: np.ndarray
     sides: dict                       # side tag -> BoundarySide
-
-    def __post_init__(self):
-        tau = self.frame.tau
-        t = -self.minv @ self.zin
-        maps = {"+": t - np.eye(3), "-": t} if "-" in self.sides else {"+": t}
-        compiled = {}     # tag -> (modes, [psi_s T..., pi_c T, T], [-tau/2 A'(s)...])
-        for tag, side in self.sides.items():
-            projectors, tm = side.projectors(), maps[tag]
-            modes = tuple(sorted(projectors.psi))
-            stack = [projectors.psi[s] @ tm for s in modes] + [projectors.pi_c @ tm, tm]
-            forms = [-tau * 0.5 * side.poly.derivative(s) for s in modes]
-            compiled[tag] = (modes, np.array(stack), np.array(forms).reshape(-1, 3, 3))
-        object.__setattr__(self, "_compiled", compiled)
+    compiled: dict = field(repr=False)
 
     @property
     def frame(self) -> BoundaryFrame:
@@ -167,7 +153,7 @@ class ScatterOperator:
         # hands the product to BLAS, whose kernels may round a column
         # differently depending on how many columns come with it.
         blocks = {}
-        for tag, (modes, stack, forms) in self._compiled.items():
+        for tag, (modes, stack, forms) in self.compiled.items():
             out = np.einsum("kij,jn->kin", stack, g)
             amps = out[:len(modes)]
             flux = np.einsum("kin,kin->kn", amps.conj(),
@@ -191,11 +177,7 @@ class ScatterOperator:
 
 def free_surface_operator(side: BoundarySide) -> ScatterOperator:
     """Zero-traction law f = -z_out^{-1} z_in g at the side's frame."""
-    z_out, z_in = side.z("outgoing"), side.z("incoming")
-    if side.projectors().dim_ec == 3:
-        raise NoIncomingMode("frame is elliptic: nothing propagates")
-    minv = _check_invertible(z_out, "z_out")
-    return ScatterOperator(minv, z_in, {"+": side})
+    return _scatter_operators([(side,)])[0]
 
 
 def interface_operator(plus: BoundarySide, minus: BoundarySide) -> ScatterOperator:
@@ -205,14 +187,79 @@ def interface_operator(plus: BoundarySide, minus: BoundarySide) -> ScatterOperat
     - side is seen from the flipped frame.  Continuity [u] = 0 and traction
     balance give the two outgoing traces.
     """
-    fp, fm = plus.frame, minus.frame
-    if not (np.array_equal(fm.nu, -fp.nu) and np.array_equal(fm.eta, fp.eta) and fm.tau == fp.tau):
-        raise InvalidInput("the - side must be seen from the + side's flipped frame")
-    zp_out, zp_in, zm_out = plus.z("outgoing"), plus.z("incoming"), minus.z("outgoing")
-    if plus.projectors().dim_ec == 3 and minus.projectors().dim_ec == 3:
-        raise NoIncomingMode("frame is elliptic on both sides")
-    minv = _check_invertible(zp_out + zm_out, "z+_out + z-_out")
-    return ScatterOperator(minv, zp_in - zp_out, {"+": plus, "-": minus})
+    return _scatter_operators([(plus, minus)])[0]
+
+
+def _scatter_operators(laws: list) -> list:
+    """The ScatterOperator of each law, given by its sides: (side,) for a
+    free surface, (plus, minus) for a welded interface.
+
+    Each law's checks run in the order of `free_surface_operator` and
+    `interface_operator`: the - side's frame, the sides' impedances (read
+    through each BoundarySide, so what is built is reused), E_c not the
+    whole space on every side, then sigma_min/sigma_max of the matrix the law
+    inverts.  A stage runs for every law before the next, so a list raises
+    its first failure in that order.  The outgoing mode projectors of every
+    side, the SVDs and inverses, and the compiled maps are built for all
+    laws as stacks, and each law gets bit for bit what it gets built alone.
+    """
+    mats, zins = [], []
+    for law in laws:
+        plus = law[0]
+        if len(law) == 1:
+            mats.append(plus.z("outgoing"))
+            zins.append(plus.z("incoming"))
+            continue
+        fp, fm = plus.frame, law[1].frame
+        if not (np.array_equal(fm.nu, -fp.nu) and np.array_equal(fm.eta, fp.eta)
+                and fm.tau == fp.tau):
+            raise InvalidInput("the - side must be seen from the + side's flipped frame")
+        zp_out, zp_in, zm_out = plus.z("outgoing"), plus.z("incoming"), law[1].z("outgoing")
+        mats.append(zp_out + zm_out)
+        zins.append(zp_in - zp_out)
+    _stacked_projectors([(side, "outgoing") for law in laws for side in law])
+    for law in laws:
+        if all(side.projectors().dim_ec == 3 for side in law):
+            raise NoIncomingMode("frame is elliptic: nothing propagates" if len(law) == 1
+                                 else "frame is elliptic on both sides")
+    mats = np.array(mats)
+    for law, (high, _, low) in zip(laws, np.linalg.svd(mats, compute_uv=False).tolist()):
+        if low <= INVERTIBLE_MARGIN * high:
+            what = "z_out" if len(law) == 1 else "z+_out + z-_out"
+            raise NonEllipticOperator(f"{what} is numerically singular "
+                                      f"(sigma_min/sigma_max = {low / high:.2e})")
+    minv = np.linalg.inv(mats)
+    zin = np.array(zins)
+    t = -minv @ zin
+
+    # Each side's share: its trace map T, then per real outgoing s the
+    # amplitude map psi_s T and the flux form -tau/2 A'(s), and pi_c T.  A
+    # share is (tag, its s, T, where its maps and its forms start).
+    shares, left, right, at = [], [], [], []
+    for law, t_law in zip(laws, t):
+        maps = {"+": t_law} if len(law) == 1 else {"+": t_law - np.eye(3), "-": t_law}
+        tau = law[0].frame.tau
+        shares.append([])
+        for tag, side in zip(maps, law):
+            projectors, tm = side.projectors(), maps[tag]
+            modes = tuple(sorted(projectors.psi))
+            shares[-1].append((tag, modes, tm, len(left), len(at)))
+            left.extend([projectors.psi[s] for s in modes] + [projectors.pi_c])
+            right.extend([tm] * (len(modes) + 1))
+            at.extend((side.poly, s, -tau * 0.5) for s in modes)
+    products = np.array(left) @ np.array(right)
+    polys, s, c = zip(*at)      # not empty: a law that passed its checks has a real mode
+    forms = np.array(c)[:, None, None] * _slope(
+        np.array([a.a0 for a in polys]), np.array([a.a1_sym for a in polys]),
+        np.array(s)[:, None, None])
+
+    out = []
+    for law, minv_law, zin_law, law_shares in zip(laws, minv, zin, shares):
+        compiled = {tag: (modes, np.concatenate((products[k:k + len(modes) + 1], tm[None])),
+                          forms[f:f + len(modes)])
+                    for tag, modes, tm, k, f in law_shares}
+        out.append(ScatterOperator(minv_law, zin_law, dict(zip(compiled, law)), compiled))
+    return out
 
 
 def reflect_free_surface(m: Material, frame: BoundaryFrame,

@@ -10,6 +10,7 @@ from elaswave import boundary
 from elaswave.boundary import (
     BoundarySide,
     classify,
+    classify_frames,
     ellipticity_margin,
     iso_impedance_closed_form,
     rayleigh_speed,
@@ -99,6 +100,18 @@ class TestClassify:
 
     def test_glancing_label(self, iso):
         assert classify(iso, frame(-1.0)).label == "glancing"
+
+    def test_materials_are_one_or_a_pair(self, iso, hard):
+        # Anything but one Material or a pair of them is bad input, on every
+        # entry point that takes a boundary or an interface.
+        frames = [frame(-1.5), frame(-2.5)]
+        for bad in ((iso, hard, iso), (), (iso,), [iso, "hard"], "ab", None):
+            for run in (lambda: classify(bad, frames[0]),
+                        lambda: list(classify_frames(bad, frames)),
+                        lambda: ellipticity_margin(bad, frames)):
+                with pytest.raises(InvalidInput, match="one Material or a pair"):
+                    run()
+        assert classify([iso, hard], frames[0]) == classify((iso, hard), frames[0])
 
 
 class TestClosedForm:

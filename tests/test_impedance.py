@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from elaswave.impedance import (
     impedance_from_factorization,
     impedance_tau_derivative,
     modal_flux_decomposition,
+    _mode_projectors,
     mode_projectors,
 )
 
@@ -86,6 +89,36 @@ class TestModeProjectors:
                                 assert np.linalg.norm(p @ p2) < 1e-9
                         total = total + p
                     assert np.linalg.norm(total - np.eye(3)) < 1e-9
+
+    def test_stack_matches_alone(self, iso, ti):
+        # One stack of factorizations from all three regions, both
+        # directions, so with two and three clusters of eig(Q), gives each,
+        # bit for bit, the projectors it gets alone.
+        rng = np.random.default_rng(23)
+        facts = [factorize(boundary_polynomial(mat, fr), direction)
+                 for mat in (iso, ti) for frames in sample_frames(mat, rng, 3).values()
+                 for fr in frames for direction in ("outgoing", "incoming")]
+        stacked = _mode_projectors(facts)
+        kinds = set()
+        for f, got in zip(facts, stacked):
+            alone = mode_projectors(f)
+            kinds.add((len(got.psi), got.dim_ec))
+            assert list(got.psi) == list(alone.psi)
+            for mine, theirs in zip([got.pi_c, *got.psi.values()],
+                                    [alone.pi_c, *alone.psi.values()]):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+            assert (got.dim_ec, got.dim_er) == (alone.dim_ec, alone.dim_er)
+        # (real modes, dim E_c): hyperbolic, mixed with one or two real
+        # modes, and elliptic
+        assert {(3, 0), (0, 3)} <= kinds and len(kinds) >= 4
+
+    def test_one_cluster(self):
+        # A triple eigenvalue is one cluster, whose projector is I.
+        q = 1.5 * np.eye(3, dtype=complex)
+        f = SimpleNamespace(q=q, q_spectrum=np.linalg.eigvals(q))
+        (pr,) = _mode_projectors([f])
+        assert list(pr.psi) == [1.5] and (pr.dim_ec, pr.dim_er) == (0, 3)
+        assert pr.psi[1.5].dtype == complex and np.array_equal(pr.psi[1.5], np.eye(3))
 
     def test_region_dimensions(self, iso):
         for tau, (dim_er, dim_ec) in ((-2.5, (3, 0)), (-1.5, (2, 1)),

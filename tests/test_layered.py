@@ -36,7 +36,13 @@ from elaswave.materials import (
     make_isotropic,
     make_transversely_isotropic,
 )
-from elaswave.scatter import TraceField, reflect_free_surface, transmit_interface
+from elaswave.scatter import (
+    TraceField,
+    free_surface_operator,
+    interface_operator,
+    reflect_free_surface,
+    transmit_interface,
+)
 
 from conftest import AXIS, NU
 
@@ -213,7 +219,8 @@ class TestModeDelay:
         for eta, tau in TI_STACK_FRAMES:
             shared = trace_plane_wave(ti_stack, eta, tau, max_events=40)
             with monkeypatch.context() as mp:
-                mp.setattr(layered, "mode_delay", lambda *args: None)
+                # every delay, stacked at entry or alone, comes from _mode_delays
+                mp.setattr(layered, "_mode_delays", lambda requests: [None] * len(requests))
                 mp.setattr(layered, "group_delay", counting)
                 calls.clear()
                 fallback = trace_plane_wave(ti_stack, eta, tau, max_events=40)
@@ -347,21 +354,30 @@ class TestPrecomputedLaws:
             assert n_scattered > 0
 
     def test_each_law_built_once(self, ti_stack, monkeypatch):
-        builds = Counter()
+        # Every law is built once per trace: all of them as one stack at
+        # entry, or, with the stacked sides failing, each alone on first use.
+        builds, sizes = Counter(), []
+        stacked_laws = layered._scatter_operators
 
-        def recording(builder):
-            def build(plus, *rest):
-                builds[_layer_direction(ti_stack, plus)] += 1
-                return builder(plus, *rest)
-            return build
+        def recording(laws):
+            sizes.append(len(laws))
+            for law in laws:
+                builds[_layer_direction(ti_stack, law[0])] += 1
+            return stacked_laws(laws)
 
-        for name in ("free_surface_operator", "interface_operator"):
-            monkeypatch.setattr(layered, name, recording(getattr(layered, name)))
-        for eta, tau in TI_STACK_FRAMES:
-            builds.clear()
-            trace_plane_wave(ti_stack, eta, tau, max_events=64)
-            assert builds and max(builds.values()) == 1
-            assert sum(builds.values()) <= 2 * len(ti_stack.layers)
+        monkeypatch.setattr(layered, "_scatter_operators", recording)
+        for stacked in (True, False):
+            with monkeypatch.context() as mp:
+                if not stacked:
+                    mp.setattr(layered, "_stacked_sides", forced_failure)
+                for eta, tau in TI_STACK_FRAMES:
+                    builds.clear()
+                    sizes.clear()
+                    trace_plane_wave(ti_stack, eta, tau, max_events=64)
+                    assert builds and max(builds.values()) == 1
+                    assert sum(builds.values()) <= 2 * len(ti_stack.layers)
+                    assert sizes == ([2 * len(ti_stack.layers)] if stacked
+                                     else [1] * len(builds))
 
     def test_each_polynomial_classified_once(self, ti_stack, monkeypatch):
         # The laws met going down from layer L and up from layer L+1 share
@@ -399,24 +415,33 @@ class TestPrecomputedLaws:
                                      else [1] * len(seen))
 
     def test_failed_build_is_kept(self, ti_stack, monkeypatch):
+        # A law that fails fails the stack of all laws; each law met is then
+        # built alone once, the failing one too, whose error is kept.
         key = (1, "down")
         builds = []
-        interface_operator = layered.interface_operator
+        stacked_laws = layered._scatter_operators
 
-        def failing(plus, minus):
-            if _layer_direction(ti_stack, plus) == key:
-                builds.append(key)
+        def failing(laws):
+            keys = [_layer_direction(ti_stack, law[0]) for law in laws]
+            builds.append(keys)
+            if key in keys:
                 raise NonEllipticOperator("forced failure")
-            return interface_operator(plus, minus)
+            return stacked_laws(laws)
 
-        monkeypatch.setattr(layered, "interface_operator", failing)
+        monkeypatch.setattr(layered, "_scatter_operators", failing)
         tree = trace_plane_wave(ti_stack, (0.0, 0.0), -1.0, max_events=64)
-        assert builds == [key]
+        assert len(builds[0]) == 2 * len(ti_stack.layers) and key in builds[0]
+        alone = Counter()
+        for keys in builds[1:]:
+            assert len(keys) == 1
+            alone.update(keys)
+        assert alone[key] == 1 and max(alone.values()) == 1
         hits = [e for e in tree.events if (e.layer, e.direction) == key
                 and e.status not in ("floored", "truncated")]
         assert len(hits) > 1
         assert all(e.status == "glancing" and e.note == "forced failure"
                    for e in hits)
+        assert {(e.layer, e.direction) for e in tree.events if e.status == "glancing"} == {key}
         assert leaf_flux(tree) == pytest.approx(tree.source_flux, rel=1e-9)
 
 
@@ -564,3 +589,109 @@ class TestStackedSides:
             assert np.array_equal(side.z(), fresh.z())
             n_factorized += 1
         assert n_factorized == 7 * 4
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def glancing_frame(stack, eta) -> tuple:
+    """(eta, tau) with |eta| = 1 along eta and tau at the shear transition of
+    the isotropic half-space, tau^2 = mu / rho, where its double root s = 0
+    glances."""
+    half = stack.halfspace
+    mu = decompose_harmonic(half.stiffness).mu
+    return np.asarray(eta) / np.linalg.norm(eta), -float(np.sqrt(mu / half.density))
+
+
+class TestStackedLaws:
+    """A trace builds every law whose sides do not glance as one stack at
+    entry, then the mode delays of the source and of every (side, s) those
+    laws send waves to as one stack.  Each law and delay is bit for bit what
+    it is built alone, and the tree is, byte for byte, the tree whose laws
+    are each built alone on first use."""
+
+    def cases(self, ti_stack, bench_stack):
+        """(stack, eta, tau, number of laws the stack builds): every law, but
+        the one above the half-space where that glances."""
+        stack, eta, tau = bench_stack
+        return ([(ti_stack, eta, tau, 6) for eta, tau in TI_STACK_FRAMES]
+                + [(stack, eta, tau, 6), (stack, *glancing_frame(stack, eta), 5)])
+
+    @staticmethod
+    def assert_same_law(law, alone):
+        assert same_bits(law.minv, alone.minv) and same_bits(law.zin, alone.zin)
+        assert list(law.compiled) == list(alone.compiled) == list(law.sides)
+        for tag, (modes, maps, forms) in law.compiled.items():
+            their_modes, their_maps, their_forms = alone.compiled[tag]
+            assert modes == their_modes
+            assert same_bits(maps, their_maps) and same_bits(forms, their_forms)
+            directions = ("outgoing", "incoming") if tag == "+" else ("outgoing",)
+            for direction in directions:
+                mine = law.sides[tag].projectors(direction)
+                theirs = alone.sides[tag].projectors(direction)
+                assert list(mine.psi) == list(theirs.psi)
+                assert all(same_bits(mine.psi[s], theirs.psi[s]) for s in mine.psi)
+                assert same_bits(mine.pi_c, theirs.pi_c) and mine.dim_ec == theirs.dim_ec
+
+    @pytest.mark.parametrize("budget", [1, 2, 64])
+    def test_laws_match_laws_built_alone(self, ti_stack, bench_stack, monkeypatch, budget):
+        stacked_laws, stacked_delays = layered._scatter_operators, layered._mode_delays
+        law_stacks, delay_stacks = [], []
+
+        def record_laws(laws):
+            law_stacks.append(list(zip(laws, stacked_laws(laws))))
+            return [law for _, law in law_stacks[-1]]
+
+        def record_delays(requests):
+            delay_stacks.append(list(zip(requests, stacked_delays(requests))))
+            return [delay for _, delay in delay_stacks[-1]]
+
+        def alone_on_first_use(laws):
+            if len(laws) > 1:
+                raise NonEllipticOperator("forced law stack failure")
+            return stacked_laws(laws)
+
+        for stack, eta, tau, n_laws in self.cases(ti_stack, bench_stack):
+            law_stacks.clear()
+            delay_stacks.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(layered, "_scatter_operators", record_laws)
+                mp.setattr(layered, "_mode_delays", record_delays)
+                tree = trace_plane_wave(stack, eta, tau, max_events=budget)
+            with monkeypatch.context() as mp:
+                mp.setattr(layered, "_scatter_operators", alone_on_first_use)
+                alone = trace_plane_wave(stack, eta, tau, max_events=budget)
+            assert tree_digest(tree) == tree_digest(alone)
+            for e, f in zip(tree.events, alone.events):
+                assert np.array_equal(e.amplitude, f.amplitude)
+
+            # one stack of laws, none built on first use; the law above a
+            # glancing half-space is left out of it
+            (laws,) = law_stacks
+            keys = {_layer_direction(stack, sides[0]) for sides, _ in laws}
+            assert not any(sd.classification.glancing for sides, _ in laws for sd in sides)
+            assert len(keys) == len(laws) == n_laws
+            for sides, law in laws:
+                fresh = [BoundarySide(sd.material, sd.frame) for sd in sides]
+                built_alone = (free_surface_operator(*fresh) if len(fresh) == 1
+                               else interface_operator(*fresh))
+                self.assert_same_law(law, built_alone)
+
+            # one stack of delays, which every crossing time then reads
+            (delays,) = delay_stacks
+            assert len(delays) > 1
+            for (a, cls, s), delay in delays:
+                assert delay == mode_delay(a, cls, s)
+
+    def test_glancing_law_still_glances(self, bench_stack, monkeypatch):
+        # At the half-space's shear transition the law above it is built on
+        # first use, fails there, and ends its segments as glancing leaves.
+        stack, eta, _ = bench_stack
+        tree = trace_plane_wave(stack, *glancing_frame(stack, eta), max_events=64)
+        glancing = {(e.layer, e.direction) for e in tree.events if e.status == "glancing"}
+        assert glancing == {(len(stack.layers) - 1, "down")}
+        assert {e.note for e in tree.events if e.status == "glancing"} == \
+            {"spectrum has a glancing real eigenvalue"}
+        assert leaf_flux(tree) == pytest.approx(tree.source_flux, rel=1e-9)

@@ -8,6 +8,7 @@ from elaswave.factorization import BoundaryFrame, boundary_polynomial, kernel_ba
 from elaswave.materials import make_isotropic
 from elaswave.scatter import (
     TraceField,
+    _scatter_operators,
     energy_balance,
     free_surface_operator,
     incoming_mode,
@@ -195,6 +196,43 @@ class TestApplyBlock:
                             assert block.fluxes[j, k] == side.fluxes[s]
         assert any(np.linalg.norm(law.apply_block(np.eye(3))["+"].evanescent) > 0
                    for law in laws)
+
+
+class TestStackedLaws:
+    def test_stack_matches_laws_alone(self, iso, ti, hard):
+        # Laws at different frames and of both kinds, built as one stack, are
+        # bit for bit the laws built alone on fresh sides.
+        def sides(kind, fr):
+            if kind == "free":
+                return (BoundarySide(ti, fr),)
+            return BoundarySide(iso, fr), BoundarySide(hard, fr.flipped())
+
+        cases = [(kind, frame(tau, eta)) for tau, eta in ((-2.5, ETA), (-1.8, ETA),
+                                                          (-2.2, np.array([0.6, 0.5, 0.0])))
+                 for kind in ("free", "interface")]
+        stacked = _scatter_operators([sides(kind, fr) for kind, fr in cases])
+        for (kind, fr), law in zip(cases, stacked):
+            alone = (free_surface_operator if kind == "free" else interface_operator)(
+                *sides(kind, fr))
+            for mine, theirs in ((law.minv, alone.minv), (law.zin, alone.zin)):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+            assert list(law.compiled) == list(alone.compiled)
+            for tag, (modes, maps, forms) in law.compiled.items():
+                assert modes == alone.compiled[tag][0]
+                for mine, theirs in ((maps, alone.compiled[tag][1]),
+                                     (forms, alone.compiled[tag][2])):
+                    assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+
+    def test_stack_raises_the_first_failure(self, iso, hard):
+        # A stack meets each law's checks in the one-law order, stage by
+        # stage: a wrong - side frame before an elliptic law.
+        fr = frame(-2.5)
+        elliptic = (BoundarySide(iso, frame(-0.5)), BoundarySide(hard, frame(-0.5).flipped()))
+        wrong_frame = (BoundarySide(iso, fr), BoundarySide(hard, fr))
+        with pytest.raises(NoIncomingMode, match="elliptic on both sides"):
+            _scatter_operators([(BoundarySide(iso, fr),), elliptic])
+        with pytest.raises(InvalidInput, match="flipped frame"):
+            _scatter_operators([elliptic, wrong_frame])
 
 
 class TestEnergyReport:

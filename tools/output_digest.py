@@ -16,9 +16,12 @@ equal bytes.  It covers
   * surface_waves: every float of the seeded Rayleigh and Stoneley solves
     of the surface_waves workload;
   * trees: the event trees of the layered_trace workload, as JSON, the
-    same frames again with event budgets of 1 and 2, and a trace at the
-    frame where the half-space glances, so that the law above it fails
-    and every segment meeting it ends as a glancing leaf;
+    same frames again with event budgets of 1 and 2, with the source in
+    layer 1 and with source mode 1 (laws, incoming projectors and delays
+    that a mode-0 source in the top layer does not reach first; an error
+    counts by its type and message), and a trace at the frame where the
+    half-space glances, so that the law above it fails and every segment
+    meeting it ends as a glancing leaf;
   * errors: the (type, message) of the error, or that there was none, of
     classify_frames, ellipticity_margin, classify, boundary_polynomial,
     classify_spectrum and factorize on seeded failing inputs: grids longer
@@ -219,6 +222,9 @@ def tree_digest(seed: int, directory: str) -> str:
     trees = _run_ops(w, 1)
     trees += [ly.trace_plane_wave(w.stack, eta, tau, max_events=budget)
               for eta, tau in w.frames for budget in (1, 2)]
+    trees += [_outcome(lambda: ly.trace_plane_wave(w.stack, eta, tau, source_layer=layer,
+                                                   source_mode=mode, max_events=64))
+              for eta, tau in w.frames for layer, mode in ((1, 0), (0, 1))]
     eta, tau = _glancing_frame(w.stack, w.frames[0][0])
     trees.append(_outcome(lambda: ly.trace_plane_wave(w.stack, eta, tau, max_events=64)))
     for tree in trees:
