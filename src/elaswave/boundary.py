@@ -27,9 +27,9 @@ from .errors import (
 from .factorization import (
     BoundaryFrame,
     SpectralFactorization,
-    _boundary_polynomials,
     _classify,
     _factorize,
+    _polynomial_stacks,
     boundary_polynomial,
     classify_spectrum,
     factorize,
@@ -419,12 +419,13 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
 
 def _stacked_sides(stacks: list) -> list:
     """The classified BoundarySide of each frame of stacks of (material,
-    frames), every step solved for all sides at once: the polynomials of
-    each stack, then one classification of all of them.  Each stage gives an
+    frames), every step solved for all sides at once: the polynomials of all
+    stacks (`_polynomial_stacks`: one stack of cores, A2 settled per
+    material), then one classification of all of them.  Each stage gives an
     entry what it gives the entry alone, and meets the entries in the order
     the stacks list them, + side first (see `_stacks`), so the first failure
     of a stage is the first in that order."""
-    polys = [_boundary_polynomials(m, frames) for m, frames in stacks]
+    polys = _polynomial_stacks(stacks)
     classes = iter(_classify([a for stack in polys for a in stack]))
     return [[BoundarySide._of(m, a, classification=next(classes)) for a in stack]
             for (m, _), stack in zip(stacks, polys)]

@@ -122,11 +122,12 @@ def _fro(x: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
-def _record(cls, **fields):
+def _record(cls, pairs=None, **fields):
     """An instance of a frozen dataclass without a __post_init__, its
-    fields set at once; what the generated __init__ does, for less."""
+    fields set in one step, given as (name, value) pairs in field order or
+    by name; what the generated __init__ does, for less."""
     obj = object.__new__(cls)
-    vars(obj).update(fields)
+    vars(obj).update(fields if pairs is None else pairs)
     return obj
 
 
@@ -154,14 +155,17 @@ def _a2(l_eta, rho, tau_sq):
 class _SymbolCore:
     """The tau-independent half of A(s), shared along one (material, nu, eta):
     A0, A1, A1 + A1*, the norms of A0 and A1, A0's asymmetry and smallest
-    eigenvalue, l(eta) with the coefficient size without tau, and the Stroh
-    blocks free of A2.  The arrays are read-only; `_cores` builds the cores,
-    those of a stack at once."""
+    eigenvalue, l(eta) with the coefficient size without tau and the
+    asymmetry ||l(eta) - l(eta)*||, and the Stroh blocks free of A2.  The
+    arrays are read-only; `_cores` builds the cores, those of a stack at
+    once.  Every A2 = l(eta) - rho tau^2 I has the asymmetry of l(eta), bit
+    for bit: the diagonal of A2 - A2* cancels to 0 and the rest is that of
+    l(eta) - l(eta)*."""
 
     def at_tau(self, frame: BoundaryFrame, rho: float) -> "QuadraticMatrixPolynomial":
         a2 = np.asarray(_a2(self.l_eta, rho, frame.tau ** 2), dtype=complex)
         poly = object.__new__(QuadraticMatrixPolynomial)
-        return _settled([poly], [self], a2[None], [frame], rho)[0]
+        return _settled([poly], [self], a2[None], [frame], rho, [self.l_asymmetry])[0]
 
     def flipped(self) -> "_SymbolCore":
         """The core seen from the flipped frame (nu -> -nu), where A1 and the
@@ -190,12 +194,22 @@ def _stroh_blocks(a0, a1) -> tuple:
     return blocks
 
 
-def _cores(a0, a1, l_eta, size: list) -> list:
-    """The _SymbolCore of each (A0, A1, l(eta), coefficient size) of stacks."""
+def _cores(a0, a1, l_eta=None, size=None) -> list:
+    """The _SymbolCore of each (A0, A1, l(eta), coefficient size) of stacks;
+    without l(eta) and sizes, cores of polynomials not built from a material."""
     a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
     a1_sym = a1 + _herm(a1)
     n = len(a0)
-    norm0, norm1, asymmetry = _fro(np.concatenate((a0, a1, a0 - _herm(a0)))).reshape(3, n).tolist()
+    parts = [a0, a1, a0 - _herm(a0)]
+    if l_eta is not None:
+        l_c = np.asarray(l_eta, dtype=complex)
+        parts.append(l_c - _herm(l_c))
+    norms = _fro(np.concatenate(parts)).reshape(len(parts), n).tolist()
+    norm0, norm1, asymmetry = norms[:3]
+    if l_eta is None:       # a polynomial not built from a material
+        l_eta = size = l_asymmetry = [None] * n
+    else:
+        l_asymmetry = norms[3]
     # a finite norm has finite entries; an infinite or NaN one sends A0 to the full check
     if not all(map(math.isfinite, norm0)) and not np.isfinite(a0).all():
         raise NumericalDomainError("A0 is not finite")
@@ -212,7 +226,7 @@ def _cores(a0, a1, l_eta, size: list) -> list:
         core = object.__new__(_SymbolCore)
         vars(core).update(a0=a0[k], a1=a1[k], a1_sym=a1_sym[k], norms=(norm0[k], norm1[k]),
                           a0_asymmetry=asymmetry[k], a0_min=a0_min[k], l_eta=l_eta[k],
-                          size=size[k], stroh_blocks=blocks[k])
+                          size=size[k], l_asymmetry=l_asymmetry[k], stroh_blocks=blocks[k])
         cores.append(core)
     return cores
 
@@ -253,13 +267,20 @@ def _scale(core: _SymbolCore, a2_norm: float, a2_asymmetry: float) -> float:
     return scale
 
 
-def _settled(polys: list, cores: list, a2: np.ndarray, frames: list, rho) -> list:
-    """Each polynomial of a list set on its core and its entry of the stack A2."""
+def _settled(polys: list, cores: list, a2: np.ndarray, frames: list, rho,
+             asymmetries: list | None = None) -> list:
+    """Each polynomial of a list set on its core and its entry of the stack A2.
+    ||A2 - A2*|| of each entry is taken here, unless `asymmetries` gives it
+    (that of l(eta), for an A2 formed from its core)."""
     n = len(polys)
-    norms = _fro(np.concatenate((a2, a2 - _herm(a2)))).tolist()
+    if asymmetries is None:
+        norms = _fro(np.concatenate((a2, a2 - _herm(a2)))).tolist()
+        norms, asymmetries = norms[:n], norms[n:]
+    else:
+        norms = _fro(a2).tolist()
     a2.setflags(write=False)
-    for poly, core, a2_k, frame, norm, asymmetry in zip(polys, cores, a2, frames, norms[:n],
-                                                       norms[n:]):
+    for poly, core, a2_k, frame, norm, asymmetry in zip(polys, cores, a2, frames, norms,
+                                                       asymmetries):
         vars(poly).update(a0=core.a0, a1=core.a1, a2=a2_k, frame=frame, rho=rho,
                           core=core, _scale=_scale(core, norm, asymmetry))
     return polys
@@ -283,7 +304,7 @@ class QuadraticMatrixPolynomial:
     def __post_init__(self):
         _check_entries(self.a0, self.a1, self.a2)
         core = _cores(np.array(self.a0, dtype=complex, ndmin=3),
-                      np.array(self.a1, dtype=complex, ndmin=3), [None], [None])[0]
+                      np.array(self.a1, dtype=complex, ndmin=3))[0]
         a2 = np.array(self.a2, dtype=complex, ndmin=3)     # copies: the caller keeps its arrays
         _settled([self], [core], a2, [self.frame], self.rho)
 
@@ -331,20 +352,45 @@ def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPol
 
 
 def _boundary_polynomials(m: Material, frames: list) -> list:
-    """boundary_polynomial at each frame, the coefficients of all of them
-    built as stacks."""
-    sizes = [_coefficient_size(m.stiffness.norm, frame) for frame in frames]
-    for size, frame in zip(sizes, frames):
-        _check_overflow(size, m.density, frame.tau)
-    vecs = np.array([(f.nu, f.eta) for f in frames])
-    # x_j C^{ijkm} y_m for x, y in (nu, eta): A0 = C(nu, nu), A1 = C(nu, eta) and
-    # l(eta) = C(eta, eta), each bit for bit what its own einsum gives
-    forms = np.einsum("nxj,ijkm,nym->xynik", vecs, m.stiffness.entries, vecs)
-    l_eta = forms[1, 1]
-    cores = _cores(forms[0, 0], forms[0, 1], l_eta, sizes)
-    a2 = np.asarray(_a2(l_eta, m.density, np.array([f.tau ** 2 for f in frames])), dtype=complex)
-    return _settled([object.__new__(QuadraticMatrixPolynomial) for _ in frames], cores, a2,
-                    frames, m.density)
+    """boundary_polynomial at each frame: `_polynomial_stacks` of one material."""
+    return _polynomial_stacks([(m, frames)])[0]
+
+
+def _polynomial_stacks(stacks: list) -> list:
+    """boundary_polynomial at each frame of stacks of (material, frames), the
+    coefficients of each material built as stacks and the cores of all
+    materials as one.  Each polynomial is bit for bit what it is built alone,
+    and a check that fails raises as the materials built one after another
+    would: a material's polynomials all settle (A2 per material, since rho
+    differs) before the next material's coefficient sizes are checked."""
+    forms, sizes, overflow = [], [], None
+    for m, frames in stacks:
+        material_sizes = [_coefficient_size(m.stiffness.norm, frame) for frame in frames]
+        try:
+            for size, frame in zip(material_sizes, frames):
+                _check_overflow(size, m.density, frame.tau)
+        except CoefficientOverflow as exc:      # raised once the materials before it settle
+            overflow = exc
+            break
+        vecs = np.array([(f.nu, f.eta) for f in frames])
+        # x_j C^{ijkm} y_m for x, y in (nu, eta): A0 = C(nu, nu), A1 = C(nu, eta) and
+        # l(eta) = C(eta, eta), each bit for bit what its own einsum gives
+        forms.append(np.einsum("nxj,ijkm,nym->xynik", vecs, m.stiffness.entries, vecs))
+        sizes += material_sizes
+    polys, start = [], 0
+    if forms:
+        # np.concatenate copies even one array, which one material does not need
+        joined = forms[0] if len(forms) == 1 else np.concatenate(forms, axis=2)
+        cores = _cores(joined[0, 0], joined[0, 1], joined[1, 1], sizes)
+        for (m, frames), form in zip(stacks, forms):
+            a2 = np.asarray(_a2(form[1, 1], m.density, np.array([f.tau ** 2 for f in frames])),
+                            dtype=complex)
+            mine, start = cores[start:start + len(frames)], start + len(frames)
+            polys.append(_settled([object.__new__(QuadraticMatrixPolynomial) for _ in frames],
+                                  mine, a2, frames, m.density, [c.l_asymmetry for c in mine]))
+    if overflow is not None:
+        raise overflow
+    return polys
 
 
 def _coefficients(polys: list) -> tuple:
@@ -525,13 +571,13 @@ def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
 
 
 def _classify(polys: list) -> list:
-    """classify_spectrum of each polynomial: the norm and Schur form of each
-    Stroh matrix on its own, the kernels at every real eigenvalue of all of
-    them from one stacked SVD and their sign forms as stacks."""
+    """classify_spectrum of each polynomial: the norms of all Stroh matrices
+    as one stack, the Schur form of each on its own, the kernels at every
+    real eigenvalue of all of them from one stacked SVD and their sign forms
+    as stacks."""
     out, at, values = [], [], []     # at, values: polynomial and s of each real group
-    for k, a in enumerate(polys):
-        s6 = stroh(a)
-        norm = float(np.linalg.norm(s6))
+    stacked = np.array([stroh(a) for a in polys])
+    for k, (s6, norm) in enumerate(zip(stacked, _fro(stacked).tolist())):
         # a finite norm has finite entries; an infinite or NaN one sends s6 to the full check
         if not (math.isfinite(norm) or np.isfinite(s6).all()):
             raise NumericalDomainError("Stroh matrix is not finite")
@@ -542,8 +588,9 @@ def _classify(polys: list) -> list:
             if is_real:
                 at.append(k)
                 values.append(value)
-    if values:
-        a0, a1_sym, a2, _, scales = _coefficients([polys[k] for k in at])
+    if values:     # each polynomial's coefficients once, then one row per real group
+        a0, a1_sym, a2 = np.array([(a.a0, a.a1_sym, a.a2) for a in polys])[at].swapaxes(0, 1)
+        scales = [polys[k].scale for k in at]
         s = np.array(values)[:, None, None]
         kernels = _kernels(_at(a0, a1_sym, a2, s), scales)
         found = iter(zip(kernels, _sign_types(a0, a1_sym, s.real, kernels)))
@@ -690,19 +737,20 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
 
 
 def _factorize(polys: list, classifications: list, direction: str, taus: list) -> list:
-    """factorize each polynomial from its classification: the ordered Schur
-    form and cond(X1) one by one, the roots and their checks as stacks."""
+    """factorize each polynomial from its classification: the target and
+    ordered Schur form one by one, then cond(X1) of every entry from one
+    stacked SVD, then the roots and their checks as stacks."""
     sigmas, blocks = [], []
     for cls, tau in zip(classifications, taus):
         sigma, targets, match_tol = _target(cls, direction, tau)
         t, zvec = cls.schur
         t, zvec = _reorder(t, zvec, _selected(t.diagonal(), np.array(targets), match_tol))
-        # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
-        s_max, _, s_min = np.linalg.svd(zvec[:3, :3], compute_uv=False).tolist()
-        _check_condition(s_max / s_min if s_min > 0 else math.inf)
         sigmas.append(tuple(sigma))
         blocks.append((zvec[:3, :3], t[:3, :3]))
     blocks = np.array(blocks)
+    # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
+    for s_max, _, s_min in np.linalg.svd(blocks[:, 0], compute_uv=False).tolist():
+        _check_condition(s_max / s_min if s_min > 0 else math.inf)
     coefficients = _coefficients(polys)
     a0, a1_sym, _, a0inv, _ = coefficients
     q, q_sharp = _roots(blocks[:, 0], blocks[:, 1], a0, a1_sym, a0inv)

@@ -12,7 +12,7 @@ numbered downward, and the half-space lies below the last layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .factorization import (
     SpectrumClassification,
     _fro,
     _herm,
+    _record,
     _slope,
 )
 from .materials import Material, check_strong_convexity, material_from_dict
@@ -250,6 +251,7 @@ def _sorted_arrivals(rows: list) -> tuple:
 
 
 # Fields of a RayEvent, in order, for the per-event rows of trace_plane_wave.
+_FIELDS = tuple(f.name for f in fields(RayEvent))
 _LAYER, _DIRECTION, _S, _AMPLITUDE, _TIME, _DEPTH, _FLUX, _STATUS, _NOTE = range(2, 11)
 
 
@@ -271,9 +273,10 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     entry as stacks on the batched frame core, each entry bit for bit what
     it is built alone:
       * all 2n + 1 sides of an n-layer stack (`boundary._stacked_sides`):
-        the polynomials per material and one classification of all of them,
-        then one outgoing factorization and impedance of those whose
-        spectrum does not glance (`_stacked_factorizations`);
+        the polynomials of all materials on one stack of cores, one
+        classification of all of them, then one outgoing factorization and
+        impedance of those whose spectrum does not glance
+        (`_stacked_factorizations`);
       * the source, from its side's incoming factorization and projectors,
         built alone first, so a trace without that mode fails before any
         law is built;
@@ -294,9 +297,11 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
 
     The queue is expanded one generation (tree depth) at a time: the
     segments of a generation that meet the same law scatter as one block,
-    and their children are then numbered in the order the segments hold.
-    The first `max_events` segments, counted in that order, scatter; the
-    rest end as truncated.
+    on all the law's sides in one `apply_block`, and their children are
+    then numbered in the order the segments hold.  The first `max_events`
+    segments, counted in that order, scatter; the rest end as truncated.
+    Each event is kept as a row while the tree grows and becomes its
+    RayEvent in one step at the end.
     """
     if max_events < 1:
         raise ValidationError("max_events must be at least 1")
@@ -378,10 +383,11 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     # sends waves to, as one stack.
     targets = [(source_layer, "down", src.s_in)]
     for (layer, direction), law in laws.items():
-        for tag, (modes, _, _) in law.compiled.items():
+        tags, modes, _, _ = law.compiled
+        for tag, s_out in zip(tags, modes):
             lay, dirn = _target(layer, direction, tag)
             if lay < n_layers:
-                targets += [(lay, dirn, -s_out) for s_out in modes]
+                targets.append((lay, dirn, -s_out))
     targets = list(dict.fromkeys(targets))
     delays.update(zip(targets, _mode_delays([
         (side(lay, dirn).poly, side(lay, dirn).classification, s) for lay, dirn, s in targets])))
@@ -418,20 +424,17 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
             law = scatter_law(layer, direction)
             if isinstance(law, NumericalDomainError):
                 continue
-            blocks = law.apply_block(np.stack([rows[u][_AMPLITUDE] for u in uids], axis=1))
-            parts = []
-            for tag, block in blocks.items():
-                lay, dirn = target = _target(layer, direction, tag)
-                amp_norms = _column_norms(block.amplitudes).tolist()
-                modes = []
-                for j, s_out in enumerate(block.modes):
-                    # a crossing time every child of the mode shares, or None
-                    delay = delays.get((lay, dirn, -s_out))
-                    step = None if delay is None else stack.thickness(lay) * abs(delay)
-                    modes.append((-s_out, block.amplitudes[j], block.fluxes[j].tolist(),
-                                  amp_norms[j], step))
-                parts.append((target, modes))
-            outcome[layer, direction] = parts
+            block = law.apply_block(np.stack([rows[u][_AMPLITUDE] for u in uids], axis=1))
+            modes = []
+            for tag, s_out, amps, fluxes, amp_norms in zip(
+                    block.tags, block.modes, block.amplitudes, block.fluxes.tolist(),
+                    _column_norms(block.amplitudes).tolist()):
+                lay, dirn = _target(layer, direction, tag)
+                # a crossing time every child of the mode shares, or None
+                delay = delays.get((lay, dirn, -s_out))
+                step = None if delay is None else stack.thickness(lay) * abs(delay)
+                modes.append((lay, dirn, -s_out, list(amps.T), fluxes, amp_norms, step))
+            outcome[layer, direction] = modes
             column.update((u, k) for k, u in enumerate(uids))
 
         children = []
@@ -446,33 +449,32 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                 continue
             seg[_STATUS] = "scattered"
             k, depth = column[uid], seg[_DEPTH] + 1
-            for (lay, dirn), modes in outcome[layer, direction]:
-                for s, amps, fluxes, amp_norms, step in modes:
-                    norm, amp = amp_norms[k], amps[:, k]
-                    if norm <= floor:
-                        if norm > 0:
-                            rows.append([len(rows), uid, lay, dirn, s, amp, time, depth,
-                                         fluxes[k], "floored", ""])
-                            norms.append(norm)
-                        continue
-                    status, note, t_child = "propagating", "", time
-                    if lay == n_layers:
-                        status = "halfspace"
-                    elif step is not None:
-                        t_child = time + step
-                    else:
-                        try:
-                            t_child = time + crossing_time(lay, dirn, s, amp)
-                        except NumericalDomainError as exc:
-                            status, note = "glancing", str(exc)
-                    if status == "propagating":
-                        children.append(len(rows))
-                    rows.append([len(rows), uid, lay, dirn, s, amp, t_child, depth,
-                                 fluxes[k], status, note])
-                    norms.append(norm)
+            for lay, dirn, s, amps, fluxes, amp_norms, step in outcome[layer, direction]:
+                norm, amp = amp_norms[k], amps[k]
+                if norm <= floor:
+                    if norm > 0:
+                        rows.append([len(rows), uid, lay, dirn, s, amp, time, depth,
+                                     fluxes[k], "floored", ""])
+                        norms.append(norm)
+                    continue
+                status, note, t_child = "propagating", "", time
+                if lay == n_layers:
+                    status = "halfspace"
+                elif step is not None:
+                    t_child = time + step
+                else:
+                    try:
+                        t_child = time + crossing_time(lay, dirn, s, amp)
+                    except NumericalDomainError as exc:
+                        status, note = "glancing", str(exc)
+                if status == "propagating":
+                    children.append(len(rows))
+                rows.append([len(rows), uid, lay, dirn, s, amp, t_child, depth,
+                             fluxes[k], status, note])
+                norms.append(norm)
         generation = rest + children
 
-    events = tuple(RayEvent(*row) for row in rows)
+    events = tuple(_record(RayEvent, zip(_FIELDS, row)) for row in rows)
     return EventTree(events, eta, tau, src.flux, _sorted_arrivals(arrivals), truncated)
 
 

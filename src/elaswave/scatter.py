@@ -8,11 +8,12 @@ the materials, so it is built once per frame as a `ScatterOperator` from
 the `BoundarySide` of each side and applied to every trace that meets it.
 At build time the law is compiled, as with Kennett's reflection and
 transmission matrices, into one fixed 3x3 map per outgoing mode and side,
-so a block of traces scatters in a few contractions.  Laws are built by
-`_scatter_operators`, many at once: the mode projectors of their sides,
-the SVD and inverse of the matrices they invert, their trace maps and
-their compiled maps and flux forms are each one stack, and every law gets
-bit for bit what it gets alone.  `free_surface_operator` and
+held as one stack for all its sides, so a block of traces scatters on
+every side in three contractions.  Laws are built by `_scatter_operators`,
+many at once: the mode projectors of their sides, the SVD and inverse of
+the matrices they invert, their trace maps and their compiled maps and
+flux forms are each one stack, and every law gets bit for bit what it
+gets alone.  `free_surface_operator` and
 `interface_operator` are its one-law case.
 Energy bookkeeping uses the modal flux identity, with incident modes
 flux-normalized so amplitude tables compare directly.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .boundary import BoundarySide, _sides, _stacked_projectors
 from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
-from .factorization import BoundaryFrame, _slope, kernel_basis
+from .factorization import BoundaryFrame, _record, _slope, kernel_basis
 from .impedance import flux_form
 from .materials import Material
 
@@ -67,16 +68,22 @@ class ScatterResult:
 
 @dataclass(frozen=True)
 class WaveBlock:
-    """Outgoing content on one side for a block of N incoming traces.
+    """Outgoing content of a law, on all its sides, for a block of N
+    incoming traces.
 
-    Column n of every array belongs to column n of the incoming block.
+    Row k of `amplitudes` and `fluxes` is the outgoing mode k, which leaves
+    on side tags[k] with real eigenvalue modes[k]: the modes of a side are
+    consecutive, s ascending, and the sides come in the law's order.  Row j
+    of `evanescent` and `traces` is the law's side j.  Column n of every
+    array belongs to column n of the incoming block.
     """
 
-    modes: tuple                      # real outgoing eigenvalues s, ascending
-    amplitudes: np.ndarray            # (len(modes), 3, N): psi_s f per mode
-    fluxes: np.ndarray                # (len(modes), N): -tau (A'(s)f_s|f_s)/2
-    evanescent: np.ndarray            # (3, N): pi_c f
-    traces: np.ndarray                # (3, N): the outgoing traces f
+    tags: tuple                       # side tag of each outgoing mode
+    modes: tuple                      # real outgoing eigenvalue s of each
+    amplitudes: np.ndarray            # (M, 3, N): psi_s f per mode
+    fluxes: np.ndarray                # (M, N): -tau (A'(s)f_s|f_s)/2
+    evanescent: np.ndarray            # (sides, 3, N): pi_c f
+    traces: np.ndarray                # (sides, 3, N): the outgoing traces f
 
 
 def incoming_mode(m: Material, frame: BoundaryFrame, mode: int = 0) -> TraceField:
@@ -128,10 +135,12 @@ class ScatterOperator:
     transmitted trace f- and the reflected one is f+ = f- - g.  Traces come
     in on the + side, whose incoming projectors measure the incident flux.
 
-    `compiled` holds each side's share of the law (see `_scatter_operators`):
-    side tag -> (its real outgoing s, ascending; the amplitude maps psi_s T
-    per s, then the evanescent map pi_c T and the trace map T, where f = T g;
-    the flux forms -tau/2 A'(s) per s).
+    `compiled` holds the law on all its sides (see `_scatter_operators`)
+    as (tags, modes, maps, forms): the side tag and real outgoing s of each
+    of its M outgoing modes, in `WaveBlock` order; one (M + 2 sides, 3, 3)
+    stack of the amplitude maps psi_s T per mode, then the evanescent map
+    pi_c T per side, then the trace map T per side, where f = T g on that
+    side; and the flux forms -tau/2 A'(s) per mode, (M, 3, 3).
     """
 
     minv: np.ndarray
@@ -143,8 +152,10 @@ class ScatterOperator:
     def frame(self) -> BoundaryFrame:
         return self.sides["+"].frame
 
-    def apply_block(self, g: np.ndarray) -> dict:
-        """Scatter a 3 x N block of incoming traces: side tag -> WaveBlock.
+    def apply_block(self, g: np.ndarray) -> WaveBlock:
+        """Scatter a 3 x N block of incoming traces on all sides of the law:
+        one product of the compiled maps, one of the flux forms and one
+        contraction for the fluxes.
 
         Every column of the result is bit for bit what that column gives
         alone, so a trace's outcome does not depend on its companions.
@@ -152,23 +163,24 @@ class ScatterOperator:
         # einsum without `optimize` sums each entry in a fixed order and never
         # hands the product to BLAS, whose kernels may round a column
         # differently depending on how many columns come with it.
-        blocks = {}
-        for tag, (modes, stack, forms) in self.compiled.items():
-            out = np.einsum("kij,jn->kin", stack, g)
-            amps = out[:len(modes)]
-            flux = np.einsum("kin,kin->kn", amps.conj(),
-                             np.einsum("kij,kjn->kin", forms, amps)).real
-            blocks[tag] = WaveBlock(modes, amps, flux, out[-2], out[-1])
-        return blocks
+        tags, modes, maps, forms = self.compiled
+        out = np.einsum("kij,jn->kin", maps, g)
+        m, n_sides = len(modes), len(self.sides)
+        amps = out[:m]
+        flux = np.einsum("kin,kin->kn", amps.conj(), np.einsum("kij,kjn->kin", forms, amps)).real
+        return _record(WaveBlock, tags=tags, modes=modes, amplitudes=amps, fluxes=flux,
+                       evanescent=out[m:m + n_sides], traces=out[m + n_sides:])
 
     def apply(self, incoming: TraceField) -> ScatterResult:
         g = incoming.g
+        block = self.apply_block(g[:, None])
         sides = {}
-        for tag, block in self.apply_block(g[:, None]).items():
-            amps = {s: block.amplitudes[k, :, 0] for k, s in enumerate(block.modes)}
-            fluxes = {s: float(block.fluxes[k, 0]) for k, s in enumerate(block.modes)}
-            sides[tag] = SideWaves(block.traces[:, 0], amps, block.evanescent[:, 0],
-                                   fluxes, self.sides[tag])
+        for j, (tag, side) in enumerate(self.sides.items()):
+            mine = [(s, k) for k, (t, s) in enumerate(zip(block.tags, block.modes)) if t == tag]
+            amps = {s: block.amplitudes[k, :, 0] for s, k in mine}
+            fluxes = {s: float(block.fluxes[k, 0]) for s, k in mine}
+            sides[tag] = SideWaves(block.traces[j, :, 0], amps, block.evanescent[j, :, 0],
+                                   fluxes, side)
         inc = _incident_flux(self.sides["+"], g, self.frame.tau)
         out = sum(side.total_flux for side in sides.values())
         residual = abs(inc - out) / max(abs(inc), 1e-300)
@@ -232,21 +244,26 @@ def _scatter_operators(laws: list) -> list:
     zin = np.array(zins)
     t = -minv @ zin
 
-    # Each side's share: its trace map T, then per real outgoing s the
-    # amplitude map psi_s T and the flux form -tau/2 A'(s), and pi_c T.  A
-    # share is (tag, its s, T, where its maps and its forms start).
+    # Each law in compiled order: per real outgoing s of each side the
+    # amplitude map psi_s T and the flux form -tau/2 A'(s), then pi_c T of
+    # each side, then the trace maps T, whose products are not taken.  A law
+    # is (its tags, its s, its T, where its products and its forms start).
     shares, left, right, at = [], [], [], []
     for law, t_law in zip(laws, t):
-        maps = {"+": t_law} if len(law) == 1 else {"+": t_law - np.eye(3), "-": t_law}
+        maps = (t_law,) if len(law) == 1 else (t_law - np.eye(3), t_law)
         tau = law[0].frame.tau
-        shares.append([])
-        for tag, side in zip(maps, law):
-            projectors, tm = side.projectors(), maps[tag]
-            modes = tuple(sorted(projectors.psi))
-            shares[-1].append((tag, modes, tm, len(left), len(at)))
-            left.extend([projectors.psi[s] for s in modes] + [projectors.pi_c])
-            right.extend([tm] * (len(modes) + 1))
-            at.extend((side.poly, s, -tau * 0.5) for s in modes)
+        tags, modes, start, first = [], [], len(left), len(at)
+        for tag, side, tm in zip("+-", law, maps):
+            psi = side.projectors().psi
+            side_modes = sorted(psi)
+            tags += [tag] * len(side_modes)
+            modes += side_modes
+            left += [psi[s] for s in side_modes]
+            right += [tm] * len(side_modes)
+            at += [(side.poly, s, -tau * 0.5) for s in side_modes]
+        left += [side.projectors().pi_c for side in law]
+        right += maps
+        shares.append((tuple(tags), tuple(modes), maps, start, first))
     products = np.array(left) @ np.array(right)
     polys, s, c = zip(*at)      # not empty: a law that passed its checks has a real mode
     forms = np.array(c)[:, None, None] * _slope(
@@ -254,11 +271,10 @@ def _scatter_operators(laws: list) -> list:
         np.array(s)[:, None, None])
 
     out = []
-    for law, minv_law, zin_law, law_shares in zip(laws, minv, zin, shares):
-        compiled = {tag: (modes, np.concatenate((products[k:k + len(modes) + 1], tm[None])),
-                          forms[f:f + len(modes)])
-                    for tag, modes, tm, k, f in law_shares}
-        out.append(ScatterOperator(minv_law, zin_law, dict(zip(compiled, law)), compiled))
+    for law, minv_law, zin_law, (tags, modes, maps, k, f) in zip(laws, minv, zin, shares):
+        maps = np.concatenate((products[k:k + len(modes) + len(law)], np.array(maps)))
+        compiled = (tags, modes, maps, forms[f:f + len(modes)])
+        out.append(ScatterOperator(minv_law, zin_law, dict(zip("+-", law)), compiled))
     return out
 
 

@@ -18,13 +18,21 @@ from elaswave.boundary import (
     tau_limit,
 )
 from elaswave.errors import (
+    CoefficientOverflow,
+    DegenerateA0,
     GlancingLimit,
     GlancingSpectrum,
     InvalidInput,
     NoSurfaceWave,
     ValidationError,
 )
-from elaswave.factorization import BoundaryFrame, boundary_polynomial, factorize, stroh
+from elaswave.factorization import (
+    BoundaryFrame,
+    _boundary_polynomials,
+    boundary_polynomial,
+    factorize,
+    stroh,
+)
 from elaswave.impedance import impedance_from_factorization, mode_projectors
 from elaswave.materials import make_isotropic
 
@@ -43,6 +51,56 @@ EHAT = ETA
 
 def frame(tau, eta=ETA):
     return BoundaryFrame(NU, eta, tau)
+
+
+class TestPolynomialStacks:
+    """`_stacked_sides` builds the polynomials of all its materials with one
+    stack of cores and settles A2 per material."""
+
+    def test_same_bits_as_one_material(self, iso, ti, rotated_ti, hard):
+        rng = np.random.default_rng(23)
+        frames = [frame(-rng.uniform(0.3, 2.8), rng.uniform(0.2, 1.5) * np.array(
+            [np.cos(ang), np.sin(ang), 0.0])) for ang in rng.uniform(0.0, 2.0 * np.pi, 5)]
+        flipped = [fr.flipped() for fr in frames]
+        for mats in ((iso, ti, rotated_ti, hard),
+                     (random_triclinic(rng), hard, random_triclinic(rng), iso)):
+            stacks = [(m, frames if k % 2 == 0 else flipped) for k, m in enumerate(mats)]
+            sides = boundary._stacked_sides(stacks)
+            for (m, frs), stack in zip(stacks, sides):
+                for side, alone in zip(stack, _boundary_polynomials(m, frs), strict=True):
+                    a = side.poly
+                    assert side.material is m and a.frame is alone.frame
+                    assert (a.scale, a.rho) == (alone.scale, alone.rho)
+                    for name in ("a0", "a1", "a2", "a1_sym"):
+                        assert bits(getattr(a, name)) == bits(getattr(alone, name))
+                    core, theirs = vars(a.core), vars(alone.core)
+                    assert list(core) == list(theirs)
+                    for name, value in core.items():
+                        if name == "stroh_blocks":
+                            assert [bits(b) for b in value] == [bits(b) for b in theirs[name]]
+                        else:
+                            assert bits(value) == bits(theirs[name]), name
+
+    def test_plus_material_fails_first(self, iso):
+        # The + material's polynomials fail to settle (A0 not positive
+        # definite) and the - material's coefficients overflow: either order
+        # raises the first material's error, as building them one after
+        # another does.
+        nonconvex, huge = make_isotropic(1.0, -1.0, 1.0), make_isotropic(1e150, 1e150, 1.0)
+        frames = [frame(-1.0), frame(-2.0)]
+        for pair, error in (((nonconvex, huge), DegenerateA0),
+                            ((huge, nonconvex), CoefficientOverflow),
+                            ((iso, nonconvex), DegenerateA0)):
+            with pytest.raises(error):
+                boundary._stacked_sides(boundary._stacks(pair, frames))
+            with pytest.raises(error):
+                for m, frs in boundary._stacks(pair, frames):
+                    _boundary_polynomials(m, frs)
+
+
+def bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
 
 
 class TestBoundarySide:

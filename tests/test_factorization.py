@@ -10,6 +10,7 @@ from elaswave.errors import (
     ContourTooClose,
     ElasticError,
     GlancingSpectrum,
+    IllConditionedJ,
     InvalidInput,
     NumericalDomainError,
     SigmaCardinality,
@@ -129,6 +130,24 @@ class TestSharedCore:
                         assert np.array_equal(got, want)
                     assert np.array_equal(BoundarySide(mat, start).with_tau(fr.tau).z(),
                                           BoundarySide(mat, fr).z())
+
+    def test_core_holds_the_a2_asymmetry(self, ti):
+        # ||A2 - A2*|| of every A2 = l(eta) - rho tau^2 I formed from a core
+        # is, bit for bit, ||l(eta) - l(eta)*||, which the core holds; an A2
+        # given to with_a2 has its own, taken afresh.
+        rng = np.random.default_rng(17)
+        for mat in (ti, *(random_triclinic(rng) for _ in range(5))):
+            for ang in rng.uniform(0.0, 2.0 * np.pi, 4):
+                eta = rng.uniform(0.2, 1.5) * np.array([np.cos(ang), np.sin(ang), 0.0])
+                a = boundary_polynomial(mat, frame(-1.0, eta))
+                for tau in rng.uniform(-3.0, 3.0, 5):
+                    a2 = a.with_tau(tau).a2
+                    asymmetry = factorization._fro((a2 - a2.conj().T)[None])[0]
+                    assert bits(asymmetry) == bits(a.core.l_asymmetry)
+        skew = a.with_a2(a.a2 + 1e-13 * a.scale * np.triu(np.ones((3, 3)), 1))
+        assert skew.scale >= a.scale
+        with pytest.raises(InvalidInput, match="A2 must be Hermitian"):
+            a.with_a2(a.a2 + 1e-11 * a.scale * np.triu(np.ones((3, 3)), 1))
 
     def test_per_tau_checks(self, iso):
         a = boundary_polynomial(iso, frame(-0.5))
@@ -473,6 +492,50 @@ class TestStackedOrder:
             factorization._factorize(polys[:1], classes[:1], "outgoing", taus[:1])
         with pytest.raises(SigmaCardinality, match="entry 1"):
             factorization._factorize(polys, classes, "outgoing", taus)
+
+    def test_targets_before_conditions(self, iso, monkeypatch):
+        # entry 0 fails its cond(X1) check and entry 1 its target; a stack
+        # takes every target and reorder before any cond(X1), so entry 1's
+        # error comes first, while entry 0 alone is ill-conditioned
+        taus = [-2.5, -1.5]
+        polys = [boundary_polynomial(iso, frame(t)) for t in taus]
+        classes = [classify_spectrum(a) for a in polys]
+        target = factorization._target
+
+        def failing_target(cls, direction, tau):
+            if cls is classes[1]:
+                raise SigmaCardinality("injected target failure of entry 1")
+            return target(cls, direction, tau)
+
+        monkeypatch.setattr(factorization, "_target", failing_target)
+        monkeypatch.setattr(factorization, "MAX_J_CONDITION", 0.0)
+        with pytest.raises(IllConditionedJ):
+            factorization._factorize(polys[:1], classes[:1], "outgoing", taus[:1])
+        with pytest.raises(SigmaCardinality, match="entry 1"):
+            factorization._factorize(polys, classes, "outgoing", taus)
+
+
+class TestStackedEntries:
+    def test_stack_equals_entries_alone(self):
+        # The Stroh norms of a classification stack and the cond(X1) of a
+        # factorization stack are each one stacked call; every entry is bit
+        # for bit what classify_spectrum and factorize give it alone.
+        rng = np.random.default_rng(41)
+        polys = []
+        for _ in range(4):
+            mat = random_triclinic(rng)
+            polys += [boundary_polynomial(mat, fr)
+                      for frames in sample_frames(mat, rng, 2).values() for fr in frames]
+        classes = factorization._classify(polys)
+        for a, cls in zip(polys, classes):
+            alone = classify_spectrum(a)
+            assert bits(cls.stroh_norm) == bits(alone.stroh_norm)
+            same_classification(cls, alone)
+        for direction in ("outgoing", "incoming"):
+            facts = factorization._factorize(polys, classes, direction,
+                                             [a.frame.tau for a in polys])
+            for a, cls, f in zip(polys, classes, facts):
+                same_factorization(f, factorize(a, direction, classification=cls))
 
 
 class TestContourAndResidue:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from collections import Counter, defaultdict
@@ -24,6 +25,7 @@ from elaswave.factorization import (
 )
 from elaswave.layered import (
     LayerStack,
+    RayEvent,
     arrivals_rows,
     group_delay,
     leaf_flux,
@@ -622,11 +624,12 @@ class TestStackedLaws:
     @staticmethod
     def assert_same_law(law, alone):
         assert same_bits(law.minv, alone.minv) and same_bits(law.zin, alone.zin)
-        assert list(law.compiled) == list(alone.compiled) == list(law.sides)
-        for tag, (modes, maps, forms) in law.compiled.items():
-            their_modes, their_maps, their_forms = alone.compiled[tag]
-            assert modes == their_modes
-            assert same_bits(maps, their_maps) and same_bits(forms, their_forms)
+        assert list(law.sides) == list(alone.sides)
+        tags, modes, maps, forms = law.compiled
+        their_tags, their_modes, their_maps, their_forms = alone.compiled
+        assert (tags, modes) == (their_tags, their_modes)
+        assert same_bits(maps, their_maps) and same_bits(forms, their_forms)
+        for tag in law.sides:
             directions = ("outgoing", "incoming") if tag == "+" else ("outgoing",)
             for direction in directions:
                 mine = law.sides[tag].projectors(direction)
@@ -695,3 +698,113 @@ class TestStackedLaws:
         assert {e.note for e in tree.events if e.status == "glancing"} == \
             {"spectrum has a glancing real eigenvalue"}
         assert leaf_flux(tree) == pytest.approx(tree.source_flux, rel=1e-9)
+
+
+class TestEventRecords:
+    """A trace builds each event in one step, not through the dataclass
+    __init__; the events are still ordinary frozen RayEvents."""
+
+    def test_events_are_ray_events(self, bench_stack):
+        names = [f.name for f in dataclasses.fields(RayEvent)]
+        tree = trace_plane_wave(*bench_stack, max_events=64)
+        assert {e.status for e in tree.events} >= {"scattered", "floored", "truncated"}
+        for e in tree.events:
+            assert type(e) is RayEvent
+            assert list(vars(e)) == names       # set in field order
+            built = RayEvent(**{name: getattr(e, name) for name in names})
+            assert built == e and repr(built) == repr(e)
+
+    def test_events_are_frozen(self, bench_stack):
+        tree = trace_plane_wave(*bench_stack, max_events=8)
+        e = tree.events[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.status = "floored"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.amplitude = None
+        changed = dataclasses.replace(e, status="floored", note="changed")
+        assert (changed.status, changed.note) == ("floored", "changed")
+        assert (changed.uid, changed.parent, changed.amplitude) == (e.uid, e.parent, e.amplitude)
+        assert e.status != "floored" and e.note != "changed"
+
+
+def stack_laws(stack, eta, tau) -> list:
+    """Every law of a stack at (eta, tau) that builds, each built alone."""
+    eta = np.array([eta[0], eta[1], 0.0])
+    laws = []
+    for layer in range(len(stack.layers)):
+        for nu in (-NU, NU):        # met going up, then going down
+            fr = BoundaryFrame(nu, eta, tau)
+            plus = BoundarySide(stack.material(layer), fr)
+            try:
+                if nu[2] < 0 and layer == 0:
+                    laws.append(free_surface_operator(plus))
+                else:
+                    below = layer + (1 if nu[2] > 0 else -1)
+                    laws.append(interface_operator(
+                        plus, BoundarySide(stack.material(below), fr.flipped())))
+            except NumericalDomainError:
+                continue
+    return laws
+
+
+def per_side_apply(law, g) -> dict:
+    """Side tag -> (amplitudes, fluxes, evanescent part, trace) of a block,
+    from three products per side on that side's rows of the compiled maps."""
+    tags, modes, maps, forms = law.compiled
+    m, n_sides = len(modes), len(law.sides)
+    out = {}
+    for j, tag in enumerate(law.sides):
+        rows = [k for k, t in enumerate(tags) if t == tag]
+        side_maps = np.concatenate((maps[rows], maps[[m + j, m + n_sides + j]]))
+        prod = np.einsum("kij,jn->kin", side_maps, g)
+        amps = prod[:len(rows)]
+        flux = np.einsum("kin,kin->kn", amps.conj(),
+                         np.einsum("kij,kjn->kin", forms[rows], amps)).real
+        out[tag] = (amps, flux, prod[-2], prod[-1])
+    return out
+
+
+class TestMergedApply:
+    """A law scatters a block on all its sides with one product of its
+    compiled maps; every number is bit for bit what the products per side
+    give, and every column what that column gives alone."""
+
+    @pytest.fixture(scope="class")
+    def laws(self, ti_stack, bench_stack):
+        stack, eta, tau = bench_stack
+        laws = [law for frame_args in TI_STACK_FRAMES for law in stack_laws(ti_stack, *frame_args)]
+        laws += stack_laws(stack, eta, tau)
+        assert len(laws) == 4 * 6 and {len(law.sides) for law in laws} == {1, 2}
+        return laws
+
+    @staticmethod
+    def blocks(seed):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 14):
+            yield (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) \
+                * 10.0 ** rng.uniform(-4, 4, n)
+
+    def test_matches_per_side_products(self, laws):
+        for law in laws:
+            tags = law.compiled[0]
+            for g in self.blocks(61):
+                block = law.apply_block(g)
+                assert (block.tags, block.modes) == law.compiled[:2]
+                norms = layered._column_norms(block.amplitudes)
+                for j, (tag, (amps, flux, ev, trace)) in enumerate(per_side_apply(law, g).items()):
+                    rows = [k for k, t in enumerate(tags) if t == tag]
+                    assert same_bits(block.amplitudes[rows], amps)
+                    assert same_bits(norms[rows], layered._column_norms(amps))
+                    assert same_bits(block.fluxes[rows], flux)
+                    assert same_bits(block.evanescent[j], ev)
+                    assert same_bits(block.traces[j], trace)
+
+    def test_each_column_scatters_alone(self, laws):
+        for law in laws:
+            for g in self.blocks(67):
+                block = law.apply_block(g)
+                for k in range(g.shape[1]):
+                    alone = law.apply_block(g[:, k:k + 1])
+                    for name in ("amplitudes", "fluxes", "evanescent", "traces"):
+                        assert same_bits(getattr(block, name)[..., k:k + 1],
+                                         getattr(alone, name))

@@ -1,9 +1,12 @@
 """SHA-256 digests of elaswave's outputs, to show that a change keeps them byte for byte.
 
-    python3 tools/output_digest.py [--seed 0]
+    python3 tools/output_digest.py [--seed 0] [--against REF]
 
 Run it on two checkouts and compare the printed lines: equal digests mean
-equal bytes.  It covers
+equal bytes.  With --against REF it does that itself: it runs the digest of
+REF (any git revision) in a temporary `git worktree` and that of the working
+tree, prints the names of the lines that differ, and exits 1 if any does.
+It covers
 
   * cli: stdout, stderr and exit code of every golden CLI command of
     bench/workloads.py, run in-process on the material and stack files that
@@ -41,6 +44,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -246,10 +250,44 @@ def cli_digests(directory: str) -> list:
     return lines
 
 
+def _digest_lines(root: str, seed: int) -> dict:
+    """name -> digest of the lines the digest of the checkout at root prints."""
+    out = subprocess.run([sys.executable, os.path.join(root, "tools", "output_digest.py"),
+                          "--seed", str(seed)], cwd=root, check=True, capture_output=True,
+                         text=True).stdout
+    return {name: digest for digest, name in (line.split(maxsplit=1) for line in out.splitlines())}
+
+
+def compare(ref: str, seed: int) -> int:
+    """Print the names of the digest lines that differ between the git
+    revision ref and the working tree; 1 if any does, else 0."""
+    def git(*args):
+        subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True)
+
+    with tempfile.TemporaryDirectory() as parent:
+        tree = os.path.join(parent, "ref")
+        git("worktree", "add", "--detach", tree, ref)
+        try:
+            theirs = _digest_lines(tree, seed)
+        finally:
+            git("worktree", "remove", "--force", tree)
+    mine = _digest_lines(ROOT, seed)
+    differ = [name for name in dict.fromkeys([*theirs, *mine])
+              if theirs.get(name) != mine.get(name)]
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(mine)} lines differ from {ref} (seed {seed})")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--against", metavar="REF",
+                        help="git revision whose digest lines to compare with the working tree's")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return compare(args.against, args.seed)
     with tempfile.TemporaryDirectory() as directory:
         lines = cli_digests(directory)
         lines += [("spectra", spectra_digest(args.seed)),
