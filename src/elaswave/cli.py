@@ -19,7 +19,12 @@ import numpy as np
 from . import boundary as bnd
 from . import layered as lyr
 from .acoustic import christoffel_modes, fibonacci_sphere
-from .errors import ElasticError, NumericalDomainError, ValidationError
+from .errors import (
+    ElasticError,
+    NumericalDomainError,
+    OutputFileError,
+    ValidationError,
+)
 from .factorization import BoundaryFrame, factorization_residual
 from .impedance import Impedance, flux_form
 from .materials import (
@@ -36,44 +41,113 @@ from .scatter import (
 )
 
 
+# Every float of the output, JSON or CSV, prints at 17 significant digits:
+# enough to give back the same double, so outputs are byte-stable fixtures.
+_FLOAT = "%.17g"
+_JSON_FLOAT = '"' + _FLOAT + '"'       # JSON writes a float as a string
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _fmt(x) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
 
 
-def _jsonable(obj):
-    """Recursively render floats at fixed 17-significant-digit precision."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
-        return {"re": _fmt(obj.real), "im": _fmt(obj.imag)}
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
+def render_json(doc) -> str:
+    """doc as the CLI's JSON text: keys sorted, an indent of 2 and a final
+    newline; floats (numpy's too) as strings of 17 significant digits,
+    complex values as {"im": ..., "re": ...}, arrays as nested lists, ints
+    and bools as integers (1/0), and dict keys through str(), the later of
+    two keys with the same str() kept.
+
+    The text is byte for byte what json.dumps, with sorted keys and an
+    indent of 2, plus a newline makes of jsonable(doc), where jsonable
+    turns the floats, complex values, arrays, numpy ints and keys into the
+    forms above (the pair kept as the oracle in tests/oracles.py); like
+    that pair it raises TypeError on any other type, such as a set or
+    np.bool_.  It makes one pass that appends to a single list of parts and
+    joins it once: about twice as fast as that pair, whose indent selects
+    json's pure-Python encoder.
+    """
+    parts = []
+    _render(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _render(o, parts: list, newline: str) -> None:
+    """Append o's JSON text to parts; newline starts each of o's lines."""
+    t = type(o)
+    if t is float:
+        parts.append(_JSON_FLOAT % o)
+    elif t is dict:
+        if not o:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        items = {str(k): v for k, v in o.items()}
+        sep = "{" + inner
+        for key in sorted(items):
+            parts += (sep, _quote(key), ": ")
+            _render(items[key], parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif t is list or t is tuple:
+        if not o:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in o:
+            parts.append(sep)
+            if type(v) is float:
+                parts.append(_JSON_FLOAT % v)
+            else:
+                _render(v, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif t is str:
+        parts.append(_quote(o))
+    elif t is int or t is bool:
+        parts.append("%d" % o)
+    elif o is None:
+        parts.append("null")
+    elif isinstance(o, dict):
+        _render(dict(o), parts, newline)
+    elif isinstance(o, (list, tuple)):
+        _render(list(o), parts, newline)
+    elif isinstance(o, (complex, np.complexfloating)):
+        _render({"re": float(o.real), "im": float(o.imag)}, parts, newline)
+    elif isinstance(o, (float, np.floating)):
+        parts.append(_JSON_FLOAT % float(o))
+    elif isinstance(o, (int, np.integer)):
+        parts.append("%d" % int(o))
+    elif isinstance(o, np.ndarray):
+        _render(o.tolist(), parts, newline)
+    elif isinstance(o, str):
+        parts.append(_quote(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _matrix(m: np.ndarray):
-    if np.iscomplexobj(m):
-        return {"re": [[_fmt(v) for v in row] for row in m.real],
-                "im": [[_fmt(v) for v in row] for row in m.imag]}
-    return [[_fmt(v) for v in row] for row in m]
+    """m for render_json: complex as {"re": ..., "im": ...} of real arrays."""
+    return {"re": m.real, "im": m.imag} if np.iscomplexobj(m) else m
 
 
 def _emit(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputFileError(f"cannot write --out {args.out}: "
+                                  f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _emit_json(doc, args) -> None:
-    _emit(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args)
+    _emit(render_json(doc), args)
 
 
 def _emit_csv(header: list[str], rows, args) -> None:

@@ -49,6 +49,10 @@ class StackFileError(ValidationError):
     pass
 
 
+class OutputFileError(ValidationError):
+    """The file named by the CLI's --out cannot be written."""
+
+
 class InvalidInput(ValidationError, ValueError):
     """A malformed argument to a library call.  Also a ValueError, so
     callers that catch ValueError keep working."""

@@ -11,7 +11,7 @@ Inner-product convention: (a|b) = sum_i a_i conj(b_i), i.e. np.vdot(b, a).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class ModeProjectors:
     pi_c: np.ndarray
     dim_ec: int
     dim_er: int
-    q: np.ndarray = field(repr=False, default=None)
 
     @property
     def pi_r(self) -> np.ndarray:
@@ -148,7 +147,7 @@ def _mode_projectors(facts: list) -> list:
             else:
                 pi_c = pi_c + p
                 dim_ec += len(idx)
-        out.append(ModeProjectors(psi, pi_c, dim_ec, 3 - dim_ec, f.q))
+        out.append(ModeProjectors(psi, pi_c, dim_ec, 3 - dim_ec))
     return out
 
 

@@ -187,8 +187,8 @@ class EventTree:
                 {
                     "uid": e.uid, "parent": e.parent, "layer": e.layer,
                     "direction": e.direction, "s": float(e.s),
-                    "amplitude_re": [float(x) for x in e.amplitude.real],
-                    "amplitude_im": [float(x) for x in e.amplitude.imag],
+                    "amplitude_re": e.amplitude.real.tolist(),
+                    "amplitude_im": e.amplitude.imag.tolist(),
                     "time": float(e.time), "depth": e.depth,
                     "flux": float(e.flux), "status": e.status, "note": e.note,
                 }

@@ -4,6 +4,7 @@ Most are classical closed-form results implemented without reference to
 the library internals, so agreement is a genuine cross-check.  The rest
 are reference loops that a faster library path must reproduce exactly.
 """
+import json
 import math
 
 import numpy as np
@@ -242,3 +243,32 @@ def residue(a, s: float, radius: float | None = None, n_nodes: int = 256,
     inv = np.linalg.inv(a((group.value.real + e)[:, None, None]))
     r = np.einsum("n,nij->ij", e / n_nodes, inv)
     return 0.5 * (r + r.conj().T)
+
+
+# --- CLI JSON text ------------------------------------------------------------
+
+def _fmt17(x) -> str:
+    return format(float(x), ".17g")
+
+
+def jsonable(obj):
+    """Recursively render floats at fixed 17-significant-digit precision."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
+        return {"re": _fmt17(obj.real), "im": _fmt17(obj.imag)}
+    if isinstance(obj, (float, np.floating)):
+        return _fmt17(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    return obj
+
+
+def render_json_dumps(doc) -> str:
+    """The CLI's JSON text through json's own encoder: the reference that
+    `cli.render_json` reproduces byte for byte."""
+    return json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"

@@ -1,12 +1,23 @@
+import collections
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from elaswave import cli, factorization
 from elaswave.cli import run
 
-from oracles import C_R_POISSON
+from oracles import C_R_POISSON, render_json_dumps
+
+# bench/workloads.py: the golden CLI commands and the files they read
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "bench"))
+import workloads  # noqa: E402
 
 
 @pytest.fixture()
@@ -163,6 +174,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "StackFileError"
 
+    @pytest.mark.parametrize("target", ["missing/z.json", "."],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_out_file(self, capsys, iso_file, tmp_path, target):
+        code, out, err = invoke(capsys, "impedance", "--material", iso_file,
+                                "--eta", "1", "0", "--tau", "-0.5",
+                                "--out", str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "OutputFileError"
+
     def test_success(self, capsys, iso_file):
         code, out, _ = invoke(capsys, "material", iso_file)
         assert code == 0
@@ -309,3 +329,77 @@ class TestDeterminism:
             run([*argv, "--format", "json"])
         assert info.value.code == 2
         assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+# Commands whose JSON documents the goldens do not cover; files as in bench/workloads.py.
+_MORE_JSON_COMMANDS = [
+    ["material", "ti.json"],
+    ["material", "--validate", "--material", "ortho.json"],
+    ["slowness", "--material", "ti.json", "--grid", "8"],
+    ["factorize", "--material", "ti.json", "--eta", "0.6", "0.8", "--tau", "-1.5"],
+    ["factorize", "--material", "iso.json", "--eta", "1", "0", "--tau", "-2.5",
+     "--direction", "incoming"],
+    ["classify", "--material", "iso.json", "--eta", "1", "0", "--tau", "-1.5"],
+    ["classify", "--material-plus", "iso.json", "--material-minus", "hard.json",
+     "--eta", "1", "0", "--tau", "-2.5"],
+    ["reflect", "--material", "ti.json", "--eta", "0.6", "0.8", "--tau", "-1.5",
+     "--format", "json"],
+]
+_GOLDEN_COMMANDS = [argv for variants in workloads.CLI_COMMANDS.values() for argv in variants]
+
+# Nested documents of every kind of value the CLI prints, and of the kinds it
+# could be handed: numpy scalars and arrays, complex values, int and float keys
+# (1, "1", 1.0 and "1.0" collide once turned into strings), and strings that
+# need escapes.
+_FLOATS = st.floats(allow_subnormal=True)
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7f'), st.characters()))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _TEXT, _FLOATS,
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128),
+    hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)),
+)
+_KEYS = st.one_of(_TEXT, st.integers(-3, 3), st.sampled_from([1, "1", 1.0, "1.0", -0.0]),
+                  _FLOATS)
+_DOCS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=20)
+
+
+class TestJsonText:
+    """cli.render_json against json.dumps of the oracle's jsonable form."""
+
+    @pytest.mark.parametrize("argv", _GOLDEN_COMMANDS + _MORE_JSON_COMMANDS,
+                             ids=lambda argv: "_".join(argv[:1] + argv[-2:]))
+    def test_command_documents_match_oracle(self, capsys, monkeypatch, tmp_path, argv):
+        workloads.write_cli_files(str(tmp_path))
+        render = cli.render_json
+        docs = []
+        monkeypatch.setattr(cli, "render_json", lambda doc: docs.append(doc) or render(doc))
+        code, out, _ = invoke(capsys, *(str(tmp_path / a) if a.endswith(".json") else a
+                                        for a in argv))
+        assert code == 0
+        assert len(docs) == (1 if out.startswith("{") else 0)
+        for doc in docs:
+            assert out == render(doc) == render_json_dumps(doc)
+
+    @given(_DOCS)
+    @example({1: "a", "1": "b"})
+    @example({"1": "a", 1: "b", 1.0: "c", "1.0": "d"})
+    @example([-0.0, float("inf"), -float("inf"), float("nan"), 5e-324, 2.2250738585072009e-308])
+    @example({"": [], "x": {}, "y": (), "z": np.zeros((0, 2))})
+    @example([np.float32(0.1), np.complex64(1 - 2j), np.array([1 + 0j, -0.0j]), 1j])
+    @example(collections.OrderedDict(b=np.str_("s"), a=collections.namedtuple("P", "x y")(1, 2.5)))
+    def test_random_documents_match_oracle(self, doc):
+        assert cli.render_json(doc) == render_json_dumps(doc)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, object()],
+                             ids=["np_bool", "set", "object"])
+    def test_unsupported_types_raise(self, value):
+        for doc in (value, [value], {"k": value}):
+            with pytest.raises(TypeError):
+                render_json_dumps(doc)
+            with pytest.raises(TypeError):
+                cli.render_json(doc)

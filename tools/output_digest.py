@@ -9,8 +9,13 @@ tree, prints the names of the lines that differ, and exits 1 if any does.
 It covers
 
   * cli: stdout, stderr and exit code of every golden CLI command of
-    bench/workloads.py, run in-process on the material and stack files that
-    module writes (the temporary directory's path is replaced by "<dir>");
+    bench/workloads.py and of MORE_CLI_COMMANDS (the other JSON document
+    shapes: material, material --validate, slowness as JSON and CSV,
+    factorize, single-frame classify at a boundary and an interface,
+    reflect --format json; the file trace --out writes; an error of exit
+    code 2 and one of 3), run in-process on the material and stack files
+    that bench/workloads.py writes (the temporary directory's path is
+    replaced by "<dir>");
   * spectra: boundary polynomials, spectrum classifications, both
     factorizations (with q_spectrum and solvency_residual) and their mode
     projectors at seeded frames in all three regions and 1e-10 either side
@@ -237,16 +242,54 @@ def tree_digest(seed: int, directory: str) -> str:
     return h.hexdigest()
 
 
+# CLI outputs the goldens do not cover: every other JSON document shape, the
+# JSON and CSV of slowness, a file written by --out and one error path of
+# each exit code.  Files as in bench/workloads.py; "<file>" in the last
+# argument names the --out file, whose content is hashed after the streams.
+MORE_CLI_COMMANDS = {
+    "material": ["material", "ti.json"],
+    "material_validate": ["material", "--validate", "--material", "ortho.json"],
+    "slowness_json": ["slowness", "--material", "ti.json", "--grid", "16"],
+    "slowness_csv": ["slowness", "--material", "ortho.json", "--direction", "0.3", "0.4",
+                     "1", "--format", "csv"],
+    "factorize": ["factorize", "--material", "ti.json", "--eta", "0.6", "0.8",
+                  "--tau", "-1.5"],
+    "classify_boundary": ["classify", "--material", "iso.json", "--eta", "1", "0",
+                          "--tau", "-1.5"],
+    "classify_interface": ["classify", "--material-plus", "iso.json", "--material-minus",
+                           "hard.json", "--eta", "1", "0", "--tau", "-2.5"],
+    "reflect_json": ["reflect", "--material", "ti.json", "--eta", "0.6", "0.8",
+                     "--tau", "-1.5", "--format", "json"],
+    "trace_out_file": ["trace", "--stack", "stack.json", "--eta", "0.1", "0.05",
+                       "--tau", "-1", "--max-events", "64", "--out", "<file>"],
+    "error_exit_2": ["impedance", "--material", "iso.json", "--eta", "1", "0",
+                     "--tau", "nan"],
+    "error_exit_3": ["impedance", "--material", "iso.json", "--eta", "1e160", "0",
+                     "--tau", "-1"],
+}
+
+
+def _cli_digest(argv: list, directory: str) -> str:
+    out_file = os.path.join(directory, "out.txt")
+    argv = [out_file if a == "<file>" else a for a in argv]
+    code, out, err = workloads.run_cli(argv, directory)
+    parts = [out, err, str(code)]
+    if out_file in argv:
+        with open(out_file, encoding="utf-8") as fh:
+            parts.append(fh.read())
+        os.remove(out_file)
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.replace(directory, "<dir>").encode() + b"\0")
+    return h.hexdigest()
+
+
 def cli_digests(directory: str) -> list:
     workloads.write_cli_files(directory)
-    lines = []
-    for command, variants in workloads.CLI_COMMANDS.items():
-        for variant, argv in enumerate(variants):
-            code, out, err = workloads.run_cli(argv, directory)
-            h = hashlib.sha256()
-            for part in (out, err, str(code)):
-                h.update(part.replace(directory, "<dir>").encode() + b"\0")
-            lines.append((workloads.golden_name(command, variant), h.hexdigest()))
+    lines = [(workloads.golden_name(command, variant), _cli_digest(argv, directory))
+             for command, variants in workloads.CLI_COMMANDS.items()
+             for variant, argv in enumerate(variants)]
+    lines += [(name, _cli_digest(argv, directory)) for name, argv in MORE_CLI_COMMANDS.items()]
     return lines
 
 
