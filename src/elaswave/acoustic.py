@@ -30,7 +30,6 @@ class ChristoffelModes:
     acoustic tensor, one per eigenvalue cluster, summing to the identity.
     """
 
-    direction: np.ndarray
     speeds: np.ndarray
     polarizations: np.ndarray
     projectors: tuple
@@ -106,7 +105,7 @@ def christoffel_modes(m: Material, xi_hat: np.ndarray) -> ChristoffelModes:
             sub = _orient_degenerate(sub)
         pols[cl] = sub
         projectors.append(sub.T @ sub)
-    return ChristoffelModes(xi_hat, np.sqrt(vals), pols, tuple(projectors), degenerate)
+    return ChristoffelModes(np.sqrt(vals), pols, tuple(projectors), degenerate)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

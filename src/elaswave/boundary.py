@@ -77,8 +77,8 @@ class BoundarySide:
     mode projectors are built on first use and kept for the object's
     lifetime, so both directions share one spectrum and every law or label
     built on the side shares its factorizations.  `with_tau` gives the side
-    at another tau and `flipped` the side seen from the flipped frame, both
-    sharing the polynomial's tau-independent core.
+    at another tau, sharing the polynomial's tau-independent core.  The side
+    of an interface's - material is built at the flipped frame (`_stacks`).
     """
 
     def __init__(self, m: Material, frame: BoundaryFrame):
@@ -96,9 +96,6 @@ class BoundarySide:
 
     def with_tau(self, tau: float) -> "BoundarySide":
         return BoundarySide._of(self.material, self.poly.with_tau(tau))
-
-    def flipped(self) -> "BoundarySide":
-        return BoundarySide._of(self.material, self.poly.flipped())
 
     def _once(self, key, build):
         if key not in self._built:
@@ -226,7 +223,7 @@ def iso_impedance_closed_form(m: Material, frame: BoundaryFrame) -> Impedance:
     if eta2 == 0.0:
         nn = np.outer(nu, nu)
         z = -1j * (mu * s_s * (np.eye(3) - nn) + (lam + 2.0 * mu) * s_p * nn)
-        return Impedance(z, "outgoing", frame)
+        return Impedance(z)
 
     s_tilde = -eta2 / s_s
     zeta = np.cross(nu, eta) / np.sqrt(eta2)
@@ -241,7 +238,7 @@ def iso_impedance_closed_form(m: Material, frame: BoundaryFrame) -> Impedance:
         2.0 * mu * s_p * eta + (rho * tau * tau - 2.0 * mu * eta2) * nu,
     ])
     z = -1j * images @ np.linalg.inv(basis)
-    return Impedance(z, "outgoing", frame)
+    return Impedance(z)
 
 
 class _Threshold:
@@ -409,7 +406,7 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
     """Interface (Stoneley) frequency: the zero of lambda_min(z+ + z-)."""
     tau_plus, plus = _tau_limit(m_plus, nu, eta_hat)
     tau_minus, minus = _tau_limit(m_minus, nu, eta_hat)
-    tau_eta, minus = min(tau_plus, tau_minus), minus.flipped()
+    tau_eta, minus = min(tau_plus, tau_minus), BoundarySide(m_minus, minus.frame.flipped())
 
     def zfun(t: float) -> np.ndarray:
         return plus.with_tau(-t).z() + minus.with_tau(-t).z()

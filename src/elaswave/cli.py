@@ -252,7 +252,7 @@ def _cmd_impedance(args) -> int:
     m = load_material(args.material)
     frame = _frame(args)
     side = bnd.BoundarySide(m, frame)
-    z = Impedance(side.z(), "outgoing", frame)
+    z = Impedance(side.z())
     pr = side.projectors()
     rng = np.random.default_rng(0)
     fluxes = [flux_form(z, frame.tau,

@@ -13,8 +13,6 @@ spectra.
 """
 from __future__ import annotations
 
-import copy
-import functools
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -158,30 +156,15 @@ class _SymbolCore:
     eigenvalue, l(eta) with the coefficient size without tau and the
     asymmetry ||l(eta) - l(eta)*||, and the Stroh blocks free of A2.  The
     arrays are read-only; `_cores` builds the cores, those of a stack at
-    once.  Every A2 = l(eta) - rho tau^2 I has the asymmetry of l(eta), bit
-    for bit: the diagonal of A2 - A2* cancels to 0 and the rest is that of
+    once, and the flipped frame (-nu, eta) gets a core of its own.  Every
+    A2 = l(eta) - rho tau^2 I has the asymmetry of l(eta), bit for bit: the
+    diagonal of A2 - A2* cancels to 0 and the rest is that of
     l(eta) - l(eta)*."""
 
     def at_tau(self, frame: BoundaryFrame, rho: float) -> "QuadraticMatrixPolynomial":
         a2 = np.asarray(_a2(self.l_eta, rho, frame.tau ** 2), dtype=complex)
         poly = object.__new__(QuadraticMatrixPolynomial)
         return _settled([poly], [self], a2[None], [frame], rho, [self.l_asymmetry])[0]
-
-    def flipped(self) -> "_SymbolCore":
-        """The core seen from the flipped frame (nu -> -nu), where A1 and the
-        Stroh blocks odd in it change sign, exactly as a fresh build gives
-        them; 0 - x rather than -x keeps an exact zero at +0."""
-        core = copy.copy(self)
-        core.a1, core.a1_sym = _negated(self.a1), _negated(self.a1_sym)
-        a0inv, s11, s22, a1h_a0inv_a1 = self.stroh_blocks
-        core.stroh_blocks = (a0inv, _negated(s11), _negated(s22), a1h_a0inv_a1)
-        return core
-
-
-def _negated(x: np.ndarray) -> np.ndarray:
-    x = 0.0 - x
-    x.setflags(write=False)
-    return x
 
 
 def _stroh_blocks(a0, a1) -> tuple:
@@ -328,22 +311,14 @@ class QuadraticMatrixPolynomial:
         return _settled([object.__new__(QuadraticMatrixPolynomial)], [self.core],
                         np.array(a2, dtype=complex, ndmin=3), [self.frame], self.rho)[0]
 
-    def _from_material(self) -> _SymbolCore:
-        if self.core.l_eta is None:
-            raise InvalidInput("with_tau needs a polynomial from boundary_polynomial")
-        return self.core
-
     def with_tau(self, tau: float) -> "QuadraticMatrixPolynomial":
         """The boundary polynomial at another tau on the same (nu, eta); A2 is
         formed afresh from l(eta), so an A2 given to with_a2 does not carry over."""
-        core = self._from_material()
+        core = self.core
+        if core.l_eta is None:
+            raise InvalidInput("with_tau needs a polynomial from boundary_polynomial")
         _check_overflow(core.size, self.rho, tau)
         return core.at_tau(self.frame.with_tau(tau), self.rho)
-
-    def flipped(self) -> "QuadraticMatrixPolynomial":
-        """The boundary polynomial of the same material seen from the flipped
-        frame, from this core with A1 negated rather than built again."""
-        return self._from_material().flipped().at_tau(self.frame.flipped(), self.rho)
 
 
 def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPolynomial:
@@ -687,21 +662,14 @@ class SpectralFactorization:
     tau: float
     poly: QuadraticMatrixPolynomial
     classification: SpectrumClassification = field(repr=False)
-
-    @functools.cached_property
-    def q_spectrum(self) -> np.ndarray:
-        """Computed eigenvalues of q, shared by validation and the mode projectors."""
-        return np.linalg.eigvals(self.q)
-
-    @property
-    def solvency_residual(self) -> float:
-        a = self.poly
-        return float(np.linalg.norm(_solvent(a.a0, a.a1_sym, a.a2, self.q)) / a.scale)
+    q_spectrum: np.ndarray = field(repr=False)     # eig(Q), also read by the mode projectors
+    solvency_residual: float                       # ||A0 Q^2 + (A1 + A1*) Q + A2|| / scale
 
 
 def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarray) -> None:
     """_check_roots on each factorization, from the stacks of its polynomial's
-    coefficients and of its roots; keeps each q_spectrum."""
+    coefficients and of its roots; keeps each one's q_spectrum and solvency
+    residual."""
     n = len(facts)
     a0, a1_sym, a2, _, scales = coefficients
     residuals = [r / scale for r, scale in zip(_fro(_solvent(a0, a1_sym, a2, q)).tolist(),
@@ -711,9 +679,9 @@ def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarr
     sizes = np.abs(spectra).max(axis=1)
     sizes = np.maximum(np.maximum(sizes[:n], sizes[n:]), 1e-300).tolist()
     gaps = np.abs(eq[:, :, None] - es[:, None, :]).min(axis=(1, 2)).tolist()
-    for f, spectrum, *checks in zip(facts, eq, residuals, gaps, sizes):
-        f.__dict__["q_spectrum"] = spectrum
-        _check_roots(*checks)
+    for f, spectrum, residual, gap, size in zip(facts, eq, residuals, gaps, sizes):
+        vars(f).update(q_spectrum=spectrum, solvency_residual=residual)
+        _check_roots(residual, gap, size)
 
 
 def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",

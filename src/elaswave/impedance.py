@@ -25,7 +25,6 @@ from .errors import (
 )
 from .factorization import (
     GROUPING_TOL,
-    BoundaryFrame,
     QuadraticMatrixPolynomial,
     SpectralFactorization,
     classify_spectrum,
@@ -48,11 +47,9 @@ _OTHERS = {n: np.array([[k for k in range(n) if k != j] for j in range(n)],
 
 @dataclass(frozen=True)
 class Impedance:
-    """Boundary impedance z tagged with the frame and direction it came from."""
+    """Boundary impedance z."""
 
     z: np.ndarray
-    direction: str
-    frame: BoundaryFrame | None = None
 
     def hermiticity_residual(self, subspace: np.ndarray) -> float:
         """Relative defect of z = z* on a subspace (columns span it)."""
@@ -71,8 +68,8 @@ def _impedance(a0: np.ndarray, q: np.ndarray, a1: np.ndarray) -> np.ndarray:
 
 def impedance_from_factorization(a: QuadraticMatrixPolynomial,
                                  f: SpectralFactorization) -> Impedance:
-    """z = -i(A0 Q + A1), tagged with the factorization's direction."""
-    return Impedance(_impedance(a.a0, f.q, a.a1), f.direction, a.frame)
+    """z = -i(A0 Q + A1) of the factorization's direction."""
+    return Impedance(_impedance(a.a0, f.q, a.a1))
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,6 @@ class ModalFluxes:
     """Both sides of the flux identity 2 Im(u|Zu) = sum_s (A'(s)u_s|u_s)."""
 
     per_mode: dict          # real eigenvalue -> (A'(s)u_s|u_s)/2
-    evanescent: np.ndarray  # pi_c u
     lhs: float              # 2 Im(u|Zu)
     residual: float
 
@@ -191,7 +187,7 @@ def modal_flux_decomposition(a: QuadraticMatrixPolynomial,
     if residual > MODAL_FLUX_TOL:
         raise CrossCheckFailed(
             f"modal flux identity residual {residual:g} exceeds {MODAL_FLUX_TOL:g}")
-    return ModalFluxes(per_mode, projectors.pi_c @ u, lhs, residual)
+    return ModalFluxes(per_mode, lhs, residual)
 
 
 # --- Barnett-Lothe integral route (elliptic frames) ------------------------
@@ -230,7 +226,7 @@ def barnett_lothe_impedance(a: QuadraticMatrixPolynomial) -> Impedance:
         i0, i1 = _bl_integrals(a, n)
         z = (np.pi * np.eye(3) - 1j * i1) @ np.linalg.inv(i0)
         if z_prev is not None and np.linalg.norm(z - z_prev) <= BL_TOL * np.linalg.norm(z):
-            return Impedance(z, "outgoing", a.frame)
+            return Impedance(z)
         z_prev = z
         n *= 2
     raise QuadratureNotConverged(

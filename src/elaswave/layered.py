@@ -52,8 +52,8 @@ class LayerStack:
 
     def __post_init__(self):
         for _, d in self.layers:
-            if not d > 0:
-                raise StackFileError(f"layer thickness must be positive, got {d}")
+            if not 0 < d < np.inf:
+                raise StackFileError(f"layer thickness must be positive and finite, got {d}")
         for mat in [m for m, _ in self.layers] + [self.halfspace]:
             ok, mineig = check_strong_convexity(mat.stiffness)
             if not ok:

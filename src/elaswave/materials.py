@@ -81,8 +81,8 @@ class Material:
     name: str = ""
 
     def __post_init__(self):
-        if not self.density > 0:
-            raise NonPositiveDensity(f"density must be positive, got {self.density}")
+        if not 0 < self.density < np.inf:
+            raise NonPositiveDensity(f"density must be positive and finite, got {self.density}")
 
 
 def isotropic_stiffness(lam: float, mu: float) -> StiffnessTensor:

@@ -39,7 +39,6 @@ class TraceField:
     """Dirichlet trace of an incoming plane-wave at the boundary point."""
 
     g: np.ndarray
-    frame: BoundaryFrame
     s_in: float
     flux: float = 1.0     # incident energy flux carried by g
 
@@ -112,7 +111,7 @@ def side_incoming_mode(side: BoundarySide, mode: int = 0) -> TraceField:
     if flux_in <= 0:
         raise NoIncomingMode(f"mode s = {s} does not carry energy inward")
     g = v / np.sqrt(flux_in)
-    return TraceField(g, frame, float(s))
+    return TraceField(g, float(s))
 
 
 def _incident_flux(side: BoundarySide, g: np.ndarray, tau: float) -> float:
@@ -146,7 +145,7 @@ class ScatterOperator:
     minv: np.ndarray
     zin: np.ndarray
     sides: dict                       # side tag -> BoundarySide
-    compiled: dict = field(repr=False)
+    compiled: tuple = field(repr=False)
 
     @property
     def frame(self) -> BoundaryFrame:

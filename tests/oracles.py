@@ -198,12 +198,12 @@ def factorize_one(a, direction="outgoing", tau=None, classification=None):
     x1 = zvec[:3, :3]
     fz._check_condition(np.linalg.cond(x1))
     q, q_sharp = fz._roots(x1, t[:3, :3], a.a0, a.a1_sym, a.core.stroh_blocks[0])
-    fact = fz.SpectralFactorization(q, q_sharp, tuple(sigma), direction, float(tau), a,
-                                    classification)
-    eq, es = fact.q_spectrum, np.linalg.eigvals(fact.q_sharp)
+    eq, es = np.linalg.eigvals(q), np.linalg.eigvals(q_sharp)
+    residual = float(np.linalg.norm(fz._solvent(a.a0, a.a1_sym, a.a2, q)) / a.scale)
     size = max(np.max(np.abs(eq)), np.max(np.abs(es)), 1e-300)
-    fz._check_roots(fact.solvency_residual, np.min(np.abs(eq[:, None] - es[None, :])), size)
-    return fact
+    fz._check_roots(residual, np.min(np.abs(eq[:, None] - es[None, :])), size)
+    return fz.SpectralFactorization(q, q_sharp, tuple(sigma), direction, float(tau), a,
+                                    classification, eq, residual)
 
 
 # --- residue of A(z)^-1 at a real eigenvalue, by contour quadrature ----------

@@ -31,7 +31,6 @@ from elaswave.factorization import (
     _boundary_polynomials,
     boundary_polynomial,
     factorize,
-    stroh,
 )
 from elaswave.impedance import impedance_from_factorization, mode_projectors
 from elaswave.materials import make_isotropic
@@ -330,28 +329,8 @@ class TestScansShareOneCore:
         assert len(calls) == 1        # tau_limit's side serves the root too
         calls.clear()
         stoneley_speed(iso, hard, NU, EHAT)
-        assert len(calls) == 2        # one per tau_limit; the - side's root flips its core
-
-    def test_flipped_side_same_as_built(self, rotated_ti, hard):
-        # A side's core seen from the flipped frame negates A1 exactly, so its
-        # polynomial, Stroh matrix and impedances equal a side built there.
-        rng = np.random.default_rng(5)
-        for mat in (rotated_ti, hard, *(random_triclinic(rng) for _ in range(4))):
-            for ang in self.AZIMUTHS:
-                fr = frame(-rng.uniform(0.3, 2.8), np.array([np.cos(ang), np.sin(ang), 0.0]))
-                side = BoundarySide(mat, fr)
-                side.poly.core.stroh_blocks        # flipped from the blocks, too
-                for got in (side.flipped(), BoundarySide(mat, fr).flipped()):
-                    want = BoundarySide(mat, fr.flipped())
-                    assert np.array_equal(got.frame.nu, want.frame.nu)
-                    for name in ("a0", "a1", "a2", "a1_sym"):
-                        assert np.array_equal(getattr(got.poly, name),
-                                              getattr(want.poly, name))
-                    assert np.array_equal(stroh(got.poly), stroh(want.poly))
-                    if want.classification.glancing:
-                        continue
-                    for direction in ("outgoing", "incoming"):
-                        assert np.array_equal(got.z(direction), want.z(direction))
+        # one per tau_limit, and the - side's root at the flipped frame
+        assert len(calls) == 3
 
     # (seed of random_triclinic, azimuth) where s -> lambda_min(l(eta_hat + s nu))
     # has several local minima, so a coarse search for the limit can settle

@@ -163,6 +163,38 @@ class TestExitCodes:
         else:
             assert json.loads(out)["events"]
 
+    def test_non_finite_density(self, capsys, tmp_path):
+        # JSON reads 1e999 as inf: bad input, not a numerical failure
+        path = tmp_path / "inf.json"
+        path.write_text('{"name": "inf", "density": 1e999, '
+                        '"stiffness": {"type": "isotropic", "lambda": 2.0, "mu": 1.0}}')
+        for argv in (("material", str(path)),
+                     ("impedance", "--material", str(path), "--eta", "1", "0", "--tau", "-0.5")):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2 and out == "", argv[0]
+            assert json.loads(err)["error"] == "NonPositiveDensity", argv[0]
+
+    def test_infinite_layer_thickness(self, capsys, stack_file):
+        with open(stack_file, encoding="utf-8") as fh:
+            text = fh.read()
+        assert '"thickness": 1.0' in text
+        with open(stack_file, "w", encoding="utf-8") as fh:
+            fh.write(text.replace('"thickness": 1.0', '"thickness": 1e999'))
+        code, out, err = invoke(capsys, "trace", "--stack", stack_file,
+                                "--eta", "0.3", "0", "--tau", "-1.2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "StackFileError"
+
+    @pytest.mark.parametrize("argv", [
+        ("material",),
+        ("classify", "--material-plus", "<iso>", "--eta", "1", "0", "--tau", "-1.5"),
+        ("reflect", "--material-plus", "<iso>", "--eta", "1", "0", "--tau", "-1.5"),
+    ], ids=["material_without_path", "classify_without_minus", "reflect_without_minus"])
+    def test_missing_material(self, capsys, iso_file, argv):
+        code, out, err = invoke(capsys, *(iso_file if a == "<iso>" else a for a in argv))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValidationError"
+
     def test_trace_rejects_stack_without_free_surface(self, capsys, stack_file):
         with open(stack_file, encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -1,6 +1,8 @@
 """Every dataclass field of elaswave is read somewhere."""
 import ast
+import dataclasses
 import functools
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src/elaswave").glob("*.py"))
 READERS = sorted(p for d in ("src/elaswave", "tests", "tools") for p in (ROOT / d).glob("*.py"))
+sys.path.append(str(ROOT / "tools"))
+import unread_fields as dynamic  # noqa: E402   tools/unread_fields.py
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -68,3 +72,27 @@ def test_finds_an_unread_field():
     assert declared_fields(source) == [(5, "A", "read"), (6, "A", "unread"), (9, "B", "written")]
     assert unread_fields(source, frozenset(attributes_read(source))) == [
         (6, "A.unread"), (9, "B.written")]
+
+
+def test_dynamic_check_records_reads():
+    @dataclasses.dataclass(frozen=True)
+    class A:
+        read: int
+        unread: int
+
+    plugin = dynamic.FieldReads([A])
+    a = A(1, 2)
+    plugin.pytest_sessionstart(None)
+    assert a.read == 1
+    plugin.pytest_sessionfinish(None, 0)
+    assert a.unread == 2          # read after the session: not recorded
+    assert plugin.unread() == ["A.unread"]
+
+
+def test_dynamic_check_finds_the_package_dataclasses():
+    import elaswave
+
+    found = dynamic.dataclasses_of(elaswave)
+    assert {"Impedance", "SpectralFactorization", "TraceField", "RayEvent"} <= {
+        cls.__name__ for cls in found}
+    assert all(cls.__module__.startswith("elaswave.") for cls in found)

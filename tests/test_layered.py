@@ -96,6 +96,11 @@ class TestLayerStack:
         with pytest.raises(StackFileError):
             LayerStack(((soft, 0.0),), rigid)
 
+    @pytest.mark.parametrize("d", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_nonfinite_thickness(self, soft, rigid, d):
+        with pytest.raises(StackFileError, match="positive and finite"):
+            LayerStack(((soft, d),), rigid)
+
     def test_rejects_nonconvex(self, soft):
         import warnings
         with warnings.catch_warnings():
@@ -127,6 +132,17 @@ class TestLayerStack:
         path.write_text(json.dumps(doc))
         with pytest.raises(StackFileError, match="free_surface"):
             load_stack(str(path))
+
+    def test_load_stack_rejects(self, tmp_path):
+        path = tmp_path / "stack.json"
+        with pytest.raises(StackFileError, match="cannot read"):
+            load_stack(str(path))           # no such file
+        half = {"density": 1.0, "stiffness": {"type": "isotropic", "lambda": 2.0, "mu": 1.0}}
+        layer = {"material": half, "thickness": 1.0}
+        for doc in ({"halfspace": half}, {"layers": [layer]}):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(StackFileError, match="malformed"):
+                load_stack(str(path))
 
 
 class TestGroupDelay:
@@ -331,7 +347,7 @@ class TestPrecomputedLaws:
                 n_scattered += 1
                 nu = NU if seg.direction == "down" else -NU
                 frame = BoundaryFrame(nu, tree.eta, tau)
-                incoming = TraceField(seg.amplitude, frame, seg.s, seg.flux)
+                incoming = TraceField(seg.amplitude, seg.s, seg.flux)
                 here = ti_stack.material(seg.layer)
                 step = 1 if seg.direction == "down" else -1
                 if seg.direction == "up" and seg.layer == 0:

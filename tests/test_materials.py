@@ -13,6 +13,7 @@ from elaswave.errors import (
 )
 from elaswave.materials import (
     Material,
+    StiffnessTensor,
     check_strong_convexity,
     decompose_harmonic,
     from_voigt,
@@ -65,6 +66,15 @@ class TestStiffnessConstruction:
     def test_nonpositive_density(self):
         with pytest.raises(NonPositiveDensity):
             Material(isotropic_stiffness(1, 1), 0.0)
+
+    @pytest.mark.parametrize("density", [np.inf, np.nan, -1.0], ids=["inf", "nan", "negative"])
+    def test_density_must_be_finite(self, density):
+        with pytest.raises(NonPositiveDensity, match="positive and finite"):
+            Material(isotropic_stiffness(1, 1), density)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(AsymmetricStiffness, match="shape"):
+            StiffnessTensor(np.zeros((3, 3, 3)))
 
 
 class TestRotation:
@@ -146,6 +156,10 @@ class TestConvexityAndVoigt:
         with pytest.raises(AsymmetricVoigtMatrix):
             from_voigt(m)
 
+    def test_voigt_must_be_6x6(self):
+        with pytest.raises(AsymmetricVoigtMatrix, match="6x6"):
+            from_voigt(np.eye(5))
+
 
 class TestMaterialFiles:
     def test_isotropic_dict(self):
@@ -167,6 +181,23 @@ class TestMaterialFiles:
     def test_missing_field(self):
         with pytest.raises(MaterialFileError):
             material_from_dict({"density": 1.0})
+
+    @pytest.mark.parametrize("doc, message", [
+        ([{"density": 1.0}], "JSON object"),
+        ({"density": 1.0, "stiffness": {"type": "voigt", "convention": "mandel",
+                                        "matrix": np.eye(6).tolist()}}, "engineering"),
+        ({"density": 1.0, "stiffness": {"type": "cubic"}}, "unknown stiffness type"),
+    ], ids=["not_an_object", "voigt_convention", "unknown_type"])
+    def test_rejected_documents(self, doc, message):
+        with pytest.raises(MaterialFileError, match=message):
+            material_from_dict(doc)
+
+    def test_infinite_density_in_file(self):
+        # JSON reads 1e999 as inf
+        doc = json.loads('{"density": 1e999, '
+                         '"stiffness": {"type": "isotropic", "lambda": 2.0, "mu": 1.0}}')
+        with pytest.raises(NonPositiveDensity, match="positive and finite"):
+            material_from_dict(doc)
 
     def test_nonconvex_warns(self):
         doc = {"name": "w", "density": 1.0,

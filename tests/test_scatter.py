@@ -64,7 +64,7 @@ class TestFreeSurface:
         fr = frame(-1.5)
         a = boundary_polynomial(iso, fr)
         zeta = np.array([0.0, 1.0, 0.0], dtype=complex)
-        inc = TraceField(zeta, fr, incoming_mode(iso, fr, 0).s_in)
+        inc = TraceField(zeta, incoming_mode(iso, fr, 0).s_in)
         r = reflect_free_surface(iso, fr, inc)
         assert np.allclose(r.sides["+"].trace, zeta, atol=1e-10)
 
@@ -92,15 +92,15 @@ class TestFreeSurface:
 
     def test_elliptic_frame_raises(self, iso):
         fr = frame(-0.5)
-        g = TraceField(np.array([1.0, 0, 0], dtype=complex), fr, 0.0)
+        g = TraceField(np.array([1.0, 0, 0], dtype=complex), 0.0)
         with pytest.raises(NoIncomingMode):
             reflect_free_surface(iso, fr, g)
 
     def test_linearity(self, iso):
         fr = frame(-2.5)
         inc0 = incoming_mode(iso, fr, 0)
-        g1 = TraceField(inc0.g, fr, inc0.s_in)
-        g2 = TraceField(2.5j * inc0.g, fr, inc0.s_in)
+        g1 = TraceField(inc0.g, inc0.s_in)
+        g2 = TraceField(2.5j * inc0.g, inc0.s_in)
         f1 = reflect_free_surface(iso, fr, g1).sides["+"].trace
         f2 = reflect_free_surface(iso, fr, g2).sides["+"].trace
         assert np.allclose(f2, 2.5j * f1, atol=1e-10)
@@ -184,7 +184,7 @@ class TestApplyBlock:
                 block = law.apply_block(g)
                 assert list(dict.fromkeys(block.tags)) == list(law.sides)
                 for k in range(n):
-                    alone = law.apply(TraceField(g[:, k], law.frame, 0.0))
+                    alone = law.apply(TraceField(g[:, k], 0.0))
                     assert list(alone.sides) == list(law.sides)
                     for j, (tag, side) in enumerate(alone.sides.items()):
                         rows = [r for r, t in enumerate(block.tags) if t == tag]
@@ -249,7 +249,7 @@ class TestEnergyReport:
     def test_zero_incoming(self, iso):
         fr = frame(-2.5)
         inc0 = incoming_mode(iso, fr, 0)
-        g = TraceField(np.zeros(3, dtype=complex), fr, inc0.s_in)
+        g = TraceField(np.zeros(3, dtype=complex), inc0.s_in)
         r = reflect_free_surface(iso, fr, g)
         assert all(abs(v) < 1e-30 for v in r.sides["+"].fluxes.values())
 
