@@ -4,13 +4,17 @@ The boundary cotangent space splits into hyperbolic, mixed, and elliptic
 regions according to the dimension of the evanescent subspace E_c of the
 outgoing right root.  In the elliptic region the impedance is Hermitian
 and its smallest eigenvalue decreases strictly in tau, which makes the
-Rayleigh (and Stoneley) frequencies robust bisection targets.  Every
+Rayleigh (and Stoneley) frequencies robust bisection targets.  The root
+is the bisection's; a secant in the edge variable sqrt(1 - tau/tau_eta)
+only narrows the bracket first, so that the bisection needs few probes of
+its own, and a Stoneley probe builds its two sides as one stack.  Every
 computation on one side of a boundary (polynomial, spectrum,
 factorizations, impedances, projectors) goes through a `BoundarySide`.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -262,6 +266,24 @@ class _Threshold:
             self.above = min(self.above, t)
         return v
 
+    def answers(self, lo: float, hi: float) -> bool:
+        """Whether `_bisect(self, lo, hi)` would run no test: its walk meets
+        no midpoint strictly inside the bracket."""
+        def known(t: float) -> bool:
+            if self.below < t < self.above:
+                raise _Open
+            return t <= self.below
+
+        try:
+            _bisect(known, lo, hi)
+        except _Open:
+            return False
+        return True
+
+
+class _Open(Exception):
+    """A bisection midpoint that a _Threshold's bracket leaves open."""
+
 
 def _bisect(holds, lo: float, hi: float) -> float:
     while hi - lo > BISECTION_TOL * hi:
@@ -351,25 +373,54 @@ def _lambda_min(zmat: np.ndarray):
 
 
 def _regula_falsi(holds: _Threshold, a: float, fa: float, b: float, fb: float) -> None:
-    """Illinois regula falsi on holds.value from fa > 0 at a to fb <= 0 at b,
-    until the bracket is 1e-13 b wide or a numerical failure ends it."""
-    tol, kept = 1e-13 * b, None      # the end the last step kept
+    """Narrow the bracket of holds.value from fa > 0 at a to fb <= 0 at b
+    until `_bisect(holds, a, b)` has no midpoint left to probe, the bracket
+    is 1e-13 b wide or a numerical failure ends it.
+
+    b lies EDGE_OFFSET below tau_eta, where lambda_min has a square-root
+    branch, so in u = sqrt(1 - t/tau_eta) it is nearly linear: each step is
+    the secant in u through the last two points, or regula falsi in u on
+    the bracket's ends where the secant leaves the bracket.  A step shorter
+    than half the tolerance puts the root that close to the last point, so
+    the probe goes one tolerance past that point instead, which closes the
+    bracket around the root."""
+    lo, hi, tol, tau_eta = a, b, 1e-13 * b, b / (1.0 - EDGE_OFFSET)
+
+    def u(t: float) -> float:
+        return math.sqrt(max(1.0 - t / tau_eta, 0.0))
+
+    def zero(p: float, fp: float, q: float, fq: float) -> float:
+        """t where the line in u through (p, fp) and (q, fq) crosses zero."""
+        up, uq = u(p), u(q)
+        root = uq - fq * (uq - up) / (fq - fp) if fq != fp else math.nan
+        return tau_eta * (1.0 - root * root)
+
+    p, fp, q, fq = a, fa, b, fb      # the last two points, q the latest
     with suppress(NumericalDomainError):
         for _ in range(100):
-            if b - a <= tol:
+            if b - a <= tol or holds.answers(lo, hi):
                 return
-            c = (a * fb - b * fa) / (fb - fa)
-            c = c if a < c < b else 0.5 * (a + b)
+            c = zero(p, fp, q, fq)
+            if not a < c < b:
+                c = zero(a, fa, b, fb)
+            if abs(c - q) < 0.5 * tol:
+                c = q + tol if fq > 0 else q - tol
+            elif not a < c < b:
+                c = 0.5 * (a + b)
             fc = holds.value(c)
             if fc > 0:
-                a, fa, fb, kept = c, fc, 0.5 * fb if kept == "b" else fb, "b"
+                a, fa = c, fc
             else:
-                b, fb, fa, kept = c, fc, 0.5 * fa if kept == "a" else fa, "a"
+                b, fb = c, fc
+            p, fp, q, fq = q, fq, c, fc
 
 
 def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
-    """Root of lambda_min(zfun(tau)) by bisection, which runs only its probes
-    inside the bracket a regula falsi from the end values leaves first."""
+    """Root of lambda_min(zfun(tau)) by bisection on [1e-3, 1 - EDGE_OFFSET]
+    tau_eta.  The bisection reads only the sign of lambda_min at its own
+    midpoints, so the root is that of a plain bisection; `_regula_falsi`
+    first narrows the bracket from the end values, and the bisection then
+    probes only the midpoints left inside it (usually none)."""
     t_lo = 1e-3 * tau_eta
     t_hi = (1.0 - EDGE_OFFSET) * tau_eta
     try:
@@ -403,13 +454,26 @@ def rayleigh_speed(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> Rayleigh
 
 def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
                    eta_hat: np.ndarray) -> RayleighResult:
-    """Interface (Stoneley) frequency: the zero of lambda_min(z+ + z-)."""
+    """Interface (Stoneley) frequency: the zero of lambda_min(z+ + z-).
+
+    Each probe classifies and factorizes its (+, -) sides as one stack, bit
+    for bit what each side builds alone.  A stack that raises is built again
+    one side after the other, so the error is the one the + side, then the
+    - side, raises first (the rule of `classify_frames`).
+    """
     tau_plus, plus = _tau_limit(m_plus, nu, eta_hat)
     tau_minus, minus = _tau_limit(m_minus, nu, eta_hat)
     tau_eta, minus = min(tau_plus, tau_minus), BoundarySide(m_minus, minus.frame.flipped())
 
     def zfun(t: float) -> np.ndarray:
-        return plus.with_tau(-t).z() + minus.with_tau(-t).z()
+        sides = (plus.with_tau(-t), minus.with_tau(-t))
+        try:
+            for side, cls in zip(sides, _classify([side.poly for side in sides])):
+                side._built["classification"] = cls
+            _stacked_factorizations(sides, "outgoing")
+        except ElasticError:
+            sides = (plus.with_tau(-t), minus.with_tau(-t))
+        return sides[0].z() + sides[1].z()
 
     return _surface_wave_bisect(zfun, tau_eta)
 

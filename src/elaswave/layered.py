@@ -34,7 +34,7 @@ from .factorization import (
     _record,
     _slope,
 )
-from .materials import Material, check_strong_convexity, material_from_dict
+from .materials import Material, _json_number, check_strong_convexity, material_from_dict
 from .scatter import _scatter_operators, side_incoming_mode
 
 _UP = np.array([0.0, 0.0, 1.0])
@@ -77,7 +77,7 @@ def load_stack(path: str) -> LayerStack:
     except (OSError, json.JSONDecodeError) as exc:
         raise StackFileError(f"cannot read stack file {path}: {exc}") from exc
     try:
-        layers = tuple((material_from_dict(entry["material"]), float(entry["thickness"]))
+        layers = tuple((material_from_dict(entry["material"]), _json_number(entry["thickness"]))
                        for entry in doc["layers"])
         half = material_from_dict(doc["halfspace"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -9,7 +9,6 @@ pair a stiffness tensor with a mass density.
 """
 from __future__ import annotations
 
-import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -225,7 +224,26 @@ def from_voigt(m: np.ndarray) -> StiffnessTensor:
 
 # --- material files ---------------------------------------------------------
 
-def _stiffness_field(spec: dict, key: str, kind: str, convert=float):
+def _json_number(x) -> float:
+    """float(x) for a JSON number; TypeError for any other JSON value, so
+    that true and "2" do not pass as 1.0 and 2.0."""
+    if x is True or x is False or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a JSON number, got {json.dumps(x)}")
+    return float(x)
+
+
+def _json_numbers(x) -> np.ndarray:
+    """A JSON number, or an array of them nested to any depth, as floats;
+    TypeError where an entry is any other JSON value (see `_json_number`)."""
+    floats, entries = np.asarray(x, dtype=float), [x]
+    for _ in range(floats.ndim):
+        entries = [entry for row in entries for entry in row]
+    for entry in entries:
+        _json_number(entry)
+    return floats
+
+
+def _stiffness_field(spec: dict, key: str, kind: str, convert=_json_number):
     """convert(spec[key]); MaterialFileError when it is missing or not numeric."""
     try:
         return convert(spec[key])
@@ -233,9 +251,6 @@ def _stiffness_field(spec: dict, key: str, kind: str, convert=float):
         raise MaterialFileError(f"{kind} stiffness needs {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise MaterialFileError(f"{kind} stiffness field {key!r} is not numeric: {exc}") from exc
-
-
-_float_array = functools.partial(np.asarray, dtype=float)
 
 
 def material_from_dict(d: dict) -> Material:
@@ -248,7 +263,7 @@ def material_from_dict(d: dict) -> Material:
         raise MaterialFileError("material document must be a JSON object")
     try:
         name = str(d.get("name", ""))
-        density = float(d["density"])
+        density = _json_number(d["density"])
         spec = d["stiffness"]
         kind = spec["type"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -261,7 +276,7 @@ def material_from_dict(d: dict) -> Material:
         what = "transversely isotropic"
         moduli = [_stiffness_field(spec, key, what)
                   for key in ("lambda", "mu", "alpha", "beta", "gamma")]
-        axis = _stiffness_field(spec, "axis", what, _float_array)
+        axis = _stiffness_field(spec, "axis", what, _json_numbers)
         if axis.shape != (3,):
             raise MaterialFileError(f"{what} stiffness axis has shape {axis.shape}, "
                                     "expected (3,)")
@@ -269,7 +284,7 @@ def material_from_dict(d: dict) -> Material:
     elif kind == "voigt":
         if spec.get("convention", "engineering") != "engineering":
             raise MaterialFileError("only the engineering Voigt convention is supported")
-        mat = Material(from_voigt(_stiffness_field(spec, "matrix", "Voigt", _float_array)),
+        mat = Material(from_voigt(_stiffness_field(spec, "matrix", "Voigt", _json_numbers)),
                        density, name)
     else:
         raise MaterialFileError(f"unknown stiffness type {kind!r}")

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import elaswave
-from elaswave import boundary
+from elaswave import boundary, factorization
 from elaswave.boundary import (
     BoundarySide,
     classify,
@@ -24,6 +26,9 @@ from elaswave.errors import (
     GlancingSpectrum,
     InvalidInput,
     NoSurfaceWave,
+    NumericalDomainError,
+    SigmaCardinality,
+    SolvencyResidual,
     ValidationError,
 )
 from elaswave.factorization import (
@@ -33,7 +38,14 @@ from elaswave.factorization import (
     factorize,
 )
 from elaswave.impedance import impedance_from_factorization, mode_projectors
-from elaswave.materials import make_isotropic
+from elaswave.materials import (
+    Material,
+    check_strong_convexity,
+    from_voigt,
+    make_isotropic,
+    make_transversely_isotropic,
+    to_voigt,
+)
 
 from conftest import NU, random_triclinic, sample_frames
 from oracles import (
@@ -297,6 +309,62 @@ class TestStoneley:
                 / np.linalg.norm(zsum)) < 1e-9
 
 
+def _stoneley_probe(monkeypatch, m_plus, m_minus):
+    """The lambda_min argument tau -> z+ + z- that stoneley_speed bisects."""
+    with monkeypatch.context() as mp:
+        mp.setattr(boundary, "_surface_wave_bisect", lambda zfun, tau_eta: zfun)
+        return stoneley_speed(m_plus, m_minus, NU, EHAT)
+
+
+def _sequential_sum(m_plus, m_minus, t):
+    fr = frame(-t)
+    return BoundarySide(m_plus, fr).z() + BoundarySide(m_minus, fr.flipped()).z()
+
+
+class TestStackedStoneleyProbe:
+    """A Stoneley probe builds its (+, -) sides as one stack."""
+
+    def test_same_bits_as_sides_one_after_another(self, iso, hard, ti, rotated_ti,
+                                                  monkeypatch):
+        for pair in ((iso, hard), (ti, rotated_ti)):
+            zfun = _stoneley_probe(monkeypatch, *pair)
+            for t in (0.05, 0.3, 0.7, 0.9, 0.99):
+                assert np.array_equal(zfun(t), _sequential_sum(*pair, t))
+
+    def test_first_error_is_the_sequential_one(self, iso, hard, monkeypatch):
+        # At one tau the + side fails its root check and the - side its
+        # target.  A stack takes every target before any root check, so it
+        # meets the - side's error first; the probe raises the + side's, as
+        # building the + side, then the - side, does.
+        t = 0.5
+        plus, minus = (BoundarySide(iso, frame(-t)),
+                       BoundarySide(hard, frame(-t).flipped()))
+        norms = {side.classification.stroh_norm: name
+                 for side, name in ((plus, "+"), (minus, "-"))}
+        target, validate = factorization._target, factorization._validate
+
+        def failing_target(cls, direction, tau):
+            if norms.get(cls.stroh_norm) == "-":
+                raise SigmaCardinality("injected target failure of the - side")
+            return target(cls, direction, tau)
+
+        def failing_validate(facts, *stacks):
+            validate(facts, *stacks)
+            if norms.get(facts[0].classification.stroh_norm) == "+":
+                raise SolvencyResidual("injected root failure of the + side")
+
+        zfun = _stoneley_probe(monkeypatch, iso, hard)
+        monkeypatch.setattr(factorization, "_target", failing_target)
+        monkeypatch.setattr(factorization, "_validate", failing_validate)
+        with pytest.raises(SigmaCardinality, match="- side"):
+            boundary._stacked_factorizations([plus, minus], "outgoing")
+        with pytest.raises(SolvencyResidual, match=r"\+ side"):
+            zfun(t)
+        with pytest.raises(SolvencyResidual, match=r"\+ side"):
+            _sequential_sum(iso, hard, t)
+        assert np.array_equal(zfun(0.3), _sequential_sum(iso, hard, 0.3))
+
+
 def _same_result(got, want):
     assert got.tau_r == want.tau_r
     assert got.tau_eta == want.tau_eta
@@ -373,6 +441,35 @@ def unhinted(poisson, ti, rotated_ti, iso, hard):
         return _scans(poisson, ti, rotated_ti, iso, hard)
 
 
+def _random_rotated_ti(rng) -> Material:
+    """Strongly convex, strongly anisotropic TI with a random axis."""
+    while True:
+        axis = rng.standard_normal(3)
+        m = make_transversely_isotropic(
+            rng.uniform(0.8, 1.2), rng.uniform(0.8, 1.2), rng.uniform(-0.3, 0.3),
+            rng.uniform(0.3, 0.6), rng.uniform(0.5, 1.5), axis / np.linalg.norm(axis), 1.0)
+        if check_strong_convexity(m.stiffness)[0]:
+            return m
+
+
+def _stoneley_partner(m, rng) -> Material:
+    """m three times as dense and stiff, its Voigt matrix jittered by up to
+    5 %: a pair that often carries a Stoneley wave."""
+    g = rng.uniform(-0.05, 0.05, (6, 6))
+    stiffness = from_voigt(3.0 * to_voigt(m.stiffness) * (1.0 + 0.5 * (g + g.T)))
+    if not check_strong_convexity(stiffness)[0]:
+        stiffness = from_voigt(3.0 * to_voigt(m.stiffness))
+    return Material(stiffness, 3.0 * m.density)
+
+
+def _outcome(solve):
+    """solve()'s result, or its error as (type, message)."""
+    try:
+        return solve()
+    except NumericalDomainError as exc:
+        return type(exc), str(exc)
+
+
 class TestHintsOnlySaveProbes:
     """The Barnett-Lothe limit and the regula falsi root choose which
     bisection probes run; a wrong or missing hint costs probes only."""
@@ -393,11 +490,15 @@ class TestHintsOnlySaveProbes:
             else:
                 _same_result(got, want)
 
-    def test_probe_counts(self, poisson, ti, rotated_ti, monkeypatch):
+    def test_probe_counts(self, poisson, ti, rotated_ti, iso, hard, monkeypatch):
         # Unhinted, each tau_limit here classifies 35 or 36 spectra and
-        # Poisson's Rayleigh solve factorizes 37 times.
-        calls = {"classify": 0, "factorize": 0}
-        for name, key in (("classify_spectrum", "classify"), ("factorize", "factorize")):
+        # Poisson's Rayleigh solve factorizes 37 times.  A regula falsi in tau
+        # took 14 (Poisson), 13 (TI) and 13 (the Stoneley pair, each probe
+        # two factorize calls) probes; the secant in the edge variable takes
+        # 9, 7 and 10, one stack per Stoneley probe.
+        calls = {"classify": 0, "factorize": 0, "stack": 0}
+        for name, key in (("classify_spectrum", "classify"), ("factorize", "factorize"),
+                          ("_factorize", "stack")):
             real = getattr(boundary, name)
 
             def counting(*args, _real=real, _key=key, **kwargs):
@@ -411,7 +512,35 @@ class TestHintsOnlySaveProbes:
             assert calls["classify"] <= 4
         calls["factorize"] = 0
         rayleigh_speed(poisson, NU, EHAT)
-        assert calls["factorize"] <= 20
+        assert calls["factorize"] <= 9
+        calls["factorize"] = 0
+        rayleigh_speed(ti, NU, EHAT)
+        assert calls["factorize"] <= 7
+        calls["factorize"] = calls["stack"] = 0
+        stoneley_speed(iso, hard, NU, EHAT)
+        assert calls["factorize"] == 0 and calls["stack"] <= 10
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["triclinic", "rotated_ti"]),
+           azimuth=st.floats(0.0, 2.0 * np.pi), stoneley=st.booleans())
+    def test_same_floats_as_bisection(self, seed, kind, azimuth, stoneley):
+        # Random materials and azimuths: every float of a solve, or its error,
+        # is that of the same solve by bisection alone.
+        rng = np.random.default_rng(seed)
+        m = random_triclinic(rng) if kind == "triclinic" else _random_rotated_ti(rng)
+        eta_hat = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
+        if stoneley:
+            partner = _stoneley_partner(m, rng)
+            solve = lambda: stoneley_speed(m, partner, NU, eta_hat)  # noqa: E731
+        else:
+            solve = lambda: rayleigh_speed(m, NU, eta_hat)  # noqa: E731
+        got = _outcome(solve)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boundary, "_regula_falsi", lambda *args: None)
+            want = _outcome(solve)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _same_result(got, want)
 
     def test_cli_import_leaves_scipy_optimize_out(self):
         # Importing scipy.optimize (for brentq, say) adds 20.7 MB of resident

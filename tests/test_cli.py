@@ -185,6 +185,30 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "StackFileError"
 
+    @pytest.mark.parametrize("field, value", [
+        ('"density": 1.0', '"density": true'), ('"lambda": 2.0', '"lambda": "2"')],
+        ids=["density_true", "lambda_str"])
+    def test_non_number_material_field(self, capsys, iso_file, field, value):
+        with open(iso_file, encoding="utf-8") as fh:
+            text = fh.read()
+        assert field in text
+        with open(iso_file, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(field, value))
+        code, out, err = invoke(capsys, "impedance", "--material", iso_file,
+                                "--eta", "1", "0", "--tau", "-0.5")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "MaterialFileError"
+
+    def test_non_number_layer_thickness(self, capsys, stack_file):
+        with open(stack_file, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(stack_file, "w", encoding="utf-8") as fh:
+            fh.write(text.replace('"thickness": 1.0', '"thickness": true'))
+        code, out, err = invoke(capsys, "arrivals", "--stack", stack_file,
+                                "--eta", "0.3", "0", "--tau", "-1.2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "StackFileError"
+
     @pytest.mark.parametrize("argv", [
         ("material",),
         ("classify", "--material-plus", "<iso>", "--eta", "1", "0", "--tau", "-1.5"),

@@ -144,6 +144,16 @@ class TestLayerStack:
             with pytest.raises(StackFileError, match="malformed"):
                 load_stack(str(path))
 
+    @pytest.mark.parametrize("thickness", [True, "1.0"], ids=["true", "str"])
+    def test_load_stack_rejects_non_number_thickness(self, tmp_path, thickness):
+        # true would read as 1.0 and "1.0" as 1.0; a thickness is a JSON number
+        half = {"density": 1.0, "stiffness": {"type": "isotropic", "lambda": 2.0, "mu": 1.0}}
+        path = tmp_path / "stack.json"
+        path.write_text(json.dumps({"layers": [{"material": half, "thickness": thickness}],
+                                    "halfspace": half}))
+        with pytest.raises(StackFileError, match="expected a JSON number"):
+            load_stack(str(path))
+
 
 class TestGroupDelay:
     def test_normal_incidence_speeds(self, soft):

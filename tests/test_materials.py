@@ -192,6 +192,46 @@ class TestMaterialFiles:
         with pytest.raises(MaterialFileError, match=message):
             material_from_dict(doc)
 
+    # Numbers must be JSON numbers: true would read as 1.0 and "2" as 2.0.
+    ISO = {"type": "isotropic", "lambda": 2.0, "mu": 1.0}
+    TI = {"type": "transversely_isotropic", "lambda": 1.0, "mu": 1.0, "alpha": 0.05,
+          "beta": 0.05, "gamma": 0.02, "axis": [0.0, 0.0, 1.0]}
+    VOIGT = {"type": "voigt", "matrix": np.diag([4.0, 4.0, 4.0, 1.0, 1.0, 1.0]).tolist()}
+
+    @pytest.mark.parametrize("field, stiffness, key, value", [
+        ("density", ISO, None, True),
+        ("density", ISO, None, "1"),
+        ("lambda", ISO, "lambda", "2"),
+        ("mu", ISO, "mu", True),
+        ("ti_moduli", TI, "beta", "0.05"),
+        ("ti_moduli", TI, "gamma", False),
+        ("axis", TI, "axis", ["0", "0", True]),
+        ("axis", TI, "axis", [0.0, 0.0, True]),
+        ("voigt", VOIGT, "matrix", [[True] * 6] * 6),
+        ("voigt", VOIGT, "matrix", [["4"] + [0.0] * 5] + VOIGT["matrix"][1:]),
+    ], ids=["density_true", "density_str", "lambda_str", "mu_true", "ti_modulus_str",
+            "ti_modulus_false", "axis_str", "axis_true", "voigt_true", "voigt_str"])
+    def test_non_number_fields_rejected(self, field, stiffness, key, value):
+        doc = {"density": 1.0, "stiffness": dict(stiffness)}
+        if key is None:
+            doc["density"] = value
+        else:
+            doc["stiffness"][key] = value
+        with pytest.raises(MaterialFileError, match="expected a JSON number"):
+            material_from_dict(json.loads(json.dumps(doc)))
+
+    def test_json_ints_accepted(self):
+        # an int reads as the float it equals
+        ti = dict(self.TI, **{"lambda": 1, "mu": 1, "axis": [0, 0, 1]})
+        for stiffness, as_ints in ((self.ISO, {"type": "isotropic", "lambda": 2, "mu": 1}),
+                                   (self.TI, ti),
+                                   (self.VOIGT, dict(self.VOIGT, matrix=np.diag(
+                                       [4, 4, 4, 1, 1, 1]).astype(int).tolist()))):
+            got = material_from_dict({"density": 2, "stiffness": as_ints})
+            want = material_from_dict({"density": 2.0, "stiffness": stiffness})
+            assert got.density == 2.0
+            assert np.array_equal(got.stiffness.entries, want.stiffness.entries)
+
     def test_infinite_density_in_file(self):
         # JSON reads 1e999 as inf
         doc = json.loads('{"density": 1e999, '

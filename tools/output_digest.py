@@ -3,10 +3,10 @@
     python3 tools/output_digest.py [--seed 0] [--against REF]
 
 Run it on two checkouts and compare the printed lines: equal digests mean
-equal bytes.  With --against REF it does that itself: it runs the digest of
-REF (any git revision) in a temporary `git worktree` and that of the working
-tree, prints the names of the lines that differ, and exits 1 if any does.
-It covers
+equal bytes.  With --against REF it does that itself: it unpacks REF (any
+git revision) with `git archive` into a temporary directory, runs this
+script there on REF's source and here on the working tree's, prints the
+names of the lines that differ, and exits 1 if any does.  It covers
 
   * cli: stdout, stderr and exit code of every golden CLI command of
     bench/workloads.py and of MORE_CLI_COMMANDS (the other JSON document
@@ -23,6 +23,13 @@ It covers
     and triclinic materials; an error counts by its type and message;
   * surface_waves: every float of the seeded Rayleigh and Stoneley solves
     of the surface_waves workload;
+  * surface_waves_anisotropic: every float, or the error, of seeded
+    Rayleigh solves on triclinic, rotated TI and negative-lambda materials
+    (lambda near -mu, where the impedance at low tau stops being positive
+    definite: GlancingLimit) and of Stoneley solves on pairs (a material with
+    a stiffer, denser copy of itself, which often carries a wave, and two
+    unrelated materials, which mostly raise NoSurfaceWave), at seeded
+    azimuths;
   * trees: the event trees of the layered_trace workload, as JSON, the
     same frames again with event budgets of 1 and 2, with the source in
     layer 1 and with source mode 1 (laws, incoming projectors and delays
@@ -49,6 +56,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -69,6 +77,7 @@ from elaswave.errors import ElasticError  # noqa: E402
 MATERIALS_PER_CLASS = 2
 FRAMES_PER_REGION = 6
 GRID_FRAMES = 300       # more than one stack of classify_frames
+SURFACE_WAVE_ROUNDS = 6
 
 
 def _feed(h, obj) -> None:
@@ -215,6 +224,44 @@ def surface_wave_digest(seed: int, directory: str) -> str:
     return h.hexdigest()
 
 
+def _negative_lambda(rng) -> mt.Material:
+    """Isotropic with lambda/mu drawn from (-1.5, -0.5), plus a 5 % triclinic
+    part: strongly elliptic, but past lambda = -mu the impedance at low tau
+    is no longer positive definite."""
+    mu = rng.uniform(0.8, 1.2)
+    g = rng.uniform(-0.05, 0.05, (6, 6))
+    voigt = mt.to_voigt(mt.isotropic_stiffness(mu * rng.uniform(-1.5, -0.5), mu))
+    return mt.Material(mt.from_voigt(voigt + mu * (g + g.T)), rng.uniform(0.8, 1.2),
+                       "negative_lambda")
+
+
+def _stiffer_copy(m, rng) -> mt.Material:
+    """m three times as stiff and dense, its Voigt matrix jittered by up to
+    5 % where that keeps it strongly convex."""
+    g = rng.uniform(-0.05, 0.05, (6, 6))
+    voigt = 3.0 * mt.to_voigt(m.stiffness)
+    jittered = mt.from_voigt(voigt * (1.0 + 0.5 * (g + g.T)))
+    stiffness = (jittered if mt.check_strong_convexity(jittered)[0]
+                 else mt.from_voigt(voigt))
+    return mt.Material(stiffness, 3.0 * m.density, "stiffer")
+
+
+def anisotropic_surface_wave_digest(seed: int) -> str:
+    makers = dict(workloads.MATERIAL_CLASSES)
+    h = hashlib.sha256()
+    for k in range(SURFACE_WAVE_ROUNDS):
+        rng = np.random.default_rng([seed, 11, k])
+        tri, rti = makers["triclinic"](rng)(), makers["rotated_ti"](rng)()
+        solves = [(bd.rayleigh_speed, (m,)) for m in (tri, rti, _negative_lambda(rng))]
+        solves += [(bd.stoneley_speed, pair) for pair in (
+            (tri, _stiffer_copy(tri, rng)), (rti, _stiffer_copy(rti, rng)), (tri, rti))]
+        for solve, materials in solves:
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+            _feed(h, _outcome(lambda: solve(*materials, workloads.NU, eta_hat)))
+    return h.hexdigest()
+
+
 def _glancing_frame(stack, eta) -> tuple:
     """(eta, tau) with |eta| = 1 along eta and tau at the shear transition
     of the (isotropic) half-space, tau^2 = mu / rho, where its double shear
@@ -303,17 +350,14 @@ def _digest_lines(root: str, seed: int) -> dict:
 
 def compare(ref: str, seed: int) -> int:
     """Print the names of the digest lines that differ between the git
-    revision ref and the working tree; 1 if any does, else 0."""
-    def git(*args):
-        subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True)
-
-    with tempfile.TemporaryDirectory() as parent:
-        tree = os.path.join(parent, "ref")
-        git("worktree", "add", "--detach", tree, ref)
-        try:
-            theirs = _digest_lines(tree, seed)
-        finally:
-            git("worktree", "remove", "--force", tree)
+    revision ref and the working tree, both hashed by this script; 1 if any
+    does, else 0."""
+    with tempfile.TemporaryDirectory() as tree:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", ref], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        shutil.copy(os.path.abspath(__file__), os.path.join(tree, "tools", "output_digest.py"))
+        theirs = _digest_lines(tree, seed)
     mine = _digest_lines(ROOT, seed)
     differ = [name for name in dict.fromkeys([*theirs, *mine])
               if theirs.get(name) != mine.get(name)]
@@ -335,6 +379,7 @@ def main(argv=None) -> int:
         lines = cli_digests(directory)
         lines += [("spectra", spectra_digest(args.seed)),
                   ("surface_waves", surface_wave_digest(args.seed, directory)),
+                  ("surface_waves_anisotropic", anisotropic_surface_wave_digest(args.seed)),
                   ("trees", tree_digest(args.seed, directory)),
                   ("errors", errors_digest(args.seed))]
     total = hashlib.sha256()
