@@ -115,7 +115,11 @@ class BoundarySide:
             self.poly, direction, classification=self.classification))
 
     def z(self, direction: str = "outgoing") -> np.ndarray:
-        """Impedance matrix -i(A0 Q + A1) of the direction's factorization."""
+        """Impedance matrix -i(A0 Q + A1) of the direction's factorization;
+        z_in = z_out^H, without the incoming one: A(s) is Hermitian for real
+        s, so Q_in = Q#_out^H."""
+        if direction == "incoming":
+            return self._once(("z", direction), lambda: self.z().conj().T)
         return self._once(("z", direction), lambda: impedance_from_factorization(
             self.poly, self.factorization(direction)).z)
 
@@ -420,7 +424,13 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     tau_eta.  The bisection reads only the sign of lambda_min at its own
     midpoints, so the root is that of a plain bisection; `_regula_falsi`
     first narrows the bracket from the end values, and the bisection then
-    probes only the midpoints left inside it (usually none)."""
+    probes only the midpoints left inside it (usually none).
+
+    GlancingLimit where an end's frame glances.  NoSurfaceWave where
+    lambda_min stays positive up to the high end, or where it is not
+    positive at the low end: that frame does not glance, and its impedance
+    is indefinite, as for a strongly elliptic material that is not strongly
+    convex (isotropic lambda <= -mu has no subsonic Rayleigh wave)."""
     t_lo = 1e-3 * tau_eta
     t_hi = (1.0 - EDGE_OFFSET) * tau_eta
     try:
@@ -429,7 +439,8 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     except GlancingSpectrum as exc:
         raise GlancingLimit(f"cannot evaluate near tau_eta: {exc}") from exc
     if f_lo <= 0:
-        raise GlancingLimit("impedance not positive definite at the low endpoint")
+        raise NoSurfaceWave("impedance not positive definite at the low endpoint of "
+                            "the elliptic interval: no surface wave is bracketed")
     if f_hi > 0:
         raise NoSurfaceWave("smallest impedance eigenvalue stays positive "
                             "on the elliptic interval")
@@ -470,7 +481,7 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
         try:
             for side, cls in zip(sides, _classify([side.poly for side in sides])):
                 side._built["classification"] = cls
-            _stacked_factorizations(sides, "outgoing")
+            _stacked_factorizations(sides)
         except ElasticError:
             sides = (plus.with_tau(-t), minus.with_tau(-t))
         return sides[0].z() + sides[1].z()
@@ -492,18 +503,18 @@ def _stacked_sides(stacks: list) -> list:
             for (m, _), stack in zip(stacks, polys)]
 
 
-def _stacked_factorizations(sides: list, direction: str) -> None:
-    """Store on each side that lacks one its factorization in `direction`
-    and that factorization's z, solved for all those sides as one stack and
-    bit for bit what each side builds alone."""
-    sides = [s for s in sides if ("factorization", direction) not in s._built]
+def _stacked_factorizations(sides: list) -> None:
+    """Store on each side that lacks one its outgoing factorization and that
+    factorization's z, solved for all those sides as one stack and bit for
+    bit what each side builds alone."""
+    sides = [s for s in sides if ("factorization", "outgoing") not in s._built]
     if sides:
         facts = _factorize([s.poly for s in sides], [s.classification for s in sides],
-                           direction, [s.frame.tau for s in sides])
+                           "outgoing", [s.frame.tau for s in sides])
         z = _impedance(np.array([s.poly.a0 for s in sides]), np.array([f.q for f in facts]),
                        np.array([s.poly.a1 for s in sides]))
         for side, f, z_side in zip(sides, facts, z):
-            side._built.update({("factorization", direction): f, ("z", direction): z_side})
+            side._built.update({("factorization", "outgoing"): f, ("z", "outgoing"): z_side})
 
 
 def _stacked_projectors(requests: list) -> None:
@@ -529,7 +540,7 @@ def _solve_frames(materials, frames: list) -> list:
     margins = dict.fromkeys(range(len(frames)))
     if due:     # sigma_min / sigma_max of z, or of z+ + z- for a pair
         for stack in sides:
-            _stacked_factorizations([stack[j] for j in due], "outgoing")
+            _stacked_factorizations([stack[j] for j in due])
         z = sum(np.array([stack[j].z() for j in due]) for stack in sides)
         sv = np.linalg.svd(z, compute_uv=False)
         margins.update(zip(due, (sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist()))

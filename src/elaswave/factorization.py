@@ -120,12 +120,12 @@ def _fro(x: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
-def _record(cls, pairs=None, **fields):
-    """An instance of a frozen dataclass without a __post_init__, its
-    fields set in one step, given as (name, value) pairs in field order or
-    by name; what the generated __init__ does, for less."""
+def _record(cls, fields=None, **named):
+    """An instance of a frozen dataclass without a __post_init__ whose
+    __dict__ is `fields`, a dict of its fields in order that nothing else
+    holds, or the named fields: what the generated __init__ does, for less."""
     obj = object.__new__(cls)
-    vars(obj).update(fields if pairs is None else pairs)
+    object.__setattr__(obj, "__dict__", named if fields is None else fields)
     return obj
 
 

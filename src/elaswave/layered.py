@@ -12,7 +12,7 @@ numbered downward, and the half-space lies below the last layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,11 +250,6 @@ def _sorted_arrivals(rows: list) -> tuple:
     return tuple(row[:4] for row in ordered)
 
 
-# Fields of a RayEvent, in order, for the per-event rows of trace_plane_wave.
-_FIELDS = tuple(f.name for f in fields(RayEvent))
-_LAYER, _DIRECTION, _S, _AMPLITUDE, _TIME, _DEPTH, _FLUX, _STATUS, _NOTE = range(2, 11)
-
-
 def trace_plane_wave(stack: LayerStack, eta, tau: float,
                      source_layer: int = 0, source_mode: int = 0,
                      max_events: int = 64,
@@ -280,11 +275,10 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
       * the source, from its side's incoming factorization and projectors,
         built alone first, so a trace without that mode fails before any
         law is built;
-      * the 2n laws whose sides do not glance: one incoming factorization
-        and impedance of their + sides but the source's, then
-        `scatter._scatter_operators` (the sides' outgoing projectors, one SVD
-        and one inverse of the matrices the laws invert, and the compiled
-        maps);
+      * the 2n laws whose sides do not glance: `scatter._scatter_operators`
+        (the sides' outgoing projectors, one SVD and one inverse of the
+        matrices the laws invert, and the compiled maps), each reading its
+        + side's z_in as z_out^H (`BoundarySide.z`);
       * `mode_delay` of the source's mode and of every (side, s) those laws
         send waves to (`_mode_delays`), so that the children of one mode
         share one crossing time, thickness |delay|, in each generation.
@@ -300,8 +294,8 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     on all the law's sides in one `apply_block`, and their children are
     then numbered in the order the segments hold.  The first `max_events`
     segments, counted in that order, scatter; the rest end as truncated.
-    Each event is kept as a row while the tree grows and becomes its
-    RayEvent in one step at the end.
+    Each event is kept as a row, the dict of its RayEvent's fields, while
+    the tree grows, and becomes that RayEvent's __dict__ at the end.
     """
     if max_events < 1:
         raise ValidationError("max_events must be at least 1")
@@ -363,7 +357,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         built = _stacked_sides([(stack.material(layer), [frames[d] for d in dirs])
                                 for layer, dirs in enumerate(directions)])
         _stacked_factorizations([sd for row in built for sd in row
-                                 if not sd.classification.glancing], "outgoing")
+                                 if not sd.classification.glancing])
     except ElasticError:    # each side is then built alone on first use
         built = []
     sides.update(((layer, d), sd) for layer, (dirs, row) in enumerate(zip(directions, built))
@@ -375,7 +369,6 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     src = side_incoming_mode(side(source_layer, "down"), source_mode)
     if due:
         try:
-            _stacked_factorizations([side(*key) for key in due], "incoming")
             laws.update(zip(due, _scatter_operators([law_sides(*key) for key in due])))
         except ElasticError:    # each law is then built alone on first use
             pass
@@ -395,9 +388,10 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     src_amp = float(np.linalg.norm(src.g))
     floor = amplitude_floor * src_amp
 
-    # One row per event, in RayEvent field order, and its amplitude's norm.
-    rows = [[0, None, source_layer, "down", src.s_in, src.g, t0, 0,
-             src.flux, "propagating", "source"]]
+    # One row per event, its RayEvent's fields in order, and its amplitude's norm.
+    rows = [{"uid": 0, "parent": None, "layer": source_layer, "direction": "down",
+             "s": src.s_in, "amplitude": src.g, "time": t0, "depth": 0,
+             "flux": src.flux, "status": "propagating", "note": "source"}]
     norms = [src_amp]
     arrivals = []            # (time, s, |amplitude|, flux, uid)
     n_scattered = 0
@@ -408,7 +402,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         budget = max_events - n_scattered
         if budget <= 0:
             for uid in generation:
-                rows[uid][_STATUS] = "truncated"
+                rows[uid]["status"] = "truncated"
             truncated = True
             break
         head, rest = generation[:budget], generation[budget:]
@@ -418,13 +412,13 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         # is the k-th segment of the generation meeting that law.
         members = {}
         for uid in head:
-            members.setdefault((rows[uid][_LAYER], rows[uid][_DIRECTION]), []).append(uid)
+            members.setdefault((rows[uid]["layer"], rows[uid]["direction"]), []).append(uid)
         outcome, column = {}, {}
         for (layer, direction), uids in members.items():
             law = scatter_law(layer, direction)
             if isinstance(law, NumericalDomainError):
                 continue
-            block = law.apply_block(np.stack([rows[u][_AMPLITUDE] for u in uids], axis=1))
+            block = law.apply_block(np.stack([rows[u]["amplitude"] for u in uids], axis=1))
             modes = []
             for tag, s_out, amps, fluxes, amp_norms in zip(
                     block.tags, block.modes, block.amplitudes, block.fluxes.tolist(),
@@ -440,25 +434,23 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         children = []
         for uid in head:
             seg = rows[uid]
-            layer, direction, time = seg[_LAYER], seg[_DIRECTION], seg[_TIME]
+            layer, direction, time = seg["layer"], seg["direction"], seg["time"]
             if direction == "up" and layer == 0:
-                arrivals.append((time, seg[_S], norms[uid], seg[_FLUX], uid))
+                arrivals.append((time, seg["s"], norms[uid], seg["flux"], uid))
             law = laws[layer, direction]
             if isinstance(law, NumericalDomainError):
-                seg[_STATUS], seg[_NOTE] = "glancing", str(law)
+                seg["status"], seg["note"] = "glancing", str(law)
                 continue
-            seg[_STATUS] = "scattered"
-            k, depth = column[uid], seg[_DEPTH] + 1
+            seg["status"] = "scattered"
+            k, depth = column[uid], seg["depth"] + 1
             for lay, dirn, s, amps, fluxes, amp_norms, step in outcome[layer, direction]:
                 norm, amp = amp_norms[k], amps[k]
-                if norm <= floor:
-                    if norm > 0:
-                        rows.append([len(rows), uid, lay, dirn, s, amp, time, depth,
-                                     fluxes[k], "floored", ""])
-                        norms.append(norm)
-                    continue
                 status, note, t_child = "propagating", "", time
-                if lay == n_layers:
+                if norm <= floor:
+                    if norm <= 0:
+                        continue
+                    status = "floored"
+                elif lay == n_layers:
                     status = "halfspace"
                 elif step is not None:
                     t_child = time + step
@@ -469,12 +461,13 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                         status, note = "glancing", str(exc)
                 if status == "propagating":
                     children.append(len(rows))
-                rows.append([len(rows), uid, lay, dirn, s, amp, t_child, depth,
-                             fluxes[k], status, note])
+                rows.append({"uid": len(rows), "parent": uid, "layer": lay, "direction": dirn,
+                             "s": s, "amplitude": amp, "time": t_child, "depth": depth,
+                             "flux": fluxes[k], "status": status, "note": note})
                 norms.append(norm)
         generation = rest + children
 
-    events = tuple(_record(RayEvent, zip(_FIELDS, row)) for row in rows)
+    events = tuple(_record(RayEvent, row) for row in rows)
     return EventTree(events, eta, tau, src.flux, _sorted_arrivals(arrivals), truncated)
 
 

@@ -3,18 +3,19 @@
 All laws act on Dirichlet traces.  At a free surface zero traction gives
 f = -z_out^{-1} z_in g; at a welded interface continuity of displacement
 and traction gives f- = -(z+_out + z-_out)^{-1}(z+_in - z+_out) g and
-f+ = f- - g.  Each law is linear in g and depends only on the frame and
-the materials, so it is built once per frame as a `ScatterOperator` from
-the `BoundarySide` of each side and applied to every trace that meets it.
-At build time the law is compiled, as with Kennett's reflection and
-transmission matrices, into one fixed 3x3 map per outgoing mode and side,
-held as one stack for all its sides, so a block of traces scatters on
-every side in three contractions.  Laws are built by `_scatter_operators`,
-many at once: the mode projectors of their sides, the SVD and inverse of
-the matrices they invert, their trace maps and their compiled maps and
-flux forms are each one stack, and every law gets bit for bit what it
-gets alone.  `free_surface_operator` and
-`interface_operator` are its one-law case.
+f+ = f- - g.  A law reads z_in = z_out^H (`BoundarySide.z`); only an
+incident trace and its flux read an incoming factorization.  Each law is
+linear in g and depends only on the frame and the materials, so it is
+built once per frame as a `ScatterOperator` from the `BoundarySide` of
+each side and applied to every trace that meets it.  At build time the
+law is compiled, as with Kennett's reflection and transmission matrices,
+into one fixed 3x3 map per outgoing mode and side, held as one stack for
+all its sides, so a block of traces scatters on every side in three
+contractions.  Laws are built by `_scatter_operators`, many at once: the
+mode projectors of their sides, the SVD and inverse of the matrices they
+invert, their trace maps and their compiled maps and flux forms are each
+one stack, and every law gets bit for bit what it gets alone.
+`free_surface_operator` and `interface_operator` are its one-law case.
 Energy bookkeeping uses the modal flux identity, with incident modes
 flux-normalized so amplitude tables compare directly.
 """

@@ -33,8 +33,7 @@ def rayleigh_secular_speed(lam: float, mu: float, rho: float,
     k2 = (cs / cp) ** 2
 
     def f(x):
-        return (2.0 - x * x) ** 2 - 4.0 * math.sqrt(1.0 - x * x) * math.sqrt(
-            1.0 - k2 * x * x)
+        return rayleigh_secular(x, k2)
 
     lo, hi = 0.5, 1.0 - 1e-12
     assert f(lo) < 0 < f(hi)
@@ -45,6 +44,26 @@ def rayleigh_secular_speed(lam: float, mu: float, rho: float,
         else:
             hi = mid
     return 0.5 * (lo + hi) * cs
+
+
+def rayleigh_secular(x, k2):
+    """(2 - x^2)^2 - 4 sqrt(1 - x^2) sqrt(1 - k2 x^2), x = c/c_s, k2 = (c_s/c_p)^2."""
+    return (2.0 - x * x) ** 2 - 4.0 * np.sqrt(1.0 - x * x) * np.sqrt(1.0 - k2 * x * x)
+
+
+def rayleigh_secular_roots(lam: float, mu: float, rho: float, n: int = 200_000) -> list:
+    """Speeds c at which the secular function changes sign, each to within
+    one step of an n-point grid of x = c/c_s over the subsonic interval
+    (0, min(c_s, c_p)/c_s); for lambda < -mu, c_p < c_s.  Values within
+    1e-12 of zero, below which roundoff decides the sign (at lambda = -mu
+    the function is x^4), are skipped."""
+    cs = math.sqrt(mu / rho)
+    k2 = mu / (lam + 2.0 * mu)
+    x = np.linspace(0.0, min(1.0, 1.0 / math.sqrt(k2)), n + 2)[1:-1]
+    f = rayleigh_secular(x, k2)
+    x, sign = x[np.abs(f) > 1e-12], np.sign(f[np.abs(f) > 1e-12])
+    cross = np.flatnonzero(sign[1:] != sign[:-1])
+    return [0.5 * (x[k] + x[k + 1]) * cs for k in cross]
 
 
 def cluster_sorted_mean_loop(vals: np.ndarray, tol: float) -> list[list[int]]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import elaswave
 from elaswave import boundary, factorization
+from elaswave.acoustic import acoustic_tensor, fibonacci_sphere
 from elaswave.boundary import (
     BoundarySide,
     classify,
@@ -50,6 +51,7 @@ from elaswave.materials import (
 from conftest import NU, random_triclinic, sample_frames
 from oracles import (
     C_R_POISSON,
+    rayleigh_secular_roots,
     rayleigh_secular_speed,
     rayleigh_speed_fresh_sides,
     stoneley_speed_fresh_sides,
@@ -118,7 +120,9 @@ class TestBoundarySide:
     def test_matches_direct_chain(self, iso, ti):
         # Both directions of a side share its one classification, each is
         # built once, and every kept quantity equals, bit for bit, the direct
-        # factorize -> impedance -> projectors chain on a fresh polynomial.
+        # factorize -> impedance -> projectors chain on a fresh polynomial,
+        # but the incoming z: that is the outgoing z conjugate-transposed,
+        # which the direct incoming chain gives to roundoff.
         rng = np.random.default_rng(23)
         for mat in (iso, ti, random_triclinic(rng)):
             for frames in sample_frames(mat, rng, 1).values():
@@ -130,14 +134,48 @@ class TestBoundarySide:
                     assert side.factorization(d) is f
                     direct = factorize(a, d)
                     assert np.array_equal(f.q, direct.q)
-                    assert np.array_equal(side.z(d),
-                                          impedance_from_factorization(a, direct).z)
+                    z_direct = impedance_from_factorization(a, direct).z
+                    if d == "outgoing":
+                        assert np.array_equal(side.z(d), z_direct)
+                    else:
+                        assert np.array_equal(side.z(d), side.z().conj().T)
+                        assert (np.linalg.norm(side.z(d) - z_direct)
+                                <= 1e-13 * np.linalg.norm(z_direct))
                     got, want = side.projectors(d), mode_projectors(direct)
                     assert got.psi.keys() == want.psi.keys()
                     for s in want.psi:
                         assert np.array_equal(got.psi[s], want.psi[s])
                     assert np.array_equal(got.pi_c, want.pi_c)
                     assert got.dim_ec == want.dim_ec
+
+    def test_incoming_z_is_the_outgoing_adjoint(self):
+        # A(s) is Hermitian for real s, so z_in = z_out^H.  Against the
+        # direct incoming chain on seeded strongly convex triclinic and
+        # rotated-TI materials: frames in all three regions and 1e-10 either
+        # side of the elliptic limit tau_L, each seen from nu and from -nu.
+        # At tau_L (1 + d) two roots lie sqrt(|d|) apart, so both chains
+        # carry roundoff amplified by 1/sqrt(|d|) = 1e5 there: 25 draws gave
+        # at most 8.1e-15 in the regions and 3.3e-11 at tau_L.
+        rng = np.random.default_rng(61)
+        n_sides = 0
+        for _ in range(5):
+            for m in (random_triclinic(rng), _random_rotated_ti(rng)):
+                frames = [(fr, 1e-13) for bucket in sample_frames(m, rng, 2).values()
+                          for fr in bucket]
+                ang = rng.uniform(0.0, 2.0 * np.pi)
+                eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+                t_l = tau_limit(m, NU, eta_hat)
+                frames += [(frame(-t_l * (1.0 + d), eta_hat), 1e-13 / np.sqrt(abs(d)))
+                           for d in (-1e-10, 1e-10)]
+                for fr, tol in frames + [(fr.flipped(), tol) for fr, tol in frames]:
+                    side = BoundarySide(m, fr)
+                    z_in = side.z("incoming")
+                    assert np.array_equal(z_in, side.z().conj().T)
+                    a = boundary_polynomial(m, fr)
+                    direct = impedance_from_factorization(a, factorize(a, "incoming")).z
+                    assert np.linalg.norm(z_in - direct) <= tol * np.linalg.norm(direct)
+                    n_sides += 1
+        assert n_sides == 160
 
 
 class TestClassify:
@@ -276,6 +314,44 @@ class TestRayleigh:
         v = res.polarization
         assert np.linalg.norm(z @ v) < 1e-7 * np.linalg.norm(z)
 
+    @pytest.mark.parametrize("lam", [-0.5, -0.9, -0.99, -1.0, -1.01, -1.2, -1.5, -1.9])
+    def test_negative_lambda(self, lam):
+        # Strongly elliptic (lambda + 2 mu > 0) for all these; past
+        # lambda = -mu not strongly convex, and the secular function has no
+        # zero below the limiting speed (at lambda = -mu it is x^4).  No
+        # frame glances there, so the error is NoSurfaceWave.
+        m = make_isotropic(lam, 1.0, 1.0)
+        roots = rayleigh_secular_roots(lam, 1.0, 1.0)
+        if lam > -1.0:
+            (root,) = roots
+            assert rayleigh_speed(m, NU, EHAT).tau_r == pytest.approx(root, abs=1e-5)
+        else:
+            assert roots == []
+            with pytest.raises(NoSurfaceWave, match="not positive definite"):
+                rayleigh_speed(m, NU, EHAT)
+
+    def test_nonconvex_anisotropic(self):
+        # Isotropic lambda = -1.3 mu plus a 5 % triclinic part: strongly
+        # elliptic, not strongly convex.  lambda_min(z(tau)) is negative on a
+        # dense scan of the whole interval, so no wave is bracketed.
+        rng = np.random.default_rng(3)
+        g = rng.uniform(-0.05, 0.05, (6, 6))
+        voigt = to_voigt(make_isotropic(-1.3, 1.0, 1.0).stiffness) + g + g.T
+        m = Material(from_voigt(voigt), 1.0)
+        assert not check_strong_convexity(m.stiffness)[0]
+        assert min(np.linalg.eigvalsh(acoustic_tensor(m.stiffness, xi))[0]
+                   for xi in fibonacci_sphere(500)) > 0
+        eta_hat = np.array([np.cos(1.1), np.sin(1.1), 0.0])
+        tau_eta = tau_limit(m, NU, eta_hat)
+        scan = []
+        for t in np.linspace(1e-3, 1.0 - 1e-6, 400) * tau_eta:
+            a = boundary_polynomial(m, frame(-t, eta_hat))
+            z = impedance_from_factorization(a, factorize(a, "outgoing")).z
+            scan.append(np.linalg.eigvalsh(0.5 * (z + z.conj().T))[0])
+        assert max(scan) < 0
+        with pytest.raises(NoSurfaceWave, match="not positive definite"):
+            rayleigh_speed(m, NU, eta_hat)
+
     def test_lambda_min_monotone(self, poisson):
         # consequence of the negative-definite tau^2 derivative
         vals = []
@@ -357,7 +433,7 @@ class TestStackedStoneleyProbe:
         monkeypatch.setattr(factorization, "_target", failing_target)
         monkeypatch.setattr(factorization, "_validate", failing_validate)
         with pytest.raises(SigmaCardinality, match="- side"):
-            boundary._stacked_factorizations([plus, minus], "outgoing")
+            boundary._stacked_factorizations([plus, minus])
         with pytest.raises(SolvencyResidual, match=r"\+ side"):
             zfun(t)
         with pytest.raises(SolvencyResidual, match=r"\+ side"):

@@ -451,6 +451,16 @@ class TestJsonText:
     def test_random_documents_match_oracle(self, doc):
         assert cli.render_json(doc) == render_json_dumps(doc)
 
+    def test_equal_keys_that_print_differently(self):
+        # A list's dicts reuse the sorted, quoted keys of the dict before
+        # them only where those keys are str: 1, 1.0 and True are equal, so
+        # their key tuples are too, but each prints its own key.
+        rows = [{1: "a"}, {1.0: "b"}, {True: "c"}, {"1": "d"}, {"1": "e"}, {1: "f"},
+                {"x": 0, 1: 1}, {"x": 2, 1.0: 3}, {"x": 4, True: 5}, {"x": 6, "1": 7},
+                {"x": 8, "1": 9}, {"1": 10, "x": 11}, {}, {"x": 12, "1": 13}]
+        for doc in (rows, {"rows": rows, "reversed": rows[::-1]}, [rows, (rows,)]):
+            assert cli.render_json(doc) == render_json_dumps(doc)
+
     @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, object()],
                              ids=["np_bool", "set", "object"])
     def test_unsupported_types_raise(self, value):

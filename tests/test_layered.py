@@ -753,6 +753,30 @@ class TestEventRecords:
         assert e.status != "floored" and e.note != "changed"
 
 
+class TestIncomingFactorizations:
+    """A law reads z_in as z_out^H, so a trace factorizes incoming roots on
+    its source's side alone."""
+
+    @pytest.mark.parametrize("source_layer", [0, 1])
+    def test_only_the_source_side(self, bench_stack, monkeypatch, source_layer):
+        built, settle = [], BoundarySide._settle
+
+        def recording(side, m, poly):
+            built.append(side)
+            settle(side, m, poly)
+
+        monkeypatch.setattr(BoundarySide, "_settle", recording)
+        stack, eta, tau = bench_stack
+        tree = trace_plane_wave(stack, eta, tau, source_layer=source_layer, max_events=64)
+        assert tree.events[0].note == "source"
+        incoming = [side for side in built if ("factorization", "incoming") in side._built]
+        assert len(incoming) == 1
+        (src,) = incoming
+        assert src.material is stack.material(source_layer) and src.frame.nu[2] > 0
+        # every law of the stack read its + side's z_in
+        assert sum(("z", "incoming") in side._built for side in built) == 2 * len(stack.layers)
+
+
 def stack_laws(stack, eta, tau) -> list:
     """Every law of a stack at (eta, tau) that builds, each built alone."""
     eta = np.array([eta[0], eta[1], 0.0])

@@ -25,8 +25,8 @@ names of the lines that differ, and exits 1 if any does.  It covers
     of the surface_waves workload;
   * surface_waves_anisotropic: every float, or the error, of seeded
     Rayleigh solves on triclinic, rotated TI and negative-lambda materials
-    (lambda near -mu, where the impedance at low tau stops being positive
-    definite: GlancingLimit) and of Stoneley solves on pairs (a material with
+    (lambda near -mu; past it the impedance at low tau is not positive
+    definite: NoSurfaceWave) and of Stoneley solves on pairs (a material with
     a stiffer, denser copy of itself, which often carries a wave, and two
     unrelated materials, which mostly raise NoSurfaceWave), at seeded
     azimuths;
@@ -37,6 +37,9 @@ names of the lines that differ, and exits 1 if any does.  It covers
     counts by its type and message), and a trace at the frame where the
     half-space glances, so that the law above it fails and every segment
     meeting it ends as a glancing leaf;
+  * tree_shapes: the same trees' shapes, (uid, parent, layer, direction,
+    status) of every event and an error by its type only, so that a change
+    that moves only the trees' last digits leaves this line as it is;
   * errors: the (type, message) of the error, or that there was none, of
     classify_frames, ellipticity_margin, classify, boundary_polynomial,
     classify_spectrum and factorize on seeded failing inputs: grids longer
@@ -271,10 +274,10 @@ def _glancing_frame(stack, eta) -> tuple:
     return np.asarray(eta) / np.linalg.norm(eta), -float(np.sqrt(mu / half.density))
 
 
-def tree_digest(seed: int, directory: str) -> str:
+def digest_trees(seed: int, directory: str) -> list:
+    """The trees of the trees line: EventTrees, or errors as (type, message)."""
     w = workloads.LayeredTrace(seed, directory)
     w.setup()
-    h = hashlib.sha256()
     trees = _run_ops(w, 1)
     trees += [ly.trace_plane_wave(w.stack, eta, tau, max_events=budget)
               for eta, tau in w.frames for budget in (1, 2)]
@@ -283,9 +286,24 @@ def tree_digest(seed: int, directory: str) -> str:
               for eta, tau in w.frames for layer, mode in ((1, 0), (0, 1))]
     eta, tau = _glancing_frame(w.stack, w.frames[0][0])
     trees.append(_outcome(lambda: ly.trace_plane_wave(w.stack, eta, tau, max_events=64)))
+    return trees
+
+
+def tree_digest(trees: list) -> str:
+    h = hashlib.sha256()
     for tree in trees:
         doc = tree if isinstance(tree, tuple) else tree.to_dict()
         h.update(json.dumps(doc, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def tree_shape_digest(trees: list) -> str:
+    """The trees' shapes: (uid, parent, layer, direction, status) of every
+    event, an error by its type only."""
+    h = hashlib.sha256()
+    for tree in trees:
+        _feed(h, tree[:2] if isinstance(tree, tuple) else [
+            (e.uid, e.parent, e.layer, e.direction, e.status) for e in tree.events])
     return h.hexdigest()
 
 
@@ -377,10 +395,12 @@ def main(argv=None) -> int:
         return compare(args.against, args.seed)
     with tempfile.TemporaryDirectory() as directory:
         lines = cli_digests(directory)
+        trees = digest_trees(args.seed, directory)
         lines += [("spectra", spectra_digest(args.seed)),
                   ("surface_waves", surface_wave_digest(args.seed, directory)),
                   ("surface_waves_anisotropic", anisotropic_surface_wave_digest(args.seed)),
-                  ("trees", tree_digest(args.seed, directory)),
+                  ("trees", tree_digest(trees)),
+                  ("tree_shapes", tree_shape_digest(trees)),
                   ("errors", errors_digest(args.seed))]
     total = hashlib.sha256()
     for name, digest in lines:
