@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import IndefiniteAcousticTensor, InvalidInput
 from .materials import Material, StiffnessTensor
 
@@ -84,7 +85,7 @@ def christoffel_modes(m: Material, xi_hat: np.ndarray) -> ChristoffelModes:
     if not (np.isfinite(xi_hat).all() and abs(np.linalg.norm(xi_hat) - 1.0) <= 1e-12):
         raise InvalidInput("direction must be a finite unit vector")
     ell = acoustic_tensor(m.stiffness, xi_hat) / m.density
-    vals, vecs = np.linalg.eigh(ell)   # ascending
+    vals, vecs = _lapack.eigh(ell)   # ascending
     vmax = max(vals[-1], 1e-300)
     if vals[0] < -1e-10 * vmax:
         raise IndefiniteAcousticTensor(
@@ -137,7 +138,7 @@ def eigen_gap_scan(m: Material, n_directions: int,
     rows = []
     for d in dirs:
         ell = acoustic_tensor(m.stiffness, d) / m.density
-        vals = np.sort(np.linalg.eigvalsh(ell))[::-1]
+        vals = np.sort(_lapack.eigvalsh(ell))[::-1]
         gap = float(np.min(vals[:-1] - vals[1:]) / max(vals[0], 1e-300))
         min_gap = min(min_gap, gap)
         rows.append((d, np.sqrt(np.clip(vals, 0.0, None)), gap))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     ElasticError,
     GlancingLimit,
@@ -175,7 +176,7 @@ def _region(sides) -> RegionClass:
         inter = 3
     else:
         bp, bm = (side.projectors().ec_basis() for side in sides)
-        cos_angles = np.linalg.svd(bp.conj().T @ bm, compute_uv=False)
+        cos_angles = _lapack.svdvals(bp.conj().T @ bm)
         inter = int(np.sum(cos_angles > 1.0 - ANGLE_TOL))
     if inter == 0:
         label = "hyperbolic"
@@ -305,10 +306,11 @@ def _limiting_tau(core, rho: float) -> float | None:
     eta_hat + s nu (s = tan theta) that zooms in around its smallest value."""
     lo, hi = -0.5 * np.pi, 0.5 * np.pi
     for _ in range(7):
-        theta = np.linspace(lo, hi, 34)[1:-1]
-        c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+        theta = (np.arange(34.0) * ((hi - lo) / 33) + lo)[1:-1]    # np.linspace's points
+        cos = np.cos(theta)
+        c, s = cos[:, None, None], np.sin(theta)[:, None, None]
         l_xi = s * s * core.a0.real + s * c * core.a1_sym.real + c * c * core.l_eta
-        vals = np.linalg.eigvalsh(l_xi)[:, 0] / np.cos(theta) ** 2
+        vals = _lapack.eigvalsh(l_xi)[:, 0] / cos ** 2
         k = int(np.argmin(vals))
         lo, hi = theta[max(k - 1, 0)], theta[min(k + 1, 31)]
     return float(np.sqrt(vals[k] / rho)) if vals[k] > 0 else None
@@ -372,7 +374,7 @@ class RayleighResult:
 
 def _lambda_min(zmat: np.ndarray):
     h = 0.5 * (zmat + zmat.conj().T)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = _lapack.eigh(h)
     return float(vals[0]), vecs[:, 0]
 
 
@@ -449,7 +451,7 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     tau_r = _bisect(holds, t_lo, t_hi)
     zr = zfun(tau_r)
     _, vec = _lambda_min(zr)
-    det_res = float(abs(np.linalg.det(zr)) / max(np.linalg.norm(zr) ** 3, 1e-300))
+    det_res = float(abs(_lapack.det(zr)) / max(np.linalg.norm(zr) ** 3, 1e-300))
     return RayleighResult(tau_r, 1.0 / tau_r, vec, tau_eta, (t_lo, t_hi), det_res)
 
 
@@ -542,7 +544,7 @@ def _solve_frames(materials, frames: list) -> list:
         for stack in sides:
             _stacked_factorizations([stack[j] for j in due])
         z = sum(np.array([stack[j].z() for j in due]) for stack in sides)
-        sv = np.linalg.svd(z, compute_uv=False)
+        sv = _lapack.svdvals(z)
         margins.update(zip(due, (sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist()))
     return [(_region(row), margins[j]) for j, row in enumerate(rows)]
 

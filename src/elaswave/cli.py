@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import _lapack
 from . import boundary as bnd
 from . import layered as lyr
 from .acoustic import christoffel_modes, fibonacci_sphere
@@ -286,8 +287,8 @@ def _cmd_impedance(args) -> int:
     _emit_json({
         "z": _matrix(z.z),
         "eigenvalues_hermitian_part":
-            list(np.linalg.eigvalsh(0.5 * (z.z + z.z.conj().T))),
-        "singular_values": list(np.linalg.svd(z.z, compute_uv=False)),
+            list(_lapack.eigvalsh(0.5 * (z.z + z.z.conj().T))),
+        "singular_values": list(_lapack.svdvals(z.z)),
         "dim_ec": pr.dim_ec,
         "hermiticity_residual_on_ec": z.hermiticity_residual(pr.ec_basis()),
         "flux_spot_check_min": float(fluxes.min()),

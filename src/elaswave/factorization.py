@@ -9,7 +9,8 @@ with A0 = nu.C.nu positive definite, A1^{ik} = nu_j C^{ijkm} eta_m, and
 A2 = l(eta) - rho tau^2.  Its 6x6 linearization carries displacement and
 traction traces; invariant subspaces of the linearization give right/left
 roots Q, Q# with A(s) = (s - Q#) A0 (s - Q), split by outgoing/incoming
-spectra.
+spectra.  Its decompositions (Schur, SVD, eigenvalues, inverses) are
+reached through `_lapack`, those of the contour oracle through np.linalg.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.lapack
 
+from . import _lapack
 from .acoustic import cluster_sorted
 from .errors import (
     CoefficientOverflow,
@@ -170,7 +171,7 @@ class _SymbolCore:
 def _stroh_blocks(a0, a1) -> tuple:
     """A0^-1, -A0^-1 A1, -A1* A0^-1 and A1* A0^-1 A1, read-only, of one
     (A0, A1) or of stacks of them."""
-    a0inv, a1h = np.linalg.inv(a0), _herm(a1)
+    a0inv, a1h = _lapack.inv(a0), _herm(a1)
     blocks = (a0inv, -a0inv @ a1, -a1h @ a0inv, a1h @ a0inv @ a1)
     for b in blocks:
         b.setflags(write=False)
@@ -196,7 +197,7 @@ def _cores(a0, a1, l_eta=None, size=None) -> list:
     # a finite norm has finite entries; an infinite or NaN one sends A0 to the full check
     if not all(map(math.isfinite, norm0)) and not np.isfinite(a0).all():
         raise NumericalDomainError("A0 is not finite")
-    a0_min = np.linalg.eigvalsh(a0)[:, 0].tolist()
+    a0_min = _lapack.eigvalsh(a0)[:, 0].tolist()
     for a in (a0, a1, a1_sym):
         a.setflags(write=False)
     # where an A0 is not positive definite or has no inverse, its polynomial fails to settle
@@ -446,7 +447,7 @@ def _nullity(sv: list, scale: float) -> int:
 
 def _kernels(mats: np.ndarray, scales: list) -> list:
     """kernel_basis of each matrix of a stack, from one stacked SVD."""
-    _, sv, vh = np.linalg.svd(mats)
+    _, sv, vh = _lapack.svd(mats)
     v = _herm(vh)      # right singular vectors as columns, smallest last
     return [v[g, :, 3 - _nullity(row, scale):]
             for g, (row, scale) in enumerate(zip(sv.tolist(), scales))]
@@ -464,15 +465,9 @@ def kernel_basis(a: QuadraticMatrixPolynomial, s: complex) -> np.ndarray:
 # that its stacked order meets.
 
 
-# LAPACK's complex Schur routine; the workspace size of a 6x6 Stroh matrix
-# is queried once rather than on every call.
-_ZGEES = scipy.linalg.lapack.zgees
-_ZGEES_LWORK = int(_ZGEES(lambda x: None, np.eye(6, dtype=complex), lwork=-1)[-2][0].real)
-
-
 def _schur(s6: np.ndarray):
     """Complex Schur form (T, Z), read-only, of a finite Stroh matrix."""
-    t, _, _, z, _, info = _ZGEES(lambda x: None, s6, lwork=_ZGEES_LWORK)
+    t, _, _, z, _, info = _lapack.zgees(lambda x: None, s6, lwork=_lapack.ZGEES_LWORK)
     if info != 0:
         raise NumericalDomainError(f"Schur form not found (zgees info {info})")
     t.setflags(write=False)
@@ -528,7 +523,7 @@ def _sign_types(a0, a1_sym, s, kernels: list) -> list:
         sel = [r for r, kern in enumerate(kernels) if kern.shape[1] == dim]
         kern = np.array([kernels[r] for r in sel])
         form = _herm(kern) @ da[sel] @ kern
-        eigs = np.linalg.eigvalsh(0.5 * (form + _herm(form)))
+        eigs = _lapack.eigvalsh(0.5 * (form + _herm(form)))
         for r, lo, hi in zip(sel, eigs[:, 0].tolist(), eigs[:, -1].tolist()):
             signs[r] = _sign_type(lo, hi, norms[r])
     return signs
@@ -614,7 +609,7 @@ def _selected(diag: np.ndarray, targets: np.ndarray, match_tol: float) -> np.nda
 
 def _reorder(t: np.ndarray, zvec: np.ndarray, select: np.ndarray):
     """The Schur form (T, Z) reordered to put the selected eigenvalues first."""
-    t, zvec, _, sdim, _, _, info = scipy.linalg.lapack.ztrsen(select, t, zvec, job="N")
+    t, zvec, _, sdim, _, _, info = _lapack.ztrsen(select, t, zvec, job="N")
     if info != 0:
         raise NumericalDomainError(f"Schur reordering failed (ztrsen info {info})")
     if sdim != 3:
@@ -632,7 +627,7 @@ def _check_condition(cond: float) -> None:
 
 def _roots(x1, t1, a0, a1_sym, a0inv) -> tuple:
     """Q = X1 T1 X1^-1 and Q# = -(A0 Q + A1 + A1*) A0^-1, for one root or stacks."""
-    q = x1 @ t1 @ np.linalg.inv(x1)
+    q = x1 @ t1 @ _lapack.inv(x1)
     return q, -(a0 @ q + a1_sym) @ a0inv
 
 
@@ -674,7 +669,7 @@ def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarr
     a0, a1_sym, a2, _, scales = coefficients
     residuals = [r / scale for r, scale in zip(_fro(_solvent(a0, a1_sym, a2, q)).tolist(),
                                                   scales)]
-    spectra = np.linalg.eigvals(np.concatenate((q, q_sharp)))
+    spectra = _lapack.eigvals(np.concatenate((q, q_sharp)))
     eq, es = spectra[:n], spectra[n:]
     sizes = np.abs(spectra).max(axis=1)
     sizes = np.maximum(np.maximum(sizes[:n], sizes[n:]), 1e-300).tolist()
@@ -717,7 +712,7 @@ def _factorize(polys: list, classifications: list, direction: str, taus: list) -
         blocks.append((zvec[:3, :3], t[:3, :3]))
     blocks = np.array(blocks)
     # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
-    for s_max, _, s_min in np.linalg.svd(blocks[:, 0], compute_uv=False).tolist():
+    for s_max, _, s_min in _lapack.svdvals(blocks[:, 0]).tolist():
         _check_condition(s_max / s_min if s_min > 0 else math.inf)
     coefficients = _coefficients(polys)
     a0, a1_sym, _, a0inv, _ = coefficients

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .acoustic import cluster_sorted
 from .errors import (
     CrossCheckFailed,
@@ -92,7 +93,7 @@ class ModeProjectors:
 
     def ec_basis(self) -> np.ndarray:
         """Orthonormal columns spanning E_c = range(pi_c)."""
-        u, sv, _ = np.linalg.svd(self.pi_c)
+        u, sv, _ = _lapack.svd(self.pi_c)
         k = int(np.sum(sv > 0.5))
         return u[:, :k]
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     AsymmetricStiffness,
     AsymmetricVoigtMatrix,
@@ -126,7 +127,7 @@ def rotate_stiffness(c: StiffnessTensor, o: np.ndarray) -> StiffnessTensor:
     A transversely isotropic tensor with axis J maps to one with axis OJ.
     """
     o = np.asarray(o, dtype=float)
-    if np.linalg.norm(o.T @ o - _EYE) > 1e-10 or not np.isclose(np.linalg.det(o), 1.0, atol=1e-8):
+    if np.linalg.norm(o.T @ o - _EYE) > 1e-10 or not np.isclose(_lapack.det(o), 1.0, atol=1e-8):
         raise NotARotation("O must satisfy O^T O = I and det O = +1")
     rotated = np.einsum("ia,jb,kc,md,abcd->ijkm", o, o, o, o, c.entries)
     return StiffnessTensor(rotated)
@@ -191,7 +192,7 @@ def check_strong_convexity(c: StiffnessTensor) -> tuple[bool, float]:
     Returns (is_convex, minimum eigenvalue) from the Mandel-scaled 6x6
     spectrum, which coincides with the tensor-form spectrum.
     """
-    eigs = np.linalg.eigvalsh(to_mandel(c))
+    eigs = _lapack.eigvalsh(to_mandel(c))
     return bool(eigs[0] > 0), float(eigs[0])
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .boundary import BoundarySide, _sides, _stacked_projectors
 from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
 from .factorization import BoundaryFrame, _record, _slope, kernel_basis
@@ -235,12 +236,12 @@ def _scatter_operators(laws: list) -> list:
             raise NoIncomingMode("frame is elliptic: nothing propagates" if len(law) == 1
                                  else "frame is elliptic on both sides")
     mats = np.array(mats)
-    for law, (high, _, low) in zip(laws, np.linalg.svd(mats, compute_uv=False).tolist()):
+    for law, (high, _, low) in zip(laws, _lapack.svdvals(mats).tolist()):
         if low <= INVERTIBLE_MARGIN * high:
             what = "z_out" if len(law) == 1 else "z+_out + z-_out"
             raise NonEllipticOperator(f"{what} is numerically singular "
                                       f"(sigma_min/sigma_max = {low / high:.2e})")
-    minv = np.linalg.inv(mats)
+    minv = _lapack.inv(mats)
     zin = np.array(zins)
     t = -minv @ zin
 

@@ -26,7 +26,10 @@ def rayleigh_secular_speed(lam: float, mu: float, rho: float,
     """Isotropic Rayleigh speed from the classical secular equation.
 
     Solves (2 - x^2)^2 = 4 sqrt(1 - x^2) sqrt(1 - kappa^2 x^2) for
-    x = c_R/c_s with kappa = c_s/c_p, by bisection.
+    x = c_R/c_s with kappa = c_s/c_p, by bisection on the subsonic interval
+    (0, min(1, c_p/c_s)).  Near 0+ the secular function is
+    -2 (1 - kappa^2) x^2 + O(x^4), negative for kappa < 1, so only the upper
+    end's sign is evaluated.
     """
     cs = math.sqrt(mu / rho)
     cp = math.sqrt((lam + 2.0 * mu) / rho)
@@ -35,8 +38,8 @@ def rayleigh_secular_speed(lam: float, mu: float, rho: float,
     def f(x):
         return rayleigh_secular(x, k2)
 
-    lo, hi = 0.5, 1.0 - 1e-12
-    assert f(lo) < 0 < f(hi)
+    lo, hi = 0.0, min(1.0, cp / cs) * (1.0 - 1e-12)
+    assert k2 < 1.0 and f(hi) > 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:

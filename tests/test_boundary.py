@@ -314,6 +314,14 @@ class TestRayleigh:
         v = res.polarization
         assert np.linalg.norm(z @ v) < 1e-7 * np.linalg.norm(z)
 
+    @pytest.mark.parametrize("lam", [-0.5, -0.7, -0.9, -0.95])
+    def test_secular_oracle_negative_lambda(self, lam):
+        # Roots below x = 0.5, where the secular oracle's bisection starts
+        # from 0+ rather than from a fixed lower end.
+        oracle = rayleigh_secular_speed(lam, 1.0, 1.0)
+        assert rayleigh_speed(make_isotropic(lam, 1.0, 1.0), NU, EHAT).tau_r == pytest.approx(
+            oracle, abs=1e-8)
+
     @pytest.mark.parametrize("lam", [-0.5, -0.9, -0.99, -1.0, -1.01, -1.2, -1.5, -1.9])
     def test_negative_lambda(self, lam):
         # Strongly elliptic (lambda + 2 mu > 0) for all these; past

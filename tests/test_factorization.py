@@ -17,7 +17,7 @@ from elaswave.errors import (
     SolvencyResidual,
     ValidationError,
 )
-from elaswave import factorization
+from elaswave import _lapack, factorization
 from elaswave.factorization import (
     BoundaryFrame,
     QuadraticMatrixPolynomial,
@@ -276,7 +276,7 @@ class TestClassifySpectrum:
         with pytest.raises(NumericalDomainError):
             classify_spectrum(nan_a2)
         a = boundary_polynomial(iso, frame(-0.5))
-        monkeypatch.setattr(factorization, "_ZGEES", lambda *args, **kwargs: (None,) * 5 + (2,))
+        monkeypatch.setattr(_lapack, "zgees", lambda *args, **kwargs: (None,) * 5 + (2,))
         with pytest.raises(NumericalDomainError):
             classify_spectrum(a)
 
