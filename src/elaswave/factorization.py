@@ -58,6 +58,8 @@ class BoundaryFrame:
     def __post_init__(self):
         nu = np.asarray(self.nu, dtype=float)
         eta = np.asarray(self.eta, dtype=float)
+        if nu.shape != (3,) or eta.shape != (3,):
+            raise InvalidInput("nu and eta must be vectors of shape (3,)")
         if not (np.isfinite(nu).all() and np.isfinite(eta).all() and np.isfinite(self.tau)):
             raise InvalidInput("frame must be finite")
         if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
@@ -86,7 +88,9 @@ class BoundaryFrame:
     def with_eta(self, eta: np.ndarray) -> "BoundaryFrame":
         """This frame at another eta; only eta is checked, nu and tau are kept."""
         eta = np.asarray(eta, dtype=float)
-        if not np.isfinite(eta).all():          # the checks and messages of __post_init__
+        if eta.shape != (3,):                   # the checks and messages of __post_init__
+            raise InvalidInput("nu and eta must be vectors of shape (3,)")
+        if not np.isfinite(eta).all():
             raise InvalidInput("frame must be finite")
         if abs(self.nu @ eta) > 1e-12 * max(float(np.abs(eta).max()), 1.0):
             raise InvalidInput("eta must be tangential (orthogonal to nu)")
@@ -115,7 +119,10 @@ def _herm(x: np.ndarray) -> np.ndarray:
 def _fro(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, bit for bit what
     np.linalg.norm gives for the matrix alone (the dot product of its real
-    parts plus that of its imaginary parts)."""
+    parts plus that of its imaginary parts).  A stack of one takes
+    np.linalg.norm itself, the same bits for less than the stacked products."""
+    if len(x) == 1:
+        return np.linalg.norm(x[0])[None]
     flat = x.reshape(len(x), 1, -1)
     re, im = flat.real, flat.imag
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
@@ -434,8 +441,13 @@ class SpectrumClassification:
     @property
     def dim_evanescent(self) -> int:
         """Number of non-real eigenvalues in the upper half plane (with mult.)."""
-        return sum(g.alg_mult for g in self.groups
-                   if not g.is_real and g.value.imag > 0)
+        return _dim_evanescent((g.value, g.alg_mult, g.is_real) for g in self.groups)
+
+
+def _dim_evanescent(points) -> int:
+    """Number of non-real eigenvalues in the upper half plane, with
+    multiplicity, of (value, algebraic multiplicity, is real) points."""
+    return sum(alg for value, alg, is_real in points if not is_real and value.imag > 0)
 
 
 def _nullity(sv: list, scale: float) -> int:
@@ -540,20 +552,30 @@ def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
     return _classify([a])[0]
 
 
-def _classify(polys: list) -> list:
-    """classify_spectrum of each polynomial: the norms of all Stroh matrices
-    as one stack, the Schur form of each on its own, the kernels at every
-    real eigenvalue of all of them from one stacked SVD and their sign forms
-    as stacks."""
-    out, at, values = [], [], []     # at, values: polynomial and s of each real group
+def _spectra(polys: list) -> list:
+    """(points, ||S||, Schur form (T, Z)) of each polynomial's Stroh matrix
+    S, the points `_group`ed from the diagonal of T: the norms of all Stroh
+    matrices as one stack, then the Schur form of each on its own.  The
+    first stage of `_classify`, and all that a question about the
+    eigenvalues alone reads (`boundary._fully_evanescent`)."""
+    out = []
     stacked = np.array([stroh(a) for a in polys])
-    for k, (s6, norm) in enumerate(zip(stacked, _fro(stacked).tolist())):
+    for s6, norm in zip(stacked, _fro(stacked).tolist()):
         # a finite norm has finite entries; an infinite or NaN one sends s6 to the full check
         if not (math.isfinite(norm) or np.isfinite(s6).all()):
             raise NumericalDomainError("Stroh matrix is not finite")
         schur = _schur(s6)
-        groups = _group(schur[0].diagonal(), norm)
-        out.append((groups, norm, schur))
+        out.append((_group(schur[0].diagonal(), norm), norm, schur))
+    return out
+
+
+def _classify(polys: list) -> list:
+    """classify_spectrum of each polynomial: its `_spectra`, then the kernels
+    at every real eigenvalue of all of them from one stacked SVD and their
+    sign forms as stacks."""
+    out = _spectra(polys)
+    at, values = [], []     # polynomial and s of each real group
+    for k, (groups, _, _) in enumerate(out):
         for value, _, is_real in groups:
             if is_real:
                 at.append(k)

@@ -36,6 +36,7 @@ from elaswave.factorization import (
     BoundaryFrame,
     _boundary_polynomials,
     boundary_polynomial,
+    classify_spectrum,
     factorize,
 )
 from elaswave.impedance import impedance_from_factorization, mode_projectors
@@ -48,7 +49,7 @@ from elaswave.materials import (
     to_voigt,
 )
 
-from conftest import NU, random_triclinic, sample_frames
+from conftest import NU, random_triclinic, region_of, sample_frames
 from oracles import (
     C_R_POISSON,
     rayleigh_secular_roots,
@@ -261,7 +262,6 @@ class TestTauLimit:
     def test_ti_matches_scan(self, ti):
         t = tau_limit(ti, NU, EHAT)
         # dense scan oracle: first tau with a real eigenvalue
-        from elaswave.factorization import classify_spectrum
         taus = np.linspace(0.8 * t, 1.2 * t, 400)
         first_real = next(tt for tt in taus if classify_spectrum(
             boundary_polynomial(ti, frame(-tt))).dim_evanescent < 3
@@ -272,30 +272,62 @@ class TestTauLimit:
     def test_brackets_without_repeating_a_tau(self, monkeypatch, c_s):
         # c_s = 1.1 brackets by doubling from tau = 1, c_s = 0.2 by halving
         taus = []
-        real = boundary.classify_spectrum
+        real = boundary._spectra
 
-        def recording(a):
-            taus.append(a.frame.tau)
-            return real(a)
+        def recording(polys):
+            taus.extend(a.frame.tau for a in polys)
+            return real(polys)
 
-        monkeypatch.setattr(boundary, "classify_spectrum", recording)
+        monkeypatch.setattr(boundary, "_spectra", recording)
         t = tau_limit(make_isotropic(1.0, c_s * c_s, 1.0), NU, EHAT)
         assert t == pytest.approx(c_s, rel=1e-9)
-        assert len(taus) == len(set(taus))
+        assert taus and len(taus) == len(set(taus))
+
+    @pytest.mark.parametrize("kind", ["triclinic", "rotated_ti"])
+    def test_spectrum_alone_answers_as_classification(self, kind):
+        # tau_limit's test reads the spectrum alone: on seeded materials and
+        # azimuths, in all three regions and 1e-12 and 1e-10 either side of
+        # the Barnett-Lothe limit tau_L, it answers what the full
+        # classification does.
+        labels = set()
+        for seed in range(12):
+            rng = np.random.default_rng([seed, 23])
+            m = random_triclinic(rng) if kind == "triclinic" else _random_rotated_ti(rng)
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            poly = boundary_polynomial(m, BoundaryFrame(NU, [np.cos(ang), np.sin(ang), 0.0], -1.0))
+            t_l = boundary._limiting_tau(poly.core, m.density)
+            for factor in (0.5, 1 - 1e-10, 1 - 1e-12, 1 + 1e-12, 1 + 1e-10, 1.6, 2.5, 5.0):
+                a = poly.with_tau(-factor * t_l)
+                cls = classify_spectrum(a)
+                assert boundary._fully_evanescent(a) == (
+                    not cls.has_real and cls.dim_evanescent == 3)
+                labels.add(region_of(m, a.frame))
+        assert labels >= {"hyperbolic", "mixed", "elliptic"}
 
     def test_errors_are_typed(self, iso, monkeypatch):
         with pytest.raises(InvalidInput) as info:
             tau_limit(iso, NU, 2.0 * EHAT)
         assert isinstance(info.value, ValueError) and info.value.exit_code == 2
 
-        class NeverElliptic:
-            has_real = True
-            dim_evanescent = 0
-
-        # a spectrum that is never fully evanescent cannot be bracketed
-        monkeypatch.setattr(boundary, "classify_spectrum", lambda a: NeverElliptic())
+        # a spectrum that is never fully evanescent (one real point) cannot be bracketed
+        never_elliptic = (((1.0 + 0j, 6, True),), 1.0, None)
+        monkeypatch.setattr(boundary, "_spectra", lambda polys: [never_elliptic] * len(polys))
         with pytest.raises(GlancingLimit):
             tau_limit(iso, NU, EHAT)
+
+
+class TestFrameShapes:
+    @pytest.mark.parametrize("nu,eta_hat", [
+        (NU, np.array([1.0, 0.0])), (NU[:, None], EHAT)])
+    def test_surface_waves(self, iso, hard, nu, eta_hat):
+        # a nu or eta_hat that is not a 3-vector is bad input (exit code 2),
+        # not a matmul error from deeper in
+        for solve in (lambda: tau_limit(iso, nu, eta_hat),
+                      lambda: rayleigh_speed(iso, nu, eta_hat),
+                      lambda: stoneley_speed(iso, hard, nu, eta_hat)):
+            with pytest.raises(InvalidInput) as info:
+                solve()
+            assert info.value.exit_code == 2
 
 
 class TestRayleigh:
@@ -575,13 +607,15 @@ class TestHintsOnlySaveProbes:
                 _same_result(got, want)
 
     def test_probe_counts(self, poisson, ti, rotated_ti, iso, hard, monkeypatch):
-        # Unhinted, each tau_limit here classifies 35 or 36 spectra and
-        # Poisson's Rayleigh solve factorizes 37 times.  A regula falsi in tau
-        # took 14 (Poisson), 13 (TI) and 13 (the Stoneley pair, each probe
-        # two factorize calls) probes; the secant in the edge variable takes
-        # 9, 7 and 10, one stack per Stoneley probe.
-        calls = {"classify": 0, "factorize": 0, "stack": 0}
-        for name, key in (("classify_spectrum", "classify"), ("factorize", "factorize"),
+        # Unhinted, each tau_limit here takes 35 or 36 spectra, each a
+        # `_spectra` stack of one; hinted, it takes the two beside the
+        # Barnett-Lothe limit and at most one more.  Unhinted, Poisson's
+        # Rayleigh solve factorizes 37 times.  A regula falsi in tau took 14
+        # (Poisson), 13 (TI) and 13 (the Stoneley pair, each probe two
+        # factorize calls) probes; the secant in the edge variable takes 9, 7
+        # and 10, one stack per Stoneley probe.
+        calls = {"spectra": 0, "factorize": 0, "stack": 0}
+        for name, key in (("_spectra", "spectra"), ("factorize", "factorize"),
                           ("_factorize", "stack")):
             real = getattr(boundary, name)
 
@@ -591,9 +625,9 @@ class TestHintsOnlySaveProbes:
 
             monkeypatch.setattr(boundary, name, counting)
         for mat in (poisson, ti, rotated_ti):
-            calls["classify"] = 0
+            calls["spectra"] = 0
             tau_limit(mat, NU, np.array([np.cos(2.3), np.sin(2.3), 0.0]))
-            assert calls["classify"] <= 4
+            assert 2 <= calls["spectra"] <= 3
         calls["factorize"] = 0
         rayleigh_speed(poisson, NU, EHAT)
         assert calls["factorize"] <= 9

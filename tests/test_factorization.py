@@ -63,6 +63,17 @@ class TestBoundaryFrame:
         with pytest.raises(ValidationError):
             BoundaryFrame(NU, ETA, 0.0)
 
+    @pytest.mark.parametrize("nu,eta", [
+        ([0.0, 1.0], [1.0, 0.0]),                      # a pair builds no frame
+        ([0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]),
+        ([[0.0], [0.0], [1.0]], ETA),                  # a column nu
+        (NU, [1.0, 0.0]),
+        (NU, [[1.0, 0.0, 0.0]]),
+    ])
+    def test_rejects_wrong_shapes(self, nu, eta):
+        with pytest.raises(InvalidInput, match=r"shape \(3,\)"):
+            BoundaryFrame(np.array(nu), np.array(eta), -1.0)
+
     def test_flip(self):
         fr = frame(-1.0)
         assert np.allclose(fr.flipped().nu, -NU)
@@ -182,7 +193,8 @@ class TestSharedCore:
         moved = fr.with_eta([2.0, 1.0, 0.0])
         assert moved.nu is fr.nu and moved.tau == fr.tau
         assert moved.eta.tolist() == [2.0, 1.0, 0.0] and not moved.eta.flags.writeable
-        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.3, 0.0, 1e-3]):
+        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.3, 0.0, 1e-3], [1.0, 0.0],
+                    [[0.3], [-0.4], [0.0]]):
             with pytest.raises(InvalidInput) as got:
                 fr.with_eta(bad)
             with pytest.raises(InvalidInput) as want:
@@ -464,6 +476,22 @@ class TestStacksOfOne:
                             checked.add(error[0])
         # factorizations in both directions and the glancing failure were met
         assert {"outgoing", "incoming", GlancingSpectrum} <= checked
+
+    @pytest.mark.parametrize("entry", ["real", "complex", "inf", "nan"])
+    def test_fro_of_one_is_the_stacked_row(self, entry):
+        # _fro of a one-entry stack takes np.linalg.norm; the row of the same
+        # matrix in a longer stack is the same bits.
+        rng = np.random.default_rng([31, len(entry)])
+        for _ in range(200):
+            x = rng.standard_normal((3, 6, 6)) * 10.0 ** rng.uniform(-100, 100, (3, 1, 1))
+            if entry != "real":
+                x = x + 1j * rng.standard_normal((3, 6, 6))
+            if entry in ("inf", "nan"):
+                x[0, rng.integers(6), rng.integers(6)] = np.inf if entry == "inf" else np.nan
+            one = factorization._fro(x[:1])
+            assert one.shape == (1,)
+            assert np.array_equal(one, factorization._fro(x)[:1], equal_nan=True)
+            assert np.array_equal(one[0], np.linalg.norm(x[0]), equal_nan=True)
 
 
 class TestStackedOrder:

@@ -1,4 +1,5 @@
 """elaswave._lapack gives np.linalg's numbers and errors, bit for bit."""
+import contextlib
 import importlib.util
 import sys
 import types
@@ -141,3 +142,41 @@ def test_schur_bindings():
     select[:3] = 1
     *_, sdim, _, _, info = _lapack.ztrsen(select, t, z, job="N")
     assert (sdim, info) == (3, 0)
+
+
+def run_under_raise(lapack) -> list:
+    """Under a caller's np.errstate(all="raise"): a call, a raising call,
+    and numpy's error state after each (the caller's must still hold)."""
+    seen = []
+    with np.errstate(all="raise"):
+        lapack.inv(np.eye(3))
+        seen.append(np.geterr())
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            lapack.inv(np.ones((3, 3)))
+        seen.append(np.geterr())
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            lapack.svdvals(np.full((3, 3), np.nan))
+        seen.append(np.geterr())
+        with pytest.raises(FloatingPointError):
+            np.ones(1) / np.zeros(1)
+    return seen
+
+
+def test_callers_error_state_kept():
+    # each call sets np.linalg's error state and puts the caller's back
+    before = np.geterr()
+    assert run_under_raise(_lapack) == [dict.fromkeys(before, "raise")] * 3
+    assert np.geterr() == before
+
+
+def test_errstate_fallback(monkeypatch):
+    # numpy without _make_extobj (numpy 1.x) enters np.errstate per call
+    with contextlib.suppress(ImportError):     # numpy 1.x has no numpy._core.umath
+        monkeypatch.delattr(importlib.import_module("numpy._core.umath"), "_make_extobj",
+                            raising=False)
+    fallback = load_lapack(monkeypatch, importlib.import_module("numpy.linalg._umath_linalg"))
+    assert fallback._make_extobj is None
+    assert run_under_raise(fallback) == run_under_raise(_lapack)
+    for name in sorted(PUBLIC):
+        a = stack(2, 3, np.complex128, name in HERMITIAN, seed=3)
+        assert_same(getattr(fallback, name)(a), PUBLIC[name](a))
