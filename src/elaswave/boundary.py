@@ -8,9 +8,11 @@ Rayleigh (and Stoneley) frequencies robust bisection targets.  The
 elliptic interval ends at tau_eta (`tau_limit`), found by bisecting on
 whether the spectrum is fully evanescent; those probes read the grouped
 spectrum alone (`_fully_evanescent`), without kernels or sign forms.  The
-root is the bisection's; a secant in the edge variable sqrt(1 - tau/tau_eta)
-only narrows the bracket first, so that the bisection needs few probes of
-its own, and a Stoneley probe builds its two sides as one stack.  Every
+root search is one loop on one bracket (`_Threshold`, which keeps the value
+at each end): where the bracket leaves a bisection midpoint open, a secant in
+the edge variable sqrt(1 - tau/tau_eta) (`_edge_secant`) narrows it first,
+so the bisection probes few midpoints of its own and its root is that of the
+bisection alone.  A Stoneley probe builds its two sides as one stack.  Every
 other computation on one side of a boundary (polynomial, spectrum,
 factorizations, impedances, projectors) goes through a `BoundarySide`.
 """
@@ -257,11 +259,13 @@ def iso_impedance_closed_form(m: Material, frame: BoundaryFrame) -> Impedance:
 
 class _Threshold:
     """A test value that is positive below an unknown threshold and not above
-    it.  The tightest bracket (below, above) of the values it has taken
-    answers, without running the test, whether t lies below the threshold."""
+    it.  The tightest bracket (below, above) of the values it has taken, with
+    the value at each end (f_below, f_above), answers, without running the
+    test, whether t lies below the threshold."""
 
     def __init__(self, test):
         self.test, self.below, self.above = test, -np.inf, np.inf
+        self.f_below = self.f_above = None
 
     def __call__(self, t: float) -> bool:
         if self.below < t < self.above:
@@ -271,33 +275,23 @@ class _Threshold:
     def value(self, t: float):
         v = self.test(t)
         if v > 0:
-            self.below = max(self.below, t)
-        else:
-            self.above = min(self.above, t)
+            if t > self.below:
+                self.below, self.f_below = t, v
+        elif t < self.above:
+            self.above, self.f_above = t, v
         return v
 
-    def answers(self, lo: float, hi: float) -> bool:
-        """Whether `_bisect(self, lo, hi)` would run no test: its walk meets
-        no midpoint strictly inside the bracket."""
-        def known(t: float) -> bool:
-            if self.below < t < self.above:
-                raise _Open
-            return t <= self.below
 
-        try:
-            _bisect(known, lo, hi)
-        except _Open:
-            return False
-        return True
-
-
-class _Open(Exception):
-    """A bisection midpoint that a _Threshold's bracket leaves open."""
-
-
-def _bisect(holds, lo: float, hi: float) -> float:
+def _bisect(holds: _Threshold, lo: float, hi: float, narrowing=None) -> float:
+    """Bisection of [lo, hi] on holds.  Where holds' bracket leaves a
+    midpoint open, the next probe of the generator `narrowing` runs first
+    and the midpoint is asked again; the midpoint is probed itself only
+    once `narrowing` is spent.  A bracket only tightens, so a midpoint it
+    answers keeps its answer: the root is that of the bisection alone."""
     while hi - lo > BISECTION_TOL * hi:
         mid = 0.5 * (lo + hi)
+        if holds.below < mid < holds.above and narrowing and next(narrowing, None) is not None:
+            continue
         if holds(mid):
             lo = mid
         else:
@@ -396,10 +390,11 @@ def _lambda_min(zmat: np.ndarray):
     return float(vals[0]), vecs[:, 0]
 
 
-def _regula_falsi(holds: _Threshold, a: float, fa: float, b: float, fb: float) -> None:
-    """Narrow the bracket of holds.value from fa > 0 at a to fb <= 0 at b
-    until `_bisect(holds, a, b)` has no midpoint left to probe, the bracket
-    is 1e-13 b wide or a numerical failure ends it.
+def _edge_secant(holds: _Threshold):
+    """Probes of holds.value that narrow its bracket, from f_below > 0 at a to
+    f_above <= 0 at b as it stands at the first probe, each yielded once run,
+    until the bracket is 1e-13 b wide, 100 probes have run or one raises a
+    NumericalDomainError.
 
     b lies EDGE_OFFSET below tau_eta, where lambda_min has a square-root
     branch, so in u = sqrt(1 - t/tau_eta) it is nearly linear: each step is
@@ -408,7 +403,7 @@ def _regula_falsi(holds: _Threshold, a: float, fa: float, b: float, fb: float) -
     than half the tolerance puts the root that close to the last point, so
     the probe goes one tolerance past that point instead, which closes the
     bracket around the root."""
-    lo, hi, tol, tau_eta = a, b, 1e-13 * b, b / (1.0 - EDGE_OFFSET)
+    tol, tau_eta = 1e-13 * holds.above, holds.above / (1.0 - EDGE_OFFSET)
 
     def u(t: float) -> float:
         return math.sqrt(max(1.0 - t / tau_eta, 0.0))
@@ -419,10 +414,11 @@ def _regula_falsi(holds: _Threshold, a: float, fa: float, b: float, fb: float) -
         root = uq - fq * (uq - up) / (fq - fp) if fq != fp else math.nan
         return tau_eta * (1.0 - root * root)
 
-    p, fp, q, fq = a, fa, b, fb      # the last two points, q the latest
+    p, fp, q, fq = holds.below, holds.f_below, holds.above, holds.f_above  # q the latest
     with suppress(NumericalDomainError):
         for _ in range(100):
-            if b - a <= tol or holds.answers(lo, hi):
+            a, fa, b, fb = holds.below, holds.f_below, holds.above, holds.f_above
+            if b - a <= tol:
                 return
             c = zero(p, fp, q, fq)
             if not a < c < b:
@@ -431,20 +427,16 @@ def _regula_falsi(holds: _Threshold, a: float, fa: float, b: float, fb: float) -
                 c = q + tol if fq > 0 else q - tol
             elif not a < c < b:
                 c = 0.5 * (a + b)
-            fc = holds.value(c)
-            if fc > 0:
-                a, fa = c, fc
-            else:
-                b, fb = c, fc
-            p, fp, q, fq = q, fq, c, fc
+            p, fp, q, fq = q, fq, c, holds.value(c)
+            yield c
 
 
 def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     """Root of lambda_min(zfun(tau)) by bisection on [1e-3, 1 - EDGE_OFFSET]
-    tau_eta.  The bisection reads only the sign of lambda_min at its own
-    midpoints, so the root is that of a plain bisection; `_regula_falsi`
-    first narrows the bracket from the end values, and the bisection then
-    probes only the midpoints left inside it (usually none).
+    tau_eta, with `_edge_secant` narrowing the bracket wherever a midpoint
+    is open.  The bisection reads only the sign of lambda_min at its own
+    midpoints, so the root is that of a plain bisection; the narrowing
+    leaves it few midpoints to probe itself (usually none).
 
     GlancingLimit where an end's frame glances.  NoSurfaceWave where
     lambda_min stays positive up to the high end, or where it is not
@@ -453,9 +445,9 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     convex (isotropic lambda <= -mu has no subsonic Rayleigh wave)."""
     t_lo = 1e-3 * tau_eta
     t_hi = (1.0 - EDGE_OFFSET) * tau_eta
+    holds = _Threshold(lambda t: _lambda_min(zfun(t))[0])
     try:
-        f_lo, _ = _lambda_min(zfun(t_lo))
-        f_hi, _ = _lambda_min(zfun(t_hi))
+        f_lo, f_hi = holds.value(t_lo), holds.value(t_hi)
     except GlancingSpectrum as exc:
         raise GlancingLimit(f"cannot evaluate near tau_eta: {exc}") from exc
     if f_lo <= 0:
@@ -464,9 +456,7 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     if f_hi > 0:
         raise NoSurfaceWave("smallest impedance eigenvalue stays positive "
                             "on the elliptic interval")
-    holds = _Threshold(lambda t: _lambda_min(zfun(t))[0])
-    _regula_falsi(holds, t_lo, f_lo, t_hi, f_hi)
-    tau_r = _bisect(holds, t_lo, t_hi)
+    tau_r = _bisect(holds, t_lo, t_hi, _edge_secant(holds))
     zr = zfun(tau_r)
     _, vec = _lambda_min(zr)
     det_res = float(abs(_lapack.det(zr)) / max(np.linalg.norm(zr) ** 3, 1e-300))

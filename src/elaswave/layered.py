@@ -12,6 +12,7 @@ numbered downward, and the half-space lies below the last layer.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,10 +285,12 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         share one crossing time, thickness |delay|, in each generation.
 
     If the sides' stack raises, each side and law is built alone on first
-    use instead; if the laws' stack raises, each law is.  A law whose build
-    fails keeps its error, and every segment meeting it ends as a glancing
-    leaf with the error as its note.  Where the shared delay depends on the
-    trace, `group_delay` runs per child.
+    use instead; if their factorizations' stack raises, the sides keep their
+    classifications and each factorizes alone on first use; if the laws'
+    stack raises, each law is built alone.  A law whose build fails keeps
+    its error, and every segment meeting it ends as a glancing leaf with the
+    error as its note.  Where the shared delay depends on the trace,
+    `group_delay` runs per child.
 
     The queue is expanded one generation (tree depth) at a time: the
     segments of a generation that meet the same law scatter as one block,
@@ -297,6 +300,9 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     Each event is kept as a row, the dict of its RayEvent's fields, while
     the tree grows, and becomes that RayEvent's __dict__ at the end.
     """
+    for name, value in (("max_events", max_events), ("source_layer", source_layer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if max_events < 1:
         raise ValidationError("max_events must be at least 1")
     if not 0.0 <= amplitude_floor < np.inf:
@@ -356,10 +362,11 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     try:
         built = _stacked_sides([(stack.material(layer), [frames[d] for d in dirs])
                                 for layer, dirs in enumerate(directions)])
-        _stacked_factorizations([sd for row in built for sd in row
-                                 if not sd.classification.glancing])
     except ElasticError:    # each side is then built alone on first use
         built = []
+    with suppress(ElasticError):    # each side then factorizes alone on first use
+        _stacked_factorizations([sd for row in built for sd in row
+                                 if not sd.classification.glancing])
     sides.update(((layer, d), sd) for layer, (dirs, row) in enumerate(zip(directions, built))
                  for d, sd in zip(dirs, row))
     # With the sides stacked, the laws whose sides do not glance are built
@@ -368,10 +375,8 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
            if built and not any(sd.classification.glancing for sd in law_sides(layer, d))]
     src = side_incoming_mode(side(source_layer, "down"), source_mode)
     if due:
-        try:
+        with suppress(ElasticError):    # each law is then built alone on first use
             laws.update(zip(due, _scatter_operators([law_sides(*key) for key in due])))
-        except ElasticError:    # each law is then built alone on first use
-            pass
     # The delays of the source's mode and of every (side, s) a built law
     # sends waves to, as one stack.
     targets = [(source_layer, "down", src.s_in)]

@@ -98,7 +98,7 @@ def side_incoming_mode(side: BoundarySide, mode: int = 0) -> TraceField:
     its real incoming eigenvalues s, ascending (InvalidInput if it is not a
     non-negative integer, NoIncomingMode past the last s), and a vector of
     ker A(s) is scaled to unit flux +tau (A'(s)g|g)/2 = 1."""
-    if not (isinstance(mode, (int, np.integer)) and mode >= 0):
+    if isinstance(mode, bool) or not (isinstance(mode, (int, np.integer)) and mode >= 0):
         raise InvalidInput(f"mode must be a non-negative index, got {mode!r}")
     a, frame = side.poly, side.frame
     reals = sorted(side.projectors("incoming").psi.keys())

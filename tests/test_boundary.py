@@ -553,7 +553,7 @@ def unhinted(poisson, ti, rotated_ti, iso, hard):
     """Every scan with neither the limiting-tau hint nor the root hint."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boundary, "_limiting_tau", lambda core, rho: None)
-        mp.setattr(boundary, "_regula_falsi", lambda *args: None)
+        mp.setattr(boundary, "_edge_secant", lambda *args: None)
         return _scans(poisson, ti, rotated_ti, iso, hard)
 
 
@@ -587,7 +587,7 @@ def _outcome(solve):
 
 
 class TestHintsOnlySaveProbes:
-    """The Barnett-Lothe limit and the regula falsi root choose which
+    """The Barnett-Lothe limit and the edge-secant narrowing choose which
     bisection probes run; a wrong or missing hint costs probes only."""
 
     @pytest.mark.parametrize("factor,root_hint", [
@@ -598,7 +598,7 @@ class TestHintsOnlySaveProbes:
         monkeypatch.setattr(boundary, "_limiting_tau", lambda core, rho: (
             None if factor is None else factor * real(core, rho)))
         if not root_hint:
-            monkeypatch.setattr(boundary, "_regula_falsi", lambda *args: None)
+            monkeypatch.setattr(boundary, "_edge_secant", lambda *args: None)
         for got, want in zip(_scans(poisson, ti, rotated_ti, iso, hard), unhinted,
                              strict=True):
             if isinstance(want, float):
@@ -638,6 +638,46 @@ class TestHintsOnlySaveProbes:
         stoneley_speed(iso, hard, NU, EHAT)
         assert calls["factorize"] == 0 and calls["stack"] <= 10
 
+    def test_failing_probe_ends_the_narrowing(self, poisson, iso, hard, monkeypatch):
+        # A narrowing probe that raises a NumericalDomainError ends the
+        # narrowing: no probe of it follows, the bisection probes the
+        # midpoints itself, and every float is that of bisection alone.
+        solves = (lambda: rayleigh_speed(poisson, NU, EHAT),
+                  lambda: stoneley_speed(iso, hard, NU, EHAT))
+        real_lambda_min, evaluated = boundary._lambda_min, [0]
+
+        def counting(zmat):
+            evaluated[0] += 1
+            return real_lambda_min(zmat)
+
+        def run(solve):
+            evaluated[0] = 0
+            return solve(), evaluated[0]
+
+        monkeypatch.setattr(boundary, "_lambda_min", counting)
+        with monkeypatch.context() as mp:
+            mp.setattr(boundary, "_edge_secant", lambda *args: None)
+            bisected = [run(solve) for solve in solves]
+        real, failed = boundary._edge_secant, []
+
+        def failing_first(holds):
+            test = holds.test
+
+            def fail(t):
+                holds.test = test
+                failed.append(t)
+                raise NumericalDomainError("forced probe failure")
+
+            holds.test = fail
+            return real(holds)
+
+        monkeypatch.setattr(boundary, "_edge_secant", failing_first)
+        for solve, (want, n_want) in zip(solves, bisected):
+            got, n_got = run(solve)
+            _same_result(got, want)
+            assert n_got == n_want
+        assert len(failed) == len(solves)
+
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["triclinic", "rotated_ti"]),
            azimuth=st.floats(0.0, 2.0 * np.pi), stoneley=st.booleans())
     def test_same_floats_as_bisection(self, seed, kind, azimuth, stoneley):
@@ -653,7 +693,7 @@ class TestHintsOnlySaveProbes:
             solve = lambda: rayleigh_speed(m, NU, eta_hat)  # noqa: E731
         got = _outcome(solve)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(boundary, "_regula_falsi", lambda *args: None)
+            mp.setattr(boundary, "_edge_secant", lambda *args: None)
             want = _outcome(solve)
         if isinstance(want, tuple):
             assert got == want

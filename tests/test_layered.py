@@ -323,7 +323,9 @@ class TestTracePlaneWave:
         for bad in ({"max_events": 0}, {"eta": (0.1, 0.0, 0.2)},
                     {"eta": (0.1,)}, {"source_layer": 1},
                     {"amplitude_floor": -1.0}, {"amplitude_floor": float("nan")},
-                    {"amplitude_floor": float("inf")}):
+                    {"amplitude_floor": float("inf")}, {"max_events": 2.5},
+                    {"max_events": float("inf")}, {"max_events": True},
+                    {"source_layer": 0.5}, {"source_layer": 0.0}, {"source_layer": False}):
             kwargs = {"eta": (0.0, 0.0), **bad}
             with pytest.raises(ValidationError):
                 trace_plane_wave(stack, tau=-1.0, **kwargs)
@@ -576,23 +578,33 @@ class TestStackedSides:
         assert notes == {"spectrum has a glancing real eigenvalue"}
 
     def test_failing_outgoing_stack(self, ti_stack, monkeypatch):
-        # An outgoing factorization stack that raises leaves every side to be
-        # built alone, whose factorizations do not pass through the stack.
+        # An outgoing factorization stack that raises leaves each side to
+        # factorize alone, outside the stack; the sides keep the one
+        # classification stack of all 2n + 1 of them, and none is
+        # classified alone.
         trees = [trace_plane_wave(ti_stack, eta, tau, max_events=64)
                  for eta, tau in TI_STACK_FRAMES]
-        stacks = []
+        stacks, classified = [], []
 
         def failing(polys, *args):
             stacks.append(len(polys))
             raise IllConditionedJ("forced failure")
 
+        def classifying(polys, _real=boundary._classify):
+            classified.append(len(polys))
+            return _real(polys)
+
         monkeypatch.setattr(boundary, "_factorize", failing)
+        monkeypatch.setattr(boundary, "_classify", classifying)
+        monkeypatch.setattr(boundary, "classify_spectrum", lambda a: pytest.fail(
+            "a side was classified alone"))
         for tree, (eta, tau) in zip(trees, TI_STACK_FRAMES):
             again = trace_plane_wave(ti_stack, eta, tau, max_events=64)
             assert tree_digest(again) == tree_digest(tree)
             for e, f in zip(again.events, tree.events):
                 assert np.array_equal(e.amplitude, f.amplitude)
         assert len(stacks) == len(TI_STACK_FRAMES) and min(stacks) > 1
+        assert classified == [2 * len(ti_stack.layers) + 1] * len(TI_STACK_FRAMES)
 
     def test_sides_match_fresh_sides(self, ti_stack, bench_stack, monkeypatch):
         built = recording_stacked_sides(monkeypatch)

@@ -48,12 +48,13 @@ class TestIncomingMode:
 
     def test_mode_is_an_index(self, iso):
         # Two incoming modes here, s ~ 0.5 and 2.0: an index past the last
-        # one is not read as a slowness, and a negative one is no index.
+        # one is not read as a slowness, and a negative one or a bool is no
+        # index.
         fr = frame(np.sqrt(5.0))
         assert incoming_mode(iso, fr, 1).s_in == 1.999999999999998
         with pytest.raises(NoIncomingMode):
             incoming_mode(iso, fr, 2)
-        for bad in (-1, 2.0):
+        for bad in (-1, 2.0, True):
             with pytest.raises(InvalidInput):
                 incoming_mode(iso, fr, bad)
 

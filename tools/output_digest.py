@@ -30,6 +30,9 @@ names of the lines that differ, and exits 1 if any does.  It covers
     a stiffer, denser copy of itself, which often carries a wave, and two
     unrelated materials, which mostly raise NoSurfaceWave), at seeded
     azimuths;
+  * surface_wave_probes: the number of Schur forms (factorization._schur
+    calls) of each solve of the two lines above, so that a change to the
+    root search shows whether it keeps the probes, not only the floats;
   * trees: the event trees of the layered_trace workload, as JSON, the
     same frames again with event budgets of 1 and 2, with the source in
     layer 1 and with source mode 1 (laws, incoming projectors and delays
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -219,11 +223,38 @@ def _run_ops(workload, rounds: int) -> list:
     return [op.run() for k in range(rounds) for op in workload.round(k)]
 
 
-def surface_wave_digest(seed: int, directory: str) -> str:
+def surface_wave_solves(seed: int, directory: str) -> list:
+    """The seeded Rayleigh and Stoneley solves of two surface_waves rounds."""
     w = workloads.SurfaceWaves(seed, directory)
     w.setup()
+    return [op.run for k in range(2) for op in w.round(k)]
+
+
+def schur_counts(solves: list) -> tuple[list, list]:
+    """Each solve's outcome, and the number of Schur forms it took: its
+    calls of factorization._schur, one per probe stack."""
+    real, count = fz._schur, [0]
+
+    def counting(s6):
+        count[0] += 1
+        return real(s6)
+
+    outcomes, counts = [], []
+    fz._schur = counting
+    try:
+        for solve in solves:
+            count[0] = 0
+            outcomes.append(_outcome(solve))
+            counts.append(count[0])
+    finally:
+        fz._schur = real
+    return outcomes, counts
+
+
+def _hash(*objs) -> str:
     h = hashlib.sha256()
-    _feed(h, _run_ops(w, 2))
+    for obj in objs:
+        _feed(h, obj)
     return h.hexdigest()
 
 
@@ -249,9 +280,11 @@ def _stiffer_copy(m, rng) -> mt.Material:
     return mt.Material(stiffness, 3.0 * m.density, "stiffer")
 
 
-def anisotropic_surface_wave_digest(seed: int) -> str:
+def anisotropic_surface_wave_solves(seed: int) -> list:
+    """The seeded Rayleigh and Stoneley solves of the
+    surface_waves_anisotropic line."""
     makers = dict(workloads.MATERIAL_CLASSES)
-    h = hashlib.sha256()
+    out = []
     for k in range(SURFACE_WAVE_ROUNDS):
         rng = np.random.default_rng([seed, 11, k])
         tri, rti = makers["triclinic"](rng)(), makers["rotated_ti"](rng)()
@@ -261,8 +294,8 @@ def anisotropic_surface_wave_digest(seed: int) -> str:
         for solve, materials in solves:
             ang = rng.uniform(0.0, 2.0 * np.pi)
             eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
-            _feed(h, _outcome(lambda: solve(*materials, workloads.NU, eta_hat)))
-    return h.hexdigest()
+            out.append(functools.partial(solve, *materials, workloads.NU, eta_hat))
+    return out
 
 
 def _glancing_frame(stack, eta) -> tuple:
@@ -396,9 +429,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as directory:
         lines = cli_digests(directory)
         trees = digest_trees(args.seed, directory)
-        lines += [("spectra", spectra_digest(args.seed)),
-                  ("surface_waves", surface_wave_digest(args.seed, directory)),
-                  ("surface_waves_anisotropic", anisotropic_surface_wave_digest(args.seed)),
+        spectra = spectra_digest(args.seed)
+        surface, probes = schur_counts(surface_wave_solves(args.seed, directory))
+        anisotropic, anisotropic_probes = schur_counts(
+            anisotropic_surface_wave_solves(args.seed))
+        lines += [("spectra", spectra),
+                  ("surface_waves", _hash(surface)),
+                  ("surface_waves_anisotropic", _hash(*anisotropic)),
+                  ("surface_wave_probes", _hash(probes, anisotropic_probes)),
                   ("trees", tree_digest(trees)),
                   ("tree_shapes", tree_shape_digest(trees)),
                   ("errors", errors_digest(args.seed))]
