@@ -12,15 +12,28 @@ np.linalg function: the same numbers, only slower.  np.linalg's error state
 built once and set around each call through numpy 2's error-state context
 variable, then reset to the caller's; a numpy without it (1.x) enters a
 fresh np.errstate per call instead (with numpy 2.4 on an Intel Xeon, 1.1 us
-a call against 0.26 us).  LAPACK's complex Schur form and its reordering,
-zgees and ztrsen, are bound here too.
+a call against 0.26 us).
+
+LAPACK's complex Schur form and its reordering, zgees and ztrsen, are bound
+here too, from scipy's compiled LAPACK module scipy.linalg._flapack loaded
+alone: `import scipy.linalg.lapack` would load all of scipy.linalg (about
+300 modules and 28 MB of resident memory, half the start-up time of a CLI
+call) for these two functions.  The module is loaded from scipy's directory
+without importing scipy, under its real name, and its sys.modules entry is
+removed again, so that a later `import scipy.linalg` builds its own and
+finds it as an attribute; a process that has already imported it lends its
+module.  Where scipy's directory or the file is not found, scipy.linalg.lapack
+gives the same functions.
 """
 from __future__ import annotations
 
 import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
-import scipy.linalg.lapack
 
 try:
     _GUFUNCS = importlib.import_module("numpy.linalg._umath_linalg")
@@ -91,7 +104,27 @@ def eigvals(a: np.ndarray) -> np.ndarray:
     return w.real if a.dtype.kind != "c" and (w.imag == 0).all() else w
 
 
+def _flapack():
+    """scipy.linalg._flapack, without importing scipy.linalg."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy.submodule_search_locations if scipy else None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                sys.modules.pop(name, None)  # the load adds it; scipy.linalg adds its own
+                return module
+    return importlib.import_module("scipy.linalg.lapack")
+
+
 # The workspace size of zgees on a 6x6 Stroh matrix is queried once rather
 # than on every call.
-zgees, ztrsen = scipy.linalg.lapack.zgees, scipy.linalg.lapack.ztrsen
+_FLAPACK = _flapack()
+zgees, ztrsen = _FLAPACK.zgees, _FLAPACK.ztrsen
 ZGEES_LWORK = int(zgees(lambda x: None, np.eye(6, dtype=complex), lwork=-1)[-2][0].real)

@@ -12,6 +12,7 @@ numbered downward, and the half-space lies below the last layer.
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -303,6 +304,9 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     for name, value in (("max_events", max_events), ("source_layer", source_layer)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("tau", tau), ("amplitude_floor", amplitude_floor)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
     if max_events < 1:
         raise ValidationError("max_events must be at least 1")
     if not 0.0 <= amplitude_floor < np.inf:

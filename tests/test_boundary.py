@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import elaswave
 from elaswave import boundary, factorization
 from elaswave.acoustic import acoustic_tensor, fibonacci_sphere
 from elaswave.boundary import (
@@ -699,19 +694,6 @@ class TestHintsOnlySaveProbes:
             assert got == want
         else:
             _same_result(got, want)
-
-    def test_cli_import_leaves_scipy_optimize_out(self):
-        # Importing scipy.optimize (for brentq, say) adds 20.7 MB of resident
-        # memory (55.4 -> 76.1 MB measured), about three times the 10 % bound
-        # the benchmark puts on peak_rss_mb, so the root finders are written out.
-        src = os.path.dirname(os.path.dirname(elaswave.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, elaswave.cli; print('scipy.optimize' in sys.modules)"],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-            check=True)
-        assert done.stdout.strip() == "False"
 
 
 class TestEllipticityMargin:

@@ -1,7 +1,11 @@
-"""elaswave._lapack gives np.linalg's numbers and errors, bit for bit."""
+"""elaswave._lapack gives np.linalg's numbers and errors, bit for bit, and
+scipy's zgees and ztrsen without importing scipy.linalg."""
 import contextlib
 import importlib.util
+import os
+import subprocess
 import sys
+import textwrap
 import types
 import warnings
 
@@ -9,6 +13,9 @@ import numpy as np
 import pytest
 
 from elaswave import _lapack
+from elaswave.factorization import BoundaryFrame, boundary_polynomial, stroh
+
+from conftest import NU, random_triclinic
 
 PUBLIC = {
     "inv": np.linalg.inv,
@@ -180,3 +187,108 @@ def test_errstate_fallback(monkeypatch):
     for name in sorted(PUBLIC):
         a = stack(2, 3, np.complex128, name in HERMITIAN, seed=3)
         assert_same(getattr(fallback, name)(a), PUBLIC[name](a))
+
+
+SRC = os.path.dirname(os.path.dirname(_lapack.__file__))
+
+# Runs first in a fresh interpreter to make elaswave._lapack fall back to
+# scipy.linalg.lapack: importlib.util.find_spec("scipy") then finds no spec,
+# or numpy's, whose directory has a linalg/ but no _flapack file in it.
+HIDE = {
+    name: f"""
+        import importlib.util
+        _find = importlib.util.find_spec
+        importlib.util.find_spec = lambda name, package=None: (
+            {found} if name == "scipy" else _find(name, package))
+    """
+    for name, found in (("spec", "None"), ("file", '_find("numpy")'))
+}
+
+
+def fresh_python(code: str, *args, hide: str | None = None) -> str:
+    """Standard output of `code` run in a fresh interpreter that imports this
+    elaswave, after HIDE[hide] where `hide` is given."""
+    code = textwrap.dedent(HIDE[hide] if hide else "") + textwrap.dedent(code)
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_cli_import_footprint():
+    # scipy.linalg (with numpy.f2py, which it loads) would add about 25 MB of
+    # resident memory to the ~34 MB of `import elaswave.cli` and double its
+    # start-up time; scipy.optimize (for brentq, say) loads scipy.linalg and
+    # 20.7 MB more.  Either is well past the 10 % bound the benchmark puts on
+    # peak_rss_mb, so only scipy's compiled LAPACK module is loaded and the
+    # root finders are written out.
+    assert fresh_python("""
+        import sys, elaswave.cli
+        print([m for m in ("scipy.linalg", "numpy.f2py", "scipy.optimize") if m in sys.modules])
+    """) == "[]"
+
+
+def test_scipy_linalg_imported_later_keeps_its_flapack():
+    # the loaded module left in sys.modules would hide it from scipy.linalg
+    assert fresh_python("""
+        import sys, elaswave._lapack, scipy.linalg
+        print(scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"],
+              scipy.linalg.lapack.zgees is scipy.linalg._flapack.zgees)
+    """) == "True True"
+
+
+def test_loaded_flapack_is_reused():
+    # and left in sys.modules, where scipy.linalg put it
+    assert fresh_python("""
+        import sys, scipy.linalg, elaswave._lapack as lapack
+        print(lapack._FLAPACK is sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack)
+    """) == "True"
+
+
+@pytest.mark.parametrize("hide", sorted(HIDE))
+def test_forced_fallback(hide):
+    assert fresh_python("""
+        import elaswave._lapack as lapack, scipy.linalg.lapack
+        print(lapack._FLAPACK is scipy.linalg.lapack,
+              lapack.zgees is scipy.linalg.lapack.zgees,
+              lapack.ztrsen is scipy.linalg.lapack.ztrsen)
+    """, hide=hide) == "True True True"
+
+
+SCHUR = """
+    import sys
+    import numpy as np
+    from elaswave import _lapack
+    rows = {"t": [], "z": [], "sdim": [], "info": []}
+    for s6 in np.load(sys.argv[1]):
+        t, _, _, z, _, info = _lapack.zgees(lambda x: None, s6, lwork=_lapack.ZGEES_LWORK)
+        select = np.zeros(6, dtype=np.int32)
+        select[np.argsort(-t.diagonal().imag, kind="stable")[:3]] = 1
+        t, z, _, sdim, _, _, info2 = _lapack.ztrsen(select, t, z, job="N")
+        for key, value in zip(rows, (t, z, sdim, (info, info2))):
+            rows[key].append(value)
+    np.savez(sys.argv[2], **rows)
+    print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_both_paths_give_the_same_bits(tmp_path):
+    # the Schur form and its reordering on seeded 6x6 Stroh matrices, from
+    # the loaded module and from the scipy.linalg.lapack fallback
+    rng = np.random.default_rng(25)
+    strohs = [stroh(boundary_polynomial(
+                  random_triclinic(rng),
+                  BoundaryFrame(NU, np.array([rng.uniform(0.5, 1.5), 0.0, 0.0]),
+                                -rng.uniform(0.05, 2.6))))
+              for _ in range(12)]
+    np.save(tmp_path / "stroh.npy", np.array(strohs))
+    got = {}
+    for hide in (None, "spec"):
+        out = tmp_path / f"{hide}.npz"
+        assert fresh_python(SCHUR, tmp_path / "stroh.npy", out,
+                            hide=hide) == str(hide is not None)
+        with np.load(out) as saved:
+            got[hide] = dict(saved)
+    assert (got[None]["sdim"] == 3).all() and (got[None]["info"] == 0).all()
+    for key in ("t", "z", "sdim", "info"):
+        assert np.array_equal(got[None][key], got["spec"][key])

@@ -325,10 +325,12 @@ class TestTracePlaneWave:
                     {"amplitude_floor": -1.0}, {"amplitude_floor": float("nan")},
                     {"amplitude_floor": float("inf")}, {"max_events": 2.5},
                     {"max_events": float("inf")}, {"max_events": True},
-                    {"source_layer": 0.5}, {"source_layer": 0.0}, {"source_layer": False}):
-            kwargs = {"eta": (0.0, 0.0), **bad}
+                    {"source_layer": 0.5}, {"source_layer": 0.0}, {"source_layer": False},
+                    {"tau": True}, {"tau": np.bool_(True)}, {"tau": "-1.0"},
+                    {"amplitude_floor": True}, {"amplitude_floor": False}):
+            kwargs = {"eta": (0.0, 0.0), "tau": -1.0, **bad}
             with pytest.raises(ValidationError):
-                trace_plane_wave(stack, tau=-1.0, **kwargs)
+                trace_plane_wave(stack, **kwargs)
 
 
 def forced_failure(*args, **kwargs):
