@@ -90,14 +90,14 @@ eigh = _bound("eigh_lo", "d->dd", "D->dD", _EIG, np.linalg.eigh)
 svd = _bound("svd_f", "d->ddd", "D->DdD", _SVD, np.linalg.svd)
 svdvals = _bound("svd", "d->d", "D->d", _SVD,
                  lambda a: np.linalg.svd(a, compute_uv=False))
-_eigvals = _bound("eigvals", "d->D", "D->D", _EIG, None)
+_eigvals = _bound("eigvals", "d->D", "D->D", _EIG, np.linalg.eigvals)   # no finiteness check
 
 
 def eigvals(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvals: complex, or real where a is real and so is every
     eigenvalue of the stack."""
-    if _eigvals is None:
-        return np.linalg.eigvals(a)
+    if _eigvals is np.linalg.eigvals:
+        return _eigvals(a)
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     w = _eigvals(a)

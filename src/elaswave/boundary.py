@@ -300,14 +300,13 @@ def _bisect(holds: _Threshold, lo: float, hi: float, narrowing=None) -> float:
 
 
 def _limiting_tau(core, rho: float) -> float | None:
-    """Barnett-Lothe limit tau_L: rho tau_L^2 is the minimum over real s of
-    lambda_min(l(eta_hat + s nu)), taken on a grid over the angle theta of
-    eta_hat + s nu (s = tan theta) that zooms in around its smallest value,
-    6 times.  It only places tau_limit's first two probes: on 720 seeded
-    tau_limit calls (4 material classes) 6 zooms cost the probes 7 did, 5
-    sent three of them to 13-23 probes."""
+    """Barnett-Lothe limit tau_L, which places tau_limit's first two probes:
+    rho tau_L^2 is the least f(t) = lambda_min(l(eta_hat + t nu)) over real t,
+    from a grid over theta = atan t refined by `_newton_minimum` or, where that
+    fails, by 5 zooms of the grid around its least point (on 720 seeded calls, 7
+    grids placed the probes no better than 6, and 5 sent 3 calls to 13-23 probes)."""
     lo, hi = -0.5 * np.pi, 0.5 * np.pi
-    for _ in range(6):
+    for zoom in range(6):
         theta = (np.arange(34.0) * ((hi - lo) / 33) + lo)[1:-1]    # np.linspace's points
         cos = np.cos(theta)
         c, s = cos[:, None, None], np.sin(theta)[:, None, None]
@@ -315,7 +314,31 @@ def _limiting_tau(core, rho: float) -> float | None:
         vals = _lapack.eigvalsh(l_xi)[:, 0] / cos ** 2
         k = int(np.argmin(vals))
         lo, hi = theta[max(k - 1, 0)], theta[min(k + 1, 31)]
-    return float(np.sqrt(vals[k] / rho)) if vals[k] > 0 else None
+        least = float(vals[k]) if zoom else _newton_minimum(core, theta[k], lo, hi)
+        if zoom == 0 and least is not None:
+            break
+    return math.sqrt(least / rho) if least > 0 else None
+
+
+def _newton_minimum(core, theta: float, lo: float, hi: float) -> float | None:
+    """Least f(t) = lambda_min(t^2 A0 + t (A1 + A1*) + l(eta_hat)) met by Newton
+    steps from t = tan theta until one is <= 1e-9 (1 + |t|), f' and f'' by central
+    differences on one eigvalsh stack at t, t +- h (eigenvector slopes fail at an
+    isotropic double minimum); None if f'' <= 0, t leaves tan (lo, hi) or 8 pass."""
+    t, lo, hi = np.tan([theta, lo, hi]).tolist()
+    a0, a1, l_eta, least = core.a0.real, core.a1_sym.real, core.l_eta, math.inf
+    for _ in range(8):
+        h = 1e-4 * (1.0 + abs(t))
+        ts = np.array([t - h, t, t + h])[:, None, None]
+        f_lo, f_t, f_hi = _lapack.eigvalsh(ts * ts * a0 + ts * a1 + l_eta)[:, 0].tolist()
+        least, curvature = min(least, f_lo, f_t, f_hi), f_hi - 2.0 * f_t + f_lo
+        step = 0.5 * h * (f_lo - f_hi) / curvature if curvature > 0.0 else math.inf
+        t += step
+        if not lo < t < hi:     # also where the curvature (a Python float) is not positive
+            return None
+        if abs(step) <= 1e-9 * (1.0 + abs(t)):
+            return least
+    return None
 
 
 def _fully_evanescent(a) -> bool:
@@ -332,9 +355,9 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> float:
 
     For isotropic media this is c_s |eta|; in general it is the limiting
     velocity of the slowest family along (nu, eta_hat).  Probes at (1 -+ 1e-12)
-    times the Barnett-Lothe limit bracket it first; the bisection keeps its floats.
-    Each probe asks `_fully_evanescent` of the polynomial at tau: one Schur
-    form, no kernels.
+    times the Barnett-Lothe limit (`_limiting_tau`: one grid pass, then Newton
+    steps) bracket it first; the bisection keeps its floats.  Each probe asks
+    `_fully_evanescent` of the polynomial at tau: one Schur form, no kernels.
     """
     return _tau_limit(m, nu, eta_hat)[0]
 

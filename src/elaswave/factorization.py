@@ -662,9 +662,9 @@ def _check_roots(residual: float, gap: float, scale: float) -> None:
     """Raise the error of a factorization's first failed check: a solvency
     residual above 1e-10, or right and left root spectra within 1e-6 of
     their size (scale) of each other."""
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise SolvencyResidual(f"solvency residual {residual:g} exceeds 1e-10")
-    if gap <= 1e-6 * scale:
+    if not gap > 1e-6 * scale:
         raise GlancingSpectrum(f"right/left root spectra nearly intersect (gap {gap:g})")
 
 
@@ -691,7 +691,9 @@ def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarr
     a0, a1_sym, a2, _, scales = coefficients
     residuals = [r / scale for r, scale in zip(_fro(_solvent(a0, a1_sym, a2, q)).tolist(),
                                                   scales)]
-    spectra = _lapack.eigvals(np.concatenate((q, q_sharp)))
+    for residual in (r for r in residuals if not math.isfinite(r)):  # before eigvals sees it
+        _check_roots(residual, math.inf, 1.0)
+    spectra = _lapack._eigvals(np.concatenate((q, q_sharp)))
     eq, es = spectra[:n], spectra[n:]
     sizes = np.abs(spectra).max(axis=1)
     sizes = np.maximum(np.maximum(sizes[:n], sizes[n:]), 1e-300).tolist()

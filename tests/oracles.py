@@ -156,6 +156,26 @@ def stoneley_speed_fresh_sides(m_plus, m_minus, nu, eta_hat):
     return _surface_wave_bisect(zfun, tau_eta)
 
 
+# --- the Barnett-Lothe limit by grid zooms alone ------------------------------
+
+def limiting_tau_zoom(core, rho: float, zooms: int = 6, points: int = 32):
+    """tau_L with rho tau_L^2 the least lambda_min(l(eta_hat + t nu)) over real
+    t, by zooms alone: `points` angles theta = atan t inside (-pi/2, pi/2),
+    then `zooms - 1` times as many inside the cell around the least value so
+    far.  With the defaults this is, bit for bit, boundary._limiting_tau where
+    its Newton step fails; more points and zooms give a fine reference."""
+    lo, hi = -0.5 * np.pi, 0.5 * np.pi
+    for _ in range(zooms):
+        theta = (np.arange(points + 2.0) * ((hi - lo) / (points + 1)) + lo)[1:-1]
+        cos = np.cos(theta)
+        c, s = cos[:, None, None], np.sin(theta)[:, None, None]
+        l_xi = s * s * core.a0.real + s * c * core.a1_sym.real + c * c * core.l_eta
+        vals = np.linalg.eigvalsh(l_xi)[:, 0] / cos ** 2
+        k = int(np.argmin(vals))
+        lo, hi = theta[max(k - 1, 0)], theta[min(k + 1, points - 1)]
+    return float(np.sqrt(vals[k] / rho)) if vals[k] > 0 else None
+
+
 # --- frame grids, one frame after another ------------------------------------
 
 def classify_with_margin_per_frame(materials, frames) -> list:

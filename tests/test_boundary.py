@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -47,6 +49,7 @@ from elaswave.materials import (
 from conftest import NU, random_triclinic, region_of, sample_frames
 from oracles import (
     C_R_POISSON,
+    limiting_tau_zoom,
     rayleigh_secular_roots,
     rayleigh_secular_speed,
     rayleigh_speed_fresh_sides,
@@ -311,6 +314,114 @@ class TestTauLimit:
             tau_limit(iso, NU, EHAT)
 
 
+def _limit_frame(kind: str, rng) -> tuple:
+    """(material, eta_hat) of a seeded frame of one kind; a sagittal TI has its
+    axis in the plane of nu and eta_hat."""
+    azimuth = rng.uniform(0.0, 2.0 * np.pi)
+    eta_hat = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
+    if kind == "isotropic":     # lambda_min of l is a double eigenvalue
+        m = make_isotropic(rng.uniform(0.1, 3.0), rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0))
+    elif kind == "ti_axis_nu":
+        m = _random_rotated_ti(rng, NU)
+    elif kind == "rotated_ti":
+        m = _random_rotated_ti(rng)
+    elif kind == "triclinic":
+        m = random_triclinic(rng)
+    else:
+        tilt = rng.uniform(0.0, np.pi)
+        m = _random_rotated_ti(rng, np.cos(tilt) * NU + np.sin(tilt) * eta_hat)
+    return m, eta_hat
+
+
+def _limit_core(m, eta_hat):
+    return boundary_polynomial(m, BoundaryFrame(NU, eta_hat, -1.0)).core
+
+
+def _lying_eigvalsh(lie: str, stacks: list):
+    """_lapack.eigvalsh that, on a Newton step's stack of three, reports the
+    values (f(t - h), f(t), f(t + h)) with a negative curvature, a slope that
+    sends the step out of its grid cell, or a slope that moves each step
+    +-h off the true one, so that no step converges; stacks counts the
+    stacks of three."""
+    real, sign = boundary._lapack.eigvalsh, [1.0]
+
+    def eigvalsh(a):
+        vals = real(a)
+        if a.shape == (3, 3, 3):
+            stacks.append(len(stacks))
+            f_lo, f_t, f_hi = vals[:, 0].tolist()
+            curvature = f_hi - 2.0 * f_t + f_lo
+            tilt = {"curvature": 0.0, "leaves": 1e6, "stalls": sign[0]}[lie] * curvature
+            sign[0] = -sign[0]
+            vals[:, 0] = (f_lo - tilt, f_t + (curvature if lie == "curvature" else 0.0),
+                          f_hi + tilt)
+        return vals
+    return eigvalsh
+
+
+LIMIT_KINDS = ["isotropic", "ti_axis_nu", "rotated_ti", "triclinic", "sagittal_ti"]
+
+
+class TestLimitingTau:
+    """The Barnett-Lothe limit by one grid pass and Newton steps, against zooms."""
+
+    @pytest.mark.parametrize("kind", LIMIT_KINDS)
+    def test_newton_agrees_with_a_fine_zoom(self, kind, monkeypatch):
+        # To 1e-13 relative against 12 zooms of 128-point grids, with Newton
+        # converged on every frame, so that it, not the fallback zoom, is
+        # what is compared.
+        real, converged = boundary._newton_minimum, []
+
+        def recording(*args):
+            least = real(*args)
+            converged.append(least is not None)
+            return least
+
+        monkeypatch.setattr(boundary, "_newton_minimum", recording)
+        for seed in range(20):
+            m, eta_hat = _limit_frame(kind, np.random.default_rng([seed, 26]))
+            core = _limit_core(m, eta_hat)
+            want = limiting_tau_zoom(core, m.density, zooms=12, points=128)
+            assert abs(boundary._limiting_tau(core, m.density) - want) <= 1e-13 * want
+        assert converged == [True] * 20
+
+    @pytest.mark.parametrize("lie,steps", [("curvature", 1), ("leaves", 1), ("stalls", 8)])
+    def test_failed_newton_falls_back_to_the_zoom(self, monkeypatch, lie, steps):
+        # A curvature that is not positive, a step out of the grid cell or 8
+        # steps without converging: the zooms give the limit, bit for bit
+        # what 6 zooms alone give, and tau_limit keeps its floats.
+        frames = [_limit_frame(kind, np.random.default_rng([seed, 27]))
+                  for kind in LIMIT_KINDS for seed in range(2)]
+        honest = [tau_limit(m, NU, eta_hat) for m, eta_hat in frames]
+        stacks = []
+        monkeypatch.setattr(boundary, "_lapack", types.SimpleNamespace(
+            **{**vars(boundary._lapack), "eigvalsh": _lying_eigvalsh(lie, stacks)}))
+        for (m, eta_hat), want in zip(frames, honest):
+            core = _limit_core(m, eta_hat)
+            del stacks[:]
+            assert boundary._limiting_tau(core, m.density) == limiting_tau_zoom(core, m.density)
+            assert len(stacks) == steps
+            assert tau_limit(m, NU, eta_hat) == want
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["triclinic", "rotated_ti"]),
+           azimuth=st.floats(0.0, 2.0 * np.pi))
+    def test_two_or_three_probes(self, seed, kind, azimuth):
+        # The limit places tau_limit's two probes beside the threshold: at
+        # most one more spectrum is taken.
+        rng = np.random.default_rng(seed)
+        m = random_triclinic(rng) if kind == "triclinic" else _random_rotated_ti(rng)
+        real, spectra = boundary._spectra, []
+
+        def counting(polys):
+            spectra.append(len(polys))
+            return real(polys)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boundary, "_spectra", counting)
+            tau_limit(m, NU, np.array([np.cos(azimuth), np.sin(azimuth), 0.0]))
+        assert 2 <= len(spectra) <= 3
+
+
 class TestFrameShapes:
     @pytest.mark.parametrize("nu,eta_hat", [
         (NU, np.array([1.0, 0.0])), (NU[:, None], EHAT)])
@@ -552,13 +663,15 @@ def unhinted(poisson, ti, rotated_ti, iso, hard):
         return _scans(poisson, ti, rotated_ti, iso, hard)
 
 
-def _random_rotated_ti(rng) -> Material:
-    """Strongly convex, strongly anisotropic TI with a random axis."""
+def _random_rotated_ti(rng, axis=None) -> Material:
+    """Strongly convex, strongly anisotropic TI with the given axis, or a
+    random one."""
     while True:
-        axis = rng.standard_normal(3)
+        direction = rng.standard_normal(3) if axis is None else axis
         m = make_transversely_isotropic(
             rng.uniform(0.8, 1.2), rng.uniform(0.8, 1.2), rng.uniform(-0.3, 0.3),
-            rng.uniform(0.3, 0.6), rng.uniform(0.5, 1.5), axis / np.linalg.norm(axis), 1.0)
+            rng.uniform(0.3, 0.6), rng.uniform(0.5, 1.5), direction / np.linalg.norm(direction),
+            1.0)
         if check_strong_convexity(m.stiffness)[0]:
             return m
 

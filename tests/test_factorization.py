@@ -395,6 +395,27 @@ class TestFactorize:
             validate(bad)
         assert issubclass(SolvencyResidual, NumericalDomainError)
 
+    @pytest.mark.parametrize("entries", [slice(None), slice(-1, None)], ids=["all", "last"])
+    def test_non_finite_roots_are_solvency_failures(self, iso, monkeypatch, entries):
+        # NaN roots fail the solvency check, with exit code 3, before the
+        # eigenvalues of Q are taken: not numpy's bare LinAlgError ("Array
+        # must not contain infs or NaNs"), whichever entry of a stack is NaN
+        real = factorization._roots
+
+        def nan_roots(x1, *args):
+            q, q_sharp = real(x1, *args)
+            q[entries] = np.nan
+            return q, q_sharp
+
+        monkeypatch.setattr(factorization, "_roots", nan_roots)
+        with pytest.raises(SolvencyResidual, match="nan") as info:
+            factorize(boundary_polynomial(iso, frame(-1.5)), "outgoing")
+        assert info.value.exit_code == 3
+        polys = [boundary_polynomial(iso, frame(tau)) for tau in (-1.5, -2.5)]
+        with pytest.raises(SolvencyResidual, match="nan"):
+            factorization._factorize(polys, [classify_spectrum(a) for a in polys],
+                                     "outgoing", [-1.5, -2.5])
+
     def test_spec_gap(self, iso):
         a = boundary_polynomial(iso, frame(-1.7))
         f = factorize(a, "outgoing")

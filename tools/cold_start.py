@@ -8,6 +8,8 @@ first on its path and one BLAS thread (as bench/run.py runs):
   import     python -c "import elaswave.cli"
   impedance  python -m elaswave.cli impedance on an isotropic material
   rayleigh   python -m elaswave.cli rayleigh on it
+  stoneley   python -m elaswave.cli stoneley on it over a stiffer, denser
+             isotropic material: two tau_limit calls in one process
   trace      python -m elaswave.cli trace --max-events 64 on it, as one layer
              over a stiffer isotropic half-space
 
@@ -42,6 +44,7 @@ def _iso(name: str, lam: float, mu: float, rho: float) -> dict:
 ISO = _iso("iso", 2.0, 1.0, 1.0)
 FILES = {
     "iso.json": ISO,
+    "hard.json": _iso("hard", 4.0, 3.0, 3.0),
     "stack.json": {"layers": [{"material": ISO, "thickness": 1.0}],
                    "halfspace": _iso("halfspace", 9.0, 5.0, 2.5)},
 }
@@ -51,6 +54,8 @@ COMMANDS = {
     "impedance": CLI + ["impedance", "--material", "iso.json", "--eta", "1", "0",
                         "--tau", "-0.5"],
     "rayleigh": CLI + ["rayleigh", "--material", "iso.json", "--eta", "1", "0"],
+    "stoneley": CLI + ["stoneley", "--material-plus", "iso.json", "--material-minus",
+                       "hard.json", "--eta", "1", "0"],
     "trace": CLI + ["trace", "--stack", "stack.json", "--eta", "0.1", "0.05", "--tau", "-1",
                     "--max-events", "64"],
 }
