@@ -6,6 +6,8 @@ here call the same compiled gufuncs of numpy.linalg._umath_linalg with the
 signatures and floating-point error handling np.linalg uses, so every result
 is bit for bit np.linalg's and every failure is its LinAlgError with its
 message.  They take an ndarray, or a stack of them, of float64 or complex128.
+`eigvals` is the gufunc alone, without np.linalg's finiteness check: it is
+np.linalg's only on a finite complex128 stack, which its one caller passes.
 A gufunc this numpy lacks under its numpy 2 name is replaced by the public
 np.linalg function: the same numbers, only slower.  np.linalg's error state
 (a LinAlgError on an invalid result, other floating-point errors ignored) is
@@ -90,18 +92,7 @@ eigh = _bound("eigh_lo", "d->dd", "D->dD", _EIG, np.linalg.eigh)
 svd = _bound("svd_f", "d->ddd", "D->DdD", _SVD, np.linalg.svd)
 svdvals = _bound("svd", "d->d", "D->d", _SVD,
                  lambda a: np.linalg.svd(a, compute_uv=False))
-_eigvals = _bound("eigvals", "d->D", "D->D", _EIG, np.linalg.eigvals)   # no finiteness check
-
-
-def eigvals(a: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvals: complex, or real where a is real and so is every
-    eigenvalue of the stack."""
-    if _eigvals is np.linalg.eigvals:
-        return _eigvals(a)
-    if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    w = _eigvals(a)
-    return w.real if a.dtype.kind != "c" and (w.imag == 0).all() else w
+eigvals = _bound("eigvals", "d->D", "D->D", _EIG, np.linalg.eigvals)   # no finiteness check
 
 
 def _flapack():

@@ -61,7 +61,8 @@ def _orient_degenerate(vecs: np.ndarray) -> np.ndarray:
     """Reproducible basis in a degenerate eigenspace.
 
     Gram-Schmidt the projections of a fixed reference frame (e3, e1, e2)
-    onto the subspace.
+    onto the subspace.  It always fills a basis: with j < k vectors taken,
+    the squared residuals of e3, e1 and e2 sum to k - j >= 1.
     """
     p = vecs.T @ vecs
     basis = []
@@ -74,8 +75,6 @@ def _orient_degenerate(vecs: np.ndarray) -> np.ndarray:
             basis.append(v / n)
         if len(basis) == vecs.shape[0]:
             break
-    if len(basis) < vecs.shape[0]:  # reference frame nearly inside the complement
-        return vecs
     return np.array(basis)
 
 

@@ -501,9 +501,9 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
     """Interface (Stoneley) frequency: the zero of lambda_min(z+ + z-).
 
     Each probe classifies and factorizes its (+, -) sides as one stack, bit
-    for bit what each side builds alone.  A stack that raises is built again
-    one side after the other, so the error is the one the + side, then the
-    - side, raises first (the rule of `classify_frames`).
+    for bit what each side builds alone.  A stack that raises stores
+    nothing, so the sides build alone on first use and the error is the one
+    the + side, then the - side, raises first (the rule of `classify_frames`).
     """
     tau_plus, plus = _tau_limit(m_plus, nu, eta_hat)
     tau_minus, minus = _tau_limit(m_minus, nu, eta_hat)
@@ -511,12 +511,10 @@ def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
 
     def zfun(t: float) -> np.ndarray:
         sides = (plus.with_tau(-t), minus.with_tau(-t))
-        try:
+        with suppress(ElasticError):    # each side then builds alone on first use
             for side, cls in zip(sides, _classify([side.poly for side in sides])):
                 side._built["classification"] = cls
             _stacked_factorizations(sides)
-        except ElasticError:
-            sides = (plus.with_tau(-t), minus.with_tau(-t))
         return sides[0].z() + sides[1].z()
 
     return _surface_wave_bisect(zfun, tau_eta)
@@ -550,16 +548,13 @@ def _stacked_factorizations(sides: list) -> None:
             side._built.update({("factorization", "outgoing"): f, ("z", "outgoing"): z_side})
 
 
-def _stacked_projectors(requests: list) -> None:
-    """Store on each (side, direction) of `requests` that lacks them the mode
-    projectors of that direction's factorization, built for all of them as
-    one stack and bit for bit what each side builds alone."""
-    due = [(side, d) for side, d in dict.fromkeys(requests)
-           if ("projectors", d) not in side._built]
+def _stacked_projectors(sides: list) -> None:
+    """Store on each side that lacks them its outgoing mode projectors, built
+    as one stack and bit for bit what each side builds alone."""
+    due = [side for side in dict.fromkeys(sides) if ("projectors", "outgoing") not in side._built]
     if due:
-        built = _mode_projectors([side.factorization(d) for side, d in due])
-        for (side, d), projectors in zip(due, built):
-            side._built["projectors", d] = projectors
+        for side, projectors in zip(due, _mode_projectors([side.factorization() for side in due])):
+            side._built["projectors", "outgoing"] = projectors
 
 
 def _solve_frames(materials, frames: list) -> list:

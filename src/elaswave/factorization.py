@@ -15,6 +15,7 @@ reached through `_lapack`, those of the contour oracle through np.linalg.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -47,6 +48,14 @@ CONTOUR_TOL = 1e-10      # until its two integrals change by less than this in a
 CONTOUR_MAX_NODES = 1 << 16  # and raises QuadratureNotConverged past this count
 
 
+def _check_tau(tau) -> None:
+    """InvalidInput unless tau is a finite, nonzero real number (not a bool)."""
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+        raise InvalidInput(f"tau must be a real number, got {tau!r}")
+    if not math.isfinite(tau) or tau == 0:
+        raise InvalidInput("frame must be finite" if tau else "tau must be nonzero")
+
+
 @dataclass(frozen=True)
 class BoundaryFrame:
     """Unit interior conormal nu, tangential covector eta, frequency tau."""
@@ -60,14 +69,13 @@ class BoundaryFrame:
         eta = np.asarray(self.eta, dtype=float)
         if nu.shape != (3,) or eta.shape != (3,):
             raise InvalidInput("nu and eta must be vectors of shape (3,)")
-        if not (np.isfinite(nu).all() and np.isfinite(eta).all() and np.isfinite(self.tau)):
+        if not (np.isfinite(nu).all() and np.isfinite(eta).all()):
             raise InvalidInput("frame must be finite")
+        _check_tau(self.tau)
         if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
             raise InvalidInput("conormal must be a unit vector")
         if abs(nu @ eta) > 1e-12 * max(float(np.abs(eta).max()), 1.0):
             raise InvalidInput("eta must be tangential (orthogonal to nu)")
-        if self.tau == 0:
-            raise InvalidInput("tau must be nonzero")
         nu.setflags(write=False)
         eta.setflags(write=False)
         object.__setattr__(self, "nu", nu)
@@ -81,8 +89,7 @@ class BoundaryFrame:
 
     def with_tau(self, tau: float) -> "BoundaryFrame":
         """This frame at another tau; only tau is checked, nu and eta are kept."""
-        if not np.isfinite(tau) or tau == 0:     # the checks and messages of __post_init__
-            raise InvalidInput("frame must be finite" if tau else "tau must be nonzero")
+        _check_tau(tau)
         return self._checked(self.nu, self.eta, tau)
 
     def with_eta(self, eta: np.ndarray) -> "BoundaryFrame":
@@ -325,8 +332,9 @@ class QuadraticMatrixPolynomial:
         core = self.core
         if core.l_eta is None:
             raise InvalidInput("with_tau needs a polynomial from boundary_polynomial")
+        frame = self.frame.with_tau(tau)
         _check_overflow(core.size, self.rho, tau)
-        return core.at_tau(self.frame.with_tau(tau), self.rho)
+        return core.at_tau(frame, self.rho)
 
 
 def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPolynomial:
@@ -693,7 +701,7 @@ def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarr
                                                   scales)]
     for residual in (r for r in residuals if not math.isfinite(r)):  # before eigvals sees it
         _check_roots(residual, math.inf, 1.0)
-    spectra = _lapack._eigvals(np.concatenate((q, q_sharp)))
+    spectra = _lapack.eigvals(np.concatenate((q, q_sharp)))
     eq, es = spectra[:n], spectra[n:]
     sizes = np.abs(spectra).max(axis=1)
     sizes = np.maximum(np.maximum(sizes[:n], sizes[n:]), 1e-300).tolist()
@@ -718,6 +726,8 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
         if a.frame is None:
             raise InvalidInput("tau is required when the polynomial carries no frame")
         tau = a.frame.tau
+    else:
+        _check_tau(tau)
     if classification is None:
         classification = classify_spectrum(a)
     return _factorize([a], [classification], direction, [tau])[0]

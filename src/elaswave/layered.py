@@ -277,10 +277,9 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
       * the source, from its side's incoming factorization and projectors,
         built alone first, so a trace without that mode fails before any
         law is built;
-      * the 2n laws whose sides do not glance: `scatter._scatter_operators`
-        (the sides' outgoing projectors, one SVD and one inverse of the
-        matrices the laws invert, and the compiled maps), each reading its
-        + side's z_in as z_out^H (`BoundarySide.z`);
+      * the laws whose sides do not glance and whose + side has a real
+        mode (no segment meets the others): `scatter._scatter_operators`,
+        each reading its + side's z_in as z_out^H (`BoundarySide.z`);
       * `mode_delay` of the source's mode and of every (side, s) those laws
         send waves to (`_mode_delays`), so that the children of one mode
         share one crossing time, thickness |delay|, in each generation.
@@ -373,10 +372,11 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                                  if not sd.classification.glancing])
     sides.update(((layer, d), sd) for layer, (dirs, row) in enumerate(zip(directions, built))
                  for d, sd in zip(dirs, row))
-    # With the sides stacked, the laws whose sides do not glance are built
-    # as stacks once the source is taken.
+    # With the sides stacked, the laws a segment can meet (no glancing side, a real mode on
+    # the + side: without one its layer has none) are built as stacks once the source is taken.
     due = [(layer, d) for layer in range(n_layers) for d in ("up", "down")
-           if built and not any(sd.classification.glancing for sd in law_sides(layer, d))]
+           if built and side(layer, d).classification.has_real
+           and not any(sd.classification.glancing for sd in law_sides(layer, d))]
     src = side_incoming_mode(side(source_layer, "down"), source_mode)
     if due:
         with suppress(ElasticError):    # each law is then built alone on first use

@@ -19,6 +19,7 @@ from . import _lapack
 from .errors import (
     AsymmetricStiffness,
     AsymmetricVoigtMatrix,
+    InvalidInput,
     MaterialFileError,
     NonPositiveDensity,
     NonUnitAxis,
@@ -56,6 +57,8 @@ class StiffnessTensor:
         if c.shape != (3, 3, 3, 3):
             raise AsymmetricStiffness(
                 f"stiffness entries must have shape (3,3,3,3), got {c.shape}")
+        if not np.isfinite(c).all():
+            raise InvalidInput("stiffness entries must be finite")
         sym = _symmetrize(c)
         scale = np.linalg.norm(sym)
         if scale > 0 and np.linalg.norm(c - sym) > 1e-8 * scale:
@@ -289,8 +292,6 @@ def material_from_dict(d: dict) -> Material:
                        density, name)
     else:
         raise MaterialFileError(f"unknown stiffness type {kind!r}")
-    if not np.isfinite(mat.stiffness.entries).all():
-        raise MaterialFileError(f"material {name!r} has non-finite stiffness entries")
 
     convex, min_eig = check_strong_convexity(mat.stiffness)
     if not convex:

@@ -12,10 +12,10 @@ law is compiled, as with Kennett's reflection and transmission matrices,
 into one fixed 3x3 map per outgoing mode and side, held as one stack for
 all its sides, so a block of traces scatters on every side in three
 contractions.  Laws are built by `_scatter_operators`, many at once: the
-mode projectors of their sides, the SVD and inverse of the matrices they
-invert, their trace maps and their compiled maps and flux forms are each
-one stack, and every law gets bit for bit what it gets alone.
-`free_surface_operator` and `interface_operator` are its one-law case.
+mode projectors of their sides and the SVD and inverse of the matrices
+they invert are shared stacks, then each law is compiled alone from its
+own sides, bit for bit what it gets built alone.  `free_surface_operator`
+and `interface_operator` are its one-law case.
 Energy bookkeeping uses the modal flux identity, with incident modes
 flux-normalized so amplitude tables compare directly.
 """
@@ -28,7 +28,7 @@ import numpy as np
 from . import _lapack
 from .boundary import BoundarySide, _sides, _stacked_projectors
 from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
-from .factorization import BoundaryFrame, _record, _slope, kernel_basis
+from .factorization import _EYE, BoundaryFrame, _record, _slope, kernel_basis
 from .impedance import flux_form
 from .materials import Material
 
@@ -212,9 +212,10 @@ def _scatter_operators(laws: list) -> list:
     through each BoundarySide, so what is built is reused), E_c not the
     whole space on every side, then sigma_min/sigma_max of the matrix the law
     inverts.  A stage runs for every law before the next, so a list raises
-    its first failure in that order.  The outgoing mode projectors of every
-    side, the SVDs and inverses, and the compiled maps are built for all
-    laws as stacks, and each law gets bit for bit what it gets built alone.
+    its first failure in that order.  The shared stacks come first: the
+    outgoing mode projectors of every side, one SVD and one inverse of the
+    matrices the laws invert.  Then each law is compiled alone from its own
+    sides, so it gets bit for bit what it gets built alone.
     """
     mats, zins = [], []
     for law in laws:
@@ -230,7 +231,7 @@ def _scatter_operators(laws: list) -> list:
         zp_out, zp_in, zm_out = plus.z("outgoing"), plus.z("incoming"), law[1].z("outgoing")
         mats.append(zp_out + zm_out)
         zins.append(zp_in - zp_out)
-    _stacked_projectors([(side, "outgoing") for law in laws for side in law])
+    _stacked_projectors([side for law in laws for side in law])
     for law in laws:
         if all(side.projectors().dim_ec == 3 for side in law):
             raise NoIncomingMode("frame is elliptic: nothing propagates" if len(law) == 1
@@ -243,38 +244,21 @@ def _scatter_operators(laws: list) -> list:
                                       f"(sigma_min/sigma_max = {low / high:.2e})")
     minv = _lapack.inv(mats)
     zin = np.array(zins)
-    t = -minv @ zin
-
-    # Each law in compiled order: per real outgoing s of each side the
-    # amplitude map psi_s T and the flux form -tau/2 A'(s), then pi_c T of
-    # each side, then the trace maps T, whose products are not taken.  A law
-    # is (its tags, its s, its T, where its products and its forms start).
-    shares, left, right, at = [], [], [], []
-    for law, t_law in zip(laws, t):
-        maps = (t_law,) if len(law) == 1 else (t_law - np.eye(3), t_law)
-        tau = law[0].frame.tau
-        tags, modes, start, first = [], [], len(left), len(at)
-        for tag, side, tm in zip("+-", law, maps):
-            psi = side.projectors().psi
-            side_modes = sorted(psi)
-            tags += [tag] * len(side_modes)
-            modes += side_modes
-            left += [psi[s] for s in side_modes]
-            right += [tm] * len(side_modes)
-            at += [(side.poly, s, -tau * 0.5) for s in side_modes]
-        left += [side.projectors().pi_c for side in law]
-        right += maps
-        shares.append((tuple(tags), tuple(modes), maps, start, first))
-    products = np.array(left) @ np.array(right)
-    polys, s, c = zip(*at)      # not empty: a law that passed its checks has a real mode
-    forms = np.array(c)[:, None, None] * _slope(
-        np.array([a.a0 for a in polys]), np.array([a.a1_sym for a in polys]),
-        np.array(s)[:, None, None])
-
     out = []
-    for law, minv_law, zin_law, (tags, modes, maps, k, f) in zip(laws, minv, zin, shares):
-        maps = np.concatenate((products[k:k + len(modes) + len(law)], np.array(maps)))
-        compiled = (tags, modes, maps, forms[f:f + len(modes)])
+    for law, minv_law, zin_law, t in zip(laws, minv, zin, -minv @ zin):
+        # per real outgoing s of each side (a law that passed has one) psi_s T
+        # and -tau/2 A'(s), then pi_c T of each side, then the trace maps T
+        maps = [t] if len(law) == 1 else [t - _EYE, t]
+        projectors = [side.projectors() for side in law]
+        tags, coefficients, left, right, modes = zip(*[
+            (tag, (side.poly.a0, side.poly.a1_sym), p.psi[s], tm, s)
+            for tag, side, p, tm in zip("+-", law, projectors, maps) for s in sorted(p.psi)])
+        coef = np.array(coefficients)
+        forms = -law[0].frame.tau * 0.5 * _slope(coef[:, 0], coef[:, 1],
+                                                 np.array(modes)[:, None, None])
+        factors = np.array([*right, *maps])
+        products = np.array([*left, *(p.pi_c for p in projectors)]) @ factors
+        compiled = (tags, modes, np.concatenate((products, factors[len(modes):])), forms)
         out.append(ScatterOperator(minv_law, zin_law, dict(zip("+-", law)), compiled))
     return out
 

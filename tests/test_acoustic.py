@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from elaswave.acoustic import (
+    _orient_degenerate,
     acoustic_tensor,
     christoffel_modes,
     cluster_sorted,
@@ -56,6 +60,21 @@ class TestChristoffelModes:
         m1 = christoffel_modes(iso, d)
         m2 = christoffel_modes(iso, d)
         assert np.array_equal(m1.polarizations, m2.polarizations)
+
+    @given(hnp.arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)),
+           st.sampled_from([2, 3]))
+    @example(np.eye(3), 2)                                  # e3 outside the plane
+    @example(np.eye(3)[[2, 1, 0]], 2)                       # e1 outside it
+    @example(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]]), 2)  # |P e3| = 0.58
+    def test_degenerate_basis_spans_the_eigenspace(self, a, k):
+        # The Gram-Schmidt of e3, e1, e2 projected onto a k-dimensional
+        # eigenspace always fills k orthonormal rows of it.
+        assume(abs(np.linalg.det(a)) > 1e-3)
+        vecs = np.linalg.qr(a)[0][:, :k].T
+        basis = _orient_degenerate(vecs)
+        assert basis.shape == (k, 3)
+        assert np.allclose(basis @ basis.T, np.eye(k), atol=1e-12)
+        assert np.allclose(basis.T @ basis, vecs.T @ vecs, atol=1e-12)
 
     def test_indefinite_raises(self):
         c = StiffnessTensor(-isotropic_stiffness(2.0, 1.0).entries)

@@ -174,6 +174,16 @@ class TestExitCodes:
             assert code == 2 and out == "", argv[0]
             assert json.loads(err)["error"] == "NonPositiveDensity", argv[0]
 
+    def test_non_finite_stiffness(self, capsys, tmp_path):
+        # Python's JSON reader takes NaN as a number; the stiffness tensor rejects it
+        path = tmp_path / "nan.json"
+        path.write_text('{"name": "nan", "density": 1.0, '
+                        '"stiffness": {"type": "isotropic", "lambda": NaN, "mu": 1.0}}')
+        code, out, err = invoke(capsys, "material", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "InvalidInput",
+                                   "message": "stiffness entries must be finite"}
+
     def test_infinite_layer_thickness(self, capsys, stack_file):
         with open(stack_file, encoding="utf-8") as fh:
             text = fh.read()

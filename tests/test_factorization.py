@@ -78,6 +78,27 @@ class TestBoundaryFrame:
         fr = frame(-1.0)
         assert np.allclose(fr.flipped().nu, -NU)
 
+    BAD_TAUS = [(1 + 1j, "tau must be a real number"), (True, "tau must be a real number"),
+                (np.bool_(True), "tau must be a real number"), ("-1", "tau must be a real number"),
+                (np.nan, "frame must be finite"), (-np.inf, "frame must be finite"),
+                (0.0, "tau must be nonzero")]
+    BAD_TAU_IDS = ["complex", "bool", "numpy_bool", "text", "nan", "inf", "zero"]
+
+    @pytest.mark.parametrize("tau,message", BAD_TAUS, ids=BAD_TAU_IDS)
+    def test_rejects_tau(self, iso, tau, message):
+        # tau is checked where a frame is built, where one is moved to
+        # another tau and where factorize is given one
+        a = boundary_polynomial(iso, frame(-0.5))
+        for build in (lambda: BoundaryFrame(NU, ETA, tau), lambda: frame(-1.0).with_tau(tau),
+                      lambda: a.with_tau(tau), lambda: factorize(a, "outgoing", tau)):
+            with pytest.raises(InvalidInput, match=f"^{message}"):
+                build()
+
+    @pytest.mark.parametrize("tau", [-2, np.float64(-1.5), np.float32(-0.5), np.int64(3)])
+    def test_real_taus_kept(self, tau):
+        assert BoundaryFrame(NU, ETA, tau).tau is tau
+        assert frame(-1.0).with_tau(tau).tau is tau
+
 
 class TestBoundaryPolynomial:
     def test_isotropic_coefficients(self, iso):

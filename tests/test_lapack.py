@@ -24,7 +24,9 @@ PUBLIC = {
     "eigh": np.linalg.eigh,
     "svd": np.linalg.svd,
     "svdvals": lambda a: np.linalg.svd(a, compute_uv=False),
-    "eigvals": np.linalg.eigvals,
+    # the gufunc alone, without np.linalg's finiteness check: np.linalg's
+    # values, complex128 also where it gives a real stack real ones
+    "eigvals": lambda a: np.linalg.eigvals(a).astype(complex),
 }
 HERMITIAN = {"eigvalsh", "eigh"}
 
@@ -69,16 +71,12 @@ def test_bit_for_bit(name, count, n, dtype):
     assert_same(getattr(_lapack, name)(a[0]), PUBLIC[name](a[0]))
 
 
-def test_real_eigvals_stay_real():
-    # a real stack whose eigenvalues are all real gives real ones, as np.linalg does
-    a = stack(2, 3, np.float64, hermitian=True)
-    assert _lapack.eigvals(a).dtype == np.float64
-    assert_same(_lapack.eigvals(a), np.linalg.eigvals(a))
-
-
-@pytest.mark.parametrize("name", sorted(PUBLIC))
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("case", ["singular", "nan", "inf"])
+# eigvals checks no finiteness: its caller tests every solvency residual
+# with math.isfinite before it takes the eigenvalues.
+@pytest.mark.parametrize("name,dtype,case", [
+    pytest.param(name, dtype, case, id=f"{case}-{np.dtype(dtype).name}-{name}")
+    for case in ("singular", "nan", "inf") for dtype in (np.float64, np.complex128)
+    for name in sorted(PUBLIC) if case == "singular" or name != "eigvals"])
 def test_failures_match(name, dtype, case):
     a = np.ones((2, 3, 3), dtype=dtype)
     a[1] = np.eye(3)
@@ -98,8 +96,7 @@ def test_singular_and_nan_raise_numpys_errors():
     nan[1, 1] = np.nan
     for f, message in [(_lapack.eigvalsh, "Eigenvalues did not converge"),
                        (_lapack.svd, "SVD did not converge"),
-                       (_lapack.svdvals, "SVD did not converge"),
-                       (_lapack.eigvals, "Array must not contain infs or NaNs")]:
+                       (_lapack.svdvals, "SVD did not converge")]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
@@ -123,9 +120,6 @@ def test_fallback_without_gufuncs(monkeypatch):
         for dtype in (np.float64, np.complex128):
             a = stack(7, 3, dtype, name in HERMITIAN, seed=1)
             assert_same(getattr(fallback, name)(a), getattr(_lapack, name)(a))
-    nan = np.eye(3)
-    nan[0, 0] = np.nan
-    assert outcome(fallback.eigvals, nan) == outcome(_lapack.eigvals, nan)
 
 
 def test_fallback_per_missing_name(monkeypatch):

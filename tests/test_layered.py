@@ -69,6 +69,15 @@ def ti_stack(soft, rigid):
     return LayerStack(((soft, 0.5), (ti, 0.7), (mid, 0.6)), rigid)
 
 
+@pytest.fixture(scope="module")
+def fast_stack(soft):
+    """A slow top layer over two fast ones, and a frame evanescent in the
+    fast layers: the laws there have no real mode on their + side, and the
+    one between the fast layers none on either side."""
+    fast = make_isotropic(40.0, 20.0, 1.0, "fast")
+    return LayerStack(((soft, 0.5), (fast, 0.7), (fast, 0.6)), fast), (0.4, 0.0), -1.0
+
+
 # Hyperbolic everywhere; a mixed half-space; mixed layers over an elliptic
 # half-space (evanescent content at every boundary).
 TI_STACK_FRAMES = (((0.0, 0.0), -1.0), ((0.3, 0.2), -1.1), ((0.7, 0.0), -1.0))
@@ -648,18 +657,22 @@ def glancing_frame(stack, eta) -> tuple:
 
 
 class TestStackedLaws:
-    """A trace builds every law whose sides do not glance as one stack at
-    entry, then the mode delays of the source and of every (side, s) those
-    laws send waves to as one stack.  Each law and delay is bit for bit what
-    it is built alone, and the tree is, byte for byte, the tree whose laws
-    are each built alone on first use."""
+    """A trace builds every law whose sides do not glance and whose + side
+    has a real mode as one stack at entry, then the mode delays of the
+    source and of every (side, s) those laws send waves to as one stack.
+    Each law and delay is bit for bit what it is built alone, and the tree
+    is, byte for byte, the tree whose laws are each built alone on first
+    use."""
 
-    def cases(self, ti_stack, bench_stack):
+    def cases(self, ti_stack, bench_stack, fast_stack):
         """(stack, eta, tau, number of laws the stack builds): every law, but
-        the one above the half-space where that glances."""
+        the one above the half-space where that glances and the four of the
+        fast layers, which no segment meets (with them, the stack would
+        raise NoIncomingMode at the law between the fast layers)."""
         stack, eta, tau = bench_stack
         return ([(ti_stack, eta, tau, 6) for eta, tau in TI_STACK_FRAMES]
-                + [(stack, eta, tau, 6), (stack, *glancing_frame(stack, eta), 5)])
+                + [(stack, eta, tau, 6), (stack, *glancing_frame(stack, eta), 5),
+                   (*fast_stack, 2)])
 
     @staticmethod
     def assert_same_law(law, alone):
@@ -679,7 +692,8 @@ class TestStackedLaws:
                 assert same_bits(mine.pi_c, theirs.pi_c) and mine.dim_ec == theirs.dim_ec
 
     @pytest.mark.parametrize("budget", [1, 2, 64])
-    def test_laws_match_laws_built_alone(self, ti_stack, bench_stack, monkeypatch, budget):
+    def test_laws_match_laws_built_alone(self, ti_stack, bench_stack, fast_stack, monkeypatch,
+                                         budget):
         stacked_laws, stacked_delays = layered._scatter_operators, layered._mode_delays
         law_stacks, delay_stacks = [], []
 
@@ -696,7 +710,7 @@ class TestStackedLaws:
                 raise NonEllipticOperator("forced law stack failure")
             return stacked_laws(laws)
 
-        for stack, eta, tau, n_laws in self.cases(ti_stack, bench_stack):
+        for stack, eta, tau, n_laws in self.cases(ti_stack, bench_stack, fast_stack):
             law_stacks.clear()
             delay_stacks.clear()
             with monkeypatch.context() as mp:

@@ -6,6 +6,7 @@ import pytest
 from elaswave.errors import (
     AsymmetricStiffness,
     AsymmetricVoigtMatrix,
+    InvalidInput,
     MaterialFileError,
     NonPositiveDensity,
     NonUnitAxis,
@@ -19,6 +20,8 @@ from elaswave.materials import (
     from_voigt,
     isotropic_stiffness,
     load_material,
+    make_isotropic,
+    make_transversely_isotropic,
     material_from_dict,
     rotate_stiffness,
     to_mandel,
@@ -34,6 +37,14 @@ def rotation(axis, angle):
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * k @ k
+
+
+def overflowing_rotation():
+    # entries of 8e307 are finite, but the 45-degree rotation of this tensor
+    # sums sixteen terms of 2e307 into C'_1111
+    with np.errstate(over="ignore"):
+        c = from_voigt(np.full((6, 6), 8e307))
+        rotate_stiffness(c, rotation([0.0, 0.0, 1.0], np.pi / 4))
 
 
 class TestStiffnessConstruction:
@@ -75,6 +86,17 @@ class TestStiffnessConstruction:
     def test_rejects_wrong_shape(self):
         with pytest.raises(AsymmetricStiffness, match="shape"):
             StiffnessTensor(np.zeros((3, 3, 3)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_isotropic(np.nan, 1.0, 1.0),
+        lambda: make_transversely_isotropic(1.0, 1.0, 0.0, 0.0, 0.0, [np.nan, 0.0, 1.0], 1.0),
+        lambda: from_voigt(np.where(np.eye(6) == 1, 1.0, np.nan)),
+        overflowing_rotation,
+    ], ids=["isotropic", "ti_axis", "voigt", "rotation"])
+    def test_rejects_non_finite_entries(self, build):
+        # every builder constructs a StiffnessTensor, which checks its entries
+        with pytest.raises(InvalidInput, match="^stiffness entries must be finite$"):
+            build()
 
 
 class TestRotation:
@@ -231,6 +253,11 @@ class TestMaterialFiles:
             want = material_from_dict({"density": 2.0, "stiffness": stiffness})
             assert got.density == 2.0
             assert np.array_equal(got.stiffness.entries, want.stiffness.entries)
+
+    def test_nan_modulus_in_file(self):
+        doc = {"density": 1.0, "stiffness": {"type": "isotropic", "lambda": np.nan, "mu": 1.0}}
+        with pytest.raises(InvalidInput, match="^stiffness entries must be finite$"):
+            material_from_dict(doc)
 
     def test_infinite_density_in_file(self):
         # JSON reads 1e999 as inf

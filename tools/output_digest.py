@@ -37,9 +37,11 @@ names of the lines that differ, and exits 1 if any does.  It covers
     same frames again with event budgets of 1 and 2, with the source in
     layer 1 and with source mode 1 (laws, incoming projectors and delays
     that a mode-0 source in the top layer does not reach first; an error
-    counts by its type and message), and a trace at the frame where the
+    counts by its type and message), a trace at the frame where the
     half-space glances, so that the law above it fails and every segment
-    meeting it ends as a glancing leaf;
+    meeting it ends as a glancing leaf, and traces through a fast top layer
+    and through two adjacent fast layers at a slowness evanescent in them,
+    whose laws there no segment meets;
   * tree_shapes: the same trees' shapes, (uid, parent, layer, direction,
     status) of every event and an error by its type only, so that a change
     that moves only the trees' last digits leaves this line as it is;
@@ -319,6 +321,12 @@ def digest_trees(seed: int, directory: str) -> list:
               for eta, tau in w.frames for layer, mode in ((1, 0), (0, 1))]
     eta, tau = _glancing_frame(w.stack, w.frames[0][0])
     trees.append(_outcome(lambda: ly.trace_plane_wave(w.stack, eta, tau, max_events=64)))
+    slow = mt.make_isotropic(2.0, 1.0, 1.0, "slow")
+    fast = mt.make_isotropic(40.0, 20.0, 1.0, "fast")
+    for layers, source in (((fast, slow, fast), 1), ((slow, fast, fast), 0)):
+        stack = ly.LayerStack(tuple(zip(layers, (0.5, 0.7, 0.6))), fast)
+        trees.append(_outcome(lambda: ly.trace_plane_wave(stack, (0.4, 0.0), -1.0,
+                                                          source_layer=source, max_events=64)))
     return trees
 
 
