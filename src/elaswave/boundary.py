@@ -12,8 +12,11 @@ root search is one loop on one bracket (`_Threshold`, which keeps the value
 at each end): where the bracket leaves a bisection midpoint open, a secant in
 the edge variable sqrt(1 - tau/tau_eta) (`_edge_secant`) narrows it first,
 so the bisection probes few midpoints of its own and its root is that of the
-bisection alone.  A Stoneley probe builds its two sides as one stack.  Every
-other computation on one side of a boundary (polynomial, spectrum,
+bisection alone.  Once an inverse quadratic estimate of the root decides
+every midpoint the walk has left, the narrowing closes the bracket on the
+bisection's own answer, so the root's impedance is one that a probe built
+and the solve kept.  A Stoneley probe builds its two sides as one stack.
+Every other computation on one side of a boundary (polynomial, spectrum,
 factorizations, impedances, projectors) goes through a `BoundarySide`.
 """
 from __future__ import annotations
@@ -166,10 +169,10 @@ def _has_margin(dims: tuple) -> bool:
     return None not in dims and dims.count(3) < len(dims)
 
 
-def _region(sides) -> RegionClass:
-    """Region of a frame from its classified sides; a mixed/mixed interface
-    takes principal angles between the sides' evanescent subspaces."""
-    dims = _dims(sides)
+def _region(sides, dims: tuple) -> RegionClass:
+    """Region of a frame from its classified sides and their `_dims`; a
+    mixed/mixed interface takes principal angles between the sides'
+    evanescent subspaces."""
     if None in dims:
         return RegionClass("glancing", dims)
     if len(sides) == 1:
@@ -201,7 +204,8 @@ def classify(materials, frame: BoundaryFrame) -> RegionClass:
     hyperbolic iff E_c+ and E_c- intersect trivially, elliptic iff both
     evanescent subspaces are full.
     """
-    return _region(_sides(materials, frame))
+    sides = _sides(materials, frame)
+    return _region(sides, _dims(sides))
 
 
 def _iso_moduli(m: Material):
@@ -261,10 +265,11 @@ class _Threshold:
     """A test value that is positive below an unknown threshold and not above
     it.  The tightest bracket (below, above) of the values it has taken, with
     the value at each end (f_below, f_above), answers, without running the
-    test, whether t lies below the threshold."""
+    test, whether t lies below the threshold; a bracket may be given to start
+    from."""
 
-    def __init__(self, test):
-        self.test, self.below, self.above = test, -np.inf, np.inf
+    def __init__(self, test, below: float = -np.inf, above: float = np.inf):
+        self.test, self.below, self.above = test, below, above
         self.f_below = self.f_above = None
 
     def __call__(self, t: float) -> bool:
@@ -284,14 +289,21 @@ class _Threshold:
 
 def _bisect(holds: _Threshold, lo: float, hi: float, narrowing=None) -> float:
     """Bisection of [lo, hi] on holds.  Where holds' bracket leaves a
-    midpoint open, the next probe of the generator `narrowing` runs first
-    and the midpoint is asked again; the midpoint is probed itself only
-    once `narrowing` is spent.  A bracket only tightens, so a midpoint it
-    answers keeps its answer: the root is that of the bisection alone."""
+    midpoint open, the generator `narrowing` is sent the walk's (lo, hi) and
+    runs its next probe first, and the midpoint is asked again; the midpoint
+    is probed itself only once `narrowing` is spent.  A bracket only
+    tightens, so a midpoint it answers keeps its answer: the root is that of
+    the bisection alone."""
+    if narrowing:
+        next(narrowing)         # to where it takes the walk's (lo, hi)
     while hi - lo > BISECTION_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if holds.below < mid < holds.above and narrowing and next(narrowing, None) is not None:
-            continue
+        if narrowing and holds.below < mid < holds.above:
+            try:
+                narrowing.send((lo, hi))
+                continue
+            except StopIteration:
+                narrowing = None
         if holds(mid):
             lo = mid
         else:
@@ -407,25 +419,57 @@ class RayleighResult:
     det_residual: float          # |det z| / ||z||^3 at the root
 
 
-def _lambda_min(zmat: np.ndarray):
-    h = 0.5 * (zmat + zmat.conj().T)
-    vals, vecs = _lapack.eigh(h)
-    return float(vals[0]), vecs[:, 0]
+def _lambda_min(zmat: np.ndarray) -> float:
+    """Least eigenvalue of the Hermitian part of zmat."""
+    return float(_lapack.eigvalsh(0.5 * (zmat + zmat.conj().T))[0])
+
+
+class _Open(Exception):
+    """A bisection midpoint that an estimate of the root leaves open."""
+
+
+def _open(t: float):
+    raise _Open
+
+
+def _closing_probe(walk: tuple, r: float, e: float, a: float, b: float) -> float | None:
+    """The probe that closes the bracket (a, b) on the bisection's own answer,
+    where the root lies within e of r: the walk's final midpoint tau_r where
+    it lies in (a, b), else r + e or r - e, whichever lies on the far side of
+    tau_r.  The walk runs on from its (lo, hi) through `_bisect`'s own loop,
+    every midpoint up to max(a, r - e) holding and none from min(b, r + e)
+    on; None where a midpoint lies between the two, which r leaves open."""
+    below, above = max(a, r - e), min(b, r + e)
+    if above - below > BISECTION_TOL * walk[1]:
+        return None             # wider than the walk's last cell
+    try:
+        tau_r = _bisect(_Threshold(_open, below, above), *walk)
+    except _Open:
+        return None
+    return tau_r if a < tau_r < b else above if tau_r <= a else below
 
 
 def _edge_secant(holds: _Threshold):
     """Probes of holds.value that narrow its bracket, from f_below > 0 at a to
     f_above <= 0 at b as it stands at the first probe, each yielded once run,
     until the bracket is 1e-13 b wide, 100 probes have run or one raises a
-    NumericalDomainError.
+    NumericalDomainError.  Before each probe it is sent the bisection's walk
+    (lo, hi).
 
     b lies EDGE_OFFSET below tau_eta, where lambda_min has a square-root
     branch, so in u = sqrt(1 - t/tau_eta) it is nearly linear: each step is
     the secant in u through the last two points, or regula falsi in u on
-    the bracket's ends where the secant leaves the bracket.  A step shorter
-    than half the tolerance puts the root that close to the last point, so
-    the probe goes one tolerance past that point instead, which closes the
-    bracket around the root."""
+    the bracket's ends where the secant leaves the bracket.  Once three
+    points are known, u as a parabola in lambda_min through them (inverse
+    quadratic interpolation) puts the root at r, an estimate of higher order
+    than the secant's, so the root lies within the distance e between the
+    two (or one tolerance, if more) of r.  Where that answers every midpoint
+    the walk has left, the probe closes the bracket on the walk's own answer
+    (`_closing_probe`), and the root's impedance is then a probe's.  Else a
+    step shorter than half the tolerance puts the root that close to the
+    last point, so the probe goes one tolerance past that point instead,
+    which closes the bracket around the root."""
+    walk = yield
     tol, tau_eta = 1e-13 * holds.above, holds.above / (1.0 - EDGE_OFFSET)
 
     def u(t: float) -> float:
@@ -437,6 +481,16 @@ def _edge_secant(holds: _Threshold):
         root = uq - fq * (uq - up) / (fq - fp) if fq != fp else math.nan
         return tau_eta * (1.0 - root * root)
 
+    def parabola_zero(o: float, fo: float, p: float, fp: float, q: float, fq: float) -> float:
+        """t where u, as the parabola in f through (fo, u(o)), (fp, u(p)) and
+        (fq, u(q)), takes f = 0; NaN where two values are equal."""
+        if fo == fp or fo == fq or fp == fq:
+            return math.nan
+        root = (u(o) * fp * fq / ((fo - fp) * (fo - fq)) + u(p) * fo * fq / ((fp - fo) * (fp - fq))
+                + u(q) * fo * fp / ((fq - fo) * (fq - fp)))
+        return tau_eta * (1.0 - root * root)
+
+    o = fo = math.nan           # no third point yet: the parabola's zero is NaN
     p, fp, q, fq = holds.below, holds.f_below, holds.above, holds.f_above  # q the latest
     with suppress(NumericalDomainError):
         for _ in range(100):
@@ -446,12 +500,17 @@ def _edge_secant(holds: _Threshold):
             c = zero(p, fp, q, fq)
             if not a < c < b:
                 c = zero(a, fa, b, fb)
-            if abs(c - q) < 0.5 * tol:
+            r = parabola_zero(o, fo, p, fp, q, fq)
+            closing = (_closing_probe(walk, r, max(abs(c - r), tol), a, b)
+                       if a < c < b and a < r < b else None)
+            if closing is not None:
+                c = closing
+            elif abs(c - q) < 0.5 * tol:
                 c = q + tol if fq > 0 else q - tol
             elif not a < c < b:
                 c = 0.5 * (a + b)
-            p, fp, q, fq = q, fq, c, holds.value(c)
-            yield c
+            o, fo, p, fp, q, fq = p, fp, q, fq, c, holds.value(c)
+            walk = yield c
 
 
 def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
@@ -459,7 +518,11 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     tau_eta, with `_edge_secant` narrowing the bracket wherever a midpoint
     is open.  The bisection reads only the sign of lambda_min at its own
     midpoints, so the root is that of a plain bisection; the narrowing
-    leaves it few midpoints to probe itself (usually none).
+    leaves it few midpoints to probe itself (usually none) and mostly
+    closes the bracket on the bisection's own answer tau_r.  Each probe's z
+    is kept by tau for the length of the solve, so z(tau_r), which gives
+    the polarization and det_residual, is built again only where no probe
+    was at tau_r.
 
     GlancingLimit where an end's frame glances.  NoSurfaceWave where
     lambda_min stays positive up to the high end, or where it is not
@@ -468,7 +531,13 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     convex (isotropic lambda <= -mu has no subsonic Rayleigh wave)."""
     t_lo = 1e-3 * tau_eta
     t_hi = (1.0 - EDGE_OFFSET) * tau_eta
-    holds = _Threshold(lambda t: _lambda_min(zfun(t))[0])
+    zs = {}
+
+    def probe(t: float) -> float:
+        zs[t] = zmat = zfun(t)
+        return _lambda_min(zmat)
+
+    holds = _Threshold(probe)
     try:
         f_lo, f_hi = holds.value(t_lo), holds.value(t_hi)
     except GlancingSpectrum as exc:
@@ -480,8 +549,8 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
         raise NoSurfaceWave("smallest impedance eigenvalue stays positive "
                             "on the elliptic interval")
     tau_r = _bisect(holds, t_lo, t_hi, _edge_secant(holds))
-    zr = zfun(tau_r)
-    _, vec = _lambda_min(zr)
+    zr = zs[tau_r] if tau_r in zs else zfun(tau_r)
+    vec = _lapack.eigh(0.5 * (zr + zr.conj().T))[1][:, 0]
     det_res = float(abs(_lapack.det(zr)) / max(np.linalg.norm(zr) ** 3, 1e-300))
     return RayleighResult(tau_r, 1.0 / tau_r, vec, tau_eta, (t_lo, t_hi), det_res)
 
@@ -564,7 +633,8 @@ def _solve_frames(materials, frames: list) -> list:
     at one frame fails as its + side, then its - side, would."""
     sides = _stacked_sides(_stacks(materials, frames))
     rows = list(zip(*sides))
-    due = [j for j, row in enumerate(rows) if _has_margin(_dims(row))]
+    dims = [_dims(row) for row in rows]
+    due = [j for j, row_dims in enumerate(dims) if _has_margin(row_dims)]
     margins = dict.fromkeys(range(len(frames)))
     if due:     # sigma_min / sigma_max of z, or of z+ + z- for a pair
         for stack in sides:
@@ -572,7 +642,8 @@ def _solve_frames(materials, frames: list) -> list:
         z = sum(np.array([stack[j].z() for j in due]) for stack in sides)
         sv = _lapack.svdvals(z)
         margins.update(zip(due, (sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist()))
-    return [(_region(row), margins[j]) for j, row in enumerate(rows)]
+    return [(_region(row, row_dims), margins[j])
+            for j, (row, row_dims) in enumerate(zip(rows, dims))]
 
 
 def classify_frames(materials, frames):

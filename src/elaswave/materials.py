@@ -10,6 +10,7 @@ pair a stiffness tensor with a mass density.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,6 +31,9 @@ from .errors import (
 _VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
 _EYE = np.eye(3)
+# the isotropic basis tensors: delta_ij delta_km and delta_ik delta_jm + delta_im delta_jk
+_DELTA_IJ_KM = np.einsum("ij,km->ijkm", _EYE, _EYE)
+_DELTA_IK_JM_IM_JK = np.einsum("ik,jm->ijkm", _EYE, _EYE) + np.einsum("im,jk->ijkm", _EYE, _EYE)
 
 
 def _symmetrize(c: np.ndarray) -> np.ndarray:
@@ -88,11 +92,16 @@ class Material:
             raise NonPositiveDensity(f"density must be positive and finite, got {self.density}")
 
 
+def _finite_moduli(*moduli) -> None:
+    """InvalidInput where a modulus is not finite, before its products with
+    the zeros of the identity products give NaN (and a numpy warning)."""
+    if not all(map(math.isfinite, moduli)):
+        raise InvalidInput("stiffness entries must be finite")
+
+
 def isotropic_stiffness(lam: float, mu: float) -> StiffnessTensor:
-    c = (lam * np.einsum("ij,km->ijkm", _EYE, _EYE)
-         + mu * (np.einsum("ik,jm->ijkm", _EYE, _EYE)
-                 + np.einsum("im,jk->ijkm", _EYE, _EYE)))
-    return StiffnessTensor(c)
+    _finite_moduli(lam, mu)
+    return StiffnessTensor(lam * _DELTA_IJ_KM + mu * _DELTA_IK_JM_IM_JK)
 
 
 def make_isotropic(lam: float, mu: float, rho: float, name: str = "") -> Material:
@@ -105,6 +114,7 @@ def transversely_isotropic_stiffness(lam, mu, alpha, beta, gamma,
     j = np.asarray(axis, dtype=float)
     if abs(np.linalg.norm(j) - 1.0) > 1e-12:
         raise NonUnitAxis(f"symmetry axis must be a unit vector, |J| = {np.linalg.norm(j)}")
+    _finite_moduli(alpha, beta, gamma)
     jj = np.outer(j, j)
     c = isotropic_stiffness(lam, mu).entries.copy()
     c += alpha * (np.einsum("ij,km->ijkm", _EYE, jj)

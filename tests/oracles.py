@@ -12,6 +12,7 @@ import numpy as np
 from elaswave.boundary import (
     BISECTION_TOL,
     BoundarySide,
+    _dims,
     _region,
     _sides,
     _surface_wave_bisect,
@@ -186,7 +187,7 @@ def classify_with_margin_per_frame(materials, frames) -> list:
     rows = []
     for frame in frames:
         sides = _sides(materials, frame)
-        region = _region(sides)
+        region = _region(sides, _dims(sides))
         if region.label not in ("hyperbolic", "mixed"):
             rows.append((region, None))
             continue

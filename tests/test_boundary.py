@@ -720,8 +720,10 @@ class TestHintsOnlySaveProbes:
         # Barnett-Lothe limit and at most one more.  Unhinted, Poisson's
         # Rayleigh solve factorizes 37 times.  A regula falsi in tau took 14
         # (Poisson), 13 (TI) and 13 (the Stoneley pair, each probe two
-        # factorize calls) probes; the secant in the edge variable takes 9, 7
-        # and 10, one stack per Stoneley probe.
+        # factorize calls) probes; the secant in the edge variable took 9, 7
+        # and 10, one stack per Stoneley probe, each counting the root's
+        # rebuilt z.  Closing the bracket on the bisection's own answer takes
+        # 8, 6 and 8: the root's z is a probe's.
         calls = {"spectra": 0, "factorize": 0, "stack": 0}
         for name, key in (("_spectra", "spectra"), ("factorize", "factorize"),
                           ("_factorize", "stack")):
@@ -738,13 +740,13 @@ class TestHintsOnlySaveProbes:
             assert 2 <= calls["spectra"] <= 3
         calls["factorize"] = 0
         rayleigh_speed(poisson, NU, EHAT)
-        assert calls["factorize"] <= 9
+        assert calls["factorize"] <= 8
         calls["factorize"] = 0
         rayleigh_speed(ti, NU, EHAT)
-        assert calls["factorize"] <= 7
+        assert calls["factorize"] <= 6
         calls["factorize"] = calls["stack"] = 0
         stoneley_speed(iso, hard, NU, EHAT)
-        assert calls["factorize"] == 0 and calls["stack"] <= 10
+        assert calls["factorize"] == 0 and calls["stack"] <= 8
 
     def test_failing_probe_ends_the_narrowing(self, poisson, iso, hard, monkeypatch):
         # A narrowing probe that raises a NumericalDomainError ends the
@@ -807,6 +809,98 @@ class TestHintsOnlySaveProbes:
             assert got == want
         else:
             _same_result(got, want)
+
+
+def _diagonal_solve(monkeypatch, root, narrowing=True, fail_at=None):
+    """boundary._surface_wave_bisect on z(t) = diag(root - t, 1, 2) with
+    tau_eta = 1, so that lambda_min = root - t changes sign exactly at root:
+    the result, every tau z was built at in order, and how many of those
+    were probes (calls of _lambda_min).  The build numbered fail_at (from 0)
+    raises a NumericalDomainError instead, once."""
+    taus, probes, calls = [], [], []
+    real_lambda_min = boundary._lambda_min
+
+    def zfun(t):
+        calls.append(t)
+        if len(calls) - 1 == fail_at:
+            raise NumericalDomainError("forced probe failure")
+        taus.append(t)
+        return np.diag([root - t, 1.0, 2.0]).astype(complex)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(boundary, "_lambda_min", lambda zmat: probes.append(1) or real_lambda_min(zmat))
+        if not narrowing:
+            mp.setattr(boundary, "_edge_secant", lambda *args: None)
+        result = boundary._surface_wave_bisect(zfun, 1.0)
+    return result, taus, len(probes)
+
+
+def _walk_roots(monkeypatch) -> dict:
+    """Roots on, beside and between the midpoints of a plain bisection."""
+    base = 0.7
+    plain, taus, _ = _diagonal_solve(monkeypatch, base, narrowing=False)
+    midpoints = taus[2:-1]     # the ends, the midpoints, then the root's z
+    last, early = midpoints[-1], midpoints[5]
+    return {"generic": base, "low": 0.3, "high": 0.999, "mid_cell": plain.tau_r,
+            "last_midpoint": last, "early_midpoint": early,
+            "above_last": last * (1.0 + 1e-14), "below_last": last * (1.0 - 1e-14),
+            "above_early": early * (1.0 + 1e-14)}
+
+
+class TestClosingOnTheWalk:
+    """The narrowing closes the bracket on the bisection's own answer tau_r,
+    whose z is then a probe's, kept for the solve."""
+
+    ROOTS = ("generic", "low", "high", "mid_cell", "last_midpoint", "early_midpoint",
+             "above_last", "below_last", "above_early")
+
+    @pytest.mark.parametrize("name", ROOTS)
+    def test_same_root_and_no_tau_twice(self, monkeypatch, name):
+        root = _walk_roots(monkeypatch)[name]
+        got, taus, probes = _diagonal_solve(monkeypatch, root)
+        want, _, _ = _diagonal_solve(monkeypatch, root, narrowing=False)
+        _same_result(got, want)
+        assert len(set(taus)) == len(taus)
+        # every build is a probe, then z(tau_r) once more only where no
+        # probe was at tau_r
+        probed = taus[:probes]
+        assert taus == probed + ([] if got.tau_r in probed else [got.tau_r])
+
+    def test_the_root_is_probed_where_the_estimate_decides(self, monkeypatch):
+        # Off the midpoints, the parabola's estimate decides every midpoint
+        # left, so the bracket closes on tau_r; on or within 1e-14 of a
+        # midpoint, that midpoint stays open and z(tau_r) is built after.
+        roots = _walk_roots(monkeypatch)
+        for name in self.ROOTS:
+            got, taus, probes = _diagonal_solve(monkeypatch, roots[name])
+            assert (got.tau_r in taus[:probes]) == (name in ("generic", "low", "high",
+                                                              "mid_cell")), name
+
+    @pytest.mark.parametrize("fail_at", [2, 4, 6, 9])
+    def test_failing_probe(self, monkeypatch, fail_at):
+        # The narrowing's probe number fail_at - 2 raises; the narrowing
+        # ends, the bisection probes the midpoints left itself (then builds
+        # z(tau_r)), and its root is that of bisection alone.
+        root = _walk_roots(monkeypatch)["generic"]
+        got, taus, _ = _diagonal_solve(monkeypatch, root, fail_at=fail_at)
+        want, plain, _ = _diagonal_solve(monkeypatch, root, narrowing=False)
+        _same_result(got, want)
+        assert len(set(taus)) == len(taus)
+        assert set(taus[fail_at:]) <= set(plain)
+
+    @pytest.mark.parametrize("root,message", [
+        (1e-4, "not positive definite at the low endpoint"),
+        (1.0, "stays positive")], ids=["below_low_end", "above_high_end"])
+    def test_no_surface_wave(self, root, message):
+        taus = []
+
+        def zfun(t):
+            taus.append(t)
+            return np.diag([root - t, 1.0, 2.0]).astype(complex)
+
+        with pytest.raises(NoSurfaceWave, match=message):
+            boundary._surface_wave_bisect(zfun, 1.0)
+        assert taus == [1e-3, 1.0 - 1e-6]     # the two ends only
 
 
 class TestEllipticityMargin:

@@ -184,6 +184,20 @@ class TestExitCodes:
         assert json.loads(err) == {"error": "InvalidInput",
                                    "message": "stiffness entries must be finite"}
 
+    @pytest.mark.parametrize("stiffness", [
+        '{"type": "isotropic", "lambda": 1e999, "mu": 1.0}',
+        '{"type": "transversely_isotropic", "lambda": 1.0, "mu": 1.0, "alpha": 1e999, '
+        '"beta": 0.0, "gamma": 0.0, "axis": [0.0, 0.0, 1.0]}'], ids=["lambda", "alpha"])
+    def test_infinite_modulus_is_one_json_error(self, capsys, tmp_path, stiffness):
+        # An infinite modulus times the zeros of the identity products would
+        # be NaN, and numpy's warning of it would precede the JSON error
+        path = tmp_path / "inf.json"
+        path.write_text(f'{{"name": "inf", "density": 1.0, "stiffness": {stiffness}}}')
+        code, out, err = invoke(capsys, "material", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "InvalidInput",
+                                   "message": "stiffness entries must be finite"}
+
     def test_infinite_layer_thickness(self, capsys, stack_file):
         with open(stack_file, encoding="utf-8") as fh:
             text = fh.read()

@@ -92,9 +92,12 @@ class TestStiffnessConstruction:
         lambda: make_transversely_isotropic(1.0, 1.0, 0.0, 0.0, 0.0, [np.nan, 0.0, 1.0], 1.0),
         lambda: from_voigt(np.where(np.eye(6) == 1, 1.0, np.nan)),
         overflowing_rotation,
-    ], ids=["isotropic", "ti_axis", "voigt", "rotation"])
+        lambda: make_isotropic(np.inf, 1.0, 1.0),
+        lambda: make_transversely_isotropic(1.0, 1.0, -np.inf, 0.0, 0.0, [0.0, 0.0, 1.0], 1.0),
+    ], ids=["isotropic", "ti_axis", "voigt", "rotation", "isotropic_inf", "ti_alpha_inf"])
     def test_rejects_non_finite_entries(self, build):
-        # every builder constructs a StiffnessTensor, which checks its entries
+        # every builder constructs a StiffnessTensor, which checks its entries;
+        # an infinite modulus is rejected before it meets a zero (no warning)
         with pytest.raises(InvalidInput, match="^stiffness entries must be finite$"):
             build()
 

@@ -32,7 +32,10 @@ names of the lines that differ, and exits 1 if any does.  It covers
     azimuths;
   * surface_wave_probes: the number of Schur forms (factorization._schur
     calls) of each solve of the two lines above, so that a change to the
-    root search shows whether it keeps the probes, not only the floats;
+    root search shows whether it keeps the probes, not only the floats; the
+    line ends with their sum, and where it differs --against prints both
+    sums ("surface_wave_probes: N → M Schur forms"), so that the way the
+    probe count moved shows;
   * trees: the event trees of the layered_trace workload, as JSON, the
     same frames again with event budgets of 1 and 2, with the source in
     layer 1 and with source mode 1 (laws, incoming projectors and delays
@@ -400,11 +403,13 @@ def cli_digests(directory: str) -> list:
 
 
 def _digest_lines(root: str, seed: int) -> dict:
-    """name -> digest of the lines the digest of the checkout at root prints."""
+    """name -> (digest, count) of the lines the digest of the checkout at
+    root prints, where count is the "N unit" a line ends with, or ""."""
     out = subprocess.run([sys.executable, os.path.join(root, "tools", "output_digest.py"),
                           "--seed", str(seed)], cwd=root, check=True, capture_output=True,
                          text=True).stdout
-    return {name: digest for digest, name in (line.split(maxsplit=1) for line in out.splitlines())}
+    lines = (line.split(maxsplit=2) for line in out.splitlines())
+    return {name: (digest, count[0] if count else "") for digest, name, *count in lines}
 
 
 def compare(ref: str, seed: int) -> int:
@@ -421,7 +426,12 @@ def compare(ref: str, seed: int) -> int:
     differ = [name for name in dict.fromkeys([*theirs, *mine])
               if theirs.get(name) != mine.get(name)]
     for name in differ:
-        print(name)
+        counts = [lines.get(name, ("", ""))[1] for lines in (theirs, mine)]
+        if all(counts):
+            (n_theirs, unit), (n_mine, _) = (count.split(maxsplit=1) for count in counts)
+            print(f"{name}: {n_theirs} → {n_mine} {unit}")
+        else:
+            print(name)
     print(f"{len(differ)} of {len(mine)} lines differ from {ref} (seed {seed})")
     return 1 if differ else 0
 
@@ -448,9 +458,10 @@ def main(argv=None) -> int:
                   ("trees", tree_digest(trees)),
                   ("tree_shapes", tree_shape_digest(trees)),
                   ("errors", errors_digest(args.seed))]
+    counts = {"surface_wave_probes": f"  {sum(probes) + sum(anisotropic_probes)} Schur forms"}
     total = hashlib.sha256()
     for name, digest in lines:
-        print(f"{digest}  {name}")
+        print(f"{digest}  {name}{counts.get(name, '')}")
         total.update(f"{name}:{digest}\n".encode())
     print(f"{total.hexdigest()}  all")
     return 0
