@@ -311,11 +311,18 @@ def _cmd_classify(args) -> int:
     if _grid(args):
         radius = math.hypot(*args.eta)     # N azimuths at radius |eta|, from angle 0
         start = BoundaryFrame(_NU, np.array([radius, 0.0, 0.0]), args.tau)
+        # for even N, azimuth k + N/2 is azimuth k's antipode -eta, whose
+        # impedance is z_out(eta)^T (A(nu, -eta; s) = A(nu, eta; -s)), with the
+        # same label and margin, so only the first half is solved
+        paired = args.grid % 2 == 0
         frames = (start.with_eta(radius * np.array([np.cos(ang), np.sin(ang), 0.0]))
-                  for ang in (2.0 * np.pi * k / args.grid for k in range(args.grid)))
+                  for ang in (2.0 * np.pi * k / args.grid
+                              for k in range(args.grid // 2 if paired else args.grid)))
         rows = [(frame.eta[0], frame.eta[1], args.tau, region.label,
                  0.0 if margin is None else margin)
                 for frame, region, margin in bnd.classify_frames(sides, frames)]
+        if paired:          # 0.0 - x, so that no antipodal 0 prints as -0
+            rows += [(0.0 - ex, 0.0 - ey, *rest) for ex, ey, *rest in rows]
         _emit_csv(["eta_x", "eta_y", "tau", "label", "margin"], rows, args)
         return 0
     frame = _frame(args)

@@ -35,7 +35,7 @@ from .errors import (
     SigmaCardinality,
     SolvencyResidual,
 )
-from .materials import Material
+from .materials import Material, _is_real
 
 # The spectral decision of every frame rests on these fixed tolerances.
 KERNEL_TOL = 1e-6        # SVD cutoff of ker A(s), relative to its largest singular value
@@ -50,7 +50,7 @@ CONTOUR_MAX_NODES = 1 << 16  # and raises QuadratureNotConverged past this count
 
 def _check_tau(tau) -> None:
     """InvalidInput unless tau is a finite, nonzero real number (not a bool)."""
-    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+    if not _is_real(tau):
         raise InvalidInput(f"tau must be a real number, got {tau!r}")
     if not math.isfinite(tau) or tau == 0:
         raise InvalidInput("frame must be finite" if tau else "tau must be nonzero")
@@ -474,8 +474,15 @@ def _kernels(mats: np.ndarray, scales: list) -> list:
 
 
 def kernel_basis(a: QuadraticMatrixPolynomial, s: complex) -> np.ndarray:
-    """Orthonormal basis (3 x k) of ker A(s) from an SVD cutoff."""
-    return _kernels(a(s)[None], [a.scale])[0]
+    """Orthonormal basis (3 x k) of ker A(s) from an SVD cutoff; InvalidInput
+    unless s is a number (not a bool) at which A(s) is finite."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Number):
+        raise InvalidInput(f"s must be a number, got {s!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = a(s)
+    if not np.isfinite(mat).all():
+        raise InvalidInput(f"A(s) is not finite at s = {s!r}")
+    return _kernels(mat[None], [a.scale])[0]
 
 
 # --- the rules of a spectrum's classification and factorization ---------------

@@ -12,7 +12,7 @@ numbered downward, and the half-space lies below the last layer.
 from __future__ import annotations
 
 import json
-import numbers
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     ElasticError,
     GlancingSpectrum,
+    InvalidInput,
     NumericalDomainError,
     StackFileError,
     ValidationError,
@@ -36,7 +37,13 @@ from .factorization import (
     _record,
     _slope,
 )
-from .materials import Material, _json_number, check_strong_convexity, material_from_dict
+from .materials import (
+    Material,
+    _is_real,
+    _json_number,
+    check_strong_convexity,
+    material_from_dict,
+)
 from .scatter import _scatter_operators, side_incoming_mode
 
 _UP = np.array([0.0, 0.0, 1.0])
@@ -54,6 +61,8 @@ class LayerStack:
 
     def __post_init__(self):
         for _, d in self.layers:
+            if not _is_real(d):
+                raise StackFileError(f"layer thickness must be a real number, got {d!r}")
             if not 0 < d < np.inf:
                 raise StackFileError(f"layer thickness must be positive and finite, got {d}")
         for mat in [m for m, _ in self.layers] + [self.halfspace]:
@@ -90,12 +99,19 @@ def load_stack(path: str) -> LayerStack:
     return LayerStack(layers, half)
 
 
+def _check_slowness(s) -> None:
+    """InvalidInput unless s is a finite real number (not a bool)."""
+    if not (_is_real(s) and math.isfinite(s)):
+        raise InvalidInput(f"s must be a finite real number, got {s!r}")
+
+
 def group_delay(a: QuadraticMatrixPolynomial, s: float, v: np.ndarray) -> float:
     """ds/dtau of a real eigenvalue branch, by implicit differentiation.
 
     ds/dtau = 2 rho tau (v|v) / (A'(s)v|v) for v in ker A(s); the vertical
     travel time across thickness d is d |ds/dtau|.
     """
+    _check_slowness(s)
     tau = a.frame.tau
     denom = float(np.real(np.vdot(v, a.derivative(s) @ v)))
     scale = a.scale * float(np.vdot(v, v).real)
@@ -117,6 +133,7 @@ def mode_delay(a: QuadraticMatrixPolynomial, classification: SpectrumClassificat
     test, so that a caller falling back to `group_delay` on its own vector
     meets the same outcome there.
     """
+    _check_slowness(s)
     return _mode_delays([(a, classification, s)])[0]
 
 
@@ -304,7 +321,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     for name, value in (("tau", tau), ("amplitude_floor", amplitude_floor)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_real(value):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
     if max_events < 1:
         raise ValidationError("max_events must be at least 1")

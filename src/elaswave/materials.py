@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,11 +30,18 @@ from .errors import (
 
 # Voigt pair order: 11, 22, 33, 23, 13, 12
 _VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+_VOIGT_I, _VOIGT_J = (np.array(index) for index in zip(*_VOIGT_PAIRS))
 
 _EYE = np.eye(3)
 # the isotropic basis tensors: delta_ij delta_km and delta_ik delta_jm + delta_im delta_jk
 _DELTA_IJ_KM = np.einsum("ij,km->ijkm", _EYE, _EYE)
 _DELTA_IK_JM_IM_JK = np.einsum("ik,jm->ijkm", _EYE, _EYE) + np.einsum("im,jk->ijkm", _EYE, _EYE)
+
+
+def _is_real(x) -> bool:
+    """x is a real number and not a bool, so that True does not pass as 1
+    (a float, numpy's too, passes without the slower abstract check)."""
+    return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 def _symmetrize(c: np.ndarray) -> np.ndarray:
@@ -61,13 +69,17 @@ class StiffnessTensor:
         if c.shape != (3, 3, 3, 3):
             raise AsymmetricStiffness(
                 f"stiffness entries must have shape (3,3,3,3), got {c.shape}")
-        if not np.isfinite(c).all():
-            raise InvalidInput("stiffness entries must be finite")
-        sym = _symmetrize(c)
-        scale = np.linalg.norm(sym)
-        if scale > 0 and np.linalg.norm(c - sym) > 1e-8 * scale:
-            raise AsymmetricStiffness(
-                "input violates minor/major symmetry beyond 1e-8 relative")
+        # a non-finite entry, or finite ones whose sums overflow, give a
+        # non-finite sym; a norm that overflows is inf, and a boundary
+        # polynomial built on it raises CoefficientOverflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = _symmetrize(c)
+            if not np.isfinite(sym).all():
+                raise InvalidInput("stiffness entries must be finite")
+            scale = np.linalg.norm(sym)
+            if scale > 0 and np.linalg.norm(c - sym) > 1e-8 * scale:
+                raise AsymmetricStiffness(
+                    "input violates minor/major symmetry beyond 1e-8 relative")
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
         object.__setattr__(self, "norm", float(scale))
@@ -88,20 +100,27 @@ class Material:
     name: str = ""
 
     def __post_init__(self):
+        if not _is_real(self.density):
+            raise NonPositiveDensity(f"density must be a real number, got {self.density!r}")
         if not 0 < self.density < np.inf:
             raise NonPositiveDensity(f"density must be positive and finite, got {self.density}")
 
 
 def _finite_moduli(*moduli) -> None:
-    """InvalidInput where a modulus is not finite, before its products with
-    the zeros of the identity products give NaN (and a numpy warning)."""
+    """InvalidInput where a modulus is not a finite real number, before its
+    products with the zeros of the identity products give NaN (and a numpy
+    warning)."""
+    for modulus in moduli:
+        if not _is_real(modulus):
+            raise InvalidInput(f"a modulus must be a real number, got {modulus!r}")
     if not all(map(math.isfinite, moduli)):
         raise InvalidInput("stiffness entries must be finite")
 
 
 def isotropic_stiffness(lam: float, mu: float) -> StiffnessTensor:
     _finite_moduli(lam, mu)
-    return StiffnessTensor(lam * _DELTA_IJ_KM + mu * _DELTA_IK_JM_IM_JK)
+    with np.errstate(over="ignore"):    # an entry that overflows fails StiffnessTensor
+        return StiffnessTensor(lam * _DELTA_IJ_KM + mu * _DELTA_IK_JM_IM_JK)
 
 
 def make_isotropic(lam: float, mu: float, rho: float, name: str = "") -> Material:
@@ -114,17 +133,18 @@ def transversely_isotropic_stiffness(lam, mu, alpha, beta, gamma,
     j = np.asarray(axis, dtype=float)
     if abs(np.linalg.norm(j) - 1.0) > 1e-12:
         raise NonUnitAxis(f"symmetry axis must be a unit vector, |J| = {np.linalg.norm(j)}")
-    _finite_moduli(alpha, beta, gamma)
+    _finite_moduli(lam, mu, alpha, beta, gamma)
     jj = np.outer(j, j)
-    c = isotropic_stiffness(lam, mu).entries.copy()
-    c += alpha * (np.einsum("ij,km->ijkm", _EYE, jj)
-                  + np.einsum("km,ij->ijkm", _EYE, jj))
-    c += beta * (np.einsum("ik,jm->ijkm", _EYE, jj)
-                 + np.einsum("jm,ik->ijkm", _EYE, jj)
-                 + np.einsum("im,jk->ijkm", _EYE, jj)
-                 + np.einsum("jk,im->ijkm", _EYE, jj))
-    c += gamma * np.einsum("ij,km->ijkm", jj, jj)
-    return StiffnessTensor(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails StiffnessTensor
+        c = lam * _DELTA_IJ_KM + mu * _DELTA_IK_JM_IM_JK
+        c += alpha * (np.einsum("ij,km->ijkm", _EYE, jj)
+                      + np.einsum("km,ij->ijkm", _EYE, jj))
+        c += beta * (np.einsum("ik,jm->ijkm", _EYE, jj)
+                     + np.einsum("jm,ik->ijkm", _EYE, jj)
+                     + np.einsum("im,jk->ijkm", _EYE, jj)
+                     + np.einsum("jk,im->ijkm", _EYE, jj))
+        c += gamma * np.einsum("ij,km->ijkm", jj, jj)
+        return StiffnessTensor(c)
 
 
 def make_transversely_isotropic(lam, mu, alpha, beta, gamma, axis, rho,
@@ -211,11 +231,7 @@ def check_strong_convexity(c: StiffnessTensor) -> tuple[bool, float]:
 
 def to_voigt(c: StiffnessTensor) -> np.ndarray:
     """6x6 engineering (unscaled) Voigt matrix; pair order 11,22,33,23,13,12."""
-    m = np.empty((6, 6))
-    for bi, (i, j) in enumerate(_VOIGT_PAIRS):
-        for bj, (k, l) in enumerate(_VOIGT_PAIRS):
-            m[bi, bj] = c.entries[i, j, k, l]
-    return m
+    return c.entries[_VOIGT_I[:, None], _VOIGT_J[:, None], _VOIGT_I, _VOIGT_J]
 
 
 def from_voigt(m: np.ndarray) -> StiffnessTensor:

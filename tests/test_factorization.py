@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from elaswave.factorization import (
     contour_root_check,
     factorization_residual,
     factorize,
+    kernel_basis,
     stroh,
 )
 
@@ -669,6 +671,19 @@ class TestQuadraticMatrixPolynomialValidation:
                 QuadraticMatrixPolynomial(*coefficients)
         with pytest.raises(CoefficientOverflow):     # with_a2 checks the new A2 alike
             unit.with_a2(-1e200 * np.eye(3))
+
+    @pytest.mark.parametrize("s, message", [
+        (np.nan, "A(s) is not finite at s = nan"), (np.inf, "A(s) is not finite at s = inf"),
+        (complex(0.0, np.nan), "A(s) is not finite at s = nanj"),
+        (1e300, "A(s) is not finite at s = 1e+300"),
+        ("x", "s must be a number, got 'x'"), (None, "s must be a number, got None"),
+        (True, "s must be a number, got True"),
+    ], ids=["nan", "inf", "nan_imag", "overflow", "str", "none", "bool"])
+    def test_kernel_basis_rejects_bad_s(self, iso, s, message):
+        # typed, with no numpy warning or bare LinAlgError
+        a = boundary_polynomial(iso, frame(-1.5))
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            kernel_basis(a, s)
 
     def test_boundary_polynomial_of_nonconvex_material(self):
         # A0 = nu.C.nu is indefinite; the polynomial's constructor rejects it

@@ -1,6 +1,8 @@
 """classify_frames and ellipticity_margin solve frames as stacks; they must
 give what a loop over the frames, one after another, gives: the same labels,
-the same margins to the last bit, and the same first error."""
+the same margins to the last bit, and the same first error.  A frame and its
+antipode (nu, -eta, tau) share a label and a margin, which `classify --grid`
+reads for the second half of an even grid."""
 import json
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from elaswave import cli, factorization
 from elaswave.boundary import (
     _CHUNK,
+    _sides,
     classify,
     classify_frames,
     ellipticity_margin,
@@ -36,6 +39,7 @@ from elaswave.materials import (
     make_isotropic,
     make_transversely_isotropic,
     rotate_stiffness,
+    to_voigt,
 )
 
 from conftest import NU, random_triclinic
@@ -216,6 +220,75 @@ class TestFirstError:
         assert error == (SolvencyResidual, "injected + side failure")
 
 
+def antipode(frame):
+    return BoundaryFrame(frame.nu, 0.0 - frame.eta, frame.tau)
+
+
+def z_out(materials, frame):
+    """z_out of a boundary, or z+ + z- of an interface."""
+    return sum(side.z() for side in _sides(materials, frame))
+
+
+@st.composite
+def antipodal_frames(draw):
+    """A material or pair and frames with their tolerance: 1e-9 within 1e-10
+    of a side's elliptic limit tau_L, where z is ill-conditioned, and 1e-12 at
+    least 1e-6 from every side's tau_L."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    make = {"triclinic": random_triclinic, "rotated_ti": random_rotated_ti}
+    mats = [make[draw(st.sampled_from(sorted(make)))](rng)
+            for _ in range(2 if draw(st.booleans()) else 1)]
+    frames = []
+    for k in range(draw(st.integers(1, 6))):
+        ang, mag = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.3, 1.6)
+        eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+        limits = [tau_limit(m, NU, eta_hat) for m in mats]
+        if k < 2:
+            t, tol = limits[k % len(limits)] * (1.0 + rng.choice([-1e-10, 1e-10])), 1e-9
+        else:
+            t, tol = rng.uniform(0.2, 3.0), 1e-12
+            if min(abs(t / lim - 1.0) for lim in limits) < 1e-6:
+                continue
+        frames.append((BoundaryFrame(NU, mag * eta_hat, -mag * t), tol))
+    return mats[0] if len(mats) == 1 else tuple(mats), frames
+
+
+class TestAntipodalReciprocity:
+    """A(nu, -eta; s) = A(nu, eta; -s), so z_out(-eta) = z_out(eta)^T on every
+    side (the - side's frame flips the same way): the label and the margin of
+    (nu, -eta, tau) are those of (nu, eta, tau)."""
+
+    @given(antipodal_frames())
+    def test_label_impedance_and_margin(self, case):
+        materials, frames = case
+        for frame, tol in frames:
+            back = antipode(frame)
+            label = classify(materials, frame).label
+            assert classify(materials, back).label == label
+            [(_, _, margin), (_, _, margin_back)] = classify_frames(materials, [frame, back])
+            if margin is None:
+                assert margin_back is None
+            else:
+                assert abs(margin_back - margin) <= tol * margin
+            if label == "glancing":
+                continue
+            z, error = outcome(lambda: z_out(materials, frame))
+            z_back, error_back = outcome(lambda: z_out(materials, back))
+            assert (error is None) == (error_back is None)
+            if error is None:
+                assert np.linalg.norm(z_back - z.T) <= tol * np.linalg.norm(z)
+
+    def test_off_hyperbolic_not_the_adjoint(self, iso):
+        # -z(eta)^H, a relation of the real roots alone, misses by O(1) where
+        # z has evanescent roots; the transpose holds in every region
+        for tau in (-0.5, -1.5, -2.5):
+            fr = BoundaryFrame(NU, np.array([0.6, 0.8, 0.0]), tau)
+            z, z_back = z_out(iso, fr), z_out(iso, antipode(fr))
+            assert np.linalg.norm(z_back - z.T) <= 1e-13 * np.linalg.norm(z)
+            if classify(iso, fr).label != "hyperbolic":
+                assert np.linalg.norm(z_back + z.conj().T) > 0.1 * np.linalg.norm(z)
+
+
 class TestCliGrid:
     @pytest.fixture()
     def ortho_file(self, tmp_path):
@@ -226,10 +299,76 @@ class TestCliGrid:
                                         [0, 0, 0, 0, 1.2, 0], [0, 0, 0, 0, 0, 1.25]]}}))
         return str(path)
 
+    @pytest.fixture()
+    def triclinic_file(self, tmp_path):
+        path = tmp_path / "triclinic.json"
+        mat = random_triclinic(np.random.default_rng(29))
+        path.write_text(json.dumps({"density": mat.density, "stiffness": {
+            "type": "voigt", "matrix": to_voigt(mat.stiffness).tolist()}}))
+        return str(path)
+
     def grid(self, capsys, *argv):
         code = cli.run(["classify", *argv])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
+
+    @staticmethod
+    def cli_frames(eta, tau, n):
+        """The CLI's n azimuths at radius |eta|, from angle 0."""
+        radius = np.hypot(*eta)
+        return [BoundaryFrame(NU, radius * np.array([np.cos(ang), np.sin(ang), 0.0]), tau)
+                for ang in (2.0 * np.pi * k / n for k in range(n))]
+
+    @staticmethod
+    def csv_rows(frames, rows):
+        """CSV fields of classify --grid for frames and their (region, margin)."""
+        return [[cli._fmt(fr.eta[0]), cli._fmt(fr.eta[1]), cli._fmt(fr.tau), region.label,
+                 cli._fmt(0.0 if margin is None else margin)]
+                for fr, (region, margin) in zip(frames, rows)]
+
+    def sides_argv(self, files, pair):
+        if pair:
+            return ["--material-plus", files[0], "--material-minus", files[1]]
+        return ["--material", files[0]]
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["boundary", "pair"])
+    @pytest.mark.parametrize("n", [2, 8, 10])
+    def test_even_grid_solves_the_first_half(self, capsys, triclinic_file, ortho_file,
+                                             pair, n):
+        files, tau = (triclinic_file, ortho_file), -0.6
+        materials = tuple(map(load_material, files)) if pair else load_material(files[0])
+        code, out, err = self.grid(capsys, *self.sides_argv(files, pair), "--eta", "1", "0",
+                                   "--tau", "-0.6", "--grid", str(n))
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == n
+        half = self.cli_frames((1.0, 0.0), tau, n)[:n // 2]
+        # the first half is the per-frame loop's, bit for bit
+        assert rows[:n // 2] == self.csv_rows(half, classify_with_margin_per_frame(materials,
+                                                                                   half))
+        # row k + n/2 is the antipode (nu, 0.0 - eta_k, tau) with row k's label and margin
+        for row, fr, back in zip(rows[n // 2:], half, rows[:n // 2]):
+            assert row == [cli._fmt(0.0 - fr.eta[0]), cli._fmt(0.0 - fr.eta[1]), *back[2:]]
+        assert rows[n // 2][:2] == [cli._fmt(-1.0), "0"]     # angle pi: eta_y is 0, not -0
+        if n > 2:       # the grid crosses the boundary of the elliptic region
+            assert {row[3] for row in rows} == {"elliptic", "mixed"}
+
+    @pytest.mark.parametrize("n", [1, 5, 7])
+    def test_odd_grid_solves_every_azimuth(self, capsys, triclinic_file, ortho_file, n):
+        files = (triclinic_file, ortho_file)
+        materials = tuple(map(load_material, files))
+        code, out, _ = self.grid(capsys, *self.sides_argv(files, True), "--eta", "0.6", "0.8",
+                                 "--tau", "-1.3", "--grid", str(n))
+        frames = self.cli_frames((0.6, 0.8), -1.3, n)
+        want = self.csv_rows(frames, classify_with_margin_per_frame(materials, frames))
+        assert code == 0
+        assert out == "\n".join(["eta_x,eta_y,tau,label,margin", *map(",".join, want)]) + "\n"
+
+    def test_zero_radius_antipodes_print_no_negative_zero(self, capsys, ortho_file):
+        _, out, _ = self.grid(capsys, "--material", ortho_file, "--eta", "0", "0",
+                              "--tau", "-1", "--grid", "6")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[:2] for row in rows[3:]] == [["0", "0"]] * 3
 
     def test_radius_is_eta_magnitude(self, capsys, ortho_file):
         code, out, _ = self.grid(capsys, "--material", ortho_file, "--eta", "2", "0",
@@ -271,5 +410,27 @@ class TestCliGrid:
         assert want == (SigmaCardinality, "injected failure")
         code, out, err = self.grid(capsys, "--material", ortho_file, "--eta", "1", "0",
                                    "--tau", "-2.6", "--grid", "8")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": want[0].__name__, "message": want[1]}
+
+    def test_failure_in_the_first_half_of_an_even_grid(self, capsys, monkeypatch,
+                                                       triclinic_file, ortho_file):
+        # the - side's factorization of azimuth 3 of 8, the last one solved, fails
+        files = (triclinic_file, ortho_file)
+        materials = tuple(map(load_material, files))
+        frames = self.cli_frames((1.0, 0.0), -1.0, 8)
+        bad = classify_spectrum(boundary_polynomial(materials[1], frames[3].flipped())).schur[0]
+        target = factorization._target
+
+        def failing(cls, d, tau):
+            if np.array_equal(cls.schur[0], bad):
+                raise SigmaCardinality("injected - side failure")
+            return target(cls, d, tau)
+
+        monkeypatch.setattr(factorization, "_target", failing)
+        _, want = outcome(lambda: classify_with_margin_per_frame(materials, frames))
+        assert want == (SigmaCardinality, "injected - side failure")
+        code, out, err = self.grid(capsys, *self.sides_argv(files, True), "--eta", "1", "0",
+                                   "--tau", "-1", "--grid", "8")
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": want[0].__name__, "message": want[1]}

@@ -11,6 +11,7 @@ from elaswave.boundary import BoundarySide
 from elaswave.errors import (
     GlancingSpectrum,
     IllConditionedJ,
+    InvalidInput,
     NonEllipticOperator,
     NumericalDomainError,
     StackFileError,
@@ -110,6 +111,12 @@ class TestLayerStack:
         with pytest.raises(StackFileError, match="positive and finite"):
             LayerStack(((soft, d),), rigid)
 
+    @pytest.mark.parametrize("d", ["1", True, None, 1.0 + 0j], ids=["str", "bool", "none",
+                                                                   "complex"])
+    def test_rejects_non_real_thickness(self, soft, rigid, d):
+        with pytest.raises(StackFileError, match="^layer thickness must be a real number, got "):
+            LayerStack(((soft, d),), rigid)
+
     def test_rejects_nonconvex(self, soft):
         import warnings
         with warnings.catch_warnings():
@@ -201,6 +208,15 @@ class TestGroupDelay:
         # pressure branch exactly at its transition: s = 0
         with pytest.raises(GlancingSpectrum):
             group_delay(a, 0.0, np.array([1.0, 0.0, 0.0], dtype=complex))
+
+    @pytest.mark.parametrize("s", [None, "x", True, 0.5 + 0j, np.nan, np.inf],
+                             ids=["none", "str", "bool", "complex", "nan", "inf"])
+    def test_rejects_bad_slowness(self, soft, s):
+        a = boundary_polynomial(soft, BoundaryFrame(NU, ETA, -1.5))
+        with pytest.raises(InvalidInput, match="^s must be a finite real number, got "):
+            group_delay(a, s, np.array([1.0, 0.0, 0.0], dtype=complex))
+        with pytest.raises(InvalidInput, match="^s must be a finite real number, got "):
+            mode_delay(a, classify_spectrum(a), s)
 
 
 class TestModeDelay:

@@ -102,6 +102,45 @@ class TestStiffnessConstruction:
             build()
 
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_isotropic(True, 1.0, 1.0),
+        lambda: make_isotropic("1", 1.0, 1.0),
+        lambda: make_isotropic(2.0, None, 1.0),
+        lambda: make_isotropic(2.0, 1.0 + 0j, 1.0),
+        lambda: make_transversely_isotropic(1.0, 1.0, 0.1, False, 0.1, [0.0, 0.0, 1.0], 1.0),
+        lambda: make_transversely_isotropic(1.0, 1.0, 0.1, 0.1, "0.1", [0.0, 0.0, 1.0], 1.0),
+    ], ids=["bool", "str", "none", "complex", "ti_bool", "ti_str"])
+    def test_rejects_non_real_moduli(self, build):
+        with pytest.raises(InvalidInput, match="^a modulus must be a real number, got "):
+            build()
+
+    @pytest.mark.parametrize("density", [True, None, "1", 1.0 + 0j],
+                             ids=["bool", "none", "str", "complex"])
+    def test_rejects_non_real_density(self, density):
+        with pytest.raises(NonPositiveDensity, match="^density must be a real number, got "):
+            make_isotropic(2.0, 1.0, density)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_isotropic(1e308, 1e308, 1.0),     # mu times 2 overflows
+        lambda: make_isotropic(1e308, 0.0, 1.0),       # symmetrizing sums two 1e308
+        lambda: make_isotropic(-1e308, -1e308, 1.0),
+        lambda: make_transversely_isotropic(1.0, 1.0, 1e308, 1e308, -1e308,
+                                            [0.0, 0.0, 1.0], 1.0),   # inf - inf
+    ], ids=["isotropic", "symmetrize", "negative", "ti"])
+    def test_rejects_finite_moduli_whose_tensor_overflows(self, build):
+        # typed, with no numpy warning (the test run makes warnings errors)
+        with pytest.raises(InvalidInput, match="^stiffness entries must be finite$"):
+            build()
+
+    def test_huge_finite_tensor_builds_without_warning(self):
+        # entries of 3e300 are finite; their squared norm overflows to inf
+        assert make_isotropic(1e300, 1e300, 1.0).stiffness.norm == np.inf
+
+    def test_numpy_scalars_are_real(self):
+        m = make_isotropic(np.float32(2.0), np.int64(1), np.float64(1.0))
+        assert np.array_equal(m.stiffness.entries, isotropic_stiffness(2.0, 1.0).entries)
+
+
 class TestRotation:
     def test_isotropic_invariant(self):
         c = isotropic_stiffness(2.0, 1.0)
@@ -174,6 +213,14 @@ class TestConvexityAndVoigt:
         c = transversely_isotropic_stiffness(1, 1, 0.2, 0.1, 0.3,
                                              np.array([0.0, 0.0, 1.0]))
         assert np.allclose(from_voigt(to_voigt(c)).entries, c.entries)
+
+    def test_to_voigt_entries(self):
+        # each Voigt entry is the tensor entry of its two index pairs, copied
+        g = np.random.default_rng(4).standard_normal((6, 6))
+        c = from_voigt(g + g.T)
+        pairs = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+        want = [[c.entries[i, j, k, m] for k, m in pairs] for i, j in pairs]
+        assert np.array_equal(to_voigt(c), np.array(want))
 
     def test_asymmetric_voigt_rejected(self):
         m = np.eye(6)

@@ -12,8 +12,10 @@ names of the lines that differ, and exits 1 if any does.  It covers
     bench/workloads.py and of MORE_CLI_COMMANDS (the other JSON document
     shapes: material, material --validate, slowness as JSON and CSV,
     factorize, single-frame classify at a boundary and an interface,
-    reflect --format json; the file trace --out writes; an error of exit
-    code 2 and one of 3), run in-process on the material and stack files
+    reflect --format json; classify --grid of an odd N, 7 at a boundary
+    and 5 at an interface, which solves every azimuth where an even N
+    solves half; the file trace --out writes; an error of exit code 2 and
+    one of 3), run in-process on the material and stack files
     that bench/workloads.py writes (the temporary directory's path is
     replaced by "<dir>");
   * spectra: boundary polynomials, spectrum classifications, both
@@ -352,8 +354,9 @@ def tree_shape_digest(trees: list) -> str:
 
 
 # CLI outputs the goldens do not cover: every other JSON document shape, the
-# JSON and CSV of slowness, a file written by --out and one error path of
-# each exit code.  Files as in bench/workloads.py; "<file>" in the last
+# JSON and CSV of slowness, classify grids of an odd N (which solve every
+# azimuth; the goldens' even N solve half and print the antipodes), a file
+# written by --out and one error path of each exit code.  Files as in bench/workloads.py; "<file>" in the last
 # argument names the --out file, whose content is hashed after the streams.
 MORE_CLI_COMMANDS = {
     "material": ["material", "ti.json"],
@@ -367,6 +370,11 @@ MORE_CLI_COMMANDS = {
                           "--tau", "-1.5"],
     "classify_interface": ["classify", "--material-plus", "iso.json", "--material-minus",
                            "hard.json", "--eta", "1", "0", "--tau", "-2.5"],
+    "classify_grid_odd": ["classify", "--material", "iso.json", "--eta", "1", "0",
+                          "--tau", "-1.5", "--grid", "7"],
+    "classify_grid_odd_interface": ["classify", "--material-plus", "iso.json",
+                                    "--material-minus", "hard.json", "--eta", "1", "0",
+                                    "--tau", "-2.5", "--grid", "5"],
     "reflect_json": ["reflect", "--material", "ti.json", "--eta", "0.6", "0.8",
                      "--tau", "-1.5", "--format", "json"],
     "trace_out_file": ["trace", "--stack", "stack.json", "--eta", "0.1", "0.05",
