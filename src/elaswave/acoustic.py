@@ -1,13 +1,14 @@
 """Acoustic (Christoffel) tensor and bulk plane-wave modes."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _lapack
 from .errors import IndefiniteAcousticTensor, InvalidInput
-from .materials import Material, StiffnessTensor
+from .materials import Material, StiffnessTensor, _real_array
 
 DEGENERACY_TOL = 1e-8   # speeds^2 closer than this relative to the largest are one mode
 
@@ -80,8 +81,8 @@ def _orient_degenerate(vecs: np.ndarray) -> np.ndarray:
 
 def christoffel_modes(m: Material, xi_hat: np.ndarray) -> ChristoffelModes:
     """Eigen-decomposition of l(xi)/rho; speeds are sqrt of the eigenvalues."""
-    xi_hat = np.asarray(xi_hat, dtype=float)
-    if not (np.isfinite(xi_hat).all() and abs(np.linalg.norm(xi_hat) - 1.0) <= 1e-12):
+    xi_hat = _real_array(xi_hat, (3,), "direction must be a finite unit vector")
+    if abs(math.hypot(*xi_hat) - 1.0) > 1e-12:
         raise InvalidInput("direction must be a finite unit vector")
     ell = acoustic_tensor(m.stiffness, xi_hat) / m.density
     vals, vecs = _lapack.eigh(ell)   # ascending

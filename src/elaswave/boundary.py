@@ -8,14 +8,15 @@ Rayleigh (and Stoneley) frequencies robust bisection targets.  The
 elliptic interval ends at tau_eta (`tau_limit`), found by bisecting on
 whether the spectrum is fully evanescent; those probes read the grouped
 spectrum alone (`_fully_evanescent`), without kernels or sign forms.  The
-root search is one loop on one bracket (`_Threshold`, which keeps the value
-at each end): where the bracket leaves a bisection midpoint open, a secant in
-the edge variable sqrt(1 - tau/tau_eta) (`_edge_secant`) narrows it first,
-so the bisection probes few midpoints of its own and its root is that of the
-bisection alone.  Once an inverse quadratic estimate of the root decides
-every midpoint the walk has left, the narrowing closes the bracket on the
-bisection's own answer, so the root's impedance is one that a probe built
-and the solve kept.  A Stoneley probe builds its two sides as one stack.
+root search is one bisection walk (`_walk`) on one bracket (`_Threshold`,
+which keeps the value at each end): where the bracket leaves a midpoint
+open, a secant in the edge variable sqrt(1 - tau/tau_eta) (`_edge_secant`)
+narrows it first, so the bisection probes few midpoints of its own and its
+root is that of the bisection alone.  Once an inverse quadratic estimate of
+the root decides every midpoint the walk has left, the narrowing closes the
+bracket on the bisection's own answer, so the root's impedance is one that a
+probe built and the solve kept.  A Stoneley probe builds its two sides as
+one stack.
 Every other computation on one side of a boundary (polynomial, spectrum,
 factorizations, impedances, projectors) goes through a `BoundarySide`.
 """
@@ -57,7 +58,7 @@ from .impedance import (
     impedance_from_factorization,
     mode_projectors,
 )
-from .materials import Material, decompose_harmonic
+from .materials import Material, _real_array, decompose_harmonic
 
 ANGLE_TOL = 1e-8        # principal angles with cosine above 1 - ANGLE_TOL count as shared
 BISECTION_TOL = 1e-10   # bisections stop at this width relative to the upper end
@@ -265,12 +266,12 @@ class _Threshold:
     """A test value that is positive below an unknown threshold and not above
     it.  The tightest bracket (below, above) of the values it has taken, with
     the value at each end (f_below, f_above), answers, without running the
-    test, whether t lies below the threshold; a bracket may be given to start
-    from."""
+    test, whether t lies below the threshold.  `_bisect` keeps its walk's
+    (lo, hi) in walk."""
 
-    def __init__(self, test, below: float = -np.inf, above: float = np.inf):
-        self.test, self.below, self.above = test, below, above
-        self.f_below = self.f_above = None
+    def __init__(self, test):
+        self.test, self.below, self.above = test, -np.inf, np.inf
+        self.f_below = self.f_above = self.walk = None
 
     def __call__(self, t: float) -> bool:
         if self.below < t < self.above:
@@ -287,48 +288,48 @@ class _Threshold:
         return v
 
 
-def _bisect(holds: _Threshold, lo: float, hi: float, narrowing=None) -> float:
-    """Bisection of [lo, hi] on holds.  Where holds' bracket leaves a
-    midpoint open, the generator `narrowing` is sent the walk's (lo, hi) and
-    runs its next probe first, and the midpoint is asked again; the midpoint
-    is probed itself only once `narrowing` is spent.  A bracket only
-    tightens, so a midpoint it answers keeps its answer: the root is that of
-    the bisection alone."""
-    if narrowing:
-        next(narrowing)         # to where it takes the walk's (lo, hi)
+def _walk(lo: float, hi: float, below: float, above: float) -> tuple:
+    """The bisection of [lo, hi] run on for as long as the bracket (below,
+    above) answers its midpoints (one at or below `below` holds, one at or
+    above `above` does not): the (lo, hi) where it stops, at the tolerance
+    or at a midpoint the bracket leaves open."""
     while hi - lo > BISECTION_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if narrowing and holds.below < mid < holds.above:
-            try:
-                narrowing.send((lo, hi))
-                continue
-            except StopIteration:
-                narrowing = None
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        if below < mid < above:
+            break
+        lo, hi = (mid, hi) if mid <= below else (lo, mid)
+    return lo, hi
+
+
+def _bisect(holds: _Threshold, lo: float, hi: float, narrowing=None) -> float:
+    """Bisection of [lo, hi] on holds: the walk runs on through every
+    midpoint holds' bracket answers; where it stops at an open midpoint, the
+    iterator `narrowing` runs its next probe first, and the midpoint is
+    probed itself only once `narrowing` is spent.  A bracket only tightens,
+    so a midpoint it answers keeps its answer: the root is that of the
+    bisection alone."""
+    probes = narrowing or iter(())
+    while True:
+        holds.walk = lo, hi = _walk(lo, hi, holds.below, holds.above)
+        if hi - lo <= BISECTION_TOL * hi:
+            return 0.5 * (lo + hi)
+        if next(probes, None) is None:
+            holds(0.5 * (lo + hi))
 
 
 def _limiting_tau(core, rho: float) -> float | None:
     """Barnett-Lothe limit tau_L, which places tau_limit's first two probes:
     rho tau_L^2 is the least f(t) = lambda_min(l(eta_hat + t nu)) over real t,
-    from a grid over theta = atan t refined by `_newton_minimum` or, where that
-    fails, by 5 zooms of the grid around its least point (on 720 seeded calls, 7
-    grids placed the probes no better than 6, and 5 sent 3 calls to 13-23 probes)."""
-    lo, hi = -0.5 * np.pi, 0.5 * np.pi
-    for zoom in range(6):
-        theta = (np.arange(34.0) * ((hi - lo) / 33) + lo)[1:-1]    # np.linspace's points
-        cos = np.cos(theta)
-        c, s = cos[:, None, None], np.sin(theta)[:, None, None]
-        l_xi = s * s * core.a0.real + s * c * core.a1_sym.real + c * c * core.l_eta
-        vals = _lapack.eigvalsh(l_xi)[:, 0] / cos ** 2
-        k = int(np.argmin(vals))
-        lo, hi = theta[max(k - 1, 0)], theta[min(k + 1, 31)]
-        least = float(vals[k]) if zoom else _newton_minimum(core, theta[k], lo, hi)
-        if zoom == 0 and least is not None:
-            break
+    from a grid over theta = atan t refined by `_newton_minimum`, or where
+    that fails, the grid's least value (a hint: it only places probes)."""
+    theta = (np.arange(34.0) * (np.pi / 33) - 0.5 * np.pi)[1:-1]   # np.linspace's points
+    cos = np.cos(theta)
+    c, s = cos[:, None, None], np.sin(theta)[:, None, None]
+    l_xi = s * s * core.a0.real + s * c * core.a1_sym.real + c * c * core.l_eta
+    vals = _lapack.eigvalsh(l_xi)[:, 0] / cos ** 2
+    k = int(np.argmin(vals))
+    least = _newton_minimum(core, theta[k], theta[max(k - 1, 0)], theta[min(k + 1, 31)])
+    least = float(vals[k]) if least is None else least
     return math.sqrt(least / rho) if least > 0 else None
 
 
@@ -380,8 +381,8 @@ def _tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray):
     from the same core.  The probes are polynomials, not sides: a spectrum
     alone answers them, so nothing is kept per probe.  InvalidInput where
     eta_hat is not a unit vector or (nu, eta_hat) builds no frame."""
-    eta_hat = np.asarray(eta_hat, dtype=float)
-    if abs(np.linalg.norm(eta_hat) - 1.0) > 1e-10:
+    eta_hat = _real_array(eta_hat, (3,), "eta_hat must be a unit vector")
+    if abs(math.hypot(*eta_hat) - 1.0) > 1e-10:
         raise InvalidInput("eta_hat must be a unit vector")
 
     side = BoundarySide(m, BoundaryFrame(nu, eta_hat, -1.0))
@@ -424,28 +425,20 @@ def _lambda_min(zmat: np.ndarray) -> float:
     return float(_lapack.eigvalsh(0.5 * (zmat + zmat.conj().T))[0])
 
 
-class _Open(Exception):
-    """A bisection midpoint that an estimate of the root leaves open."""
-
-
-def _open(t: float):
-    raise _Open
-
-
 def _closing_probe(walk: tuple, r: float, e: float, a: float, b: float) -> float | None:
     """The probe that closes the bracket (a, b) on the bisection's own answer,
     where the root lies within e of r: the walk's final midpoint tau_r where
     it lies in (a, b), else r + e or r - e, whichever lies on the far side of
-    tau_r.  The walk runs on from its (lo, hi) through `_bisect`'s own loop,
-    every midpoint up to max(a, r - e) holding and none from min(b, r + e)
-    on; None where a midpoint lies between the two, which r leaves open."""
+    tau_r.  The walk runs on from its (lo, hi) (`_walk`), every midpoint up
+    to max(a, r - e) holding and none from min(b, r + e) on; None where a
+    midpoint lies between the two, which r leaves open."""
     below, above = max(a, r - e), min(b, r + e)
     if above - below > BISECTION_TOL * walk[1]:
         return None             # wider than the walk's last cell
-    try:
-        tau_r = _bisect(_Threshold(_open, below, above), *walk)
-    except _Open:
+    lo, hi = _walk(*walk, below, above)
+    if hi - lo > BISECTION_TOL * hi:
         return None
+    tau_r = 0.5 * (lo + hi)
     return tau_r if a < tau_r < b else above if tau_r <= a else below
 
 
@@ -453,8 +446,8 @@ def _edge_secant(holds: _Threshold):
     """Probes of holds.value that narrow its bracket, from f_below > 0 at a to
     f_above <= 0 at b as it stands at the first probe, each yielded once run,
     until the bracket is 1e-13 b wide, 100 probes have run or one raises a
-    NumericalDomainError.  Before each probe it is sent the bisection's walk
-    (lo, hi).
+    NumericalDomainError.  Each probe reads the bisection's walk (lo, hi)
+    from holds.walk.
 
     b lies EDGE_OFFSET below tau_eta, where lambda_min has a square-root
     branch, so in u = sqrt(1 - t/tau_eta) it is nearly linear: each step is
@@ -469,7 +462,6 @@ def _edge_secant(holds: _Threshold):
     step shorter than half the tolerance puts the root that close to the
     last point, so the probe goes one tolerance past that point instead,
     which closes the bracket around the root."""
-    walk = yield
     tol, tau_eta = 1e-13 * holds.above, holds.above / (1.0 - EDGE_OFFSET)
 
     def u(t: float) -> float:
@@ -501,7 +493,7 @@ def _edge_secant(holds: _Threshold):
             if not a < c < b:
                 c = zero(a, fa, b, fb)
             r = parabola_zero(o, fo, p, fp, q, fq)
-            closing = (_closing_probe(walk, r, max(abs(c - r), tol), a, b)
+            closing = (_closing_probe(holds.walk, r, max(abs(c - r), tol), a, b)
                        if a < c < b and a < r < b else None)
             if closing is not None:
                 c = closing
@@ -510,7 +502,7 @@ def _edge_secant(holds: _Threshold):
             elif not a < c < b:
                 c = 0.5 * (a + b)
             o, fo, p, fp, q, fq = p, fp, q, fq, c, holds.value(c)
-            walk = yield c
+            yield c
 
 
 def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:

@@ -313,9 +313,10 @@ def _cmd_classify(args) -> int:
         start = BoundaryFrame(_NU, np.array([radius, 0.0, 0.0]), args.tau)
         # for even N, azimuth k + N/2 is azimuth k's antipode -eta, whose
         # impedance is z_out(eta)^T (A(nu, -eta; s) = A(nu, eta; -s)), with the
-        # same label and margin, so only the first half is solved
+        # same label and margin, so only the first half is solved; + 0.0, exact
+        # for every nonzero entry, keeps a zero radius's 0 from printing as -0
         paired = args.grid % 2 == 0
-        frames = (start.with_eta(radius * np.array([np.cos(ang), np.sin(ang), 0.0]))
+        frames = (start.with_eta(radius * np.array([np.cos(ang), np.sin(ang), 0.0]) + 0.0)
                   for ang in (2.0 * np.pi * k / args.grid
                               for k in range(args.grid // 2 if paired else args.grid)))
         rows = [(frame.eta[0], frame.eta[1], args.tau, region.label,

@@ -35,7 +35,7 @@ from .errors import (
     SigmaCardinality,
     SolvencyResidual,
 )
-from .materials import Material, _is_real
+from .materials import Material, _is_real, _real_array
 
 # The spectral decision of every frame rests on these fixed tolerances.
 KERNEL_TOL = 1e-6        # SVD cutoff of ker A(s), relative to its largest singular value
@@ -56,6 +56,15 @@ def _check_tau(tau) -> None:
         raise InvalidInput("frame must be finite" if tau else "tau must be nonzero")
 
 
+def _frame_vector(v, nu=None) -> np.ndarray:
+    """v as a frame's nu, or as its eta where nu is given (`_real_array`);
+    InvalidInput where that eta is not orthogonal to nu."""
+    v = _real_array(v, (3,), "nu and eta must be vectors of shape (3,)", "frame must be finite")
+    if nu is not None and abs(nu @ v) > 1e-12 * max(float(np.abs(v).max()), 1.0):
+        raise InvalidInput("eta must be tangential (orthogonal to nu)")
+    return v
+
+
 @dataclass(frozen=True)
 class BoundaryFrame:
     """Unit interior conormal nu, tangential covector eta, frequency tau."""
@@ -65,21 +74,12 @@ class BoundaryFrame:
     tau: float
 
     def __post_init__(self):
-        nu = np.asarray(self.nu, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        if nu.shape != (3,) or eta.shape != (3,):
-            raise InvalidInput("nu and eta must be vectors of shape (3,)")
-        if not (np.isfinite(nu).all() and np.isfinite(eta).all()):
-            raise InvalidInput("frame must be finite")
+        nu = _frame_vector(self.nu)
         _check_tau(self.tau)
-        if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
+        if abs(math.hypot(*nu) - 1.0) > 1e-12:
             raise InvalidInput("conormal must be a unit vector")
-        if abs(nu @ eta) > 1e-12 * max(float(np.abs(eta).max()), 1.0):
-            raise InvalidInput("eta must be tangential (orthogonal to nu)")
-        nu.setflags(write=False)
-        eta.setflags(write=False)
         object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", _frame_vector(self.eta, nu))
 
     def _checked(self, nu: np.ndarray, eta: np.ndarray, tau: float) -> "BoundaryFrame":
         frame = object.__new__(BoundaryFrame)
@@ -94,15 +94,7 @@ class BoundaryFrame:
 
     def with_eta(self, eta: np.ndarray) -> "BoundaryFrame":
         """This frame at another eta; only eta is checked, nu and tau are kept."""
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (3,):                   # the checks and messages of __post_init__
-            raise InvalidInput("nu and eta must be vectors of shape (3,)")
-        if not np.isfinite(eta).all():
-            raise InvalidInput("frame must be finite")
-        if abs(self.nu @ eta) > 1e-12 * max(float(np.abs(eta).max()), 1.0):
-            raise InvalidInput("eta must be tangential (orthogonal to nu)")
-        eta.setflags(write=False)
-        return self._checked(self.nu, eta, self.tau)
+        return self._checked(self.nu, _frame_vector(eta, self.nu), self.tau)
 
     def flipped(self) -> "BoundaryFrame":
         """Frame of the opposite side of an interface (conormal negated);

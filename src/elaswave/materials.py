@@ -29,8 +29,8 @@ from .errors import (
 )
 
 # Voigt pair order: 11, 22, 33, 23, 13, 12
-_VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-_VOIGT_I, _VOIGT_J = (np.array(index) for index in zip(*_VOIGT_PAIRS))
+_VOIGT_I, _VOIGT_J = np.array([0, 1, 2, 1, 0, 0]), np.array([0, 1, 2, 2, 2, 1])
+_VOIGT_INDEX = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])     # the Voigt index of pair (i, j)
 
 _EYE = np.eye(3)
 # the isotropic basis tensors: delta_ij delta_km and delta_ik delta_jm + delta_im delta_jk
@@ -42,6 +42,25 @@ def _is_real(x) -> bool:
     """x is a real number and not a bool, so that True does not pass as 1
     (a float, numpy's too, passes without the slower abstract check)."""
     return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
+def _real_array(x, shape: tuple, message: str, not_finite: str | None = None,
+                error=InvalidInput) -> np.ndarray:
+    """x as a fresh, read-only float array: error(message) where its entries
+    are not real numbers (a complex, bool, object or str dtype, or a ragged
+    nesting) or its shape is not shape, InvalidInput(not_finite, else
+    message) where an entry is not finite."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:          # a ragged nesting
+        arr = np.asarray(x, dtype=object)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise error(f"{message}, got {arr.dtype} of shape {arr.shape}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise InvalidInput(not_finite or message)
+    arr.setflags(write=False)
+    return arr
 
 
 def _symmetrize(c: np.ndarray) -> np.ndarray:
@@ -130,9 +149,10 @@ def make_isotropic(lam: float, mu: float, rho: float, name: str = "") -> Materia
 
 def transversely_isotropic_stiffness(lam, mu, alpha, beta, gamma,
                                      axis) -> StiffnessTensor:
-    j = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(j) - 1.0) > 1e-12:
-        raise NonUnitAxis(f"symmetry axis must be a unit vector, |J| = {np.linalg.norm(j)}")
+    j = _real_array(axis, (3,), "symmetry axis must be a vector of shape (3,)",
+                    "stiffness entries must be finite")
+    if abs(math.hypot(*j) - 1.0) > 1e-12:
+        raise NonUnitAxis(f"symmetry axis must be a unit vector, |J| = {math.hypot(*j)}")
     _finite_moduli(lam, mu, alpha, beta, gamma)
     jj = np.outer(j, j)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails StiffnessTensor
@@ -236,20 +256,13 @@ def to_voigt(c: StiffnessTensor) -> np.ndarray:
 
 def from_voigt(m: np.ndarray) -> StiffnessTensor:
     """Stiffness tensor from an engineering Voigt matrix (must be symmetric)."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (6, 6):
-        raise AsymmetricVoigtMatrix(f"Voigt matrix must be 6x6, got {m.shape}")
-    scale = np.linalg.norm(m)
-    if scale > 0 and np.linalg.norm(m - m.T) > 1e-12 * scale:
-        raise AsymmetricVoigtMatrix("Voigt matrix is not symmetric")
-    c = np.zeros((3, 3, 3, 3))
-    for bi, (i, j) in enumerate(_VOIGT_PAIRS):
-        for bj, (k, l) in enumerate(_VOIGT_PAIRS):
-            v = m[bi, bj]
-            for ii, jj in ((i, j), (j, i)):
-                for kk, ll in ((k, l), (l, k)):
-                    c[ii, jj, kk, ll] = v
-    return StiffnessTensor(c)
+    m = _real_array(m, (6, 6), "Voigt matrix must be 6x6 real numbers",
+                    "stiffness entries must be finite", AsymmetricVoigtMatrix)
+    with np.errstate(over="ignore"):    # huge entries: a norm of inf, and StiffnessTensor decides
+        scale = np.linalg.norm(m)
+        if scale > 0 and np.linalg.norm(m - m.T) > 1e-12 * scale:
+            raise AsymmetricVoigtMatrix("Voigt matrix is not symmetric")
+    return StiffnessTensor(m[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX])
 
 
 # --- material files ---------------------------------------------------------

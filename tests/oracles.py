@@ -163,8 +163,9 @@ def limiting_tau_zoom(core, rho: float, zooms: int = 6, points: int = 32):
     """tau_L with rho tau_L^2 the least lambda_min(l(eta_hat + t nu)) over real
     t, by zooms alone: `points` angles theta = atan t inside (-pi/2, pi/2),
     then `zooms - 1` times as many inside the cell around the least value so
-    far.  With the defaults this is, bit for bit, boundary._limiting_tau where
-    its Newton step fails; more points and zooms give a fine reference."""
+    far.  With zooms=1 this is, bit for bit, boundary._limiting_tau where its
+    Newton step fails; more points and zooms give a fine reference, which
+    Newton's steps are checked against."""
     lo, hi = -0.5 * np.pi, 0.5 * np.pi
     for _ in range(zooms):
         theta = (np.arange(points + 2.0) * ((hi - lo) / (points + 1)) + lo)[1:-1]

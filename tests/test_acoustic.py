@@ -12,7 +12,7 @@ from elaswave.acoustic import (
     eigen_gap_scan,
     fibonacci_sphere,
 )
-from elaswave.errors import IndefiniteAcousticTensor, ValidationError
+from elaswave.errors import IndefiniteAcousticTensor, InvalidInput, ValidationError
 from elaswave.materials import Material, StiffnessTensor, isotropic_stiffness
 
 from oracles import cluster_sorted_mean_loop, isotropic_acoustic_tensor
@@ -89,6 +89,15 @@ class TestChristoffelModes:
     def test_nonunit_direction_rejected(self, iso):
         with pytest.raises(ValidationError):
             christoffel_modes(iso, np.array([0.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("xi", [
+        True, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1 + 0j]), np.array([0.0, 0.0, np.nan]),
+        np.array([0.0, 0.0, 1e300])], ids=["bool", "pair", "complex", "nan", "huge"])
+    def test_bad_direction_is_invalid_input(self, iso, xi):
+        # typed (exit code 2), not a bare ValueError from einsum, a dropped
+        # imaginary part or an overflow warning from the norm
+        with pytest.raises(InvalidInput, match="^direction must be a finite unit vector"):
+            christoffel_modes(iso, xi)
 
 
 class TestClusterSorted:

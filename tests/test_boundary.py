@@ -1,8 +1,9 @@
+import math
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from elaswave import boundary, factorization
@@ -363,13 +364,14 @@ LIMIT_KINDS = ["isotropic", "ti_axis_nu", "rotated_ti", "triclinic", "sagittal_t
 
 
 class TestLimitingTau:
-    """The Barnett-Lothe limit by one grid pass and Newton steps, against zooms."""
+    """The Barnett-Lothe limit by one grid pass and Newton steps, against zooms,
+    and by the grid's least point where Newton fails."""
 
     @pytest.mark.parametrize("kind", LIMIT_KINDS)
     def test_newton_agrees_with_a_fine_zoom(self, kind, monkeypatch):
         # To 1e-13 relative against 12 zooms of 128-point grids, with Newton
-        # converged on every frame, so that it, not the fallback zoom, is
-        # what is compared.
+        # converged on every frame, so that it, not the fallback grid point,
+        # is what is compared.
         real, converged = boundary._newton_minimum, []
 
         def recording(*args):
@@ -386,10 +388,11 @@ class TestLimitingTau:
         assert converged == [True] * 20
 
     @pytest.mark.parametrize("lie,steps", [("curvature", 1), ("leaves", 1), ("stalls", 8)])
-    def test_failed_newton_falls_back_to_the_zoom(self, monkeypatch, lie, steps):
+    def test_failed_newton_falls_back_to_the_grid_point(self, monkeypatch, lie, steps):
         # A curvature that is not positive, a step out of the grid cell or 8
-        # steps without converging: the zooms give the limit, bit for bit
-        # what 6 zooms alone give, and tau_limit keeps its floats.
+        # steps without converging: the grid's least point gives the limit,
+        # bit for bit what one grid pass alone gives, after the same Newton
+        # stacks, and tau_limit keeps its floats.
         frames = [_limit_frame(kind, np.random.default_rng([seed, 27]))
                   for kind in LIMIT_KINDS for seed in range(2)]
         honest = [tau_limit(m, NU, eta_hat) for m, eta_hat in frames]
@@ -399,7 +402,8 @@ class TestLimitingTau:
         for (m, eta_hat), want in zip(frames, honest):
             core = _limit_core(m, eta_hat)
             del stacks[:]
-            assert boundary._limiting_tau(core, m.density) == limiting_tau_zoom(core, m.density)
+            assert boundary._limiting_tau(core, m.density) == limiting_tau_zoom(
+                core, m.density, zooms=1)
             assert len(stacks) == steps
             assert tau_limit(m, NU, eta_hat) == want
 
@@ -434,6 +438,19 @@ class TestFrameShapes:
             with pytest.raises(InvalidInput) as info:
                 solve()
             assert info.value.exit_code == 2
+
+
+    @pytest.mark.parametrize("eta_hat", [
+        np.array([1j, 1.0, 0.0]), np.array([1 + 0j, 0.0, 0.0]), np.array([1e300, 0.0, 0.0]),
+        np.array([np.nan, 0.0, 0.0]), np.array([True, False, False])],
+        ids=["complex", "complex_real", "huge", "nan", "bool"])
+    def test_bad_eta_hat(self, iso, hard, eta_hat):
+        # typed, with no part of eta_hat dropped and no overflow warning
+        for solve in (lambda: tau_limit(iso, NU, eta_hat),
+                      lambda: rayleigh_speed(iso, NU, eta_hat),
+                      lambda: stoneley_speed(iso, hard, NU, eta_hat)):
+            with pytest.raises(InvalidInput, match="^eta_hat must be a unit vector"):
+                solve()
 
 
 class TestRayleigh:
@@ -847,9 +864,45 @@ def _walk_roots(monkeypatch) -> dict:
             "above_early": early * (1.0 + 1e-14)}
 
 
+def _plain_bisection(test, lo: float, hi: float) -> float:
+    """The bisection loop alone: every midpoint probed, none answered from a
+    bracket."""
+    while hi - lo > boundary.BISECTION_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if test(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestClosingOnTheWalk:
     """The narrowing closes the bracket on the bisection's own answer tau_r,
     whose z is then a probe's, kept for the solve."""
+
+    @given(data=st.data(), where=st.sampled_from(["between", "on", "beside"]),
+           curved=st.booleans())
+    def test_bisect_is_the_plain_loop(self, data, where, curved):
+        # Thresholds on, a few ulps beside and between the midpoints of a
+        # plain walk, for a test linear in t or with lambda_min's square-root
+        # branch at tau_eta = 1: _bisect, with and without the narrowing,
+        # returns the plain loop's tau_r.
+        lo, hi = 1e-3, 1.0 - boundary.EDGE_OFFSET
+        root = data.draw(st.floats(lo, hi, exclude_min=True), label="base")
+        if where != "between":
+            midpoints = []
+            _plain_bisection(lambda t: midpoints.append(t) or root - t, lo, hi)
+            root = data.draw(st.sampled_from(midpoints), label="midpoint")
+            if where == "beside":
+                root += data.draw(st.integers(-64, 64).filter(bool), label="ulps") * math.ulp(root)
+        test = ((lambda t: math.sqrt(1.0 - t) - math.sqrt(1.0 - root)) if curved
+                else (lambda t: root - t))
+        assume(test(lo) > 0 >= test(hi))
+        want = _plain_bisection(test, lo, hi)
+        assert boundary._bisect(boundary._Threshold(test), lo, hi) == want
+        holds = boundary._Threshold(test)
+        holds.value(lo), holds.value(hi)
+        assert boundary._bisect(holds, lo, hi, boundary._edge_secant(holds)) == want
 
     ROOTS = ("generic", "low", "high", "mid_cell", "last_midpoint", "early_midpoint",
              "above_last", "below_last", "above_early")

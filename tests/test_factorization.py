@@ -76,6 +76,32 @@ class TestBoundaryFrame:
         with pytest.raises(InvalidInput, match=r"shape \(3,\)"):
             BoundaryFrame(np.array(nu), np.array(eta), -1.0)
 
+    NON_REAL = [np.array([1 + 1j, 0, 0]), np.array([1 + 0j, 0, 0]), np.array([True, False, False]),
+                np.array(["1", "0", "0"]), np.array([1.0, 0.0, None], dtype=object),
+                [[1.0, 0.0], [0.0]]]
+    NON_REAL_IDS = ["complex", "complex_real", "bool", "str", "object", "ragged"]
+
+    @pytest.mark.parametrize("vector", NON_REAL, ids=NON_REAL_IDS)
+    def test_rejects_non_real_vectors(self, vector):
+        # a complex eta is not cut to its real part (numpy's ComplexWarning),
+        # and no other dtype passes as a vector of reals
+        for build in (lambda: BoundaryFrame(NU, vector, -0.5),
+                      lambda: BoundaryFrame(vector, ETA, -0.5),
+                      lambda: frame(-0.5).with_eta(vector)):
+            with pytest.raises(InvalidInput, match=r"^nu and eta must be vectors of shape \(3,\)"):
+                build()
+
+    def test_keeps_the_callers_arrays(self):
+        # a frame and a frame moved in eta keep read-only copies: the
+        # caller's arrays stay writable, and writing them moves no frame
+        nu, eta, other = NU.copy(), ETA.copy(), np.array([0.0, 2.0, 0.0])
+        fr = BoundaryFrame(nu, eta, -0.5)
+        moved = fr.with_eta(other)
+        nu[2] = eta[0] = other[1] = 3.0
+        assert fr.nu.tolist() == NU.tolist() and fr.eta.tolist() == ETA.tolist()
+        assert moved.eta.tolist() == [0.0, 2.0, 0.0]
+        assert not (fr.nu.flags.writeable or fr.eta.flags.writeable or moved.eta.flags.writeable)
+
     def test_flip(self):
         fr = frame(-1.0)
         assert np.allclose(fr.flipped().nu, -NU)

@@ -370,6 +370,16 @@ class TestCliGrid:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [row[:2] for row in rows[3:]] == [["0", "0"]] * 3
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_zero_radius_grid_prints_no_negative_zero(self, capsys, ortho_file, n):
+        # 0 times a negative cosine or sine is -0 in the solved rows of an odd
+        # and an even grid; the grid's eta + 0.0 makes it 0
+        code, out, _ = self.grid(capsys, "--material", ortho_file, "--eta", "0", "0",
+                                 "--tau", "-1", "--grid", str(n))
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert code == 0
+        assert [row[:2] for row in rows] == [["0", "0"]] * n
+
     def test_radius_is_eta_magnitude(self, capsys, ortho_file):
         code, out, _ = self.grid(capsys, "--material", ortho_file, "--eta", "2", "0",
                                  "--tau", "-2.6", "--grid", "4")

@@ -222,6 +222,18 @@ class TestConvexityAndVoigt:
         want = [[c.entries[i, j, k, m] for k, m in pairs] for i, j in pairs]
         assert np.array_equal(to_voigt(c), np.array(want))
 
+    def test_from_voigt_entries(self):
+        # every tensor entry is the Voigt entry of its two index pairs, in
+        # either order within each pair, as a loop over the pairs fills them
+        g = np.random.default_rng(5).standard_normal((6, 6))
+        pairs = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+        want = np.zeros((3, 3, 3, 3))
+        for a, (i, j) in enumerate(pairs):
+            for b, (k, m) in enumerate(pairs):
+                want[i, j, k, m] = want[j, i, k, m] = want[i, j, m, k] = want[j, i, m, k] = (
+                    (g + g.T)[a, b])
+        assert np.array_equal(from_voigt(g + g.T).entries, StiffnessTensor(want).entries)
+
     def test_asymmetric_voigt_rejected(self):
         m = np.eye(6)
         m[0, 5] = 1.0
@@ -231,6 +243,33 @@ class TestConvexityAndVoigt:
     def test_voigt_must_be_6x6(self):
         with pytest.raises(AsymmetricVoigtMatrix, match="6x6"):
             from_voigt(np.eye(5))
+
+    @pytest.mark.parametrize("matrix", [
+        np.eye(6) * (1 + 1j), np.eye(6) + 0j, np.eye(6, dtype=bool), np.eye(6).astype(object)],
+        ids=["complex", "complex_real", "bool", "object"])
+    def test_voigt_must_be_real(self, matrix):
+        # a complex matrix is not cut to its real part (numpy's ComplexWarning)
+        with pytest.raises(AsymmetricVoigtMatrix, match="^Voigt matrix must be 6x6 real numbers"):
+            from_voigt(matrix)
+
+    def test_huge_voigt_builds_without_warning(self):
+        # entries of 1e300 are finite; the norms overflow to inf without a warning
+        assert from_voigt(np.eye(6) * 1e300).norm == np.inf
+
+
+class TestAxis:
+    @pytest.mark.parametrize("axis", [
+        np.array([0.0, 0.0, 1 + 1j]), np.array([0.0, 0.0, 1 + 0j]), np.array([False, False, True]),
+        np.array([0.0, 0.0, 1.0, 0.0]), 1.0],
+        ids=["complex", "complex_real", "bool", "four", "scalar"])
+    def test_axis_must_be_a_real_vector(self, axis):
+        with pytest.raises(InvalidInput, match=r"^symmetry axis must be a vector of shape \(3,\)"):
+            transversely_isotropic_stiffness(1.0, 1.0, 0.1, 0.1, 0.1, axis)
+
+    def test_huge_axis_is_not_unit(self):
+        # the unit check does not overflow (no warning) for an entry of 1e300
+        with pytest.raises(NonUnitAxis, match=r"\|J\| = 1e\+300$"):
+            transversely_isotropic_stiffness(1.0, 1.0, 0.1, 0.1, 0.1, np.array([0.0, 0.0, 1e300]))
 
 
 class TestMaterialFiles:

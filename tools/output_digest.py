@@ -38,6 +38,11 @@ names of the lines that differ, and exits 1 if any does.  It covers
     line ends with their sum, and where it differs --against prints both
     sums ("surface_wave_probes: N → M Schur forms"), so that the way the
     probe count moved shows;
+  * limit_fallbacks: the number of each solve's Barnett-Lothe limits
+    (boundary._limiting_tau) whose Newton steps failed, so that they fell
+    back to the grid's least point; the line ends with "K of M limits",
+    and --against prints both K where they differ, so that a change that
+    starts to lean on that fallback shows;
   * trees: the event trees of the layered_trace workload, as JSON, the
     same frames again with event budgets of 1 and 2, with the source in
     layer 1 and with source mode 1 (laws, incoming projectors and delays
@@ -237,25 +242,35 @@ def surface_wave_solves(seed: int, directory: str) -> list:
     return [op.run for k in range(2) for op in w.round(k)]
 
 
-def schur_counts(solves: list) -> tuple[list, list]:
-    """Each solve's outcome, and the number of Schur forms it took: its
-    calls of factorization._schur, one per probe stack."""
-    real, count = fz._schur, [0]
+def probe_counts(solves: list) -> tuple[list, list, list, int]:
+    """Each solve's outcome, the number of Schur forms it took (its calls of
+    factorization._schur, one per probe stack) and the number of its
+    Barnett-Lothe limits that fell back to the grid's least point (calls of
+    boundary._newton_minimum that gave None); and the number of limits."""
+    real_schur, real_newton, count = fz._schur, bd._newton_minimum, {}
 
-    def counting(s6):
-        count[0] += 1
-        return real(s6)
+    def schur(s6):
+        count["schur"] += 1
+        return real_schur(s6)
 
-    outcomes, counts = [], []
-    fz._schur = counting
+    def newton(*args):
+        least = real_newton(*args)
+        count["limits"] += 1
+        count["fallbacks"] += least is None
+        return least
+
+    outcomes, schurs, fallbacks, limits = [], [], [], 0
+    fz._schur, bd._newton_minimum = schur, newton
     try:
         for solve in solves:
-            count[0] = 0
+            count.update(schur=0, fallbacks=0, limits=0)
             outcomes.append(_outcome(solve))
-            counts.append(count[0])
+            schurs.append(count["schur"])
+            fallbacks.append(count["fallbacks"])
+            limits += count["limits"]
     finally:
-        fz._schur = real
-    return outcomes, counts
+        fz._schur, bd._newton_minimum = real_schur, real_newton
+    return outcomes, schurs, fallbacks, limits
 
 
 def _hash(*objs) -> str:
@@ -456,17 +471,21 @@ def main(argv=None) -> int:
         lines = cli_digests(directory)
         trees = digest_trees(args.seed, directory)
         spectra = spectra_digest(args.seed)
-        surface, probes = schur_counts(surface_wave_solves(args.seed, directory))
-        anisotropic, anisotropic_probes = schur_counts(
-            anisotropic_surface_wave_solves(args.seed))
+        surface, probes, fallbacks, limits = probe_counts(
+            surface_wave_solves(args.seed, directory))
+        anisotropic, anisotropic_probes, anisotropic_fallbacks, anisotropic_limits = (
+            probe_counts(anisotropic_surface_wave_solves(args.seed)))
         lines += [("spectra", spectra),
                   ("surface_waves", _hash(surface)),
                   ("surface_waves_anisotropic", _hash(*anisotropic)),
                   ("surface_wave_probes", _hash(probes, anisotropic_probes)),
+                  ("limit_fallbacks", _hash(fallbacks, anisotropic_fallbacks)),
                   ("trees", tree_digest(trees)),
                   ("tree_shapes", tree_shape_digest(trees)),
                   ("errors", errors_digest(args.seed))]
-    counts = {"surface_wave_probes": f"  {sum(probes) + sum(anisotropic_probes)} Schur forms"}
+    counts = {"surface_wave_probes": f"  {sum(probes) + sum(anisotropic_probes)} Schur forms",
+              "limit_fallbacks": f"  {sum(fallbacks) + sum(anisotropic_fallbacks)} of "
+                                 f"{limits + anisotropic_limits} limits"}
     total = hashlib.sha256()
     for name, digest in lines:
         print(f"{digest}  {name}{counts.get(name, '')}")
