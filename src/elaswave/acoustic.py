@@ -19,7 +19,15 @@ _REFERENCE_FRAME = (np.array([0.0, 0.0, 1.0]),
 
 def acoustic_tensor(c: StiffnessTensor, xi: np.ndarray) -> np.ndarray:
     """Symmetric 3x3 tensor l^{ik} = C^{ijkm} xi_j xi_m, for one xi or a stack."""
-    xi = np.asarray(xi, dtype=float)
+    xi = _real_array(xi, None, "xi must be real numbers", "xi must be finite")
+    if xi.shape[-1:] != (3,):
+        raise InvalidInput(f"xi must be a vector of shape (3,) or a stack of them, "
+                           f"got shape {xi.shape}")
+    return _contract(c, xi)
+
+
+def _contract(c: StiffnessTensor, xi: np.ndarray) -> np.ndarray:
+    """`acoustic_tensor` of a float xi already checked."""
     return np.einsum("ijkm,...j,...m->...ik", c.entries, xi, xi)
 
 
@@ -84,7 +92,7 @@ def christoffel_modes(m: Material, xi_hat: np.ndarray) -> ChristoffelModes:
     xi_hat = _real_array(xi_hat, (3,), "direction must be a finite unit vector")
     if abs(math.hypot(*xi_hat) - 1.0) > 1e-12:
         raise InvalidInput("direction must be a finite unit vector")
-    ell = acoustic_tensor(m.stiffness, xi_hat) / m.density
+    ell = _contract(m.stiffness, xi_hat) / m.density
     vals, vecs = _lapack.eigh(ell)   # ascending
     vmax = max(vals[-1], 1e-300)
     if vals[0] < -1e-10 * vmax:
@@ -129,15 +137,16 @@ def eigen_gap_scan(m: Material, n_directions: int,
     if n_directions < 6:
         raise InvalidInput("need at least 6 directions")
     dirs = fibonacci_sphere(n_directions)
-    if exclude_axis is not None and exclude_angle_deg > 0:
-        axis = np.asarray(exclude_axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        cos_lim = np.cos(np.radians(exclude_angle_deg))
-        dirs = dirs[np.abs(dirs @ axis) < cos_lim]
+    if exclude_axis is not None:
+        axis = _real_array(exclude_axis, (3,), "exclude_axis must be a vector of shape (3,)")
+        if exclude_angle_deg > 0:
+            axis = axis / np.linalg.norm(axis)
+            cos_lim = np.cos(np.radians(exclude_angle_deg))
+            dirs = dirs[np.abs(dirs @ axis) < cos_lim]
     min_gap = np.inf
     rows = []
     for d in dirs:
-        ell = acoustic_tensor(m.stiffness, d) / m.density
+        ell = _contract(m.stiffness, d) / m.density
         vals = np.sort(_lapack.eigvalsh(ell))[::-1]
         gap = float(np.min(vals[:-1] - vals[1:]) / max(vals[0], 1e-300))
         min_gap = min(min_gap, gap)

@@ -18,6 +18,7 @@ import math
 import numbers
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -134,6 +135,13 @@ def _record(cls, fields=None, **named):
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", named if fields is None else fields)
     return obj
+
+
+def _records(cls, rows: list) -> tuple:
+    """`_record(cls, row)` for each row of rows, mapped in one pass."""
+    objs = tuple(map(object.__new__, repeat(cls, len(rows))))
+    list(map(object.__setattr__, objs, repeat("__dict__"), rows))
+    return objs
 
 
 def _at(a0, a1_sym, a2, s):

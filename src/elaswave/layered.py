@@ -34,20 +34,22 @@ from .factorization import (
     SpectrumClassification,
     _fro,
     _herm,
-    _record,
+    _records,
     _slope,
 )
 from .materials import (
     Material,
     _is_real,
     _json_number,
+    _real_array,
     check_strong_convexity,
     material_from_dict,
 )
-from .scatter import _scatter_operators, side_incoming_mode
+from .scatter import _mode_stack, _scatter_operators, _scatter_pairs, side_incoming_mode
 
 _UP = np.array([0.0, 0.0, 1.0])
 _REVERSED = {"up": "down", "down": "up"}
+_STEP = {"down": 1, "up": -1}     # layer + _STEP[direction]: the next layer a segment enters
 # A derivative form (A'(s)v|v) at or below this times ||A|| (v|v) has no group delay.
 DELAY_FORM_TOL = 1e-10
 
@@ -221,23 +223,12 @@ class EventTree:
         }
 
 
-def _frame_for(seg_direction: str, eta: np.ndarray, tau: float) -> BoundaryFrame:
-    """Scattering frame whose conormal points back into the incoming layer."""
-    nu = _UP if seg_direction == "down" else -_UP
-    return BoundaryFrame(nu, eta, tau)
-
-
-def _next_layer(layer: int, direction: str) -> int:
-    return layer + 1 if direction == "down" else layer - 1
-
-
-def _target(layer: int, direction: str, tag: str) -> tuple:
-    """(layer, direction) of the waves that the law met by a segment of
-    (layer, direction) sends out on side `tag`: the + side turns back into
-    the segment's layer, the - side carries on into the next one."""
-    if tag == "+":
-        return layer, _REVERSED[direction]
-    return _next_layer(layer, direction), direction
+def _outgoing(layer: int, direction: str, law) -> list:
+    """(layer, direction, s) of the waves each outgoing mode of the law met from (layer,
+    direction) sends: back into that layer on the + side, on into the next on the - side."""
+    tags, modes, _, _ = law.compiled
+    back, on = (layer, _REVERSED[direction]), (layer + _STEP[direction], direction)
+    return [(*(back if tag == "+" else on), -s) for tag, s in zip(tags, modes)]
 
 
 def _column_norms(block: np.ndarray) -> np.ndarray:
@@ -299,7 +290,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         each reading its + side's z_in as z_out^H (`BoundarySide.z`);
       * `mode_delay` of the source's mode and of every (side, s) those laws
         send waves to (`_mode_delays`), so that the children of one mode
-        share one crossing time, thickness |delay|, in each generation.
+        share one crossing time, thickness |delay|.
 
     If the sides' stack raises, each side and law is built alone on first
     use instead; if their factorizations' stack raises, the sides keep their
@@ -309,10 +300,12 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     error as its note.  Where the shared delay depends on the trace,
     `group_delay` runs per child.
 
-    The queue is expanded one generation (tree depth) at a time: the
-    segments of a generation that meet the same law scatter as one block,
-    on all the law's sides in one `apply_block`, and their children are
-    then numbered in the order the segments hold.  The first `max_events`
+    A law gets a plan when first met: its rows in one stack of every planned
+    law's mode maps and flux forms (`scatter._mode_stack`), and where each
+    mode's waves go and the crossing time they share.  The queue is expanded
+    one generation (tree depth) at a time: each segment pairs with every
+    outgoing mode of its law, all pairs scatter in one `scatter._scatter_pairs`
+    and the children are numbered in pair order.  The first `max_events`
     segments, counted in that order, scatter; the rest end as truncated.
     Each event is kept as a row, the dict of its RayEvent's fields, while
     the tree grows, and becomes that RayEvent's __dict__ at the end.
@@ -328,7 +321,8 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     if not 0.0 <= amplitude_floor < np.inf:
         raise ValidationError(f"amplitude_floor must be finite and non-negative, "
                               f"got {amplitude_floor}")
-    eta = np.asarray(eta, dtype=float)
+    eta = _real_array(eta, None, "eta must be 2 or 3 real numbers", "frame must be finite",
+                      ValidationError)
     if eta.shape == (2,):
         eta = np.array([eta[0], eta[1], 0.0])
     if eta.shape != (3,):
@@ -339,12 +333,14 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     if not 0 <= source_layer < n_layers:
         raise ValidationError("source layer out of range")
 
-    frames = {d: _frame_for(d, eta, tau) for d in ("up", "down")}
+    # each law's frame has its conormal pointing back into the incoming layer
+    frames = {"down": BoundaryFrame(_UP, eta, tau), "up": BoundaryFrame(-_UP, eta, tau)}
     sides = {}   # (layer, direction) -> BoundarySide; the half-space has one
                  # side, the - side of the lowest interface
-    laws = {}    # (layer, direction) -> ScatterOperator, or the error its
-                 # build raised (every segment meeting it then glances)
     delays = {}  # (layer, direction, s) -> mode_delay, None where per trace
+    plans = {}   # (layer, direction) -> its law's first row in the mode stack and modes'
+                 # (layer, direction, s, shared crossing time); or the build's error
+    mode_maps = mode_forms = np.empty((0, 3, 3))    # the planned laws' `_mode_stack`
 
     def side(layer, direction):
         if (layer, direction) not in sides:
@@ -356,17 +352,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         (plus, minus) at an interface."""
         if direction == "up" and layer == 0:
             return (side(layer, direction),)
-        return side(layer, direction), side(_next_layer(layer, direction), _REVERSED[direction])
-
-    def scatter_law(layer, direction):
-        key = (layer, direction)
-        if key not in laws:
-            try:
-                laws[key] = _scatter_operators([law_sides(layer, direction)])[0]
-            except NumericalDomainError as exc:
-                # without its traceback, whose frame would hold `laws` in a cycle
-                laws[key] = exc.with_traceback(None)
-        return laws[key]
+        return side(layer, direction), side(layer + _STEP[direction], _REVERSED[direction])
 
     def crossing_time(layer, direction, s, v):
         key = (layer, direction, s)
@@ -377,6 +363,23 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         if delay is None:
             delay = group_delay(side(layer, direction).poly, s, v)
         return stack.thickness(layer) * abs(delay)
+
+    def join(keys):
+        """Plan the law met from each (layer, direction) of keys: the stack's, else built alone."""
+        nonlocal mode_maps, mode_forms
+        first, joined = len(mode_maps), []
+        for key in keys:
+            try:
+                law = laws.get(key) or _scatter_operators([law_sides(*key)])[0]
+            except NumericalDomainError as exc:
+                # without its traceback, whose frames would hold `plans` in a cycle
+                plans[key] = exc.with_traceback(None)
+                continue
+            plans[key] = (first, [(*wave, None if delays.get(wave) is None else
+                                   crossing_time(*wave, None)) for wave in _outgoing(*key, law)])
+            first += len(plans[key][1])
+            joined.append(law)
+        mode_maps, mode_forms = _mode_stack(mode_maps, mode_forms, joined)
 
     directions = [("up", "down")] * n_layers + [("up",)]
     try:
@@ -395,106 +398,88 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
            if built and side(layer, d).classification.has_real
            and not any(sd.classification.glancing for sd in law_sides(layer, d))]
     src = side_incoming_mode(side(source_layer, "down"), source_mode)
+    laws = {}    # (layer, direction) -> ScatterOperator, of the stack
     if due:
         with suppress(ElasticError):    # each law is then built alone on first use
-            laws.update(zip(due, _scatter_operators([law_sides(*key) for key in due])))
+            laws = dict(zip(due, _scatter_operators([law_sides(*key) for key in due])))
     # The delays of the source's mode and of every (side, s) a built law
     # sends waves to, as one stack.
-    targets = [(source_layer, "down", src.s_in)]
-    for (layer, direction), law in laws.items():
-        tags, modes, _, _ = law.compiled
-        for tag, s_out in zip(tags, modes):
-            lay, dirn = _target(layer, direction, tag)
-            if lay < n_layers:
-                targets.append((lay, dirn, -s_out))
-    targets = list(dict.fromkeys(targets))
+    targets = list(dict.fromkeys([(source_layer, "down", src.s_in)] + [
+        wave for key, law in laws.items() for wave in _outgoing(*key, law) if wave[0] < n_layers]))
     delays.update(zip(targets, _mode_delays([
         (side(lay, dirn).poly, side(lay, dirn).classification, s) for lay, dirn, s in targets])))
+    join(laws)
     t0 = crossing_time(source_layer, "down", src.s_in, src.g)
     src_amp = float(np.linalg.norm(src.g))
     floor = amplitude_floor * src_amp
 
-    # One row per event, its RayEvent's fields in order, and its amplitude's norm.
+    # One row per event, its RayEvent's fields in order.
     rows = [{"uid": 0, "parent": None, "layer": source_layer, "direction": "down",
              "s": src.s_in, "amplitude": src.g, "time": t0, "depth": 0,
              "flux": src.flux, "status": "propagating", "note": "source"}]
-    norms = [src_amp]
     arrivals = []            # (time, s, |amplitude|, flux, uid)
-    n_scattered = 0
-    truncated = False
+    budget = max_events      # segments yet to scatter
     generation = [0]
+    # The last generation's amplitudes and norms, and the row of each child it sent on.
+    amps, norms, at = src.g[None], [src_amp], [0]
 
     while generation:
-        budget = max_events - n_scattered
-        if budget <= 0:
+        if budget <= 0:     # the generation stays, and the tree is truncated
             for uid in generation:
                 rows[uid]["status"] = "truncated"
-            truncated = True
             break
-        head, rest = generation[:budget], generation[budget:]
-        n_scattered += len(head)
+        head, rest = generation[:budget], generation[budget:]   # a rest spends the budget
+        budget -= len(head)
 
-        # One block per law met in this generation; column k of a block
-        # is the k-th segment of the generation meeting that law.
-        members = {}
-        for uid in head:
-            members.setdefault((rows[uid]["layer"], rows[uid]["direction"]), []).append(uid)
-        outcome, column = {}, {}
-        for (layer, direction), uids in members.items():
-            law = scatter_law(layer, direction)
-            if isinstance(law, NumericalDomainError):
-                continue
-            block = law.apply_block(np.stack([rows[u]["amplitude"] for u in uids], axis=1))
-            modes = []
-            for tag, s_out, amps, fluxes, amp_norms in zip(
-                    block.tags, block.modes, block.amplitudes, block.fluxes.tolist(),
-                    _column_norms(block.amplitudes).tolist()):
-                lay, dirn = _target(layer, direction, tag)
-                # a crossing time every child of the mode shares, or None
-                delay = delays.get((lay, dirn, -s_out))
-                step = None if delay is None else stack.thickness(lay) * abs(delay)
-                modes.append((lay, dirn, -s_out, list(amps.T), fluxes, amp_norms, step))
-            outcome[layer, direction] = modes
-            column.update((u, k) for k, u in enumerate(uids))
-
-        children = []
-        for uid in head:
+        # One (segment, outgoing mode of its law) pair per child, in child order.
+        parents, traces, modes, waves = [], [], [], []
+        for uid, row in zip(head, at):
             seg = rows[uid]
-            layer, direction, time = seg["layer"], seg["direction"], seg["time"]
-            if direction == "up" and layer == 0:
-                arrivals.append((time, seg["s"], norms[uid], seg["flux"], uid))
-            law = laws[layer, direction]
-            if isinstance(law, NumericalDomainError):
-                seg["status"], seg["note"] = "glancing", str(law)
+            key, time = (seg["layer"], seg["direction"]), seg["time"]
+            if key == (0, "up"):
+                arrivals.append((time, seg["s"], norms[row], seg["flux"], uid))
+            if key not in plans:
+                join([key])
+            plan = plans[key]
+            if isinstance(plan, NumericalDomainError):
+                seg["status"], seg["note"] = "glancing", str(plan)
                 continue
             seg["status"] = "scattered"
-            k, depth = column[uid], seg["depth"] + 1
-            for lay, dirn, s, amps, fluxes, amp_norms, step in outcome[layer, direction]:
-                norm, amp = amp_norms[k], amps[k]
-                status, note, t_child = "propagating", "", time
-                if norm <= floor:
-                    if norm <= 0:
-                        continue
-                    status = "floored"
-                elif lay == n_layers:
-                    status = "halfspace"
-                elif step is not None:
-                    t_child = time + step
-                else:
-                    try:
-                        t_child = time + crossing_time(lay, dirn, s, amp)
-                    except NumericalDomainError as exc:
-                        status, note = "glancing", str(exc)
-                if status == "propagating":
-                    children.append(len(rows))
-                rows.append({"uid": len(rows), "parent": uid, "layer": lay, "direction": dirn,
-                             "s": s, "amplitude": amp, "time": t_child, "depth": depth,
-                             "flux": fluxes[k], "status": status, "note": note})
-                norms.append(norm)
+            first, outs = plan
+            parents += [(uid, time, seg["depth"] + 1)] * len(outs)
+            traces += [row] * len(outs)
+            modes.extend(range(first, first + len(outs)))
+            waves += outs
+        amps, fluxes = _scatter_pairs(mode_maps[modes], mode_forms[modes], amps[traces])
+        norms = _column_norms(amps.T).tolist()
+
+        children, at = [], []
+        for p, ((uid, time, depth), (lay, dirn, s, step), amp, flux, norm) in enumerate(zip(
+                parents, waves, list(amps), fluxes.tolist(), norms)):
+            status, note, t_child = "propagating", "", time
+            if norm <= floor:
+                if norm <= 0:
+                    continue
+                status = "floored"
+            elif lay == n_layers:
+                status = "halfspace"
+            elif step is not None:
+                t_child = time + step
+            else:
+                try:
+                    t_child = time + crossing_time(lay, dirn, s, amp)
+                except NumericalDomainError as exc:
+                    status, note = "glancing", str(exc)
+            if status == "propagating":
+                children.append(len(rows))
+                at.append(p)
+            rows.append({"uid": len(rows), "parent": uid, "layer": lay, "direction": dirn,
+                         "s": s, "amplitude": amp, "time": t_child, "depth": depth,
+                         "flux": flux, "status": status, "note": note})
         generation = rest + children
 
-    events = tuple(_record(RayEvent, row) for row in rows)
-    return EventTree(events, eta, tau, src.flux, _sorted_arrivals(arrivals), truncated)
+    return EventTree(_records(RayEvent, rows), eta, tau, src.flux, _sorted_arrivals(arrivals),
+                     bool(generation))
 
 
 def arrivals_rows(tree: EventTree) -> list[tuple]:

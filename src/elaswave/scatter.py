@@ -11,11 +11,12 @@ each side and applied to every trace that meets it.  At build time the
 law is compiled, as with Kennett's reflection and transmission matrices,
 into one fixed 3x3 map per outgoing mode and side, held as one stack for
 all its sides, so a block of traces scatters on every side in three
-contractions.  Laws are built by `_scatter_operators`, many at once: the
-mode projectors of their sides and the SVD and inverse of the matrices
-they invert are shared stacks, then each law is compiled alone from its
-own sides, bit for bit what it gets built alone.  `free_surface_operator`
-and `interface_operator` are its one-law case.
+contractions, and stacked modes of many laws (`_mode_stack`) scatter a trace
+each in two (`_scatter_pairs`).  Laws are built by `_scatter_operators`,
+many at once: the mode projectors of their sides and the SVD and inverse
+of the matrices they invert are shared stacks, then each law is compiled
+alone from its own sides, bit for bit what it gets built alone.
+`free_surface_operator` and `interface_operator` are its one-law case.
 Energy bookkeeping uses the modal flux identity, with incident modes
 flux-normalized so amplitude tables compare directly.
 """
@@ -186,6 +187,20 @@ class ScatterOperator:
         out = sum(side.total_flux for side in sides.values())
         residual = abs(inc - out) / max(abs(inc), 1e-300)
         return ScatterResult(sides, inc, residual)
+
+
+def _mode_stack(maps: np.ndarray, forms: np.ndarray, laws: list) -> tuple:
+    """Stacks of outgoing-mode amplitude maps psi_s T and flux forms -tau/2 A'(s),
+    with the laws' modes appended, law after law in `WaveBlock` order."""
+    return (np.concatenate([maps] + [law.compiled[2][:len(law.compiled[1])] for law in laws]),
+            np.concatenate([forms] + [law.compiled[3] for law in laws]))
+
+
+def _scatter_pairs(maps: np.ndarray, forms: np.ndarray, g: np.ndarray) -> tuple:
+    """Amplitudes (P, 3) and fluxes (P,) of `_mode_stack` rows maps[p], forms[p] on
+    traces g[p], by `apply_block`'s sums: bit for bit its row of that mode on g[p]."""
+    amps = np.einsum("pij,pj->pi", maps, g)
+    return amps, np.einsum("pi,pi->p", amps.conj(), np.einsum("pij,pj->pi", forms, amps)).real
 
 
 def free_surface_operator(side: BoundarySide) -> ScatterOperator:

@@ -33,6 +33,26 @@ class TestAcousticTensor:
         assert np.allclose(acoustic_tensor(c, 2.0 * xi),
                            4.0 * acoustic_tensor(c, xi))
 
+    def test_stack_matches_each_vector(self):
+        c = isotropic_stiffness(1.3, 0.7)
+        xi = np.random.default_rng(2).standard_normal((4, 3))
+        stacked = acoustic_tensor(c, xi)
+        assert stacked.shape == (4, 3, 3)
+        for one, x in zip(stacked, xi):
+            assert np.array_equal(one, acoustic_tensor(c, x))
+
+    @pytest.mark.parametrize("xi, message", [
+        ([0.1 + 1j, 0.0, 1.0], "xi must be real numbers, got complex128 of shape (3,)"),
+        ([[0.0, 0.0, 1.0], [0.0, 1j, 0.0]], "xi must be real numbers, got complex128"),
+        ([True, False, False], "xi must be real numbers, got bool"),
+        ([0.0, np.nan, 1.0], "xi must be finite"),
+        ([0.0, 1.0], "xi must be a vector of shape (3,) or a stack of them, got shape (2,)"),
+    ], ids=["complex", "complex_stack", "bool", "nan", "short"])
+    def test_rejects_non_real_xi(self, xi, message):
+        with pytest.raises(InvalidInput) as exc:
+            acoustic_tensor(isotropic_stiffness(1.3, 0.7), xi)
+        assert str(exc.value).startswith(message)
+
 
 class TestChristoffelModes:
     def test_isotropic_speeds(self, iso):
@@ -146,6 +166,12 @@ class TestSphereScan:
         gap, _ = eigen_gap_scan(ti, 200, exclude_axis=np.array([0.0, 0.0, 1.0]),
                                 exclude_angle_deg=5.0)
         assert gap > 0.0
+
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 1j], [False, False, True], [0.0, 1.0]],
+                             ids=["complex", "bool", "short"])
+    def test_rejects_non_real_exclude_axis(self, ti, axis):
+        with pytest.raises(InvalidInput, match=r"exclude_axis must be a vector of shape \(3,\)"):
+            eigen_gap_scan(ti, 20, exclude_axis=axis, exclude_angle_deg=5.0)
 
     def test_exclusion_filters(self, ti):
         _, rows = eigen_gap_scan(ti, 100, exclude_axis=np.array([0.0, 0.0, 1.0]),

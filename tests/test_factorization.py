@@ -717,3 +717,18 @@ class TestQuadraticMatrixPolynomialValidation:
         from elaswave.materials import make_isotropic
         with pytest.raises(DegenerateA0):
             boundary_polynomial(make_isotropic(1.0, -1.0, 1.0), frame(-1.0))
+
+
+def test_records_are_the_dataclass_instances():
+    # each row becomes its instance's __dict__, as `_record` does one at a time
+    rows = [dict(value=complex(k), alg_mult=1, geo_mult=None, is_real=False, sign_type=None,
+                 glancing=False, kernel=None) for k in range(3)]
+    built = factorization._records(factorization.EigenvalueGroup, rows)
+    assert isinstance(built, tuple) and len(built) == 3
+    for obj, row in zip(built, rows):
+        assert type(obj) is factorization.EigenvalueGroup
+        assert obj.__dict__ is row
+        assert obj == factorization.EigenvalueGroup(**row)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.value = 1.0
+    assert factorization._records(factorization.EigenvalueGroup, []) == ()

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import os
+import sys
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -48,6 +50,11 @@ from elaswave.scatter import (
 )
 
 from conftest import AXIS, NU
+
+# bench/workloads.py: the stacks and frames of the layered_trace workload
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "bench"))
+import workloads  # noqa: E402
 
 ETA = np.array([1.0, 0.0, 0.0])
 
@@ -356,6 +363,25 @@ class TestTracePlaneWave:
             kwargs = {"eta": (0.0, 0.0), "tau": -1.0, **bad}
             with pytest.raises(ValidationError):
                 trace_plane_wave(stack, **kwargs)
+
+    @pytest.mark.parametrize("eta, dtype", [((0.1 + 1j, 0.0), "complex128"),
+                                            ([True, False], "bool"),
+                                            ((0.1, "0"), "<U32")],
+                             ids=["complex", "bool", "str"])
+    def test_eta_must_be_real(self, soft, rigid, eta, dtype):
+        # neither loses its imaginary part nor reads True as 1.0
+        stack = LayerStack(((soft, 1.0),), rigid)
+        with pytest.raises(ValidationError) as exc:
+            trace_plane_wave(stack, eta, -1.0)
+        assert str(exc.value) == f"eta must be 2 or 3 real numbers, got {dtype} of shape (2,)"
+        assert exc.value.exit_code == 2
+
+    def test_eta_of_two_or_three_components(self, soft, rigid):
+        stack = LayerStack(((soft, 1.0),), rigid)
+        trees = [trace_plane_wave(stack, eta, -1.0, max_events=16)
+                 for eta in ((0.1, 0.0), [0.1, 0.0, 0.0], np.array([0.1, 0.0]))]
+        assert len({tree_digest(tree) for tree in trees}) == 1
+        assert all(np.array_equal(tree.eta, [0.1, 0.0, 0.0]) for tree in trees)
 
 
 def forced_failure(*args, **kwargs):
@@ -902,3 +928,81 @@ class TestMergedApply:
                     for name in ("amplitudes", "fluxes", "evanescent", "traces"):
                         assert same_bits(getattr(block, name)[..., k:k + 1],
                                          getattr(alone, name))
+
+
+class TestPairContraction:
+    """A generation scatters in one contraction over the (segment, outgoing
+    mode) pairs of every law it meets; each child is bit for bit its mode's
+    row of that law's `apply_block` on the parent's amplitude alone."""
+
+    @staticmethod
+    def recording_laws(monkeypatch, stack, alone=False) -> dict:
+        """(layer, direction) -> the law a trace builds for it; with alone,
+        the laws' stack raises, so that each is built alone on first use."""
+        laws, stacked = {}, layered._scatter_operators
+
+        def record(law_sides):
+            if alone and len(law_sides) > 1:
+                raise NonEllipticOperator("forced law stack failure")
+            built = stacked(law_sides)
+            laws.update((_layer_direction(stack, sides[0]), law)
+                        for sides, law in zip(law_sides, built))
+            return built
+
+        monkeypatch.setattr(layered, "_scatter_operators", record)
+        return laws
+
+    @staticmethod
+    def assert_children_are_rows(tree, laws) -> int:
+        """Check every scattered segment's children; their number."""
+        children = defaultdict(dict)
+        for e in tree.events[1:]:
+            children[e.parent][e.layer, e.direction, e.s] = e
+        checked = 0
+        for seg in tree.events:
+            mine = children.pop(seg.uid, {})
+            if seg.status != "scattered":
+                assert not mine
+                continue
+            block = laws[seg.layer, seg.direction].apply_block(seg.amplitude[:, None])
+            target = {"+": (seg.layer, "up" if seg.direction == "down" else "down"),
+                      "-": (seg.layer + (1 if seg.direction == "down" else -1), seg.direction)}
+            for tag, s_out, amp, flux in zip(block.tags, block.modes,
+                                             block.amplitudes[..., 0], block.fluxes[:, 0]):
+                child = mine.pop((*target[tag], -s_out), None)
+                if child is None:       # a mode of zero amplitude leaves no child
+                    assert layered._column_norms(amp[:, None])[0] == 0
+                    continue
+                assert np.array_equal(child.amplitude, amp)
+                assert np.array_equal(child.flux, flux)
+                checked += 1
+            assert not mine
+        return checked
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_workload_trees(self, monkeypatch, tmp_path, seed):
+        wl = workloads.LayeredTrace(seed, str(tmp_path))
+        wl.setup()
+        assert set(wl.budgets) == {64, 512}
+        for (eta, tau), budget in zip(wl.frames, wl.budgets):
+            with monkeypatch.context() as mp:
+                laws = self.recording_laws(mp, wl.stack)
+                tree = trace_plane_wave(wl.stack, eta, tau, max_events=budget)
+            assert self.assert_children_are_rows(tree, laws) >= budget
+
+    def test_laws_built_alone(self, monkeypatch, tmp_path):
+        wl = workloads.LayeredTrace(3, str(tmp_path))
+        wl.setup()
+        for (eta, tau), budget in list(zip(wl.frames, wl.budgets))[-3:]:
+            with monkeypatch.context() as mp:
+                laws = self.recording_laws(mp, wl.stack, alone=True)
+                tree = trace_plane_wave(wl.stack, eta, tau, max_events=budget)
+            assert self.assert_children_are_rows(tree, laws) >= budget
+
+    def test_glancing_law(self, bench_stack, monkeypatch):
+        stack, eta, _ = bench_stack
+        laws = self.recording_laws(monkeypatch, stack)
+        tree = trace_plane_wave(stack, *glancing_frame(stack, eta), max_events=64)
+        glancing = {(e.layer, e.direction) for e in tree.events if e.status == "glancing"}
+        assert glancing == {(len(stack.layers) - 1, "down")} and not glancing & set(laws)
+        assert self.assert_children_are_rows(tree, laws) > 0

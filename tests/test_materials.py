@@ -87,6 +87,16 @@ class TestStiffnessConstruction:
         with pytest.raises(AsymmetricStiffness, match="shape"):
             StiffnessTensor(np.zeros((3, 3, 3)))
 
+    @pytest.mark.parametrize("entries, dtype", [
+        (isotropic_stiffness(2.0, 1.0).entries * (1 + 1e-3j), "complex128"),
+        (isotropic_stiffness(2.0, 1.0).entries != 0, "bool"),
+        ([[1.0, 2.0], [3.0]], "object"),
+    ], ids=["complex", "bool", "ragged"])
+    def test_rejects_non_real_entries(self, entries, dtype):
+        with pytest.raises(InvalidInput, match=f"stiffness entries must be real numbers, "
+                                               f"got {dtype}$"):
+            StiffnessTensor(entries)
+
     @pytest.mark.parametrize("build", [
         lambda: make_isotropic(np.nan, 1.0, 1.0),
         lambda: make_transversely_isotropic(1.0, 1.0, 0.0, 0.0, 0.0, [np.nan, 0.0, 1.0], 1.0),
@@ -158,6 +168,15 @@ class TestRotation:
     def test_rejects_non_rotation(self):
         with pytest.raises(NotARotation):
             rotate_stiffness(isotropic_stiffness(1, 1), -np.eye(3))
+
+    @pytest.mark.parametrize("o", [rotation([1, 2, 3], 0.7) * (1 + 0j), np.eye(3) * 1j,
+                                   np.eye(3, dtype=bool), np.eye(3)[:2]],
+                             ids=["complex_rotation", "complex", "bool", "short"])
+    def test_rejects_non_real_rotation(self, o):
+        # a complex rotation with zero imaginary part, or the identity as
+        # bools, would pass the rotation test once cast to floats
+        with pytest.raises(NotARotation, match="O must be a 3x3 matrix of real numbers"):
+            rotate_stiffness(isotropic_stiffness(1, 1), o)
 
     def test_convexity_rotation_invariant(self):
         c = transversely_isotropic_stiffness(1, 1, 0.2, 0.1, 0.3,

@@ -4,7 +4,7 @@
 
 Run it on two checkouts and compare the printed lines: equal digests mean
 equal bytes.  With --against REF it does that itself: it unpacks REF (any
-git revision) with `git archive` into a temporary directory, runs this
+git revision) into a temporary directory (git_archive.py), runs this
 script there on REF's source and here on the working tree's, prints the
 names of the lines that differ, and exits 1 if any does.  It covers
 
@@ -85,6 +85,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 
+import git_archive  # noqa: E402   tools/git_archive.py
 import workloads  # noqa: E402
 from elaswave import boundary as bd  # noqa: E402
 from elaswave import factorization as fz  # noqa: E402
@@ -440,10 +441,9 @@ def compare(ref: str, seed: int) -> int:
     revision ref and the working tree, both hashed by this script; 1 if any
     does, else 0."""
     with tempfile.TemporaryDirectory() as tree:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", ref], check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-        shutil.copy(os.path.abspath(__file__), os.path.join(tree, "tools", "output_digest.py"))
+        git_archive.extract(ref, tree)
+        for name in ("output_digest.py", "git_archive.py"):
+            shutil.copy(os.path.join(ROOT, "tools", name), os.path.join(tree, "tools", name))
         theirs = _digest_lines(tree, seed)
     mine = _digest_lines(ROOT, seed)
     differ = [name for name in dict.fromkeys([*theirs, *mine])
