@@ -260,23 +260,76 @@ def _sorted_arrivals(rows: list) -> tuple:
     return tuple(row[:4] for row in ordered)
 
 
-def trace_plane_wave(stack: LayerStack, eta, tau: float,
-                     source_layer: int = 0, source_mode: int = 0,
-                     max_events: int = 64,
-                     amplitude_floor: float = 1e-4) -> EventTree:
-    """Breadth-first expansion of a plane-wave source through the stack.
+class _TraceSetUp:
+    """What a trace reads at its (eta, tau), each piece built once (`_set_up`).
 
-    The source, incoming mode number `source_mode` of its layer's lower
-    boundary, is flux-normalized and travels down from the layer's top at
-    time zero.  Each interaction branches into all real outgoing modes above
-    the amplitude floor; evanescent components are dropped, neither recorded
-    nor propagated.  At fixed (eta, tau) every boundary side and scattering
-    law depends only on (layer, direction), so each is built once per call:
-    the law met going down from layer L joins sides (L, down) and (L+1, up),
-    the one met going up (L, up) and (L-1, down), and crossing times read
-    the side a segment travels toward.  Everything a trace reads is built at
-    entry as stacks on the batched frame core, each entry bit for bit what
-    it is built alone:
+    `sides` maps (layer, direction) to its BoundarySide (the half-space has
+    one, the - side of the lowest interface), `laws` each law the entry
+    stack built to its ScatterOperator, `delays` each (layer, direction, s)
+    to its `mode_delay` (None where per trace) and `plans` each law met so
+    far to its first row in `mode_maps` and `mode_forms` (the planned laws'
+    `scatter._mode_stack`) and its modes' (layer, direction, s, shared
+    crossing time), or to the error of its build.
+    """
+
+    def __init__(self, stack: LayerStack, eta: np.ndarray, tau: float, source_layer: int):
+        self.stack, self.source_layer = stack, source_layer
+        # each law's frame has its conormal pointing back into the incoming layer
+        self.frames = {"down": BoundaryFrame(_UP, eta, tau), "up": BoundaryFrame(-_UP, eta, tau)}
+        self.sides, self.laws, self.delays, self.plans = {}, {}, {}, {}
+        self.mode_maps = self.mode_forms = np.empty((0, 3, 3))
+        self.src = None     # the source's TraceField
+
+    def side(self, layer, direction) -> BoundarySide:
+        if (layer, direction) not in self.sides:
+            self.sides[layer, direction] = BoundarySide(self.stack.material(layer),
+                                                        self.frames[direction])
+        return self.sides[layer, direction]
+
+    def law_sides(self, layer, direction) -> tuple:
+        """The sides of the law a segment meets: (side,) at the free surface,
+        (plus, minus) at an interface."""
+        if direction == "up" and layer == 0:
+            return (self.side(layer, direction),)
+        return self.side(layer, direction), self.side(layer + _STEP[direction], _REVERSED[direction])
+
+    def crossing_time(self, layer, direction, s, v) -> float:
+        key = (layer, direction, s)
+        if key not in self.delays:
+            sd = self.side(layer, direction)
+            self.delays[key] = mode_delay(sd.poly, sd.classification, s)
+        delay = self.delays[key]
+        if delay is None:
+            delay = group_delay(self.side(layer, direction).poly, s, v)
+        return self.stack.thickness(layer) * abs(delay)
+
+    def join(self, keys) -> None:
+        """Plan the law met from each (layer, direction) of keys: the stack's, else built alone."""
+        first, joined = len(self.mode_maps), []
+        for key in keys:
+            try:
+                law = self.laws.get(key) or _scatter_operators([self.law_sides(*key)])[0]
+            except NumericalDomainError as exc:
+                # without its traceback, whose frames would hold `plans` in a cycle
+                self.plans[key] = exc.with_traceback(None)
+                continue
+            self.plans[key] = (first, [(*wave, None if self.delays.get(wave) is None else
+                                        self.crossing_time(*wave, None))
+                                       for wave in _outgoing(*key, law)])
+            first += len(self.plans[key][1])
+            joined.append(law)
+        self.mode_maps, self.mode_forms = _mode_stack(self.mode_maps, self.mode_forms, joined)
+
+
+def _set_up(stack: LayerStack, eta: np.ndarray, tau: float, source_layer: int,
+            source_mode: int) -> _TraceSetUp:
+    """The set-up of a trace.  At fixed (eta, tau) every boundary side and
+    scattering law depends only on (layer, direction), so each is built once
+    per trace: the law met going down from layer L joins sides (L, down) and
+    (L+1, up), the one met going up (L, up) and (L-1, down), and crossing
+    times read the side a segment travels toward.  Everything a trace reads
+    is built here as stacks on the batched frame core, each entry bit for
+    bit what it is built alone:
       * all 2n + 1 sides of an n-layer stack (`boundary._stacked_sides`):
         the polynomials of all materials on one stack of cores, one
         classification of all of them, then one outgoing factorization and
@@ -290,131 +343,71 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
         each reading its + side's z_in as z_out^H (`BoundarySide.z`);
       * `mode_delay` of the source's mode and of every (side, s) those laws
         send waves to (`_mode_delays`), so that the children of one mode
-        share one crossing time, thickness |delay|.
+        share one crossing time, thickness |delay|; the laws are planned.
 
     If the sides' stack raises, each side and law is built alone on first
     use instead; if their factorizations' stack raises, the sides keep their
     classifications and each factorizes alone on first use; if the laws'
-    stack raises, each law is built alone.  A law whose build fails keeps
-    its error, and every segment meeting it ends as a glancing leaf with the
-    error as its note.  Where the shared delay depends on the trace,
-    `group_delay` runs per child.
-
-    A law gets a plan when first met: its rows in one stack of every planned
-    law's mode maps and flux forms (`scatter._mode_stack`), and where each
-    mode's waves go and the crossing time they share.  The queue is expanded
-    one generation (tree depth) at a time: each segment pairs with every
-    outgoing mode of its law, all pairs scatter in one `scatter._scatter_pairs`
-    and the children are numbered in pair order.  The first `max_events`
-    segments, counted in that order, scatter; the rest end as truncated.
-    Each event is kept as a row, the dict of its RayEvent's fields, while
-    the tree grows, and becomes that RayEvent's __dict__ at the end.
+    stack raises, each law is built alone.
     """
-    for name, value in (("max_events", max_events), ("source_layer", source_layer)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    for name, value in (("tau", tau), ("amplitude_floor", amplitude_floor)):
-        if not _is_real(value):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if max_events < 1:
-        raise ValidationError("max_events must be at least 1")
-    if not 0.0 <= amplitude_floor < np.inf:
-        raise ValidationError(f"amplitude_floor must be finite and non-negative, "
-                              f"got {amplitude_floor}")
-    eta = _real_array(eta, None, "eta must be 2 or 3 real numbers", "frame must be finite",
-                      ValidationError)
-    if eta.shape == (2,):
-        eta = np.array([eta[0], eta[1], 0.0])
-    if eta.shape != (3,):
-        raise ValidationError(f"eta must have 2 or 3 components, got shape {eta.shape}")
-    if abs(eta[2]) > 0:
-        raise ValidationError("eta must be horizontal")
+    setup = _TraceSetUp(stack, eta, tau, source_layer)
     n_layers = len(stack.layers)
-    if not 0 <= source_layer < n_layers:
-        raise ValidationError("source layer out of range")
-
-    # each law's frame has its conormal pointing back into the incoming layer
-    frames = {"down": BoundaryFrame(_UP, eta, tau), "up": BoundaryFrame(-_UP, eta, tau)}
-    sides = {}   # (layer, direction) -> BoundarySide; the half-space has one
-                 # side, the - side of the lowest interface
-    delays = {}  # (layer, direction, s) -> mode_delay, None where per trace
-    plans = {}   # (layer, direction) -> its law's first row in the mode stack and modes'
-                 # (layer, direction, s, shared crossing time); or the build's error
-    mode_maps = mode_forms = np.empty((0, 3, 3))    # the planned laws' `_mode_stack`
-
-    def side(layer, direction):
-        if (layer, direction) not in sides:
-            sides[layer, direction] = BoundarySide(stack.material(layer), frames[direction])
-        return sides[layer, direction]
-
-    def law_sides(layer, direction):
-        """The sides of the law a segment meets: (side,) at the free surface,
-        (plus, minus) at an interface."""
-        if direction == "up" and layer == 0:
-            return (side(layer, direction),)
-        return side(layer, direction), side(layer + _STEP[direction], _REVERSED[direction])
-
-    def crossing_time(layer, direction, s, v):
-        key = (layer, direction, s)
-        if key not in delays:
-            sd = side(layer, direction)
-            delays[key] = mode_delay(sd.poly, sd.classification, s)
-        delay = delays[key]
-        if delay is None:
-            delay = group_delay(side(layer, direction).poly, s, v)
-        return stack.thickness(layer) * abs(delay)
-
-    def join(keys):
-        """Plan the law met from each (layer, direction) of keys: the stack's, else built alone."""
-        nonlocal mode_maps, mode_forms
-        first, joined = len(mode_maps), []
-        for key in keys:
-            try:
-                law = laws.get(key) or _scatter_operators([law_sides(*key)])[0]
-            except NumericalDomainError as exc:
-                # without its traceback, whose frames would hold `plans` in a cycle
-                plans[key] = exc.with_traceback(None)
-                continue
-            plans[key] = (first, [(*wave, None if delays.get(wave) is None else
-                                   crossing_time(*wave, None)) for wave in _outgoing(*key, law)])
-            first += len(plans[key][1])
-            joined.append(law)
-        mode_maps, mode_forms = _mode_stack(mode_maps, mode_forms, joined)
-
     directions = [("up", "down")] * n_layers + [("up",)]
     try:
-        built = _stacked_sides([(stack.material(layer), [frames[d] for d in dirs])
+        built = _stacked_sides([(stack.material(layer), [setup.frames[d] for d in dirs])
                                 for layer, dirs in enumerate(directions)])
     except ElasticError:    # each side is then built alone on first use
         built = []
     with suppress(ElasticError):    # each side then factorizes alone on first use
         _stacked_factorizations([sd for row in built for sd in row
                                  if not sd.classification.glancing])
-    sides.update(((layer, d), sd) for layer, (dirs, row) in enumerate(zip(directions, built))
-                 for d, sd in zip(dirs, row))
+    setup.sides.update(((layer, d), sd) for layer, (dirs, row) in enumerate(zip(directions, built))
+                       for d, sd in zip(dirs, row))
     # With the sides stacked, the laws a segment can meet (no glancing side, a real mode on
     # the + side: without one its layer has none) are built as stacks once the source is taken.
     due = [(layer, d) for layer in range(n_layers) for d in ("up", "down")
-           if built and side(layer, d).classification.has_real
-           and not any(sd.classification.glancing for sd in law_sides(layer, d))]
-    src = side_incoming_mode(side(source_layer, "down"), source_mode)
-    laws = {}    # (layer, direction) -> ScatterOperator, of the stack
+           if built and setup.side(layer, d).classification.has_real
+           and not any(sd.classification.glancing for sd in setup.law_sides(layer, d))]
+    setup.src = side_incoming_mode(setup.side(source_layer, "down"), source_mode)
     if due:
         with suppress(ElasticError):    # each law is then built alone on first use
-            laws = dict(zip(due, _scatter_operators([law_sides(*key) for key in due])))
+            setup.laws = dict(zip(due, _scatter_operators([setup.law_sides(*key)
+                                                           for key in due])))
     # The delays of the source's mode and of every (side, s) a built law
     # sends waves to, as one stack.
-    targets = list(dict.fromkeys([(source_layer, "down", src.s_in)] + [
-        wave for key, law in laws.items() for wave in _outgoing(*key, law) if wave[0] < n_layers]))
-    delays.update(zip(targets, _mode_delays([
-        (side(lay, dirn).poly, side(lay, dirn).classification, s) for lay, dirn, s in targets])))
-    join(laws)
-    t0 = crossing_time(source_layer, "down", src.s_in, src.g)
+    targets = list(dict.fromkeys([(source_layer, "down", setup.src.s_in)] + [
+        wave for key, law in setup.laws.items() for wave in _outgoing(*key, law)
+        if wave[0] < n_layers]))
+    setup.delays.update(zip(targets, _mode_delays([
+        (setup.side(lay, dirn).poly, setup.side(lay, dirn).classification, s)
+        for lay, dirn, s in targets])))
+    setup.join(setup.laws)
+    return setup
+
+
+def _expand(setup: _TraceSetUp, max_events: int, amplitude_floor: float) -> tuple:
+    """The rows of a trace's events, the dicts of their RayEvents' fields in
+    order, its surface arrivals as (time, s, |amplitude|, flux, uid) and
+    whether it was truncated.
+
+    The source, flux-normalized, travels down from its layer's top at time
+    zero.  The queue is expanded one generation (tree depth) at a time:
+    each segment pairs with every outgoing mode of its law, all pairs
+    scatter in one `scatter._scatter_pairs` and the children are numbered
+    in pair order.  A law gets a plan when first met (`_TraceSetUp.join`).
+    The first `max_events` segments, counted in that order, scatter; the
+    rest end as truncated.  Children at or below the amplitude floor end as
+    floored.  A law whose build failed keeps its error, and every segment
+    meeting it ends as a glancing leaf with the error as its note.  Where
+    the shared delay depends on the trace, `group_delay` runs per child.
+    """
+    src, n_layers, plans = setup.src, len(setup.stack.layers), setup.plans
+    t0 = setup.crossing_time(setup.source_layer, "down", src.s_in, src.g)
     src_amp = float(np.linalg.norm(src.g))
     floor = amplitude_floor * src_amp
 
     # One row per event, its RayEvent's fields in order.
-    rows = [{"uid": 0, "parent": None, "layer": source_layer, "direction": "down",
+    rows = [{"uid": 0, "parent": None, "layer": setup.source_layer, "direction": "down",
              "s": src.s_in, "amplitude": src.g, "time": t0, "depth": 0,
              "flux": src.flux, "status": "propagating", "note": "source"}]
     arrivals = []            # (time, s, |amplitude|, flux, uid)
@@ -439,7 +432,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
             if key == (0, "up"):
                 arrivals.append((time, seg["s"], norms[row], seg["flux"], uid))
             if key not in plans:
-                join([key])
+                setup.join([key])
             plan = plans[key]
             if isinstance(plan, NumericalDomainError):
                 seg["status"], seg["note"] = "glancing", str(plan)
@@ -450,7 +443,8 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
             traces += [row] * len(outs)
             modes.extend(range(first, first + len(outs)))
             waves += outs
-        amps, fluxes = _scatter_pairs(mode_maps[modes], mode_forms[modes], amps[traces])
+        amps, fluxes = _scatter_pairs(setup.mode_maps[modes], setup.mode_forms[modes],
+                                      amps[traces])
         norms = _column_norms(amps.T).tolist()
 
         children, at = [], []
@@ -467,7 +461,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                 t_child = time + step
             else:
                 try:
-                    t_child = time + crossing_time(lay, dirn, s, amp)
+                    t_child = time + setup.crossing_time(lay, dirn, s, amp)
                 except NumericalDomainError as exc:
                     status, note = "glancing", str(exc)
             if status == "propagating":
@@ -477,9 +471,52 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
                          "s": s, "amplitude": amp, "time": t_child, "depth": depth,
                          "flux": flux, "status": status, "note": note})
         generation = rest + children
+    return rows, arrivals, bool(generation)
 
-    return EventTree(_records(RayEvent, rows), eta, tau, src.flux, _sorted_arrivals(arrivals),
-                     bool(generation))
+
+def trace_plane_wave(stack: LayerStack, eta, tau: float,
+                     source_layer: int = 0, source_mode: int = 0,
+                     max_events: int = 64,
+                     amplitude_floor: float = 1e-4) -> EventTree:
+    """Breadth-first expansion of a plane-wave source through the stack.
+
+    The source, incoming mode number `source_mode` of its layer's lower
+    boundary, is flux-normalized and travels down from the layer's top at
+    time zero.  Each interaction branches into all real outgoing modes above
+    the amplitude floor (`amplitude_floor` times the source's amplitude);
+    evanescent components are dropped, neither recorded nor propagated.
+    `_set_up` builds every side, law and delay once per trace, as stacks,
+    and `_expand` grows the tree from them one generation at a time, the
+    first `max_events` segments scattering and the rest ending as
+    truncated.  Each event is kept as a row, the dict of its RayEvent's
+    fields, while the tree grows, and becomes that RayEvent's __dict__ at
+    the end.
+    """
+    for name, value in (("max_events", max_events), ("source_layer", source_layer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("tau", tau), ("amplitude_floor", amplitude_floor)):
+        if not _is_real(value):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if max_events < 1:
+        raise ValidationError("max_events must be at least 1")
+    if not 0.0 <= amplitude_floor < np.inf:
+        raise ValidationError(f"amplitude_floor must be finite and non-negative, "
+                              f"got {amplitude_floor}")
+    eta = _real_array(eta, None, "eta must be 2 or 3 real numbers", "frame must be finite",
+                      ValidationError)
+    if eta.shape == (2,):
+        eta = np.array([eta[0], eta[1], 0.0])
+    if eta.shape != (3,):
+        raise ValidationError(f"eta must have 2 or 3 components, got shape {eta.shape}")
+    if abs(eta[2]) > 0:
+        raise ValidationError("eta must be horizontal")
+    if not 0 <= source_layer < len(stack.layers):
+        raise ValidationError("source layer out of range")
+    setup = _set_up(stack, eta, tau, source_layer, source_mode)
+    rows, arrivals, truncated = _expand(setup, max_events, amplitude_floor)
+    return EventTree(_records(RayEvent, rows), eta, tau, setup.src.flux,
+                     _sorted_arrivals(arrivals), truncated)
 
 
 def arrivals_rows(tree: EventTree) -> list[tuple]:
