@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import IndefiniteAcousticTensor, InvalidInput
-from .materials import Material, StiffnessTensor, _real_array
+from .materials import Material, StiffnessTensor, _is_int, _is_real, _real_array
 
 DEGENERACY_TOL = 1e-8   # speeds^2 closer than this relative to the largest are one mode
 
@@ -133,16 +133,24 @@ def eigen_gap_scan(m: Material, n_directions: int,
 
     Directions within exclude_angle_deg of +-exclude_axis are skipped.
     Returns (min_gap, rows) where rows hold per-direction data for reporting.
+    InvalidInput for a count, angle in degrees or axis out of their domains.
     """
+    if not _is_int(n_directions):
+        raise InvalidInput(f"n_directions must be an integer, got {n_directions!r}")
     if n_directions < 6:
         raise InvalidInput("need at least 6 directions")
+    if not (_is_real(exclude_angle_deg) and 0 <= exclude_angle_deg < 90):
+        raise InvalidInput(f"exclude_angle_deg must be a real number in [0, 90), "
+                           f"got {exclude_angle_deg!r}")
     dirs = fibonacci_sphere(n_directions)
     if exclude_axis is not None:
         axis = _real_array(exclude_axis, (3,), "exclude_axis must be a vector of shape (3,)")
         if exclude_angle_deg > 0:
-            axis = axis / np.linalg.norm(axis)
+            norm = math.hypot(*axis)    # neither overflows nor underflows
+            if norm == 0:
+                raise InvalidInput("exclude_axis must be nonzero to exclude a cone around it")
             cos_lim = np.cos(np.radians(exclude_angle_deg))
-            dirs = dirs[np.abs(dirs @ axis) < cos_lim]
+            dirs = dirs[np.abs(dirs @ (axis / norm)) < cos_lim]
     min_gap = np.inf
     rows = []
     for d in dirs:

@@ -407,10 +407,10 @@ def stroh(a: QuadraticMatrixPolynomial) -> np.ndarray:
 class EigenvalueGroup:
     """One point of the spectrum with multiplicities and, if real, its sign type.
 
-    `kernel` and `geo_mult` exist for real groups only and are None for
-    non-real ones: the outgoing/incoming split needs a kernel only where the
-    sign of (A'(s)v|v) decides it, and non-real eigenvalues are split by
-    half plane alone.
+    `kernel`, `geo_mult` and `sign_form` exist for real groups only and are
+    None for non-real ones: the outgoing/incoming split needs a kernel only
+    where the sign of (A'(s)v|v) decides it (`sign_form`, that form on the
+    kernel), and non-real eigenvalues are split by half plane alone.
     """
 
     value: complex
@@ -420,6 +420,7 @@ class EigenvalueGroup:
     sign_type: str | None        # 'positive' | 'negative' | None
     glancing: bool
     kernel: np.ndarray | None    # 3 x geo_mult orthonormal kernel basis of A(value)
+    sign_form: np.ndarray | None = None     # kernel^H A'(value) kernel; read by mode_delay
 
 
 @dataclass(frozen=True)
@@ -528,32 +529,32 @@ def _sign_type(lowest: float, highest: float, slope_norm: float) -> str | None:
     return None
 
 
-def _eigenvalue_group(value: complex, alg: int, kernel=None, sign=None) -> "EigenvalueGroup":
+def _eigenvalue_group(value: complex, alg: int, kernel=None, sign=None,
+                      form=None) -> EigenvalueGroup:
     """A group; one with a kernel is real, and glances when its eigenvalue
     is defective or its sign form is indefinite or too small."""
-    if kernel is None:
-        return _record(EigenvalueGroup, value=value, alg_mult=alg, geo_mult=None,
-                       is_real=False, sign_type=None, glancing=False, kernel=None)
-    geo = kernel.shape[1]
-    return _record(EigenvalueGroup, value=value, alg_mult=alg, geo_mult=geo, is_real=True,
-                   sign_type=sign, glancing=geo < alg or sign is None, kernel=kernel)
+    real = kernel is not None
+    geo = kernel.shape[1] if real else None
+    return _record(EigenvalueGroup, value=value, alg_mult=alg, geo_mult=geo, is_real=real,
+                   sign_type=sign, glancing=real and (geo < alg or sign is None),
+                   kernel=kernel, sign_form=form)
 
 
-def _sign_types(a0, a1_sym, s, kernels: list) -> list:
-    """_sign_type on each real group's kernel, from stacks of A0, A1 + A1*
-    and real s (one entry per group) and one stacked eigvalsh per kernel
-    dimension; None where the kernel is empty."""
+def _sign_forms(a0, a1_sym, s, kernels: list) -> tuple:
+    """_sign_type and sign form kernel^H A'(s) kernel of each real group, from
+    stacks of A0, A1 + A1* and real s (one entry per group) and one stacked
+    eigvalsh per kernel dimension; None where the kernel is empty."""
     da = _slope(a0, a1_sym, s)
     norms = _fro(da).tolist()
-    signs = [None] * len(kernels)
+    signs, forms = [None] * len(kernels), [None] * len(kernels)
     for dim in {kern.shape[1] for kern in kernels} - {0}:
         sel = [r for r, kern in enumerate(kernels) if kern.shape[1] == dim]
         kern = np.array([kernels[r] for r in sel])
-        form = _herm(kern) @ da[sel] @ kern
-        eigs = _lapack.eigvalsh(0.5 * (form + _herm(form)))
-        for r, lo, hi in zip(sel, eigs[:, 0].tolist(), eigs[:, -1].tolist()):
-            signs[r] = _sign_type(lo, hi, norms[r])
-    return signs
+        stacked = _herm(kern) @ da[sel] @ kern
+        eigs = _lapack.eigvalsh(0.5 * (stacked + _herm(stacked)))
+        for r, lo, hi, form in zip(sel, eigs[:, 0].tolist(), eigs[:, -1].tolist(), stacked):
+            signs[r], forms[r] = _sign_type(lo, hi, norms[r]), form
+    return signs, forms
 
 
 def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
@@ -600,7 +601,7 @@ def _classify(polys: list) -> list:
         scales = [polys[k].scale for k in at]
         s = np.array(values)[:, None, None]
         kernels = _kernels(_at(a0, a1_sym, a2, s), scales)
-        found = iter(zip(kernels, _sign_types(a0, a1_sym, s.real, kernels)))
+        found = iter(zip(kernels, *_sign_forms(a0, a1_sym, s.real, kernels)))
     return [_record(SpectrumClassification, stroh_norm=norm, schur=schur, groups=tuple(
         _eigenvalue_group(value, alg, *next(found)) if is_real
         else _eigenvalue_group(value, alg) for value, alg, is_real in groups))

@@ -32,13 +32,11 @@ from .factorization import (
     BoundaryFrame,
     QuadraticMatrixPolynomial,
     SpectrumClassification,
-    _fro,
-    _herm,
     _records,
-    _slope,
 )
 from .materials import (
     Material,
+    _is_int,
     _is_real,
     _json_number,
     _real_array,
@@ -70,14 +68,11 @@ class LayerStack:
         for mat in [m for m, _ in self.layers] + [self.halfspace]:
             ok, mineig = check_strong_convexity(mat.stiffness)
             if not ok:
-                raise StackFileError(
-                    f"material {mat.name!r} is not strongly convex "
-                    f"(min eigenvalue {mineig:g})")
+                raise StackFileError(f"material {mat.name!r} is not strongly convex "
+                                     f"(min eigenvalue {mineig:g})")
 
     def material(self, layer: int) -> Material:
-        if layer == len(self.layers):
-            return self.halfspace
-        return self.layers[layer][0]
+        return self.halfspace if layer == len(self.layers) else self.layers[layer][0]
 
     def thickness(self, layer: int) -> float:
         return self.layers[layer][1]
@@ -114,55 +109,38 @@ def group_delay(a: QuadraticMatrixPolynomial, s: float, v: np.ndarray) -> float:
     travel time across thickness d is d |ds/dtau|.
     """
     _check_slowness(s)
-    tau = a.frame.tau
+    norm_sq = float(np.vdot(v, v).real)
     denom = float(np.real(np.vdot(v, a.derivative(s) @ v)))
-    scale = a.scale * float(np.vdot(v, v).real)
-    if abs(denom) <= DELAY_FORM_TOL * max(scale, 1e-300):
+    if abs(denom) <= DELAY_FORM_TOL * max(a.scale * norm_sq, 1e-300):
         raise GlancingSpectrum("group delay undefined: derivative form vanishes")
-    return 2.0 * a.rho * tau * float(np.vdot(v, v).real) / denom
+    return 2.0 * a.rho * a.frame.tau * norm_sq / denom
 
 
 def mode_delay(a: QuadraticMatrixPolynomial, classification: SpectrumClassification,
                s: float) -> float | None:
     """`group_delay` shared by every v in ker A(s), or None when it depends on v.
 
-    The kernel is the one `classification` already holds for its real
-    eigenvalue group at s, so no new SVD is taken.  (A'(s)v|v) / (v|v) is
-    the same for all kernel vectors when the derivative form on the kernel
-    is c times the identity (to 1e-12 relative), as it always is for a
-    simple eigenvalue; the delay is then 2 rho tau / c.  None also when no
-    single non-glancing group lies at s or c fails `group_delay`'s size
-    test, so that a caller falling back to `group_delay` on its own vector
-    meets the same outcome there.
+    It reads the form (A'(s)v|v) on the kernel that `classification` holds
+    for its real eigenvalue group at s (`EigenvalueGroup.sign_form`, taken at
+    the group's value): where it is c times the identity (to 1e-12 relative),
+    as for every simple eigenvalue, the delay is 2 rho tau / c.  None also
+    when no single non-glancing group lies at s or c fails `group_delay`'s
+    size test, as a caller falling back to `group_delay` then finds.
     """
     _check_slowness(s)
-    return _mode_delays([(a, classification, s)])[0]
-
-
-def _mode_delays(requests: list) -> list:
-    """mode_delay of each (polynomial, classification, s), bit for bit what
-    it gets alone: the kernel forms and their tests run as one stack per
-    kernel width."""
-    delays = [None] * len(requests)
-    by_width = {}       # kernel width -> [(request index, polynomial, s, kernel)]
-    for i, (a, classification, s) in enumerate(requests):
-        near = GROUPING_TOL * (1.0 + classification.stroh_norm)
-        groups = [g for g in classification.real_groups if abs(g.value.real - s) <= near]
-        if len(groups) == 1 and not groups[0].glancing and groups[0].geo_mult:
-            kern = groups[0].kernel
-            by_width.setdefault(kern.shape[1], []).append((i, a, s, kern))
-    for width, due in by_width.items():
-        index, polys, s, kern = zip(*due)
-        kern = np.array(kern)
-        slopes = _slope(np.array([a.a0 for a in polys]), np.array([a.a1_sym for a in polys]),
-                        np.array(s)[:, None, None])
-        form = _herm(kern) @ slopes @ kern      # (A'(s)v|v) on the kernel
-        c = np.diagonal(form, axis1=1, axis2=2).real.mean(axis=1)
-        off = _fro(form - c[:, None, None] * np.eye(width)).tolist()
-        for i, a, c_i, off_i in zip(index, polys, c.tolist(), off):
-            if not (off_i > 1e-12 * abs(c_i) or abs(c_i) <= DELAY_FORM_TOL * max(a.scale, 1e-300)):
-                delays[i] = 2.0 * a.rho * a.frame.tau / c_i
-    return delays
+    near = GROUPING_TOL * (1.0 + classification.stroh_norm)
+    groups = [g for g in classification.real_groups if abs(g.value.real - s) <= near]
+    if len(groups) != 1 or groups[0].glancing:
+        return None
+    # c and ||form - c I|| on Python numbers, cheaper than numpy's for at most 3 x 3
+    k = len(groups[0].sign_form)
+    entries = groups[0].sign_form.ravel().tolist()
+    c = sum(entries[::k + 1]).real / k
+    entries[::k + 1] = [d - c for d in entries[::k + 1]]
+    off = math.hypot(*map(abs, entries))
+    if off > 1e-12 * abs(c) or abs(c) <= DELAY_FORM_TOL * max(a.scale, 1e-300):
+        return None
+    return 2.0 * a.rho * a.frame.tau / c
 
 
 @dataclass(frozen=True)
@@ -261,16 +239,13 @@ def _sorted_arrivals(rows: list) -> tuple:
 
 
 class _TraceSetUp:
-    """What a trace reads at its (eta, tau), each piece built once (`_set_up`).
-
-    `sides` maps (layer, direction) to its BoundarySide (the half-space has
-    one, the - side of the lowest interface), `laws` each law the entry
-    stack built to its ScatterOperator, `delays` each (layer, direction, s)
-    to its `mode_delay` (None where per trace) and `plans` each law met so
-    far to its first row in `mode_maps` and `mode_forms` (the planned laws'
-    `scatter._mode_stack`) and its modes' (layer, direction, s, shared
-    crossing time), or to the error of its build.
-    """
+    """What a trace reads at its (eta, tau), each piece built once (`_set_up`):
+    `sides` (the half-space has one, the - side of the lowest interface) and
+    the laws of the entry stack (`laws`) by (layer, direction), each mode's
+    `mode_delay` (`delays`) by (layer, direction, s), and `plans`:
+    each law met so far to its first row in `mode_maps` and `mode_forms`
+    (the planned laws' `scatter._mode_stack`) and its modes' (layer,
+    direction, s, shared crossing time), or to its build's error."""
 
     def __init__(self, stack: LayerStack, eta: np.ndarray, tau: float, source_layer: int):
         self.stack, self.source_layer = stack, source_layer
@@ -289,19 +264,23 @@ class _TraceSetUp:
     def law_sides(self, layer, direction) -> tuple:
         """The sides of the law a segment meets: (side,) at the free surface,
         (plus, minus) at an interface."""
+        here = self.side(layer, direction)
         if direction == "up" and layer == 0:
-            return (self.side(layer, direction),)
-        return self.side(layer, direction), self.side(layer + _STEP[direction], _REVERSED[direction])
+            return (here,)
+        return here, self.side(layer + _STEP[direction], _REVERSED[direction])
 
-    def crossing_time(self, layer, direction, s, v) -> float:
+    def crossing_time(self, layer, direction, s, v=None) -> float | None:
+        """thickness |delay| of a wave of mode s toward side (layer, direction):
+        the delay every wave of the mode shares (`mode_delay`, once per key),
+        else `group_delay` on the wave's own trace v, or None without one."""
         key = (layer, direction, s)
         if key not in self.delays:
             sd = self.side(layer, direction)
             self.delays[key] = mode_delay(sd.poly, sd.classification, s)
         delay = self.delays[key]
-        if delay is None:
+        if delay is None and v is not None:
             delay = group_delay(self.side(layer, direction).poly, s, v)
-        return self.stack.thickness(layer) * abs(delay)
+        return None if delay is None else self.stack.thickness(layer) * abs(delay)
 
     def join(self, keys) -> None:
         """Plan the law met from each (layer, direction) of keys: the stack's, else built alone."""
@@ -313,8 +292,8 @@ class _TraceSetUp:
                 # without its traceback, whose frames would hold `plans` in a cycle
                 self.plans[key] = exc.with_traceback(None)
                 continue
-            self.plans[key] = (first, [(*wave, None if self.delays.get(wave) is None else
-                                        self.crossing_time(*wave, None))
+            self.plans[key] = (first, [(*wave, None if wave[0] == len(self.stack.layers)
+                                        else self.crossing_time(*wave))
                                        for wave in _outgoing(*key, law)])
             first += len(self.plans[key][1])
             joined.append(law)
@@ -323,32 +302,19 @@ class _TraceSetUp:
 
 def _set_up(stack: LayerStack, eta: np.ndarray, tau: float, source_layer: int,
             source_mode: int) -> _TraceSetUp:
-    """The set-up of a trace.  At fixed (eta, tau) every boundary side and
-    scattering law depends only on (layer, direction), so each is built once
-    per trace: the law met going down from layer L joins sides (L, down) and
-    (L+1, up), the one met going up (L, up) and (L-1, down), and crossing
-    times read the side a segment travels toward.  Everything a trace reads
-    is built here as stacks on the batched frame core, each entry bit for
-    bit what it is built alone:
-      * all 2n + 1 sides of an n-layer stack (`boundary._stacked_sides`):
-        the polynomials of all materials on one stack of cores, one
-        classification of all of them, then one outgoing factorization and
-        impedance of those whose spectrum does not glance
-        (`_stacked_factorizations`);
-      * the source, from its side's incoming factorization and projectors,
-        built alone first, so a trace without that mode fails before any
-        law is built;
-      * the laws whose sides do not glance and whose + side has a real
-        mode (no segment meets the others): `scatter._scatter_operators`,
-        each reading its + side's z_in as z_out^H (`BoundarySide.z`);
-      * `mode_delay` of the source's mode and of every (side, s) those laws
-        send waves to (`_mode_delays`), so that the children of one mode
-        share one crossing time, thickness |delay|; the laws are planned.
-
-    If the sides' stack raises, each side and law is built alone on first
-    use instead; if their factorizations' stack raises, the sides keep their
-    classifications and each factorizes alone on first use; if the laws'
-    stack raises, each law is built alone.
+    """A trace's set-up.  At fixed (eta, tau) every side and law depends only
+    on (layer, direction): the law met going down from layer L joins sides
+    (L, down) and (L+1, up), the one met going up (L, up) and (L-1, down).
+    Each is built here as a stack entry, bit for bit what it is built alone:
+      * all 2n + 1 sides (`boundary._stacked_sides`), then the outgoing
+        factorizations of those that do not glance (`_stacked_factorizations`);
+      * the source, from its side's incoming factorization, so a trace
+        without that mode fails before any law is built;
+      * the laws whose sides do not glance and whose + side has a real mode
+        (no segment meets the others), and their plans.
+    If the sides' stack raises, every side and law is built alone on first
+    use; if the factorizations' or the laws' stack raises, each side
+    factorizes, or each law is built, alone on first use.
     """
     setup = _TraceSetUp(stack, eta, tau, source_layer)
     n_layers = len(stack.layers)
@@ -373,33 +339,19 @@ def _set_up(stack: LayerStack, eta: np.ndarray, tau: float, source_layer: int,
         with suppress(ElasticError):    # each law is then built alone on first use
             setup.laws = dict(zip(due, _scatter_operators([setup.law_sides(*key)
                                                            for key in due])))
-    # The delays of the source's mode and of every (side, s) a built law
-    # sends waves to, as one stack.
-    targets = list(dict.fromkeys([(source_layer, "down", setup.src.s_in)] + [
-        wave for key, law in setup.laws.items() for wave in _outgoing(*key, law)
-        if wave[0] < n_layers]))
-    setup.delays.update(zip(targets, _mode_delays([
-        (setup.side(lay, dirn).poly, setup.side(lay, dirn).classification, s)
-        for lay, dirn, s in targets])))
     setup.join(setup.laws)
     return setup
 
 
 def _expand(setup: _TraceSetUp, max_events: int, amplitude_floor: float) -> tuple:
-    """The rows of a trace's events, the dicts of their RayEvents' fields in
-    order, its surface arrivals as (time, s, |amplitude|, flux, uid) and
-    whether it was truncated.
-
-    The source, flux-normalized, travels down from its layer's top at time
-    zero.  The queue is expanded one generation (tree depth) at a time:
-    each segment pairs with every outgoing mode of its law, all pairs
-    scatter in one `scatter._scatter_pairs` and the children are numbered
-    in pair order.  A law gets a plan when first met (`_TraceSetUp.join`).
-    The first `max_events` segments, counted in that order, scatter; the
-    rest end as truncated.  Children at or below the amplitude floor end as
-    floored.  A law whose build failed keeps its error, and every segment
-    meeting it ends as a glancing leaf with the error as its note.  Where
-    the shared delay depends on the trace, `group_delay` runs per child.
+    """The rows of a trace's events (the dicts of their RayEvents' fields),
+    its surface arrivals as (time, s, |amplitude|, flux, uid) and whether it
+    was truncated.  The queue grows one generation (tree depth) at a time:
+    each segment pairs with every outgoing mode of its law (planned when
+    first met), all pairs scatter in one `scatter._scatter_pairs` and the
+    children are numbered in pair order.  A segment meeting a law whose
+    build failed ends as a glancing leaf with the error as its note; where
+    a mode's delay depends on the trace, `group_delay` runs per child.
     """
     src, n_layers, plans = setup.src, len(setup.stack.layers), setup.plans
     t0 = setup.crossing_time(setup.source_layer, "down", src.s_in, src.g)
@@ -483,17 +435,14 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     The source, incoming mode number `source_mode` of its layer's lower
     boundary, is flux-normalized and travels down from the layer's top at
     time zero.  Each interaction branches into all real outgoing modes above
-    the amplitude floor (`amplitude_floor` times the source's amplitude);
-    evanescent components are dropped, neither recorded nor propagated.
-    `_set_up` builds every side, law and delay once per trace, as stacks,
-    and `_expand` grows the tree from them one generation at a time, the
-    first `max_events` segments scattering and the rest ending as
-    truncated.  Each event is kept as a row, the dict of its RayEvent's
-    fields, while the tree grows, and becomes that RayEvent's __dict__ at
-    the end.
+    the floor, `amplitude_floor` times the source's amplitude; evanescent
+    components are dropped.  `_set_up` builds every side and law once, and
+    `_expand` grows the tree from them: the first `max_events` segments, in
+    child order, scatter and the rest end as truncated.  Each event's row
+    becomes its RayEvent's __dict__.
     """
     for name, value in (("max_events", max_events), ("source_layer", source_layer)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     for name, value in (("tau", tau), ("amplitude_floor", amplitude_floor)):
         if not _is_real(value):
@@ -527,5 +476,4 @@ def arrivals_rows(tree: EventTree) -> list[tuple]:
 def leaf_flux(tree: EventTree) -> float:
     """Total energy flux of all terminal segments."""
     return float(sum(e.flux for e in tree.events
-                     if e.status in ("halfspace", "floored", "truncated",
-                                     "glancing")))
+                     if e.status in ("halfspace", "floored", "truncated", "glancing")))

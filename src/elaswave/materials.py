@@ -44,6 +44,11 @@ def _is_real(x) -> bool:
     return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
+def _is_int(x) -> bool:
+    """x is an int or numpy integer, not a bool: the gate of public counts and indices."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _numbers(x) -> tuple:
     """np.asarray(x), of object dtype for a ragged nesting, and whether its
     entries are real numbers: not of a complex, bool, object or str dtype."""

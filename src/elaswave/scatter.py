@@ -31,7 +31,7 @@ from .boundary import BoundarySide, _sides, _stacked_projectors
 from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
 from .factorization import _EYE, BoundaryFrame, _record, _slope, kernel_basis
 from .impedance import flux_form
-from .materials import Material
+from .materials import Material, _is_int
 
 INVERTIBLE_MARGIN = 1e-8    # a law's matrix with sigma_min/sigma_max at or below this is singular
 EVANESCENT_FLUX_TOL = 1e-9  # evanescent flux above this, relative to ||z|| |pi_c f|^2, is flagged
@@ -99,7 +99,7 @@ def side_incoming_mode(side: BoundarySide, mode: int = 0) -> TraceField:
     its real incoming eigenvalues s, ascending (InvalidInput if it is not a
     non-negative integer, NoIncomingMode past the last s), and a vector of
     ker A(s) is scaled to unit flux +tau (A'(s)g|g)/2 = 1."""
-    if isinstance(mode, bool) or not (isinstance(mode, (int, np.integer)) and mode >= 0):
+    if not (_is_int(mode) and mode >= 0):
         raise InvalidInput(f"mode must be a non-negative index, got {mode!r}")
     a, frame = side.poly, side.frame
     reals = sorted(side.projectors("incoming").psi.keys())

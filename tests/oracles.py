@@ -216,7 +216,7 @@ def classify_spectrum_one(a):
     norm = float(np.linalg.norm(s6))
     groups = []
     for value, alg, is_real in fz._group(np.diag(t), norm):
-        kern = sign = None
+        kern = sign = form = None
         if is_real:
             kern = kernel_basis_one(a, value)
             if kern.shape[1]:
@@ -224,7 +224,7 @@ def classify_spectrum_one(a):
                 form = kern.conj().T @ da @ kern
                 eigs = np.linalg.eigvalsh(0.5 * (form + form.conj().T))
                 sign = fz._sign_type(eigs[0], eigs[-1], np.linalg.norm(da))
-        groups.append(fz._eigenvalue_group(value, alg, kern, sign))
+        groups.append(fz._eigenvalue_group(value, alg, kern, sign, form))
     return fz._record(fz.SpectrumClassification, groups=tuple(groups), stroh_norm=norm,
                       schur=(t, z))
 

@@ -173,6 +173,38 @@ class TestSphereScan:
         with pytest.raises(InvalidInput, match=r"exclude_axis must be a vector of shape \(3,\)"):
             eigen_gap_scan(ti, 20, exclude_axis=axis, exclude_angle_deg=5.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_zero_exclude_axis(self, ti):
+        # a zero axis has no cone to exclude: not a divide warning and an empty scan
+        with pytest.raises(InvalidInput, match="^exclude_axis must be nonzero") as exc:
+            eigen_gap_scan(ti, 20, exclude_axis=np.zeros(3), exclude_angle_deg=5.0)
+        assert exc.value.exit_code == 2
+        # with no cone, nothing is excluded, and the axis only has to be a vector
+        assert len(eigen_gap_scan(ti, 20, exclude_axis=np.zeros(3))[1]) == 20
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("angle", [1j, np.nan, True, -1.0, 90.0, np.inf, "5", None],
+                             ids=["complex", "nan", "bool", "negative", "right", "inf", "str",
+                                  "none"])
+    def test_rejects_bad_exclude_angle(self, ti, angle):
+        with pytest.raises(InvalidInput, match=r"^exclude_angle_deg must be a real number "
+                                               r"in \[0, 90\), got ") as exc:
+            eigen_gap_scan(ti, 20, exclude_axis=np.array([0.0, 0.0, 1.0]),
+                           exclude_angle_deg=angle)
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [6.5, "8", True, None, 8.0],
+                             ids=["fraction", "str", "bool", "none", "float"])
+    def test_rejects_non_integer_count(self, iso, n):
+        # 6.5 would scan 7 directions, and "8" raise a bare TypeError
+        with pytest.raises(InvalidInput, match="^n_directions must be an integer, got ") as exc:
+            eigen_gap_scan(iso, n)
+        assert exc.value.exit_code == 2
+
+    def test_numpy_integer_count(self, iso):
+        assert len(eigen_gap_scan(iso, np.int64(8))[1]) == 8
+
     def test_exclusion_filters(self, ti):
         _, rows = eigen_gap_scan(ti, 100, exclude_axis=np.array([0.0, 0.0, 1.0]),
                                  exclude_angle_deg=30.0)

@@ -497,6 +497,9 @@ def same_classification(got, want):
         assert (g.kernel is None) == (h.kernel is None)
         if g.kernel is not None:
             assert bits(g.kernel) == bits(h.kernel)
+        assert (g.sign_form is None) == (h.sign_form is None)
+        if g.sign_form is not None:
+            assert bits(g.sign_form) == bits(h.sign_form)
 
 
 def same_factorization(got, want):

@@ -49,7 +49,7 @@ from elaswave.scatter import (
     transmit_interface,
 )
 
-from conftest import AXIS, NU
+from conftest import AXIS, NU, random_triclinic, sample_frames
 
 # bench/workloads.py: the stacks and frames of the layered_trace workload
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -227,14 +227,19 @@ class TestGroupDelay:
 
 
 class TestModeDelay:
-    def test_matches_group_delay_on_kernel(self, soft):
+    def test_matches_group_delay_on_kernel(self, soft, rotated_ti):
         # One delay per (side, s) serves every trace in the kernel: the 2-D
-        # shear kernel of an isotropic layer at eta = 0 and the simple
-        # eigenvalues of a TI layer off its axis.
+        # shear kernel of an isotropic layer at eta = 0, the simple
+        # eigenvalues of a TI layer off its axis and those of seeded
+        # triclinic and rotated TI frames.  The delay reads the sign form
+        # the classification stores, kernel^H A'(value) kernel.
         rng = np.random.default_rng(7)
         ti = make_transversely_isotropic(2.3, 1.3, 0.09, 0.08, 0.05, AXIS, 1.2, "ti")
-        cases = ((soft, np.zeros(3), -1.0), (ti, np.array([0.3, 0.2, 0.0]), -1.1),
-                 (ti, np.array([0.3, 0.2, 0.0]), 1.1))
+        cases = [(soft, np.zeros(3), -1.0), (ti, np.array([0.3, 0.2, 0.0]), -1.1),
+                 (ti, np.array([0.3, 0.2, 0.0]), 1.1)]
+        for m in (random_triclinic(rng), random_triclinic(rng), rotated_ti):
+            cases += [(m, fr.eta, fr.tau) for frames in sample_frames(
+                m, rng, 2, regions=("hyperbolic", "mixed")).values() for fr in frames]
         dims = []
         for m, eta, tau in cases:
             for nu in (NU, -NU):
@@ -242,6 +247,9 @@ class TestModeDelay:
                 cls = classify_spectrum(a)
                 for g in cls.real_groups:
                     s = g.value.real
+                    slope = a.derivative(s)
+                    assert np.linalg.norm(g.sign_form - g.kernel.conj().T @ slope @ g.kernel) \
+                        <= 1e-14 * np.linalg.norm(slope)
                     shared = mode_delay(a, cls, s)
                     assert shared is not None
                     dims.append(g.kernel.shape[1])
@@ -266,6 +274,25 @@ class TestModeDelay:
         assert group_delay(a, 1.0, e1) == pytest.approx(-1.0, rel=1e-14)
         assert group_delay(a, 1.0, e2) == pytest.approx(-0.5, rel=1e-14)
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_trees_take_no_slope_of_their_own(self, monkeypatch, tmp_path, seed):
+        # Crossing times read the sign forms of the sides' classifications,
+        # so a tree evaluates no A'(s) of its own.
+        wl = workloads.LayeredTrace(seed, str(tmp_path))
+        wl.setup()
+        assert set(wl.budgets) == {64, 512}
+        trees = [trace_plane_wave(wl.stack, eta, tau, max_events=budget)
+                 for (eta, tau), budget in zip(wl.frames, wl.budgets)]
+
+        def no_slope(*args):
+            raise AssertionError("the tree evaluated A'(s)")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(layered, "_slope", no_slope, raising=False)
+            patched = [trace_plane_wave(wl.stack, eta, tau, max_events=budget)
+                       for (eta, tau), budget in zip(wl.frames, wl.budgets)]
+        assert [tree_digest(t) for t in patched] == [tree_digest(t) for t in trees]
+
     def test_per_trace_fallback_in_the_tree(self, ti_stack, monkeypatch):
         # With every shared delay declined, each crossing time comes from
         # group_delay on the child's own trace, and the tree keeps its shape.
@@ -279,8 +306,8 @@ class TestModeDelay:
         for eta, tau in TI_STACK_FRAMES:
             shared = trace_plane_wave(ti_stack, eta, tau, max_events=40)
             with monkeypatch.context() as mp:
-                # every delay, stacked at entry or alone, comes from _mode_delays
-                mp.setattr(layered, "_mode_delays", lambda requests: [None] * len(requests))
+                # every shared delay, planned with a law or read per child, comes from mode_delay
+                mp.setattr(layered, "mode_delay", lambda a, classification, s: None)
                 mp.setattr(layered, "group_delay", counting)
                 calls.clear()
                 fallback = trace_plane_wave(ti_stack, eta, tau, max_events=40)
@@ -700,11 +727,11 @@ def glancing_frame(stack, eta) -> tuple:
 
 class TestStackedLaws:
     """A trace builds every law whose sides do not glance and whose + side
-    has a real mode as one stack at entry, then the mode delays of the
-    source and of every (side, s) those laws send waves to as one stack.
-    Each law and delay is bit for bit what it is built alone, and the tree
-    is, byte for byte, the tree whose laws are each built alone on first
-    use."""
+    has a real mode as one stack at entry, and reads the mode delay of the
+    source and of every (side, s) those laws send waves to once, off the
+    side's classification.  Each law and delay is bit for bit what it is
+    built alone, and the tree is, byte for byte, the tree whose laws are
+    each built alone on first use."""
 
     def cases(self, ti_stack, bench_stack, fast_stack):
         """(stack, eta, tau, number of laws the stack builds): every law, but
@@ -736,16 +763,16 @@ class TestStackedLaws:
     @pytest.mark.parametrize("budget", [1, 2, 64])
     def test_laws_match_laws_built_alone(self, ti_stack, bench_stack, fast_stack, monkeypatch,
                                          budget):
-        stacked_laws, stacked_delays = layered._scatter_operators, layered._mode_delays
-        law_stacks, delay_stacks = [], []
+        stacked_laws, shared_delay = layered._scatter_operators, layered.mode_delay
+        law_stacks, delays = [], []
 
         def record_laws(laws):
             law_stacks.append(list(zip(laws, stacked_laws(laws))))
             return [law for _, law in law_stacks[-1]]
 
-        def record_delays(requests):
-            delay_stacks.append(list(zip(requests, stacked_delays(requests))))
-            return [delay for _, delay in delay_stacks[-1]]
+        def record_delay(a, cls, s):
+            delays.append(((a, cls, s), shared_delay(a, cls, s)))
+            return delays[-1][1]
 
         def alone_on_first_use(laws):
             if len(laws) > 1:
@@ -754,10 +781,10 @@ class TestStackedLaws:
 
         for stack, eta, tau, n_laws in self.cases(ti_stack, bench_stack, fast_stack):
             law_stacks.clear()
-            delay_stacks.clear()
+            delays.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(layered, "_scatter_operators", record_laws)
-                mp.setattr(layered, "_mode_delays", record_delays)
+                mp.setattr(layered, "mode_delay", record_delay)
                 tree = trace_plane_wave(stack, eta, tau, max_events=budget)
             with monkeypatch.context() as mp:
                 mp.setattr(layered, "_scatter_operators", alone_on_first_use)
@@ -778,9 +805,9 @@ class TestStackedLaws:
                                else interface_operator(*fresh))
                 self.assert_same_law(law, built_alone)
 
-            # one stack of delays, which every crossing time then reads
-            (delays,) = delay_stacks
+            # one delay per (side, s), which every crossing time then reads
             assert len(delays) > 1
+            assert len({(id(a), s) for (a, _, s), _ in delays}) == len(delays)
             for (a, cls, s), delay in delays:
                 assert delay == mode_delay(a, cls, s)
 

@@ -52,6 +52,9 @@ names of the lines that differ, and exits 1 if any does.  It covers
     meeting it ends as a glancing leaf, and traces through a fast top layer
     and through two adjacent fast layers at a slowness evanescent in them,
     whose laws there no segment meets;
+  * tree_fields: the same trees without their event and arrival times,
+    every other field as in the trees line, so that a change that moves
+    only crossing times differs in trees and not here;
   * tree_shapes: the same trees' shapes, (uid, parent, layer, direction,
     status) of every event and an error by its type only, so that a change
     that moves only the trees' last digits leaves this line as it is;
@@ -63,7 +66,11 @@ names of the lines that differ, and exits 1 if any does.  It covers
     non-convex material, a NaN A2, frames at the elliptic limit tau_L and a
     glancing isotropic frame.
 
-Floats are hashed as their bytes, so a last-bit change shows.  The inputs
+Floats are hashed as their bytes, so a last-bit change shows.  A spectrum
+group's `sign_form` is left out of the spectra line: it is kernel^H A'(value)
+kernel, of numbers that line hashes, and without it the line compares with
+checkouts from before groups held it; the trees read it through their
+crossing times.  The inputs
 come from bench/workloads.py (its seeded materials, frames, workloads and CLI
 commands), read through its public names.
 """
@@ -98,6 +105,7 @@ MATERIALS_PER_CLASS = 2
 FRAMES_PER_REGION = 6
 GRID_FRAMES = 300       # more than one stack of classify_frames
 SURFACE_WAVE_ROUNDS = 6
+UNHASHED_FIELDS = {"sign_form"}     # dataclass fields _feed leaves out (see above)
 
 
 def _feed(h, obj) -> None:
@@ -118,7 +126,8 @@ def _feed(h, obj) -> None:
             _feed(h, obj[key])
     elif dataclasses.is_dataclass(obj):
         h.update(type(obj).__name__.encode())
-        _feed(h, {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+        _feed(h, {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                  if f.name not in UNHASHED_FIELDS})
     else:
         h.update(repr(obj).encode())
 
@@ -351,10 +360,15 @@ def digest_trees(seed: int, directory: str) -> list:
     return trees
 
 
-def tree_digest(trees: list) -> str:
+def tree_digest(trees: list, drop: tuple = ()) -> str:
+    """The trees as JSON, an error as (type, message); the keys in drop are
+    left out of every event and arrival."""
     h = hashlib.sha256()
     for tree in trees:
         doc = tree if isinstance(tree, tuple) else tree.to_dict()
+        for row in () if isinstance(tree, tuple) else doc["events"] + doc["arrivals"]:
+            for key in drop:
+                del row[key]
         h.update(json.dumps(doc, sort_keys=True).encode())
     return h.hexdigest()
 
@@ -481,6 +495,7 @@ def main(argv=None) -> int:
                   ("surface_wave_probes", _hash(probes, anisotropic_probes)),
                   ("limit_fallbacks", _hash(fallbacks, anisotropic_fallbacks)),
                   ("trees", tree_digest(trees)),
+                  ("tree_fields", tree_digest(trees, drop=("time",))),
                   ("tree_shapes", tree_shape_digest(trees)),
                   ("errors", errors_digest(args.seed))]
     counts = {"surface_wave_probes": f"  {sum(probes) + sum(anisotropic_probes)} Schur forms",
