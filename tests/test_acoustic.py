@@ -202,6 +202,16 @@ class TestSphereScan:
             eigen_gap_scan(iso, n)
         assert exc.value.exit_code == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["tiny", "huge"])
+    def test_exclusion_is_scale_free(self, ti, scale):
+        # the axis's norm neither underflows to 0 nor overflows to inf
+        axis = np.array([0.0, 0.0, 1.0])
+        _, rows = eigen_gap_scan(ti, 100, exclude_axis=axis, exclude_angle_deg=30.0)
+        _, scaled = eigen_gap_scan(ti, 100, exclude_axis=scale * axis, exclude_angle_deg=30.0)
+        assert [d.tolist() for d, _, _ in scaled] == [d.tolist() for d, _, _ in rows]
+        assert 0 < len(rows) < 100
+
     def test_numpy_integer_count(self, iso):
         assert len(eigen_gap_scan(iso, np.int64(8))[1]) == 8
 
