@@ -58,7 +58,7 @@ from .impedance import (
     impedance_from_factorization,
     mode_projectors,
 )
-from .materials import Material, _real_array, decompose_harmonic
+from .materials import Material, _check_instance, _real_array, decompose_harmonic
 
 ANGLE_TOL = 1e-8        # principal angles with cosine above 1 - ANGLE_TOL count as shared
 BISECTION_TOL = 1e-10   # bisections stop at this width relative to the upper end
@@ -146,11 +146,11 @@ def _stacks(materials, frames: list) -> list:
     materials), whose - side is seen from the flipped frame."""
     if isinstance(materials, Material):
         return [(materials, frames)]
-    if not (isinstance(materials, (tuple, list)) and len(materials) == 2
-            and all(isinstance(m, Material) for m in materials)):
-        raise InvalidInput("materials must be one Material or a pair (m+, m-) of them")
-    mp, mm = materials
-    return [(mp, frames), (mm, [frame.flipped() for frame in frames])]
+    pair = isinstance(materials, (tuple, list)) and len(materials) == 2
+    for m in materials if pair else [materials]:
+        _check_instance(m, Material, "materials must be one Material or a pair (m+, m-) of them")
+    frames = [_check_instance(f, BoundaryFrame, "frame must be a BoundaryFrame") for f in frames]
+    return [(materials[0], frames), (materials[1], [frame.flipped() for frame in frames])]
 
 
 def _sides(materials, frame: BoundaryFrame) -> tuple:

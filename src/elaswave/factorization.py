@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .errors import (
     SigmaCardinality,
     SolvencyResidual,
 )
-from .materials import Material, _is_real, _real_array
+from .materials import Material, _check_instance, _is_real, _real_array
 
 # The spectral decision of every frame rests on these fixed tolerances.
 KERNEL_TOL = 1e-6        # SVD cutoff of ker A(s), relative to its largest singular value
@@ -82,27 +81,21 @@ class BoundaryFrame:
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "eta", _frame_vector(self.eta, nu))
 
-    def _checked(self, nu: np.ndarray, eta: np.ndarray, tau: float) -> "BoundaryFrame":
-        frame = object.__new__(BoundaryFrame)
-        for name, value in (("nu", nu), ("eta", eta), ("tau", tau)):
-            object.__setattr__(frame, name, value)
-        return frame
-
     def with_tau(self, tau: float) -> "BoundaryFrame":
         """This frame at another tau; only tau is checked, nu and eta are kept."""
         _check_tau(tau)
-        return self._checked(self.nu, self.eta, tau)
+        return _record(BoundaryFrame, nu=self.nu, eta=self.eta, tau=tau)
 
     def with_eta(self, eta: np.ndarray) -> "BoundaryFrame":
         """This frame at another eta; only eta is checked, nu and tau are kept."""
-        return self._checked(self.nu, _frame_vector(eta, self.nu), self.tau)
+        return _record(BoundaryFrame, nu=self.nu, eta=_frame_vector(eta, self.nu), tau=self.tau)
 
     def flipped(self) -> "BoundaryFrame":
         """Frame of the opposite side of an interface (conormal negated);
         negating nu keeps every check, so none runs again."""
         nu = -self.nu
         nu.setflags(write=False)
-        return self._checked(nu, self.eta, self.tau)
+        return _record(BoundaryFrame, nu=nu, eta=self.eta, tau=self.tau)
 
 
 # --- stacks ------------------------------------------------------------------
@@ -111,21 +104,29 @@ class BoundaryFrame:
 # calls; one polynomial is the stack of one.  numpy's stacked LAPACK and
 # matmul calls give each entry bit for bit what a call on it alone gives.
 
+_VECDOT = getattr(np, "vecdot", None)     # numpy >= 2
+
+
 def _herm(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack."""
     return x.conj().swapaxes(-1, -2)
 
 
 def _fro(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, bit for bit what
-    np.linalg.norm gives for the matrix alone (the dot product of its real
-    parts plus that of its imaginary parts).  A stack of one takes
-    np.linalg.norm itself, the same bits for less than the stacked products."""
+    """Frobenius norm of each matrix of a stack, bit for bit np.linalg.norm's
+    for the matrix alone: the dot products of its real and of its imaginary
+    parts by numpy's dot loop, which np.vecdot runs per row (numpy 1.x, with
+    no vecdot, as one-row matrix products), or for a stack of one directly."""
     if len(x) == 1:
-        return np.linalg.norm(x[0])[None]
-    flat = x.reshape(len(x), 1, -1)
+        flat = x[0].ravel(order="K")
+        re, im = flat.real, flat.imag
+        return np.sqrt([re.dot(re) + im.dot(im)])
+    flat = x.reshape(len(x), -1)
     re, im = flat.real, flat.imag
-    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    if _VECDOT is None:
+        re, im = re[:, None], im[:, None]
+        return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    return np.sqrt(_VECDOT(re, re) + _VECDOT(im, im))
 
 
 def _record(cls, fields=None, **named):
@@ -158,11 +159,11 @@ _EYE = np.eye(3)
 _EPS = np.finfo(float).eps
 
 
-def _a2(l_eta, rho, tau_sq):
-    """A2 = l(eta) - rho tau^2 I, for one tau^2 or a stack of them.  tau^2
+def _a2(l_eta, rho_tau_sq):
+    """A2 = l(eta) - rho tau^2 I, for one rho tau^2 or a stack of them.  tau^2
     is taken as tau ** 2, which (C pow) can differ from tau * tau in the
     last bit."""
-    return l_eta - np.multiply.outer(rho * tau_sq, _EYE)
+    return l_eta - np.multiply.outer(rho_tau_sq, _EYE)
 
 
 class _SymbolCore:
@@ -170,68 +171,59 @@ class _SymbolCore:
     A0, A1, A1 + A1*, the norms of A0 and A1, A0's asymmetry and smallest
     eigenvalue, l(eta) with the coefficient size without tau and the
     asymmetry ||l(eta) - l(eta)*||, and the Stroh blocks free of A2.  The
-    arrays are read-only; `_cores` builds the cores, those of a stack at
-    once, and the flipped frame (-nu, eta) gets a core of its own.  Every
-    A2 = l(eta) - rho tau^2 I has the asymmetry of l(eta), bit for bit: the
-    diagonal of A2 - A2* cancels to 0 and the rest is that of
+    arrays are read-only; `_polynomial_rows` builds the cores, those of a
+    stack at once, and the flipped frame (-nu, eta) gets a core of its own.
+    Every A2 = l(eta) - rho tau^2 I has the asymmetry of l(eta), bit for
+    bit: the diagonal of A2 - A2* cancels to 0 and the rest is that of
     l(eta) - l(eta)*."""
 
-    def at_tau(self, frame: BoundaryFrame, rho: float) -> "QuadraticMatrixPolynomial":
-        a2 = np.asarray(_a2(self.l_eta, rho, frame.tau ** 2), dtype=complex)
-        poly = object.__new__(QuadraticMatrixPolynomial)
-        return _settled([poly], [self], a2[None], [frame], rho, [self.l_asymmetry])[0]
 
-
-def _stroh_blocks(a0, a1) -> tuple:
-    """A0^-1, -A0^-1 A1, -A1* A0^-1 and A1* A0^-1 A1, read-only, of one
-    (A0, A1) or of stacks of them."""
-    a0inv, a1h = _lapack.inv(a0), _herm(a1)
-    blocks = (a0inv, -a0inv @ a1, -a1h @ a0inv, a1h @ a0inv @ a1)
-    for b in blocks:
-        b.setflags(write=False)
-    return blocks
-
-
-def _cores(a0, a1, l_eta=None, size=None) -> list:
-    """The _SymbolCore of each (A0, A1, l(eta), coefficient size) of stacks;
-    without l(eta) and sizes, cores of polynomials not built from a material."""
-    a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
-    a1_sym = a1 + _herm(a1)
-    n = len(a0)
-    parts = [a0, a1, a0 - _herm(a0)]
-    if l_eta is not None:
-        l_c = np.asarray(l_eta, dtype=complex)
-        parts.append(l_c - _herm(l_c))
-    norms = _fro(np.concatenate(parts)).reshape(len(parts), n).tolist()
-    norm0, norm1, asymmetry = norms[:3]
-    if l_eta is None:       # a polynomial not built from a material
-        l_eta = size = l_asymmetry = [None] * n
-    else:
-        l_asymmetry = norms[3]
+def _polynomial_rows(stack: np.ndarray, frames: list, rhos: list, l_eta=None,
+                     sizes=None) -> list:
+    """The fields of the QuadraticMatrixPolynomial of each frame and rho, each
+    on a _SymbolCore of its own, from the complex stack of six n-entry
+    stacks A0, A1, A2, A0 - A0*, A2 - A2* and A1 + A1*: every norm from one
+    `_fro` stack, A0's least eigenvalues and the Stroh blocks as stacks.
+    With l(eta) and the coefficient sizes they are boundary polynomials,
+    whose A2 - A2* is that of l(eta).  The checks run in the stack's order:
+    A0 finite for every entry, then each entry's `_scale`."""
+    n = len(frames)
+    stack.setflags(write=False)
+    norm0, norm1, norm2, asymmetry, a2_asymmetry, _ = _fro(stack).reshape(6, n).tolist()
+    a0, a1, a2, a1_sym = stack[:n], stack[n:2 * n], stack[2 * n:3 * n], stack[5 * n:]
     # a finite norm has finite entries; an infinite or NaN one sends A0 to the full check
     if not all(map(math.isfinite, norm0)) and not np.isfinite(a0).all():
         raise NumericalDomainError("A0 is not finite")
     a0_min = _lapack.eigvalsh(a0)[:, 0].tolist()
-    for a in (a0, a1, a1_sym):
-        a.setflags(write=False)
-    # where an A0 is not positive definite or has no inverse, its polynomial fails to settle
-    blocks = [None] * n
+    # the Stroh blocks A0^-1, -A0^-1 A1, -A1* A0^-1 and A1* A0^-1 A1, read-only; where
+    # an A0 is not positive definite or has no inverse, its polynomial fails to settle
+    blocks = repeat(None)
     if min(a0_min) > 0:
-        with suppress(np.linalg.LinAlgError):
-            blocks = list(zip(*_stroh_blocks(a0, a1)))
-    cores = []
-    for k in range(n):
-        core = object.__new__(_SymbolCore)
-        vars(core).update(a0=a0[k], a1=a1[k], a1_sym=a1_sym[k], norms=(norm0[k], norm1[k]),
-                          a0_asymmetry=asymmetry[k], a0_min=a0_min[k], l_eta=l_eta[k],
-                          size=size[k], l_asymmetry=l_asymmetry[k], stroh_blocks=blocks[k])
-        cores.append(core)
-    return cores
+        try:
+            a0inv, a1h = _lapack.inv(a0), _herm(a1)
+            blocks = (a0inv, -a0inv @ a1, -a1h @ a0inv, a1h @ a0inv @ a1)
+            for b in blocks:
+                b.setflags(write=False)
+            blocks = zip(*blocks)
+        except np.linalg.LinAlgError:
+            pass
+    l_asymmetry = a2_asymmetry
+    if l_eta is None:       # a polynomial not built from a material
+        l_eta = sizes = l_asymmetry = repeat(None)
+    cores = _records(_SymbolCore, [
+        {"a0": x0, "a1": x1, "a1_sym": sym, "norms": (n0, n1), "a0_asymmetry": asym,
+         "a0_min": least, "l_eta": l, "size": size, "l_asymmetry": l_asym, "stroh_blocks": block}
+        for x0, x1, sym, n0, n1, asym, least, l, size, l_asym, block in zip(
+            a0, a1, a1_sym, norm0, norm1, asymmetry, a0_min, l_eta, sizes, l_asymmetry, blocks)])
+    return [{"a0": core.a0, "a1": core.a1, "a2": x2, "frame": frame, "rho": rho, "core": core,
+             "a1_sym": core.a1_sym, "scale": _scale(core, norm, asym)}
+            for core, x2, frame, rho, norm, asym in zip(cores, a2, frames, rhos, norm2,
+                                                        a2_asymmetry)]
 
 
 def _coefficient_size(stiffness_norm: float, frame: BoundaryFrame) -> float:
     """Size of the coefficients of A(s) without tau, ||C|| (1 + max |eta_i|)^2."""
-    eta = 1.0 + float(np.abs(frame.eta).max())
+    eta = 1.0 + max(map(abs, frame.eta.tolist()))
     return stiffness_norm * eta * eta
 
 
@@ -265,23 +257,17 @@ def _scale(core: _SymbolCore, a2_norm: float, a2_asymmetry: float) -> float:
     return scale
 
 
-def _settled(polys: list, cores: list, a2: np.ndarray, frames: list, rho,
-             asymmetries: list | None = None) -> list:
-    """Each polynomial of a list set on its core and its entry of the stack A2.
-    ||A2 - A2*|| of each entry is taken here, unless `asymmetries` gives it
-    (that of l(eta), for an A2 formed from its core)."""
-    n = len(polys)
-    if asymmetries is None:
-        norms = _fro(np.concatenate((a2, a2 - _herm(a2)))).tolist()
-        norms, asymmetries = norms[:n], norms[n:]
+def _settled(core: _SymbolCore, a2: np.ndarray, frame, rho, asymmetry=None):
+    """The polynomial on a core with A2 (3 x 3, complex, no other holder).
+    ||A2 - A2*|| is taken here, unless `asymmetry` gives it (that of
+    l(eta), for an A2 formed from its core)."""
+    if asymmetry is None:
+        norm, asymmetry = _fro(np.array((a2, a2 - _herm(a2)))).tolist()
     else:
-        norms = _fro(a2).tolist()
+        (norm,) = _fro(a2[None]).tolist()
     a2.setflags(write=False)
-    for poly, core, a2_k, frame, norm, asymmetry in zip(polys, cores, a2, frames, norms,
-                                                       asymmetries):
-        vars(poly).update(a0=core.a0, a1=core.a1, a2=a2_k, frame=frame, rho=rho,
-                          core=core, _scale=_scale(core, norm, asymmetry))
-    return polys
+    return _record(QuadraticMatrixPolynomial, a0=core.a0, a1=core.a1, a2=a2, frame=frame,
+                   rho=rho, core=core, a1_sym=core.a1_sym, scale=_scale(core, norm, asymmetry))
 
 
 @dataclass(frozen=True)
@@ -289,8 +275,8 @@ class QuadraticMatrixPolynomial:
     """Coefficients of A(s) = A0 s^2 + (A1 + A1*) s + A2, A0 > 0, A2 = A2*.
 
     What does not involve A2 lives in `core`, which `with_tau` and
-    `with_a2` share.  `scale` (the largest coefficient norm) and `a1_sym`
-    (A1 + A1*) are read-only.
+    `with_a2` share; so does A1 + A1* (`a1_sym`).  `scale` is the largest
+    coefficient norm.  Like the fields, both are read-only.
     """
 
     a0: np.ndarray
@@ -301,18 +287,9 @@ class QuadraticMatrixPolynomial:
 
     def __post_init__(self):
         _check_entries(self.a0, self.a1, self.a2)
-        core = _cores(np.array(self.a0, dtype=complex, ndmin=3),
-                      np.array(self.a1, dtype=complex, ndmin=3))[0]
-        a2 = np.array(self.a2, dtype=complex, ndmin=3)     # copies: the caller keeps its arrays
-        _settled([self], [core], a2, [self.frame], self.rho)
-
-    @property
-    def scale(self) -> float:
-        return self._scale
-
-    @property
-    def a1_sym(self) -> np.ndarray:
-        return self.core.a1_sym
+        a0, a1, a2 = (np.array(c, dtype=complex, ndmin=3) for c in (self.a0, self.a1, self.a2))
+        stack = np.concatenate((a0, a1, a2, a0 - _herm(a0), a2 - _herm(a2), a1 + _herm(a1)))
+        vars(self).update(_polynomial_rows(stack, [self.frame], [self.rho])[0])
 
     def __call__(self, s: complex) -> np.ndarray:
         return _at(self.a0, self.a1_sym, self.a2, s)
@@ -323,8 +300,7 @@ class QuadraticMatrixPolynomial:
     def with_a2(self, a2: np.ndarray) -> "QuadraticMatrixPolynomial":
         """This polynomial with A2 replaced, settled on the same core."""
         _check_entries(a2)
-        return _settled([object.__new__(QuadraticMatrixPolynomial)], [self.core],
-                        np.array(a2, dtype=complex, ndmin=3), [self.frame], self.rho)[0]
+        return _settled(self.core, np.array(a2, dtype=complex), self.frame, self.rho)
 
     def with_tau(self, tau: float) -> "QuadraticMatrixPolynomial":
         """The boundary polynomial at another tau on the same (nu, eta); A2 is
@@ -334,59 +310,66 @@ class QuadraticMatrixPolynomial:
             raise InvalidInput("with_tau needs a polynomial from boundary_polynomial")
         frame = self.frame.with_tau(tau)
         _check_overflow(core.size, self.rho, tau)
-        return core.at_tau(frame, self.rho)
+        a2 = np.asarray(_a2(core.l_eta, self.rho * tau ** 2), dtype=complex)
+        return _settled(core, a2, frame, self.rho, core.l_asymmetry)
 
 
 def boundary_polynomial(m: Material, frame: BoundaryFrame) -> QuadraticMatrixPolynomial:
     """Displacement symbol coefficients at a boundary frame."""
-    return _boundary_polynomials(m, [frame])[0]
-
-
-def _boundary_polynomials(m: Material, frames: list) -> list:
-    """boundary_polynomial at each frame: `_polynomial_stacks` of one material."""
-    return _polynomial_stacks([(m, frames)])[0]
+    return _polynomial_stacks([(m, [frame])])[0][0]
 
 
 def _polynomial_stacks(stacks: list) -> list:
     """boundary_polynomial at each frame of stacks of (material, frames), the
-    coefficients of each material built as stacks and the cores of all
-    materials as one.  Each polynomial is bit for bit what it is built alone,
-    and a check that fails raises as the materials built one after another
-    would: a material's polynomials all settle (A2 per material, since rho
-    differs) before the next material's coefficient sizes are checked."""
-    forms, sizes, overflow = [], [], None
-    for m, frames in stacks:
-        material_sizes = [_coefficient_size(m.stiffness.norm, frame) for frame in frames]
-        try:
-            for size, frame in zip(material_sizes, frames):
+    coefficients of each material built as stacks and the polynomials of all
+    materials as one stack (`_polynomial_rows`).  Each polynomial is bit for
+    bit what it is built alone, and a check that fails raises as the
+    materials built one after another would: a material's polynomials all
+    settle before the next material and its frames are gated
+    (`_check_instance`) and its coefficient sizes checked."""
+    forms, sizes, frames, rhos, failure = [], [], [], [], None
+    for m, material_frames in stacks:
+        try:        # raised once the materials before it settle
+            _check_instance(m, Material, "material must be a Material")
+            material_sizes = [_coefficient_size(m.stiffness.norm, _check_instance(
+                f, BoundaryFrame, "frame must be a BoundaryFrame")) for f in material_frames]
+            for size, frame in zip(material_sizes, material_frames):
                 _check_overflow(size, m.density, frame.tau)
-        except CoefficientOverflow as exc:      # raised once the materials before it settle
-            overflow = exc
+        except (InvalidInput, CoefficientOverflow) as exc:
+            failure = exc
             break
-        vecs = np.array([(f.nu, f.eta) for f in frames])
+        vecs = np.array([(f.nu, f.eta) for f in material_frames])
         # x_j C^{ijkm} y_m for x, y in (nu, eta): A0 = C(nu, nu), A1 = C(nu, eta) and
         # l(eta) = C(eta, eta), each bit for bit what its own einsum gives
         forms.append(np.einsum("nxj,ijkm,nym->xynik", vecs, m.stiffness.entries, vecs))
         sizes += material_sizes
-    polys, start = [], 0
+        frames += material_frames
+        rhos += [m.density] * len(material_frames)
+    polys = []
     if forms:
         # np.concatenate copies even one array, which one material does not need
-        joined = forms[0] if len(forms) == 1 else np.concatenate(forms, axis=2)
-        cores = _cores(joined[0, 0], joined[0, 1], joined[1, 1], sizes)
-        for (m, frames), form in zip(stacks, forms):
-            a2 = np.asarray(_a2(form[1, 1], m.density, np.array([f.tau ** 2 for f in frames])),
-                            dtype=complex)
-            mine, start = cores[start:start + len(frames)], start + len(frames)
-            polys.append(_settled([object.__new__(QuadraticMatrixPolynomial) for _ in frames],
-                                  mine, a2, frames, m.density, [c.l_asymmetry for c in mine]))
-    if overflow is not None:
-        raise overflow
+        form = forms[0] if len(forms) == 1 else np.concatenate(forms, axis=2)
+        # the forms are real: A0 - A0*, l(eta) - l(eta)* and A1 + A1* are C - C^T and
+        # C + C^T, with the +0 imaginary parts that the complex stack gives them
+        transposed = form.swapaxes(-1, -2)
+        asymmetry = form - transposed
+        a2 = _a2(form[1, 1], np.array([rho * f.tau ** 2 for rho, f in zip(rhos, frames)]))
+        built = iter(_records(QuadraticMatrixPolynomial, _polynomial_rows(np.concatenate((
+            form[0, 0], form[0, 1], a2, asymmetry[0, 0], asymmetry[1, 1],
+            form[0, 1] + transposed[0, 1]), dtype=complex), frames, rhos, form[1, 1], sizes)))
+        polys = [list(islice(built, len(material_frames))) for _, material_frames in stacks]
+    if failure is not None:
+        raise failure
     return polys
 
 
 def _coefficients(polys: list) -> tuple:
     """Stacks of A0, A1 + A1*, A2 and A0^-1, and the scales, of a list of
-    polynomials."""
+    polynomials; one polynomial's own arrays, which broadcast over a stack
+    of one in the same arithmetic."""
+    if len(polys) == 1:
+        (a,) = polys
+        return a.a0, a.a1_sym, a.a2, a.core.stroh_blocks[0], [a.scale]
     stack = np.array([(a.a0, a.a1_sym, a.a2, a.core.stroh_blocks[0]) for a in polys])
     return (*stack.swapaxes(0, 1), [a.scale for a in polys])
 
@@ -463,15 +446,14 @@ def _nullity(sv: list, scale: float) -> int:
     """Number of singular values (descending) at most KERNEL_TOL times the
     largest one, or 1e-12 times the polynomial's scale when that is larger."""
     cutoff = KERNEL_TOL * max(sv[0], scale * 1e-12)
-    return sum(v <= cutoff for v in sv)
+    return sum(map(cutoff.__ge__, sv))
 
 
 def _kernels(mats: np.ndarray, scales: list) -> list:
     """kernel_basis of each matrix of a stack, from one stacked SVD."""
-    _, sv, vh = _lapack.svd(mats)
-    v = _herm(vh)      # right singular vectors as columns, smallest last
-    return [v[g, :, 3 - _nullity(row, scale):]
-            for g, (row, scale) in enumerate(zip(sv.tolist(), scales))]
+    _, sv, vh = _lapack.svd(mats)      # right singular vectors as columns, smallest last
+    return [v[:, 3 - _nullity(sv_g, scale):] for v, sv_g, scale in zip(_herm(vh), sv.tolist(),
+                                                                        scales)]
 
 
 def kernel_basis(a: QuadraticMatrixPolynomial, s: complex) -> np.ndarray:
@@ -507,8 +489,10 @@ def _group(vals: np.ndarray, norm: float) -> list:
     """Eigenvalues of S sorted by real, then imaginary part and grouped:
     points within GROUPING_TOL (1 + ||S||) of a group's mean join it, and a
     group whose mean has |Im| below that is real.  (value, algebraic
-    multiplicity, is real) per group."""
-    vals = vals[np.lexsort((vals.imag, vals.real))]
+    multiplicity, is real) per group.  A complex sort orders as
+    np.lexsort((imag, real)) does: only equal points can swap."""
+    vals = vals.copy()
+    vals.sort()
     tol_real = GROUPING_TOL * (1.0 + norm)
     groups = []
     for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * _EPS * norm)):
@@ -529,30 +513,36 @@ def _sign_type(lowest: float, highest: float, slope_norm: float) -> str | None:
     return None
 
 
-def _eigenvalue_group(value: complex, alg: int, kernel=None, sign=None,
-                      form=None) -> EigenvalueGroup:
-    """A group; one with a kernel is real, and glances when its eigenvalue
-    is defective or its sign form is indefinite or too small."""
+def _group_fields(value: complex, alg: int, kernel=None, sign=None, form=None) -> dict:
+    """The fields of an EigenvalueGroup; one with a kernel is real, and
+    glances when its eigenvalue is defective or its sign form is indefinite
+    or too small."""
     real = kernel is not None
     geo = kernel.shape[1] if real else None
-    return _record(EigenvalueGroup, value=value, alg_mult=alg, geo_mult=geo, is_real=real,
-                   sign_type=sign, glancing=real and (geo < alg or sign is None),
-                   kernel=kernel, sign_form=form)
+    return {"value": value, "alg_mult": alg, "geo_mult": geo, "is_real": real, "sign_type": sign,
+            "glancing": real and (geo < alg or sign is None), "kernel": kernel, "sign_form": form}
 
 
 def _sign_forms(a0, a1_sym, s, kernels: list) -> tuple:
     """_sign_type and sign form kernel^H A'(s) kernel of each real group, from
-    stacks of A0, A1 + A1* and real s (one entry per group) and one stacked
-    eigvalsh per kernel dimension; None where the kernel is empty."""
+    stacks of A0, A1 + A1* and real s (one entry per group), with one stacked
+    eigvalsh per kernel dimension past 1; None where the kernel is empty.  A
+    1 x 1 form's Hermitian part is its real part, which is its eigenvalue
+    (what eigvalsh gives, bit for bit)."""
     da = _slope(a0, a1_sym, s)
     norms = _fro(da).tolist()
-    signs, forms = [None] * len(kernels), [None] * len(kernels)
-    for dim in {kern.shape[1] for kern in kernels} - {0}:
-        sel = [r for r, kern in enumerate(kernels) if kern.shape[1] == dim]
+    dims = [kern.shape[1] for kern in kernels]
+    signs, forms = [None] * len(dims), [None] * len(dims)
+    for dim in set(dims) - {0}:
+        sel = [r for r, d in enumerate(dims) if d == dim]
         kern = np.array([kernels[r] for r in sel])
-        stacked = _herm(kern) @ da[sel] @ kern
-        eigs = _lapack.eigvalsh(0.5 * (stacked + _herm(stacked)))
-        for r, lo, hi, form in zip(sel, eigs[:, 0].tolist(), eigs[:, -1].tolist(), stacked):
+        stacked = _herm(kern) @ (da if len(sel) == len(dims) else da[sel]) @ kern
+        if dim == 1:
+            lows = highs = stacked[:, 0, 0].real.tolist()
+        else:
+            eigs = _lapack.eigvalsh(0.5 * (stacked + _herm(stacked)))
+            lows, highs = eigs[:, 0].tolist(), eigs[:, -1].tolist()
+        for r, lo, hi, form in zip(sel, lows, highs, stacked):
             signs[r], forms[r] = _sign_type(lo, hi, norms[r]), form
     return signs, forms
 
@@ -575,7 +565,8 @@ def _spectra(polys: list) -> list:
     first stage of `_classify`, and all that a question about the
     eigenvalues alone reads (`boundary._fully_evanescent`)."""
     out = []
-    stacked = np.array([stroh(a) for a in polys])
+    # one Stroh matrix is a stack of one as it stands: np.array would copy it
+    stacked = stroh(polys[0])[None] if len(polys) == 1 else np.array([stroh(a) for a in polys])
     for s6, norm in zip(stacked, _fro(stacked).tolist()):
         # a finite norm has finite entries; an infinite or NaN one sends s6 to the full check
         if not (math.isfinite(norm) or np.isfinite(s6).all()):
@@ -590,21 +581,22 @@ def _classify(polys: list) -> list:
     at every real eigenvalue of all of them from one stacked SVD and their
     sign forms as stacks."""
     out = _spectra(polys)
-    at, values = [], []     # polynomial and s of each real group
-    for k, (groups, _, _) in enumerate(out):
-        for value, _, is_real in groups:
-            if is_real:
-                at.append(k)
-                values.append(value)
-    if values:     # each polynomial's coefficients once, then one row per real group
-        a0, a1_sym, a2 = np.array([(a.a0, a.a1_sym, a.a2) for a in polys])[at].swapaxes(0, 1)
-        scales = [polys[k].scale for k in at]
+    real = [(k, value) for k, (groups, _, _) in enumerate(out)
+            for value, _, is_real in groups if is_real]     # (polynomial, s) of each
+    found = iter(())
+    if real:
+        at, values = zip(*real)
+        if len(polys) == 1:     # its coefficients broadcast over its groups
+            a0, a1_sym, a2 = polys[0].a0, polys[0].a1_sym, polys[0].a2
+        else:                   # each polynomial's coefficients once, then one row per group
+            stack = np.array([(a.a0, a.a1_sym, a.a2) for a in polys])
+            a0, a1_sym, a2 = stack[list(at)].swapaxes(0, 1)
         s = np.array(values)[:, None, None]
-        kernels = _kernels(_at(a0, a1_sym, a2, s), scales)
-        found = iter(zip(kernels, *_sign_forms(a0, a1_sym, s.real, kernels)))
-    return [_record(SpectrumClassification, stroh_norm=norm, schur=schur, groups=tuple(
-        _eigenvalue_group(value, alg, *next(found)) if is_real
-        else _eigenvalue_group(value, alg) for value, alg, is_real in groups))
+        kernels = _kernels(_at(a0, a1_sym, a2, s), [polys[k].scale for k in at])
+        found = zip(kernels, *_sign_forms(a0, a1_sym, s.real, kernels))
+    return [_record(SpectrumClassification, {"groups": _records(EigenvalueGroup, [
+        _group_fields(value, alg, *next(found)) if is_real else _group_fields(value, alg)
+        for value, alg, is_real in groups]), "stroh_norm": norm, "schur": schur})
         for groups, norm, schur in out]
 
 
@@ -618,13 +610,8 @@ def _sigma_values(classification: SpectrumClassification, direction: str,
     if direction not in ("outgoing", "incoming"):
         raise InvalidInput(f"direction must be outgoing or incoming, got {direction!r}")
     want = "positive" if (tau < 0) == (direction == "outgoing") else "negative"
-    sigma = []
-    for g in classification.groups:
-        if not g.is_real and g.value.imag > 0:
-            sigma.extend([g.value] * g.alg_mult)
-        elif g.is_real and g.sign_type == want:
-            sigma.extend([g.value] * g.alg_mult)
-    return sigma
+    return [g.value for g in classification.groups for _ in range(g.alg_mult)
+            if (g.sign_type == want if g.is_real else g.value.imag > 0)]
 
 
 def _target(classification: SpectrumClassification, direction: str, tau: float):
@@ -641,8 +628,7 @@ def _target(classification: SpectrumClassification, direction: str, tau: float):
 
 def _selected(diag: np.ndarray, targets: np.ndarray, match_tol: float) -> np.ndarray:
     """Which Schur eigenvalues lie within 10 match_tol of a target."""
-    dist = np.abs(diag[:, None] - targets[None, :]).min(axis=1)
-    return (dist <= 10 * match_tol).astype(np.int32)
+    return np.minimum.reduce(np.abs(np.subtract.outer(diag, targets)), axis=1) <= 10 * match_tol
 
 
 def _reorder(t: np.ndarray, zvec: np.ndarray, select: np.ndarray):
@@ -711,12 +697,13 @@ def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarr
         _check_roots(residual, math.inf, 1.0)
     spectra = _lapack.eigvals(np.concatenate((q, q_sharp)))
     eq, es = spectra[:n], spectra[n:]
-    sizes = np.abs(spectra).max(axis=1)
-    sizes = np.maximum(np.maximum(sizes[:n], sizes[n:]), 1e-300).tolist()
-    gaps = np.abs(eq[:, :, None] - es[:, None, :]).min(axis=(1, 2)).tolist()
-    for f, spectrum, residual, gap, size in zip(facts, eq, residuals, gaps, sizes):
+    # per entry, the moduli of the 3 + 3 eigenvalues of Q and Q# and of their 9
+    # differences, from one abs pass: the size and the gap of `_check_roots`
+    moduli = np.abs(np.concatenate((eq, es, (eq[:, :, None] - es[:, None, :]).reshape(n, 9)),
+                                   axis=1)).tolist()
+    for f, spectrum, residual, row in zip(facts, eq, residuals, moduli):
         vars(f).update(q_spectrum=spectrum, solvency_residual=residual)
-        _check_roots(residual, gap, size)
+        _check_roots(residual, min(row[6:]), max(*row[:6], 1e-300))
 
 
 def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",

@@ -113,7 +113,7 @@ def _mode_projectors(facts: list) -> list:
     """
     spectra = np.array([f.q_spectrum for f in facts])
     tols = [GROUPING_TOL * (1.0 + max(norm, 1e-300))
-            for norm in np.abs(spectra).max(axis=1).tolist()]
+            for norm in np.maximum.reduce(np.abs(spectra), axis=1).tolist()]
     order = (spectra.real + 1e-9 * spectra.imag).argsort(axis=1)
     clustered = [cluster_sorted(vals[idx], 100 * tol)
                  for vals, idx, tol in zip(spectra, order, tols)]
@@ -128,9 +128,11 @@ def _mode_projectors(facts: list) -> list:
         others = means[:, _OTHERS[n]]       # m_k of the factors of each product
         factors = q[:, None, None] - others[..., None, None] * _EYE
         gaps = means[:, :, None] - others   # m_j - m_k
-        p = np.array([[_EYE] * n] * len(members))
+        p = _EYE        # the first step broadcasts it over the stack
         for t in range(n - 1):
             p = p @ factors[:, :, t] / gaps[:, :, t, None, None]
+        if n == 1:      # one cluster, whose projector is the identity
+            p = np.array([[_EYE]] * len(members))
         for row, i in enumerate(members):
             products[i] = p[row]
 

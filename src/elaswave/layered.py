@@ -36,6 +36,7 @@ from .factorization import (
 )
 from .materials import (
     Material,
+    _check_instance,
     _is_int,
     _is_real,
     _json_number,
@@ -66,6 +67,7 @@ class LayerStack:
             if not 0 < d < np.inf:
                 raise StackFileError(f"layer thickness must be positive and finite, got {d}")
         for mat in [m for m, _ in self.layers] + [self.halfspace]:
+            _check_instance(mat, Material, "material must be a Material")
             ok, mineig = check_strong_convexity(mat.stiffness)
             if not ok:
                 raise StackFileError(f"material {mat.name!r} is not strongly convex "

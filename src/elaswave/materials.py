@@ -140,6 +140,14 @@ class Material:
             raise NonPositiveDensity(f"density must be positive and finite, got {self.density}")
 
 
+def _check_instance(x, cls: type, message: str):
+    """x, or InvalidInput(message, with the type of x) unless it is a cls: the
+    gate of every public entry point that takes a Material or a BoundaryFrame."""
+    if not isinstance(x, cls):
+        raise InvalidInput(f"{message}, got {type(x).__name__}")
+    return x
+
+
 def _finite_moduli(*moduli) -> None:
     """InvalidInput where a modulus is not a finite real number, before its
     products with the zeros of the identity products give NaN (and a numpy

@@ -224,7 +224,8 @@ def classify_spectrum_one(a):
                 form = kern.conj().T @ da @ kern
                 eigs = np.linalg.eigvalsh(0.5 * (form + form.conj().T))
                 sign = fz._sign_type(eigs[0], eigs[-1], np.linalg.norm(da))
-        groups.append(fz._eigenvalue_group(value, alg, kern, sign, form))
+        groups.append(fz._record(fz.EigenvalueGroup,
+                                 fz._group_fields(value, alg, kern, sign, form)))
     return fz._record(fz.SpectrumClassification, groups=tuple(groups), stroh_norm=norm,
                       schur=(t, z))
 

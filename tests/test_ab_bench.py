@@ -81,3 +81,52 @@ def test_failed_runs_are_reported():
                                METRICS)
     assert "pair 1: new run incorrect, 3 of 900 operations failed" in lines
     assert "pair 2: new run incorrect, 3 of 900 operations failed" in lines
+
+
+PER_LAYER = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+
+
+def traced_line(self_ms, calls=12, failed=0) -> str:
+    """A last line of bench/run.py --trace 1: every per_layer metric reads
+    `calls` if it is a count and `self_ms` otherwise."""
+    return json.dumps({"correct": failed == 0, "attempted": 384, "failed": failed,
+                       "metrics": {m["name"]: {"value": calls if m["unit"] == "count"
+                                               else self_ms, "unit": m["unit"]}
+                                   for m in PER_LAYER}})
+
+
+def traced_summary(ref, new) -> dict:
+    lines = ab_bench.summarize_traced([json.loads(line) for line in ref],
+                                      [json.loads(line) for line in new], PER_LAYER)
+    return {line.split(":")[0].split(" (")[0]: line for line in lines}
+
+
+def test_traced_self_times_and_counts():
+    ref = [traced_line(v) for v in (2.0, 2.2, 2.1, 2.4, 2.3)]
+    new = [traced_line(v) for v in (1.5, 1.7, 1.6, 2.5, 1.4)]
+    lines = traced_summary(ref, new)
+    assert "5 traced pairs, REF against the working tree" in lines
+    self_ms = lines["factorization.factorize.self_ms"]
+    assert "(ms, lower is better)" in self_ms
+    assert "REF 2.2 [2.1, 2.3], new 1.6 [1.5, 1.7]" in self_ms
+    assert "new won 4 of 5 pairs (0 ties)" in self_ms
+    assert "gain rule" not in self_ms and "repeats" not in self_ms
+    calls = lines["factorization.factorize.calls"]
+    assert "(count, lower is better)" in calls
+    assert "new won 0 of 5 pairs (5 ties); repeats exactly" in calls
+    # every per_layer metric of BENCHMARK.json has its line
+    assert {m["name"] for m in PER_LAYER} <= set(lines)
+
+
+def test_traced_counts_that_differ():
+    ref = [traced_line(2.0, calls=12) for _ in range(3)]
+    new = [traced_line(2.0, calls=12), traced_line(2.0, calls=11), traced_line(2.0, calls=12)]
+    calls = traced_summary(ref, new)["boundary.tau_limit.calls"]
+    assert "new won 1 of 3 pairs (2 ties)" in calls
+    assert "DIFFERS: REF [12], new [11, 12]" in calls
+
+
+def test_traced_failed_runs_are_reported():
+    lines = ab_bench.summarize_traced([json.loads(traced_line(2.0))] * 2,
+                                      [json.loads(traced_line(2.0, failed=1))] * 2, PER_LAYER)
+    assert "pair 2: new run incorrect, 1 of 384 operations failed" in lines

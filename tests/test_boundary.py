@@ -32,7 +32,7 @@ from elaswave.errors import (
 )
 from elaswave.factorization import (
     BoundaryFrame,
-    _boundary_polynomials,
+    _polynomial_stacks,
     boundary_polynomial,
     classify_spectrum,
     factorize,
@@ -80,7 +80,7 @@ class TestPolynomialStacks:
             stacks = [(m, frames if k % 2 == 0 else flipped) for k, m in enumerate(mats)]
             sides = boundary._stacked_sides(stacks)
             for (m, frs), stack in zip(stacks, sides):
-                for side, alone in zip(stack, _boundary_polynomials(m, frs), strict=True):
+                for side, alone in zip(stack, _polynomial_stacks([(m, frs)])[0], strict=True):
                     a = side.poly
                     assert side.material is m and a.frame is alone.frame
                     assert (a.scale, a.rho) == (alone.scale, alone.rho)
@@ -108,7 +108,7 @@ class TestPolynomialStacks:
                 boundary._stacked_sides(boundary._stacks(pair, frames))
             with pytest.raises(error):
                 for m, frs in boundary._stacks(pair, frames):
-                    _boundary_polynomials(m, frs)
+                    _polynomial_stacks([(m, frs)])[0]
 
 
 def bits(x):

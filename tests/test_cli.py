@@ -331,9 +331,9 @@ class TestSubcommands:
                                            pair, builds):
         # the incident mode and the law share the + side
         calls = []
-        build = factorization._boundary_polynomials
-        monkeypatch.setattr(factorization, "_boundary_polynomials",
-                            lambda m, frames: calls.append(m) or build(m, frames))
+        build = factorization._polynomial_stacks
+        monkeypatch.setattr(factorization, "_polynomial_stacks",
+                            lambda stacks: calls.extend(m for m, _ in stacks) or build(stacks))
         materials = (["--material-plus", iso_file, "--material-minus", poisson_file] if pair
                      else ["--material", iso_file])
         code, _, _ = invoke(capsys, "reflect", *materials, "--eta", "1", "0", "--tau", "-2.5")

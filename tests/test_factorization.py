@@ -18,7 +18,7 @@ from elaswave.errors import (
     SolvencyResidual,
     ValidationError,
 )
-from elaswave import _lapack, factorization
+from elaswave import _lapack, factorization, impedance
 from elaswave.factorization import (
     BoundaryFrame,
     QuadraticMatrixPolynomial,
@@ -30,6 +30,8 @@ from elaswave.factorization import (
     kernel_basis,
     stroh,
 )
+
+from elaswave.materials import make_isotropic
 
 from conftest import NU, random_triclinic, sample_frames
 from oracles import NotAnEigenvalue, classify_spectrum_one, factorize_one, residue
@@ -638,6 +640,81 @@ class TestStackedEntries:
             for a, cls, f in zip(polys, classes, facts):
                 same_factorization(f, factorize(a, direction, classification=cls))
 
+    def test_mixed_material_polynomial_stack(self, iso, ti, rotated_ti):
+        # _polynomial_stacks builds the polynomials of several materials as
+        # one stack; each polynomial's coefficients, core fields and scale
+        # are bit for bit those it gets built alone
+        rng = np.random.default_rng(43)
+        stacks = []
+        for mat in (iso, ti, rotated_ti, random_triclinic(rng), make_isotropic(-1.0, 1.0, 1.0)):
+            frames = [fr for per_region in sample_frames(
+                mat, rng, 2, regions=("hyperbolic", "elliptic")).values() for fr in per_region]
+            stacks.append((mat, frames + [fr.flipped() for fr in frames]))
+        for (mat, frames), stack in zip(stacks, factorization._polynomial_stacks(stacks),
+                                        strict=True):
+            for a, fr in zip(stack, frames, strict=True):
+                alone = boundary_polynomial(mat, fr)
+                assert a.frame is fr and (a.rho, a.scale) == (alone.rho, alone.scale)
+                for name in ("a0", "a1", "a2", "a1_sym"):
+                    assert bits(getattr(a, name)) == bits(getattr(alone, name)), name
+                core, theirs = vars(a.core), vars(alone.core)
+                assert list(core) == list(theirs)
+                for name, value in core.items():
+                    if name == "stroh_blocks":
+                        assert [bits(b) for b in value] == [bits(b) for b in theirs[name]]
+                    else:
+                        assert bits(value) == bits(theirs[name]), name
+
+    def test_mode_projectors_of_mixed_cluster_counts(self, iso):
+        # one stack of factorizations whose Q has 1 (isotropic, lambda = -mu:
+        # Q = s I), 2 (isotropic: a double shear root) or 3 eigenvalue
+        # clusters; each entry's projectors are bit for bit its own alone
+        rng = np.random.default_rng(47)
+        facts = []
+        for mat in (iso, make_isotropic(-1.0, 1.0, 1.0), random_triclinic(rng)):
+            for frames in sample_frames(mat, rng, 2, regions=("hyperbolic", "elliptic")).values():
+                facts += [factorize(boundary_polynomial(mat, fr)) for fr in frames]
+        facts = [facts[k] for k in rng.permutation(len(facts))]
+        counts = [len(np.unique(np.round(f.q_spectrum, 6))) for f in facts]
+        assert set(counts) == {1, 2, 3}
+        stacked = impedance._mode_projectors(facts)
+        for f, got in zip(facts, stacked, strict=True):
+            alone = impedance.mode_projectors(f)
+            assert list(got.psi) == list(alone.psi)
+            assert [bits(p) for p in got.psi.values()] == [bits(p) for p in alone.psi.values()]
+            assert bits(got.pi_c) == bits(alone.pi_c)
+            assert (got.dim_ec, got.dim_er) == (alone.dim_ec, alone.dim_er)
+
+    def test_one_dimensional_sign_forms_skip_eigvalsh(self):
+        # the sign type of a 1 x 1 sign form is read off its real part, which
+        # is the eigenvalue eigvalsh gives its Hermitian part, bit for bit:
+        # sign types and forms are those of the eigvalsh route (the
+        # one-polynomial oracle), in every region and 1e-10 either side of
+        # tau_L (the elliptic side has no real group, so no form to check)
+        rng = np.random.default_rng(53)
+        met = set()
+        for _ in range(3):
+            mat = random_triclinic(rng)
+            frames = [(region, fr) for region, per_region in sample_frames(mat, rng, 3).items()
+                      for fr in per_region]
+            for ang in rng.uniform(0.0, 2.0 * np.pi, 2):
+                eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+                t_l = tau_limit(mat, NU, eta_hat)
+                frames += [(d, BoundaryFrame(NU, eta_hat, -t_l * (1.0 + d))) for d in (-1e-10, 1e-10)]
+            for where, fr in frames:
+                a = boundary_polynomial(mat, fr)
+                got, want = classify_spectrum(a), classify_spectrum_one(a)
+                for g, h in zip(got.groups, want.groups, strict=True):
+                    if g.geo_mult != 1:
+                        continue
+                    herm = 0.5 * (g.sign_form + g.sign_form.conj().T)
+                    for eigs in (_lapack.eigvalsh(herm[None])[0], np.linalg.eigvalsh(herm)):
+                        assert bits(eigs[0]) == bits(g.sign_form[0, 0].real)
+                    assert g.sign_type == h.sign_type and g.glancing == h.glancing
+                    assert bits(g.sign_form) == bits(h.sign_form)
+                    met.add(where)
+        assert met == {"hyperbolic", "mixed", 1e-10}
+
 
 class TestContourAndResidue:
     def test_contour_residual(self, iso):
@@ -735,3 +812,27 @@ def test_records_are_the_dataclass_instances():
         with pytest.raises(dataclasses.FrozenInstanceError):
             obj.value = 1.0
     assert factorization._records(factorization.EigenvalueGroup, []) == ()
+
+
+def test_group_sorts_as_lexsort():
+    # `_group` sorts with numpy's complex sort; on ties (equal points, some
+    # with zero parts of either sign) it must group as a stable lexsort by
+    # real, then imaginary part did, bit for bit
+    from elaswave.acoustic import cluster_sorted
+
+    def lexsort_groups(vals, norm):
+        vals = vals[np.lexsort((vals.imag, vals.real))]
+        tol_real = factorization.GROUPING_TOL * (1.0 + norm)
+        return [(complex(mean.real) if abs(mean.imag) <= tol_real else complex(mean), len(idx),
+                 abs(mean.imag) <= tol_real)
+                for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * np.finfo(float).eps
+                                                            * norm))]
+
+    rng = np.random.default_rng(59)
+    parts = [0.0, -0.0, 1.0, -1.0, 1e-9, 2.5]
+    for _ in range(2000):
+        vals = np.array([complex(rng.choice(parts), rng.choice(parts)) for _ in range(6)])
+        norm = float(rng.choice([0.0, 1.0, 1e3]))
+        got, want = factorization._group(vals, norm), lexsort_groups(vals, norm)
+        assert [bits(v) + (alg, real) for v, alg, real in got] == \
+            [bits(v) + (alg, real) for v, alg, real in want]

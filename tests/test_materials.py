@@ -393,3 +393,70 @@ class TestMaterialFiles:
         path.write_text("{not json")
         with pytest.raises(MaterialFileError):
             load_material(str(path))
+
+
+class TestMaterialGate:
+    """A wrong object where a Material or a BoundaryFrame is due is bad
+    input (exit code 2) with a pinned message, on every public entry point
+    that takes one, not an AttributeError from deep inside."""
+
+    @staticmethod
+    def entry_points(iso):
+        from elaswave.boundary import (
+            BoundarySide,
+            classify,
+            rayleigh_speed,
+            stoneley_speed,
+            tau_limit,
+        )
+        from elaswave.factorization import BoundaryFrame, boundary_polynomial
+        from elaswave.layered import LayerStack
+        from elaswave.scatter import incoming_mode, reflect_free_surface, transmit_interface
+
+        nu, eta = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        frame = BoundaryFrame(nu, eta, -2.5)
+        incoming = incoming_mode(iso, frame, 0)
+        single = "material must be a Material, got str"
+        pair = "materials must be one Material or a pair (m+, m-) of them, got str"
+        return {
+            "boundary_polynomial": (lambda: boundary_polynomial("x", frame), single),
+            "boundary_polynomial frame": (lambda: boundary_polynomial(iso, "f"),
+                                          "frame must be a BoundaryFrame, got str"),
+            "BoundarySide": (lambda: BoundarySide("x", frame), single),
+            "tau_limit": (lambda: tau_limit("x", nu, eta), single),
+            "rayleigh_speed": (lambda: rayleigh_speed("x", nu, eta), single),
+            "stoneley_speed +": (lambda: stoneley_speed("x", iso, nu, eta), single),
+            "stoneley_speed -": (lambda: stoneley_speed(iso, "x", nu, eta), single),
+            "incoming_mode": (lambda: incoming_mode("x", frame, 0), single),
+            "reflect_free_surface": (lambda: reflect_free_surface("x", frame, incoming), single),
+            "transmit_interface": (lambda: transmit_interface(iso, "x", frame, incoming), pair),
+            "classify interface frame": (lambda: classify((iso, iso), "f"),
+                                         "frame must be a BoundaryFrame, got str"),
+            "LayerStack layer": (lambda: LayerStack((("x", 1.0),), iso), single),
+            "LayerStack halfspace": (lambda: LayerStack(((iso, 1.0),), "x"), single),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "boundary_polynomial", "boundary_polynomial frame", "BoundarySide", "tau_limit",
+        "rayleigh_speed", "stoneley_speed +", "stoneley_speed -", "incoming_mode",
+        "reflect_free_surface", "transmit_interface", "classify interface frame",
+        "LayerStack layer", "LayerStack halfspace"])
+    def test_typed_error(self, name):
+        run, message = self.entry_points(make_isotropic(2.0, 1.0, 1.0, "iso"))[name]
+        with pytest.raises(InvalidInput) as info:
+            run()
+        assert str(info.value) == message
+        assert info.value.exit_code == 2
+
+    def test_stacks_fail_in_material_order(self):
+        # a stack's later material with a wrong type raises only once the
+        # materials before it have settled, as building them in turn would
+        from elaswave.errors import DegenerateA0
+        from elaswave.factorization import BoundaryFrame, _polynomial_stacks
+
+        frames = [BoundaryFrame(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), -1.0)]
+        nonconvex = make_isotropic(1.0, -1.0, 1.0)
+        with pytest.raises(DegenerateA0):
+            _polynomial_stacks([(nonconvex, frames), ("x", frames)])
+        with pytest.raises(InvalidInput, match="^material must be a Material, got str$"):
+            _polynomial_stacks([(make_isotropic(2.0, 1.0, 1.0), frames), ("x", frames)])
