@@ -365,8 +365,8 @@ def _polynomial_stacks(stacks: list) -> list:
 
 def _coefficients(polys: list) -> tuple:
     """Stacks of A0, A1 + A1*, A2 and A0^-1, and the scales, of a list of
-    polynomials; one polynomial's own arrays, which broadcast over a stack
-    of one in the same arithmetic."""
+    polynomials; for one polynomial its own arrays, which broadcast in the
+    same arithmetic over any stack of its entries."""
     if len(polys) == 1:
         (a,) = polys
         return a.a0, a.a1_sym, a.a2, a.core.stroh_blocks[0], [a.scale]
@@ -586,11 +586,9 @@ def _classify(polys: list) -> list:
     found = iter(())
     if real:
         at, values = zip(*real)
-        if len(polys) == 1:     # its coefficients broadcast over its groups
-            a0, a1_sym, a2 = polys[0].a0, polys[0].a1_sym, polys[0].a2
-        else:                   # each polynomial's coefficients once, then one row per group
-            stack = np.array([(a.a0, a.a1_sym, a.a2) for a in polys])
-            a0, a1_sym, a2 = stack[list(at)].swapaxes(0, 1)
+        a0, a1_sym, a2, _, _ = _coefficients(polys)
+        if len(polys) > 1:      # one row per group; one polynomial's broadcast over its groups
+            a0, a1_sym, a2 = a0[list(at)], a1_sym[list(at)], a2[list(at)]
         s = np.array(values)[:, None, None]
         kernels = _kernels(_at(a0, a1_sym, a2, s), [polys[k].scale for k in at])
         found = zip(kernels, *_sign_forms(a0, a1_sym, s.real, kernels))

@@ -28,6 +28,7 @@ from .factorization import (
     GROUPING_TOL,
     QuadraticMatrixPolynomial,
     SpectralFactorization,
+    _record,
     classify_spectrum,
     factorize,
 )
@@ -147,7 +148,7 @@ def _mode_projectors(facts: list) -> list:
             else:
                 pi_c = pi_c + p
                 dim_ec += len(idx)
-        out.append(ModeProjectors(psi, pi_c, dim_ec, 3 - dim_ec))
+        out.append(_record(ModeProjectors, psi=psi, pi_c=pi_c, dim_ec=dim_ec, dim_er=3 - dim_ec))
     return out
 
 

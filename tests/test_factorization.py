@@ -700,7 +700,8 @@ class TestStackedEntries:
             for ang in rng.uniform(0.0, 2.0 * np.pi, 2):
                 eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
                 t_l = tau_limit(mat, NU, eta_hat)
-                frames += [(d, BoundaryFrame(NU, eta_hat, -t_l * (1.0 + d))) for d in (-1e-10, 1e-10)]
+                frames += [(d, BoundaryFrame(NU, eta_hat, -t_l * (1.0 + d)))
+                           for d in (-1e-10, 1e-10)]
             for where, fr in frames:
                 a = boundary_polynomial(mat, fr)
                 got, want = classify_spectrum(a), classify_spectrum_one(a)
