@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import IndefiniteAcousticTensor, InvalidInput
-from .materials import Material, StiffnessTensor, _is_int, _is_real, _real_array
+from .materials import Material, StiffnessTensor, _check_instance, _is_int, _is_real, _real_array
 
 DEGENERACY_TOL = 1e-8   # speeds^2 closer than this relative to the largest are one mode
 
@@ -89,6 +89,7 @@ def _orient_degenerate(vecs: np.ndarray) -> np.ndarray:
 
 def christoffel_modes(m: Material, xi_hat: np.ndarray) -> ChristoffelModes:
     """Eigen-decomposition of l(xi)/rho; speeds are sqrt of the eigenvalues."""
+    _check_instance(m, Material, "material must be a Material")
     xi_hat = _real_array(xi_hat, (3,), "direction must be a finite unit vector")
     if abs(math.hypot(*xi_hat) - 1.0) > 1e-12:
         raise InvalidInput("direction must be a finite unit vector")
@@ -133,8 +134,9 @@ def eigen_gap_scan(m: Material, n_directions: int,
 
     Directions within exclude_angle_deg of +-exclude_axis are skipped.
     Returns (min_gap, rows) where rows hold per-direction data for reporting.
-    InvalidInput for a count, angle in degrees or axis out of their domains.
+    InvalidInput for a non-Material, or a count, angle in degrees or axis out of their domains.
     """
+    _check_instance(m, Material, "material must be a Material")
     if not _is_int(n_directions):
         raise InvalidInput(f"n_directions must be an integer, got {n_directions!r}")
     if n_directions < 6:

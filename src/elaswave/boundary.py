@@ -209,14 +209,6 @@ def classify(materials, frame: BoundaryFrame) -> RegionClass:
     return _region(sides, _dims(sides))
 
 
-def _iso_moduli(m: Material):
-    h = decompose_harmonic(m.stiffness)
-    aniso = (np.linalg.norm(h.a) + np.linalg.norm(h.b) + np.linalg.norm(h.h))
-    if aniso > ISOTROPY_TOL * max(m.stiffness.norm, 1e-300):
-        raise InvalidInput("material is not isotropic")
-    return h.lam, h.mu
-
-
 def _outgoing_root(c2: float, rho: float, eta2: float, tau: float) -> complex:
     """Outgoing root of c2(s^2 + eta^2) = rho tau^2 for one wave family."""
     disc = rho * tau * tau / c2 - eta2
@@ -234,8 +226,13 @@ def iso_impedance_closed_form(m: Material, frame: BoundaryFrame) -> Impedance:
     The matrix is assembled from its action on the decoupled SH vector and
     the two coupled SV/P columns, then expressed in the standard basis.
     """
-    lam, mu = _iso_moduli(m)
-    rho, tau = m.density, frame.tau
+    _check_instance(m, Material, "material must be a Material")
+    _check_instance(frame, BoundaryFrame, "frame must be a BoundaryFrame")
+    h = decompose_harmonic(m.stiffness)
+    aniso = (np.linalg.norm(h.a) + np.linalg.norm(h.b) + np.linalg.norm(h.h))
+    if aniso > ISOTROPY_TOL * max(m.stiffness.norm, 1e-300):
+        raise InvalidInput("material is not isotropic")
+    lam, mu, rho, tau = h.lam, h.mu, m.density, frame.tau
     nu, eta = frame.nu, frame.eta
     eta2 = float(eta @ eta)
     s_s = _outgoing_root(mu, rho, eta2, tau)

@@ -178,18 +178,19 @@ class _SymbolCore:
     l(eta) - l(eta)*."""
 
 
-def _polynomial_rows(stack: np.ndarray, frames: list, rhos: list, l_eta=None,
-                     sizes=None) -> list:
+def _polynomial_rows(a0, a1, a2, a0_asymmetry, a2_asymmetry, a1_sym, frames: list,
+                     rhos: list, l_eta=None, sizes=None) -> list:
     """The fields of the QuadraticMatrixPolynomial of each frame and rho, each
-    on a _SymbolCore of its own, from the complex stack of six n-entry
-    stacks A0, A1, A2, A0 - A0*, A2 - A2* and A1 + A1*: every norm from one
-    `_fro` stack, A0's least eigenvalues and the Stroh blocks as stacks.
-    With l(eta) and the coefficient sizes they are boundary polynomials,
-    whose A2 - A2* is that of l(eta).  The checks run in the stack's order:
-    A0 finite for every entry, then each entry's `_scale`."""
+    on a _SymbolCore of its own, from n-entry stacks of A0, A1, A2, A0 - A0*,
+    A2 - A2* and A1 + A1*, real or complex: one complex copy of them, every
+    norm from one `_fro` stack, A0's least eigenvalues and the Stroh blocks
+    as stacks.  With l(eta) and the coefficient sizes they are boundary
+    polynomials.  The checks run in the stack's order: A0 finite for every
+    entry, then each entry's `_polynomial_fields`."""
     n = len(frames)
+    stack = np.concatenate((a0, a1, a2, a0_asymmetry, a2_asymmetry, a1_sym), dtype=complex)
     stack.setflags(write=False)
-    norm0, norm1, norm2, asymmetry, a2_asymmetry, _ = _fro(stack).reshape(6, n).tolist()
+    norm0, norm1, norm2, asymmetry, a2_asymmetry = _fro(stack[:5 * n]).reshape(5, n).tolist()
     a0, a1, a2, a1_sym = stack[:n], stack[n:2 * n], stack[2 * n:3 * n], stack[5 * n:]
     # a finite norm has finite entries; an infinite or NaN one sends A0 to the full check
     if not all(map(math.isfinite, norm0)) and not np.isfinite(a0).all():
@@ -215,10 +216,7 @@ def _polynomial_rows(stack: np.ndarray, frames: list, rhos: list, l_eta=None,
          "a0_min": least, "l_eta": l, "size": size, "l_asymmetry": l_asym, "stroh_blocks": block}
         for x0, x1, sym, n0, n1, asym, least, l, size, l_asym, block in zip(
             a0, a1, a1_sym, norm0, norm1, asymmetry, a0_min, l_eta, sizes, l_asymmetry, blocks)])
-    return [{"a0": core.a0, "a1": core.a1, "a2": x2, "frame": frame, "rho": rho, "core": core,
-             "a1_sym": core.a1_sym, "scale": _scale(core, norm, asym)}
-            for core, x2, frame, rho, norm, asym in zip(cores, a2, frames, rhos, norm2,
-                                                        a2_asymmetry)]
+    return list(map(_polynomial_fields, cores, a2, frames, rhos, norm2, a2_asymmetry))
 
 
 def _coefficient_size(stiffness_norm: float, frame: BoundaryFrame) -> float:
@@ -243,10 +241,10 @@ def _check_entries(*coefficients) -> None:
     _check_overflow(np.fmax.reduce(entries, initial=0.0), 0.0, 0.0)
 
 
-def _scale(core: _SymbolCore, a2_norm: float, a2_asymmetry: float) -> float:
-    """A polynomial's scale (its largest coefficient norm), once it passes
-    its checks: A0 and A2 Hermitian to 1e-12 of the scale, A0 positive
-    definite."""
+def _polynomial_fields(core: _SymbolCore, a2, frame, rho, a2_norm, a2_asymmetry) -> dict:
+    """The fields of the polynomial with A2 on a core, once it passes its
+    checks: A0 and A2 Hermitian to 1e-12 of its scale (its largest
+    coefficient norm), A0 positive definite."""
     scale = max(*core.norms, a2_norm, 1e-300)
     if core.a0_asymmetry > 1e-12 * scale:
         raise InvalidInput("A0 must be Hermitian")
@@ -254,7 +252,8 @@ def _scale(core: _SymbolCore, a2_norm: float, a2_asymmetry: float) -> float:
         raise InvalidInput("A2 must be Hermitian")
     if core.a0_min <= 0:
         raise DegenerateA0("A0 must be positive definite")
-    return scale
+    return {"a0": core.a0, "a1": core.a1, "a2": a2, "frame": frame, "rho": rho, "core": core,
+            "a1_sym": core.a1_sym, "scale": scale}
 
 
 def _settled(core: _SymbolCore, a2: np.ndarray, frame, rho, asymmetry=None):
@@ -266,8 +265,8 @@ def _settled(core: _SymbolCore, a2: np.ndarray, frame, rho, asymmetry=None):
     else:
         (norm,) = _fro(a2[None]).tolist()
     a2.setflags(write=False)
-    return _record(QuadraticMatrixPolynomial, a0=core.a0, a1=core.a1, a2=a2, frame=frame,
-                   rho=rho, core=core, a1_sym=core.a1_sym, scale=_scale(core, norm, asymmetry))
+    return _record(QuadraticMatrixPolynomial, _polynomial_fields(core, a2, frame, rho, norm,
+                                                                 asymmetry))
 
 
 @dataclass(frozen=True)
@@ -288,8 +287,8 @@ class QuadraticMatrixPolynomial:
     def __post_init__(self):
         _check_entries(self.a0, self.a1, self.a2)
         a0, a1, a2 = (np.array(c, dtype=complex, ndmin=3) for c in (self.a0, self.a1, self.a2))
-        stack = np.concatenate((a0, a1, a2, a0 - _herm(a0), a2 - _herm(a2), a1 + _herm(a1)))
-        vars(self).update(_polynomial_rows(stack, [self.frame], [self.rho])[0])
+        vars(self).update(_polynomial_rows(a0, a1, a2, a0 - _herm(a0), a2 - _herm(a2),
+                                           a1 + _herm(a1), [self.frame], [self.rho])[0])
 
     def __call__(self, s: complex) -> np.ndarray:
         return _at(self.a0, self.a1_sym, self.a2, s)
@@ -354,9 +353,9 @@ def _polynomial_stacks(stacks: list) -> list:
         transposed = form.swapaxes(-1, -2)
         asymmetry = form - transposed
         a2 = _a2(form[1, 1], np.array([rho * f.tau ** 2 for rho, f in zip(rhos, frames)]))
-        built = iter(_records(QuadraticMatrixPolynomial, _polynomial_rows(np.concatenate((
+        built = iter(_records(QuadraticMatrixPolynomial, _polynomial_rows(
             form[0, 0], form[0, 1], a2, asymmetry[0, 0], asymmetry[1, 1],
-            form[0, 1] + transposed[0, 1]), dtype=complex), frames, rhos, form[1, 1], sizes)))
+            form[0, 1] + transposed[0, 1], frames, rhos, form[1, 1], sizes)))
         polys = [list(islice(built, len(material_frames))) for _, material_frames in stacks]
     if failure is not None:
         raise failure

@@ -402,9 +402,11 @@ class TestMaterialGate:
 
     @staticmethod
     def entry_points(iso):
+        from elaswave.acoustic import christoffel_modes, eigen_gap_scan
         from elaswave.boundary import (
             BoundarySide,
             classify,
+            iso_impedance_closed_form,
             rayleigh_speed,
             stoneley_speed,
             tau_limit,
@@ -434,13 +436,19 @@ class TestMaterialGate:
                                          "frame must be a BoundaryFrame, got str"),
             "LayerStack layer": (lambda: LayerStack((("x", 1.0),), iso), single),
             "LayerStack halfspace": (lambda: LayerStack(((iso, 1.0),), "x"), single),
+            "christoffel_modes": (lambda: christoffel_modes("x", eta), single),
+            "eigen_gap_scan": (lambda: eigen_gap_scan("x", 6), single),
+            "iso_impedance_closed_form": (lambda: iso_impedance_closed_form("x", frame), single),
+            "iso_impedance_closed_form frame": (lambda: iso_impedance_closed_form(iso, "f"),
+                                                "frame must be a BoundaryFrame, got str"),
         }
 
     @pytest.mark.parametrize("name", [
         "boundary_polynomial", "boundary_polynomial frame", "BoundarySide", "tau_limit",
         "rayleigh_speed", "stoneley_speed +", "stoneley_speed -", "incoming_mode",
         "reflect_free_surface", "transmit_interface", "classify interface frame",
-        "LayerStack layer", "LayerStack halfspace"])
+        "LayerStack layer", "LayerStack halfspace", "christoffel_modes", "eigen_gap_scan",
+        "iso_impedance_closed_form", "iso_impedance_closed_form frame"])
     def test_typed_error(self, name):
         run, message = self.entry_points(make_isotropic(2.0, 1.0, 1.0, "iso"))[name]
         with pytest.raises(InvalidInput) as info:

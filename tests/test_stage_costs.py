@@ -1,9 +1,32 @@
-"""tools/stage_costs.py runs and prints its table (one repeat, as a smoke test)."""
+"""tools/stage_costs.py: its frames are frame_sweep's, and it runs and prints
+its table (one repeat, as a smoke test)."""
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "tools"))
+import stage_costs  # noqa: E402   tools/stage_costs.py
+import workloads  # noqa: E402   bench/workloads.py, on the path stage_costs sets
+
+
+def test_frames_are_round_zero_of_frame_sweep():
+    # each pair's operation gives what the round's own operation at that place gives
+    pairs = stage_costs.frame_pairs()
+    with tempfile.TemporaryDirectory() as workdir:
+        sweep = workloads.FrameSweep(stage_costs.SEED, workdir)
+        sweep.setup()
+    ops = sweep.round(0)
+    assert len(pairs) == len(ops) == 48
+    for (cls, m, frame, region), op in zip(pairs, ops):
+        assert op.kind == f"{cls}/{region}"
+        z, _, label = workloads.FrameSweep._op(cls, m, frame, region, 0).run()
+        z_round, _, label_round = op.run()
+        assert np.array_equal(z.z, z_round.z)
+        assert label == label_round
 
 
 def test_one_repeat_prints_every_stage():

@@ -1,9 +1,9 @@
 """Cost of each frame-core stage for a stack of one and per entry of a stack of 16.
 
-    python3 tools/stage_costs.py [--seed 1] [--repeats 21]
+    python3 tools/stage_costs.py [--repeats 21]
 
-The frames are those of one round of bench/run.py's frame_sweep workload for
-the seed: two materials of each of its four classes (isotropic, weak TI,
+The frames are those of round 0 of bench/run.py's frame_sweep workload at
+seed 1: two materials of each of its four classes (isotropic, weak TI,
 rotated TI, triclinic) and two frames of each material in each of the three
 regions, 48 (material, frame) pairs in all.  For each stage the tool times
 the one-frame entry point on every pair (a stack of one) and the stacked
@@ -45,20 +45,20 @@ from elaswave import impedance as imp  # noqa: E402
 
 import workloads  # noqa: E402   bench/workloads.py
 
+SEED = 1
 STACK = 16
 
 
-def frame_pairs(seed: int) -> list:
-    """(material class, material, frame, region) of round 0 of frame_sweep."""
+def frame_pairs() -> list:
+    """(material class, material, frame, region) of each operation of round 0
+    of frame_sweep at SEED, in the round's order."""
     with tempfile.TemporaryDirectory() as workdir:
-        sweep = workloads.FrameSweep(seed, workdir)
+        sweep = workloads.FrameSweep(SEED, workdir)
         sweep.setup()
     pairs = []
-    for i, (cls, m) in enumerate(sweep.materials):
-        rng = workloads._rng(seed, 1, 0, i)
-        for region in workloads.REGIONS:
-            for _ in range(sweep.frames_per_slot):
-                pairs.append((cls, m, workloads.sample_frame(m, region, rng), region))
+    # the round hands each operation's arguments to _op: keep them instead
+    sweep._op = lambda cls, m, frame, region, check_seed: pairs.append((cls, m, frame, region))
+    sweep.round(0)
     return pairs
 
 
@@ -125,14 +125,13 @@ def measure(pairs: list, repeats: int) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=21)
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    pairs = frame_pairs(args.seed)
+    pairs = frame_pairs()
     rows = measure(pairs, args.repeats)
-    print(f"seed {args.seed}, {len(pairs)} frames, median of {args.repeats} repeats, us")
+    print(f"seed {SEED}, {len(pairs)} frames, median of {args.repeats} repeats, us")
     print(f"{'stage':16s} {'n = 1':>10s} {f'per entry of {STACK}':>18s}")
     for name, alone, stacked in rows:
         print(f"{name:16s} {alone:10.1f} "
