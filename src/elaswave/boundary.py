@@ -15,8 +15,9 @@ narrows it first, so the bisection probes few midpoints of its own and its
 root is that of the bisection alone.  Once an inverse quadratic estimate of
 the root decides every midpoint the walk has left, the narrowing closes the
 bracket on the bisection's own answer, so the root's impedance is one that a
-probe built and the solve kept.  A Stoneley probe builds its two sides as
-one stack.
+probe built and the solve kept.  A probe is a polynomial at the probed tau
+and its outgoing factorization (`_outgoing_z`), with no `BoundarySide`; a
+Stoneley probe factorizes its two polynomials as one stack.
 Every other computation on one side of a boundary (polynomial, spectrum,
 factorizations, impedances, projectors) goes through a `BoundarySide`.
 """
@@ -55,7 +56,6 @@ from .impedance import (
     ModeProjectors,
     _impedance,
     _mode_projectors,
-    impedance_from_factorization,
     mode_projectors,
 )
 from .materials import Material, _check_instance, _real_array, decompose_harmonic
@@ -132,8 +132,8 @@ class BoundarySide:
         s, so Q_in = Q#_out^H."""
         if direction == "incoming":
             return self._once(("z", direction), lambda: self.z().conj().T)
-        return self._once(("z", direction), lambda: impedance_from_factorization(
-            self.poly, self.factorization(direction)).z)
+        return self._once(("z", direction), lambda: _impedance(
+            self.factorization(direction).a0_q, self.poly.a1))
 
     def projectors(self, direction: str = "outgoing") -> ModeProjectors:
         return self._once(("projectors", direction),
@@ -314,16 +314,27 @@ def _bisect(holds: _Threshold, lo: float, hi: float, narrowing=None) -> float:
             holds(0.5 * (lo + hi))
 
 
+def _limit_grid() -> tuple:
+    """The 32 angles theta of `_limiting_tau`'s grid, np.linspace's interior
+    points of [-pi/2, pi/2], with s s, s c and c c for s = sin theta and c =
+    cos theta as (32, 1, 1) stacks, and cos^2 theta."""
+    theta = (np.arange(34.0) * (np.pi / 33) - 0.5 * np.pi)[1:-1]
+    cos = np.cos(theta)
+    c, s = cos[:, None, None], np.sin(theta)[:, None, None]
+    return theta, (s * s, s * c, c * c), cos ** 2
+
+
+_LIMIT_GRID = _limit_grid()
+
+
 def _limiting_tau(core, rho: float) -> float | None:
     """Barnett-Lothe limit tau_L, which places tau_limit's first two probes:
     rho tau_L^2 is the least f(t) = lambda_min(l(eta_hat + t nu)) over real t,
     from a grid over theta = atan t refined by `_newton_minimum`, or where
     that fails, the grid's least value (a hint: it only places probes)."""
-    theta = (np.arange(34.0) * (np.pi / 33) - 0.5 * np.pi)[1:-1]   # np.linspace's points
-    cos = np.cos(theta)
-    c, s = cos[:, None, None], np.sin(theta)[:, None, None]
-    l_xi = s * s * core.a0.real + s * c * core.a1_sym.real + c * c * core.l_eta
-    vals = _lapack.eigvalsh(l_xi)[:, 0] / cos ** 2
+    theta, (ss, sc, cc), cos_sq = _LIMIT_GRID
+    l_xi = ss * core.a0.real + sc * core.a1_sym.real + cc * core.l_eta
+    vals = _lapack.eigvalsh(l_xi)[:, 0] / cos_sq
     k = int(np.argmin(vals))
     least = _newton_minimum(core, theta[k], theta[max(k - 1, 0)], theta[min(k + 1, 31)])
     least = float(vals[k]) if least is None else least
@@ -373,18 +384,18 @@ def tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> float:
 
 
 def _tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray):
-    """tau_limit, with the BoundarySide at (nu, eta_hat, tau = -1) whose
-    polynomial core its probes share, so that a surface-wave scan goes on
-    from the same core.  The probes are polynomials, not sides: a spectrum
-    alone answers them, so nothing is kept per probe.  InvalidInput where
-    eta_hat is not a unit vector or (nu, eta_hat) builds no frame."""
+    """tau_limit, with the boundary polynomial at (nu, eta_hat, tau = -1)
+    whose core its probes share, so that a surface-wave scan goes on from
+    the same core.  The probes are polynomials, not sides: a spectrum alone
+    answers them, so nothing is kept per probe.  InvalidInput where eta_hat
+    is not a unit vector or (nu, eta_hat) builds no frame."""
     eta_hat = _real_array(eta_hat, (3,), "eta_hat must be a unit vector")
     if abs(math.hypot(*eta_hat) - 1.0) > 1e-10:
         raise InvalidInput("eta_hat must be a unit vector")
 
-    side = BoundarySide(m, BoundaryFrame(nu, eta_hat, -1.0))
-    elliptic = _Threshold(lambda t: _fully_evanescent(side.poly.with_tau(-t)))
-    t_l = _limiting_tau(side.poly.core, m.density)
+    poly = boundary_polynomial(m, BoundaryFrame(nu, eta_hat, -1.0))
+    elliptic = _Threshold(lambda t: _fully_evanescent(poly.with_tau(-t)))
+    t_l = _limiting_tau(poly.core, m.density)
     with suppress(NumericalDomainError):    # the bisection meets it again
         for t in (t_l * (1.0 - 1e-12), t_l * (1.0 + 1e-12)) if t_l else ():
             elliptic(t)
@@ -402,7 +413,7 @@ def _tau_limit(m: Material, nu: np.ndarray, eta_hat: np.ndarray):
             hi /= 2.0
             if hi < 1e-12:
                 raise GlancingLimit("could not bracket the elliptic limit")
-    return _bisect(elliptic, lo, hi), side
+    return _bisect(elliptic, lo, hi), poly
 
 
 @dataclass(frozen=True)
@@ -544,36 +555,44 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     return RayleighResult(tau_r, 1.0 / tau_r, vec, tau_eta, (t_lo, t_hi), det_res)
 
 
+def _outgoing_z(a, classification=None) -> np.ndarray:
+    """The outgoing impedance matrix of a polynomial, through the public
+    factorize: bit for bit what a BoundarySide at its frame gives (`z`),
+    without the side."""
+    return _impedance(factorize(a, classification=classification).a0_q, a.a1)
+
+
 def rayleigh_speed(m: Material, nu: np.ndarray, eta_hat: np.ndarray) -> RayleighResult:
     """Free-surface (Rayleigh) frequency: the zero of lambda_min(z).
 
     lambda_min decreases strictly in tau on the elliptic interval, so the
     sign change, when present, has a unique root.
     """
-    tau_eta, side = _tau_limit(m, nu, eta_hat)
-    return _surface_wave_bisect(lambda t: side.with_tau(-t).z(), tau_eta)
+    tau_eta, poly = _tau_limit(m, nu, eta_hat)
+    return _surface_wave_bisect(lambda t: _outgoing_z(poly.with_tau(-t)), tau_eta)
 
 
 def stoneley_speed(m_plus: Material, m_minus: Material, nu: np.ndarray,
                    eta_hat: np.ndarray) -> RayleighResult:
     """Interface (Stoneley) frequency: the zero of lambda_min(z+ + z-).
 
-    Each probe classifies and factorizes its (+, -) sides as one stack, bit
-    for bit what each side builds alone.  A stack that raises stores
-    nothing, so the sides build alone on first use and the error is the one
-    the + side, then the - side, raises first (the rule of `classify_frames`).
+    Each probe classifies and factorizes its (+, -) polynomials as one
+    stack, bit for bit what each builds alone.  Where the stack raises, each
+    side is factorized alone, + side first, from the stack's classifications
+    if those were built: the error is the one the + side, then the - side,
+    raises first (the rule of `classify_frames`).
     """
     tau_plus, plus = _tau_limit(m_plus, nu, eta_hat)
     tau_minus, minus = _tau_limit(m_minus, nu, eta_hat)
-    tau_eta, minus = min(tau_plus, tau_minus), BoundarySide(m_minus, minus.frame.flipped())
+    tau_eta, minus = min(tau_plus, tau_minus), boundary_polynomial(m_minus, minus.frame.flipped())
 
     def zfun(t: float) -> np.ndarray:
-        sides = (plus.with_tau(-t), minus.with_tau(-t))
-        with suppress(ElasticError):    # each side then builds alone on first use
-            for side, cls in zip(sides, _classify([side.poly for side in sides])):
-                side._built["classification"] = cls
-            _stacked_factorizations(sides)
-        return sides[0].z() + sides[1].z()
+        polys, classes = [plus.with_tau(-t), minus.with_tau(-t)], [None, None]
+        with suppress(ElasticError):    # then each side alone, below
+            classes = _classify(polys)
+            f_plus, f_minus = _factorize(polys, classes, "outgoing", [-t, -t])
+            return _impedance(f_plus.a0_q, polys[0].a1) + _impedance(f_minus.a0_q, polys[1].a1)
+        return _outgoing_z(polys[0], classes[0]) + _outgoing_z(polys[1], classes[1])
 
     return _surface_wave_bisect(zfun, tau_eta)
 
@@ -600,8 +619,7 @@ def _stacked_factorizations(sides: list) -> None:
     if sides:
         facts = _factorize([s.poly for s in sides], [s.classification for s in sides],
                            "outgoing", [s.frame.tau for s in sides])
-        z = _impedance(np.array([s.poly.a0 for s in sides]), np.array([f.q for f in facts]),
-                       np.array([s.poly.a1 for s in sides]))
+        z = _impedance(np.array([f.a0_q for f in facts]), np.array([s.poly.a1 for s in sides]))
         for side, f, z_side in zip(sides, facts, z):
             side._built.update({("factorization", "outgoing"): f, ("z", "outgoing"): z_side})
 

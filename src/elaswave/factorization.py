@@ -117,10 +117,10 @@ def _fro(x: np.ndarray) -> np.ndarray:
     for the matrix alone: the dot products of its real and of its imaginary
     parts by numpy's dot loop, which np.vecdot runs per row (numpy 1.x, with
     no vecdot, as one-row matrix products), or for a stack of one directly."""
-    if len(x) == 1:
+    if len(x) == 1:     # math.sqrt rounds as np.sqrt does
         flat = x[0].ravel(order="K")
         re, im = flat.real, flat.imag
-        return np.sqrt([re.dot(re) + im.dot(im)])
+        return np.array([math.sqrt(re.dot(re) + im.dot(im))])
     flat = x.reshape(len(x), -1)
     re, im = flat.real, flat.imag
     if _VECDOT is None:
@@ -160,17 +160,18 @@ _EPS = np.finfo(float).eps
 
 
 def _a2(l_eta, rho_tau_sq):
-    """A2 = l(eta) - rho tau^2 I, for one rho tau^2 or a stack of them.  tau^2
-    is taken as tau ** 2, which (C pow) can differ from tau * tau in the
-    last bit."""
-    return l_eta - np.multiply.outer(rho_tau_sq, _EYE)
+    """A2 = l(eta) - rho tau^2 I, for one rho tau^2 or a stack of them shaped
+    (n, 1, 1).  tau^2 is taken as tau ** 2, which (C pow) can differ from
+    tau * tau in the last bit."""
+    return l_eta - rho_tau_sq * _EYE
 
 
 class _SymbolCore:
     """The tau-independent half of A(s), shared along one (material, nu, eta):
     A0, A1, A1 + A1*, the norms of A0 and A1, A0's asymmetry and smallest
     eigenvalue, l(eta) with the coefficient size without tau and the
-    asymmetry ||l(eta) - l(eta)*||, and the Stroh blocks free of A2.  The
+    asymmetry ||l(eta) - l(eta)*||, A0^-1 and the Stroh template: the Stroh
+    matrix without A2, whose lower-left block holds A1* A0^-1 A1.  The
     arrays are read-only; `_polynomial_rows` builds the cores, those of a
     stack at once, and the flipped frame (-nu, eta) gets a core of its own.
     Every A2 = l(eta) - rho tau^2 I has the asymmetry of l(eta), bit for
@@ -183,10 +184,10 @@ def _polynomial_rows(a0, a1, a2, a0_asymmetry, a2_asymmetry, a1_sym, frames: lis
     """The fields of the QuadraticMatrixPolynomial of each frame and rho, each
     on a _SymbolCore of its own, from n-entry stacks of A0, A1, A2, A0 - A0*,
     A2 - A2* and A1 + A1*, real or complex: one complex copy of them, every
-    norm from one `_fro` stack, A0's least eigenvalues and the Stroh blocks
-    as stacks.  With l(eta) and the coefficient sizes they are boundary
-    polynomials.  The checks run in the stack's order: A0 finite for every
-    entry, then each entry's `_polynomial_fields`."""
+    norm from one `_fro` stack, A0's least eigenvalues, A0^-1 and the Stroh
+    templates as stacks.  With l(eta) and the coefficient sizes they are
+    boundary polynomials.  The checks run in the stack's order: A0 finite for
+    every entry, then each entry's `_polynomial_fields`."""
     n = len(frames)
     stack = np.concatenate((a0, a1, a2, a0_asymmetry, a2_asymmetry, a1_sym), dtype=complex)
     stack.setflags(write=False)
@@ -196,16 +197,20 @@ def _polynomial_rows(a0, a1, a2, a0_asymmetry, a2_asymmetry, a1_sym, frames: lis
     if not all(map(math.isfinite, norm0)) and not np.isfinite(a0).all():
         raise NumericalDomainError("A0 is not finite")
     a0_min = _lapack.eigvalsh(a0)[:, 0].tolist()
-    # the Stroh blocks A0^-1, -A0^-1 A1, -A1* A0^-1 and A1* A0^-1 A1, read-only; where
-    # an A0 is not positive definite or has no inverse, its polynomial fails to settle
-    blocks = repeat(None)
+    # A0^-1 and the Stroh templates, with blocks -A0^-1 A1, A0^-1 (top) and A1* A0^-1 A1,
+    # -A1* A0^-1 (bottom), read-only; where an A0 is not positive definite or has no
+    # inverse, its polynomial fails to settle
+    a0inv = templates = repeat(None)
     if min(a0_min) > 0:
         try:
             a0inv, a1h = _lapack.inv(a0), _herm(a1)
-            blocks = (a0inv, -a0inv @ a1, -a1h @ a0inv, a1h @ a0inv @ a1)
-            for b in blocks:
-                b.setflags(write=False)
-            blocks = zip(*blocks)
+            templates = np.empty((n, 6, 6), dtype=complex)
+            np.matmul(-a0inv, a1, out=templates[:, :3, :3])
+            templates[:, :3, 3:] = a0inv
+            np.matmul(a1h @ a0inv, a1, out=templates[:, 3:, :3])
+            np.matmul(-a1h, a0inv, out=templates[:, 3:, 3:])
+            a0inv.setflags(write=False)
+            templates.setflags(write=False)
         except np.linalg.LinAlgError:
             pass
     l_asymmetry = a2_asymmetry
@@ -213,9 +218,11 @@ def _polynomial_rows(a0, a1, a2, a0_asymmetry, a2_asymmetry, a1_sym, frames: lis
         l_eta = sizes = l_asymmetry = repeat(None)
     cores = _records(_SymbolCore, [
         {"a0": x0, "a1": x1, "a1_sym": sym, "norms": (n0, n1), "a0_asymmetry": asym,
-         "a0_min": least, "l_eta": l, "size": size, "l_asymmetry": l_asym, "stroh_blocks": block}
-        for x0, x1, sym, n0, n1, asym, least, l, size, l_asym, block in zip(
-            a0, a1, a1_sym, norm0, norm1, asymmetry, a0_min, l_eta, sizes, l_asymmetry, blocks)])
+         "a0_min": least, "l_eta": l, "size": size, "l_asymmetry": l_asym, "a0inv": inv,
+         "stroh": template}
+        for x0, x1, sym, n0, n1, asym, least, l, size, l_asym, inv, template in zip(
+            a0, a1, a1_sym, norm0, norm1, asymmetry, a0_min, l_eta, sizes, l_asymmetry, a0inv,
+            templates)])
     return list(map(_polynomial_fields, cores, a2, frames, rhos, norm2, a2_asymmetry))
 
 
@@ -309,7 +316,7 @@ class QuadraticMatrixPolynomial:
             raise InvalidInput("with_tau needs a polynomial from boundary_polynomial")
         frame = self.frame.with_tau(tau)
         _check_overflow(core.size, self.rho, tau)
-        a2 = np.asarray(_a2(core.l_eta, self.rho * tau ** 2), dtype=complex)
+        a2 = _a2(core.l_eta, self.rho * tau ** 2).astype(complex)
         return _settled(core, a2, frame, self.rho, core.l_asymmetry)
 
 
@@ -352,7 +359,8 @@ def _polynomial_stacks(stacks: list) -> list:
         # C + C^T, with the +0 imaginary parts that the complex stack gives them
         transposed = form.swapaxes(-1, -2)
         asymmetry = form - transposed
-        a2 = _a2(form[1, 1], np.array([rho * f.tau ** 2 for rho, f in zip(rhos, frames)]))
+        rho_tau_sq = np.array([rho * f.tau ** 2 for rho, f in zip(rhos, frames)])
+        a2 = _a2(form[1, 1], rho_tau_sq[:, None, None])
         built = iter(_records(QuadraticMatrixPolynomial, _polynomial_rows(
             form[0, 0], form[0, 1], a2, asymmetry[0, 0], asymmetry[1, 1],
             form[0, 1] + transposed[0, 1], frames, rhos, form[1, 1], sizes)))
@@ -368,20 +376,17 @@ def _coefficients(polys: list) -> tuple:
     same arithmetic over any stack of its entries."""
     if len(polys) == 1:
         (a,) = polys
-        return a.a0, a.a1_sym, a.a2, a.core.stroh_blocks[0], [a.scale]
-    stack = np.array([(a.a0, a.a1_sym, a.a2, a.core.stroh_blocks[0]) for a in polys])
+        return a.a0, a.a1_sym, a.a2, a.core.a0inv, [a.scale]
+    stack = np.array([(a.a0, a.a1_sym, a.a2, a.core.a0inv) for a in polys])
     return (*stack.swapaxes(0, 1), [a.scale for a in polys])
 
 
 def stroh(a: QuadraticMatrixPolynomial) -> np.ndarray:
     """Linearize: A(s)^{-1} = J1 (s - S)^{-1} J2*; K S is Hermitian for K
-    the block swap.  Only the lower-left block involves A2."""
-    a0inv, s11, s22, a1h_a0inv_a1 = a.core.stroh_blocks
-    s = np.empty((6, 6), dtype=complex)
-    s[:3, :3] = s11
-    s[:3, 3:] = a0inv
-    s[3:, :3] = -a.a2 + a1h_a0inv_a1
-    s[3:, 3:] = s22
+    the block swap.  Only the lower-left block involves A2: the core's
+    template with A2 subtracted there."""
+    s = a.core.stroh.copy()
+    s[3:, :3] -= a.a2
     return s
 
 
@@ -625,7 +630,7 @@ def _target(classification: SpectrumClassification, direction: str, tau: float):
 
 def _selected(diag: np.ndarray, targets: np.ndarray, match_tol: float) -> np.ndarray:
     """Which Schur eigenvalues lie within 10 match_tol of a target."""
-    return np.minimum.reduce(np.abs(np.subtract.outer(diag, targets)), axis=1) <= 10 * match_tol
+    return np.abs(diag[:, None] - targets).min(axis=1) <= 10 * match_tol
 
 
 def _reorder(t: np.ndarray, zvec: np.ndarray, select: np.ndarray):
@@ -647,14 +652,16 @@ def _check_condition(cond: float) -> None:
 
 
 def _roots(x1, t1, a0, a1_sym, a0inv) -> tuple:
-    """Q = X1 T1 X1^-1 and Q# = -(A0 Q + A1 + A1*) A0^-1, for one root or stacks."""
+    """Q = X1 T1 X1^-1, A0 Q and Q# = -(A0 Q + A1 + A1*) A0^-1, for one root or
+    stacks; A0 Q is formed once, for Q#, the solvency residual and z."""
     q = x1 @ t1 @ _lapack.inv(x1)
-    return q, -(a0 @ q + a1_sym) @ a0inv
+    a0_q = a0 @ q
+    return q, a0_q, -(a0_q + a1_sym) @ a0inv
 
 
-def _solvent(a0, a1_sym, a2, q) -> np.ndarray:
-    """A0 Q^2 + (A1 + A1*) Q + A2, zero for a solvent Q (one or stacks)."""
-    return a0 @ q @ q + a1_sym @ q + a2
+def _solvent(a0_q, a1_sym, a2, q) -> np.ndarray:
+    """(A0 Q) Q + (A1 + A1*) Q + A2, zero for a solvent Q (one or stacks)."""
+    return a0_q @ q + a1_sym @ q + a2
 
 
 def _check_roots(residual: float, gap: float, scale: float) -> None:
@@ -680,15 +687,17 @@ class SpectralFactorization:
     classification: SpectrumClassification = field(repr=False)
     q_spectrum: np.ndarray = field(repr=False)     # eig(Q), also read by the mode projectors
     solvency_residual: float                       # ||A0 Q^2 + (A1 + A1*) Q + A2|| / scale
+    a0_q: np.ndarray = field(repr=False)           # A0 Q, read by the residual and the impedance
 
 
-def _validate(facts: list, coefficients: tuple, q: np.ndarray, q_sharp: np.ndarray) -> None:
+def _validate(facts: list, coefficients: tuple, q: np.ndarray, a0_q: np.ndarray,
+              q_sharp: np.ndarray) -> None:
     """_check_roots on each factorization, from the stacks of its polynomial's
-    coefficients and of its roots; keeps each one's q_spectrum and solvency
-    residual."""
+    coefficients and of its roots and A0 Q; keeps each one's q_spectrum and
+    solvency residual."""
     n = len(facts)
-    a0, a1_sym, a2, _, scales = coefficients
-    residuals = [r / scale for r, scale in zip(_fro(_solvent(a0, a1_sym, a2, q)).tolist(),
+    _, a1_sym, a2, _, scales = coefficients
+    residuals = [r / scale for r, scale in zip(_fro(_solvent(a0_q, a1_sym, a2, q)).tolist(),
                                                   scales)]
     for residual in (r for r in residuals if not math.isfinite(r)):  # before eigvals sees it
         _check_roots(residual, math.inf, 1.0)
@@ -729,24 +738,26 @@ def _factorize(polys: list, classifications: list, direction: str, taus: list) -
     """factorize each polynomial from its classification: the target and
     ordered Schur form one by one, then cond(X1) of every entry from one
     stacked SVD, then the roots and their checks as stacks."""
-    sigmas, blocks = [], []
+    sigmas, x1, t1 = [], [], []
     for cls, tau in zip(classifications, taus):
         sigma, targets, match_tol = _target(cls, direction, tau)
         t, zvec = cls.schur
         t, zvec = _reorder(t, zvec, _selected(t.diagonal(), np.array(targets), match_tol))
         sigmas.append(tuple(sigma))
-        blocks.append((zvec[:3, :3], t[:3, :3]))
-    blocks = np.array(blocks)
+        x1.append(zvec[:3, :3])
+        t1.append(t[:3, :3])
+    x1, t1 = np.array(x1), np.array(t1)
     # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
-    for s_max, _, s_min in _lapack.svdvals(blocks[:, 0]).tolist():
+    for s_max, _, s_min in _lapack.svdvals(x1).tolist():
         _check_condition(s_max / s_min if s_min > 0 else math.inf)
     coefficients = _coefficients(polys)
     a0, a1_sym, _, a0inv, _ = coefficients
-    q, q_sharp = _roots(blocks[:, 0], blocks[:, 1], a0, a1_sym, a0inv)
+    q, a0_q, q_sharp = _roots(x1, t1, a0, a1_sym, a0inv)
     facts = [_record(SpectralFactorization, q=q[k], q_sharp=q_sharp[k], sigma=sigma,
-                     direction=direction, tau=float(tau), poly=a, classification=cls)
+                     direction=direction, tau=float(tau), poly=a, classification=cls,
+                     a0_q=a0_q[k])
              for k, (a, cls, tau, sigma) in enumerate(zip(polys, classifications, taus, sigmas))]
-    _validate(facts, coefficients, q, q_sharp)
+    _validate(facts, coefficients, q, a0_q, q_sharp)
     return facts
 
 

@@ -63,15 +63,16 @@ class Impedance:
                      max(np.linalg.norm(self.z), 1e-300))
 
 
-def _impedance(a0: np.ndarray, q: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """-i(A0 Q + A1), for one root or a stack of them."""
-    return -1j * (a0 @ q + a1)
+def _impedance(a0_q: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """-i(A0 Q + A1) from A0 Q, for one root or a stack of them."""
+    return -1j * (a0_q + a1)
 
 
 def impedance_from_factorization(a: QuadraticMatrixPolynomial,
                                  f: SpectralFactorization) -> Impedance:
-    """z = -i(A0 Q + A1) of the factorization's direction."""
-    return Impedance(_impedance(a.a0, f.q, a.a1))
+    """z = -i(A0 Q + A1) of the factorization's direction, with the A0 Q that f
+    formed (`f.a0_q`); a is the polynomial that f factorizes."""
+    return Impedance(_impedance(f.a0_q, a.a1))
 
 
 @dataclass(frozen=True)

@@ -443,6 +443,7 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
     child order, scatter and the rest end as truncated.  Each event's row
     becomes its RayEvent's __dict__.
     """
+    _check_instance(stack, LayerStack, "stack must be a LayerStack")
     for name, value in (("max_events", max_events), ("source_layer", source_layer)):
         if not _is_int(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")

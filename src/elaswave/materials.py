@@ -134,6 +134,7 @@ class Material:
     name: str = ""
 
     def __post_init__(self):
+        _check_instance(self.stiffness, StiffnessTensor, "stiffness must be a StiffnessTensor")
         if not _is_real(self.density):
             raise NonPositiveDensity(f"density must be a real number, got {self.density!r}")
         if not 0 < self.density < np.inf:
@@ -142,7 +143,8 @@ class Material:
 
 def _check_instance(x, cls: type, message: str):
     """x, or InvalidInput(message, with the type of x) unless it is a cls: the
-    gate of every public entry point that takes a Material or a BoundaryFrame."""
+    gate of every public entry point that takes a Material, a BoundaryFrame
+    or a LayerStack, and of a Material's stiffness."""
     if not isinstance(x, cls):
         raise InvalidInput(f"{message}, got {type(x).__name__}")
     return x

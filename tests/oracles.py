@@ -199,9 +199,22 @@ def classify_with_margin_per_frame(materials, frames) -> list:
 
 
 # --- one polynomial at a time ------------------------------------------------
-# The bodies that classify_spectrum and factorize had before every spectral
-# stage ran on stacks: the same rules, with each polynomial's linear algebra
-# on its own matrices.  The library's stacks of one must give the same bits.
+# The bodies that stroh, classify_spectrum and factorize had before every
+# spectral stage ran on stacks: the same rules, with each polynomial's linear
+# algebra on its own matrices through np.linalg.  The Stroh matrix, the
+# selection of the target eigenvalues, Q, Q#, A0 Q and the solvency residual
+# are formed here from the polynomial's coefficients, not by the library's
+# helpers.  The library's stacks of one must give the same bits.
+
+def stroh_one(a) -> np.ndarray:
+    a0inv, a1h = np.linalg.inv(a.a0), a.a1.conj().T
+    s = np.empty((6, 6), dtype=complex)
+    s[:3, :3] = -a0inv @ a.a1
+    s[:3, 3:] = a0inv
+    s[3:, :3] = -a.a2 + a1h @ a0inv @ a.a1
+    s[3:, 3:] = -a1h @ a0inv
+    return s
+
 
 def kernel_basis_one(a, s) -> np.ndarray:
     _, sv, vh = np.linalg.svd(a(s))
@@ -209,7 +222,7 @@ def kernel_basis_one(a, s) -> np.ndarray:
 
 
 def classify_spectrum_one(a):
-    s6 = fz.stroh(a)
+    s6 = stroh_one(a)
     if not np.isfinite(s6).all():
         raise NumericalDomainError("Stroh matrix is not finite")
     t, z = fz._schur(s6)
@@ -239,16 +252,19 @@ def factorize_one(a, direction="outgoing", tau=None, classification=None):
         classification = classify_spectrum_one(a)
     sigma, targets, match_tol = fz._target(classification, direction, tau)
     t, zvec = classification.schur
-    t, zvec = fz._reorder(t, zvec, fz._selected(np.diag(t), np.array(targets), match_tol))
+    distances = np.abs(np.diag(t)[:, None] - np.array(targets)[None, :])
+    t, zvec = fz._reorder(t, zvec, np.min(distances, axis=1) <= 10 * match_tol)
     x1 = zvec[:3, :3]
     fz._check_condition(np.linalg.cond(x1))
-    q, q_sharp = fz._roots(x1, t[:3, :3], a.a0, a.a1_sym, a.core.stroh_blocks[0])
+    q = x1 @ t[:3, :3] @ np.linalg.inv(x1)
+    a0_q = a.a0 @ q
+    q_sharp = -(a0_q + a.a1_sym) @ np.linalg.inv(a.a0)
     eq, es = np.linalg.eigvals(q), np.linalg.eigvals(q_sharp)
-    residual = float(np.linalg.norm(fz._solvent(a.a0, a.a1_sym, a.a2, q)) / a.scale)
+    residual = float(np.linalg.norm(a0_q @ q + a.a1_sym @ q + a.a2) / a.scale)
     size = max(np.max(np.abs(eq)), np.max(np.abs(es)), 1e-300)
     fz._check_roots(residual, np.min(np.abs(eq[:, None] - es[None, :])), size)
     return fz.SpectralFactorization(q, q_sharp, tuple(sigma), direction, float(tau), a,
-                                    classification, eq, residual)
+                                    classification, eq, residual, a0_q)
 
 
 # --- residue of A(z)^-1 at a real eigenvalue, by contour quadrature ----------

@@ -89,10 +89,7 @@ class TestPolynomialStacks:
                     core, theirs = vars(a.core), vars(alone.core)
                     assert list(core) == list(theirs)
                     for name, value in core.items():
-                        if name == "stroh_blocks":
-                            assert [bits(b) for b in value] == [bits(b) for b in theirs[name]]
-                        else:
-                            assert bits(value) == bits(theirs[name]), name
+                        assert bits(value) == bits(theirs[name]), name
 
     def test_plus_material_fails_first(self, iso):
         # The + material's polynomials fail to settle (A0 not positive
@@ -602,6 +599,44 @@ class TestStackedStoneleyProbe:
         with pytest.raises(SolvencyResidual, match=r"\+ side"):
             _sequential_sum(iso, hard, t)
         assert np.array_equal(zfun(0.3), _sequential_sum(iso, hard, 0.3))
+
+
+class TestProbeBits:
+    """A surface-wave probe factorizes a polynomial at the probed tau without
+    a BoundarySide; every z that a search reads is, bit for bit, the z of
+    BoundarySides built at that tau."""
+
+    @staticmethod
+    def probes(monkeypatch, solve) -> list:
+        """(t, z) of every z that the search of solve() reads."""
+        seen, real = [], boundary._surface_wave_bisect
+
+        def recording(zfun, tau_eta):
+            def zfun_seen(t):
+                seen.append((t, zfun(t)))
+                return seen[-1][1]
+            return real(zfun_seen, tau_eta)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(boundary, "_surface_wave_bisect", recording)
+            solve()
+        return seen
+
+    def test_rayleigh_probes(self, poisson, ti, rotated_ti, monkeypatch):
+        for ang in (0.0, 0.9, 2.3):
+            eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+            for mat in (poisson, ti, rotated_ti):
+                seen = self.probes(monkeypatch, lambda: rayleigh_speed(mat, NU, eta_hat))
+                assert len(seen) >= 4
+                for t, z in seen:
+                    side = BoundarySide(mat, BoundaryFrame(NU, eta_hat, -t))
+                    assert bits(z) == bits(side.z())
+
+    def test_stoneley_probes(self, iso, hard, monkeypatch):
+        seen = self.probes(monkeypatch, lambda: stoneley_speed(iso, hard, NU, EHAT))
+        assert len(seen) >= 4
+        for t, z in seen:
+            assert bits(z) == bits(_sequential_sum(iso, hard, t))
 
 
 def _same_result(got, want):

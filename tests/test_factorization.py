@@ -34,7 +34,8 @@ from elaswave.factorization import (
 from elaswave.materials import make_isotropic
 
 from conftest import NU, random_triclinic, sample_frames
-from oracles import NotAnEigenvalue, classify_spectrum_one, factorize_one, residue
+from oracles import (NotAnEigenvalue, classify_spectrum_one, factorize_one, residue,
+                     stroh_one)
 
 ETA = np.array([1.0, 0.0, 0.0])
 
@@ -438,10 +439,10 @@ class TestFactorize:
 
         def validate(fact):     # the checks of factorize, on a stack of one
             return factorization._validate([fact], factorization._coefficients([a]),
-                                           fact.q[None], fact.q_sharp[None])
+                                           fact.q[None], fact.a0_q[None], fact.q_sharp[None])
 
         assert validate(f) is None
-        bad = dataclasses.replace(f, q=f.q + 1e-6)
+        bad = dataclasses.replace(f, q=f.q + 1e-6, a0_q=a.a0 @ (f.q + 1e-6))
         with pytest.raises(SolvencyResidual):
             validate(bad)
         assert issubclass(SolvencyResidual, NumericalDomainError)
@@ -454,9 +455,9 @@ class TestFactorize:
         real = factorization._roots
 
         def nan_roots(x1, *args):
-            q, q_sharp = real(x1, *args)
+            q, a0_q, q_sharp = real(x1, *args)
             q[entries] = np.nan
-            return q, q_sharp
+            return q, a0_q, q_sharp
 
         monkeypatch.setattr(factorization, "_roots", nan_roots)
         with pytest.raises(SolvencyResidual, match="nan") as info:
@@ -505,7 +506,7 @@ def same_classification(got, want):
 
 
 def same_factorization(got, want):
-    for name in ("q", "q_sharp", "q_spectrum", "solvency_residual", "tau"):
+    for name in ("q", "q_sharp", "q_spectrum", "solvency_residual", "tau", "a0_q"):
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
     assert [bits(z) for z in got.sigma] == [bits(z) for z in want.sigma]
     assert got.direction == want.direction
@@ -551,6 +552,38 @@ class TestStacksOfOne:
                             checked.add(error[0])
         # factorizations in both directions and the glancing failure were met
         assert {"outgoing", "incoming", GlancingSpectrum} <= checked
+
+    def test_a0_q_is_the_product(self, iso, ti, rotated_ti):
+        # the A0 Q that a factorization forms once, for Q#, the solvency
+        # residual and z, is a.a0 @ f.q bit for bit, alone and in a stack of
+        # 16; and z is -i(A0 Q + A1) with that product formed anew
+        rng = np.random.default_rng(53)
+        polys = [boundary_polynomial(mat, fr)
+                 for mat in (iso, ti, rotated_ti, random_triclinic(rng))
+                 for per_region in sample_frames(
+                     mat, rng, 2, regions=("hyperbolic", "elliptic")).values()
+                 for fr in per_region]
+        assert len(polys) == 16
+        classes = [classify_spectrum(a) for a in polys]
+        stacked = factorization._factorize(polys, classes, "outgoing",
+                                           [a.frame.tau for a in polys])
+        for a, cls, f in zip(polys, classes, stacked, strict=True):
+            alone = factorize(a, classification=cls)
+            for g in (f, alone):
+                assert bits(g.a0_q) == bits(a.a0 @ g.q)
+            z = impedance.impedance_from_factorization(a, alone).z
+            assert bits(z) == bits(-1j * (a.a0 @ alone.q + a.a1))
+
+    def test_stroh_template_is_the_blocks(self, iso, ti, rotated_ti):
+        # the core's Stroh template with A2 subtracted is, bit for bit, the
+        # Stroh matrix built from its blocks at each tau
+        rng = np.random.default_rng(59)
+        for mat in (iso, ti, rotated_ti, random_triclinic(rng)):
+            for frames in sample_frames(mat, rng, 2).values():
+                for fr in frames:
+                    a = boundary_polynomial(mat, fr)
+                    for moved in (a, a.with_tau(0.7 * fr.tau)):
+                        assert bits(stroh(moved)) == bits(stroh_one(moved))
 
     @pytest.mark.parametrize("entry", ["real", "complex", "inf", "nan"])
     def test_fro_of_one_is_the_stacked_row(self, entry):
@@ -660,10 +693,7 @@ class TestStackedEntries:
                 core, theirs = vars(a.core), vars(alone.core)
                 assert list(core) == list(theirs)
                 for name, value in core.items():
-                    if name == "stroh_blocks":
-                        assert [bits(b) for b in value] == [bits(b) for b in theirs[name]]
-                    else:
-                        assert bits(value) == bits(theirs[name]), name
+                    assert bits(value) == bits(theirs[name]), name
 
     def test_mode_projectors_of_mixed_cluster_counts(self, iso):
         # one stack of factorizations whose Q has 1 (isotropic, lambda = -mu:

@@ -412,7 +412,8 @@ class TestMaterialGate:
             tau_limit,
         )
         from elaswave.factorization import BoundaryFrame, boundary_polynomial
-        from elaswave.layered import LayerStack
+        from elaswave.layered import LayerStack, trace_plane_wave
+        from elaswave.materials import Material
         from elaswave.scatter import incoming_mode, reflect_free_surface, transmit_interface
 
         nu, eta = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
@@ -441,6 +442,10 @@ class TestMaterialGate:
             "iso_impedance_closed_form": (lambda: iso_impedance_closed_form("x", frame), single),
             "iso_impedance_closed_form frame": (lambda: iso_impedance_closed_form(iso, "f"),
                                                 "frame must be a BoundaryFrame, got str"),
+            "Material stiffness": (lambda: Material("x", 1.0),
+                                   "stiffness must be a StiffnessTensor, got str"),
+            "trace_plane_wave stack": (lambda: trace_plane_wave("x", (0.1, 0.0), -1.0),
+                                       "stack must be a LayerStack, got str"),
         }
 
     @pytest.mark.parametrize("name", [
@@ -448,7 +453,8 @@ class TestMaterialGate:
         "rayleigh_speed", "stoneley_speed +", "stoneley_speed -", "incoming_mode",
         "reflect_free_surface", "transmit_interface", "classify interface frame",
         "LayerStack layer", "LayerStack halfspace", "christoffel_modes", "eigen_gap_scan",
-        "iso_impedance_closed_form", "iso_impedance_closed_form frame"])
+        "iso_impedance_closed_form", "iso_impedance_closed_form frame", "Material stiffness",
+        "trace_plane_wave stack"])
     def test_typed_error(self, name):
         run, message = self.entry_points(make_isotropic(2.0, 1.0, 1.0, "iso"))[name]
         with pytest.raises(InvalidInput) as info:

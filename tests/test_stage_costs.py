@@ -1,5 +1,6 @@
-"""tools/stage_costs.py: its frames are frame_sweep's, and it runs and prints
-its table (one repeat, as a smoke test)."""
+"""tools/stage_costs.py: its frames are frame_sweep's, its probe polynomials
+surface_waves', and it runs and prints its table (one repeat, as a smoke
+test)."""
 import subprocess
 import sys
 import tempfile
@@ -29,14 +30,34 @@ def test_frames_are_round_zero_of_frame_sweep():
         assert label == label_round
 
 
+def test_probes_are_round_zero_of_surface_waves():
+    # each probe polynomial is the tau = -1 polynomial of an operation's
+    # material at its azimuth: the round's own operation finds its tau_eta
+    probes = stage_costs.probe_polynomials()
+    with tempfile.TemporaryDirectory() as workdir:
+        waves = workloads.SurfaceWaves(stage_costs.SEED, workdir)
+        waves.setup()
+    ops = waves.round(0)
+    assert len(probes) == len(ops) + 1      # a Stoneley pair gives two
+    by_op = iter(probes)
+    for op in ops:
+        result = op.run()
+        mine = [next(by_op) for _ in range(2 if op.kind.startswith("stoneley") else 1)]
+        assert all(kind == op.kind for kind, *_ in mine)
+        assert result.tau_eta == min(tau_eta for *_, tau_eta in mine)
+        for _, m, eta_hat, a, _ in mine:
+            assert a.frame.tau == -1.0 and np.array_equal(a.frame.eta, eta_hat)
+
+
 def test_one_repeat_prints_every_stage():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "stage_costs.py"), "--repeats", "1"],
                          capture_output=True, text=True, check=True).stdout.splitlines()
-    assert out[0] == "seed 1, 48 frames, median of 1 repeats, us"
+    assert out[0] == "seed 1, 48 frames, 8 probe polynomials, median of 1 repeats, us"
     assert out[1].split() == ["stage", "n", "=", "1", "per", "entry", "of", "16"]
     rows = {line[:16].strip(): line[16:].split() for line in out[2:]}
     assert list(rows) == ["polynomial", "classification", "factorization", "projectors",
-                          "frame_sweep op"]
+                          "frame_sweep op", "z probe", "spectrum probe"]
+    unstacked = ("frame_sweep op", "z probe", "spectrum probe")
     for name, (alone, stacked) in rows.items():
         assert float(alone) > 0
-        assert stacked == "-" if name == "frame_sweep op" else float(stacked) > 0
+        assert stacked == "-" if name in unstacked else float(stacked) > 0

@@ -16,10 +16,23 @@ stage on the pairs taken 16 at a time, and divides each total by 48:
   projectors      mode_projectors            _mode_projectors
 
 and times the frame_sweep operation itself (boundary_polynomial, factorize,
-impedance, mode_projectors and boundary.classify of one frame).  The stages
-and the operation take turns within each repeat, so that a busy machine's
-drift falls on all of them, and the tool prints the median over repeats of
-each time in microseconds.  BLAS runs on one thread, as in bench/run.py.
+impedance, mode_projectors and boundary.classify of one frame).
+
+Two more rows time the surface-wave probe, per probe, on the materials of
+round 0 of bench/run.py's surface_waves workload at seed 1, each at the
+azimuth of its operation (the two materials of its Stoneley pair each on
+their own): the polynomial moved to tau = -0.9 tau_eta, inside the elliptic
+interval, and then
+
+  z probe         its outgoing impedance matrix (boundary._outgoing_z), what
+                  each step of a Rayleigh search reads
+  spectrum probe  whether its spectrum is fully evanescent
+                  (boundary._fully_evanescent), each step of tau_limit.
+
+The stages, the operation and the probes take turns within each repeat, so
+that a busy machine's drift falls on all of them, and the tool prints the
+median over repeats of each time in microseconds.  BLAS runs on one thread,
+as in bench/run.py.
 """
 from __future__ import annotations
 
@@ -40,6 +53,7 @@ import time  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
+from elaswave import boundary as bd  # noqa: E402
 from elaswave import factorization as fz  # noqa: E402
 from elaswave import impedance as imp  # noqa: E402
 
@@ -62,6 +76,24 @@ def frame_pairs() -> list:
     return pairs
 
 
+def probe_polynomials() -> list:
+    """(kind, material, eta_hat, polynomial at tau = -1, tau_eta) of each
+    material of each operation of round 0 of surface_waves at SEED, in the
+    round's order; a Stoneley operation gives its + and then its - material."""
+    with tempfile.TemporaryDirectory() as workdir:
+        waves = workloads.SurfaceWaves(SEED, workdir)
+        waves.setup()
+    ops = []
+    # the round hands each operation's kind and azimuth to _op: keep them instead
+    waves._op = lambda kind, eta_hat: ops.append((kind, eta_hat))
+    waves.round(0)
+    materials = {"rayleigh/poisson": (waves.poisson,), "rayleigh/ti": (waves.ti,),
+                 "rayleigh/rotated_ti": (waves.rotated_ti,),
+                 "stoneley/iso_pair": (waves.soft, waves.hard)}
+    return [(kind, m, eta_hat, *bd._tau_limit(m, workloads.NU, eta_hat)[::-1])
+            for kind, eta_hat in ops for m in materials[kind]]
+
+
 def _by_material(chunk: list) -> list:
     """(material, frames) stacks of a chunk of pairs, in order."""
     stacks = []
@@ -73,9 +105,10 @@ def _by_material(chunk: list) -> list:
     return stacks
 
 
-def stages(pairs: list) -> list:
+def stages(pairs: list, probes: list) -> list:
     """(name, one-frame calls, stacked calls): each a list of zero-argument
-    callables that together cover every pair once."""
+    callables that together cover every pair, or every probe polynomial,
+    once."""
     polys = [fz.boundary_polynomial(m, frame) for _, m, frame, _ in pairs]
     classes = [fz.classify_spectrum(a) for a in polys]
     facts = [fz.factorize(a, classification=c) for a, c in zip(polys, classes)]
@@ -99,25 +132,34 @@ def stages(pairs: list) -> list:
          [workloads.FrameSweep._op(cls, m, frame, region, 0).run
           for cls, m, frame, region in pairs],
          None),
+        ("z probe",
+         [lambda a=a, t=-0.9 * tau_eta: bd._outgoing_z(a.with_tau(t))
+          for _, _, _, a, tau_eta in probes],
+         None),
+        ("spectrum probe",
+         [lambda a=a, t=-0.9 * tau_eta: bd._fully_evanescent(a.with_tau(t))
+          for _, _, _, a, tau_eta in probes],
+         None),
     ]
 
 
-def _per_pair_us(calls: list, n_pairs: int) -> float:
+def _per_call_us(calls: list, n: int) -> float:
     start = time.perf_counter()
     for call in calls:
         call()
-    return 1e6 * (time.perf_counter() - start) / n_pairs
+    return 1e6 * (time.perf_counter() - start) / n
 
 
-def measure(pairs: list, repeats: int) -> list:
-    """(name, median us per pair alone, median us per entry of a stack or None)."""
-    table = stages(pairs)
+def measure(pairs: list, probes: list, repeats: int) -> list:
+    """(name, median us per pair or probe alone, median us per entry of a
+    stack or None)."""
+    table = stages(pairs, probes)
     times = {name: ([], []) for name, _, _ in table}
     for _ in range(repeats):
         for name, alone, stacked in table:
-            times[name][0].append(_per_pair_us(alone, len(pairs)))
+            times[name][0].append(_per_call_us(alone, len(alone)))
             if stacked is not None:
-                times[name][1].append(_per_pair_us(stacked, len(pairs)))
+                times[name][1].append(_per_call_us(stacked, len(pairs)))
     return [(name, statistics.median(times[name][0]),
              statistics.median(times[name][1]) if stacked is not None else None)
             for name, _, stacked in table]
@@ -129,9 +171,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    pairs = frame_pairs()
-    rows = measure(pairs, args.repeats)
-    print(f"seed {SEED}, {len(pairs)} frames, median of {args.repeats} repeats, us")
+    pairs, probes = frame_pairs(), probe_polynomials()
+    rows = measure(pairs, probes, args.repeats)
+    print(f"seed {SEED}, {len(pairs)} frames, {len(probes)} probe polynomials, "
+          f"median of {args.repeats} repeats, us")
     print(f"{'stage':16s} {'n = 1':>10s} {f'per entry of {STACK}':>18s}")
     for name, alone, stacked in rows:
         print(f"{name:16s} {alone:10.1f} "
