@@ -9,13 +9,15 @@ elliptic interval ends at tau_eta (`tau_limit`), found by bisecting on
 whether the spectrum is fully evanescent; those probes read the grouped
 spectrum alone (`_fully_evanescent`), without kernels or sign forms.  The
 root search is one bisection walk (`_walk`) on one bracket (`_Threshold`,
-which keeps the value at each end): where the bracket leaves a midpoint
-open, a secant in the edge variable sqrt(1 - tau/tau_eta) (`_edge_secant`)
-narrows it first, so the bisection probes few midpoints of its own and its
-root is that of the bisection alone.  Once an inverse quadratic estimate of
+which keeps the value at each end): the search starts inside the elliptic
+interval, at two probes in the edge variable sqrt(1 - tau/tau_eta), and
+probes an end only where those leave its check open; where the bracket
+leaves a midpoint open, inverse quadratic interpolation in that variable
+(`_edge_secant`) narrows it first, so the bisection probes few midpoints of
+its own and its root is that of the bisection alone.  Once the estimate of
 the root decides every midpoint the walk has left, the narrowing closes the
-bracket on the bisection's own answer, so the root's impedance is one that a
-probe built and the solve kept.  A probe is a polynomial at the probed tau
+bracket on the bisection's own answer, so the root's impedance is one that
+a probe built and the solve kept.  A probe is a polynomial at the probed tau
 and its outgoing factorization (`_outgoing_z`), with no `BoundarySide`; a
 Stoneley probe factorizes its two polynomials as one stack.
 Every other computation on one side of a boundary (polynomial, spectrum,
@@ -63,6 +65,10 @@ from .materials import Material, _check_instance, _real_array, decompose_harmoni
 ANGLE_TOL = 1e-8        # principal angles with cosine above 1 - ANGLE_TOL count as shared
 BISECTION_TOL = 1e-10   # bisections stop at this width relative to the upper end
 EDGE_OFFSET = 1e-6      # surface-wave brackets end this far, relatively, below tau_eta
+# u = sqrt(1 - tau/tau_eta) of a surface-wave search's first probe, then of its
+# second where lambda_min > 0 at the first, else; an isotropic solid with lambda
+# >= 0 has its Rayleigh root at u in (0.21, 0.355), as c_R/c_S lies in (0.874, 0.955)
+START_U = (0.3, 0.15, 0.45)
 ISOTROPY_TOL = 1e-8     # the closed form takes a harmonic anisotropy up to this times ||C||
 ISO_GLANCING_TOL = 1e-10  # a closed-form root with s^2 this close, relatively, to 0 glances
 _CHUNK = 256            # frames solved as one stack, so memory stays flat on any grid
@@ -263,11 +269,11 @@ class _Threshold:
     """A test value that is positive below an unknown threshold and not above
     it.  The tightest bracket (below, above) of the values it has taken, with
     the value at each end (f_below, f_above), answers, without running the
-    test, whether t lies below the threshold.  `_bisect` keeps its walk's
-    (lo, hi) in walk."""
+    test, whether t lies below the threshold.  `probes` lists the (t, value)
+    of each test run, in order; `_bisect` keeps its walk's (lo, hi) in walk."""
 
     def __init__(self, test):
-        self.test, self.below, self.above = test, -np.inf, np.inf
+        self.test, self.below, self.above, self.probes = test, -np.inf, np.inf, []
         self.f_below = self.f_above = self.walk = None
 
     def __call__(self, t: float) -> bool:
@@ -277,6 +283,7 @@ class _Threshold:
 
     def value(self, t: float):
         v = self.test(t)
+        self.probes.append((t, v))
         if v > 0:
             if t > self.below:
                 self.below, self.f_below = t, v
@@ -450,27 +457,29 @@ def _closing_probe(walk: tuple, r: float, e: float, a: float, b: float) -> float
     return tau_r if a < tau_r < b else above if tau_r <= a else below
 
 
-def _edge_secant(holds: _Threshold):
-    """Probes of holds.value that narrow its bracket, from f_below > 0 at a to
-    f_above <= 0 at b as it stands at the first probe, each yielded once run,
-    until the bracket is 1e-13 b wide, 100 probes have run or one raises a
-    NumericalDomainError.  Each probe reads the bisection's walk (lo, hi)
-    from holds.walk.
+def _edge_secant(holds: _Threshold, tau_eta: float):
+    """Probes of holds.value that bracket and narrow the root of a surface-wave
+    search on [1e-3, 1 - EDGE_OFFSET] tau_eta, placed in the edge variable
+    u = sqrt(1 - t/tau_eta).  The first step, the interior start, probes
+    u = START_U[0], then START_U[1] where the value there is positive, else
+    START_U[2], and yields None: the solve then probes the ends whose checks
+    these leave open.  Each later probe is yielded once run, until the
+    bracket is 1e-13 (1 - EDGE_OFFSET) tau_eta wide, 100 probes have run or
+    one raises a NumericalDomainError (in the start as later).  Each reads
+    the bisection's walk (lo, hi) from holds.walk.
 
-    b lies EDGE_OFFSET below tau_eta, where lambda_min has a square-root
-    branch, so in u = sqrt(1 - t/tau_eta) it is nearly linear: each step is
-    the secant in u through the last two points, or regula falsi in u on
-    the bracket's ends where the secant leaves the bracket.  Once three
-    points are known, u as a parabola in lambda_min through them (inverse
-    quadratic interpolation) puts the root at r, an estimate of higher order
-    than the secant's, so the root lies within the distance e between the
-    two (or one tolerance, if more) of r.  Where that answers every midpoint
-    the walk has left, the probe closes the bracket on the walk's own answer
-    (`_closing_probe`), and the root's impedance is then a probe's.  Else a
-    step shorter than half the tolerance puts the root that close to the
-    last point, so the probe goes one tolerance past that point instead,
-    which closes the bracket around the root."""
-    tol, tau_eta = 1e-13 * holds.above, holds.above / (1.0 - EDGE_OFFSET)
+    lambda_min has a square-root branch at tau_eta, so in u it is nearly
+    linear, and u as a parabola in lambda_min through the latest probe and
+    the two probes nearest it (inverse quadratic interpolation) puts the
+    root at r.  Where r leaves the bracket, the secant in u through the
+    latest probe and the one nearest it does, or else regula falsi in u on
+    the bracket's ends.  Where r, taken as the root to within one tolerance,
+    answers every midpoint the walk has left, the step probes the walk's own
+    answer (`_closing_probe`), so that the root's impedance is a probe's.
+    Else it probes r, or, where r lies within half a tolerance of the latest
+    probe, one tolerance past that probe, which closes the bracket around
+    the root."""
+    tol = 1e-13 * ((1.0 - EDGE_OFFSET) * tau_eta)
 
     def u(t: float) -> float:
         return math.sqrt(max(1.0 - t / tau_eta, 0.0))
@@ -490,41 +499,49 @@ def _edge_secant(holds: _Threshold):
                 + u(q) * fo * fp / ((fq - fo) * (fq - fp)))
         return tau_eta * (1.0 - root * root)
 
-    o = fo = math.nan           # no third point yet: the parabola's zero is NaN
-    p, fp, q, fq = holds.below, holds.f_below, holds.above, holds.f_above  # q the latest
     with suppress(NumericalDomainError):
+        first = holds.value(tau_eta * (1.0 - START_U[0] ** 2))
+        holds.value(tau_eta * (1.0 - START_U[1 if first > 0 else 2] ** 2))
+        yield None
         for _ in range(100):
             a, fa, b, fb = holds.below, holds.f_below, holds.above, holds.f_above
             if b - a <= tol:
                 return
-            c = zero(p, fp, q, fq)
-            if not a < c < b:
-                c = zero(a, fa, b, fb)
+            # q the latest probe, p and o the probes nearest it; no o yet: r is NaN
+            last = holds.probes[-1][0]
+            nearest = sorted(holds.probes, key=lambda probe: abs(probe[0] - last))
+            (q, fq), (p, fp), (o, fo) = (nearest + [(math.nan, math.nan)])[:3]
             r = parabola_zero(o, fo, p, fp, q, fq)
-            closing = (_closing_probe(holds.walk, r, max(abs(c - r), tol), a, b)
-                       if a < c < b and a < r < b else None)
-            if closing is not None:
-                c = closing
-            elif abs(c - q) < 0.5 * tol:
-                c = q + tol if fq > 0 else q - tol
-            elif not a < c < b:
+            if not a < r < b:
+                r = zero(p, fp, q, fq)
+            if not a < r < b:
+                r = zero(a, fa, b, fb)
+            c = _closing_probe(holds.walk, r, tol, a, b) if a < r < b else None
+            if c is None:
+                c = (q + tol if fq > 0 else q - tol) if abs(r - q) < 0.5 * tol else r
+            if not a < c < b:
                 c = 0.5 * (a + b)
-            o, fo, p, fp, q, fq = p, fp, q, fq, c, holds.value(c)
+            holds.value(c)
             yield c
 
 
 def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     """Root of lambda_min(zfun(tau)) by bisection on [1e-3, 1 - EDGE_OFFSET]
-    tau_eta, with `_edge_secant` narrowing the bracket wherever a midpoint
-    is open.  The bisection reads only the sign of lambda_min at its own
-    midpoints, so the root is that of a plain bisection; the narrowing
-    leaves it few midpoints to probe itself (usually none) and mostly
-    closes the bracket on the bisection's own answer tau_r.  Each probe's z
-    is kept by tau for the length of the solve, so z(tau_r), which gives
-    the polarization and det_residual, is built again only where no probe
-    was at tau_r.
+    tau_eta, with `_edge_secant` bracketing the root from inside the
+    interval and narrowing the bracket wherever a midpoint is open.
+    lambda_min decreases strictly in tau, so an interior probe where it is
+    positive settles the low end's check and one where it is not settles
+    the high end's: an end is probed only where the interior start leaves
+    its check open (both ends, where its first probe fails, as when the
+    narrowing is patched out).  The bisection reads only
+    the sign of lambda_min at its own midpoints, so the root is that of a
+    plain bisection; the narrowing leaves it few midpoints to probe itself
+    (usually none) and mostly closes the bracket on the bisection's own
+    answer tau_r.  Each probe's z is kept by tau for the length of the
+    solve, so z(tau_r), which gives the polarization and det_residual, is
+    built again only where no probe was at tau_r.
 
-    GlancingLimit where an end's frame glances.  NoSurfaceWave where
+    GlancingLimit where a probed end glances.  NoSurfaceWave where
     lambda_min stays positive up to the high end, or where it is not
     positive at the low end: that frame does not glance, and its impedance
     is indefinite, as for a strongly elliptic material that is not strongly
@@ -538,8 +555,12 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
         return _lambda_min(zmat)
 
     holds = _Threshold(probe)
+    narrowing = _edge_secant(holds, tau_eta) or iter(())
+    next(narrowing, None)       # the interior start
+    lo_open, hi_open = holds.f_below is None, holds.f_above is None
     try:
-        f_lo, f_hi = holds.value(t_lo), holds.value(t_hi)
+        f_lo = holds.value(t_lo) if lo_open else holds.f_below
+        f_hi = holds.value(t_hi) if hi_open else holds.f_above
     except GlancingSpectrum as exc:
         raise GlancingLimit(f"cannot evaluate near tau_eta: {exc}") from exc
     if f_lo <= 0:
@@ -548,7 +569,7 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     if f_hi > 0:
         raise NoSurfaceWave("smallest impedance eigenvalue stays positive "
                             "on the elliptic interval")
-    tau_r = _bisect(holds, t_lo, t_hi, _edge_secant(holds))
+    tau_r = _bisect(holds, t_lo, t_hi, narrowing)
     zr = zs[tau_r] if tau_r in zs else zfun(tau_r)
     vec = _lapack.eigh(0.5 * (zr + zr.conj().T))[1][:, 0]
     det_res = float(abs(_lapack.det(zr)) / max(np.linalg.norm(zr) ** 3, 1e-300))

@@ -463,6 +463,7 @@ def _kernels(mats: np.ndarray, scales: list) -> list:
 def kernel_basis(a: QuadraticMatrixPolynomial, s: complex) -> np.ndarray:
     """Orthonormal basis (3 x k) of ker A(s) from an SVD cutoff; InvalidInput
     unless s is a number (not a bool) at which A(s) is finite."""
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
     if isinstance(s, bool) or not isinstance(s, numbers.Number):
         raise InvalidInput(f"s must be a number, got {s!r}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -559,6 +560,7 @@ def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
     form on its kernel is indefinite or too small, or when the eigenvalue is
     defective.
     """
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
     return _classify([a])[0]
 
 
@@ -723,6 +725,7 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
     Passing the classification of `a` lets both directions share one
     spectrum computation.
     """
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
     if tau is None:
         if a.frame is None:
             raise InvalidInput("tau is required when the polynomial carries no frame")

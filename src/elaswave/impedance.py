@@ -32,6 +32,7 @@ from .factorization import (
     classify_spectrum,
     factorize,
 )
+from .materials import _check_instance
 
 MODAL_FLUX_TOL = 1e-9     # largest relative residual of the modal flux identity
 BL_NODES = 64             # first Gauss-Legendre node count of the Barnett-Lothe integrals
@@ -72,6 +73,8 @@ def impedance_from_factorization(a: QuadraticMatrixPolynomial,
                                  f: SpectralFactorization) -> Impedance:
     """z = -i(A0 Q + A1) of the factorization's direction, with the A0 Q that f
     formed (`f.a0_q`); a is the polynomial that f factorizes."""
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
+    _check_instance(f, SpectralFactorization, "f must be a SpectralFactorization")
     return Impedance(_impedance(f.a0_q, a.a1))
 
 
@@ -102,6 +105,7 @@ class ModeProjectors:
 
 def mode_projectors(f: SpectralFactorization) -> ModeProjectors:
     """Lagrange spectral projectors per eigenvalue cluster of Q."""
+    _check_instance(f, SpectralFactorization, "f must be a SpectralFactorization")
     return _mode_projectors([f])[0]
 
 

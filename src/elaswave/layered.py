@@ -40,6 +40,7 @@ from .materials import (
     _is_int,
     _is_real,
     _json_number,
+    _numbers,
     _real_array,
     check_strong_convexity,
     material_from_dict,
@@ -104,13 +105,24 @@ def _check_slowness(s) -> None:
         raise InvalidInput(f"s must be a finite real number, got {s!r}")
 
 
+def _check_vector(v) -> None:
+    """InvalidInput unless v is a vector of 3 finite real or complex numbers."""
+    arr = _numbers(v)[0]
+    if arr.dtype.kind not in "iufc" or arr.shape != (3,):
+        raise InvalidInput(f"v must be a vector of 3 numbers, got {arr.dtype} of shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInput("v must be finite")
+
+
 def group_delay(a: QuadraticMatrixPolynomial, s: float, v: np.ndarray) -> float:
     """ds/dtau of a real eigenvalue branch, by implicit differentiation.
 
     ds/dtau = 2 rho tau (v|v) / (A'(s)v|v) for v in ker A(s); the vertical
     travel time across thickness d is d |ds/dtau|.
     """
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
     _check_slowness(s)
+    _check_vector(v)
     norm_sq = float(np.vdot(v, v).real)
     denom = float(np.real(np.vdot(v, a.derivative(s) @ v)))
     if abs(denom) <= DELAY_FORM_TOL * max(a.scale * norm_sq, 1e-300):
@@ -129,6 +141,9 @@ def mode_delay(a: QuadraticMatrixPolynomial, classification: SpectrumClassificat
     when no single non-glancing group lies at s or c fails `group_delay`'s
     size test, as a caller falling back to `group_delay` then finds.
     """
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
+    _check_instance(classification, SpectrumClassification,
+                    "classification must be a SpectrumClassification")
     _check_slowness(s)
     near = GROUPING_TOL * (1.0 + classification.stroh_norm)
     groups = [g for g in classification.real_groups if abs(g.value.real - s) <= near]

@@ -1,3 +1,6 @@
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,6 +20,20 @@ AXIS = np.array([0.0, 0.0, 1.0])
 # number of them, with no per-example deadline (timings vary across runners).
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=30)
 settings.load_profile("ci")
+
+# When a property test fails, hypothesis imports hypothesis.extra._patching to
+# suggest a patch.  That imports libcst, which may warn on import (an old
+# mypy_extensions emits a DeprecationWarning); under pyproject's
+# error::DeprecationWarning the warning becomes an INTERNALERROR that ends the
+# session, so the tests after the failing one never run.  Import it here once,
+# with warnings ignored; where it cannot be imported (no libcst), hypothesis
+# meets the ImportError itself, as it would without this.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

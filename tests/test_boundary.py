@@ -774,8 +774,12 @@ class TestHintsOnlySaveProbes:
         # (Poisson), 13 (TI) and 13 (the Stoneley pair, each probe two
         # factorize calls) probes; the secant in the edge variable took 9, 7
         # and 10, one stack per Stoneley probe, each counting the root's
-        # rebuilt z.  Closing the bracket on the bisection's own answer takes
-        # 8, 6 and 8: the root's z is a probe's.
+        # rebuilt z.  Closing the bracket on the bisection's own answer took
+        # 8, 6 and 8: the root's z is a probe's.  Starting inside the
+        # interval takes 6, 7 and 7: the ends are probed only where the
+        # interior start leaves their checks open (none for Poisson and TI,
+        # the high end for the pair).  TI takes one more than before: the
+        # secant from the two ends happened to land 4e-6 from its root.
         calls = {"spectra": 0, "factorize": 0, "stack": 0}
         for name, key in (("_spectra", "spectra"), ("factorize", "factorize"),
                           ("_factorize", "stack")):
@@ -792,18 +796,20 @@ class TestHintsOnlySaveProbes:
             assert 2 <= calls["spectra"] <= 3
         calls["factorize"] = 0
         rayleigh_speed(poisson, NU, EHAT)
-        assert calls["factorize"] <= 8
+        assert calls["factorize"] == 6
         calls["factorize"] = 0
         rayleigh_speed(ti, NU, EHAT)
-        assert calls["factorize"] <= 6
+        assert calls["factorize"] == 7
         calls["factorize"] = calls["stack"] = 0
         stoneley_speed(iso, hard, NU, EHAT)
-        assert calls["factorize"] == 0 and calls["stack"] <= 8
+        assert calls["factorize"] == 0 and calls["stack"] == 7
 
     def test_failing_probe_ends_the_narrowing(self, poisson, iso, hard, monkeypatch):
         # A narrowing probe that raises a NumericalDomainError ends the
-        # narrowing: no probe of it follows, the bisection probes the
-        # midpoints itself, and every float is that of bisection alone.
+        # narrowing: no probe of it follows.  Here the first probe of the
+        # interior start raises, so the solve probes both ends, as it does
+        # with the narrowing patched out, the bisection probes the midpoints
+        # itself, and every float is that of bisection alone.
         solves = (lambda: rayleigh_speed(poisson, NU, EHAT),
                   lambda: stoneley_speed(iso, hard, NU, EHAT))
         real_lambda_min, evaluated = boundary._lambda_min, [0]
@@ -822,7 +828,7 @@ class TestHintsOnlySaveProbes:
             bisected = [run(solve) for solve in solves]
         real, failed = boundary._edge_secant, []
 
-        def failing_first(holds):
+        def failing_first(holds, tau_eta):
             test = holds.test
 
             def fail(t):
@@ -831,7 +837,7 @@ class TestHintsOnlySaveProbes:
                 raise NumericalDomainError("forced probe failure")
 
             holds.test = fail
-            return real(holds)
+            return real(holds, tau_eta)
 
         monkeypatch.setattr(boundary, "_edge_secant", failing_first)
         for solve, (want, n_want) in zip(solves, bisected):
@@ -920,8 +926,8 @@ class TestClosingOnTheWalk:
     def test_bisect_is_the_plain_loop(self, data, where, curved):
         # Thresholds on, a few ulps beside and between the midpoints of a
         # plain walk, for a test linear in t or with lambda_min's square-root
-        # branch at tau_eta = 1: _bisect, with and without the narrowing,
-        # returns the plain loop's tau_r.
+        # branch at tau_eta = 1: _bisect without the narrowing, and the
+        # search with it, return the plain loop's tau_r.
         lo, hi = 1e-3, 1.0 - boundary.EDGE_OFFSET
         root = data.draw(st.floats(lo, hi, exclude_min=True), label="base")
         if where != "between":
@@ -935,9 +941,9 @@ class TestClosingOnTheWalk:
         assume(test(lo) > 0 >= test(hi))
         want = _plain_bisection(test, lo, hi)
         assert boundary._bisect(boundary._Threshold(test), lo, hi) == want
-        holds = boundary._Threshold(test)
-        holds.value(lo), holds.value(hi)
-        assert boundary._bisect(holds, lo, hi, boundary._edge_secant(holds)) == want
+        # the whole search, interior start and narrowing, on z = diag(test, 2, 3)
+        zfun = lambda t: np.diag([test(t), 2.0, 3.0]).astype(complex)  # noqa: E731
+        assert boundary._surface_wave_bisect(zfun, 1.0).tau_r == want
 
     ROOTS = ("generic", "low", "high", "mid_cell", "last_midpoint", "early_midpoint",
              "above_last", "below_last", "above_early")
@@ -956,39 +962,78 @@ class TestClosingOnTheWalk:
 
     def test_the_root_is_probed_where_the_estimate_decides(self, monkeypatch):
         # Off the midpoints, the parabola's estimate decides every midpoint
-        # left, so the bracket closes on tau_r; on or within 1e-14 of a
-        # midpoint, that midpoint stays open and z(tau_r) is built after.
+        # left, so the bracket closes on tau_r.  On or within 1e-14 of a
+        # midpoint, less than the tolerance the estimate is taken to, that
+        # midpoint stays open, and z(tau_r) is built after, unless a probe at
+        # the estimate lands between the midpoint and the root and so decides
+        # it (below the last midpoint and above the early one, here).
         roots = _walk_roots(monkeypatch)
         for name in self.ROOTS:
             got, taus, probes = _diagonal_solve(monkeypatch, roots[name])
-            assert (got.tau_r in taus[:probes]) == (name in ("generic", "low", "high",
-                                                              "mid_cell")), name
+            assert (got.tau_r in taus[:probes]) == (name in (
+                "generic", "low", "high", "mid_cell", "below_last", "above_early")), name
 
-    @pytest.mark.parametrize("fail_at", [2, 4, 6, 9])
+    @pytest.mark.parametrize("fail_at", [0, 1, 4, 6, 8])
     def test_failing_probe(self, monkeypatch, fail_at):
-        # The narrowing's probe number fail_at - 2 raises; the narrowing
-        # ends, the bisection probes the midpoints left itself (then builds
-        # z(tau_r)), and its root is that of bisection alone.
+        # Build fail_at raises: builds 0 and 1 are the interior start, 2 the
+        # low end it leaves open (`test_failing_end_raises`), 3 to 8 the
+        # narrowing, 8 its last, which closes the bracket.  The narrowing
+        # ends, the ends left open are probed, the bisection probes the
+        # midpoints left itself (then builds z(tau_r)), and its root is that
+        # of bisection alone.
         root = _walk_roots(monkeypatch)["generic"]
         got, taus, _ = _diagonal_solve(monkeypatch, root, fail_at=fail_at)
         want, plain, _ = _diagonal_solve(monkeypatch, root, narrowing=False)
         _same_result(got, want)
         assert len(set(taus)) == len(taus)
         assert set(taus[fail_at:]) <= set(plain)
+        assert (1e-3 in taus, 1.0 - 1e-6 in taus) == ((True, True) if fail_at == 0
+                                                      else (True, False))
 
-    @pytest.mark.parametrize("root,message", [
-        (1e-4, "not positive definite at the low endpoint"),
-        (1.0, "stays positive")], ids=["below_low_end", "above_high_end"])
-    def test_no_surface_wave(self, root, message):
+    def test_failing_end_raises(self, monkeypatch):
+        # an end probe that raises ends the solve, as it did when the ends
+        # came first; here build 2, the low end the interior start leaves open
+        root = _walk_roots(monkeypatch)["generic"]
+        with pytest.raises(NumericalDomainError, match="forced probe failure"):
+            _diagonal_solve(monkeypatch, root, fail_at=2)
+
+    START = [1.0 - u ** 2 for u in boundary.START_U]     # tau at each u of START_U, tau_eta = 1
+
+    @pytest.mark.parametrize("root,ends", [(0.95, ()), (0.5, (1e-3,)), (0.99, (1.0 - 1e-6,))],
+                             ids=["between_interior_probes", "below_them", "above_them"])
+    def test_ends_probed_only_where_open(self, monkeypatch, root, ends):
+        # lambda_min = root - t: the interior start probes u = 0.3, then 0.15
+        # or 0.45; an end is probed only where both lie on one side of the
+        # root, and the floats are those of bisection alone
+        got, taus, _ = _diagonal_solve(monkeypatch, root)
+        want, plain, _ = _diagonal_solve(monkeypatch, root, narrowing=False)
+        _same_result(got, want)
+        assert got.tau_r == _plain_bisection(lambda t: root - t, 1e-3, 1.0 - 1e-6)
+        second = self.START[1] if root > self.START[0] else self.START[2]
+        assert taus[:2 + len(ends)] == [self.START[0], second, *ends]
+        assert {1e-3, 1.0 - 1e-6} & set(taus) == set(ends)
+        assert plain[:2] == [1e-3, 1.0 - 1e-6]      # the narrowing patched out: the ends first
+
+    @pytest.mark.parametrize("root,message,second,end", [
+        (1e-4, "not positive definite at the low endpoint", 2, 1e-3),
+        (1.0, "stays positive", 1, 1.0 - 1e-6)], ids=["below_low_end", "above_high_end"])
+    def test_no_surface_wave(self, monkeypatch, root, message, second, end):
+        # both interior probes, then the end that decides; the error is the
+        # one the ends give with the narrowing patched out
         taus = []
 
         def zfun(t):
             taus.append(t)
             return np.diag([root - t, 1.0, 2.0]).astype(complex)
 
-        with pytest.raises(NoSurfaceWave, match=message):
+        with pytest.raises(NoSurfaceWave, match=message) as got:
             boundary._surface_wave_bisect(zfun, 1.0)
-        assert taus == [1e-3, 1.0 - 1e-6]     # the two ends only
+        assert taus == [self.START[0], self.START[second], end]
+        with monkeypatch.context() as mp, pytest.raises(NoSurfaceWave) as want:
+            mp.setattr(boundary, "_edge_secant", lambda *args: None)
+            boundary._surface_wave_bisect(zfun, 1.0)
+        assert str(got.value) == str(want.value)
+        assert taus[3:] == [1e-3, 1.0 - 1e-6]     # the two ends only
 
 
 class TestEllipticityMargin:

@@ -474,3 +474,58 @@ class TestMaterialGate:
             _polynomial_stacks([(nonconvex, frames), ("x", frames)])
         with pytest.raises(InvalidInput, match="^material must be a Material, got str$"):
             _polynomial_stacks([(make_isotropic(2.0, 1.0, 1.0), frames), ("x", frames)])
+
+
+class TestPolynomialGate:
+    """A wrong object where a polynomial, a spectrum classification, a
+    factorization or a kernel vector is due is bad input (exit code 2) with a
+    pinned message, not an AttributeError, TypeError or NaN from inside."""
+
+    @staticmethod
+    def entry_points():
+        from elaswave.factorization import (
+            BoundaryFrame,
+            boundary_polynomial,
+            classify_spectrum,
+            factorize,
+            kernel_basis,
+        )
+        from elaswave.impedance import impedance_from_factorization, mode_projectors
+        from elaswave.layered import group_delay, mode_delay
+
+        frame = BoundaryFrame(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), -2.5)
+        a = boundary_polynomial(make_isotropic(2.0, 1.0, 1.0, "iso"), frame)
+        cls, f = classify_spectrum(a), factorize(a)
+        s = cls.real_groups[0].value.real
+        v = kernel_basis(a, s)[:, 0]
+        poly = "a must be a QuadraticMatrixPolynomial, got str"
+        fact = "f must be a SpectralFactorization, got str"
+        return {
+            "factorize": (lambda: factorize("x"), poly),
+            "classify_spectrum": (lambda: classify_spectrum("x"), poly),
+            "kernel_basis": (lambda: kernel_basis("x", 0.5), poly),
+            "impedance_from_factorization": (lambda: impedance_from_factorization("x", f), poly),
+            "impedance_from_factorization f": (lambda: impedance_from_factorization(a, "x"),
+                                               fact),
+            "mode_projectors": (lambda: mode_projectors("x"), fact),
+            "mode_delay": (lambda: mode_delay(a, "x", s),
+                           "classification must be a SpectrumClassification, got str"),
+            "group_delay str": (lambda: group_delay(a, s, "x"),
+                                "v must be a vector of 3 numbers, got <U1 of shape ()"),
+            "group_delay 2-vector": (lambda: group_delay(a, s, v[:2]),
+                                     "v must be a vector of 3 numbers, got complex128 of "
+                                     "shape (2,)"),
+            "group_delay NaN": (lambda: group_delay(a, s, np.array([np.nan, 0.0, 0.0])),
+                                "v must be finite"),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "factorize", "classify_spectrum", "kernel_basis", "impedance_from_factorization",
+        "impedance_from_factorization f", "mode_projectors", "mode_delay", "group_delay str",
+        "group_delay 2-vector", "group_delay NaN"])
+    def test_typed_error(self, name):
+        run, message = self.entry_points()[name]
+        with pytest.raises(InvalidInput) as info:
+            run()
+        assert str(info.value) == message
+        assert info.value.exit_code == 2

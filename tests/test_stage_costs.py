@@ -1,6 +1,6 @@
 """tools/stage_costs.py: its frames are frame_sweep's, its probe polynomials
-surface_waves', and it runs and prints its table (one repeat, as a smoke
-test)."""
+and solves surface_waves', and it runs and prints its table (one repeat, as a
+smoke test)."""
 import subprocess
 import sys
 import tempfile
@@ -49,15 +49,49 @@ def test_probes_are_round_zero_of_surface_waves():
             assert a.frame.tau == -1.0 and np.array_equal(a.frame.eta, eta_hat)
 
 
+def test_solves_are_round_zero_of_surface_waves():
+    # each solve gives what the round's own operation at that place gives
+    solves = stage_costs.surface_solves()
+    with tempfile.TemporaryDirectory() as workdir:
+        waves = workloads.SurfaceWaves(stage_costs.SEED, workdir)
+        waves.setup()
+    ops = waves.round(0)
+    assert len(solves) == len(ops) == 7
+    for solve, op in zip(solves, ops):
+        got, want = solve(), op.run()
+        assert (got.tau_r, got.det_residual) == (want.tau_r, want.det_residual)
+
+
+def test_z_builds_per_solve():
+    # The z builds of each solve of rounds 0-5 of surface_waves at seed 1, by
+    # kind: a solve's probes, with the root's z where no probe was at the
+    # root.  Probing both ends first took 8 (Poisson), 9 (TI), 8.83 (rotated
+    # TI, mean of 18) and 8 (the Stoneley pair): 363 builds, 8.64 per solve.
+    # Starting inside the interval takes 6, 7, 7.11 and 7: 290 builds, 6.90
+    # per solve; round 0, which the tool prints, takes 48 over 7 solves.
+    with tempfile.TemporaryDirectory() as workdir:
+        waves = workloads.SurfaceWaves(stage_costs.SEED, workdir)
+        waves.setup()
+    by_kind = {}
+    for k in range(6):
+        for op in waves.round(k):
+            by_kind[op.kind] = by_kind.get(op.kind, 0) + stage_costs.z_builds([op.run])
+    assert by_kind == {"rayleigh/poisson": 36, "rayleigh/ti": 84, "rayleigh/rotated_ti": 128,
+                       "stoneley/iso_pair": 42}
+    assert stage_costs.z_builds(stage_costs.surface_solves()) == 48
+
+
 def test_one_repeat_prints_every_stage():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "stage_costs.py"), "--repeats", "1"],
                          capture_output=True, text=True, check=True).stdout.splitlines()
-    assert out[0] == "seed 1, 48 frames, 8 probe polynomials, median of 1 repeats, us"
+    assert out[0] == ("seed 1, 48 frames, 8 probe polynomials, 7 surface-wave solves, "
+                      "median of 1 repeats, us")
     assert out[1].split() == ["stage", "n", "=", "1", "per", "entry", "of", "16"]
-    rows = {line[:16].strip(): line[16:].split() for line in out[2:]}
+    rows = {line[:16].strip(): line[16:].split() for line in out[2:-1]}
     assert list(rows) == ["polynomial", "classification", "factorization", "projectors",
-                          "frame_sweep op", "z probe", "spectrum probe"]
-    unstacked = ("frame_sweep op", "z probe", "spectrum probe")
+                          "frame_sweep op", "z probe", "spectrum probe", "surface solve"]
+    unstacked = ("frame_sweep op", "z probe", "spectrum probe", "surface solve")
     for name, (alone, stacked) in rows.items():
         assert float(alone) > 0
         assert stacked == "-" if name in unstacked else float(stacked) > 0
+    assert out[-1] == "z builds per surface solve: 6.86"

@@ -35,9 +35,10 @@ names of the lines that differ, and exits 1 if any does.  It covers
   * surface_wave_probes: the number of Schur forms (factorization._schur
     calls) of each solve of the two lines above, so that a change to the
     root search shows whether it keeps the probes, not only the floats; the
-    line ends with their sum, and where it differs --against prints both
-    sums ("surface_wave_probes: N → M Schur forms"), so that the way the
-    probe count moved shows;
+    line ends with their sums over the solves that found a root and over
+    those that raised ("N Schur forms on solves, K on failed solves"), and
+    where it differs --against prints both sums of each ("N → M Schur forms
+    on solves, K → L on failed solves"), so that the way each moved shows;
   * limit_fallbacks: the number of each solve's Barnett-Lothe limits
     (boundary._limiting_tau) whose Newton steps failed, so that they fell
     back to the grid's least point; the line ends with "K of M limits",
@@ -283,6 +284,14 @@ def probe_counts(solves: list) -> tuple[list, list, list, int]:
     return outcomes, schurs, fallbacks, limits
 
 
+def _split_sums(outcomes: list, schurs: list) -> tuple[int, int]:
+    """The Schur forms of the solves that found a root, and of those that
+    raised (an outcome that is an error tuple, `_outcome`)."""
+    failed = sum(n for outcome, n in zip(outcomes, schurs, strict=True)
+                 if isinstance(outcome, tuple))
+    return sum(schurs) - failed, failed
+
+
 def _hash(*objs) -> str:
     h = hashlib.sha256()
     for obj in objs:
@@ -442,7 +451,8 @@ def cli_digests(directory: str) -> list:
 
 def _digest_lines(root: str, seed: int) -> dict:
     """name -> (digest, count) of the lines the digest of the checkout at
-    root prints, where count is the "N unit" a line ends with, or ""."""
+    root prints, where count is the "N unit" a line ends with (or its
+    ", "-separated "N unit" parts), or ""."""
     out = subprocess.run([sys.executable, os.path.join(root, "tools", "output_digest.py"),
                           "--seed", str(seed)], cwd=root, check=True, capture_output=True,
                          text=True).stdout
@@ -464,9 +474,11 @@ def compare(ref: str, seed: int) -> int:
               if theirs.get(name) != mine.get(name)]
     for name in differ:
         counts = [lines.get(name, ("", ""))[1] for lines in (theirs, mine)]
-        if all(counts):
-            (n_theirs, unit), (n_mine, _) = (count.split(maxsplit=1) for count in counts)
-            print(f"{name}: {n_theirs} → {n_mine} {unit}")
+        if all(counts):     # each ", "-separated "N unit" part, with both Ns
+            parts = zip(*([part.split(maxsplit=1) for part in count.split(", ")]
+                          for count in counts))
+            print(f"{name}: " + ", ".join(f"{n_theirs} → {n_mine} {unit}"
+                                          for (n_theirs, unit), (n_mine, _) in parts))
         else:
             print(name)
     print(f"{len(differ)} of {len(mine)} lines differ from {ref} (seed {seed})")
@@ -498,7 +510,9 @@ def main(argv=None) -> int:
                   ("tree_fields", tree_digest(trees, drop=("time",))),
                   ("tree_shapes", tree_shape_digest(trees)),
                   ("errors", errors_digest(args.seed))]
-    counts = {"surface_wave_probes": f"  {sum(probes) + sum(anisotropic_probes)} Schur forms",
+    solved, failed = _split_sums([*surface, *anisotropic], [*probes, *anisotropic_probes])
+    counts = {"surface_wave_probes": f"  {solved} Schur forms on solves, "
+                                     f"{failed} on failed solves",
               "limit_fallbacks": f"  {sum(fallbacks) + sum(anisotropic_fallbacks)} of "
                                  f"{limits + anisotropic_limits} limits"}
     total = hashlib.sha256()

@@ -29,6 +29,15 @@ interval, and then
   spectrum probe  whether its spectrum is fully evanescent
                   (boundary._fully_evanescent), each step of tau_limit.
 
+A last row times each whole operation of that round, a Rayleigh or Stoneley
+solve (its tau_limit, its z probes and the root's z), per solve:
+
+  surface solve   the operation's bd.rayleigh_speed or bd.stoneley_speed
+
+and a line under the table counts the z builds each of those solves made
+(calls of the z function its root search takes, a Stoneley pair's stacked
+probe counting once), per solve.
+
 The stages, the operation and the probes take turns within each repeat, so
 that a busy machine's drift falls on all of them, and the tool prints the
 median over repeats of each time in microseconds.  BLAS runs on one thread,
@@ -94,6 +103,32 @@ def probe_polynomials() -> list:
             for kind, eta_hat in ops for m in materials[kind]]
 
 
+def surface_solves() -> list:
+    """The run of each operation of round 0 of surface_waves at SEED, in the
+    round's order."""
+    with tempfile.TemporaryDirectory() as workdir:
+        waves = workloads.SurfaceWaves(SEED, workdir)
+        waves.setup()
+    return [op.run for op in waves.round(0)]
+
+
+def z_builds(solves: list) -> int:
+    """The z builds the solves make, counted at the z function that each
+    root search (boundary._surface_wave_bisect) takes."""
+    builds, real = [], bd._surface_wave_bisect
+
+    def counting(zfun, tau_eta):
+        return real(lambda t: builds.append(t) or zfun(t), tau_eta)
+
+    bd._surface_wave_bisect = counting
+    try:
+        for solve in solves:
+            solve()
+    finally:
+        bd._surface_wave_bisect = real
+    return len(builds)
+
+
 def _by_material(chunk: list) -> list:
     """(material, frames) stacks of a chunk of pairs, in order."""
     stacks = []
@@ -105,10 +140,10 @@ def _by_material(chunk: list) -> list:
     return stacks
 
 
-def stages(pairs: list, probes: list) -> list:
+def stages(pairs: list, probes: list, solves: list) -> list:
     """(name, one-frame calls, stacked calls): each a list of zero-argument
-    callables that together cover every pair, or every probe polynomial,
-    once."""
+    callables that together cover every pair, every probe polynomial, or
+    every surface-wave solve, once."""
     polys = [fz.boundary_polynomial(m, frame) for _, m, frame, _ in pairs]
     classes = [fz.classify_spectrum(a) for a in polys]
     facts = [fz.factorize(a, classification=c) for a, c in zip(polys, classes)]
@@ -140,6 +175,7 @@ def stages(pairs: list, probes: list) -> list:
          [lambda a=a, t=-0.9 * tau_eta: bd._fully_evanescent(a.with_tau(t))
           for _, _, _, a, tau_eta in probes],
          None),
+        ("surface solve", solves, None),
     ]
 
 
@@ -150,10 +186,10 @@ def _per_call_us(calls: list, n: int) -> float:
     return 1e6 * (time.perf_counter() - start) / n
 
 
-def measure(pairs: list, probes: list, repeats: int) -> list:
-    """(name, median us per pair or probe alone, median us per entry of a
-    stack or None)."""
-    table = stages(pairs, probes)
+def measure(pairs: list, probes: list, solves: list, repeats: int) -> list:
+    """(name, median us per pair, probe or solve alone, median us per entry
+    of a stack or None)."""
+    table = stages(pairs, probes, solves)
     times = {name: ([], []) for name, _, _ in table}
     for _ in range(repeats):
         for name, alone, stacked in table:
@@ -171,14 +207,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    pairs, probes = frame_pairs(), probe_polynomials()
-    rows = measure(pairs, probes, args.repeats)
+    pairs, probes, solves = frame_pairs(), probe_polynomials(), surface_solves()
+    rows = measure(pairs, probes, solves, args.repeats)
     print(f"seed {SEED}, {len(pairs)} frames, {len(probes)} probe polynomials, "
-          f"median of {args.repeats} repeats, us")
+          f"{len(solves)} surface-wave solves, median of {args.repeats} repeats, us")
     print(f"{'stage':16s} {'n = 1':>10s} {f'per entry of {STACK}':>18s}")
     for name, alone, stacked in rows:
         print(f"{name:16s} {alone:10.1f} "
               f"{'-' if stacked is None else f'{stacked:.1f}':>18s}")
+    print(f"z builds per surface solve: {z_builds(solves) / len(solves):.2f}")
     return 0
 
 
