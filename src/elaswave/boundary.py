@@ -7,19 +7,17 @@ and its smallest eigenvalue decreases strictly in tau, which makes the
 Rayleigh (and Stoneley) frequencies robust bisection targets.  The
 elliptic interval ends at tau_eta (`tau_limit`), found by bisecting on
 whether the spectrum is fully evanescent; those probes read the grouped
-spectrum alone (`_fully_evanescent`), without kernels or sign forms.  The
-root search is one bisection walk (`_walk`) on one bracket (`_Threshold`,
-which keeps the value at each end): the search starts inside the elliptic
-interval, at two probes in the edge variable sqrt(1 - tau/tau_eta), and
-probes an end only where those leave its check open; where the bracket
-leaves a midpoint open, inverse quadratic interpolation in that variable
-(`_edge_secant`) narrows it first, so the bisection probes few midpoints of
-its own and its root is that of the bisection alone.  Once the estimate of
-the root decides every midpoint the walk has left, the narrowing closes the
-bracket on the bisection's own answer, so the root's impedance is one that
-a probe built and the solve kept.  A probe is a polynomial at the probed tau
-and its outgoing factorization (`_outgoing_z`), with no `BoundarySide`; a
-Stoneley probe factorizes its two polynomials as one stack.
+spectrum alone (`_fully_evanescent`), without kernels or sign forms.  A
+surface-wave root is one loop (`_surface_wave_bisect`): two probes inside
+the elliptic interval, its ends only where those leave a check open, then
+a bisection walk (`_walk`) on one bracket (`_Threshold`) that, at each
+midpoint the bracket leaves open, probes a plain estimate of the root
+instead (`_estimate`, inverse quadratic interpolation in the edge variable
+sqrt(1 - tau/tau_eta)).  The root is that of the bisection alone, and the
+estimates mostly close the bracket on it, so its impedance is a probe's.
+A probe is a polynomial at the probed tau and its outgoing factorization
+(`_outgoing_z`), with no `BoundarySide`; a Stoneley probe factorizes its
+two polynomials as one stack.
 Every other computation on one side of a boundary (polynomial, spectrum,
 factorizations, impedances, projectors) goes through a `BoundarySide`.
 """
@@ -98,9 +96,8 @@ class BoundarySide:
     classification and each direction's factorization, impedance matrix and
     mode projectors are built on first use and kept for the object's
     lifetime, so both directions share one spectrum and every law or label
-    built on the side shares its factorizations.  `with_tau` gives the side
-    at another tau, sharing the polynomial's tau-independent core.  The side
-    of an interface's - material is built at the flipped frame (`_stacks`).
+    built on the side shares its factorizations.  The side of an
+    interface's - material is built at the flipped frame (`_stacks`).
     """
 
     def __init__(self, m: Material, frame: BoundaryFrame):
@@ -115,9 +112,6 @@ class BoundarySide:
         side._settle(m, poly)
         side._built.update(built)
         return side
-
-    def with_tau(self, tau: float) -> "BoundarySide":
-        return BoundarySide._of(self.material, self.poly.with_tau(tau))
 
     def _once(self, key, build):
         if key not in self._built:
@@ -270,11 +264,11 @@ class _Threshold:
     it.  The tightest bracket (below, above) of the values it has taken, with
     the value at each end (f_below, f_above), answers, without running the
     test, whether t lies below the threshold.  `probes` lists the (t, value)
-    of each test run, in order; `_bisect` keeps its walk's (lo, hi) in walk."""
+    of each test run, in order."""
 
     def __init__(self, test):
         self.test, self.below, self.above, self.probes = test, -np.inf, np.inf, []
-        self.f_below = self.f_above = self.walk = None
+        self.f_below = self.f_above = None
 
     def __call__(self, t: float) -> bool:
         if self.below < t < self.above:
@@ -305,20 +299,16 @@ def _walk(lo: float, hi: float, below: float, above: float) -> tuple:
     return lo, hi
 
 
-def _bisect(holds: _Threshold, lo: float, hi: float, narrowing=None) -> float:
+def _bisect(holds: _Threshold, lo: float, hi: float) -> float:
     """Bisection of [lo, hi] on holds: the walk runs on through every
-    midpoint holds' bracket answers; where it stops at an open midpoint, the
-    iterator `narrowing` runs its next probe first, and the midpoint is
-    probed itself only once `narrowing` is spent.  A bracket only tightens,
-    so a midpoint it answers keeps its answer: the root is that of the
-    bisection alone."""
-    probes = narrowing or iter(())
+    midpoint holds' bracket answers and probes the one where it stops.  A
+    bracket only tightens, so a midpoint it answers keeps its answer: the
+    root is that of the bisection alone, whatever else holds has probed."""
     while True:
-        holds.walk = lo, hi = _walk(lo, hi, holds.below, holds.above)
+        lo, hi = _walk(lo, hi, holds.below, holds.above)
         if hi - lo <= BISECTION_TOL * hi:
             return 0.5 * (lo + hi)
-        if next(probes, None) is None:
-            holds(0.5 * (lo + hi))
+        holds(0.5 * (lo + hi))
 
 
 def _limit_grid() -> tuple:
@@ -457,89 +447,54 @@ def _closing_probe(walk: tuple, r: float, e: float, a: float, b: float) -> float
     return tau_r if a < tau_r < b else above if tau_r <= a else below
 
 
-def _edge_secant(holds: _Threshold, tau_eta: float):
-    """Probes of holds.value that bracket and narrow the root of a surface-wave
-    search on [1e-3, 1 - EDGE_OFFSET] tau_eta, placed in the edge variable
-    u = sqrt(1 - t/tau_eta).  The first step, the interior start, probes
-    u = START_U[0], then START_U[1] where the value there is positive, else
-    START_U[2], and yields None: the solve then probes the ends whose checks
-    these leave open.  Each later probe is yielded once run, until the
-    bracket is 1e-13 (1 - EDGE_OFFSET) tau_eta wide, 100 probes have run or
-    one raises a NumericalDomainError (in the start as later).  Each reads
-    the bisection's walk (lo, hi) from holds.walk.
+def _estimate(holds: _Threshold, walk: tuple, tau_eta: float) -> float:
+    """The next probe of a surface-wave search from holds' bracket (a, b) and
+    probes and the bisection's walk (lo, hi); it runs no test.
 
-    lambda_min has a square-root branch at tau_eta, so in u it is nearly
-    linear, and u as a parabola in lambda_min through the latest probe and
-    the two probes nearest it (inverse quadratic interpolation) puts the
-    root at r.  Where r leaves the bracket, the secant in u through the
-    latest probe and the one nearest it does, or else regula falsi in u on
-    the bracket's ends.  Where r, taken as the root to within one tolerance,
-    answers every midpoint the walk has left, the step probes the walk's own
-    answer (`_closing_probe`), so that the root's impedance is a probe's.
-    Else it probes r, or, where r lies within half a tolerance of the latest
-    probe, one tolerance past that probe, which closes the bracket around
-    the root."""
+    lambda_min has a square-root branch at tau_eta, so it is nearly linear
+    in u = sqrt(1 - t/tau_eta), and u as a parabola in lambda_min through
+    the latest probe and the two probes nearest it (inverse quadratic
+    interpolation) puts the root at r; where r leaves the bracket, the
+    secant in u through the latest probe and the one nearest it does.
+    Where r, taken as the root to within one tolerance (1e-13 (1 -
+    EDGE_OFFSET) tau_eta), answers every midpoint the walk has left, the
+    estimate is the walk's own answer (`_closing_probe`), so that the root's
+    impedance is a probe's.  Else it is r, or one tolerance past the latest
+    probe where r lies within half a tolerance of it, which closes the
+    bracket around the root; the bracket's midpoint where that leaves it."""
+    a, b = holds.below, holds.above
     tol = 1e-13 * ((1.0 - EDGE_OFFSET) * tau_eta)
-
-    def u(t: float) -> float:
-        return math.sqrt(max(1.0 - t / tau_eta, 0.0))
-
-    def zero(p: float, fp: float, q: float, fq: float) -> float:
-        """t where the line in u through (p, fp) and (q, fq) crosses zero."""
-        up, uq = u(p), u(q)
+    # q the latest probe, p and o the probes nearest it; no o yet: r is NaN
+    last = holds.probes[-1][0]
+    nearest = sorted(holds.probes, key=lambda probe: abs(probe[0] - last))
+    (q, fq), (p, fp), (o, fo) = (nearest + [(math.nan, math.nan)])[:3]
+    uo, up, uq = (math.sqrt(max(1.0 - t / tau_eta, 0.0)) for t in (o, p, q))
+    root = math.nan if fo == fp or fo == fq or fp == fq else (
+        uo * fp * fq / ((fo - fp) * (fo - fq)) + up * fo * fq / ((fp - fo) * (fp - fq))
+        + uq * fo * fp / ((fq - fo) * (fq - fp)))
+    r = tau_eta * (1.0 - root * root)
+    if not a < r < b:
         root = uq - fq * (uq - up) / (fq - fp) if fq != fp else math.nan
-        return tau_eta * (1.0 - root * root)
-
-    def parabola_zero(o: float, fo: float, p: float, fp: float, q: float, fq: float) -> float:
-        """t where u, as the parabola in f through (fo, u(o)), (fp, u(p)) and
-        (fq, u(q)), takes f = 0; NaN where two values are equal."""
-        if fo == fp or fo == fq or fp == fq:
-            return math.nan
-        root = (u(o) * fp * fq / ((fo - fp) * (fo - fq)) + u(p) * fo * fq / ((fp - fo) * (fp - fq))
-                + u(q) * fo * fp / ((fq - fo) * (fq - fp)))
-        return tau_eta * (1.0 - root * root)
-
-    with suppress(NumericalDomainError):
-        first = holds.value(tau_eta * (1.0 - START_U[0] ** 2))
-        holds.value(tau_eta * (1.0 - START_U[1 if first > 0 else 2] ** 2))
-        yield None
-        for _ in range(100):
-            a, fa, b, fb = holds.below, holds.f_below, holds.above, holds.f_above
-            if b - a <= tol:
-                return
-            # q the latest probe, p and o the probes nearest it; no o yet: r is NaN
-            last = holds.probes[-1][0]
-            nearest = sorted(holds.probes, key=lambda probe: abs(probe[0] - last))
-            (q, fq), (p, fp), (o, fo) = (nearest + [(math.nan, math.nan)])[:3]
-            r = parabola_zero(o, fo, p, fp, q, fq)
-            if not a < r < b:
-                r = zero(p, fp, q, fq)
-            if not a < r < b:
-                r = zero(a, fa, b, fb)
-            c = _closing_probe(holds.walk, r, tol, a, b) if a < r < b else None
-            if c is None:
-                c = (q + tol if fq > 0 else q - tol) if abs(r - q) < 0.5 * tol else r
-            if not a < c < b:
-                c = 0.5 * (a + b)
-            holds.value(c)
-            yield c
+        r = tau_eta * (1.0 - root * root)
+    c = _closing_probe(walk, r, tol, a, b) if a < r < b else None
+    if c is None:
+        c = (q + tol if fq > 0 else q - tol) if abs(r - q) < 0.5 * tol else r
+    return c if a < c < b else 0.5 * (a + b)
 
 
 def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     """Root of lambda_min(zfun(tau)) by bisection on [1e-3, 1 - EDGE_OFFSET]
-    tau_eta, with `_edge_secant` bracketing the root from inside the
-    interval and narrowing the bracket wherever a midpoint is open.
-    lambda_min decreases strictly in tau, so an interior probe where it is
-    positive settles the low end's check and one where it is not settles
-    the high end's: an end is probed only where the interior start leaves
-    its check open (both ends, where its first probe fails, as when the
-    narrowing is patched out).  The bisection reads only
-    the sign of lambda_min at its own midpoints, so the root is that of a
-    plain bisection; the narrowing leaves it few midpoints to probe itself
-    (usually none) and mostly closes the bracket on the bisection's own
-    answer tau_r.  Each probe's z is kept by tau for the length of the
-    solve, so z(tau_r), which gives the polarization and det_residual, is
-    built again only where no probe was at tau_r.
+    tau_eta, in one loop.  It probes u = sqrt(1 - tau/tau_eta) = START_U[0],
+    then START_U[1] where lambda_min > 0 there, else START_U[2]; lambda_min
+    decreases strictly in tau, so an end is probed only where these leave
+    its check open.  The bisection then walks (`_walk`) and, at each
+    midpoint the bracket leaves open, probes the next `_estimate` instead,
+    until the bracket is 1e-13 t_hi wide, 100 estimates have run or a probe
+    (the interior start's too) raises a NumericalDomainError; from then on
+    it probes the midpoints.  It reads only the sign of lambda_min at its
+    own midpoints, so tau_r is the root of a plain bisection.  Each probe's
+    z is kept for the solve, so z(tau_r), which gives the polarization and
+    det_residual, is built again only where no probe was at tau_r.
 
     GlancingLimit where a probed end glances.  NoSurfaceWave where
     lambda_min stays positive up to the high end, or where it is not
@@ -554,13 +509,15 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
         zs[t] = zmat = zfun(t)
         return _lambda_min(zmat)
 
-    holds = _Threshold(probe)
-    narrowing = _edge_secant(holds, tau_eta) or iter(())
-    next(narrowing, None)       # the interior start
-    lo_open, hi_open = holds.f_below is None, holds.f_above is None
+    holds, estimates = _Threshold(probe), 100
     try:
-        f_lo = holds.value(t_lo) if lo_open else holds.f_below
-        f_hi = holds.value(t_hi) if hi_open else holds.f_above
+        first = holds.value(tau_eta * (1.0 - START_U[0] ** 2))
+        holds.value(tau_eta * (1.0 - START_U[1 if first > 0 else 2] ** 2))
+    except NumericalDomainError:
+        estimates = 0
+    try:
+        f_lo = holds.value(t_lo) if holds.f_below is None else holds.f_below
+        f_hi = holds.value(t_hi) if holds.f_above is None else holds.f_above
     except GlancingSpectrum as exc:
         raise GlancingLimit(f"cannot evaluate near tau_eta: {exc}") from exc
     if f_lo <= 0:
@@ -569,7 +526,20 @@ def _surface_wave_bisect(zfun, tau_eta: float) -> RayleighResult:
     if f_hi > 0:
         raise NoSurfaceWave("smallest impedance eigenvalue stays positive "
                             "on the elliptic interval")
-    tau_r = _bisect(holds, t_lo, t_hi, narrowing)
+    lo, hi = t_lo, t_hi
+    while True:
+        lo, hi = _walk(lo, hi, holds.below, holds.above)
+        if hi - lo <= BISECTION_TOL * hi:
+            break
+        if estimates and holds.above - holds.below > 1e-13 * t_hi:
+            estimates -= 1
+            try:
+                holds.value(_estimate(holds, (lo, hi), tau_eta))
+                continue
+            except NumericalDomainError:
+                estimates = 0
+        holds(0.5 * (lo + hi))
+    tau_r = 0.5 * (lo + hi)
     zr = zs[tau_r] if tau_r in zs else zfun(tau_r)
     vec = _lapack.eigh(0.5 * (zr + zr.conj().T))[1][:, 0]
     det_res = float(abs(_lapack.det(zr)) / max(np.linalg.norm(zr) ** 3, 1e-300))

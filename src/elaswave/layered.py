@@ -114,13 +114,22 @@ def _check_vector(v) -> None:
         raise InvalidInput("v must be finite")
 
 
+def _check_framed(a) -> None:
+    """InvalidInput unless a is a polynomial with a frame and a density, whose
+    rho tau a delay reads (one from boundary_polynomial has both)."""
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
+    if a.frame is None or a.rho is None:
+        raise InvalidInput("a group delay needs a polynomial with a frame and a density")
+
+
 def group_delay(a: QuadraticMatrixPolynomial, s: float, v: np.ndarray) -> float:
     """ds/dtau of a real eigenvalue branch, by implicit differentiation.
 
     ds/dtau = 2 rho tau (v|v) / (A'(s)v|v) for v in ker A(s); the vertical
-    travel time across thickness d is d |ds/dtau|.
+    travel time across thickness d is d |ds/dtau|.  InvalidInput where a
+    carries no frame or density.
     """
-    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
+    _check_framed(a)
     _check_slowness(s)
     _check_vector(v)
     norm_sq = float(np.vdot(v, v).real)
@@ -139,9 +148,11 @@ def mode_delay(a: QuadraticMatrixPolynomial, classification: SpectrumClassificat
     the group's value): where it is c times the identity (to 1e-12 relative),
     as for every simple eigenvalue, the delay is 2 rho tau / c.  None also
     when no single non-glancing group lies at s or c fails `group_delay`'s
-    size test, as a caller falling back to `group_delay` then finds.
+    size test, as a caller falling back to `group_delay` then finds.  A delay
+    needs a frame and a density (rho tau): InvalidInput where a lacks them,
+    as from `group_delay`.
     """
-    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
+    _check_framed(a)
     _check_instance(classification, SpectrumClassification,
                     "classification must be a SpectrumClassification")
     _check_slowness(s)

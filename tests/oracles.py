@@ -9,16 +9,25 @@ import math
 
 import numpy as np
 
+from elaswave import _lapack
 from elaswave.boundary import (
     BISECTION_TOL,
+    EDGE_OFFSET,
     BoundarySide,
+    RayleighResult,
     _dims,
     _region,
     _sides,
     _surface_wave_bisect,
 )
 from elaswave import factorization as fz
-from elaswave.errors import GlancingLimit, InvalidInput, NumericalDomainError
+from elaswave.errors import (
+    GlancingLimit,
+    GlancingSpectrum,
+    InvalidInput,
+    NoSurfaceWave,
+    NumericalDomainError,
+)
 from elaswave.factorization import BoundaryFrame
 
 
@@ -155,6 +164,45 @@ def stoneley_speed_fresh_sides(m_plus, m_minus, nu, eta_hat):
                 + BoundarySide(m_minus, frame.flipped()).z())
 
     return _surface_wave_bisect(zfun, tau_eta)
+
+
+# --- a surface-wave root by bisection alone ------------------------------------
+
+def surface_wave_bisection(zfun, tau_eta: float):
+    """Root of lambda_min(zfun(tau)) on [1e-3, 1 - EDGE_OFFSET] tau_eta by
+    plain bisection: both ends probed first, with the library's checks and
+    messages, then every midpoint, then z built again at the root for its
+    polarization and det_residual.  The library's search, which starts
+    inside the interval and probes estimates of the root, must give the
+    same floats and errors."""
+    t_lo, t_hi = 1e-3 * tau_eta, (1.0 - EDGE_OFFSET) * tau_eta
+
+    def lambda_min(t: float) -> float:
+        z = zfun(t)
+        return float(_lapack.eigvalsh(0.5 * (z + z.conj().T))[0])
+
+    try:
+        f_lo, f_hi = lambda_min(t_lo), lambda_min(t_hi)
+    except GlancingSpectrum as exc:
+        raise GlancingLimit(f"cannot evaluate near tau_eta: {exc}") from exc
+    if f_lo <= 0:
+        raise NoSurfaceWave("impedance not positive definite at the low endpoint of "
+                            "the elliptic interval: no surface wave is bracketed")
+    if f_hi > 0:
+        raise NoSurfaceWave("smallest impedance eigenvalue stays positive "
+                            "on the elliptic interval")
+    lo, hi = t_lo, t_hi
+    while hi - lo > BISECTION_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if lambda_min(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    tau_r = 0.5 * (lo + hi)
+    z = zfun(tau_r)
+    vec = _lapack.eigh(0.5 * (z + z.conj().T))[1][:, 0]
+    det_res = float(abs(_lapack.det(z)) / max(np.linalg.norm(z) ** 3, 1e-300))
+    return RayleighResult(tau_r, 1.0 / tau_r, vec, tau_eta, (t_lo, t_hi), det_res)
 
 
 # --- the Barnett-Lothe limit by grid zooms alone ------------------------------

@@ -55,6 +55,7 @@ from oracles import (
     rayleigh_secular_speed,
     rayleigh_speed_fresh_sides,
     stoneley_speed_fresh_sides,
+    surface_wave_bisection,
     tau_limit_fresh_sides,
 )
 
@@ -708,10 +709,11 @@ def _scans(poisson, ti, rotated_ti, iso, hard) -> list:
 
 @pytest.fixture(scope="module")
 def unhinted(poisson, ti, rotated_ti, iso, hard):
-    """Every scan with neither the limiting-tau hint nor the root hint."""
+    """Every scan with neither the limiting-tau hint nor the root search's
+    interior start and estimates: surface waves by bisection alone."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boundary, "_limiting_tau", lambda core, rho: None)
-        mp.setattr(boundary, "_edge_secant", lambda *args: None)
+        mp.setattr(boundary, "_surface_wave_bisect", surface_wave_bisection)
         return _scans(poisson, ti, rotated_ti, iso, hard)
 
 
@@ -747,8 +749,8 @@ def _outcome(solve):
 
 
 class TestHintsOnlySaveProbes:
-    """The Barnett-Lothe limit and the edge-secant narrowing choose which
-    bisection probes run; a wrong or missing hint costs probes only."""
+    """The Barnett-Lothe limit and the root estimates choose which bisection
+    probes run; a wrong or missing hint costs probes only."""
 
     @pytest.mark.parametrize("factor,root_hint", [
         (1.0, True), (0.5, True), (2.0, True), (None, True), (1.0, False)])
@@ -758,7 +760,7 @@ class TestHintsOnlySaveProbes:
         monkeypatch.setattr(boundary, "_limiting_tau", lambda core, rho: (
             None if factor is None else factor * real(core, rho)))
         if not root_hint:
-            monkeypatch.setattr(boundary, "_edge_secant", lambda *args: None)
+            monkeypatch.setattr(boundary, "_surface_wave_bisect", surface_wave_bisection)
         for got, want in zip(_scans(poisson, ti, rotated_ti, iso, hard), unhinted,
                              strict=True):
             if isinstance(want, float):
@@ -805,46 +807,39 @@ class TestHintsOnlySaveProbes:
         assert calls["factorize"] == 0 and calls["stack"] == 7
 
     def test_failing_probe_ends_the_narrowing(self, poisson, iso, hard, monkeypatch):
-        # A narrowing probe that raises a NumericalDomainError ends the
-        # narrowing: no probe of it follows.  Here the first probe of the
-        # interior start raises, so the solve probes both ends, as it does
-        # with the narrowing patched out, the bisection probes the midpoints
-        # itself, and every float is that of bisection alone.
-        solves = (lambda: rayleigh_speed(poisson, NU, EHAT),
-                  lambda: stoneley_speed(iso, hard, NU, EHAT))
-        real_lambda_min, evaluated = boundary._lambda_min, [0]
+        # A probe that raises a NumericalDomainError ends the estimates.
+        # Here the first probe of the interior start raises, so the solve
+        # probes both ends and then every midpoint, as bisection alone
+        # does: it builds z at the taus bisection alone builds it at, in
+        # that order, and every float is that of bisection alone.
+        library, built = boundary._surface_wave_bisect, []
 
-        def counting(zmat):
-            evaluated[0] += 1
+        def run(solve, search):
+            built.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(boundary, "_surface_wave_bisect", lambda zfun, tau_eta: search(
+                    lambda t: built.append(t) or zfun(t), tau_eta))
+                return solve(), list(built)
+
+        real_lambda_min, failed = boundary._lambda_min, []
+
+        def failing_first(zmat):
+            if not failed:
+                failed.append(zmat)
+                raise NumericalDomainError("forced probe failure")
             return real_lambda_min(zmat)
 
-        def run(solve):
-            evaluated[0] = 0
-            return solve(), evaluated[0]
-
-        monkeypatch.setattr(boundary, "_lambda_min", counting)
-        with monkeypatch.context() as mp:
-            mp.setattr(boundary, "_edge_secant", lambda *args: None)
-            bisected = [run(solve) for solve in solves]
-        real, failed = boundary._edge_secant, []
-
-        def failing_first(holds, tau_eta):
-            test = holds.test
-
-            def fail(t):
-                holds.test = test
-                failed.append(t)
-                raise NumericalDomainError("forced probe failure")
-
-            holds.test = fail
-            return real(holds, tau_eta)
-
-        monkeypatch.setattr(boundary, "_edge_secant", failing_first)
-        for solve, (want, n_want) in zip(solves, bisected):
-            got, n_got = run(solve)
+        for solve in (lambda: rayleigh_speed(poisson, NU, EHAT),
+                      lambda: stoneley_speed(iso, hard, NU, EHAT)):
+            want, plain = run(solve, surface_wave_bisection)
+            failed.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(boundary, "_lambda_min", failing_first)
+                got, taus = run(solve, library)
             _same_result(got, want)
-            assert n_got == n_want
-        assert len(failed) == len(solves)
+            assert len(failed) == 1
+            assert taus[0] == got.tau_eta * (1.0 - boundary.START_U[0] ** 2)
+            assert taus[1:] == plain
 
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["triclinic", "rotated_ti"]),
            azimuth=st.floats(0.0, 2.0 * np.pi), stoneley=st.booleans())
@@ -861,7 +856,7 @@ class TestHintsOnlySaveProbes:
             solve = lambda: rayleigh_speed(m, NU, eta_hat)  # noqa: E731
         got = _outcome(solve)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(boundary, "_edge_secant", lambda *args: None)
+            mp.setattr(boundary, "_surface_wave_bisect", surface_wave_bisection)
             want = _outcome(solve)
         if isinstance(want, tuple):
             assert got == want
@@ -869,12 +864,14 @@ class TestHintsOnlySaveProbes:
             _same_result(got, want)
 
 
-def _diagonal_solve(monkeypatch, root, narrowing=True, fail_at=None):
-    """boundary._surface_wave_bisect on z(t) = diag(root - t, 1, 2) with
-    tau_eta = 1, so that lambda_min = root - t changes sign exactly at root:
-    the result, every tau z was built at in order, and how many of those
-    were probes (calls of _lambda_min).  The build numbered fail_at (from 0)
-    raises a NumericalDomainError instead, once."""
+def _diagonal_solve(monkeypatch, root, oracle=False, fail_at=None):
+    """boundary._surface_wave_bisect, or with oracle=True the bisection alone
+    of tests/oracles.py, on z(t) = diag(root - t, 1, 2) with tau_eta = 1, so
+    that lambda_min = root - t changes sign exactly at root: the result,
+    every tau z was built at in order, and how many of those were probes
+    (calls of boundary._lambda_min, which the oracle does not make).  The
+    build numbered fail_at (from 0) raises a NumericalDomainError instead,
+    once."""
     taus, probes, calls = [], [], []
     real_lambda_min = boundary._lambda_min
 
@@ -887,16 +884,14 @@ def _diagonal_solve(monkeypatch, root, narrowing=True, fail_at=None):
 
     with monkeypatch.context() as mp:
         mp.setattr(boundary, "_lambda_min", lambda zmat: probes.append(1) or real_lambda_min(zmat))
-        if not narrowing:
-            mp.setattr(boundary, "_edge_secant", lambda *args: None)
-        result = boundary._surface_wave_bisect(zfun, 1.0)
+        result = (surface_wave_bisection if oracle else boundary._surface_wave_bisect)(zfun, 1.0)
     return result, taus, len(probes)
 
 
 def _walk_roots(monkeypatch) -> dict:
     """Roots on, beside and between the midpoints of a plain bisection."""
     base = 0.7
-    plain, taus, _ = _diagonal_solve(monkeypatch, base, narrowing=False)
+    plain, taus, _ = _diagonal_solve(monkeypatch, base, oracle=True)
     midpoints = taus[2:-1]     # the ends, the midpoints, then the root's z
     last, early = midpoints[-1], midpoints[5]
     return {"generic": base, "low": 0.3, "high": 0.999, "mid_cell": plain.tau_r,
@@ -918,7 +913,7 @@ def _plain_bisection(test, lo: float, hi: float) -> float:
 
 
 class TestClosingOnTheWalk:
-    """The narrowing closes the bracket on the bisection's own answer tau_r,
+    """The estimates close the bracket on the bisection's own answer tau_r,
     whose z is then a probe's, kept for the solve."""
 
     @given(data=st.data(), where=st.sampled_from(["between", "on", "beside"]),
@@ -926,8 +921,8 @@ class TestClosingOnTheWalk:
     def test_bisect_is_the_plain_loop(self, data, where, curved):
         # Thresholds on, a few ulps beside and between the midpoints of a
         # plain walk, for a test linear in t or with lambda_min's square-root
-        # branch at tau_eta = 1: _bisect without the narrowing, and the
-        # search with it, return the plain loop's tau_r.
+        # branch at tau_eta = 1: _bisect, and the surface-wave search with
+        # its interior start and estimates, return the plain loop's tau_r.
         lo, hi = 1e-3, 1.0 - boundary.EDGE_OFFSET
         root = data.draw(st.floats(lo, hi, exclude_min=True), label="base")
         if where != "between":
@@ -941,7 +936,7 @@ class TestClosingOnTheWalk:
         assume(test(lo) > 0 >= test(hi))
         want = _plain_bisection(test, lo, hi)
         assert boundary._bisect(boundary._Threshold(test), lo, hi) == want
-        # the whole search, interior start and narrowing, on z = diag(test, 2, 3)
+        # the whole search, interior start and estimates, on z = diag(test, 2, 3)
         zfun = lambda t: np.diag([test(t), 2.0, 3.0]).astype(complex)  # noqa: E731
         assert boundary._surface_wave_bisect(zfun, 1.0).tau_r == want
 
@@ -952,7 +947,7 @@ class TestClosingOnTheWalk:
     def test_same_root_and_no_tau_twice(self, monkeypatch, name):
         root = _walk_roots(monkeypatch)[name]
         got, taus, probes = _diagonal_solve(monkeypatch, root)
-        want, _, _ = _diagonal_solve(monkeypatch, root, narrowing=False)
+        want, _, _ = _diagonal_solve(monkeypatch, root, oracle=True)
         _same_result(got, want)
         assert len(set(taus)) == len(taus)
         # every build is a probe, then z(tau_r) once more only where no
@@ -973,17 +968,33 @@ class TestClosingOnTheWalk:
             assert (got.tau_r in taus[:probes]) == (name in (
                 "generic", "low", "high", "mid_cell", "below_last", "above_early")), name
 
+    def test_estimates_stop_at_the_tolerance(self, monkeypatch):
+        # A root 1e-14 above the walk's last midpoint: the estimates narrow
+        # the bracket to 1e-13 (1 - EDGE_OFFSET) tau_eta around it without
+        # deciding that midpoint, and stop there; the bisection then probes
+        # the midpoint itself.
+        roots, widths, real = _walk_roots(monkeypatch), [], boundary._estimate
+
+        def estimate(holds, walk, tau_eta):
+            widths.append(holds.above - holds.below)
+            return real(holds, walk, tau_eta)
+
+        monkeypatch.setattr(boundary, "_estimate", estimate)
+        _, taus, probes = _diagonal_solve(monkeypatch, roots["above_last"])
+        assert min(widths) > 1e-13 * (1.0 - boundary.EDGE_OFFSET)
+        assert roots["last_midpoint"] in taus[:probes]
+
     @pytest.mark.parametrize("fail_at", [0, 1, 4, 6, 8])
     def test_failing_probe(self, monkeypatch, fail_at):
         # Build fail_at raises: builds 0 and 1 are the interior start, 2 the
         # low end it leaves open (`test_failing_end_raises`), 3 to 8 the
-        # narrowing, 8 its last, which closes the bracket.  The narrowing
-        # ends, the ends left open are probed, the bisection probes the
+        # estimates, 8 the last, which closes the bracket.  The estimates
+        # end, the ends left open are probed, the bisection probes the
         # midpoints left itself (then builds z(tau_r)), and its root is that
         # of bisection alone.
         root = _walk_roots(monkeypatch)["generic"]
         got, taus, _ = _diagonal_solve(monkeypatch, root, fail_at=fail_at)
-        want, plain, _ = _diagonal_solve(monkeypatch, root, narrowing=False)
+        want, plain, _ = _diagonal_solve(monkeypatch, root, oracle=True)
         _same_result(got, want)
         assert len(set(taus)) == len(taus)
         assert set(taus[fail_at:]) <= set(plain)
@@ -1006,20 +1017,20 @@ class TestClosingOnTheWalk:
         # or 0.45; an end is probed only where both lie on one side of the
         # root, and the floats are those of bisection alone
         got, taus, _ = _diagonal_solve(monkeypatch, root)
-        want, plain, _ = _diagonal_solve(monkeypatch, root, narrowing=False)
+        want, plain, _ = _diagonal_solve(monkeypatch, root, oracle=True)
         _same_result(got, want)
         assert got.tau_r == _plain_bisection(lambda t: root - t, 1e-3, 1.0 - 1e-6)
         second = self.START[1] if root > self.START[0] else self.START[2]
         assert taus[:2 + len(ends)] == [self.START[0], second, *ends]
         assert {1e-3, 1.0 - 1e-6} & set(taus) == set(ends)
-        assert plain[:2] == [1e-3, 1.0 - 1e-6]      # the narrowing patched out: the ends first
+        assert plain[:2] == [1e-3, 1.0 - 1e-6]      # bisection alone: the ends first
 
     @pytest.mark.parametrize("root,message,second,end", [
         (1e-4, "not positive definite at the low endpoint", 2, 1e-3),
         (1.0, "stays positive", 1, 1.0 - 1e-6)], ids=["below_low_end", "above_high_end"])
     def test_no_surface_wave(self, monkeypatch, root, message, second, end):
         # both interior probes, then the end that decides; the error is the
-        # one the ends give with the narrowing patched out
+        # one bisection alone, probing both ends first, gives
         taus = []
 
         def zfun(t):
@@ -1029,9 +1040,8 @@ class TestClosingOnTheWalk:
         with pytest.raises(NoSurfaceWave, match=message) as got:
             boundary._surface_wave_bisect(zfun, 1.0)
         assert taus == [self.START[0], self.START[second], end]
-        with monkeypatch.context() as mp, pytest.raises(NoSurfaceWave) as want:
-            mp.setattr(boundary, "_edge_secant", lambda *args: None)
-            boundary._surface_wave_bisect(zfun, 1.0)
+        with pytest.raises(NoSurfaceWave) as want:
+            surface_wave_bisection(zfun, 1.0)
         assert str(got.value) == str(want.value)
         assert taus[3:] == [1e-3, 1.0 - 1e-6]     # the two ends only
 

@@ -485,6 +485,7 @@ class TestPolynomialGate:
     def entry_points():
         from elaswave.factorization import (
             BoundaryFrame,
+            QuadraticMatrixPolynomial,
             boundary_polynomial,
             classify_spectrum,
             factorize,
@@ -500,6 +501,12 @@ class TestPolynomialGate:
         v = kernel_basis(a, s)[:, 0]
         poly = "a must be a QuadraticMatrixPolynomial, got str"
         fact = "f must be a SpectralFactorization, got str"
+        framed = "a group delay needs a polynomial with a frame and a density"
+        bare = QuadraticMatrixPolynomial(np.eye(3), np.zeros((3, 3)), -np.eye(3))
+        # A(s) = s^2 - 1, 2 s^2 - 2, s^2 - 4: a simple real root at s = 2, whose
+        # delay mode_delay would take from its sign form
+        simple = QuadraticMatrixPolynomial(np.diag([1.0, 2.0, 1.0]), np.zeros((3, 3)),
+                                           np.diag([-1.0, -2.0, -4.0]))
         return {
             "factorize": (lambda: factorize("x"), poly),
             "classify_spectrum": (lambda: classify_spectrum("x"), poly),
@@ -517,12 +524,17 @@ class TestPolynomialGate:
                                      "shape (2,)"),
             "group_delay NaN": (lambda: group_delay(a, s, np.array([np.nan, 0.0, 0.0])),
                                 "v must be finite"),
+            "group_delay no frame": (lambda: group_delay(bare, 1.0, kernel_basis(bare, 1.0)[:, 0]),
+                                     framed),
+            "mode_delay no frame": (lambda: mode_delay(simple, classify_spectrum(simple), 2.0),
+                                    framed),
         }
 
     @pytest.mark.parametrize("name", [
         "factorize", "classify_spectrum", "kernel_basis", "impedance_from_factorization",
         "impedance_from_factorization f", "mode_projectors", "mode_delay", "group_delay str",
-        "group_delay 2-vector", "group_delay NaN"])
+        "group_delay 2-vector", "group_delay NaN", "group_delay no frame",
+        "mode_delay no frame"])
     def test_typed_error(self, name):
         run, message = self.entry_points()[name]
         with pytest.raises(InvalidInput) as info:

@@ -33,8 +33,10 @@ names of the lines that differ, and exits 1 if any does.  It covers
     unrelated materials, which mostly raise NoSurfaceWave), at seeded
     azimuths;
   * surface_wave_probes: the number of Schur forms (factorization._schur
-    calls) of each solve of the two lines above, so that a change to the
-    root search shows whether it keeps the probes, not only the floats; the
+    calls) of each solve of the two lines above, with the bytes of each
+    Stroh matrix it put in Schur form, in order, so that a change to the
+    root search shows whether it keeps the probes, where they land as well
+    as how many there are, not only the floats; the
     line ends with their sums over the solves that found a root and over
     those that raised ("N Schur forms on solves, K on failed solves"), and
     where it differs --against prints both sums of each ("N → M Schur forms
@@ -255,13 +257,16 @@ def surface_wave_solves(seed: int, directory: str) -> list:
 
 def probe_counts(solves: list) -> tuple[list, list, list, int]:
     """Each solve's outcome, the number of Schur forms it took (its calls of
-    factorization._schur, one per probe stack) and the number of its
+    factorization._schur, one per probe stack) with the SHA-256 of their
+    inputs' bytes, in order, as a (count, digest) pair, and the number of its
     Barnett-Lothe limits that fell back to the grid's least point (calls of
-    boundary._newton_minimum that gave None); and the number of limits."""
+    boundary._newton_minimum that gave None); and the number of limits.  A
+    probe that moves changes its solve's digest, not its count."""
     real_schur, real_newton, count = fz._schur, bd._newton_minimum, {}
 
     def schur(s6):
         count["schur"] += 1
+        _feed(count["inputs"], s6)
         return real_schur(s6)
 
     def newton(*args):
@@ -274,9 +279,9 @@ def probe_counts(solves: list) -> tuple[list, list, list, int]:
     fz._schur, bd._newton_minimum = schur, newton
     try:
         for solve in solves:
-            count.update(schur=0, fallbacks=0, limits=0)
+            count.update(schur=0, inputs=hashlib.sha256(), fallbacks=0, limits=0)
             outcomes.append(_outcome(solve))
-            schurs.append(count["schur"])
+            schurs.append((count["schur"], count["inputs"].hexdigest()))
             fallbacks.append(count["fallbacks"])
             limits += count["limits"]
     finally:
@@ -286,10 +291,11 @@ def probe_counts(solves: list) -> tuple[list, list, list, int]:
 
 def _split_sums(outcomes: list, schurs: list) -> tuple[int, int]:
     """The Schur forms of the solves that found a root, and of those that
-    raised (an outcome that is an error tuple, `_outcome`)."""
-    failed = sum(n for outcome, n in zip(outcomes, schurs, strict=True)
+    raised (an outcome that is an error tuple, `_outcome`), from each solve's
+    (count, digest) of `probe_counts`."""
+    failed = sum(n for outcome, (n, _) in zip(outcomes, schurs, strict=True)
                  if isinstance(outcome, tuple))
-    return sum(schurs) - failed, failed
+    return sum(n for n, _ in schurs) - failed, failed
 
 
 def _hash(*objs) -> str:
