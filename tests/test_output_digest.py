@@ -1,14 +1,17 @@
 """tools/output_digest.py: its surface_wave_probes line sees where a
-surface-wave search probes, not only how many probes it takes."""
+surface-wave search probes, not only how many probes it takes, and its laws
+line sees the outgoing traces, which no CLI output prints."""
+import dataclasses
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "tools"))
+import numpy as np  # noqa: E402
 import output_digest  # noqa: E402   tools/output_digest.py
 
-from elaswave import boundary  # noqa: E402
+from elaswave import boundary, layered, scatter  # noqa: E402
 
 
 def test_probe_line_sees_a_moved_probe(monkeypatch):
@@ -23,3 +26,34 @@ def test_probe_line_sees_a_moved_probe(monkeypatch):
     assert [n for n, _ in moved] == [n for n, _ in schurs]
     assert all(got != want for (_, got), (_, want) in zip(moved, schurs, strict=True))
     assert output_digest._hash(moved) != output_digest._hash(schurs)
+
+
+def flip_trace_row(law):
+    """The law with the last bit of its + side's trace map T[0, 0] flipped."""
+    tags, modes, maps, forms = law.compiled
+    maps = maps.copy()
+    maps[len(modes) + len(law.sides)].view(np.uint64)[0, 0] ^= 1
+    return dataclasses.replace(law, compiled=(tags, modes, maps, forms))
+
+
+def test_law_line_sees_a_trace_row(monkeypatch):
+    # Every law built with one entry of its + side's trace row moved by one
+    # bit: the laws line changes, and no CLI line (reflect and trace run
+    # these laws) does.
+    def digests():
+        with tempfile.TemporaryDirectory() as directory:
+            cli = output_digest.cli_digests(directory)
+            _, laws = output_digest.built_laws(lambda: output_digest.digest_trees(0, directory))
+        return cli, output_digest.law_digest(laws, 0)
+
+    cli, laws = digests()
+    built = scatter._scatter_operators
+
+    def flipped(law_sides):
+        return [flip_trace_row(law) for law in built(law_sides)]
+
+    monkeypatch.setattr(scatter, "_scatter_operators", flipped)
+    monkeypatch.setattr(layered, "_scatter_operators", flipped)
+    flipped_cli, flipped_laws = digests()
+    assert flipped_cli == cli
+    assert flipped_laws != laws

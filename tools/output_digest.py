@@ -55,6 +55,13 @@ names of the lines that differ, and exits 1 if any does.  It covers
     meeting it ends as a glancing leaf, and traces through a fast top layer
     and through two adjacent fast layers at a slowness evanescent in them,
     whose laws there no segment meets;
+  * laws: every field of `apply` (each side's trace, amplitudes, evanescent
+    part and fluxes, the incident flux and the balance residual) of every
+    law the trees line's traces build, in build order, on the + side's
+    incoming mode 0 where there is one, e1, e2, e3 and one seeded complex
+    trace; a law whose build fails, and an apply or incoming mode that
+    raises, counts by its error's type and message.  No other line reads
+    the outgoing traces f;
   * tree_fields: the same trees without their event and arrival times,
     every other field as in the trees line, so that a change that moves
     only crossing times differs in trees and not here;
@@ -102,6 +109,7 @@ from elaswave import factorization as fz  # noqa: E402
 from elaswave import impedance as imp  # noqa: E402
 from elaswave import layered as ly  # noqa: E402
 from elaswave import materials as mt  # noqa: E402
+from elaswave import scatter as sc  # noqa: E402
 from elaswave.errors import ElasticError  # noqa: E402
 
 MATERIALS_PER_CLASS = 2
@@ -375,6 +383,54 @@ def digest_trees(seed: int, directory: str) -> list:
     return trees
 
 
+def built_laws(run) -> tuple:
+    """run()'s result and every law its traces built (layered._scatter_operators),
+    in build order, with a build that raised as its error's (type name, message)."""
+    real, laws = ly._scatter_operators, []
+
+    def record(law_sides):
+        try:
+            built = real(law_sides)
+        except ElasticError as exc:
+            laws.append(("error", type(exc).__name__, str(exc)))
+            raise
+        laws.extend(built)
+        return built
+
+    ly._scatter_operators = record
+    try:
+        return run(), laws
+    finally:
+        ly._scatter_operators = real
+
+
+def _scattered(r) -> list:
+    """Every field of a ScatterResult but the sides' BoundarySides."""
+    return [[(tag, w.trace, w.amplitudes, w.evanescent, w.fluxes) for tag, w in r.sides.items()],
+            r.incident_flux, r.balance_residual]
+
+
+def law_digest(laws: list, seed: int) -> str:
+    """Each law's `apply` on the + side's incoming mode 0 where there is one,
+    e1, e2, e3 and one seeded complex trace; an error by its type and message."""
+    rng = np.random.default_rng([seed, 17])
+    h = hashlib.sha256()
+    for law in laws:
+        if isinstance(law, tuple):
+            _feed(h, law)
+            continue
+        mode = _outcome(lambda: sc.side_incoming_mode(law.sides["+"]))
+        traces = [sc.TraceField(g, 0.0) for g in (*np.eye(3), rng.standard_normal(3)
+                                                    + 1j * rng.standard_normal(3))]
+        if isinstance(mode, tuple):
+            _feed(h, mode)
+        else:
+            traces.insert(0, mode)
+        for trace in traces:
+            _feed(h, _outcome(lambda: _scattered(law.apply(trace))))
+    return h.hexdigest()
+
+
 def tree_digest(trees: list, drop: tuple = ()) -> str:
     """The trees as JSON, an error as (type, message); the keys in drop are
     left out of every event and arrival."""
@@ -501,7 +557,7 @@ def main(argv=None) -> int:
         return compare(args.against, args.seed)
     with tempfile.TemporaryDirectory() as directory:
         lines = cli_digests(directory)
-        trees = digest_trees(args.seed, directory)
+        trees, laws = built_laws(lambda: digest_trees(args.seed, directory))
         spectra = spectra_digest(args.seed)
         surface, probes, fallbacks, limits = probe_counts(
             surface_wave_solves(args.seed, directory))
@@ -513,6 +569,7 @@ def main(argv=None) -> int:
                   ("surface_wave_probes", _hash(probes, anisotropic_probes)),
                   ("limit_fallbacks", _hash(fallbacks, anisotropic_fallbacks)),
                   ("trees", tree_digest(trees)),
+                  ("laws", law_digest(laws, args.seed)),
                   ("tree_fields", tree_digest(trees, drop=("time",))),
                   ("tree_shapes", tree_shape_digest(trees)),
                   ("errors", errors_digest(args.seed))]
