@@ -37,15 +37,15 @@ from .factorization import (
 from .materials import (
     Material,
     _check_instance,
+    _check_vector,
     _is_int,
     _is_real,
     _json_number,
-    _numbers,
     _real_array,
     check_strong_convexity,
     material_from_dict,
 )
-from .scatter import _mode_stack, _scatter_operators, _scatter_pairs, side_incoming_mode
+from .scatter import _scatter_operators, _scatter_pairs, side_incoming_mode
 
 _UP = np.array([0.0, 0.0, 1.0])
 _REVERSED = {"up": "down", "down": "up"}
@@ -105,15 +105,6 @@ def _check_slowness(s) -> None:
         raise InvalidInput(f"s must be a finite real number, got {s!r}")
 
 
-def _check_vector(v) -> None:
-    """InvalidInput unless v is a vector of 3 finite real or complex numbers."""
-    arr = _numbers(v)[0]
-    if arr.dtype.kind not in "iufc" or arr.shape != (3,):
-        raise InvalidInput(f"v must be a vector of 3 numbers, got {arr.dtype} of shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInput("v must be finite")
-
-
 def _check_framed(a) -> None:
     """InvalidInput unless a is a polynomial with a frame and a density, whose
     rho tau a delay reads (one from boundary_polynomial has both)."""
@@ -131,7 +122,7 @@ def group_delay(a: QuadraticMatrixPolynomial, s: float, v: np.ndarray) -> float:
     """
     _check_framed(a)
     _check_slowness(s)
-    _check_vector(v)
+    _check_vector(v, "v")
     norm_sq = float(np.vdot(v, v).real)
     denom = float(np.real(np.vdot(v, a.derivative(s) @ v)))
     if abs(denom) <= DELAY_FORM_TOL * max(a.scale * norm_sq, 1e-300):
@@ -232,9 +223,8 @@ class EventTree:
 def _outgoing(layer: int, direction: str, law) -> list:
     """(layer, direction, s) of the waves each outgoing mode of the law met from (layer,
     direction) sends: back into that layer on the + side, on into the next on the - side."""
-    tags, modes, _, _ = law.compiled
     back, on = (layer, _REVERSED[direction]), (layer + _STEP[direction], direction)
-    return [(*(back if tag == "+" else on), -s) for tag, s in zip(tags, modes)]
+    return [(*(back if tag == "+" else on), -s) for tag, s in zip(law.tags, law.modes)]
 
 
 def _column_norms(block: np.ndarray) -> np.ndarray:
@@ -272,7 +262,7 @@ class _TraceSetUp:
     the laws of the entry stack (`laws`) by (layer, direction), each mode's
     `mode_delay` (`delays`) by (layer, direction, s), and `plans`:
     each law met so far to its first row in `mode_maps` and `mode_forms`
-    (the planned laws' `scatter._mode_stack`) and its modes' (layer,
+    (the planned laws' `mode_maps` and `forms`, stacked) and its modes' (layer,
     direction, s, shared crossing time), or to its build's error."""
 
     def __init__(self, stack: LayerStack, eta: np.ndarray, tau: float, source_layer: int):
@@ -325,7 +315,8 @@ class _TraceSetUp:
                                        for wave in _outgoing(*key, law)])
             first += len(self.plans[key][1])
             joined.append(law)
-        self.mode_maps, self.mode_forms = _mode_stack(self.mode_maps, self.mode_forms, joined)
+        self.mode_maps = np.concatenate([self.mode_maps] + [law.mode_maps for law in joined])
+        self.mode_forms = np.concatenate([self.mode_forms] + [law.forms for law in joined])
 
 
 def _set_up(stack: LayerStack, eta: np.ndarray, tau: float, source_layer: int,

@@ -59,6 +59,18 @@ def _numbers(x) -> tuple:
     return arr, arr.dtype.kind in "iuf"
 
 
+def _check_vector(v, name: str) -> np.ndarray:
+    """v as an array (`_numbers`), or InvalidInput unless it is a vector of 3
+    finite real or complex numbers; name names it in the message."""
+    arr = _numbers(v)[0]
+    if arr.dtype.kind not in "iufc" or arr.shape != (3,):
+        raise InvalidInput(f"{name} must be a vector of 3 numbers, "
+                           f"got {arr.dtype} of shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"{name} must be finite")
+    return arr
+
+
 def _real_array(x, shape: tuple | None, message: str, not_finite: str | None = None,
                 error=InvalidInput) -> np.ndarray:
     """x as a fresh, read-only float array: error(message) where its entries

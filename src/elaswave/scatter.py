@@ -9,10 +9,10 @@ linear in g and depends only on the frame and the materials, so it is
 built once per frame as a `ScatterOperator` from the `BoundarySide` of
 each side and applied to every trace that meets it.  At build time the
 law is compiled, as with Kennett's reflection and transmission matrices,
-into one fixed 3x3 map per outgoing mode and side, held as one stack for
-all its sides, so a block of traces scatters on every side in three
-contractions, and stacked modes of many laws (`_mode_stack`) scatter a trace
-each in two (`_scatter_pairs`).  Laws are built by `_scatter_operators`,
+into one fixed 3x3 map per outgoing mode and per side.  One kernel,
+`_scatter_pairs`, scatters traces on mode rows: `apply` runs it on one
+trace and the rows of its law, the event tree on the rows of many laws
+stacked, one trace each.  Laws are built by `_scatter_operators`,
 many at once: the mode projectors of their sides and the SVD and inverse
 of the matrices they invert are shared stacks, then each law is compiled
 alone from its own sides, bit for bit what it gets built alone.
@@ -29,9 +29,9 @@ import numpy as np
 from . import _lapack
 from .boundary import BoundarySide, _sides, _stacked_projectors
 from .errors import InvalidInput, NoIncomingMode, NonEllipticOperator
-from .factorization import _EYE, BoundaryFrame, _record, _slope, kernel_basis
+from .factorization import _EYE, BoundaryFrame, _slope, kernel_basis
 from .impedance import flux_form
-from .materials import Material, _is_int
+from .materials import Material, _check_instance, _check_vector, _is_int
 
 INVERTIBLE_MARGIN = 1e-8    # a law's matrix with sigma_min/sigma_max at or below this is singular
 EVANESCENT_FLUX_TOL = 1e-9  # evanescent flux above this, relative to ||z|| |pi_c f|^2, is flagged
@@ -68,26 +68,6 @@ class ScatterResult:
     balance_residual: float
 
 
-@dataclass(frozen=True)
-class WaveBlock:
-    """Outgoing content of a law, on all its sides, for a block of N
-    incoming traces.
-
-    Row k of `amplitudes` and `fluxes` is the outgoing mode k, which leaves
-    on side tags[k] with real eigenvalue modes[k]: the modes of a side are
-    consecutive, s ascending, and the sides come in the law's order.  Row j
-    of `evanescent` and `traces` is the law's side j.  Column n of every
-    array belongs to column n of the incoming block.
-    """
-
-    tags: tuple                       # side tag of each outgoing mode
-    modes: tuple                      # real outgoing eigenvalue s of each
-    amplitudes: np.ndarray            # (M, 3, N): psi_s f per mode
-    fluxes: np.ndarray                # (M, N): -tau (A'(s)f_s|f_s)/2
-    evanescent: np.ndarray            # (sides, 3, N): pi_c f
-    traces: np.ndarray                # (sides, 3, N): the outgoing traces f
-
-
 def incoming_mode(m: Material, frame: BoundaryFrame, mode: int = 0) -> TraceField:
     """Flux-normalized pure incoming mode number `mode` (see
     `side_incoming_mode`) of a material at a frame."""
@@ -99,6 +79,7 @@ def side_incoming_mode(side: BoundarySide, mode: int = 0) -> TraceField:
     its real incoming eigenvalues s, ascending (InvalidInput if it is not a
     non-negative integer, NoIncomingMode past the last s), and a vector of
     ker A(s) is scaled to unit flux +tau (A'(s)g|g)/2 = 1."""
+    _check_instance(side, BoundarySide, "side must be a BoundarySide")
     if not (_is_int(mode) and mode >= 0):
         raise InvalidInput(f"mode must be a non-negative index, got {mode!r}")
     a, frame = side.poly, side.frame
@@ -131,80 +112,63 @@ def _incident_flux(side: BoundarySide, g: np.ndarray, tau: float) -> float:
 class ScatterOperator:
     """A scattering law at one frame, built once and applied to any trace.
 
-    Every law has the form f = -minv (zin g).  At a free surface
-    minv = z_out^{-1}, zin = z_in and f is the reflected trace; at a welded
-    interface minv = (z+_out + z-_out)^{-1}, zin = z+_in - z+_out, f is the
-    transmitted trace f- and the reflected one is f+ = f- - g.  Traces come
-    in on the + side, whose incoming projectors measure the incident flux.
+    Every law has the form f = T g.  At a free surface T = -z_out^{-1} z_in
+    and f is the reflected trace; at a welded interface
+    T = -(z+_out + z-_out)^{-1}(z+_in - z+_out), f is the transmitted trace
+    f- and the reflected one is f+ = f- - g.  Traces come in on the + side,
+    whose incoming projectors measure the incident flux.
 
-    `compiled` holds the law on all its sides (see `_scatter_operators`)
-    as (tags, modes, maps, forms): the side tag and real outgoing s of each
-    of its M outgoing modes, in `WaveBlock` order; one (M + 2 sides, 3, 3)
-    stack of the amplitude maps psi_s T per mode, then the evanescent map
-    pi_c T per side, then the trace map T per side, where f = T g on that
-    side; and the flux forms -tau/2 A'(s) per mode, (M, 3, 3).
+    `_scatter_operators` compiles the law on all its sides.  Its M outgoing
+    modes come side by side in the law's order, s ascending on each: the
+    side tag and real outgoing s of each (`tags`, `modes`), its amplitude
+    map psi_s T and its flux form -tau/2 A'(s) (`mode_maps`, `forms`, each
+    (M, 3, 3)), where f = T g on that side.  `side_maps` holds the
+    evanescent map pi_c T and the trace map T of each side, (sides, 2, 3, 3).
     """
 
-    minv: np.ndarray
-    zin: np.ndarray
     sides: dict                       # side tag -> BoundarySide
-    compiled: tuple = field(repr=False)
+    tags: tuple
+    modes: tuple
+    mode_maps: np.ndarray = field(repr=False)
+    forms: np.ndarray = field(repr=False)
+    side_maps: np.ndarray = field(repr=False)
 
     @property
     def frame(self) -> BoundaryFrame:
         return self.sides["+"].frame
 
-    def apply_block(self, g: np.ndarray) -> WaveBlock:
-        """Scatter a 3 x N block of incoming traces on all sides of the law:
-        one product of the compiled maps, one of the flux forms and one
-        contraction for the fluxes.
-
-        Every column of the result is bit for bit what that column gives
-        alone, so a trace's outcome does not depend on its companions.
-        """
-        # einsum without `optimize` sums each entry in a fixed order and never
-        # hands the product to BLAS, whose kernels may round a column
-        # differently depending on how many columns come with it.
-        tags, modes, maps, forms = self.compiled
-        out = np.einsum("kij,jn->kin", maps, g)
-        m, n_sides = len(modes), len(self.sides)
-        amps = out[:m]
-        flux = np.einsum("kin,kin->kn", amps.conj(), np.einsum("kij,kjn->kin", forms, amps)).real
-        return _record(WaveBlock, tags=tags, modes=modes, amplitudes=amps, fluxes=flux,
-                       evanescent=out[m:m + n_sides], traces=out[m + n_sides:])
-
     def apply(self, incoming: TraceField) -> ScatterResult:
-        g = incoming.g
-        block = self.apply_block(g[:, None])
-        sides = {}
-        for j, (tag, side) in enumerate(self.sides.items()):
-            mine = [(s, k) for k, (t, s) in enumerate(zip(block.tags, block.modes)) if t == tag]
-            amps = {s: block.amplitudes[k, :, 0] for s, k in mine}
-            fluxes = {s: float(block.fluxes[k, 0]) for s, k in mine}
-            sides[tag] = SideWaves(block.traces[j, :, 0], amps, block.evanescent[j, :, 0],
-                                   fluxes, side)
+        """Scatter one trace on all sides of the law: every mode row by
+        `_scatter_pairs`, and the evanescent parts and traces in one
+        contraction.  InvalidInput unless incoming is a TraceField whose g
+        is a vector of 3 finite numbers."""
+        _check_instance(incoming, TraceField, "incoming must be a TraceField")
+        g = _check_vector(incoming.g, "g")
+        amps, fluxes = _scatter_pairs(self.mode_maps, self.forms, g[None])
+        waves = np.einsum("kmij,j->kmi", self.side_maps, g)
+        sides = {tag: SideWaves(trace, {}, ev, {}, side)
+                 for (tag, side), (ev, trace) in zip(self.sides.items(), waves)}
+        for tag, s, amp, flux in zip(self.tags, self.modes, amps, fluxes.tolist()):
+            sides[tag].amplitudes[s], sides[tag].fluxes[s] = amp, flux
         inc = _incident_flux(self.sides["+"], g, self.frame.tau)
         out = sum(side.total_flux for side in sides.values())
         residual = abs(inc - out) / max(abs(inc), 1e-300)
         return ScatterResult(sides, inc, residual)
 
 
-def _mode_stack(maps: np.ndarray, forms: np.ndarray, laws: list) -> tuple:
-    """Stacks of outgoing-mode amplitude maps psi_s T and flux forms -tau/2 A'(s),
-    with the laws' modes appended, law after law in `WaveBlock` order."""
-    return (np.concatenate([maps] + [law.compiled[2][:len(law.compiled[1])] for law in laws]),
-            np.concatenate([forms] + [law.compiled[3] for law in laws]))
-
-
 def _scatter_pairs(maps: np.ndarray, forms: np.ndarray, g: np.ndarray) -> tuple:
-    """Amplitudes (P, 3) and fluxes (P,) of `_mode_stack` rows maps[p], forms[p] on
-    traces g[p], by `apply_block`'s sums: bit for bit its row of that mode on g[p]."""
+    """Amplitudes (P, 3) and fluxes (P,) of the mode rows maps[p], forms[p]
+    (a law's `mode_maps` and `forms`, or rows of many laws) on traces g[p];
+    a g of one row is every row's trace."""
+    # einsum without `optimize` sums each entry in a fixed order and never
+    # hands the product to BLAS, so a row does not depend on its companions.
     amps = np.einsum("pij,pj->pi", maps, g)
     return amps, np.einsum("pi,pi->p", amps.conj(), np.einsum("pij,pj->pi", forms, amps)).real
 
 
 def free_surface_operator(side: BoundarySide) -> ScatterOperator:
     """Zero-traction law f = -z_out^{-1} z_in g at the side's frame."""
+    _check_instance(side, BoundarySide, "side must be a BoundarySide")
     return _scatter_operators([(side,)])[0]
 
 
@@ -215,6 +179,8 @@ def interface_operator(plus: BoundarySide, minus: BoundarySide) -> ScatterOperat
     - side is seen from the flipped frame.  Continuity [u] = 0 and traction
     balance give the two outgoing traces.
     """
+    _check_instance(plus, BoundarySide, "plus must be a BoundarySide")
+    _check_instance(minus, BoundarySide, "minus must be a BoundarySide")
     return _scatter_operators([(plus, minus)])[0]
 
 
@@ -257,12 +223,10 @@ def _scatter_operators(laws: list) -> list:
             what = "z_out" if len(law) == 1 else "z+_out + z-_out"
             raise NonEllipticOperator(f"{what} is numerically singular "
                                       f"(sigma_min/sigma_max = {low / high:.2e})")
-    minv = _lapack.inv(mats)
-    zin = np.array(zins)
     out = []
-    for law, minv_law, zin_law, t in zip(laws, minv, zin, -minv @ zin):
+    for law, t in zip(laws, -_lapack.inv(mats) @ np.array(zins)):
         # per real outgoing s of each side (a law that passed has one) psi_s T
-        # and -tau/2 A'(s), then pi_c T of each side, then the trace maps T
+        # and -tau/2 A'(s), then per side pi_c T and T
         maps = [t] if len(law) == 1 else [t - _EYE, t]
         projectors = [side.projectors() for side in law]
         tags, coefficients, left, right, modes = zip(*[
@@ -271,10 +235,9 @@ def _scatter_operators(laws: list) -> list:
         coef = np.array(coefficients)
         forms = -law[0].frame.tau * 0.5 * _slope(coef[:, 0], coef[:, 1],
                                                  np.array(modes)[:, None, None])
-        factors = np.array([*right, *maps])
-        products = np.array([*left, *(p.pi_c for p in projectors)]) @ factors
-        compiled = (tags, modes, np.concatenate((products, factors[len(modes):])), forms)
-        out.append(ScatterOperator(minv_law, zin_law, dict(zip("+-", law)), compiled))
+        side_maps = np.array([(p.pi_c @ tm, tm) for p, tm in zip(projectors, maps)])
+        out.append(ScatterOperator(dict(zip("+-", law)), tags, modes,
+                                   np.array(left) @ np.array(right), forms, side_maps))
     return out
 
 
@@ -296,6 +259,7 @@ def energy_balance(r: ScatterResult) -> dict:
     Verifies that evanescent components carry no flux and reports the
     relative balance residual.
     """
+    _check_instance(r, ScatterResult, "r must be a ScatterResult")
     report = {
         "incident_flux": r.incident_flux,
         "balance_residual": r.balance_residual,

@@ -12,6 +12,7 @@ from elaswave.materials import (
     make_isotropic,
     make_transversely_isotropic,
 )
+from elaswave.scatter import TraceField
 
 NU = np.array([0.0, 0.0, 1.0])
 AXIS = np.array([0.0, 0.0, 1.0])
@@ -105,3 +106,24 @@ def sample_frames(m, rng, n_per_region, regions=("hyperbolic", "mixed", "ellipti
         if label in buckets and len(buckets[label]) < n_per_region:
             buckets[label].append(frame)
     return buckets
+
+
+def assert_per_side_products(law, g):
+    """A ScatterOperator's apply on trace g is, bit for bit, the products on
+    each side's rows of the law alone: its mode rows (mode_maps, forms) and
+    its evanescent and trace maps (side_maps)."""
+    scattered = law.apply(TraceField(g, 0.0))
+    assert list(scattered.sides) == list(law.sides)
+    for j, (tag, side) in enumerate(scattered.sides.items()):
+        rows = [k for k, t in enumerate(law.tags) if t == tag]
+        modes = [law.modes[k] for k in rows]
+        assert list(side.amplitudes) == list(side.fluxes) == modes == sorted(modes)
+        amps = np.einsum("kij,j->ki", law.mode_maps[rows], g)
+        flux = np.einsum("ki,ki->k", amps.conj(),
+                         np.einsum("kij,kj->ki", law.forms[rows], amps)).real
+        evanescent, trace = np.einsum("kij,j->ki", law.side_maps[j], g)
+        for s, amp, fl in zip(modes, amps, flux):
+            assert side.amplitudes[s].tobytes() == amp.tobytes()
+            assert side.fluxes[s] == fl
+        assert side.evanescent.tobytes() == evanescent.tobytes()
+        assert side.trace.tobytes() == trace.tobytes()

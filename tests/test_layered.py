@@ -49,7 +49,7 @@ from elaswave.scatter import (
     transmit_interface,
 )
 
-from conftest import AXIS, NU, random_triclinic, sample_frames
+from conftest import AXIS, NU, assert_per_side_products, random_triclinic, sample_frames
 
 # bench/workloads.py: the stacks and frames of the layered_trace workload
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -745,12 +745,10 @@ class TestStackedLaws:
 
     @staticmethod
     def assert_same_law(law, alone):
-        assert same_bits(law.minv, alone.minv) and same_bits(law.zin, alone.zin)
         assert list(law.sides) == list(alone.sides)
-        tags, modes, maps, forms = law.compiled
-        their_tags, their_modes, their_maps, their_forms = alone.compiled
-        assert (tags, modes) == (their_tags, their_modes)
-        assert same_bits(maps, their_maps) and same_bits(forms, their_forms)
+        assert (law.tags, law.modes) == (alone.tags, alone.modes)
+        for name in ("mode_maps", "forms", "side_maps"):
+            assert same_bits(getattr(law, name), getattr(alone, name))
         for tag in law.sides:
             directions = ("outgoing", "incoming") if tag == "+" else ("outgoing",)
             for direction in directions:
@@ -894,27 +892,10 @@ def stack_laws(stack, eta, tau) -> list:
     return laws
 
 
-def per_side_apply(law, g) -> dict:
-    """Side tag -> (amplitudes, fluxes, evanescent part, trace) of a block,
-    from three products per side on that side's rows of the compiled maps."""
-    tags, modes, maps, forms = law.compiled
-    m, n_sides = len(modes), len(law.sides)
-    out = {}
-    for j, tag in enumerate(law.sides):
-        rows = [k for k, t in enumerate(tags) if t == tag]
-        side_maps = np.concatenate((maps[rows], maps[[m + j, m + n_sides + j]]))
-        prod = np.einsum("kij,jn->kin", side_maps, g)
-        amps = prod[:len(rows)]
-        flux = np.einsum("kin,kin->kn", amps.conj(),
-                         np.einsum("kij,kjn->kin", forms[rows], amps)).real
-        out[tag] = (amps, flux, prod[-2], prod[-1])
-    return out
-
-
 class TestMergedApply:
-    """A law scatters a block on all its sides with one product of its
-    compiled maps; every number is bit for bit what the products per side
-    give, and every column what that column gives alone."""
+    """A law scatters a trace on all its sides by one kernel over its mode
+    rows and one contraction over its side rows; every number is bit for bit
+    what the products on each side's rows alone give."""
 
     @pytest.fixture(scope="class")
     def laws(self, ti_stack, bench_stack):
@@ -924,43 +905,19 @@ class TestMergedApply:
         assert len(laws) == 4 * 6 and {len(law.sides) for law in laws} == {1, 2}
         return laws
 
-    @staticmethod
-    def blocks(seed):
-        rng = np.random.default_rng(seed)
-        for n in range(1, 14):
-            yield (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) \
-                * 10.0 ** rng.uniform(-4, 4, n)
-
     def test_matches_per_side_products(self, laws):
+        rng = np.random.default_rng(61)
         for law in laws:
-            tags = law.compiled[0]
-            for g in self.blocks(61):
-                block = law.apply_block(g)
-                assert (block.tags, block.modes) == law.compiled[:2]
-                norms = layered._column_norms(block.amplitudes)
-                for j, (tag, (amps, flux, ev, trace)) in enumerate(per_side_apply(law, g).items()):
-                    rows = [k for k, t in enumerate(tags) if t == tag]
-                    assert same_bits(block.amplitudes[rows], amps)
-                    assert same_bits(norms[rows], layered._column_norms(amps))
-                    assert same_bits(block.fluxes[rows], flux)
-                    assert same_bits(block.evanescent[j], ev)
-                    assert same_bits(block.traces[j], trace)
-
-    def test_each_column_scatters_alone(self, laws):
-        for law in laws:
-            for g in self.blocks(67):
-                block = law.apply_block(g)
-                for k in range(g.shape[1]):
-                    alone = law.apply_block(g[:, k:k + 1])
-                    for name in ("amplitudes", "fluxes", "evanescent", "traces"):
-                        assert same_bits(getattr(block, name)[..., k:k + 1],
-                                         getattr(alone, name))
+            for _ in range(13):
+                g = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) \
+                    * 10.0 ** rng.uniform(-4, 4)
+                assert_per_side_products(law, g)
 
 
 class TestPairContraction:
     """A generation scatters in one contraction over the (segment, outgoing
     mode) pairs of every law it meets; each child is bit for bit its mode's
-    row of that law's `apply_block` on the parent's amplitude alone."""
+    amplitude and flux in that law's `apply` on the parent's amplitude."""
 
     @staticmethod
     def recording_laws(monkeypatch, stack, alone=False) -> dict:
@@ -991,18 +948,18 @@ class TestPairContraction:
             if seg.status != "scattered":
                 assert not mine
                 continue
-            block = laws[seg.layer, seg.direction].apply_block(seg.amplitude[:, None])
+            scattered = laws[seg.layer, seg.direction].apply(TraceField(seg.amplitude, seg.s))
             target = {"+": (seg.layer, "up" if seg.direction == "down" else "down"),
                       "-": (seg.layer + (1 if seg.direction == "down" else -1), seg.direction)}
-            for tag, s_out, amp, flux in zip(block.tags, block.modes,
-                                             block.amplitudes[..., 0], block.fluxes[:, 0]):
-                child = mine.pop((*target[tag], -s_out), None)
-                if child is None:       # a mode of zero amplitude leaves no child
-                    assert layered._column_norms(amp[:, None])[0] == 0
-                    continue
-                assert np.array_equal(child.amplitude, amp)
-                assert np.array_equal(child.flux, flux)
-                checked += 1
+            for tag, side in scattered.sides.items():
+                for s_out, amp in side.amplitudes.items():
+                    child = mine.pop((*target[tag], -s_out), None)
+                    if child is None:       # a mode of zero amplitude leaves no child
+                        assert layered._column_norms(amp[:, None])[0] == 0
+                        continue
+                    assert np.array_equal(child.amplitude, amp)
+                    assert np.array_equal(child.flux, side.fluxes[s_out])
+                    checked += 1
             assert not mine
         return checked
 

@@ -30,10 +30,9 @@ def test_probe_line_sees_a_moved_probe(monkeypatch):
 
 def flip_trace_row(law):
     """The law with the last bit of its + side's trace map T[0, 0] flipped."""
-    tags, modes, maps, forms = law.compiled
-    maps = maps.copy()
-    maps[len(modes) + len(law.sides)].view(np.uint64)[0, 0] ^= 1
-    return dataclasses.replace(law, compiled=(tags, modes, maps, forms))
+    side_maps = law.side_maps.copy()
+    side_maps[0, 1].view(np.uint64)[0, 0] ^= 1
+    return dataclasses.replace(law, side_maps=side_maps)
 
 
 def test_law_line_sees_a_trace_row(monkeypatch):

@@ -14,10 +14,11 @@ from elaswave.scatter import (
     incoming_mode,
     interface_operator,
     reflect_free_surface,
+    side_incoming_mode,
     transmit_interface,
 )
 
-from conftest import NU, sample_frames
+from conftest import NU, assert_per_side_products, sample_frames
 
 ETA = np.array([1.0, 0.0, 0.0])
 
@@ -167,10 +168,9 @@ class TestInterface:
         assert np.allclose(np.abs(out[0]), np.abs(out[1]), atol=1e-9)
 
 
-class TestApplyBlock:
-    def test_columns_match_apply(self, iso, ti, hard):
-        # Each column of a block is, bit for bit, what apply gives for that
-        # trace alone, whatever the width of the block it came in.
+class TestApply:
+    def test_matches_per_side_products(self, iso, ti, hard):
+        # apply is, bit for bit, the products on each side's rows of the law.
         rng = np.random.default_rng(53)
         laws = []
         for tau in (-2.5, -1.8):     # hyperbolic, then evanescent P
@@ -179,26 +179,12 @@ class TestApplyBlock:
             laws.append(interface_operator(BoundarySide(ti, fr),
                                            BoundarySide(hard, fr.flipped())))
         for law in laws:
-            for n in (1, 2, 7, 33):
-                g = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) \
-                    * 10.0 ** rng.uniform(-4, 4, n)
-                block = law.apply_block(g)
-                assert list(dict.fromkeys(block.tags)) == list(law.sides)
-                for k in range(n):
-                    alone = law.apply(TraceField(g[:, k], 0.0))
-                    assert list(alone.sides) == list(law.sides)
-                    for j, (tag, side) in enumerate(alone.sides.items()):
-                        rows = [r for r, t in enumerate(block.tags) if t == tag]
-                        modes = [block.modes[r] for r in rows]
-                        assert modes == sorted(side.amplitudes)
-                        assert np.array_equal(block.traces[j, :, k], side.trace)
-                        assert np.array_equal(block.evanescent[j, :, k], side.evanescent)
-                        for r, s in zip(rows, modes):
-                            assert np.array_equal(block.amplitudes[r, :, k],
-                                                  side.amplitudes[s])
-                            assert block.fluxes[r, k] == side.fluxes[s]
-        assert any(np.linalg.norm(law.apply_block(np.eye(3)).evanescent[0]) > 0
-                   for law in laws)
+            for g in (*np.eye(3), *(
+                    (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                    * 10.0 ** rng.uniform(-4, 4) for _ in range(13))):
+                assert_per_side_products(law, g)
+        assert any(np.linalg.norm(law.apply(TraceField(e, 0.0)).sides["+"].evanescent) > 0
+                   for law in laws for e in np.eye(3))
 
 
 class TestStackedLaws:
@@ -217,13 +203,12 @@ class TestStackedLaws:
         for (kind, fr), law in zip(cases, stacked):
             alone = (free_surface_operator if kind == "free" else interface_operator)(
                 *sides(kind, fr))
-            for mine, theirs in ((law.minv, alone.minv), (law.zin, alone.zin)):
-                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
             assert list(law.sides) == list(alone.sides)
-            tags, modes, maps, forms = law.compiled
-            assert (tags, modes) == alone.compiled[:2]
-            for mine, theirs in ((maps, alone.compiled[2]), (forms, alone.compiled[3])):
-                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+            assert (law.tags, law.modes) == (alone.tags, alone.modes)
+            for name in ("mode_maps", "forms", "side_maps"):
+                mine, theirs = getattr(law, name), getattr(alone, name)
+                assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+                assert mine.tobytes() == theirs.tobytes()
 
     def test_stack_raises_the_first_failure(self, iso, hard):
         # A stack meets each law's checks in the one-law order, stage by
@@ -235,6 +220,63 @@ class TestStackedLaws:
             _scatter_operators([(BoundarySide(iso, fr),), elliptic])
         with pytest.raises(InvalidInput, match="flipped frame"):
             _scatter_operators([elliptic, wrong_frame])
+
+
+class TestScatterGate:
+    """A wrong object where a side, a trace or a scattering result is due is
+    bad input (exit code 2) with a pinned message, not an AttributeError,
+    ValueError, TypeError or NaN flux from inside."""
+
+    @staticmethod
+    def entry_points(iso):
+        fr = frame(-2.5)
+        side = BoundarySide(iso, fr)
+        law, g = free_surface_operator(side), incoming_mode(iso, fr, 0).g
+        not_vector = "g must be a vector of 3 numbers, got {}"
+        return {
+            "free_surface_operator": (lambda: free_surface_operator("x"),
+                                      "side must be a BoundarySide, got str"),
+            "interface_operator +": (lambda: interface_operator("x", side),
+                                     "plus must be a BoundarySide, got str"),
+            "interface_operator -": (lambda: interface_operator(side, "x"),
+                                     "minus must be a BoundarySide, got str"),
+            "side_incoming_mode": (lambda: side_incoming_mode("x"),
+                                   "side must be a BoundarySide, got str"),
+            "energy_balance": (lambda: energy_balance("x"), "r must be a ScatterResult, got str"),
+            "apply": (lambda: law.apply("x"), "incoming must be a TraceField, got str"),
+            "reflect_free_surface": (lambda: reflect_free_surface(iso, fr, "x"),
+                                     "incoming must be a TraceField, got str"),
+            "apply 2-vector": (lambda: law.apply(TraceField(g[:2], 0.0)),
+                               not_vector.format("complex128 of shape (2,)")),
+            "apply column": (lambda: law.apply(TraceField(g[:, None], 0.0)),
+                             not_vector.format("complex128 of shape (3, 1)")),
+            "apply str": (lambda: law.apply(TraceField("abc", 0.0)),
+                          not_vector.format("<U3 of shape ()")),
+            "apply NaN": (lambda: law.apply(TraceField(np.array([np.nan, 0.0, 0.0]), 0.0)),
+                          "g must be finite"),
+            "apply inf": (lambda: law.apply(TraceField(np.array([0.0, np.inf, 1j]), 0.0)),
+                          "g must be finite"),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "free_surface_operator", "interface_operator +", "interface_operator -",
+        "side_incoming_mode", "energy_balance", "apply", "reflect_free_surface",
+        "apply 2-vector", "apply column", "apply str", "apply NaN", "apply inf"])
+    def test_typed_error(self, iso, name):
+        run, message = self.entry_points(iso)[name]
+        with pytest.raises(InvalidInput) as info:
+            run()
+        assert str(info.value) == message
+        assert info.value.exit_code == 2
+
+    def test_list_trace(self, iso):
+        # a list of 3 numbers is a trace, scattered as its array is
+        fr = frame(-2.5)
+        law, g = free_surface_operator(BoundarySide(iso, fr)), incoming_mode(iso, fr, 0).g
+        mine, theirs = law.apply(TraceField(list(g), 0.0)), law.apply(TraceField(g, 0.0))
+        assert mine.incident_flux == theirs.incident_flux
+        assert mine.sides["+"].trace.tobytes() == theirs.sides["+"].trace.tobytes()
+        assert mine.sides["+"].fluxes == theirs.sides["+"].fluxes
 
 
 class TestEnergyReport:
