@@ -1,6 +1,7 @@
 """tools/output_digest.py: its surface_wave_probes line sees where a
-surface-wave search probes, not only how many probes it takes, and its laws
-line sees the outgoing traces, which no CLI output prints."""
+surface-wave search probes, not only how many probes it takes, its laws
+line sees the outgoing traces, which no CLI output prints, and its
+lapack_ledger line sees arithmetic that leaves every output as it was."""
 import dataclasses
 import sys
 import tempfile
@@ -56,3 +57,33 @@ def test_law_line_sees_a_trace_row(monkeypatch):
     flipped_cli, flipped_laws = digests()
     assert flipped_cli == cli
     assert flipped_laws != laws
+
+
+def test_ledger_line_sees_extra_arithmetic(monkeypatch):
+    # lambda_min of each surface-wave z probe taken twice: every seed-0
+    # surface_waves solve gives the same floats, and the ledger counts one
+    # more eigvalsh call, of one entry, per z probe and nothing else
+    with tempfile.TemporaryDirectory() as directory:
+        solves = output_digest.surface_wave_solves(0, directory)
+    (outcomes, _, _, _), ledger = output_digest.lapack_ledger(
+        lambda: output_digest.probe_counts(solves))
+    real, probes = boundary._lambda_min, []
+
+    def twice(zmat):
+        probes.append(real(zmat))
+        return real(zmat)
+
+    monkeypatch.setattr(boundary, "_lambda_min", twice)
+    (again, _, _, _), doubled = output_digest.lapack_ledger(
+        lambda: output_digest.probe_counts(solves))
+    assert output_digest._hash(again) == output_digest._hash(outcomes)
+    assert output_digest._hash(doubled) != output_digest._hash(ledger)
+    assert doubled.pop("eigvalsh") == [n + len(probes) for n in ledger.pop("eigvalsh")]
+    assert doubled == ledger
+
+
+def test_moved_counts_name_what_moved():
+    theirs, mine = "5 inv calls, 9 inv entries, 2 det calls", "5 inv calls, 11 inv entries, 3 det calls"
+    assert output_digest.moved_counts(theirs, mine) == "9 → 11 inv entries, 2 → 3 det calls"
+    assert output_digest.moved_counts(theirs, theirs) == \
+        "5 → 5 inv calls, 9 → 9 inv entries, 2 → 2 det calls"

@@ -39,8 +39,9 @@ names of the lines that differ, and exits 1 if any does.  It covers
     as how many there are, not only the floats; the
     line ends with their sums over the solves that found a root and over
     those that raised ("N Schur forms on solves, K on failed solves"), and
-    where it differs --against prints both sums of each ("N → M Schur forms
-    on solves, K → L on failed solves"), so that the way each moved shows;
+    where it differs --against prints both sums of each that moved, or of
+    both where neither did ("N → M Schur forms on solves, K → L on failed
+    solves"), so that the way each moved shows;
   * limit_fallbacks: the number of each solve's Barnett-Lothe limits
     (boundary._limiting_tau) whose Newton steps failed, so that they fell
     back to the grid's least point; the line ends with "K of M limits",
@@ -75,6 +76,14 @@ names of the lines that differ, and exits 1 if any does.  It covers
     material, and pairs with a second seeded or a non-convex material), a
     non-convex material, a NaN A2, frames at the elliptic limit tau_L and a
     glancing isotropic frame.
+  * lapack_ledger: the calls of each decomposition routine of
+    elaswave._lapack (inv, det, eigvalsh, eigh, svd, svdvals, eigvals,
+    zgees and ztrsen) and the stack entries they took, section by section
+    (cli, trees, laws, spectra, surface_waves, surface_waves_anisotropic and
+    errors), so that a change that keeps every other line shows here
+    whether it kept the arithmetic too; the line ends with each routine's
+    calls and entries over all sections, and where it differs --against
+    prints both counts of each routine that moved;
 
 Floats are hashed as their bytes, so a last-bit change shows.  A spectrum
 group's `sign_form` is left out of the spectra line: it is kernel^H A'(value)
@@ -91,6 +100,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -104,6 +114,7 @@ import numpy as np  # noqa: E402
 
 import git_archive  # noqa: E402   tools/git_archive.py
 import workloads  # noqa: E402
+from elaswave import _lapack  # noqa: E402
 from elaswave import boundary as bd  # noqa: E402
 from elaswave import factorization as fz  # noqa: E402
 from elaswave import impedance as imp  # noqa: E402
@@ -117,6 +128,8 @@ FRAMES_PER_REGION = 6
 GRID_FRAMES = 300       # more than one stack of classify_frames
 SURFACE_WAVE_ROUNDS = 6
 UNHASHED_FIELDS = {"sign_form"}     # dataclass fields _feed leaves out (see above)
+LAPACK_ROUTINES = ("inv", "det", "eigvalsh", "eigh", "svd", "svdvals", "eigvals", "zgees",
+                   "ztrsen")
 
 
 def _feed(h, obj) -> None:
@@ -250,6 +263,50 @@ def errors_digest(seed: int) -> str:
     _feed(h, _spectral_errors(fz.boundary_polynomial(
         iso, fz.BoundaryFrame(workloads.NU, np.array([1.0, 0.0, 0.0]), -1.0))))
     return h.hexdigest()
+
+
+def lapack_ledger(run) -> tuple:
+    """run()'s result and its ledger, {routine: [calls, stack entries]} of
+    each of elaswave._lapack's LAPACK_ROUTINES: a stacked gufunc call takes
+    one entry per matrix, zgees and ztrsen one matrix.  Every caller reads
+    `_lapack.<routine>` at call time, so the wrapping sees every call, one
+    that raises too."""
+    real = {name: getattr(_lapack, name) for name in LAPACK_ROUTINES}
+    ledger = {name: [0, 0] for name in LAPACK_ROUTINES}
+
+    def counted(name):
+        routine, row = real[name], ledger[name]
+        at = 1 if name in ("zgees", "ztrsen") else 0    # the matrix follows their first argument
+
+        def call(*args, **kwargs):
+            row[0] += 1
+            row[1] += math.prod(np.shape(args[at])[:-2])
+            return routine(*args, **kwargs)
+        return call
+
+    for name in LAPACK_ROUTINES:
+        setattr(_lapack, name, counted(name))
+    try:
+        return run(), ledger
+    finally:
+        for name, routine in real.items():
+            setattr(_lapack, name, routine)
+
+
+def _ledger_counts(ledgers: list) -> str:
+    """Each routine's calls and entries over all sections' ledgers, as the
+    lapack_ledger line ends."""
+    return ", ".join(f"{sum(ledger[name][k] for ledger in ledgers)} {name} {unit}"
+                     for name in LAPACK_ROUTINES for k, unit in enumerate(("calls", "entries")))
+
+
+def moved_counts(theirs: str, mine: str) -> str:
+    """The "N → M unit" parts of two ", "-separated "N unit" counts of one
+    line where N and M differ, or all parts where none does."""
+    parts = [(n_theirs, n_mine, unit) for (n_theirs, unit), (n_mine, _) in zip(
+        *([part.split(maxsplit=1) for part in count.split(", ")] for count in (theirs, mine)))]
+    moved = [part for part in parts if part[0] != part[1]] or parts
+    return ", ".join(f"{n_theirs} → {n_mine} {unit}" for n_theirs, n_mine, unit in moved)
 
 
 def _run_ops(workload, rounds: int) -> list:
@@ -536,11 +593,8 @@ def compare(ref: str, seed: int) -> int:
               if theirs.get(name) != mine.get(name)]
     for name in differ:
         counts = [lines.get(name, ("", ""))[1] for lines in (theirs, mine)]
-        if all(counts):     # each ", "-separated "N unit" part, with both Ns
-            parts = zip(*([part.split(maxsplit=1) for part in count.split(", ")]
-                          for count in counts))
-            print(f"{name}: " + ", ".join(f"{n_theirs} → {n_mine} {unit}"
-                                          for (n_theirs, unit), (n_mine, _) in parts))
+        if all(counts):
+            print(f"{name}: {moved_counts(*counts)}")
         else:
             print(name)
     print(f"{len(differ)} of {len(mine)} lines differ from {ref} (seed {seed})")
@@ -555,29 +609,40 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.against is not None:
         return compare(args.against, args.seed)
+    ledgers = []
+
+    def section(run):
+        result, ledger = lapack_ledger(run)
+        ledgers.append(ledger)
+        return result
+
     with tempfile.TemporaryDirectory() as directory:
-        lines = cli_digests(directory)
-        trees, laws = built_laws(lambda: digest_trees(args.seed, directory))
-        spectra = spectra_digest(args.seed)
-        surface, probes, fallbacks, limits = probe_counts(
-            surface_wave_solves(args.seed, directory))
-        anisotropic, anisotropic_probes, anisotropic_fallbacks, anisotropic_limits = (
-            probe_counts(anisotropic_surface_wave_solves(args.seed)))
+        lines = section(lambda: cli_digests(directory))
+        trees, laws = section(lambda: built_laws(lambda: digest_trees(args.seed, directory)))
+        law_lines = section(lambda: law_digest(laws, args.seed))
+        spectra = section(lambda: spectra_digest(args.seed))
+        surface, probes, fallbacks, limits = section(lambda: probe_counts(
+            surface_wave_solves(args.seed, directory)))
+        anisotropic, anisotropic_probes, anisotropic_fallbacks, anisotropic_limits = section(
+            lambda: probe_counts(anisotropic_surface_wave_solves(args.seed)))
+        errors = section(lambda: errors_digest(args.seed))
         lines += [("spectra", spectra),
                   ("surface_waves", _hash(surface)),
                   ("surface_waves_anisotropic", _hash(*anisotropic)),
                   ("surface_wave_probes", _hash(probes, anisotropic_probes)),
                   ("limit_fallbacks", _hash(fallbacks, anisotropic_fallbacks)),
                   ("trees", tree_digest(trees)),
-                  ("laws", law_digest(laws, args.seed)),
+                  ("laws", law_lines),
                   ("tree_fields", tree_digest(trees, drop=("time",))),
                   ("tree_shapes", tree_shape_digest(trees)),
-                  ("errors", errors_digest(args.seed))]
+                  ("errors", errors),
+                  ("lapack_ledger", _hash(ledgers))]
     solved, failed = _split_sums([*surface, *anisotropic], [*probes, *anisotropic_probes])
     counts = {"surface_wave_probes": f"  {solved} Schur forms on solves, "
                                      f"{failed} on failed solves",
               "limit_fallbacks": f"  {sum(fallbacks) + sum(anisotropic_fallbacks)} of "
-                                 f"{limits + anisotropic_limits} limits"}
+                                 f"{limits + anisotropic_limits} limits",
+              "lapack_ledger": f"  {_ledger_counts(ledgers)}"}
     total = hashlib.sha256()
     for name, digest in lines:
         print(f"{digest}  {name}{counts.get(name, '')}")
