@@ -112,15 +112,23 @@ def _herm(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm of one matrix as a float, bit for bit np.linalg.norm's:
+    the dot products of the real and of the imaginary parts of its entries
+    in memory order, by numpy's dot loop on those strided views (BLAS sums
+    contiguous copies in another order); math.sqrt rounds as np.sqrt does."""
+    flat = x.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _fro(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, bit for bit np.linalg.norm's
-    for the matrix alone: the dot products of its real and of its imaginary
-    parts by numpy's dot loop, which np.vecdot runs per row (numpy 1.x, with
-    no vecdot, as one-row matrix products), or for a stack of one directly."""
-    if len(x) == 1:     # math.sqrt rounds as np.sqrt does
-        flat = x[0].ravel(order="K")
-        re, im = flat.real, flat.imag
-        return np.array([math.sqrt(re.dot(re) + im.dot(im))])
+    """Frobenius norm of each matrix of a stack, bit for bit `_norm` of the
+    matrix alone: numpy's dot loop, which np.vecdot runs per row (numpy 1.x,
+    with no vecdot, as one-row matrix products), or for a stack of one
+    `_norm` itself."""
+    if len(x) == 1:
+        return np.array([_norm(x[0])])
     flat = x.reshape(len(x), -1)
     re, im = flat.real, flat.imag
     if _VECDOT is None:
@@ -385,6 +393,13 @@ def stroh(a: QuadraticMatrixPolynomial) -> np.ndarray:
     """Linearize: A(s)^{-1} = J1 (s - S)^{-1} J2*; K S is Hermitian for K
     the block swap.  Only the lower-left block involves A2: the core's
     template with A2 subtracted there."""
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
+    return _stroh(a)
+
+
+def _stroh(a: QuadraticMatrixPolynomial) -> np.ndarray:
+    """`stroh` of a polynomial, ungated: what the spectra of probes and
+    trees build."""
     s = a.core.stroh.copy()
     s[3:, :3] -= a.a2
     return s
@@ -495,13 +510,22 @@ def _group(vals: np.ndarray, norm: float) -> list:
     points within GROUPING_TOL (1 + ||S||) of a group's mean join it, and a
     group whose mean has |Im| below that is real.  (value, algebraic
     multiplicity, is real) per group.  A complex sort orders as
-    np.lexsort((imag, real)) does: only equal points can swap."""
+    np.lexsort((imag, real)) does: only equal points can swap.
+
+    The points are clustered as Python complex numbers, whose differences
+    and moduli (libm hypot) are numpy's complex scalars', and so are their
+    means of one or two points.  numpy's scalar quotient by n >= 3 is a
+    product with 1/n, so a spectrum with a group of three or more is
+    clustered again on numpy's scalars."""
     vals = vals.copy()
     vals.sort()
     tol_real = GROUPING_TOL * (1.0 + norm)
+    tol = max(tol_real, 1e3 * _EPS * norm)
+    clusters = cluster_sorted(vals.tolist(), tol)
+    if any(len(idx) > 2 for idx, _ in clusters):
+        clusters = [(idx, complex(mean)) for idx, mean in cluster_sorted(vals, tol)]
     groups = []
-    for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * _EPS * norm)):
-        mean = complex(mean)
+    for idx, mean in clusters:
         is_real = abs(mean.imag) <= tol_real
         groups.append((complex(mean.real) if is_real else mean, len(idx), is_real))
     return groups
@@ -567,13 +591,17 @@ def classify_spectrum(a: QuadraticMatrixPolynomial) -> SpectrumClassification:
 def _spectra(polys: list) -> list:
     """(points, ||S||, Schur form (T, Z)) of each polynomial's Stroh matrix
     S, the points `_group`ed from the diagonal of T: the norms of all Stroh
-    matrices as one stack, then the Schur form of each on its own.  The
-    first stage of `_classify`, and all that a question about the
-    eigenvalues alone reads (`boundary._fully_evanescent`)."""
+    matrices as one stack (of one matrix, its `_norm`), then the Schur form
+    of each on its own.  The first stage of `_classify`, and all that a
+    question about the eigenvalues alone reads (`boundary._fully_evanescent`)."""
+    if len(polys) == 1:     # its own matrix and a float, which a stack of one would wrap
+        s6 = _stroh(polys[0])
+        entries = [(s6, _norm(s6))]
+    else:
+        stacked = np.array([_stroh(a) for a in polys])
+        entries = zip(stacked, _fro(stacked).tolist())
     out = []
-    # one Stroh matrix is a stack of one as it stands: np.array would copy it
-    stacked = stroh(polys[0])[None] if len(polys) == 1 else np.array([stroh(a) for a in polys])
-    for s6, norm in zip(stacked, _fro(stacked).tolist()):
+    for s6, norm in entries:
         # a finite norm has finite entries; an infinite or NaN one sends s6 to the full check
         if not (math.isfinite(norm) or np.isfinite(s6).all()):
             raise NumericalDomainError("Stroh matrix is not finite")
@@ -695,20 +723,27 @@ class SpectralFactorization:
 def _validate(facts: list, coefficients: tuple, q: np.ndarray, a0_q: np.ndarray,
               q_sharp: np.ndarray) -> None:
     """_check_roots on each factorization, from the stacks of its polynomial's
-    coefficients and of its roots and A0 Q; keeps each one's q_spectrum and
-    solvency residual."""
+    coefficients and of its roots and A0 Q (for one factorization, its own
+    matrices); keeps each one's q_spectrum and solvency residual."""
     n = len(facts)
     _, a1_sym, a2, _, scales = coefficients
-    residuals = [r / scale for r, scale in zip(_fro(_solvent(a0_q, a1_sym, a2, q)).tolist(),
-                                                  scales)]
+    solvent = _solvent(a0_q, a1_sym, a2, q)
+    norms = [_norm(solvent)] if n == 1 else _fro(solvent).tolist()
+    residuals = [r / scale for r, scale in zip(norms, scales)]
     for residual in (r for r in residuals if not math.isfinite(r)):  # before eigvals sees it
         _check_roots(residual, math.inf, 1.0)
-    spectra = _lapack.eigvals(np.concatenate((q, q_sharp)))
-    eq, es = spectra[:n], spectra[n:]
     # per entry, the moduli of the 3 + 3 eigenvalues of Q and Q# and of their 9
     # differences, from one abs pass: the size and the gap of `_check_roots`
-    moduli = np.abs(np.concatenate((eq, es, (eq[:, :, None] - es[:, None, :]).reshape(n, 9)),
-                                   axis=1)).tolist()
+    if n == 1:
+        spectra = _lapack.eigvals(np.array((q, q_sharp)))
+        eq, es = spectra[0], spectra[1]
+        moduli = [np.abs(np.concatenate((eq, es, (eq[:, None] - es).ravel()))).tolist()]
+        eq = [eq]
+    else:
+        spectra = _lapack.eigvals(np.concatenate((q, q_sharp)))
+        eq, es = spectra[:n], spectra[n:]
+        moduli = np.abs(np.concatenate((eq, es, (eq[:, :, None] - es[:, None, :]).reshape(n, 9)),
+                                       axis=1)).tolist()
     for f, spectrum, residual, row in zip(facts, eq, residuals, moduli):
         vars(f).update(q_spectrum=spectrum, solvency_residual=residual)
         _check_roots(residual, min(row[6:]), max(*row[:6], 1e-300))
@@ -740,7 +775,8 @@ def factorize(a: QuadraticMatrixPolynomial, direction: str = "outgoing",
 def _factorize(polys: list, classifications: list, direction: str, taus: list) -> list:
     """factorize each polynomial from its classification: the target and
     ordered Schur form one by one, then cond(X1) of every entry from one
-    stacked SVD, then the roots and their checks as stacks."""
+    stacked SVD, then the roots and their checks as stacks; one polynomial
+    runs on its own 3 x 3 blocks, which a stack of one would gather."""
     sigmas, x1, t1 = [], [], []
     for cls, tau in zip(classifications, taus):
         sigma, targets, match_tol = _target(cls, direction, tau)
@@ -749,18 +785,20 @@ def _factorize(polys: list, classifications: list, direction: str, taus: list) -
         sigmas.append(tuple(sigma))
         x1.append(zvec[:3, :3])
         t1.append(t[:3, :3])
-    x1, t1 = np.array(x1), np.array(t1)
+    one = len(polys) == 1
+    x1, t1 = (x1[0], t1[0]) if one else (np.array(x1), np.array(t1))
+    sv = _lapack.svdvals(x1)
     # cond(X1) = s_max / s_min, what np.linalg.cond gives for a finite X1
-    for s_max, _, s_min in _lapack.svdvals(x1).tolist():
+    for s_max, _, s_min in [sv.tolist()] if one else sv.tolist():
         _check_condition(s_max / s_min if s_min > 0 else math.inf)
     coefficients = _coefficients(polys)
     a0, a1_sym, _, a0inv, _ = coefficients
-    q, a0_q, q_sharp = _roots(x1, t1, a0, a1_sym, a0inv)
-    facts = [_record(SpectralFactorization, q=q[k], q_sharp=q_sharp[k], sigma=sigma,
-                     direction=direction, tau=float(tau), poly=a, classification=cls,
-                     a0_q=a0_q[k])
-             for k, (a, cls, tau, sigma) in enumerate(zip(polys, classifications, taus, sigmas))]
-    _validate(facts, coefficients, q, a0_q, q_sharp)
+    roots = _roots(x1, t1, a0, a1_sym, a0inv)
+    facts = [_record(SpectralFactorization, q=q, q_sharp=q_sharp, sigma=sigma,
+                     direction=direction, tau=float(tau), poly=a, classification=cls, a0_q=a0_q)
+             for (q, a0_q, q_sharp), a, cls, tau, sigma in zip(
+                 [roots] if one else zip(*roots), polys, classifications, taus, sigmas)]
+    _validate(facts, coefficients, *roots)
     return facts
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from elaswave import _lapack
+from elaswave.acoustic import cluster_sorted
 from elaswave.boundary import (
     BISECTION_TOL,
     EDGE_OFFSET,
@@ -269,6 +270,24 @@ def kernel_basis_one(a, s) -> np.ndarray:
     return vh[3 - fz._nullity(sv.tolist(), a.scale):].conj().T
 
 
+def group_numpy_scalars(vals: np.ndarray, norm: float) -> list:
+    """factorization._group's rule on numpy's complex scalars: points sorted
+    by numpy's complex sort, clustered (`cluster_sorted`) within
+    GROUPING_TOL (1 + norm), or 1e3 eps norm where that is larger, of a
+    group's mean, and a group real where its mean's |Im| is within the
+    first.  `_group` clusters Python complex numbers and must give these
+    groups bit for bit."""
+    vals = vals.copy()
+    vals.sort()
+    tol_real = fz.GROUPING_TOL * (1.0 + norm)
+    groups = []
+    for idx, mean in cluster_sorted(vals, max(tol_real, 1e3 * np.finfo(float).eps * norm)):
+        mean = complex(mean)
+        is_real = abs(mean.imag) <= tol_real
+        groups.append((complex(mean.real) if is_real else mean, len(idx), is_real))
+    return groups
+
+
 def classify_spectrum_one(a):
     s6 = stroh_one(a)
     if not np.isfinite(s6).all():
@@ -276,7 +295,7 @@ def classify_spectrum_one(a):
     t, z = fz._schur(s6)
     norm = float(np.linalg.norm(s6))
     groups = []
-    for value, alg, is_real in fz._group(np.diag(t), norm):
+    for value, alg, is_real in group_numpy_scalars(np.diag(t), norm):
         kern = sign = form = None
         if is_real:
             kern = kernel_basis_one(a, value)

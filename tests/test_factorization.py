@@ -34,8 +34,8 @@ from elaswave.factorization import (
 from elaswave.materials import make_isotropic
 
 from conftest import NU, random_triclinic, sample_frames
-from oracles import (NotAnEigenvalue, classify_spectrum_one, factorize_one, residue,
-                     stroh_one)
+from oracles import (NotAnEigenvalue, classify_spectrum_one, factorize_one,
+                     group_numpy_scalars, residue, stroh_one)
 
 ETA = np.array([1.0, 0.0, 0.0])
 
@@ -438,9 +438,9 @@ class TestFactorize:
         a = boundary_polynomial(iso, frame(-1.5))
         f = factorize(a, "outgoing")
 
-        def validate(fact):     # the checks of factorize, on a stack of one
+        def validate(fact):     # the checks of factorize, on one factorization's own matrices
             return factorization._validate([fact], factorization._coefficients([a]),
-                                           fact.q[None], fact.a0_q[None], fact.q_sharp[None])
+                                           fact.q, fact.a0_q, fact.q_sharp)
 
         assert validate(f) is None
         bad = dataclasses.replace(f, q=f.q + 1e-6, a0_q=a.a0 @ (f.q + 1e-6))
@@ -868,3 +868,145 @@ def test_group_sorts_as_lexsort():
         got, want = factorization._group(vals, norm), lexsort_groups(vals, norm)
         assert [bits(v) + (alg, real) for v, alg, real in got] == \
             [bits(v) + (alg, real) for v, alg, real in want]
+
+
+def same_groups(got, want):
+    assert [bits(v) + (alg, real) for v, alg, real in got] == \
+        [bits(v) + (alg, real) for v, alg, real in want]
+
+
+def test_group_is_the_numpy_scalar_rule(iso, ti, rotated_ti):
+    # `_group` clusters Python complex numbers; on the Schur diagonals of
+    # seeded spectra in every region, and on points drawn within a few
+    # tolerances of each other (groups of 1 to 6 points, whose means divide
+    # by up to 6), its groups are bit for bit those of the numpy-scalar rule
+    rng = np.random.default_rng(61)
+    diagonals = []
+    for mat in (iso, ti, rotated_ti, random_triclinic(rng), random_triclinic(rng)):
+        for per_region in sample_frames(mat, rng, 30).values():
+            for fr in per_region:
+                cls = classify_spectrum(boundary_polynomial(mat, fr))
+                diagonals.append((cls.schur[0].diagonal(), cls.stroh_norm))
+    assert len(diagonals) == 450
+    sizes = set()
+    for _ in range(3000):
+        norm = float(rng.uniform(0.5, 50.0))
+        tol = factorization.GROUPING_TOL * (1.0 + norm)
+        centers = rng.standard_normal(rng.integers(1, 4)) * (1.0 + rng.integers(2) * 1j)
+        vals = rng.choice(centers, 6) + tol * (rng.uniform(-0.7, 0.7, 6)
+                                               + 1j * rng.uniform(-0.7, 0.7, 6))
+        diagonals.append((vals, norm))
+    for vals, norm in diagonals:
+        got = factorization._group(vals, norm)
+        same_groups(got, group_numpy_scalars(vals, norm))
+        sizes.update(alg for _, alg, _ in got)
+    assert sizes == {1, 2, 3, 4, 5, 6}
+
+
+class TestOneEntryStages:
+    """`_spectra`, `_classify` and `_factorize` run one polynomial on its own
+    arrays and Python floats, a stack on stacked arrays: each entry is bit
+    for bit the same alone as in a stack of two, first or second, and a
+    failing entry raises the same error alone as inside either stack."""
+
+    @staticmethod
+    def polynomials(iso, ti, rotated_ti) -> list:
+        """Seeded frames in every region and 1e-10 either side of tau_L."""
+        rng = np.random.default_rng(67)
+        polys = []
+        for mat in (iso, ti, rotated_ti, random_triclinic(rng)):
+            frames = [fr for per_region in sample_frames(mat, rng, 2).values()
+                      for fr in per_region]
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            eta_hat = np.array([np.cos(ang), np.sin(ang), 0.0])
+            t_l = tau_limit(mat, NU, eta_hat)
+            frames += [BoundaryFrame(NU, eta_hat, -t_l * (1.0 + d)) for d in (-1e-10, 1e-10)]
+            polys += [boundary_polynomial(mat, fr) for fr in frames]
+        return polys
+
+    @staticmethod
+    def three_ways(stage, a, b) -> list:
+        """stage's outcome (`outcome`) for a: alone, first of [a, b] and second of [b, a]."""
+        return [outcome(lambda: stage([a])[0]), outcome(lambda: stage([a, b])[0]),
+                outcome(lambda: stage([b, a])[1])]
+
+    def test_entries_alone_and_stacked(self, iso, ti, rotated_ti):
+        polys = self.polynomials(iso, ti, rotated_ti)
+        partner = boundary_polynomial(ti, frame(-0.5))      # elliptic: factorizes both ways
+        checked = set()
+        for a in polys:
+            alone, first, second = self.three_ways(factorization._spectra, a, partner)
+            for (points, norm, schur), _ in (first, second):
+                assert [bits(p[0]) + p[1:] for p in points] == \
+                    [bits(p[0]) + p[1:] for p in alone[0][0]]
+                assert bits(norm) == bits(alone[0][1])
+                assert [bits(x) for x in schur] == [bits(x) for x in alone[0][2]]
+            cls, first, second = self.three_ways(factorization._classify, a, partner)
+            for got, _ in (first, second):
+                same_classification(got, cls[0])
+            for direction in ("outgoing", "incoming"):
+                def stage(polys, direction=direction):
+                    return factorization._factorize(polys, [classify_spectrum(p) for p in polys],
+                                                    direction, [p.frame.tau for p in polys])
+                (f, error), *stacked = self.three_ways(stage, a, partner)
+                for got, got_error in stacked:
+                    assert got_error == error
+                    if error is None:
+                        same_factorization(got, f)
+                checked.add(direction if error is None else error[0])
+        assert checked == {"outgoing", "incoming"}
+
+    def failing(self, iso, bad):
+        """The error of bad's stage alone, and inside [bad, good] and [good, bad]."""
+        good = boundary_polynomial(iso, frame(-2.5))
+        errors = set()
+        for stage in (factorization._spectra, factorization._classify, lambda polys: (
+                factorization._factorize(polys, [classify_spectrum(p) for p in polys],
+                                         "outgoing", [p.frame.tau for p in polys]))):
+            for polys in ([bad], [bad, good], [good, bad]):
+                with pytest.raises(ElasticError) as info:
+                    stage(polys)
+                errors.add((type(info.value), str(info.value)))
+        return errors
+
+    def test_nan_a2(self, iso):
+        bad = boundary_polynomial(iso, frame(-1.5)).with_a2(np.full((3, 3), np.nan))
+        assert self.failing(iso, bad) == {(NumericalDomainError, "Stroh matrix is not finite")}
+
+    def test_zgees_info(self, iso, monkeypatch):
+        bad = boundary_polynomial(iso, frame(-1.5))
+        real, marked = _lapack.zgees, stroh(bad).tobytes()
+
+        def zgees(select, s6, **kwargs):
+            *out, info = real(select, s6, **kwargs)
+            return (*out, 7 if s6.tobytes() == marked else info)
+
+        monkeypatch.setattr(_lapack, "zgees", zgees)
+        assert self.failing(iso, bad) == {(NumericalDomainError,
+                                           "Schur form not found (zgees info 7)")}
+
+    def test_glancing_frame(self, iso):
+        # iso's double shear root glances at tau = -|eta| c_s = -1: its
+        # spectrum and classification build, its factorization fails
+        bad = boundary_polynomial(iso, frame(-1.0))
+        for stage in (factorization._spectra, factorization._classify):
+            assert len(stage([bad])) == 1
+        stages = [lambda polys, d=d: factorization._factorize(
+            polys, [classify_spectrum(p) for p in polys], d, [p.frame.tau for p in polys])
+            for d in ("outgoing", "incoming")]
+        good = boundary_polynomial(iso, frame(-2.5))
+        for stage in stages:
+            for polys in ([bad], [bad, good], [good, bad]):
+                with pytest.raises(GlancingSpectrum,
+                                   match="^spectrum has a glancing real eigenvalue$"):
+                    stage(polys)
+
+    def test_condition(self, iso, monkeypatch):
+        # cond(X1), a Python float for one entry and a row of one stacked SVD
+        # in a stack, fails the same check
+        monkeypatch.setattr(factorization, "MAX_J_CONDITION", 0.0)
+        bad = boundary_polynomial(iso, frame(-1.5))
+        for polys in ([bad], [bad, bad]):
+            with pytest.raises(IllConditionedJ, match="too ill-conditioned"):
+                factorization._factorize(polys, [classify_spectrum(p) for p in polys],
+                                         "outgoing", [p.frame.tau for p in polys])
