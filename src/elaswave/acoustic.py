@@ -19,6 +19,7 @@ _REFERENCE_FRAME = (np.array([0.0, 0.0, 1.0]),
 
 def acoustic_tensor(c: StiffnessTensor, xi: np.ndarray) -> np.ndarray:
     """Symmetric 3x3 tensor l^{ik} = C^{ijkm} xi_j xi_m, for one xi or a stack."""
+    _check_instance(c, StiffnessTensor, "stiffness must be a StiffnessTensor")
     xi = _real_array(xi, None, "xi must be real numbers", "xi must be finite")
     if xi.shape[-1:] != (3,):
         raise InvalidInput(f"xi must be a vector of shape (3,) or a stack of them, "
@@ -119,7 +120,9 @@ def christoffel_modes(m: Material, xi_hat: np.ndarray) -> ChristoffelModes:
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic quasi-uniform sample of n unit vectors."""
+    """Deterministic quasi-uniform sample of n unit vectors (none for n = 0)."""
+    if not (_is_int(n) and n >= 0):
+        raise InvalidInput(f"n must be a non-negative integer, got {n!r}")
     k = np.arange(n)
     phi = np.pi * (3.0 - np.sqrt(5.0)) * k
     z = 1.0 - 2.0 * (k + 0.5) / n

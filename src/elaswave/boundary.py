@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -655,7 +656,8 @@ def classify_frames(materials, frames):
     one a loop over the frames, one after another, would raise first.  Loop
     order is restored here and nowhere else.
     """
-    frames = iter(frames)
+    frames = iter(_check_instance(frames, Iterable,
+                                  "frames must be an iterable of BoundaryFrames"))
     while chunk := list(itertools.islice(frames, _CHUNK)):
         try:
             rows = _solve_frames(materials, chunk)

@@ -35,7 +35,7 @@ from .errors import (
     SigmaCardinality,
     SolvencyResidual,
 )
-from .materials import Material, _check_instance, _is_real, _real_array
+from .materials import Material, _check_instance, _check_numbers, _is_real, _real_array
 
 # The spectral decision of every frame rests on these fixed tolerances.
 KERNEL_TOL = 1e-6        # SVD cutoff of ker A(s), relative to its largest singular value
@@ -250,6 +250,12 @@ def _check_overflow(size: float, rho: float, tau: float) -> None:
                                   "exceed 1e150")
 
 
+def _coefficient(c, name: str) -> np.ndarray:
+    """c as an array, or InvalidInput unless it is a 3 x 3 matrix of numbers
+    (`_check_numbers`); a NaN is left for classify_spectrum to reject."""
+    return _check_numbers(c, (3, 3), f"{name} must be a 3x3 matrix of numbers")
+
+
 def _check_entries(*coefficients) -> None:
     """_check_overflow on the largest entry; a NaN is left for classify_spectrum to reject."""
     entries = np.abs(np.concatenate([np.ravel(c) for c in coefficients]))
@@ -300,8 +306,10 @@ class QuadraticMatrixPolynomial:
     rho: float | None = None
 
     def __post_init__(self):
-        _check_entries(self.a0, self.a1, self.a2)
-        a0, a1, a2 = (np.array(c, dtype=complex, ndmin=3) for c in (self.a0, self.a1, self.a2))
+        coefficients = [_coefficient(c, name)
+                        for c, name in ((self.a0, "A0"), (self.a1, "A1"), (self.a2, "A2"))]
+        _check_entries(*coefficients)
+        a0, a1, a2 = (np.array(c, dtype=complex, ndmin=3) for c in coefficients)
         vars(self).update(_polynomial_rows(a0, a1, a2, a0 - _herm(a0), a2 - _herm(a2),
                                            a1 + _herm(a1), [self.frame], [self.rho])[0])
 
@@ -313,6 +321,7 @@ class QuadraticMatrixPolynomial:
 
     def with_a2(self, a2: np.ndarray) -> "QuadraticMatrixPolynomial":
         """This polynomial with A2 replaced, settled on the same core."""
+        a2 = _coefficient(a2, "A2")
         _check_entries(a2)
         return _settled(self.core, np.array(a2, dtype=complex), self.frame, self.rho)
 
@@ -804,6 +813,7 @@ def _factorize(polys: list, classifications: list, direction: str, taus: list) -
 
 def factorization_residual(f: SpectralFactorization, s_values) -> float:
     """Max relative residual of A(s) - (s - Q#) A0 (s - Q) over given s."""
+    _check_instance(f, SpectralFactorization, "f must be a SpectralFactorization")
     a = f.poly
     worst = 0.0
     eye = np.eye(3)
@@ -835,7 +845,8 @@ def contour_root_check(a: QuadraticMatrixPolynomial, q: np.ndarray,
     from every eigenvalue of A.  Node counts double until two successive
     quadratures agree to CONTOUR_TOL.  Returns (relative_residual, info).
     """
-    spec_a = np.linalg.eigvals(stroh(a))
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
+    spec_a = np.linalg.eigvals(_stroh(a))
     dist_to_circle = np.abs(np.abs(spec_a - center) - radius)
     if np.min(dist_to_circle) <= radius / 10.0:
         raise ContourTooClose("an eigenvalue lies within radius/10 of the contour")

@@ -32,7 +32,7 @@ from .factorization import (
     classify_spectrum,
     factorize,
 )
-from .materials import _check_instance
+from .materials import _check_instance, _check_numbers, _check_vector
 
 MODAL_FLUX_TOL = 1e-9     # largest relative residual of the modal flux identity
 BL_NODES = 64             # first Gauss-Legendre node count of the Barnett-Lothe integrals
@@ -158,8 +158,11 @@ def _mode_projectors(facts: list) -> list:
 
 
 def flux_form(z: Impedance | np.ndarray, tau: float, u: np.ndarray) -> float:
-    """Outgoing energy flux -tau Im(u|zu) carried by a boundary trace u."""
-    zm = z.z if isinstance(z, Impedance) else z
+    """Outgoing energy flux -tau Im(u|zu) carried by a boundary trace u (3
+    numbers) of z, an Impedance or its 3 x 3 matrix."""
+    zm = z.z if isinstance(z, Impedance) else _check_numbers(
+        z, (3, 3), "z must be an Impedance or a 3x3 matrix of numbers")
+    u = _check_vector(u, "u")
     return float(-tau * np.imag(np.vdot(zm @ u, u)))
 
 
@@ -254,6 +257,8 @@ def impedance_tau_derivative(a: QuadraticMatrixPolynomial, f: SpectralFactorizat
     and spec(Q*) disjoint), and optionally cross-checked against a central
     finite difference of the factorization impedance in tau^2.
     """
+    _check_instance(a, QuadraticMatrixPolynomial, "a must be a QuadraticMatrixPolynomial")
+    _check_instance(f, SpectralFactorization, "f must be a SpectralFactorization")
     if rho is None:
         rho = a.rho
     if rho is None:

@@ -490,10 +490,12 @@ def trace_plane_wave(stack: LayerStack, eta, tau: float,
 
 def arrivals_rows(tree: EventTree) -> list[tuple]:
     """Flat (time, layer, mode, |amplitude|, flux) rows of surface arrivals."""
+    _check_instance(tree, EventTree, "tree must be an EventTree")
     return [(t, 0, s, amp, fl) for (t, s, amp, fl) in tree.arrivals]
 
 
 def leaf_flux(tree: EventTree) -> float:
     """Total energy flux of all terminal segments."""
+    _check_instance(tree, EventTree, "tree must be an EventTree")
     return float(sum(e.flux for e in tree.events
                      if e.status in ("halfspace", "floored", "truncated", "glancing")))

@@ -59,13 +59,19 @@ def _numbers(x) -> tuple:
     return arr, arr.dtype.kind in "iuf"
 
 
+def _check_numbers(x, shape: tuple, message: str) -> np.ndarray:
+    """x as an array (`_numbers`), or InvalidInput(message, with its dtype and
+    shape) unless it holds real or complex numbers in that shape."""
+    arr = _numbers(x)[0]
+    if arr.dtype.kind not in "iufc" or arr.shape != shape:
+        raise InvalidInput(f"{message}, got {arr.dtype} of shape {arr.shape}")
+    return arr
+
+
 def _check_vector(v, name: str) -> np.ndarray:
     """v as an array (`_numbers`), or InvalidInput unless it is a vector of 3
     finite real or complex numbers; name names it in the message."""
-    arr = _numbers(v)[0]
-    if arr.dtype.kind not in "iufc" or arr.shape != (3,):
-        raise InvalidInput(f"{name} must be a vector of 3 numbers, "
-                           f"got {arr.dtype} of shape {arr.shape}")
+    arr = _check_numbers(v, (3,), f"{name} must be a vector of 3 numbers")
     if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} must be finite")
     return arr
@@ -256,6 +262,7 @@ def decompose_harmonic(c: StiffnessTensor) -> HarmonicDecomposition:
     linear system in the two partial traces, and the harmonic part is the
     remainder.
     """
+    _check_instance(c, StiffnessTensor, "stiffness must be a StiffnessTensor")
     t = c.entries
     full1 = np.einsum("iikk->", t)   # 9 lam + 6 mu
     full2 = np.einsum("ijij->", t)   # 3 lam + 12 mu
@@ -282,12 +289,14 @@ def check_strong_convexity(c: StiffnessTensor) -> tuple[bool, float]:
     Returns (is_convex, minimum eigenvalue) from the Mandel-scaled 6x6
     spectrum, which coincides with the tensor-form spectrum.
     """
+    _check_instance(c, StiffnessTensor, "stiffness must be a StiffnessTensor")
     eigs = _lapack.eigvalsh(to_mandel(c))
     return bool(eigs[0] > 0), float(eigs[0])
 
 
 def to_voigt(c: StiffnessTensor) -> np.ndarray:
     """6x6 engineering (unscaled) Voigt matrix; pair order 11,22,33,23,13,12."""
+    _check_instance(c, StiffnessTensor, "stiffness must be a StiffnessTensor")
     return c.entries[_VOIGT_I[:, None], _VOIGT_J[:, None], _VOIGT_I, _VOIGT_J]
 
 

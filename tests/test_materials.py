@@ -541,3 +541,105 @@ class TestPolynomialGate:
             run()
         assert str(info.value) == message
         assert info.value.exit_code == 2
+
+
+class TestEntryPointGate:
+    """A wrong object, count, matrix or vector given to the remaining public
+    entry points (tensors, samples, polynomials, oracles, trees and fluxes)
+    is bad input (exit code 2) with a pinned message, not an AttributeError,
+    TypeError, ValueError or UFuncTypeError from inside, nor a result."""
+
+    @staticmethod
+    def entry_points():
+        from elaswave.acoustic import acoustic_tensor, fibonacci_sphere
+        from elaswave.boundary import classify_frames, ellipticity_margin
+        from elaswave.factorization import (
+            BoundaryFrame,
+            QuadraticMatrixPolynomial,
+            boundary_polynomial,
+            contour_root_check,
+            factorization_residual,
+            factorize,
+            stroh,
+        )
+        from elaswave.impedance import (
+            flux_form,
+            impedance_from_factorization,
+            impedance_tau_derivative,
+        )
+        from elaswave.layered import arrivals_rows, leaf_flux
+
+        m = make_isotropic(2.0, 1.0, 1.0, "iso")
+        a = boundary_polynomial(m, BoundaryFrame(np.array([0.0, 0.0, 1.0]),
+                                                 np.array([1.0, 0.0, 0.0]), -1.5))
+        f = factorize(a)
+        z, u, eye = impedance_from_factorization(a, f), np.ones(3), np.eye(3)
+        stiffness = "stiffness must be a StiffnessTensor, got str"
+        poly = "a must be a QuadraticMatrixPolynomial, got str"
+        fact = "f must be a SpectralFactorization, got str"
+        tree = "tree must be an EventTree, got str"
+        count = "n must be a non-negative integer, got {}"
+        return {
+            "classify_frames": (lambda: list(classify_frames(m, 5)),
+                                "frames must be an iterable of BoundaryFrames, got int"),
+            "ellipticity_margin": (lambda: ellipticity_margin(m, 5),
+                                   "frames must be an iterable of BoundaryFrames, got int"),
+            "fibonacci_sphere str": (lambda: fibonacci_sphere("3"), count.format("'3'")),
+            "fibonacci_sphere float": (lambda: fibonacci_sphere(2.5), count.format("2.5")),
+            "fibonacci_sphere bool": (lambda: fibonacci_sphere(True), count.format("True")),
+            "fibonacci_sphere negative": (lambda: fibonacci_sphere(-1), count.format("-1")),
+            "acoustic_tensor": (lambda: acoustic_tensor("x", u), stiffness),
+            "decompose_harmonic": (lambda: decompose_harmonic("x"), stiffness),
+            "to_voigt": (lambda: to_voigt("x"), stiffness),
+            "check_strong_convexity": (lambda: check_strong_convexity("x"), stiffness),
+            "stroh": (lambda: stroh("x"), poly),
+            "contour_root_check": (lambda: contour_root_check("x", f.q, 0j, 1.0), poly),
+            "factorization_residual": (lambda: factorization_residual("x", [0.5]), fact),
+            "impedance_tau_derivative": (lambda: impedance_tau_derivative("x", f), poly),
+            "impedance_tau_derivative f": (lambda: impedance_tau_derivative(a, "x"), fact),
+            "leaf_flux": (lambda: leaf_flux("x"), tree),
+            "arrivals_rows": (lambda: arrivals_rows("x"), tree),
+            "QuadraticMatrixPolynomial 2x2": (
+                lambda: QuadraticMatrixPolynomial(eye, eye, np.eye(2)),
+                "A2 must be a 3x3 matrix of numbers, got float64 of shape (2, 2)"),
+            "QuadraticMatrixPolynomial str": (
+                lambda: QuadraticMatrixPolynomial("a", "b", "c"),
+                "A0 must be a 3x3 matrix of numbers, got <U1 of shape ()"),
+            "with_a2 2x2": (lambda: a.with_a2(np.eye(2)),
+                            "A2 must be a 3x3 matrix of numbers, got float64 of shape (2, 2)"),
+            "flux_form z": (lambda: flux_form("x", -1.0, u),
+                            "z must be an Impedance or a 3x3 matrix of numbers, "
+                            "got <U1 of shape ()"),
+            "flux_form u": (lambda: flux_form(z, -1.0, np.ones(2)),
+                            "u must be a vector of 3 numbers, got float64 of shape (2,)"),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "classify_frames", "ellipticity_margin", "fibonacci_sphere str",
+        "fibonacci_sphere float", "fibonacci_sphere bool", "fibonacci_sphere negative",
+        "acoustic_tensor", "decompose_harmonic", "to_voigt", "check_strong_convexity", "stroh",
+        "contour_root_check", "factorization_residual", "impedance_tau_derivative",
+        "impedance_tau_derivative f", "leaf_flux", "arrivals_rows",
+        "QuadraticMatrixPolynomial 2x2", "QuadraticMatrixPolynomial str", "with_a2 2x2",
+        "flux_form z", "flux_form u"])
+    def test_typed_error(self, name):
+        run, message = self.entry_points()[name]
+        with pytest.raises(InvalidInput) as info:
+            run()
+        assert str(info.value) == message
+        assert info.value.exit_code == 2
+
+    def test_gated_values_pass(self):
+        # what the gates let through gives what it gave: a numpy count, no
+        # directions, and a trace and matrix given as lists
+        from elaswave.acoustic import fibonacci_sphere
+        from elaswave.factorization import BoundaryFrame, boundary_polynomial, factorize
+        from elaswave.impedance import flux_form, impedance_from_factorization
+
+        assert np.array_equal(fibonacci_sphere(np.int64(5)), fibonacci_sphere(5))
+        assert fibonacci_sphere(0).shape == (0, 3)
+        a = boundary_polynomial(make_isotropic(2.0, 1.0, 1.0, "iso"), BoundaryFrame(
+            np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), -1.5))
+        z = impedance_from_factorization(a, factorize(a))
+        u = np.array([1.0, 2.0j, -0.5])
+        assert flux_form(z.z.tolist(), -1.5, u.tolist()) == flux_form(z, -1.5, u)
