@@ -284,7 +284,7 @@ def _settled(core: _SymbolCore, a2: np.ndarray, frame, rho, asymmetry=None):
     if asymmetry is None:
         norm, asymmetry = _fro(np.array((a2, a2 - _herm(a2)))).tolist()
     else:
-        (norm,) = _fro(a2[None]).tolist()
+        norm = _norm(a2)
     a2.setflags(write=False)
     return _record(QuadraticMatrixPolynomial, _polynomial_fields(core, a2, frame, rho, norm,
                                                                  asymmetry))
