@@ -49,6 +49,17 @@ def test_probes_are_round_zero_of_surface_waves():
             assert a.frame.tau == -1.0 and np.array_equal(a.frame.eta, eta_hat)
 
 
+def test_z_probe_floor_is_the_probe():
+    # the floor's arithmetic gives each probe polynomial's z at -0.9 tau_eta
+    # bit for bit, so the row times the probe's own calls
+    from elaswave import boundary
+
+    for _, _, _, a, tau_eta in stage_costs.probe_polynomials():
+        for t in (-0.9 * tau_eta, -0.5 * tau_eta):
+            want = boundary._outgoing_z(a.with_tau(t))
+            assert stage_costs.z_probe_floor(a, t).tobytes() == want.tobytes()
+
+
 def test_solves_are_round_zero_of_surface_waves():
     # each solve gives what the round's own operation at that place gives
     solves = stage_costs.surface_solves()
@@ -87,11 +98,17 @@ def test_one_repeat_prints_every_stage():
     assert out[0] == ("seed 1, 48 frames, 8 probe polynomials, 7 surface-wave solves, "
                       "median of 1 repeats, us")
     assert out[1].split() == ["stage", "n", "=", "1", "per", "entry", "of", "16"]
-    rows = {line[:16].strip(): line[16:].split() for line in out[2:-1]}
+    rows = {line[:16].strip(): line[16:].split() for line in out[2:-2]}
     assert list(rows) == ["polynomial", "classification", "factorization", "projectors",
-                          "frame_sweep op", "z probe", "spectrum probe", "surface solve"]
-    unstacked = ("frame_sweep op", "z probe", "spectrum probe", "surface solve")
+                          "frame_sweep op", "z probe", "z probe floor", "spectrum probe",
+                          "surface solve"]
+    unstacked = ("frame_sweep op", "z probe", "z probe floor", "spectrum probe",
+                 "surface solve")
     for name, (alone, stacked) in rows.items():
         assert float(alone) > 0
         assert stacked == "-" if name in unstacked else float(stacked) > 0
+    gap = float(rows["z probe"][0]) - float(rows["z probe floor"][0])
+    label, printed = out[-2].rsplit(": ", 1)
+    assert label == "z probe over its floor" and printed.endswith(" us")
+    assert abs(float(printed[:-3]) - gap) <= 0.1 + 1e-9     # each figure rounded to 0.1
     assert out[-1] == "z builds per surface solve: 6.86"

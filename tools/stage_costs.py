@@ -26,6 +26,13 @@ interval, and then
 
   z probe         its outgoing impedance matrix (boundary._outgoing_z), what
                   each step of a Rayleigh search reads
+  z probe floor   the z probe's LAPACK and matmul calls alone, with no
+                  groups, records or checks: the Stroh matrix at tau, zgees,
+                  ztrsen of the eigenvalues with Im > 0 (the outgoing half
+                  at an elliptic frame), svdvals and inv of X1, Q, A0 Q, Q#,
+                  the eigenvalues of Q and Q#, z and eigvalsh of its
+                  Hermitian part (z_probe_floor); a line under the table
+                  prints how far the z probe lies above it
   spectrum probe  whether its spectrum is fully evanescent
                   (boundary._fully_evanescent), each step of tau_limit.
 
@@ -62,9 +69,12 @@ import time  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
+from elaswave import _lapack  # noqa: E402
 from elaswave import boundary as bd  # noqa: E402
 from elaswave import factorization as fz  # noqa: E402
 from elaswave import impedance as imp  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402   bench/workloads.py
 
@@ -129,6 +139,26 @@ def z_builds(solves: list) -> int:
     return len(builds)
 
 
+def z_probe_floor(a, t: float):
+    """z of the polynomial a moved to tau = t, an elliptic frame, from the z
+    probe's LAPACK and matmul calls alone (`_outgoing_z(a.with_tau(t))`, bit
+    for bit), with the work whose results the probe only checks: cond(X1),
+    the eigenvalues of Q and Q# and lambda_min of z."""
+    core = a.core
+    s6 = core.stroh.copy()
+    s6[3:, :3] -= fz._a2(core.l_eta, a.rho * t ** 2)
+    t6, _, _, z6, _, _ = _lapack.zgees(lambda x: None, s6, lwork=_lapack.ZGEES_LWORK)
+    t6, z6, *_ = _lapack.ztrsen(t6.diagonal().imag > 0, t6, z6, job="N")
+    x1 = z6[:3, :3]
+    _lapack.svdvals(x1)
+    q = x1 @ t6[:3, :3] @ _lapack.inv(x1)
+    a0_q = core.a0 @ q
+    _lapack.eigvals(np.array((q, -(a0_q + core.a1_sym) @ core.a0inv)))
+    z = -1j * (a0_q + a.a1)
+    _lapack.eigvalsh(0.5 * (z + z.conj().T))
+    return z
+
+
 def _by_material(chunk: list) -> list:
     """(material, frames) stacks of a chunk of pairs, in order."""
     stacks = []
@@ -170,6 +200,9 @@ def stages(pairs: list, probes: list, solves: list) -> list:
         ("z probe",
          [lambda a=a, t=-0.9 * tau_eta: bd._outgoing_z(a.with_tau(t))
           for _, _, _, a, tau_eta in probes],
+         None),
+        ("z probe floor",
+         [lambda a=a, t=-0.9 * tau_eta: z_probe_floor(a, t) for _, _, _, a, tau_eta in probes],
          None),
         ("spectrum probe",
          [lambda a=a, t=-0.9 * tau_eta: bd._fully_evanescent(a.with_tau(t))
@@ -215,6 +248,8 @@ def main(argv=None) -> int:
     for name, alone, stacked in rows:
         print(f"{name:16s} {alone:10.1f} "
               f"{'-' if stacked is None else f'{stacked:.1f}':>18s}")
+    alone = {name: us for name, us, _ in rows}
+    print(f"z probe over its floor: {alone['z probe'] - alone['z probe floor']:.1f} us")
     print(f"z builds per surface solve: {z_builds(solves) / len(solves):.2f}")
     return 0
 
