@@ -524,8 +524,9 @@ def _group(vals: np.ndarray, norm: float) -> list:
     The points are clustered as Python complex numbers, whose differences
     and moduli (libm hypot) are numpy's complex scalars', and so are their
     means of one or two points.  numpy's scalar quotient by n >= 3 is a
-    product with 1/n, so a spectrum with a group of three or more is
-    clustered again on numpy's scalars."""
+    product with 1/n, so a spectrum with a group of three or more (the
+    triple points of an isotropic solid with lambda = -mu) is clustered
+    again on numpy's scalars."""
     vals = vals.copy()
     vals.sort()
     tol_real = GROUPING_TOL * (1.0 + norm)

@@ -877,17 +877,22 @@ def same_groups(got, want):
 
 def test_group_is_the_numpy_scalar_rule(iso, ti, rotated_ti):
     # `_group` clusters Python complex numbers; on the Schur diagonals of
-    # seeded spectra in every region, and on points drawn within a few
-    # tolerances of each other (groups of 1 to 6 points, whose means divide
-    # by up to 6), its groups are bit for bit those of the numpy-scalar rule
+    # seeded spectra in every region, on the triple points of an isotropic
+    # solid with lambda = -mu (whose means, divided by 3, round otherwise
+    # as Python complex numbers at tau = -0.5 and -1.5), and on points drawn
+    # within a few tolerances of each other (groups of 1 to 6 points), its
+    # groups are bit for bit those of the numpy-scalar rule
     rng = np.random.default_rng(61)
+    frames = [(mat, [fr for per_region in sample_frames(mat, rng, 30).values()
+                     for fr in per_region])
+              for mat in (iso, ti, rotated_ti, random_triclinic(rng), random_triclinic(rng))]
+    frames.append((make_isotropic(-1.0, 1.0, 1.0), [frame(tau) for tau in (-0.5, -1.5, -2.5)]))
     diagonals = []
-    for mat in (iso, ti, rotated_ti, random_triclinic(rng), random_triclinic(rng)):
-        for per_region in sample_frames(mat, rng, 30).values():
-            for fr in per_region:
-                cls = classify_spectrum(boundary_polynomial(mat, fr))
-                diagonals.append((cls.schur[0].diagonal(), cls.stroh_norm))
-    assert len(diagonals) == 450
+    for mat, mat_frames in frames:
+        for fr in mat_frames:
+            cls = classify_spectrum(boundary_polynomial(mat, fr))
+            diagonals.append((cls.schur[0].diagonal(), cls.stroh_norm))
+    assert len(diagonals) == 453
     sizes = set()
     for _ in range(3000):
         norm = float(rng.uniform(0.5, 50.0))
