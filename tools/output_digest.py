@@ -619,7 +619,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as directory:
         lines = section(lambda: cli_digests(directory))
         trees, laws = section(lambda: built_laws(lambda: digest_trees(args.seed, directory)))
-        law_lines = section(lambda: law_digest(laws, args.seed))
+        laws_hash = section(lambda: law_digest(laws, args.seed))
         spectra = section(lambda: spectra_digest(args.seed))
         surface, probes, fallbacks, limits = section(lambda: probe_counts(
             surface_wave_solves(args.seed, directory)))
@@ -632,7 +632,7 @@ def main(argv=None) -> int:
                   ("surface_wave_probes", _hash(probes, anisotropic_probes)),
                   ("limit_fallbacks", _hash(fallbacks, anisotropic_fallbacks)),
                   ("trees", tree_digest(trees)),
-                  ("laws", law_lines),
+                  ("laws", laws_hash),
                   ("tree_fields", tree_digest(trees, drop=("time",))),
                   ("tree_shapes", tree_shape_digest(trees)),
                   ("errors", errors),
